@@ -26,9 +26,10 @@ def _weight_matrix(network: PhysicalNetwork, edge_weights: Optional[np.ndarray])
     """Validated CSR adjacency under ``edge_weights``.
 
     This is the single validation point for caller-supplied weights: the
-    shape and non-negativity checks run exactly once per Dijkstra call,
-    and the zero clamp (see :func:`shortest_path_tree`) copies the weight
-    vector only when a zero is actually present.
+    shape check and one ``weights.min() > 0`` test run once per Dijkstra
+    call.  Only a zero, negative or NaN weight fails the test and falls
+    through to the negative-weight error and the zero clamp (see
+    :func:`shortest_path_tree`); NaN passes both unchanged.
 
     The returned matrix is the network's shared scratch CSR adjacency
     (:meth:`PhysicalNetwork.csr_adjacency_inplace`): only its ``.data``
@@ -45,10 +46,11 @@ def _weight_matrix(network: PhysicalNetwork, edge_weights: Optional[np.ndarray])
                 f"edge_weights must have shape ({network.num_edges},), "
                 f"got {weights.shape}"
             )
-        if np.any(weights < 0):
-            raise InvalidNetworkError("edge weights must be non-negative")
-        if np.any(weights == 0):
-            weights = np.where(weights == 0, np.finfo(float).tiny, weights)
+        if not weights.min() > 0:
+            if np.any(weights < 0):
+                raise InvalidNetworkError("edge weights must be non-negative")
+            if np.any(weights == 0):
+                weights = np.where(weights == 0, np.finfo(float).tiny, weights)
     return network.csr_adjacency_inplace(weights)
 
 
@@ -68,6 +70,14 @@ def shortest_path_tree(
     from a missing edge.  The exponential length functions used by the
     FPTAS are strictly positive, so the clamp only matters for degenerate
     caller-provided weights.
+
+    The search runs in scipy's *directed* mode on the network's scratch
+    CSR, and that is exact, not an approximation: the matrix stores every
+    edge at ``(u, v)`` and at ``(v, u)`` with bitwise-equal weights, so
+    undirected mode's extra scan of each settled node's transposed row
+    recomputes the same ``dist[u] + w`` sums, never relaxes a node, and
+    the directed run *is* the undirected run, ties included.  Undirected
+    mode would also transpose and re-convert the matrix on every call.
     """
     src = np.asarray(list(sources), dtype=np.int64)
     if src.size == 0:
@@ -75,11 +85,11 @@ def shortest_path_tree(
             np.zeros((0, network.num_nodes)),
             np.zeros((0, network.num_nodes), dtype=np.int64),
         )
-    if np.any(src < 0) or np.any(src >= network.num_nodes):
+    if src.min() < 0 or src.max() >= network.num_nodes:
         raise InvalidNetworkError("source outside the network's node range")
     matrix = _weight_matrix(network, edge_weights)
     distances, predecessors = dijkstra(
-        matrix, directed=False, indices=src, return_predecessors=True
+        matrix, directed=True, indices=src, return_predecessors=True
     )
     return distances, predecessors
 

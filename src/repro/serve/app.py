@@ -330,20 +330,32 @@ class ServeApp:
             **links,
         }
 
+    def _stored_report(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored report as JSON, or ``None`` (raises ``StoreUnavailable``)."""
+        if self._store_contains(key):
+            stored = self.store.get(key)
+            if stored is not None:
+                return stored.to_jsonable()
+        return None
+
     def report(self, key: str) -> Tuple[int, Dict[str, Any]]:
         """``GET /v1/reports/{key}``: the report, or where it stands."""
         try:
-            if self._store_contains(key):
-                stored = self.store.get(key)
-                if stored is not None:
-                    return 200, stored.to_jsonable()
+            stored = self._stored_report(key)
+            run = self._runs.get(key)
+            if stored is None and run is not None and run.state == "done":
+                # Executors store the report before they mark the run
+                # done, so it may have landed after the lookup above:
+                # look once more before calling it lost.
+                stored = self._stored_report(key)
         except StoreUnavailable as exc:
             return 503, _error(
                 "StoreUnavailable",
                 "report store is unavailable; retry shortly",
                 retry_after_seconds=exc.retry_after,
             )
-        run = self._runs.get(key)
+        if stored is not None:
+            return 200, stored
         if run is None:
             return 404, _error("NotFound", f"unknown canonical key {key!r}")
         if run.state == "failed":

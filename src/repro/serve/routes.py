@@ -61,6 +61,11 @@ def make_server(
 class ServeRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # TCP_NODELAY on every accepted socket.  A reply leaves as a header
+    # segment then a body segment; under Nagle the body waits for the
+    # client's delayed ACK of the headers (~40 ms on Linux) on a reused
+    # keep-alive connection.
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServeApp:

@@ -311,6 +311,12 @@ class PhysicalNetwork:
         call, no conversion, no sort.  The matrix is *invalidated by the
         next call*: callers must consume it immediately (the Dijkstra
         wrappers do) and never hand it out or mutate its structure.
+
+        Both orientations of every edge are stored, ``(u, v)`` and
+        ``(v, u)``, and both slots are filled from the same ``weights``
+        entry, so their values are bitwise equal.  The Dijkstra wrapper
+        relies on that: on this matrix scipy's directed search is the
+        undirected one, without the per-call transpose.
         """
         from scipy.sparse import csr_matrix
 

@@ -91,13 +91,29 @@ class TestShortestPathTree:
         distances, _ = shortest_path_tree(diamond_network, [0], weights)
         assert np.all(np.isfinite(distances))
 
+    def test_zero_weight_edge_routes_at_tiny_length(self, path_network):
+        weights = np.ones(path_network.num_edges)
+        edge = path_network.edge_id(1, 2)
+        weights[edge] = 0.0
+        distances, predecessors = shortest_path_tree(path_network, [1], weights)
+        tiny = np.finfo(float).tiny
+        assert distances[0, 2] == tiny and predecessors[0, 2] == 1
+        assert distances[0, 4] == tiny + 1.0 + 1.0
+        # The clamp works on a copy; the caller's vector is untouched.
+        assert weights[edge] == 0.0
+
     def test_bad_source_rejected(self, diamond_network):
-        with pytest.raises(InvalidNetworkError):
-            shortest_path_tree(diamond_network, [99])
+        for source in (99, diamond_network.num_nodes, -1):
+            with pytest.raises(InvalidNetworkError, match="node range"):
+                shortest_path_tree(diamond_network, [0, source])
 
     def test_negative_weights_rejected(self, diamond_network):
         with pytest.raises(InvalidNetworkError):
             shortest_path_tree(diamond_network, [0], -np.ones(diamond_network.num_edges))
+        one_negative = np.ones(diamond_network.num_edges)
+        one_negative[2] = -0.5
+        with pytest.raises(InvalidNetworkError, match="non-negative"):
+            shortest_path_tree(diamond_network, [0], one_negative)
 
 
 class TestReconstruction:

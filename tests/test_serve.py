@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import socket
 import threading
 import time
 import urllib.error
@@ -42,6 +43,7 @@ from repro.serve import (
     parse_sse_line,
     sse_frames,
 )
+from repro.serve.routes import ServeRequestHandler
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
 from repro.util.errors import ConfigurationError
@@ -476,6 +478,73 @@ class TestServeHTTP:
         assert second["deduplicated"] is True
         assert app.admission.depth == 1
         app.close()
+
+    def test_accepted_sockets_set_tcp_nodelay(self, http_server, monkeypatch):
+        # Without TCP_NODELAY a reply's body segment waits for the
+        # client's delayed ACK of the header segment on keep-alive.
+        _, base = http_server
+        nodelay = []
+        setup = ServeRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(ServeRequestHandler, "setup", recording_setup)
+        code, _ = http_get(f"{base}/healthz")
+        assert code == 200
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+
+class TestReportLookup:
+    """``ServeApp.report`` against a run finishing between its two reads."""
+
+    def test_report_stored_between_store_and_run_reads_is_served(
+        self, tmp_path, monkeypatch
+    ):
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
+        try:
+            spec = small_spec(seed=31)
+            code, ticket = app.submit(json.dumps(spec.to_jsonable()).encode())
+            assert code == 202
+            key = ticket["key"]
+            contains = app._store_contains
+            raced = []
+
+            def racing_contains(k):
+                found = contains(k)
+                if not raced:
+                    # The first lookup misses; before the run record is
+                    # read, the solver thread stores the report and then
+                    # marks the run done, in the inline executor's order.
+                    raced.append(found)
+                    solve(spec, store=app.store)
+                    app._runs[k].state = "done"
+                return found
+
+            monkeypatch.setattr(app, "_store_contains", racing_contains)
+            code, payload = app.report(key)
+            assert raced == [False]
+            assert code == 200, payload
+            assert payload["canonical_key"] == key
+        finally:
+            app.close()
+
+    def test_done_run_without_stored_report_is_lost(self, tmp_path):
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
+        try:
+            code, ticket = app.submit(
+                json.dumps(small_spec(seed=32).to_jsonable()).encode()
+            )
+            assert code == 202
+            app._runs[ticket["key"]].state = "done"
+            code, payload = app.report(ticket["key"])
+            assert code == 404
+            assert payload["error"]["type"] == "ReportLost"
+        finally:
+            app.close()
 
 
 # ----------------------------------------------------------------------
