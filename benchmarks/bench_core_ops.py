@@ -2,8 +2,8 @@
 
 These complement the per-table/figure benchmarks with the design-choice
 ablations called out in DESIGN.md: oracle cost under fixed versus dynamic
-routing, FPTAS cost versus epsilon, the online step cost, and the oracle
-tree-memoization ablation.  The final benchmark writes the repo-root
+routing, FPTAS cost versus epsilon, the online step cost, and fixed
+MaxFlow on the BENCH instance.  The final benchmark writes the repo-root
 ``BENCH_core.json`` perf record (quick scale) so the hot-path trajectory
 is tracked across PRs.
 """
@@ -83,20 +83,18 @@ def test_online_acceptance_throughput(benchmark, network, session):
     assert congestion > 0
 
 
-@pytest.mark.parametrize("memoize", [True, False], ids=["memoized", "unmemoized"])
-def test_maxflow_memoization_ablation(run_once, benchmark, memoize):
-    """Ablation: fixed-routing MaxFlow with the oracle tree cache on/off."""
+def test_maxflow_fixed_quick(run_once, benchmark):
+    """Fixed-routing MaxFlow on the BENCH instance; the tree cache hits."""
     benchmark.group = "oracle-cache"
     network, sessions = build_perf_instance(QUICK_PROFILE)
     solver = MaxFlow(
         sessions,
         FixedIPRouting(network),
-        MaxFlowConfig(approximation_ratio=QUICK_PROFILE.fixed_ratio, memoize=memoize),
+        MaxFlowConfig(approximation_ratio=QUICK_PROFILE.fixed_ratio),
     )
     solution = run_once(solver.solve)
     assert solution.oracle_calls > 0
-    if memoize:
-        assert sum(o.cache_hits for o in solver.oracles) > 0
+    assert sum(o.cache_hits for o in solver.oracles) > 0
 
 
 def test_length_multiply_batch_ablation(run_once, benchmark):
@@ -112,87 +110,19 @@ def test_length_multiply_batch_ablation(run_once, benchmark):
     assert result["batched_speedup"] > 1.0
 
 
-def test_length_multiply_unique_fastpath(run_once, benchmark):
-    """Ablation: the ``assume_unique`` multiply_batch fast path.
+def test_tree_length_crossover(run_once, benchmark):
+    """Re-measure the dense/sparse length crossover.
 
-    On a duplicate-free batch (as the engine's per-step flush produces —
-    one entry per distinct tree edge), skipping the duplicate-safe
-    ``np.multiply.at`` accumulation for a direct fancy-indexed multiply
-    must win.  Bit-identical either way (tests/test_tree_ledger.py).
-    """
-    benchmark.group = "length-update"
-    from repro.perf.record import _timed_multiply_batch
-
-    result = run_once(_timed_multiply_batch, QUICK_PROFILE)
-    assert result["unique_safe_seconds"] > 0
-    assert result["unique_fast_seconds"] > 0
-    assert result["unique_fastpath_speedup"] > 1.0
-
-
-def test_tree_length_crossover_and_ledger_round(run_once, benchmark):
-    """Re-measure the dense/sparse length crossover and the ledger round.
-
-    The sweep brackets ``SPARSE_LENGTH_MIN_EDGES``; the ledger arm times
-    one :meth:`TreeLedger.lengths_for` round against the per-tree
-    ``length`` loop it replaces in stacked engine rounds (bit-identical;
-    the per-column dots keep it near parity on small footprints — the
-    end-to-end stacked win is the engine_step section).
+    The sweep brackets ``SPARSE_LENGTH_MIN_EDGES``; the measured
+    crossover lands in BENCH_core.json.
     """
     benchmark.group = "tree-length"
-    from repro.perf.record import _timed_length_crossover, _timed_ledger_round
+    from repro.perf.record import _timed_length_crossover
 
     crossover = run_once(_timed_length_crossover, QUICK_PROFILE)
     assert len(crossover["num_edges"]) == len(QUICK_PROFILE.crossover_nodes)
     assert all(t > 0 for t in crossover["dense_us_per_eval"])
     assert all(t > 0 for t in crossover["sparse_us_per_eval"])
-    ledger = _timed_ledger_round(QUICK_PROFILE)
-    assert ledger["trees"] == QUICK_PROFILE.ledger_trees
-    # Structural only — the measured ratio lands in BENCH_core.json.
-    assert ledger["ledger_round_speedup"] > 0
-
-
-def test_ledger_kernel_backend_ablation(run_once, benchmark):
-    """Ablation: the ledger hot ops under numpy vs the best ordered backend.
-
-    Times the three kernel-registry ops — the fused round-lengths pass
-    (:meth:`TreeLedger.lengths_for`), the flow scatter
-    (:meth:`TreeLedger.edge_values`), and the one-pass all-columns
-    kernel (:meth:`TreeLedger.lengths_for_all`) — under the default
-    ``numpy`` backend and under the best available ordered backend
-    (``numba`` when importable, else the pure-NumPy ``ordered``
-    reference).  Results are bit-identical per backend to the per-tree
-    loop (tests/test_kernel_backends.py); the measured speedups land in
-    BENCH_core.json.
-    """
-    benchmark.group = "ledger-kernel"
-    from repro.perf.record import _best_kernel_backend, _timed_ledger_kernel
-
-    result = run_once(_timed_ledger_kernel, QUICK_PROFILE)
-    assert result["backend"] == _best_kernel_backend()
-    assert result["nnz"] > 0
-    for op in ("round_lengths", "scatter", "lengths_for_all"):
-        assert result[op]["numpy_seconds"] > 0
-        assert result[op]["compiled_seconds"] > 0
-        # Structural only — the measured ratios land in BENCH_core.json.
-        assert result[op]["compiled_speedup"] > 0
-
-
-def test_engine_step_stacked_ablation(run_once, benchmark):
-    """Ablation: full engine steps, stacked representation vs the loop.
-
-    Times complete :meth:`PhaseEngine.step` calls (oracle round, routing
-    decision, length update) with the stacked-tree defaults versus
-    ``stacked_trees=False, batch_oracle=False`` under both routings on
-    the larger engine-bench instance.  Both arms execute the identical
-    step sequence; the headline speedup lands in BENCH_core.json.
-    """
-    benchmark.group = "engine-step"
-    from repro.perf.record import _timed_engine_step
-
-    result = run_once(_timed_engine_step, QUICK_PROFILE)
-    assert result["fixed"]["outputs_identical"]
-    assert result["dynamic"]["outputs_identical"]
-    assert result["stacked_speedup"] > 0
 
 
 def test_oracle_batch_ablation(run_once, benchmark):
@@ -216,23 +146,19 @@ def test_oracle_batch_ablation(run_once, benchmark):
     assert result["batched_speedup"] > 0
 
 
-def test_dynamic_oracle_fastpath_ablation(run_once, benchmark):
-    """Ablation: one-Dijkstra dynamic oracle + union front vs the legacy loop.
+def test_dynamic_oracle(run_once, benchmark):
+    """Dynamic-routing MaxFlow oracle throughput plus the union-front ablation.
 
-    The fast arm is dynamic-routing MaxFlow with the retained-query
-    oracle and the union-Dijkstra front (the defaults); the legacy arm
-    re-solves the same instance with ``configure_dynamic_fastpath``
-    off — the pre-change multi-Dijkstra pipeline.  Outputs are
-    bit-identical (tests/test_dynamic_fastpath.py); this records the
-    throughput gap for the BENCH trajectory.
+    The front arm answers every all-session round with one union-Dijkstra
+    versus one Dijkstra per oracle; both are bit-identical (the dynamic
+    front equivalence tests).  The throughputs land in the BENCH
+    trajectory.
     """
     benchmark.group = "oracle-dynamic"
     from repro.perf.record import _timed_dynamic_oracle
 
     result = run_once(_timed_dynamic_oracle, QUICK_PROFILE)
-    assert result["outputs_identical"]
     assert result["calls_per_sec"] > 0
-    assert result["legacy_calls_per_sec"] > 0
     assert result["front"]["batched_speedup"] > 0
 
 
@@ -253,35 +179,18 @@ def test_prim_crossover_sweep(run_once, benchmark):
 def test_emit_bench_core_record(run_once):
     """Write the repo-root BENCH_core.json perf record (quick scale).
 
-    The record is the PR-over-PR perf trajectory for the oracle fast
-    path (the committed record shows the >=2x memoization speedup on
-    fixed-routing MaxFlow).  Assert structural invariants rather than a
-    wall-clock ratio so the suite does not flake on loaded machines —
-    the measured speedup lands in the emitted record either way.
+    The record is the PR-over-PR perf trajectory for the oracle hot
+    path.  Assert structural invariants rather than wall-clock ratios so
+    the suite does not flake on loaded machines — the measurements land
+    in the emitted record either way.
     """
     path = run_once(write_core_perf_record, REPO_ROOT / "BENCH_core.json", scale="quick")
     record = json.loads(Path(path).read_text())
-    fixed = record["maxflow_fixed"]
-    assert fixed["memoized"]["cache_hits"] > 0
-    assert fixed["memoized"]["oracle_calls"] == fixed["unmemoized"]["oracle_calls"]
-    assert (
-        fixed["memoized"]["overall_throughput"]
-        == fixed["unmemoized"]["overall_throughput"]
-    )
-    assert fixed["memoization_speedup"] > 0
+    fixed = record["maxflow_fixed"]["memoized"]
+    assert fixed["cache_hits"] > 0
+    assert fixed["oracle_calls"] > 0
     assert record["maxflow_dynamic"]["memoized"]["oracle_calls"] > 0
     assert record["length_multiply"]["batched_speedup"] > 0
     assert record["oracle_batch"]["batched_speedup"] > 0
-    assert record["dynamic_oracle"]["outputs_identical"]
     assert record["dynamic_oracle"]["calls_per_sec"] > 0
     assert record["prim_crossover"]["configured_limit"] > 0
-    assert record["length_multiply"]["unique_fastpath_speedup"] > 0
-    assert record["tree_length"]["ledger"]["ledger_round_speedup"] > 0
-    ledger_kernel = record["ledger_kernel"]
-    assert ledger_kernel["backend"] in ("ordered", "numba")
-    assert ledger_kernel["round_lengths"]["compiled_speedup"] > 0
-    assert ledger_kernel["scatter"]["compiled_speedup"] > 0
-    assert ledger_kernel["lengths_for_all"]["compiled_speedup"] > 0
-    assert record["engine_step"]["fixed"]["outputs_identical"]
-    assert record["engine_step"]["dynamic"]["outputs_identical"]
-    assert record["engine_step"]["stacked_speedup"] > 0

@@ -71,10 +71,14 @@ A scenario spec file is a JSON object (or a list of them for a batch)::
 
 Solver parameters mirror the solver functions in
 :mod:`repro.api.registry`: ``max_flow`` takes ``approximation_ratio`` or
-``epsilon`` (plus ``max_iterations``/``memoize``); ``max_concurrent_flow``
-adds ``prescale_epsilon``/``prescale_jobs``; ``online`` takes ``sigma``
-and ``group_by_members``; ``randomized_rounding`` takes ``max_trees`` and
-``seed`` on top of the fractional solve's accuracy parameters.
+``epsilon`` (plus ``max_iterations``); ``max_concurrent_flow`` adds
+``prescale_epsilon``/``prescale_jobs``/``max_steps``; ``online`` takes
+``sigma`` and ``group_by_members``; ``randomized_rounding`` takes
+``max_trees`` and ``seed`` on top of the fractional solve's accuracy
+parameters.  Every solver takes ``max_events``.  The keys of retired
+speed switches (:data:`repro.api.service.RETIRED_SOLVER_PARAMS`) are
+accepted and ignored with a ``DeprecationWarning``, so stored specs
+still solve.
 
 Quickstart
 ----------

@@ -96,11 +96,6 @@ def _describe_instrumentation(report: SolveReport) -> str:
         f"per-session {instr.get('per_session_oracle_seconds', 0.0):.4f}s "
         f"over {instr.get('per_session_rounds', 0)} rounds",
     ]
-    if "ledger_columns" in instr or "spmm_rounds" in instr:
-        lines.append(
-            f"  stacked ledger: {instr.get('ledger_columns', 0)} tree columns, "
-            f"{instr.get('spmm_rounds', 0)} SpMM length rounds"
-        )
     retained = len(instr.get("events", []))
     dropped = instr.get("dropped_events", 0)
     # Older reports predate the fanned-out/lost split; fall back to

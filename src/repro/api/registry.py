@@ -196,9 +196,6 @@ def solve_max_flow_instance(
     approximation_ratio: float = 0.95,
     epsilon: Optional[float] = None,
     max_iterations: Optional[int] = None,
-    memoize: Optional[bool] = None,
-    stacked_trees: Optional[bool] = None,
-    kernel_backend: Optional[str] = None,
     max_events: Optional[int] = None,
 ) -> FlowSolution:
     """MaxFlow FPTAS (paper M1 / Table I): maximise aggregate throughput."""
@@ -206,9 +203,6 @@ def solve_max_flow_instance(
         epsilon=epsilon,
         approximation_ratio=None if epsilon is not None else approximation_ratio,
         max_iterations=max_iterations,
-        memoize=memoize,
-        stacked_trees=stacked_trees,
-        kernel_backend=kernel_backend,
         max_events=max_events,
     )
     return MaxFlow(sessions, routing, config).solve()
@@ -223,9 +217,6 @@ def solve_max_concurrent_flow_instance(
     prescale_epsilon: float = 0.1,
     prescale_jobs: Optional[int] = None,
     max_steps: Optional[int] = None,
-    memoize: Optional[bool] = None,
-    stacked_trees: Optional[bool] = None,
-    kernel_backend: Optional[str] = None,
     max_events: Optional[int] = None,
 ) -> FlowSolution:
     """MaxConcurrentFlow FPTAS (paper M2 / Table III): max-min fairness."""
@@ -235,9 +226,6 @@ def solve_max_concurrent_flow_instance(
         prescale_epsilon=prescale_epsilon,
         prescale_jobs=prescale_jobs,
         max_steps=max_steps,
-        memoize=memoize,
-        stacked_trees=stacked_trees,
-        kernel_backend=kernel_backend,
         max_events=max_events,
     )
     return MaxConcurrentFlow(sessions, routing, config).solve()
@@ -250,18 +238,12 @@ def solve_online_instance(
     sigma: float = 10.0,
     group_by_members: bool = True,
     apply_no_bottleneck_scaling: bool = False,
-    memoize: Optional[bool] = None,
-    stacked_trees: Optional[bool] = None,
-    kernel_backend: Optional[str] = None,
     max_events: Optional[int] = None,
 ) -> FlowSolution:
     """Online-MinCongestion (paper Table VI): one tree per arrival, in order."""
     config = OnlineConfig(
         sigma=sigma,
         apply_no_bottleneck_scaling=apply_no_bottleneck_scaling,
-        memoize=memoize,
-        stacked_trees=stacked_trees,
-        kernel_backend=kernel_backend,
         max_events=max_events,
     )
     solver = OnlineMinCongestion(routing, config)
@@ -278,9 +260,6 @@ def solve_randomized_rounding_instance(
     approximation_ratio: float = 0.95,
     epsilon: Optional[float] = None,
     prescale_epsilon: float = 0.1,
-    memoize: Optional[bool] = None,
-    stacked_trees: Optional[bool] = None,
-    kernel_backend: Optional[str] = None,
     max_events: Optional[int] = None,
 ) -> FlowSolution:
     """Random-MinCongestion (paper Table V): round the fractional optimum.
@@ -295,9 +274,6 @@ def solve_randomized_rounding_instance(
         approximation_ratio=approximation_ratio,
         epsilon=epsilon,
         prescale_epsilon=prescale_epsilon,
-        memoize=memoize,
-        stacked_trees=stacked_trees,
-        kernel_backend=kernel_backend,
         max_events=max_events,
     )
     selection = RandomMinCongestion(fractional, seed=seed).select_trees(max_trees)

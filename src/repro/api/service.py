@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -88,6 +89,12 @@ def build_instance(
         return instance
 
 
+#: ``solver_params`` keys of retired speed-only switches.  Stored specs
+#: may still carry them, so :func:`solve_instance` accepts and ignores
+#: them: such specs keep their canonical keys and still solve.
+RETIRED_SOLVER_PARAMS = ("memoize", "stacked_trees", "kernel_backend")
+
+
 def solve_instance(
     solver: str,
     sessions: Sequence[Session],
@@ -99,10 +106,22 @@ def solve_instance(
 
     The lower of the API's two layers: callers that already hold live
     objects (the experiment runner, the examples' online-arrival loops)
-    use this; callers with a declarative spec use :func:`solve`.
+    use this; callers with a declarative spec use :func:`solve`.  Keys in
+    :data:`RETIRED_SOLVER_PARAMS` are dropped with one
+    ``DeprecationWarning``; any other unknown key raises ``TypeError``.
     """
     reg = registry or default_registry()
-    return reg.solver(solver)(sessions, routing, **dict(params or {}))
+    kwargs = dict(params or {})
+    retired = [key for key in RETIRED_SOLVER_PARAMS if key in kwargs]
+    if retired:
+        warnings.warn(
+            f"solver_params {retired} are retired and ignored",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        for key in retired:
+            del kwargs[key]
+    return reg.solver(solver)(sessions, routing, **kwargs)
 
 
 # ----------------------------------------------------------------------

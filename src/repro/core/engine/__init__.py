@@ -22,22 +22,8 @@ strategies:
   length array (stacked sparse incidence mat-vec under fixed routing;
   one union-of-members Dijkstra with shared distance/predecessor rows
   under dynamic routing), bit-identical to the per-session loop it
-  replaces.
-* :class:`TreeLedger` — the stacked-tree representation: one shared
-  growth-doubling incidence matrix holding a column per distinct
-  memoized tree across all sessions and steps (content-addressed by
-  ``OverlayTree.canonical_key``), so a round's tree lengths are one
-  ``lengths @ M`` product and flow/congestion extraction is one
-  ``M @ weights`` scatter.  On by default (``stacked_trees`` knob /
-  :func:`configure_stacked_trees`); the per-tree loop remains as the
-  bit-identical ablation baseline.
-* :mod:`~repro.core.engine.kernels` — the pluggable kernel-backend
-  registry behind the ledger/length hot ops: ``numpy`` (default, the
-  historical code paths), ``ordered`` (pure-NumPy pinned left-to-right
-  accumulation, the bit-identity oracle), and ``numba``
-  (``@njit``-compiled, optional, falls back to numpy with a one-time
-  warning).  Selected process-wide (:func:`configure_kernel_backend`,
-  ``REPRO_KERNELS``) or per solver (``kernel_backend`` config knob).
+  replaces.  Every other round calls ``oracle.minimum_tree`` once per
+  queried session.
 * :class:`Instrumentation` — per-step events (oracle calls, phase
   boundaries, congestion snapshots) and counters, replacing the ad-hoc
   counters solvers used to hand-maintain; its :meth:`snapshot` rides on
@@ -52,21 +38,6 @@ pre-refactor loop (asserted in ``tests/test_engine_equivalence.py``).
 from repro.core.engine.batch import BatchedOracleFront
 from repro.core.engine.driver import EngineRun, PhaseEngine
 from repro.core.engine.instrumentation import EngineEvent, Instrumentation, event_tap
-from repro.core.engine.kernels import (
-    KernelBackend,
-    active_kernels,
-    configure_kernel_backend,
-    kernel_backend_default,
-    kernel_backend_names,
-    register_kernel_backend,
-    resolve_kernel_backend,
-    use_kernel_backend,
-)
-from repro.core.engine.ledger import (
-    TreeLedger,
-    configure_stacked_trees,
-    stacked_trees_default,
-)
 from repro.core.engine.strategies import (
     ConcurrentPhasePolicy,
     DualObjectiveStop,
@@ -85,17 +56,6 @@ __all__ = [
     "PhaseEngine",
     "EngineRun",
     "BatchedOracleFront",
-    "TreeLedger",
-    "configure_stacked_trees",
-    "stacked_trees_default",
-    "KernelBackend",
-    "active_kernels",
-    "configure_kernel_backend",
-    "kernel_backend_default",
-    "kernel_backend_names",
-    "register_kernel_backend",
-    "resolve_kernel_backend",
-    "use_kernel_backend",
     "Instrumentation",
     "EngineEvent",
     "event_tap",

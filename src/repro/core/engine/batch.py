@@ -23,9 +23,8 @@ bit-identical to the per-oracle products; scipy's Dijkstra likewise
 computes every source row independently, so the union run's rows equal
 the rows each oracle's own run would produce — same rows, same MST
 weights, same reconstructed paths (asserted in the equivalence suites).
-Oracle sets the front cannot serve (mixed routing models, distinct
-networks, or a dynamic oracle with its fast path disabled) fall back to
-the per-session loop transparently.
+Oracle sets the front cannot serve (mixed routing models or distinct
+networks) fall back to the per-session loop transparently.
 """
 
 from __future__ import annotations
@@ -36,29 +35,14 @@ import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
 from repro.overlay.oracle import MinimumOverlayTreeOracle, OracleResult
-from repro.overlay.tree import OverlayTree
 from repro.routing.dynamic import DynamicRouting
 
 
 class BatchedOracleFront:
-    """Serves all-session oracle query rounds in one vectorised pass.
+    """Serves all-session oracle query rounds in one vectorised pass."""
 
-    With a :class:`~repro.core.engine.ledger.TreeLedger` attached, the
-    front also *consumes ledger columns* for its result lengths: each
-    round selects trees only (``select_tree_precomputed`` /
-    ``select_tree_from_query``) and evaluates every chosen tree's length
-    as one ``lengths @ M`` product over the round's columns, instead of
-    one per-tree reduction per oracle.  The ledger evaluates each column
-    with the tree's own arithmetic, so results stay bit-identical.
-    """
-
-    def __init__(
-        self,
-        oracles: Sequence[MinimumOverlayTreeOracle],
-        ledger=None,
-    ) -> None:
+    def __init__(self, oracles: Sequence[MinimumOverlayTreeOracle]) -> None:
         self._oracles = list(oracles)
-        self._ledger = ledger
         self._mode: Optional[str] = None
         self._stacked: csr_matrix = None
         self._slices: List[Tuple[int, int]] = []
@@ -85,19 +69,14 @@ class BatchedOracleFront:
     def _dynamic_batchable(oracles: Sequence[MinimumOverlayTreeOracle]) -> bool:
         """Whether one union-Dijkstra round can serve every oracle.
 
-        Requires a shared :class:`DynamicRouting` network (the union run
-        answers member rows only over one graph) and the one-Dijkstra
-        fast path on every oracle — an oracle running the legacy
-        multi-Dijkstra pipeline is an ablation baseline and must not be
-        silently accelerated.
+        Requires a shared :class:`DynamicRouting` network: the union run
+        answers member rows only over one graph.
         """
         first = oracles[0].routing
         if not isinstance(first, DynamicRouting):
             return False
         return all(
-            (not o.is_fixed)
-            and o.dynamic_fastpath
-            and isinstance(o.routing, DynamicRouting)
+            isinstance(o.routing, DynamicRouting)
             and o.routing.network is first.network
             for o in oracles
         )
@@ -112,11 +91,6 @@ class BatchedOracleFront:
         """``"fixed"`` (stacked mat-vec), ``"dynamic"`` (union Dijkstra),
         or ``None`` (per-oracle fallback)."""
         return self._mode
-
-    @property
-    def uses_ledger(self) -> bool:
-        """Whether batched rounds evaluate lengths over ledger columns."""
-        return self._ledger is not None and self._mode is not None
 
     def supports(self, indices: Sequence[int]) -> bool:
         """Whether a round over ``indices`` can use the batched pass.
@@ -142,17 +116,6 @@ class BatchedOracleFront:
         if self.supports(indices):
             if self._mode == "fixed":
                 pair_lengths = self._stacked @ lengths
-                if self._ledger is not None:
-                    picks = [
-                        (
-                            index,
-                            self._oracles[index].select_tree_precomputed(
-                                pair_lengths[slice(*self._slices[index])]
-                            ),
-                        )
-                        for index in indices
-                    ]
-                    return self._ledger_results(picks, lengths)
                 return [
                     (
                         index,
@@ -167,30 +130,8 @@ class BatchedOracleFront:
             # happen once per round, and overlapping members' rows are
             # computed once and shared across every oracle.
             shared = self._routing.query(self._union_members, lengths)
-            if self._ledger is not None:
-                picks = [
-                    (index, self._oracles[index].select_tree_from_query(shared))
-                    for index in indices
-                ]
-                return self._ledger_results(picks, lengths)
             return [
                 (index, self._oracles[index].minimum_tree_from_query(shared, lengths))
                 for index in indices
             ]
         return [(index, self._oracles[index].minimum_tree(lengths)) for index in indices]
-
-    def _ledger_results(
-        self, picks: Sequence[Tuple[int, "OverlayTree"]], lengths: np.ndarray
-    ) -> List[Tuple[int, OracleResult]]:
-        """One ``lengths @ M`` product for the whole round's tree lengths.
-
-        The trees were registered at construction time by their oracles
-        (content-addressed), so ``register`` here is a dict hit that
-        resolves each tree's column.
-        """
-        columns = [self._ledger.register(tree) for _, tree in picks]
-        tree_lengths = self._ledger.lengths_for(columns, lengths)
-        return [
-            (index, OracleResult(tree=tree, length=float(tree_lengths[i])))
-            for i, (index, tree) in enumerate(picks)
-        ]

@@ -2,8 +2,9 @@
 
 :class:`PhaseEngine` owns the mechanics every multiplicative-weights
 algorithm in the paper shares — ask a :class:`StepPolicy` what to query,
-serve the queries (through the :class:`BatchedOracleFront` when the
-policy asks and routing permits), check the :class:`StoppingRule`,
+serve the queries (all-session rounds through the
+:class:`BatchedOracleFront`, every other round by one
+``oracle.minimum_tree`` call per queried session), check the :class:`StoppingRule`,
 apply the returned :class:`RouteAction` (flow accumulation, length
 multiply, congestion update), enforce the step cap, and emit
 instrumentation.  The algorithms themselves reduce to a policy, a
@@ -24,17 +25,11 @@ import numpy as np
 
 from repro.core.engine.batch import BatchedOracleFront
 from repro.core.engine.instrumentation import Instrumentation
-from repro.core.engine.kernels import (
-    KernelBackend,
-    resolve_kernel_backend,
-    use_kernel_backend,
-)
-from repro.core.engine.ledger import TreeLedger, stacked_trees_default
 from repro.core.engine.strategies import RouteAction, StepPolicy, StoppingRule
 from repro.core.lengths import LengthFunction
 from repro.obs.tracing import maybe_span
 from repro.core.result import SessionFlowAccumulator
-from repro.overlay.oracle import MinimumOverlayTreeOracle, OracleResult
+from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
 from repro.util.errors import ConfigurationError, ConvergenceError
 
@@ -63,10 +58,7 @@ class PhaseEngine:
         instrumentation: Optional[Instrumentation] = None,
         accumulate_flows: bool = True,
         track_congestion: bool = False,
-        batch_oracle: Optional[bool] = None,
         oracle_factory=None,
-        stacked_trees: Optional[bool] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         self._oracles: List[MinimumOverlayTreeOracle] = list(oracles)
         self._lengths = lengths
@@ -85,29 +77,11 @@ class PhaseEngine:
         self._congestion = (
             np.zeros(self._capacities.shape[0], dtype=float) if track_congestion else None
         )
-        self._batch_enabled = True if batch_oracle is None else bool(batch_oracle)
         # Built lazily on the first batched request: policies that only
         # ever query one session per step (concurrent phases, online
         # arrivals) never pay for stacking the incidence matrices.
         self._front: Optional[BatchedOracleFront] = None
         self._oracle_factory = oracle_factory
-        # Stacked-tree path: one shared ledger column per distinct tree
-        # across all oracles and steps; multi-session rounds evaluate
-        # their tree lengths as one lengths @ M product over it.  Off,
-        # the per-tree loop is the ablation baseline — bit-identical.
-        stacked = stacked_trees_default() if stacked_trees is None else bool(stacked_trees)
-        self._ledger: Optional[TreeLedger] = (
-            TreeLedger(self._capacities.shape[0]) if stacked else None
-        )
-        if self._ledger is not None:
-            for oracle in self._oracles:
-                oracle.attach_ledger(self._ledger)
-        # Kernel backend: resolved once at construction (falling back to
-        # numpy with a one-time warning when the requested backend can't
-        # load) and installed thread-locally around every step, so
-        # concurrent solves on worker threads each see their own choice.
-        self._kernels: KernelBackend = resolve_kernel_backend(kernel_backend)
-        self._instr.kernel_backend = self._kernels.name
         self._oracle_keys: Dict[Tuple[int, ...], int] = {
             tuple(sorted(o.session.members)): i for i, o in enumerate(self._oracles)
         }
@@ -149,21 +123,6 @@ class PhaseEngine:
         return self._instr
 
     @property
-    def stacked(self) -> bool:
-        """Whether the stacked-tree (ledger) path is on."""
-        return self._ledger is not None
-
-    @property
-    def ledger(self) -> Optional[TreeLedger]:
-        """The run's shared tree ledger (``None`` when stacking is off)."""
-        return self._ledger
-
-    @property
-    def kernels(self) -> KernelBackend:
-        """The resolved kernel backend active during this engine's steps."""
-        return self._kernels
-
-    @property
     def steps(self) -> int:
         """Steps executed so far (query rounds, terminating round included)."""
         return self._steps
@@ -190,8 +149,6 @@ class PhaseEngine:
                     "no oracle_factory to create one"
                 )
             oracle = self._oracle_factory(session)
-            if self._ledger is not None:
-                oracle.attach_ledger(self._ledger)
             self._oracles.append(oracle)
             index = len(self._oracles) - 1
             self._oracle_keys[key] = index
@@ -210,18 +167,9 @@ class PhaseEngine:
         check → route → apply.  The terminating round (a query whose
         selection trips the stopping rule) counts as a step, matching
         the iteration accounting of the pre-engine loops.
-
-        The whole step — stopping checks, oracle round, routing, length
-        flush — runs with this engine's kernel backend installed as the
-        thread's active backend, so every tree-length evaluation and
-        scatter inside it uses one consistent accumulation order.
         """
         if self._stopped:
             return None
-        with use_kernel_backend(self._kernels):
-            return self._step_locked()
-
-    def _step_locked(self) -> Optional[RouteAction]:
         if self._stopping.before_step(self):
             self._stopped = True
             return None
@@ -242,54 +190,28 @@ class PhaseEngine:
         # shared no-op — the step loop pays one function call, which the
         # obs_overhead BENCH section keeps under its 3% bound.
         with maybe_span("engine.step", step=self._steps):
-            if request.prefetched is not None:
-                # The policy already holds this step's results from an
-                # earlier grouped round (stacked online path); no oracle
-                # work happens, so no query round is recorded.
-                results = list(request.prefetched)
-            else:
-                if request.batched and self._batch_enabled and self._front is None:
-                    self._front = BatchedOracleFront(self._oracles, ledger=self._ledger)
-                batched = (
-                    request.batched
-                    and self._front is not None
-                    and self._front.supports(request.indices)
-                )
-                with maybe_span(
-                    "oracle_round",
-                    queries=len(request.indices),
-                    batched=bool(batched),
-                ):
-                    start = time.perf_counter()
-                    if batched:
-                        results = self._front.query(
-                            request.indices, self._lengths.relative
-                        )
-                        if self._front.uses_ledger:
-                            self._instr.spmm_rounds += 1
-                    elif (
-                        self._ledger is not None
-                        and len(request.indices) > 1
-                        and all(self._oracles[i].is_fixed for i in request.indices)
-                    ):
-                        results = self._stacked_round(request.indices)
-                        self._instr.spmm_rounds += 1
-                    else:
-                        results = [
-                            (
-                                index,
-                                self._oracles[index].minimum_tree(
-                                    self._lengths.relative
-                                ),
-                            )
-                            for index in request.indices
-                        ]
-                    self._instr.oracle_round(
-                        queries=len(request.indices),
-                        batched=batched,
-                        seconds=time.perf_counter() - start,
-                        step=self._steps,
+            if request.batched and self._front is None:
+                self._front = BatchedOracleFront(self._oracles)
+            batched = request.batched and self._front.supports(request.indices)
+            with maybe_span(
+                "oracle_round", queries=len(request.indices), batched=batched
+            ):
+                start = time.perf_counter()
+                if batched:
+                    results = self._front.query(
+                        request.indices, self._lengths.relative
                     )
+                else:
+                    results = [
+                        (index, self._oracles[index].minimum_tree(self._lengths.relative))
+                        for index in request.indices
+                    ]
+                self._instr.oracle_round(
+                    queries=len(request.indices),
+                    batched=batched,
+                    seconds=time.perf_counter() - start,
+                    step=self._steps,
+                )
 
             selection = self._policy.select(self, results)
             if self._stopping.after_selection(self, selection):
@@ -311,38 +233,12 @@ class PhaseEngine:
             steps=self._steps,
         )
 
-    def _stacked_round(self, indices) -> List[Tuple[int, OracleResult]]:
-        """A multi-oracle round served through the ledger, loop-free.
-
-        Tree-only selection per oracle, then *one* ``lengths @ M``
-        product over the chosen columns for every result length —
-        bit-identical to per-oracle ``minimum_tree`` calls (the ledger
-        evaluates each column with the tree's own arithmetic).
-        """
-        rel = self._lengths.relative
-        picks = [(index, self._oracles[index].select_tree(rel)) for index in indices]
-        columns = [self._ledger.register(tree) for _, tree in picks]
-        tree_lengths = self._ledger.lengths_for(columns, rel)
-        return [
-            (index, OracleResult(tree=tree, length=float(tree_lengths[i])))
-            for i, (index, tree) in enumerate(picks)
-        ]
-
     def _apply(self, action: RouteAction) -> None:
         """Record the flow and apply the length/congestion updates."""
         if self._accumulate:
             self._accumulators[action.index].add(action.tree, action.amount)
         used = action.tree.physical_edges
-        if self._ledger is not None:
-            # One flush per step.  A tree's physical_edges are unique by
-            # construction, so the duplicate-safe buffering is skipped;
-            # the fast path is the exact operation sequence of
-            # ``multiply`` — bit-identical to the loop baseline.
-            self._ledger.register(action.tree)
-            self._lengths.multiply_batch(used, action.factors, assume_unique=True)
-            self._instr.ledger_columns = self._ledger.num_columns
-        else:
-            self._lengths.multiply(used, action.factors)
+        self._lengths.multiply(used, action.factors)
         self._instr.length_updates += 1
         if action.congestion_delta is not None and self._congestion is not None:
             self._congestion[used] += action.congestion_delta

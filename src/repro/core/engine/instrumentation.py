@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-ENGINE_SCHEMA = "PhaseEngine/v3"
+ENGINE_SCHEMA = "PhaseEngine/v4"
 
 # Default bound on the retained event log.  Solver configs expose
 # ``max_events`` so callers can widen (or zero out) the log per run
@@ -122,15 +122,6 @@ class Instrumentation:
         self.per_session_oracle_seconds = 0.0
         self.length_updates = 0
         self.max_congestion = 0.0
-        # Stacked-tree path (PhaseEngine/v2): distinct tree columns in
-        # the run's shared ledger (a gauge, refreshed per step) and how
-        # many query rounds evaluated their tree lengths as one
-        # lengths @ M product over those columns.
-        self.ledger_columns = 0
-        self.spmm_rounds = 0
-        # Kernel backend (PhaseEngine/v3): the resolved backend the run's
-        # ledger/length kernels execute on ("numpy" unless configured).
-        self.kernel_backend = "numpy"
         self._events: List[EngineEvent] = []
         self._max_events = int(max_events)
         # Two flavours of "the bounded log did not retain this event":
@@ -246,9 +237,6 @@ class Instrumentation:
             "batched_oracle_seconds": float(self.batched_oracle_seconds),
             "per_session_oracle_seconds": float(self.per_session_oracle_seconds),
             "length_updates": int(self.length_updates),
-            "ledger_columns": int(self.ledger_columns),
-            "spmm_rounds": int(self.spmm_rounds),
-            "kernel_backend": str(self.kernel_backend),
             "max_congestion": float(self.max_congestion),
             "dropped_events": int(self.dropped_events),
             "dropped_fanned_out": int(self._dropped_fanned_out),
@@ -314,17 +302,3 @@ class Instrumentation:
             "Events not retained by the bounded log",
             labels={"fate": "lost"},
         ).inc(self._lost_events)
-        reg.gauge(
-            "repro_engine_ledger_columns",
-            "Distinct tree columns in the last run's stacked ledger",
-        ).set(self.ledger_columns)
-        reg.gauge(
-            "repro_engine_kernel_backend_info",
-            "Kernel backend of the most recent run (1 = active)",
-            labels={"backend": str(self.kernel_backend)},
-        ).set(1)
-        reg.counter(
-            "repro_engine_kernel_rounds_total",
-            "Ledger SpMM rounds by kernel backend",
-            labels={"backend": str(self.kernel_backend)},
-        ).inc(self.spmm_rounds)

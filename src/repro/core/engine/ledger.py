@@ -1,53 +1,12 @@
-"""The stacked tree ledger: one shared incidence matrix for every tree.
+"""A standalone content-addressed store of overlay trees.
 
-A multiplicative-weights run concentrates its work on a slowly-growing
-set of distinct overlay trees (the paper's "number of trees" tables):
-thousands of MST operations return the same few dozen trees over and
-over.  Each :class:`~repro.overlay.tree.OverlayTree` carries its own
-little ``(physical_edges, usage_values)`` pair, so a query round over
-``S`` sessions performs ``S`` separate gathers and dots, and every other
-layer (flow extraction, congestion, benchmarks) re-walks the same
-per-tree arrays.
-
-The :class:`TreeLedger` stores those pairs **once**, as the columns of a
-shared CSC-style incidence matrix ``M`` (``M[e, t] = n_e(t)``) covering
-every distinct tree across all sessions *and all steps* of a run:
-
-* **Append-only registration.**  Columns are content-addressed by
-  :meth:`OverlayTree.canonical_key` — the same identity the oracle's
-  memo and the flow accumulators key on — so the oracle memo and the
-  ledger agree on what "the same tree" means, and re-registering a tree
-  is a dict hit.
-* **Growth-doubling storage.**  ``indptr``/``rows``/``values`` live in
-  amortised-doubling arrays, so registration stays O(footprint) and the
-  matrix never reallocates per column.
-* **Degree-bucketed row partitions.**  Tree footprints are skewed (a
-  2-member session's tree touches one path; a 10-member session's tree
-  touches dozens), so bucket columns by ``footprint.bit_length()``.
-  The exact evaluation path walks buckets for locality; the padded 2-D
-  kernel (:meth:`lengths_for_all`) pads only within a bucket, keeping
-  wasted lanes bounded by 2x instead of max/min footprint.
-
-``lengths @ M`` (:meth:`lengths_for`) and ``M @ weights``
-(:meth:`edge_values`) are the two products the engine needs per step.
-Both are **bit-identical** to the per-tree loops they replace — *under
-the active kernel backend* (:mod:`repro.core.engine.kernels`):
-
-* Under the default ``numpy`` backend, ``lengths_for`` evaluates each
-  column as the same contiguous ``np.dot`` over the same values the
-  tree's own :meth:`~repro.overlay.tree.OverlayTree.length` would use
-  (dense full-``|E|`` dot below ``SPARSE_LENGTH_MIN_EDGES``, gathered
-  sparse dot above it), and ``edge_values`` scatters with ``np.add.at``
-  in column order — exactly the per-tree sequence.
-* Under an *ordered* backend (``ordered``/``numba``), every reduction
-  is the pinned left-to-right sum over the stored entries, evaluated as
-  **one fused pass** (no Python per-column loop), and
-  ``OverlayTree.length`` follows the same order — so the stacked and
-  loop paths remain bit-identical to each other, while agreeing with
-  the ``numpy`` backend to floating-point round-off.  Under ordered
-  backends the one-pass all-columns kernel (:meth:`lengths_for_all`)
-  graduates into the solver paths: a round covering most of the ledger
-  is served straight off the contiguous stores with no gather at all.
+No solver calls :class:`TreeLedger`.  The engine evaluates every tree's
+length with :meth:`~repro.overlay.tree.OverlayTree.length` and applies
+its length update straight away.  The class stays only because
+``perfbench/layers.py`` imports it and wraps :meth:`TreeLedger.register`,
+:meth:`TreeLedger.lengths_for` and :meth:`TreeLedger.edge_values` in
+every traced (``--trace 1``) benchmark run; it can go once the benchmark
+drops that import.
 """
 
 from __future__ import annotations
@@ -56,110 +15,34 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine.kernels import active_kernels
-from repro.overlay.tree import SPARSE_LENGTH_MIN_EDGES, OverlayTree
+from repro.overlay.tree import OverlayTree
 from repro.util.errors import ConfigurationError
-
-_STACKED_TREES_DEFAULT = True
-
-
-def configure_stacked_trees(enabled: bool) -> bool:
-    """Set the process-wide default for the stacked-tree engine path.
-
-    Returns the previous default.  Engines resolve the default at
-    construction time; existing engines are unaffected.  The stacked
-    path is bit-identical to the per-tree loop it replaces (asserted in
-    ``tests/test_tree_ledger.py``) — the switch exists for equivalence
-    tests and the ``engine_step`` perf ablation.
-    """
-    global _STACKED_TREES_DEFAULT
-    previous = _STACKED_TREES_DEFAULT
-    _STACKED_TREES_DEFAULT = bool(enabled)
-    return previous
-
-
-def stacked_trees_default() -> bool:
-    """Current process-wide default for the stacked-tree engine path."""
-    return _STACKED_TREES_DEFAULT
 
 
 class TreeLedger:
-    """Append-only shared incidence matrix over distinct overlay trees.
+    """Distinct overlay trees as the columns of one incidence matrix ``M``.
 
-    Parameters
-    ----------
-    num_edges:
-        Number of physical edges (the matrix's row dimension).
-    initial_columns / initial_entries:
-        Initial capacities of the growth-doubling column and nonzero
-        stores; purely a performance knob.
+    ``M[e, t] = n_e(t)``.  Columns are content-addressed by
+    :meth:`OverlayTree.canonical_key`, so registering a known tree again
+    returns its original column.
     """
 
-    def __init__(
-        self,
-        num_edges: int,
-        initial_columns: int = 64,
-        initial_entries: int = 1024,
-    ) -> None:
+    def __init__(self, num_edges: int) -> None:
         if num_edges < 1:
             raise ConfigurationError("num_edges must be positive")
         self._num_edges = int(num_edges)
-        # Below the measured dense/sparse crossover every tree on this
-        # network evaluates lengths with the dense full-|E| dot; the
-        # ledger must follow suit to stay bit-identical per column.
-        self._sparse = self._num_edges >= SPARSE_LENGTH_MIN_EDGES
-        self._indptr = np.zeros(max(2, int(initial_columns) + 1), dtype=np.int64)
-        self._rows = np.empty(max(1, int(initial_entries)), dtype=np.int64)
-        self._values = np.empty(max(1, int(initial_entries)), dtype=float)
-        # Column id of every stored entry — the bin vector the ordered
-        # backends' one-pass kernels reduce over (kept in lockstep with
-        # _rows/_values so no per-round segment-id build is needed).
-        self._entry_cols = np.empty(max(1, int(initial_entries)), dtype=np.int64)
         self._columns: Dict[Tuple, int] = {}
         self._trees: List[OverlayTree] = []
-        self._buckets: Dict[int, List[int]] = {}
-        self._registrations = 0
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def _grow_entries(self, needed: int) -> None:
-        if needed <= self._rows.size:
-            return
-        capacity = self._rows.size
-        while capacity < needed:
-            capacity *= 2
-        rows = np.empty(capacity, dtype=np.int64)
-        values = np.empty(capacity, dtype=float)
-        entry_cols = np.empty(capacity, dtype=np.int64)
-        used = int(self._indptr[len(self._trees)])
-        rows[:used] = self._rows[:used]
-        values[:used] = self._values[:used]
-        entry_cols[:used] = self._entry_cols[:used]
-        self._rows = rows
-        self._values = values
-        self._entry_cols = entry_cols
-
-    def _grow_columns(self, needed: int) -> None:
-        if needed + 1 <= self._indptr.size:
-            return
-        capacity = self._indptr.size
-        while capacity < needed + 1:
-            capacity *= 2
-        indptr = np.zeros(capacity, dtype=np.int64)
-        indptr[: len(self._trees) + 1] = self._indptr[: len(self._trees) + 1]
-        self._indptr = indptr
+    @property
+    def num_columns(self) -> int:
+        """Distinct trees registered so far."""
+        return len(self._trees)
 
     def register(self, tree: OverlayTree) -> int:
-        """The column index of ``tree``, appending a new column on first sight.
-
-        Content-addressed by :meth:`OverlayTree.canonical_key`; repeated
-        registration of the same tree (from any oracle, any step) is a
-        dict lookup and returns the original column.
-        """
+        """The column of ``tree``, appending a new one on first sight."""
         key = tree.canonical_key()
         column = self._columns.get(key)
-        self._registrations += 1
         if column is not None:
             return column
         if tree.edge_usage.size != self._num_edges:
@@ -167,176 +50,16 @@ class TreeLedger:
                 f"tree spans {tree.edge_usage.size} edges, ledger holds "
                 f"{self._num_edges}"
             )
-        rows = tree.physical_edges
-        values = tree.usage_values
-        column = len(self._trees)
-        start = int(self._indptr[column])
-        self._grow_columns(column + 1)
-        self._grow_entries(start + rows.size)
-        self._rows[start : start + rows.size] = rows
-        self._values[start : start + values.size] = values
-        self._entry_cols[start : start + rows.size] = column
-        self._indptr[column + 1] = start + rows.size
-        self._columns[key] = column
+        column = self._columns[key] = len(self._trees)
         self._trees.append(tree)
-        self._buckets.setdefault(int(rows.size).bit_length(), []).append(column)
         return column
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    @property
-    def num_edges(self) -> int:
-        """Row dimension (physical edge count)."""
-        return self._num_edges
-
-    @property
-    def num_columns(self) -> int:
-        """Distinct trees registered so far."""
-        return len(self._trees)
-
-    @property
-    def nnz(self) -> int:
-        """Stored nonzeros across all columns."""
-        return int(self._indptr[len(self._trees)])
-
-    @property
-    def registrations(self) -> int:
-        """Total :meth:`register` calls, duplicate hits included."""
-        return self._registrations
-
-    def column_for(self, tree: OverlayTree) -> Optional[int]:
-        """The column of ``tree`` if registered, else ``None``."""
-        return self._columns.get(tree.canonical_key())
-
-    def tree_at(self, column: int) -> OverlayTree:
-        """The tree backing ``column`` (registration order)."""
-        return self._trees[column]
-
-    def bucket_partitions(self) -> Dict[int, np.ndarray]:
-        """Column indices grouped by footprint magnitude.
-
-        Bucket ``b`` holds columns whose footprint ``f`` satisfies
-        ``f.bit_length() == b`` (i.e. ``2^(b-1) <= f < 2^b``), so
-        padding within a bucket wastes at most half the lanes — the
-        degree-bucketed partitioning that keeps the padded 2-D kernel
-        balanced under skewed tree sizes.
-        """
-        return {
-            bucket: np.asarray(columns, dtype=np.int64)
-            for bucket, columns in sorted(self._buckets.items())
-        }
-
-    def column_slices(
-        self, columns: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(start, end)`` nonzero ranges of ``columns`` in the stores."""
-        cols = np.asarray(columns, dtype=np.int64)
-        return self._indptr[cols], self._indptr[cols + 1]
-
-    # ------------------------------------------------------------------
-    # the two engine products
-    # ------------------------------------------------------------------
-    def _gathered_entries(
-        self, starts: np.ndarray, ends: np.ndarray, with_ids: bool = False
-    ):
-        """The requested columns' stored entries, concatenated.
-
-        When the columns occupy one contiguous run of the stores — the
-        common case, since engine rounds register consecutive columns —
-        this is a pair of direct slices (zero-copy views), skipping the
-        per-column ``np.concatenate`` list build entirely.  The
-        concatenated arrays are identical either way, so downstream
-        arithmetic is bit-identical.
-        """
-        if starts.size and bool(np.all(starts[1:] == ends[:-1])):
-            lo, hi = int(starts[0]), int(ends[-1])
-            rows = self._rows[lo:hi]
-            values = self._values[lo:hi]
-            if with_ids:
-                return rows, values, self._entry_cols[lo:hi]
-            return rows, values
-        pieces = list(zip(starts, ends))
-        rows = (
-            np.concatenate([self._rows[s:e] for s, e in pieces])
-            if pieces
-            else np.empty(0, dtype=np.int64)
-        )
-        values = (
-            np.concatenate([self._values[s:e] for s, e in pieces])
-            if pieces
-            else np.empty(0, dtype=float)
-        )
-        if with_ids:
-            ids = (
-                np.concatenate([self._entry_cols[s:e] for s, e in pieces])
-                if pieces
-                else np.empty(0, dtype=np.int64)
-            )
-            return rows, values, ids
-        return rows, values
 
     def lengths_for(
         self, columns: Sequence[int], edge_lengths: np.ndarray
     ) -> np.ndarray:
-        """``lengths @ M`` restricted to ``columns``.
-
-        Bit-identical per column to ``tree.length(edge_lengths)``
-        *under the active kernel backend*:
-
-        * ``numpy`` backend — one gather, then a contiguous ``np.dot``
-          per column: on sparse-evaluation networks the gathered slice
-          holds exactly the tree's physical-edge lengths and the stored
-          values are exactly its usage values, so each dot is the same
-          BLAS reduction over the same operands; below the crossover
-          each column falls back to the tree's own dense full-``|E|``
-          dot.
-        * ordered backends (``ordered``/``numba``) — one fused
-          gather+reduce pass in the pinned left-to-right order (no
-          Python per-column loop), matching the backend-routed
-          ``OverlayTree.length``.  A round covering at least half the
-          ledger is served by the graduated all-columns kernel
-          (:meth:`lengths_for_all`) straight off the contiguous stores,
-          which computes identical bits per column.
-
-        Ordered evaluation assumes the requested ``columns`` are
-        distinct (engine rounds pick one tree per oracle, so they are
-        by construction).
-        """
+        """``lengths @ M`` restricted to ``columns``: each tree's own length."""
         lengths = np.asarray(edge_lengths, dtype=float)
-        cols = np.asarray(columns, dtype=np.int64)
-        backend = active_kernels()
-        if backend.ordered and self.num_columns:
-            if cols.size == 0:
-                return np.empty(0, dtype=float)
-            if 2 * cols.size >= self.num_columns:
-                return self.lengths_for_all(lengths)[cols]
-            starts, ends = self.column_slices(cols)
-            rows, values, ids = self._gathered_entries(starts, ends, with_ids=True)
-            return backend.column_lengths(
-                rows, values, ids, self.num_columns, lengths
-            )[cols]
-        out = np.empty(cols.size, dtype=float)
-        if not self._sparse:
-            for i in range(cols.size):
-                out[i] = float(np.dot(self._trees[cols[i]].edge_usage, lengths))
-            return out
-        starts, ends = self.column_slices(cols)
-        # One fancy-index gather covering every requested column's rows,
-        # then a contiguous dot per column over its slice.
-        rows, values = self._gathered_entries(starts, ends)
-        gathered = lengths[rows]
-        offset = 0
-        for i in range(cols.size):
-            count = int(ends[i] - starts[i])
-            out[i] = float(
-                np.dot(
-                    values[offset : offset + count],
-                    gathered[offset : offset + count],
-                )
-            )
-            offset += count
-        return out
+        return np.array([self._trees[c].length(lengths) for c in columns], dtype=float)
 
     def edge_values(
         self,
@@ -344,94 +67,15 @@ class TreeLedger:
         weights: Sequence[float],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``M @ diag(weights)`` summed over ``columns`` — one scatter.
-
-        ``out[e] = sum_t M[e, t] * weights[t]`` over the requested
-        columns.  The scatter accumulates sequentially in array order —
-        column by column, each column's edges in stored order — exactly
-        the accumulation sequence of the per-tree
-        ``out[tree.physical_edges] += tree.usage_values * w`` loop, so
-        results are bit-identical to it under every backend: the
-        ``numpy`` backend applies ``np.add.at``; ordered backends
-        replace it with one ``np.bincount`` pass (fresh output) or a
-        compiled sequential loop, both of which perform the identical
-        in-order addition sequence.
-        """
-        cols = np.asarray(columns, dtype=np.int64)
+        """``M @ weights`` over ``columns``, added into ``out`` tree by tree."""
         w = np.asarray(weights, dtype=float)
-        if cols.shape != w.shape:
+        if len(columns) != w.size:
             raise ConfigurationError(
-                f"columns and weights must have matching shapes, got "
-                f"{cols.shape} and {w.shape}"
+                f"got {len(columns)} columns and {w.size} weights"
             )
-        fresh = out is None
         if out is None:
             out = np.zeros(self._num_edges, dtype=float)
-        if cols.size == 0:
-            return out
-        starts, ends = self.column_slices(cols)
-        rows, values = self._gathered_entries(starts, ends)
-        # Per-entry scale: value * its column's weight — the identical
-        # elementwise multiplications of the per-column list build.
-        scaled = np.repeat(w, ends - starts) * values
-        backend = active_kernels()
-        if fresh:
-            return backend.scatter_add_fresh(out, rows, scaled)
-        return backend.scatter_add(out, rows, scaled)
-
-    # ------------------------------------------------------------------
-    # all-columns kernel (graduated into solver paths under ordered
-    # backends; benchmarks / bulk analytics under numpy)
-    # ------------------------------------------------------------------
-    def lengths_for_all(self, edge_lengths: np.ndarray) -> np.ndarray:
-        """All column lengths in one pass over the contiguous stores.
-
-        Under an ordered backend this is the graduated solver kernel:
-        one fused products+reduce pass in the pinned left-to-right
-        order, bit-identical per column to :meth:`lengths_for` and to
-        the backend-routed ``OverlayTree.length`` — no gather, no
-        padding, no Python per-column loop.
-
-        Under the ``numpy`` backend it remains the padded
-        degree-bucketed 2-D kernel: each bucket's columns pad to the
-        bucket's maximum footprint (bounded 2x waste by construction)
-        and reduce with one 2-D gather + row-sum per bucket.  The
-        row-sum's pairwise reduction order differs from the solver
-        dots, so numpy-backend results agree with :meth:`lengths_for`
-        to floating-point round-off (``allclose``), not bitwise —
-        numpy-backend solver paths use :meth:`lengths_for`.
-        """
-        lengths = np.asarray(edge_lengths, dtype=float)
-        backend = active_kernels()
-        if backend.ordered:
-            nnz = self.nnz
-            return backend.column_lengths(
-                self._rows[:nnz],
-                self._values[:nnz],
-                self._entry_cols[:nnz],
-                self.num_columns,
-                lengths,
-            )
-        out = np.empty(len(self._trees), dtype=float)
-        if self.nnz == 0:
-            # Every registered column has an empty footprint: the
-            # padded gather below would clamp indices to nnz - 1 == -1
-            # and read past the stores; all lengths are exactly zero.
-            out[:] = 0.0
-            return out
-        for _, columns in sorted(self._buckets.items()):
-            cols = np.asarray(columns, dtype=np.int64)
-            starts, ends = self.column_slices(cols)
-            counts = ends - starts
-            width = int(counts.max())
-            if width == 0:
-                out[cols] = 0.0
-                continue
-            # Padded row/value blocks: lanes beyond a column's footprint
-            # point at row 0 with value 0.0, contributing exact zeros.
-            offsets = starts[:, None] + np.arange(width)[None, :]
-            mask = np.arange(width)[None, :] < counts[:, None]
-            block_rows = np.where(mask, self._rows[np.minimum(offsets, self.nnz - 1)], 0)
-            block_vals = np.where(mask, self._values[np.minimum(offsets, self.nnz - 1)], 0.0)
-            out[cols] = (block_vals * lengths[block_rows]).sum(axis=1)
+        for column, weight in zip(columns, w):
+            tree = self._trees[column]
+            out[tree.physical_edges] += tree.usage_values * weight
         return out

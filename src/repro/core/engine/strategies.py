@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,15 +36,11 @@ class StepRequest:
     ``indices`` lists engine oracle indices in query order; ``batched``
     asks the engine to serve them through the
     :class:`~repro.core.engine.batch.BatchedOracleFront` (one vectorised
-    pass) when the front supports it.  ``prefetched`` carries results a
-    policy already holds from an earlier grouped round (the stacked
-    online path): the engine consumes them verbatim instead of querying
-    — the policy guarantees they equal what a fresh query would return.
+    pass) when the front supports it.
     """
 
     indices: Tuple[int, ...]
     batched: bool = False
-    prefetched: Optional[Tuple[Tuple[int, OracleResult], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -279,32 +275,12 @@ class OnlineArrivalPolicy(StepPolicy):
     Arrivals are *fed* (:meth:`feed`) rather than fixed up front so the
     incremental ``accept``/``accept_all`` API keeps working; oracles are
     shared per member set through the engine's dynamic oracle table.
-
-    **Stacked grouping.**  On a stacked engine under fixed routing, a
-    maximal prefix of the pending queue whose sessions' fixed footprints
-    (``covered_edges``) are pairwise disjoint is queried as *one*
-    grouped round (one ledger length product for the whole group); the
-    head routes immediately and the rest are held as ``prefetched``
-    results for the following steps.  This is exact, not heuristic: a
-    fixed oracle's decision depends only on the lengths of its covered
-    edges, each arrival's update touches only its own tree's edges
-    (inside its own footprint), so routing one group member never
-    perturbs another's query — the prefetched trees are bitwise the
-    trees sequential queries would select.  The one cross-footprint
-    coupling, length renormalisation, is detected through
-    ``log_offset``: if it moved since the group was fetched, the stash
-    is discarded and the remaining arrivals re-query.  Updates are
-    always applied per arrival, never batched across arrivals.
     """
 
     sigma: float
     demand_scale: float = 1.0
-    max_group: int = 32
     _pending: List[Session] = field(default_factory=list)
     _assignments: List[Tuple[Session, OverlayTree, float]] = field(default_factory=list)
-    _prefetched: List[Tuple[int, OracleResult]] = field(default_factory=list)
-    _prefetch_offset: float = 0.0
-    _covered: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def feed(self, session: Session) -> None:
         """Queue one arriving session for the next engine step."""
@@ -315,49 +291,10 @@ class OnlineArrivalPolicy(StepPolicy):
         """(session, tree, original demand) per accepted arrival, in order."""
         return self._assignments
 
-    def _independent_prefix(self, engine: "PhaseEngine") -> Tuple[int, ...]:
-        """Oracle indices of a pending prefix with pairwise-disjoint footprints."""
-        taken = np.zeros(engine.capacities.shape[0], dtype=bool)
-        group: List[int] = []
-        for session in self._pending[: self.max_group]:
-            index = engine.oracle_index_for(session)
-            oracle = engine.oracles[index]
-            # Only fixed routing: a fixed session's covered_edges exactly
-            # bounds every tree it can ever route, so disjointness proves
-            # independence; dynamic footprints carry no such bound.
-            if not oracle.is_fixed or index in group:
-                break
-            covered = self._covered.get(index)
-            if covered is None:
-                covered = oracle.covered_edges()
-                self._covered[index] = covered
-            if taken[covered].any():
-                break
-            taken[covered] = True
-            group.append(index)
-        return tuple(group)
-
     def next_request(self, engine: "PhaseEngine") -> Optional[StepRequest]:
         if not self._pending:
             return None
-        session = self._pending[0]
-        index = engine.oracle_index_for(session)
-        if self._prefetched:
-            if engine.lengths.log_offset != self._prefetch_offset:
-                # A renormalisation rescaled the relative lengths since
-                # the group round; re-query to match sequential behaviour
-                # exactly.
-                self._prefetched.clear()
-            else:
-                pre_index, result = self._prefetched.pop(0)
-                return StepRequest(
-                    indices=(pre_index,), prefetched=((pre_index, result),)
-                )
-        if engine.stacked and len(self._pending) > 1:
-            group = self._independent_prefix(engine)
-            if len(group) > 1:
-                return StepRequest(indices=group, batched=False)
-        return StepRequest(indices=(index,), batched=False)
+        return StepRequest(indices=(engine.oracle_index_for(self._pending[0]),))
 
     def select(
         self,
@@ -365,12 +302,6 @@ class OnlineArrivalPolicy(StepPolicy):
         results: Sequence[Tuple[int, OracleResult]],
     ) -> Selection:
         index, result = results[0]
-        if len(results) > 1:
-            # Grouped round: the head routes now; hold the rest for the
-            # following steps, pinned to the current renormalisation
-            # state.
-            self._prefetched = list(results[1:])
-            self._prefetch_offset = engine.lengths.log_offset
         return Selection(index=index, result=result, score=result.length)
 
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:

@@ -29,24 +29,6 @@ from repro.util.errors import ConfigurationError
 # products of thousands of (1 + eps) factors never overflow.
 _RENORM_THRESHOLD = 1e200
 
-# Lazily bound ``repro.core.engine.kernels.active_kernels``.  The engine
-# package imports this module, so a top-level import here would re-enter
-# a partially initialised package; the first batched update binds the
-# function instead (``False`` marks the unresolved state).
-_ACTIVE_KERNELS = False
-
-
-def _active_kernels():
-    """The active kernel backend, or ``None`` while kernels can't load."""
-    global _ACTIVE_KERNELS
-    if _ACTIVE_KERNELS is False:
-        try:
-            from repro.core.engine.kernels import active_kernels
-        except ImportError:  # pragma: no cover - circular-import window
-            return None
-        _ACTIVE_KERNELS = active_kernels
-    return _ACTIVE_KERNELS()
-
 
 def epsilon_for_ratio(ratio: float, slack_factor: float = 2.0) -> float:
     """Map a target approximation ratio to the FPTAS parameter ``epsilon``.
@@ -217,12 +199,7 @@ class LengthFunction:
         self._rel[np.asarray(edge_ids, dtype=np.int64)] *= factors
         self._renormalize()
 
-    def multiply_batch(
-        self,
-        edge_ids: np.ndarray,
-        factors: np.ndarray,
-        assume_unique: bool = False,
-    ) -> None:
+    def multiply_batch(self, edge_ids: np.ndarray, factors: np.ndarray) -> None:
         """Apply a batch of (edge, factor) updates in one vectorised op.
 
         The batched form of :meth:`multiply`: ``edge_ids`` may repeat an
@@ -232,16 +209,6 @@ class LengthFunction:
         of one ``multiply`` per step.  Equivalent to — and bit-compatible
         with, up to one shared renormalisation — the sequential loop, as
         multiplication is commutative.
-
-        ``assume_unique=True`` skips the duplicate-safe ``np.multiply.at``
-        buffering (and its rollback copy) for batches the caller can
-        *verify* are duplicate-free — e.g. the stacked engine's per-step
-        flushes, whose ids are a tree's deduplicated ``physical_edges``.
-        The fast path is the exact operation sequence of
-        :meth:`multiply` (fancy in-place multiply, one renormalisation),
-        so it is bit-identical to both the safe path and the sequential
-        loop; with a repeated id it would silently keep only the last
-        factor, hence the explicit opt-in.
         """
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         factors = np.asarray(factors, dtype=float)
@@ -254,14 +221,6 @@ class LengthFunction:
             raise ConfigurationError(
                 "length update factors must be positive and finite"
             )
-        if assume_unique:
-            backend = _active_kernels()
-            if backend is not None:
-                backend.multiply_unique(self._rel, edge_ids, factors)
-            else:  # pragma: no cover - circular-import window
-                self._rel[edge_ids] *= factors
-            self._renormalize()
-            return
         self._multiply_batch_checked(edge_ids, factors)
 
     def _multiply_batch_checked(self, edge_ids: np.ndarray, factors: np.ndarray) -> None:
@@ -274,12 +233,8 @@ class LengthFunction:
         between), restoring the loop's robustness at ~log cost.
         """
         rel_before = self._rel.copy()
-        backend = _active_kernels()
         with np.errstate(over="ignore"):
-            if backend is not None:
-                backend.multiply_at(self._rel, edge_ids, factors)
-            else:  # pragma: no cover - circular-import window
-                np.multiply.at(self._rel, edge_ids, factors)
+            np.multiply.at(self._rel, edge_ids, factors)
         if not np.all(np.isfinite(self._rel)):
             # Restore in place: callers may hold .relative views, which
             # every other mutator keeps live by never rebinding _rel.

@@ -57,9 +57,6 @@ class MaxConcurrentFlowConfig:
     max_steps:
         Hard safety cap on routing steps (``None`` = derive from theory
         with a generous factor).
-    memoize:
-        Oracle tree-construction memoization for both the pre-scaling
-        MaxFlow runs and the main run (``None`` = process default, on).
     prescale_jobs:
         Worker processes for the per-session standalone MaxFlow runs of
         the pre-scaling step — the runs are mutually independent, so with
@@ -68,18 +65,6 @@ class MaxConcurrentFlowConfig:
         (:func:`repro.util.jobs.default_jobs`); ``0`` means all cores.
         Purely a performance switch: the resulting ``beta`` vector is
         bit-identical to a serial run.
-    stacked_trees:
-        Run the engine's stacked-tree path (shared
-        :class:`~repro.core.engine.TreeLedger`, deduplicated per-step
-        length flushes) in the main run and the pre-scaling MaxFlow
-        runs.  ``None`` = process default (on).  Purely a performance
-        switch; results are bit-identical either way.
-    kernel_backend:
-        Kernel backend for the ledger/length hot ops in the main run and
-        the pre-scaling MaxFlow runs (``None`` = process default; see
-        :mod:`repro.core.engine.kernels`).  Results are bit-identical
-        loop-vs-stacked *per backend*; ordered backends pin their own
-        accumulation order.
     max_events:
         Bound on the main run's retained instrumentation event log
         (``None`` = engine default).  Telemetry capacity only; never
@@ -90,10 +75,7 @@ class MaxConcurrentFlowConfig:
     approximation_ratio: Optional[float] = None
     prescale_epsilon: float = 0.1
     max_steps: Optional[int] = None
-    memoize: Optional[bool] = None
     prescale_jobs: Optional[int] = None
-    stacked_trees: Optional[bool] = None
-    kernel_backend: Optional[str] = None
     max_events: Optional[int] = None
 
     def resolved_epsilon(self) -> float:
@@ -111,17 +93,13 @@ class MaxConcurrentFlowConfig:
         return epsilon_for_ratio(self.approximation_ratio, slack_factor=3.0)
 
 
-# Per-process pre-scaling context (routing, epsilon, memoize,
-# stacked_trees, kernel_backend), installed by the pool initializer so it
-# is pickled once per worker rather than once per session task.
-_prescale_context: Optional[
-    Tuple[RoutingModel, float, Optional[bool], Optional[bool], Optional[str]]
-] = None
+# Per-process pre-scaling context (routing, epsilon), installed by the
+# pool initializer so it is pickled once per worker rather than once per
+# session task.
+_prescale_context: Optional[Tuple[RoutingModel, float]] = None
 
 
-def _set_prescale_context(
-    context: Tuple[RoutingModel, float, Optional[bool], Optional[bool], Optional[str]]
-) -> None:
+def _set_prescale_context(context: Tuple[RoutingModel, float]) -> None:
     """Install the shared pre-scaling context in this process."""
     global _prescale_context
     _prescale_context = context
@@ -129,17 +107,8 @@ def _set_prescale_context(
 
 def _standalone_rate_cell(session: Session) -> Tuple[float, int]:
     """Solve one session's standalone MaxFlow (module-level for pickling)."""
-    routing, epsilon, memoize, stacked_trees, kernel_backend = _prescale_context
-    solution = MaxFlow(
-        [session],
-        routing,
-        MaxFlowConfig(
-            epsilon=epsilon,
-            memoize=memoize,
-            stacked_trees=stacked_trees,
-            kernel_backend=kernel_backend,
-        ),
-    ).solve()
+    routing, epsilon = _prescale_context
+    solution = MaxFlow([session], routing, MaxFlowConfig(epsilon=epsilon)).solve()
     return solution.sessions[0].rate, solution.oracle_calls
 
 
@@ -183,13 +152,7 @@ class MaxConcurrentFlow:
         """
         from repro.util.jobs import resolve_jobs
 
-        context = (
-            self._routing,
-            self._config.prescale_epsilon,
-            self._config.memoize,
-            self._config.stacked_trees,
-            self._config.kernel_backend,
-        )
+        context = (self._routing, self._config.prescale_epsilon)
         in_child_process = multiprocessing.parent_process() is not None
         workers = 1 if in_child_process else min(
             resolve_jobs(self._config.prescale_jobs), len(self._sessions)
@@ -232,9 +195,7 @@ class MaxConcurrentFlow:
         # Scale demands so the optimal concurrent throughput lies in [1, k].
         working_demands = demands * (zeta / k)
 
-        oracles = build_oracles(
-            self._sessions, self._routing, memoize=self._config.memoize
-        )
+        oracles = build_oracles(self._sessions, self._routing)
         lengths = LengthFunction.for_concurrent(capacities, epsilon)
 
         # Final scaling factor (Lemma 4): divide flows by log_{1+eps}(1/delta).
@@ -268,8 +229,6 @@ class MaxConcurrentFlow:
             stopping=DualObjectiveStop(capacities),
             step_cap=step_cap,
             cap_message=f"MaxConcurrentFlow exceeded the step cap of {step_cap}",
-            stacked_trees=self._config.stacked_trees,
-            kernel_backend=self._config.kernel_backend,
             instrumentation=(
                 Instrumentation(max_events=self._config.max_events)
                 if self._config.max_events is not None

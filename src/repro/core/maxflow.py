@@ -49,32 +49,6 @@ class MaxFlowConfig:
     max_iterations:
         Hard safety cap on augmentation iterations.  ``None`` derives the
         provable bound from Lemma 1 with a x10 safety factor.
-    memoize:
-        Oracle tree-construction memoization (``None`` = process default,
-        on).  Purely a performance switch; results are identical either
-        way.
-    batch_oracle:
-        Serve each iteration's all-session oracle scan through the
-        engine's :class:`~repro.core.engine.BatchedOracleFront` (one
-        stacked incidence mat-vec under fixed routing; one
-        union-of-members Dijkstra under dynamic routing).  ``None`` =
-        default, on.  Purely a performance switch; results are
-        bit-identical either way.
-    stacked_trees:
-        Run the engine's stacked-tree path: every distinct tree lives as
-        a column of a shared :class:`~repro.core.engine.TreeLedger`, a
-        round's tree lengths are one ``lengths @ M`` product and length
-        updates flush as one deduplicated batch per step.  ``None`` =
-        process default (on).  Purely a performance switch; results are
-        bit-identical either way.
-    kernel_backend:
-        Kernel backend for the ledger/length hot ops (``None`` = process
-        default, usually ``"numpy"``; see
-        :mod:`repro.core.engine.kernels`).  ``"numba"`` falls back to
-        ``"numpy"`` with a one-time warning when numba is absent.
-        Ordered backends pin a left-to-right accumulation order, so
-        results are bit-identical *per backend* (loop vs. stacked), not
-        across backends.
     max_events:
         Bound on the run's retained instrumentation event log (``None``
         = engine default).  Telemetry capacity only; never changes the
@@ -84,10 +58,6 @@ class MaxFlowConfig:
     epsilon: Optional[float] = None
     approximation_ratio: Optional[float] = None
     max_iterations: Optional[int] = None
-    memoize: Optional[bool] = None
-    batch_oracle: Optional[bool] = None
-    stacked_trees: Optional[bool] = None
-    kernel_backend: Optional[str] = None
     max_events: Optional[int] = None
 
     def resolved_epsilon(self) -> float:
@@ -122,9 +92,7 @@ class MaxFlow:
         self._routing = routing
         self._network = routing.network
         self._config = config or MaxFlowConfig(approximation_ratio=0.95)
-        self._oracles = build_oracles(
-            self._sessions, routing, memoize=self._config.memoize
-        )
+        self._oracles = build_oracles(self._sessions, routing)
 
     @property
     def oracles(self) -> Sequence[MinimumOverlayTreeOracle]:
@@ -152,9 +120,9 @@ class MaxFlow:
             iteration_cap = int(10 * num_edges * max(1.0, scale_denominator)) + 10
 
         # Table I on the shared phase engine: every step queries all
-        # sessions (one batched pass over the shared length array under
-        # fixed routing), routes the bottleneck of the minimum normalised
-        # tree, and stops when that normalised length reaches 1.
+        # sessions (one batched pass over the shared length array), routes
+        # the bottleneck of the minimum normalised tree, and stops when
+        # that normalised length reaches 1.
         engine = PhaseEngine(
             oracles=self._oracles,
             lengths=lengths,
@@ -163,9 +131,6 @@ class MaxFlow:
             stopping=NormalizedLengthStop(),
             step_cap=iteration_cap,
             cap_message=f"MaxFlow exceeded the iteration cap of {iteration_cap}",
-            batch_oracle=self._config.batch_oracle,
-            stacked_trees=self._config.stacked_trees,
-            kernel_backend=self._config.kernel_backend,
             instrumentation=(
                 Instrumentation(max_events=self._config.max_events)
                 if self._config.max_events is not None

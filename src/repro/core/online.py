@@ -47,23 +47,6 @@ class OnlineConfig:
         sufficient condition for the Theorem 4 bound.  The scaling only
         affects the routing decisions through the length updates; reported
         rates are always re-expressed in original demand units.
-    memoize:
-        Oracle tree-construction memoization (``None`` = process default,
-        on).  Purely a performance switch; results are identical either
-        way.
-    stacked_trees:
-        Run the engine's stacked-tree path: trees live as columns of a
-        shared :class:`~repro.core.engine.TreeLedger`, and under fixed
-        routing a prefix of independent (footprint-disjoint) pending
-        arrivals is queried as one grouped round whose tree lengths are
-        a single ledger product.  ``None`` = process default (on).
-        Purely a performance switch; results are bit-identical either
-        way.
-    kernel_backend:
-        Kernel backend for the ledger/length hot ops (``None`` = process
-        default; see :mod:`repro.core.engine.kernels`).  Routing
-        decisions are bit-identical loop-vs-stacked *per backend*;
-        ordered backends pin their own accumulation order.
     max_events:
         Bound on the run's retained instrumentation event log (``None``
         = engine default).  Telemetry capacity only; never changes the
@@ -72,9 +55,6 @@ class OnlineConfig:
 
     sigma: float = 10.0
     apply_no_bottleneck_scaling: bool = False
-    memoize: Optional[bool] = None
-    stacked_trees: Optional[bool] = None
-    kernel_backend: Optional[str] = None
     max_events: Optional[int] = None
 
     def validate(self) -> None:
@@ -127,12 +107,9 @@ class OnlineMinCongestion:
             stopping=RunToExhaustion(),
             accumulate_flows=False,
             track_congestion=True,
-            batch_oracle=False,
             oracle_factory=lambda session: MinimumOverlayTreeOracle(
-                session, self._routing, memoize=self._config.memoize
+                session, self._routing
             ),
-            stacked_trees=self._config.stacked_trees,
-            kernel_backend=self._config.kernel_backend,
             instrumentation=(
                 Instrumentation(max_events=self._config.max_events)
                 if self._config.max_events is not None
@@ -177,31 +154,27 @@ class OnlineMinCongestion:
     def accept(self, session: Session) -> OverlayTree:
         """Route an arriving session on one tree and update lengths/congestion."""
         session.validate_against(self._network)
-        self._policy.feed(session)
-        action = self._engine.step()
-        self._state.oracle_calls += 1
-        return action.tree
+        return self._route(session)
 
     def accept_all(self, sessions: Sequence[Session]) -> List[OverlayTree]:
         """Route a whole arrival sequence, in order.
 
-        The whole sequence is fed before stepping, which lets the
-        stacked engine path serve prefixes of independent
-        (footprint-disjoint) arrivals as grouped query rounds.  Each
-        arrival is still routed by its own engine step, in order, with
-        its own length/congestion update — decisions and results are
-        bit-identical to one-at-a-time :meth:`accept` calls.
+        Every session is validated before anything else happens, so an
+        invalid arrival leaves the solver untouched: no demand scaling,
+        nothing queued.  Then each arrival is routed in order, exactly as
+        by :meth:`accept`.
         """
-        self.prepare_demand_scaling(sessions)
-        trees: List[OverlayTree] = []
         for session in sessions:
             session.validate_against(self._network)
-            self._policy.feed(session)
-        for _ in sessions:
-            action = self._engine.step()
-            self._state.oracle_calls += 1
-            trees.append(action.tree)
-        return trees
+        self.prepare_demand_scaling(sessions)
+        return [self._route(session) for session in sessions]
+
+    def _route(self, session: Session) -> OverlayTree:
+        """One engine step for a validated arrival."""
+        self._policy.feed(session)
+        action = self._engine.step()
+        self._state.oracle_calls += 1
+        return action.tree
 
     # ------------------------------------------------------------------
     # result extraction

@@ -6,7 +6,7 @@ rounds ran batched?" — through one :class:`MetricsRegistry` of named
 instruments:
 
 * :class:`Counter` — monotonically increasing totals (hits, sheds, puts),
-* :class:`Gauge` — last-write-wins values (ledger columns, queue depth),
+* :class:`Gauge` — last-write-wins values (queue depth, circuit state),
 * :class:`Histogram` — fixed-bucket latency distributions (put seconds,
   claim→complete seconds), Prometheus-style cumulative buckets.
 

@@ -20,12 +20,7 @@ of the paper:
 from repro.overlay.session import Session, random_session, random_sessions
 from repro.overlay.tree import OverlayTree
 from repro.overlay.mst import minimum_spanning_tree_pairs
-from repro.overlay.oracle import (
-    MinimumOverlayTreeOracle,
-    OracleResult,
-    configure_tree_memoization,
-    tree_memoization_default,
-)
+from repro.overlay.oracle import MinimumOverlayTreeOracle, OracleResult
 from repro.overlay.tree_packing import (
     partition_bound,
     best_partition,
@@ -42,8 +37,6 @@ __all__ = [
     "minimum_spanning_tree_pairs",
     "MinimumOverlayTreeOracle",
     "OracleResult",
-    "configure_tree_memoization",
-    "tree_memoization_default",
     "partition_bound",
     "best_partition",
     "pack_spanning_trees_lp",

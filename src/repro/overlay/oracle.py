@@ -15,11 +15,9 @@ edge between two members is the *shortest* path under ``d_e``
 Dijkstra from the members, keeps its distance *and* predecessor rows
 (:class:`~repro.routing.shortest_path.ShortestPathQuery`), weights the
 overlay MST from the distances, and reconstructs only the ``|S| - 1``
-chosen paths from the same predecessor rows.  The pre-fast-path
-pipeline — a distances-only run followed by a fresh single-source
-Dijkstra per tree source — is kept behind
-:func:`configure_dynamic_fastpath` as the ablation baseline; both
-produce bit-identical trees (same rows, same paths).
+chosen paths from the same predecessor rows — the same trees a
+distances-only run followed by one single-source Dijkstra per tree
+source would give (scipy computes every source row independently).
 
 The oracle also counts its own invocations; the paper's Tables II and IV
 report running time as "number of MST operations", and we reproduce that
@@ -35,24 +33,17 @@ oracle keys a per-session cache on exactly that, so repeated trees skip
 :meth:`OverlayTree.from_paths` (the union-find spanning-tree check and
 the ``np.add.at`` usage accumulation) entirely.  ``call_count`` — the
 paper's "MST operations" metric — is incremented on cache hits exactly as
-before, and cached results are bit-identical to freshly built ones.
+on misses, and cached results are bit-identical to freshly built ones.
 
-**Tree ledger.**  When the engine runs its stacked path, every oracle is
-attached (:meth:`MinimumOverlayTreeOracle.attach_ledger`) to a shared
-:class:`~repro.core.engine.ledger.TreeLedger`, and every tree the oracle
-constructs is registered there as well as in its private memo — the two
-stores share identity through :meth:`OverlayTree.canonical_key`.  The
-``select_tree*`` methods return the chosen tree *without* evaluating its
-length, so a batched caller can compute a whole round's tree lengths as
-one ``lengths @ M`` product over ledger columns instead of per-tree
-reductions; the ``minimum_tree*`` methods wrap them and keep the
+The ``select_tree*`` methods return the chosen tree; the
+``minimum_tree*`` methods wrap them and add the tree's length, the
 classic ``(tree, length)`` contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,57 +72,6 @@ class OracleResult:
     length: float
 
 
-_MEMOIZE_TREES_DEFAULT = True
-_DYNAMIC_FASTPATH_DEFAULT = True
-
-
-def configure_tree_memoization(enabled: bool) -> bool:
-    """Set the process-wide default for oracle tree memoization.
-
-    Returns the previous default.  Oracles resolve the default at
-    construction time; existing oracles are unaffected.  Memoization
-    never changes results (cached trees are the exact objects a fresh
-    construction would produce) — the switch exists for equivalence
-    tests and perf ablations.
-    """
-    global _MEMOIZE_TREES_DEFAULT
-    previous = _MEMOIZE_TREES_DEFAULT
-    _MEMOIZE_TREES_DEFAULT = bool(enabled)
-    return previous
-
-
-def tree_memoization_default() -> bool:
-    """Current process-wide default for oracle tree memoization."""
-    return _MEMOIZE_TREES_DEFAULT
-
-
-def configure_dynamic_fastpath(enabled: bool) -> bool:
-    """Set the process-wide default for the one-Dijkstra dynamic oracle.
-
-    Returns the previous default.  Oracles resolve the default at
-    construction time; existing oracles are unaffected.  ``False``
-    restores the pre-change pipeline (a distances-only multi-source
-    Dijkstra, then a fresh single-source Dijkstra per tree source) —
-    kept purely as the equivalence-test reference and perf-ablation
-    baseline; results are bit-identical either way.
-
-    The default is process-wide only: it does not propagate to pool
-    workers (``prescale_jobs``, ``solve_many``, cluster workers), which
-    re-import with the fast path on.  Ablation runs should stay
-    in-process serial, or pass ``dynamic_fastpath`` explicitly through
-    :func:`build_oracles`.
-    """
-    global _DYNAMIC_FASTPATH_DEFAULT
-    previous = _DYNAMIC_FASTPATH_DEFAULT
-    _DYNAMIC_FASTPATH_DEFAULT = bool(enabled)
-    return previous
-
-
-def dynamic_fastpath_default() -> bool:
-    """Current process-wide default for the one-Dijkstra dynamic oracle."""
-    return _DYNAMIC_FASTPATH_DEFAULT
-
-
 class MinimumOverlayTreeOracle:
     """Minimum overlay spanning tree computation for one session.
 
@@ -142,40 +82,18 @@ class MinimumOverlayTreeOracle:
     routing:
         Either a :class:`FixedIPRouting` (paper Sections II–IV) or a
         :class:`DynamicRouting` (Section V) instance.
-    memoize:
-        Cache constructed trees keyed by their defining data (overlay
-        index pairs, plus path node sequences under dynamic routing).
-        ``None`` uses the process-wide default (on).
-    dynamic_fastpath:
-        Serve dynamic-routing calls with one retained Dijkstra
-        (:meth:`minimum_tree_from_query`) instead of the pre-change
-        multi-Dijkstra loop.  ``None`` uses the process-wide default
-        (on).  Purely a performance switch; results are bit-identical.
     """
 
-    def __init__(
-        self,
-        session: Session,
-        routing: RoutingModel,
-        memoize: Optional[bool] = None,
-        dynamic_fastpath: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, session: Session, routing: RoutingModel) -> None:
         session.validate_against(routing.network)
         self._session = session
         self._routing = routing
         self._network = routing.network
         self._members = list(session.members)
         self._call_count = 0
-        self._memoize = _MEMOIZE_TREES_DEFAULT if memoize is None else bool(memoize)
-        self._dynamic_fastpath = (
-            _DYNAMIC_FASTPATH_DEFAULT
-            if dynamic_fastpath is None
-            else bool(dynamic_fastpath)
-        )
         self._tree_cache: Dict[Tuple, OverlayTree] = {}
         self._cache_hits = 0
         self._cache_misses = 0
-        self._ledger = None
 
         n = len(self._members)
         self._triu_rows, self._triu_cols = np.triu_indices(n, k=1)
@@ -227,18 +145,13 @@ class MinimumOverlayTreeOracle:
         self._call_count = 0
 
     @property
-    def memoize(self) -> bool:
-        """Whether tree construction memoization is enabled."""
-        return self._memoize
-
-    @property
     def cache_hits(self) -> int:
         """Oracle calls that reused a previously constructed tree."""
         return self._cache_hits
 
     @property
     def cache_misses(self) -> int:
-        """Oracle calls that had to construct a new tree (memoized mode)."""
+        """Oracle calls that had to construct a new tree."""
         return self._cache_misses
 
     def cache_info(self) -> Dict[str, int]:
@@ -255,34 +168,10 @@ class MinimumOverlayTreeOracle:
         self._cache_hits = 0
         self._cache_misses = 0
 
-    def attach_ledger(self, ledger) -> None:
-        """Register this oracle's trees in a shared tree ledger.
-
-        Every tree the oracle has already memoized is registered
-        immediately (in memo insertion order); every tree it constructs
-        from now on is registered as it is built.  Registration is
-        content-addressed by :meth:`OverlayTree.canonical_key`, so the
-        ledger and the memo agree on tree identity and re-registration
-        is a dict hit.  Attaching never changes oracle results.
-        """
-        self._ledger = ledger
-        for tree in self._tree_cache.values():
-            ledger.register(tree)
-
-    @property
-    def ledger(self):
-        """The attached :class:`TreeLedger`, or ``None``."""
-        return self._ledger
-
     @property
     def is_fixed(self) -> bool:
         """Whether the routing model is fixed (precomputable incidence)."""
         return self._fixed
-
-    @property
-    def dynamic_fastpath(self) -> bool:
-        """Whether dynamic calls use the one-Dijkstra retained query."""
-        return self._dynamic_fastpath
 
     @property
     def members(self) -> List[int]:
@@ -328,54 +217,24 @@ class MinimumOverlayTreeOracle:
         """Minimum overlay spanning tree under ``edge_lengths``.
 
         This is the operation counted in the paper's "running time
-        (number of MST operations)" rows.
+        (number of MST operations)" rows: :meth:`select_tree` plus the
+        tree's length.
         """
         lengths = np.asarray(edge_lengths, dtype=float)
-        members = self._members
-
-        if self._fixed:
-            return self.minimum_tree_precomputed(self._incidence @ lengths, lengths)
-
-        if self._dynamic_fastpath:
-            # One Dijkstra: the retained query serves both the MST
-            # weights and the chosen tree's path reconstructions.
-            return self.minimum_tree_from_query(
-                self._routing.query(members, lengths), lengths
-            )
-
-        # Pre-fast-path pipeline (ablation baseline): a distances-only
-        # multi-source run, then a fresh single-source Dijkstra per tree
-        # source inside paths_for_pairs.
-        self._call_count += 1
-        weight = self._routing.pair_lengths(members, lengths)
-        tree_index_pairs = minimum_spanning_tree_pairs(weight, validate=False)
-        overlay_edges = [
-            pair_key(members[i], members[j]) for i, j in tree_index_pairs
-        ]
-        paths = self._routing.paths_for_pairs(overlay_edges, lengths)
-        tree = self._dynamic_tree(overlay_edges, paths)
+        tree = self.select_tree(lengths)
         return OracleResult(tree=tree, length=tree.length(lengths))
 
     def select_tree(self, edge_lengths: np.ndarray) -> OverlayTree:
         """The minimum tree under ``edge_lengths``, without its length.
 
-        The stacked engine path selects a whole round's trees first and
-        evaluates all their lengths as one ledger product, so the
-        per-tree reduction inside :meth:`minimum_tree` is skipped here.
-        Counts as one MST operation, exactly like :meth:`minimum_tree`;
-        the legacy dynamic pipeline (fast path off) has no tree-only
-        form and is served through :meth:`minimum_tree` instead.
+        Fixed routing evaluates the pair lengths as one incidence
+        mat-vec; dynamic routing runs one retained Dijkstra from the
+        members.  Counts as one MST operation.
         """
         lengths = np.asarray(edge_lengths, dtype=float)
         if self._fixed:
             return self.select_tree_precomputed(self._incidence @ lengths)
-        if self._dynamic_fastpath:
-            return self.select_tree_from_query(
-                self._routing.query(self._members, lengths)
-            )
-        raise ConfigurationError(
-            "tree-only selection requires fixed routing or the dynamic fast path"
-        )
+        return self.select_tree_from_query(self._routing.query(self._members, lengths))
 
     def select_tree_from_query(self, query) -> OverlayTree:
         """Tree-only form of :meth:`minimum_tree_from_query`.
@@ -385,10 +244,8 @@ class MinimumOverlayTreeOracle:
         sources include every session member — either this oracle's own
         per-call run or the batched front's shared union run.  Distances
         weight the overlay MST; the chosen tree's paths are rebuilt from
-        the same predecessor rows, so outputs are bit-identical to the
-        multi-Dijkstra pipeline (scipy computes source rows
-        independently).  Counts as one MST operation, exactly like
-        :meth:`minimum_tree`.
+        the same predecessor rows.  Counts as one MST operation, exactly
+        like :meth:`minimum_tree`.
         """
         if self._fixed:
             raise ConfigurationError(
@@ -417,16 +274,12 @@ class MinimumOverlayTreeOracle:
         return OracleResult(tree=tree, length=tree.length(lengths))
 
     def _dynamic_tree(self, overlay_edges, paths) -> OverlayTree:
-        """Shared tail of both dynamic branches: memoize key + build."""
+        """Memoized dynamic-routing tree construction."""
         # Under dynamic routing the overlay edges alone do not pin down
         # the physical realisation — include the path node sequences in
         # the key.  Sorted, so the key is independent of Prim's
         # discovery order.
-        key = (
-            tuple(sorted((pk, paths[pk].nodes) for pk in overlay_edges))
-            if self._memoize
-            else None
-        )
+        key = tuple(sorted((pk, paths[pk].nodes) for pk in overlay_edges))
         return self._cached_tree(
             key,
             lambda: OverlayTree.from_paths(
@@ -460,9 +313,8 @@ class MinimumOverlayTreeOracle:
         # same tree reached from different length functions must hit the
         # same cache entry.  Fixed routes pin down the physical
         # realisation, so the index pairs alone suffice.
-        key = tuple(sorted(tree_index_pairs)) if self._memoize else None
         return self._cached_tree(
-            key,
+            tuple(sorted(tree_index_pairs)),
             lambda: OverlayTree.from_paths(
                 members,
                 [pair_key(members[i], members[j]) for i, j in tree_index_pairs],
@@ -483,27 +335,20 @@ class MinimumOverlayTreeOracle:
         lengths = np.asarray(edge_lengths, dtype=float)
         return OracleResult(tree=tree, length=tree.length(lengths))
 
-    def _cached_tree(self, key: Optional[Tuple], build) -> OverlayTree:
+    def _cached_tree(self, key: Tuple, build) -> OverlayTree:
         """Memoized tree construction shared by both routing branches.
 
-        ``key=None`` (memoization off) builds unconditionally; otherwise
-        a hit returns the cached object and a miss builds, stores and
+        A hit returns the cached object; a miss builds, stores and
         counts.  The builder runs only on a miss, so the fixed-routing
         hot path never recomputes overlay pair keys for cached trees.
         """
-        if key is not None:
-            tree = self._tree_cache.get(key)
-            if tree is not None:
-                self._cache_hits += 1
-                return tree
+        tree = self._tree_cache.get(key)
+        if tree is not None:
+            self._cache_hits += 1
+            return tree
         tree = build()
-        if key is not None:
-            self._tree_cache[key] = tree
-            self._cache_misses += 1
-        if self._ledger is not None:
-            # Content-addressed, so un-memoized rebuilds of a known tree
-            # land on the existing column.
-            self._ledger.register(tree)
+        self._tree_cache[key] = tree
+        self._cache_misses += 1
         return tree
 
     def normalized_length(self, result: OracleResult, max_session_size: int) -> float:
@@ -518,18 +363,10 @@ class MinimumOverlayTreeOracle:
 
 
 def build_oracles(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    memoize: Optional[bool] = None,
-    dynamic_fastpath: Optional[bool] = None,
+    sessions: Sequence[Session], routing: RoutingModel
 ) -> List[MinimumOverlayTreeOracle]:
     """Construct one oracle per session over a shared routing model."""
-    return [
-        MinimumOverlayTreeOracle(
-            s, routing, memoize=memoize, dynamic_fastpath=dynamic_fastpath
-        )
-        for s in sessions
-    ]
+    return [MinimumOverlayTreeOracle(s, routing) for s in sessions]
 
 
 def total_oracle_calls(oracles: Sequence[MinimumOverlayTreeOracle]) -> int:

@@ -27,32 +27,8 @@ from repro.util.errors import InvalidSessionError
 # on a short contiguous vector) and the gather wins above; the constant
 # stays at the conservative 2048 — mispredicting dense near the
 # boundary costs fractions of a microsecond, while the sweep's exact
-# crossover moves with footprint size and hardware.  Engine query
-# rounds on sparse-regime networks are served through the shared
-# :class:`~repro.core.engine.ledger.TreeLedger` (one gather for a whole
-# round), retiring the per-tree sparse gathers from those hot paths;
-# this per-tree branch remains for loop-mode ablations and standalone
-# ``length`` callers, and the ledger mirrors the same dense/sparse
-# choice to stay bit-identical per column.
+# crossover moves with footprint size and hardware.
 SPARSE_LENGTH_MIN_EDGES = 2048
-
-# Lazily bound ``repro.core.engine.kernels.active_kernels``.  The engine
-# package imports this module transitively, so a top-level import here
-# would re-enter a partially initialised package; the first ``length``
-# call binds the function instead (``False`` marks the unresolved state).
-_ACTIVE_KERNELS = False
-
-
-def _active_kernels():
-    """The active kernel backend, or ``None`` while kernels can't load."""
-    global _ACTIVE_KERNELS
-    if _ACTIVE_KERNELS is False:
-        try:
-            from repro.core.engine.kernels import active_kernels
-        except ImportError:  # pragma: no cover - circular-import window
-            return None
-        _ACTIVE_KERNELS = active_kernels
-    return _ACTIVE_KERNELS()
 
 
 def _is_spanning_tree(members: Sequence[int], pairs: Sequence[PairKey]) -> bool:
@@ -202,20 +178,8 @@ class OverlayTree:
         of the network size.  Below ``SPARSE_LENGTH_MIN_EDGES`` the dense
         dot is cheaper than the gather and is used instead (the choice is
         fixed per tree at construction, so results stay deterministic).
-
-        Under an *ordered* kernel backend (see
-        ``repro.core.engine.kernels``) the sum is instead pinned to
-        left-to-right sequential accumulation over the stored entries —
-        the same order the backend's ledger kernels use — so
-        loop-evaluated and ledger-evaluated tree lengths stay
-        bit-identical per backend.
         """
         lengths = np.asarray(edge_lengths, dtype=float)
-        backend = _active_kernels()
-        if backend is not None and backend.ordered:
-            return float(
-                backend.tree_length(self._physical_edges, self._usage_values, lengths)
-            )
         if self._sparse_length:
             return float(np.dot(self._usage_values, lengths[self._physical_edges]))
         return float(np.dot(self.edge_usage, lengths))

@@ -3,9 +3,9 @@
 The repo's perf trajectory is tracked through ``BENCH_core.json``, a
 small machine-readable record of the oracle hot path's throughput
 (oracle calls/sec and wall time under fixed versus dynamic routing, the
-tree-memoization speedup, the sparse tree-length / length-multiply /
-oracle-batch ablations, the dynamic one-Dijkstra fast path + union
-front, and the measured Prim crossover).  Every
+sparse tree-length / length-multiply / oracle-batch ablations, the
+dynamic union-Dijkstra front, the measured Prim crossover, and the
+observability and durability costs).  Every
 write *appends* a compact entry to the record's ``history`` list, so the
 file is a run-over-run trajectory rather than a snapshot.
 ``benchmarks/bench_core_ops.py`` emits it at quick scale; a

@@ -5,47 +5,28 @@ minimum-overlay-spanning-tree oracle — on a deterministic flat-Waxman
 instance, and writes a JSON record so the perf trajectory is tracked
 from one PR to the next:
 
-* MaxFlow wall time and oracle calls/sec under **fixed IP routing**,
-  with tree memoization on and off (the ablation for the oracle's tree
-  cache; the ``speedup`` field is their ratio),
+* MaxFlow wall time and oracle calls/sec under **fixed IP routing**
+  (stored under ``maxflow_fixed.memoized``: the oracle's tree cache is
+  always on),
 * MaxFlow wall time and oracle calls/sec under **dynamic routing**
-  (Dijkstra-dominated, so memoization matters less — recorded to keep
-  the fixed/dynamic cost ratio visible),
+  (Dijkstra-dominated — recorded to keep the fixed/dynamic cost ratio
+  visible),
 * the **tree-length evaluation** ablation: the sparse incidence mat-vec
   over the tree's physical edges (:meth:`OverlayTree.length`) versus the
   dense full-``|E|`` dot product it replaced, plus the dense/sparse
-  **crossover sweep** backing ``SPARSE_LENGTH_MIN_EDGES`` and the
-  **ledger round** arm (one :meth:`TreeLedger.lengths_for` call under
-  the best available kernel backend for a whole round versus the
-  per-tree ``length`` loop),
-* the **ledger kernel** ablation: the three ledger hot ops — round
-  lengths, the ``edge_values`` scatter, and the all-columns
-  ``lengths_for_all`` kernel — timed on the ``numpy`` backend versus
-  the best available backend (``numba`` when importable, else the
-  pure-NumPy ``ordered`` backend; the ``backend`` field records which),
+  **crossover sweep** backing ``SPARSE_LENGTH_MIN_EDGES``,
 * the **length-update batching** ablation: one
   :meth:`LengthFunction.multiply_batch` call over an accumulated batch
   of (edge, factor) updates versus the per-step ``multiply`` loop it
-  coalesces, plus the ``assume_unique`` fast-path arm (skipping the
-  duplicate-safe ``np.multiply.at`` accumulation when the engine can
-  prove ids are unique),
-* the **engine step** ablation: wall time of full
-  :meth:`~repro.core.engine.PhaseEngine.step` calls — oracle round,
-  routing decision and length update — with the stacked-tree path
-  (``TreeLedger`` columns + batched front, the default) versus the
-  per-tree per-oracle loop (``stacked_trees=False, batch_oracle=False``),
-  under both routing models at a larger scale than the solver profiles,
+  coalesces,
 * the **oracle batching** ablation: one
   :class:`~repro.core.engine.BatchedOracleFront` round (a stacked
   incidence mat-vec answering every session's tree query at once — the
   engine's per-iteration all-session scan) versus the per-oracle query
   loop it replaces,
-* the **dynamic oracle fast path**: MaxFlow under dynamic routing with
-  the one-Dijkstra retained-query oracle and the union-Dijkstra front
-  (the default) versus the pre-change multi-Dijkstra pipeline
-  (``configure_dynamic_fastpath(False)``), plus a front-level ablation
-  (one union-of-members Dijkstra per all-session round versus one
-  Dijkstra per oracle),
+* the **dynamic oracle**: MaxFlow oracle throughput under dynamic
+  routing, plus a front-level ablation (one union-of-members Dijkstra
+  per all-session round versus one Dijkstra per oracle),
 * the **Prim crossover**: plain-Python versus vectorised-NumPy Prim at
   several member counts, locating the measured crossover that sets
   ``repro.overlay.mst._PYTHON_PRIM_LIMIT``,
@@ -69,7 +50,7 @@ stay top-level), so ``BENCH_core.json`` accumulates one entry per PR /
 benchmark invocation instead of overwriting the past.
 
 Measurements use fresh routing models per run so no caches leak between
-the memoized and unmemoized arms.  Run as a module for a CLI::
+runs.  Run as a module for a CLI::
 
     python -m repro.perf.record --scale quick --output BENCH_core.json
 """
@@ -95,7 +76,7 @@ from repro.util.errors import ConfigurationError
 from repro.util.rng import ensure_rng
 from repro.util.serialization import dump_json
 
-BENCH_SCHEMA = "BENCH_core/v9"
+BENCH_SCHEMA = "BENCH_core/v10"
 _KNOWN_SCHEMAS = (
     "BENCH_core/v1",
     "BENCH_core/v2",
@@ -105,23 +86,9 @@ _KNOWN_SCHEMAS = (
     "BENCH_core/v6",
     "BENCH_core/v7",
     "BENCH_core/v8",
+    "BENCH_core/v9",
     BENCH_SCHEMA,
 )
-
-
-def _best_kernel_backend() -> str:
-    """The fastest available kernel backend name for the bench arms.
-
-    ``numba`` when importable, else the pure-NumPy ``ordered`` backend —
-    the compiled arm of the ``ledger_kernel`` section always records
-    which backend actually ran (``backend`` field), so trajectories
-    from numba-less environments stay honestly labelled.
-    """
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return "ordered"
-    return "numba"
 
 
 @dataclass(frozen=True)
@@ -145,19 +112,12 @@ class PerfProfile:
     # raw dense/gathered dot is repeated.
     crossover_nodes: Tuple[int, ...] = (160, 240, 320, 480, 640)
     crossover_evals: int = 3000
-    # The ledger-round arm: how many trees one round evaluates and how
-    # many rounds to time.
-    ledger_trees: int = 8
-    ledger_rounds: int = 2000
     # The multiply-batch ablation: how many accumulated (edge, factor)
     # updates one batched call replaces, and how often to repeat the
     # whole comparison for a stable timing.
     multiply_updates: int = 512
     multiply_edges_per_update: int = 24
     multiply_reps: int = 50
-    # The assume_unique fast-path arm: size of the duplicate-free batch
-    # both multiply_batch variants apply.
-    multiply_unique_ids: int = 1024
     # The oracle-batch ablation: a many-session instance (the batched
     # front's win grows with the session count) and how many all-session
     # query rounds to time.
@@ -172,21 +132,13 @@ class PerfProfile:
     # (the per-size repetition count is derived from the size).
     prim_sizes: Tuple[int, ...] = (8, 16, 32, 64, 96, 128, 192)
     prim_reps: int = 2000
-    # The engine-step ablation: a larger instance than the solver
-    # profiles (its edge count sits in the sparse/ledger regime), timed
-    # as a bounded number of full engine steps per arm.  The dynamic arm
-    # uses fewer sessions and steps — Dijkstra rounds cost more than
-    # incidence mat-vecs.
+    # The observability-overhead ablation: a larger instance than the
+    # solver profiles, engine steps per timed arm and interleaved
+    # repetitions (each arm keeps its best-of-reps, so adjacent arms see
+    # the same machine noise).
     engine_nodes: int = 320
     engine_fixed_sessions: Tuple[int, ...] = (6, 5, 4) * 8
-    engine_dynamic_sessions: Tuple[int, ...] = (6, 5, 4) * 4
-    engine_fixed_steps: int = 600
-    engine_dynamic_steps: int = 150
     engine_epsilon: float = 0.05
-    engine_warm_steps: int = 16
-    # The observability-overhead ablation: engine steps per timed arm
-    # and interleaved repetitions (each arm keeps its best-of-reps, so
-    # adjacent arms see the same machine noise).
     obs_steps: int = 400
     obs_reps: int = 3
     # The durability arms: bare puts per store variant, interleaved
@@ -210,11 +162,8 @@ TINY_PROFILE = PerfProfile(
     length_evals=2000,
     crossover_nodes=(160, 320),
     crossover_evals=300,
-    ledger_trees=6,
-    ledger_rounds=200,
     multiply_updates=128,
     multiply_reps=5,
-    multiply_unique_ids=256,
     batch_nodes=80,
     batch_sessions=(5, 4, 5, 4),
     batch_rounds=40,
@@ -223,10 +172,6 @@ TINY_PROFILE = PerfProfile(
     prim_reps=200,
     engine_nodes=120,
     engine_fixed_sessions=(4, 3) * 3,
-    engine_dynamic_sessions=(4, 3) * 2,
-    engine_fixed_steps=60,
-    engine_dynamic_steps=20,
-    engine_warm_steps=8,
     obs_steps=50,
     obs_reps=2,
     durability_puts=60,
@@ -277,16 +222,11 @@ def _timed_maxflow(
     sessions: List[Session],
     routing_kind: str,
     ratio: float,
-    memoize: bool,
 ) -> Dict[str, float]:
     routing = (
         FixedIPRouting(network) if routing_kind == "fixed" else DynamicRouting(network)
     )
-    solver = MaxFlow(
-        sessions,
-        routing,
-        MaxFlowConfig(approximation_ratio=ratio, memoize=memoize),
-    )
+    solver = MaxFlow(sessions, routing, MaxFlowConfig(approximation_ratio=ratio))
     start = time.perf_counter()
     solution = solver.solve()
     seconds = time.perf_counter() - start
@@ -343,7 +283,6 @@ def _timed_tree_length(profile: PerfProfile) -> Dict[str, float]:
         "dense_evals_per_sec": iterations / dense_seconds if dense_seconds > 0 else 0.0,
         "sparse_speedup": dense_seconds / sparse_seconds if sparse_seconds > 0 else 0.0,
         "crossover": _timed_length_crossover(profile),
-        "ledger": _timed_ledger_round(profile),
     }
 
 
@@ -353,11 +292,8 @@ def _timed_length_crossover(profile: PerfProfile) -> Dict[str, object]:
     Times the two raw evaluations behind :meth:`OverlayTree.length` —
     the dense full-``|E|`` dot and the gathered footprint dot — on
     instances whose edge counts bracket ``SPARSE_LENGTH_MIN_EDGES``, and
-    reports the first measured edge count where the gather wins.  This
-    is the re-measurement backing the constant now that engine rounds in
-    the sparse regime are served through the shared
-    :class:`~repro.core.engine.TreeLedger` (the per-tree branch remains
-    for loop-mode ablations and standalone callers).
+    reports the first measured edge count where the gather wins — the
+    measurement backing the constant.
     """
     from repro.overlay.tree import SPARSE_LENGTH_MIN_EDGES
 
@@ -404,155 +340,6 @@ def _timed_length_crossover(profile: PerfProfile) -> Dict[str, object]:
     }
 
 
-def _timed_ledger_round(profile: PerfProfile) -> Dict[str, float]:
-    """Ablation: one ledger round versus the per-tree ``length`` loop.
-
-    Both arms evaluate the same trees under the same length vector — the
-    work of one engine query round.  The ledger arm is one
-    :meth:`~repro.core.engine.TreeLedger.lengths_for` call under the
-    best available kernel backend (``numba`` when importable, else the
-    pure-NumPy ``ordered`` backend — the ``backend`` field records
-    which); the loop arm calls :meth:`OverlayTree.length` per tree under
-    the default ``numpy`` backend.  The historical per-column-BLAS-dots
-    path stays recorded as ``numpy_ledger_seconds``.  Per-backend
-    bit-identity is asserted in ``tests/test_tree_ledger.py`` and
-    ``tests/test_kernel_backends.py``; here we only time.  Measured on
-    the ``length_bench_nodes`` topology, large enough for the
-    sparse/ledger regime to engage.
-    """
-    from repro.core.engine import TreeLedger, resolve_kernel_backend, use_kernel_backend
-
-    network = paper_flat_topology(
-        num_nodes=profile.length_bench_nodes, capacity=100.0, seed=profile.seed
-    )
-    rng = ensure_rng(profile.seed + 8)
-    routing = FixedIPRouting(network)
-    ledger = TreeLedger(network.num_edges)
-    trees = []
-    for _ in range(profile.ledger_trees):
-        session = random_session(network, 6, demand=100.0, seed=rng)
-        oracle = MinimumOverlayTreeOracle(session, routing)
-        oracle.attach_ledger(ledger)
-        trees.append(oracle.select_tree(rng.uniform(0.1, 1.0, network.num_edges)))
-    columns = [ledger.register(tree) for tree in trees]
-    lengths = ensure_rng(1).uniform(0.1, 1.0, network.num_edges)
-    rounds = profile.ledger_rounds
-    backend = resolve_kernel_backend(_best_kernel_backend())
-    backend.warmup()
-
-    with use_kernel_backend(backend):
-        start = time.perf_counter()
-        for _ in range(rounds):
-            ledger.lengths_for(columns, lengths)
-        ledger_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        ledger.lengths_for(columns, lengths)
-    numpy_ledger_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        [tree.length(lengths) for tree in trees]
-    loop_seconds = time.perf_counter() - start
-
-    return {
-        "trees": float(len(trees)),
-        "rounds": float(rounds),
-        "num_edges": float(network.num_edges),
-        "backend": backend.name,
-        "ledger_seconds": ledger_seconds,
-        "numpy_ledger_seconds": numpy_ledger_seconds,
-        "loop_seconds": loop_seconds,
-        "ledger_rounds_per_sec": rounds / ledger_seconds if ledger_seconds > 0 else 0.0,
-        "loop_rounds_per_sec": rounds / loop_seconds if loop_seconds > 0 else 0.0,
-        "ledger_round_speedup": loop_seconds / ledger_seconds if ledger_seconds > 0 else 0.0,
-        "numpy_ledger_round_speedup": (
-            loop_seconds / numpy_ledger_seconds if numpy_ledger_seconds > 0 else 0.0
-        ),
-    }
-
-
-def _timed_ledger_kernel(profile: PerfProfile) -> Dict[str, object]:
-    """The kernel-backend ablation over the three ledger hot ops.
-
-    Times the ``numpy`` backend (the historical code paths: per-column
-    BLAS dots, ``np.add.at`` scatter, padded bucketed 2-D all-columns
-    kernel) against the best available backend (``numba`` when
-    importable, else the pure-NumPy ``ordered`` backend; the ``backend``
-    field records which) on the same ledger the ``tree_length.ledger``
-    section measures:
-
-    * ``round_lengths`` — one engine round's
-      :meth:`~repro.core.engine.TreeLedger.lengths_for` call,
-    * ``scatter`` — the flow-extraction
-      :meth:`~repro.core.engine.TreeLedger.edge_values` scatter,
-    * ``lengths_for_all`` — the all-columns kernel (under ordered
-      backends this is the graduated solver path).
-
-    The compiled arms win by replacing Python per-column loops and the
-    known-slow ``np.add.at`` ufunc path with one fused pass; the regime
-    is small-footprint columns (tens of entries), where per-call Python
-    overhead dominates — very large footprints favour BLAS dots, which
-    is why the numpy backend stays the default.  Per-op bit-identity to
-    the sequential reference is asserted in
-    ``tests/test_kernel_backends.py``; here we only time.
-    """
-    from repro.core.engine import TreeLedger, resolve_kernel_backend, use_kernel_backend
-
-    network = paper_flat_topology(
-        num_nodes=profile.length_bench_nodes, capacity=100.0, seed=profile.seed
-    )
-    rng = ensure_rng(profile.seed + 8)
-    routing = FixedIPRouting(network)
-    ledger = TreeLedger(network.num_edges)
-    trees = []
-    for _ in range(profile.ledger_trees):
-        session = random_session(network, 6, demand=100.0, seed=rng)
-        oracle = MinimumOverlayTreeOracle(session, routing)
-        oracle.attach_ledger(ledger)
-        trees.append(oracle.select_tree(rng.uniform(0.1, 1.0, network.num_edges)))
-    columns = [ledger.register(tree) for tree in trees]
-    lengths = ensure_rng(1).uniform(0.1, 1.0, network.num_edges)
-    weights = ensure_rng(2).uniform(0.5, 2.0, len(columns))
-    rounds = profile.ledger_rounds
-    numpy_backend = resolve_kernel_backend("numpy")
-    fast_backend = resolve_kernel_backend(_best_kernel_backend())
-    fast_backend.warmup()
-
-    def timed(op, backend) -> float:
-        with use_kernel_backend(backend):
-            op()  # warm: one untimed call absorbs any lazy setup
-            start = time.perf_counter()
-            for _ in range(rounds):
-                op()
-            return time.perf_counter() - start
-
-    ops = {
-        "round_lengths": lambda: ledger.lengths_for(columns, lengths),
-        "scatter": lambda: ledger.edge_values(columns, weights),
-        "lengths_for_all": lambda: ledger.lengths_for_all(lengths),
-    }
-    result: Dict[str, object] = {
-        "trees": float(len(trees)),
-        "rounds": float(rounds),
-        "num_edges": float(network.num_edges),
-        "nnz": float(ledger.nnz),
-        "backend": fast_backend.name,
-    }
-    for name, op in ops.items():
-        numpy_seconds = timed(op, numpy_backend)
-        compiled_seconds = timed(op, fast_backend)
-        result[name] = {
-            "numpy_seconds": numpy_seconds,
-            "compiled_seconds": compiled_seconds,
-            "compiled_speedup": (
-                numpy_seconds / compiled_seconds if compiled_seconds > 0 else 0.0
-            ),
-        }
-    return result
-
-
 def _timed_multiply_batch(profile: PerfProfile) -> Dict[str, float]:
     """Ablation: one ``multiply_batch`` call versus a loop of ``multiply``.
 
@@ -592,29 +379,6 @@ def _timed_multiply_batch(profile: PerfProfile) -> Dict[str, float]:
         lengths.multiply_batch(batch_ids, batch_factors)
         batched_seconds += time.perf_counter() - start
 
-    # The assume_unique arm: a duplicate-free batch applied by the
-    # duplicate-safe ``np.multiply.at`` path versus the direct fancy-
-    # indexed multiply the engine's per-step flush uses (tree edge ids
-    # within one step are unique by construction).  Results are
-    # bit-identical (asserted in the test suite); here we only time.
-    unique_ids = rng.permutation(num_edges)[: profile.multiply_unique_ids].astype(
-        np.int64
-    )
-    unique_factors = rng.uniform(1.0, 1.2, unique_ids.size)
-    unique_reps = max(20, profile.multiply_reps * 4)
-    safe_seconds = 0.0
-    fast_seconds = 0.0
-    for _ in range(unique_reps):
-        lengths = LengthFunction(num_edges, 0.0)
-        start = time.perf_counter()
-        lengths.multiply_batch(unique_ids, unique_factors)
-        safe_seconds += time.perf_counter() - start
-
-        lengths = LengthFunction(num_edges, 0.0)
-        start = time.perf_counter()
-        lengths.multiply_batch(unique_ids, unique_factors, assume_unique=True)
-        fast_seconds += time.perf_counter() - start
-
     total_updates = float(profile.multiply_reps * profile.multiply_updates)
     return {
         "updates": float(profile.multiply_updates),
@@ -628,13 +392,6 @@ def _timed_multiply_batch(profile: PerfProfile) -> Dict[str, float]:
             total_updates / batched_seconds if batched_seconds > 0 else 0.0
         ),
         "batched_speedup": loop_seconds / batched_seconds if batched_seconds > 0 else 0.0,
-        "unique_ids": float(unique_ids.size),
-        "unique_reps": float(unique_reps),
-        "unique_safe_seconds": safe_seconds,
-        "unique_fast_seconds": fast_seconds,
-        "unique_fastpath_speedup": (
-            safe_seconds / fast_seconds if fast_seconds > 0 else 0.0
-        ),
     }
 
 
@@ -766,45 +523,19 @@ def _timed_dynamic_front(profile: PerfProfile) -> Dict[str, float]:
 
 
 def _timed_dynamic_oracle(profile: PerfProfile) -> Dict[str, object]:
-    """The dynamic-routing oracle fast path versus the pre-change loop.
+    """MaxFlow oracle throughput under dynamic routing.
 
-    The headline ``calls_per_sec`` is MaxFlow-under-dynamic-routing
-    oracle throughput with the fast path and the union-Dijkstra front on
-    (the defaults) — directly comparable to the ``dynamic_calls_per_sec``
-    trajectory entries recorded before this section existed.  The legacy
-    arm re-solves the same instance with
-    :func:`~repro.overlay.oracle.configure_dynamic_fastpath` off, which
-    also disables the dynamic front (an oracle on the legacy pipeline is
-    an ablation baseline the front refuses to accelerate).  Outputs are
-    bit-identical (equivalence suite); the ``front`` sub-section is the
-    union-Dijkstra round ablation on a many-session instance.
+    The headline ``calls_per_sec`` is directly comparable to the
+    ``dynamic_calls_per_sec`` trajectory entries.  The ``front``
+    sub-section is the union-Dijkstra round ablation on a many-session
+    instance.
     """
-    from repro.overlay.oracle import configure_dynamic_fastpath
-
     network, sessions = build_perf_instance(profile)
-    fast = _timed_maxflow(
-        network, sessions, "dynamic", profile.dynamic_ratio, memoize=True
-    )
-    previous = configure_dynamic_fastpath(False)
-    try:
-        legacy = _timed_maxflow(
-            network, sessions, "dynamic", profile.dynamic_ratio, memoize=True
-        )
-    finally:
-        configure_dynamic_fastpath(previous)
+    fast = _timed_maxflow(network, sessions, "dynamic", profile.dynamic_ratio)
     return {
         "calls_per_sec": fast["calls_per_sec"],
         "seconds": fast["seconds"],
         "oracle_calls": fast["oracle_calls"],
-        "legacy_calls_per_sec": legacy["calls_per_sec"],
-        "legacy_seconds": legacy["seconds"],
-        "fastpath_speedup": (
-            legacy["seconds"] / fast["seconds"] if fast["seconds"] > 0 else 0.0
-        ),
-        "outputs_identical": bool(
-            fast["overall_throughput"] == legacy["overall_throughput"]
-            and fast["oracle_calls"] == legacy["oracle_calls"]
-        ),
         "front": _timed_dynamic_front(profile),
     }
 
@@ -854,126 +585,11 @@ def _timed_prim_crossover(profile: PerfProfile) -> Dict[str, object]:
     }
 
 
-def _timed_engine_step(profile: PerfProfile) -> Dict[str, object]:
-    """Ablation: full engine steps, stacked representation vs the loop.
-
-    Times a bounded number of complete :meth:`PhaseEngine.step` calls —
-    oracle query round, routing decision, flow accumulation and length
-    update — under both routing models on an instance whose edge count
-    sits in the sparse/ledger regime (larger than the solver profiles).
-    The stacked arm runs the defaults (``TreeLedger`` columns, batched
-    oracle front, deduplicated length flush); the loop arm disables both
-    (``stacked_trees=False, batch_oracle=False``), i.e. one oracle query
-    and one duplicate-safe length update per tree.  Both arms execute
-    the identical step sequence — final length states are compared and
-    reported — so the speedup isolates the representation.  The
-    headline ``stacked_speedup`` is the best arm: the stacked path is a
-    default, and the arm where query rounds dominate (dynamic routing's
-    union-Dijkstra + ledger rounds) is where full steps feel it most.
-    """
-    from repro.core.engine import (
-        MaxFlowPolicy,
-        NormalizedLengthStop,
-        PhaseEngine,
-    )
-    from repro.core.lengths import LengthFunction
-    from repro.overlay.oracle import build_oracles
-
-    network = paper_flat_topology(
-        num_nodes=profile.engine_nodes, capacity=100.0, seed=profile.seed
-    )
-
-    def sessions_for(sizes: Tuple[int, ...], label: str, seed: int) -> List[Session]:
-        rng = ensure_rng(seed)
-        return [
-            random_session(network, size, demand=100.0, seed=rng, name=f"{label}{i}")
-            for i, size in enumerate(sizes)
-        ]
-
-    def build_engine(sessions, routing, stacked: bool) -> "PhaseEngine":
-        oracles = build_oracles(sessions, routing)
-        max_size = max(s.size for s in sessions)
-        longest = max(1, max(o.max_route_length() for o in oracles))
-        lengths = LengthFunction.for_maxflow(
-            network.num_edges, profile.engine_epsilon, max_size, longest
-        )
-        return PhaseEngine(
-            oracles=oracles,
-            lengths=lengths,
-            capacities=network.capacities,
-            policy=MaxFlowPolicy(
-                epsilon=profile.engine_epsilon, max_session_size=max_size
-            ),
-            stopping=NormalizedLengthStop(),
-            step_cap=10**9,
-            cap_message="engine-step bench exceeded its cap",
-            batch_oracle=stacked,
-            stacked_trees=stacked,
-        )
-
-    def run_arm(sessions, routing, stacked: bool, steps: int):
-        # Separate warm engine: route caches and the front's incidence
-        # build happen once per (routing, arm), leaving the timed engine
-        # to measure steady-state step cost from a fresh length state.
-        warm = build_engine(sessions, routing, stacked)
-        for _ in range(profile.engine_warm_steps):
-            warm.step()
-        engine = build_engine(sessions, routing, stacked)
-        start = time.perf_counter()
-        for _ in range(steps):
-            engine.step()
-        seconds = time.perf_counter() - start
-        return seconds, engine.lengths
-
-    def measure(routing_kind: str) -> Dict[str, float]:
-        if routing_kind == "fixed":
-            sessions = sessions_for(profile.engine_fixed_sessions, "f", profile.seed + 9)
-            steps = profile.engine_fixed_steps
-            make_routing = lambda: FixedIPRouting(network)  # noqa: E731
-        else:
-            sessions = sessions_for(
-                profile.engine_dynamic_sessions, "d", profile.seed + 10
-            )
-            steps = profile.engine_dynamic_steps
-            make_routing = lambda: DynamicRouting(network)  # noqa: E731
-        stacked_seconds, stacked_lengths = run_arm(
-            sessions, make_routing(), True, steps
-        )
-        loop_seconds, loop_lengths = run_arm(sessions, make_routing(), False, steps)
-        return {
-            "sessions": float(len(sessions)),
-            "steps": float(steps),
-            "stacked_seconds": stacked_seconds,
-            "loop_seconds": loop_seconds,
-            "stacked_steps_per_sec": (
-                steps / stacked_seconds if stacked_seconds > 0 else 0.0
-            ),
-            "loop_steps_per_sec": steps / loop_seconds if loop_seconds > 0 else 0.0,
-            "stacked_speedup": (
-                loop_seconds / stacked_seconds if stacked_seconds > 0 else 0.0
-            ),
-            "outputs_identical": bool(
-                stacked_lengths.log_offset == loop_lengths.log_offset
-                and np.array_equal(stacked_lengths.relative, loop_lengths.relative)
-            ),
-        }
-
-    fixed = measure("fixed")
-    dynamic = measure("dynamic")
-    return {
-        "num_nodes": float(profile.engine_nodes),
-        "num_edges": float(network.num_edges),
-        "fixed": fixed,
-        "dynamic": dynamic,
-        "stacked_speedup": max(fixed["stacked_speedup"], dynamic["stacked_speedup"]),
-    }
-
-
 def _timed_obs_overhead(profile: PerfProfile) -> Dict[str, object]:
     """Ablation: what the ``repro.obs`` surfaces cost on the hot path.
 
     Three arms over identical full-engine-step sequences on the
-    engine-ablation instance (fixed routing, stacked defaults):
+    profile's engine instance (fixed routing):
 
     * ``disabled`` — metrics registry off (``REPRO_METRICS=0``
       equivalent) and no tracer: the pre-observability baseline,
@@ -1228,32 +844,10 @@ def measure_core_perf(scale: str = "quick") -> Dict[str, object]:
 
     # Warm-up pass (imports, allocator, BLAS threads) so the timed runs
     # compare the algorithm, not process start-up noise.
-    _timed_maxflow(network, sessions, "fixed", profile.fixed_ratio, memoize=True)
+    _timed_maxflow(network, sessions, "fixed", profile.fixed_ratio)
 
-    fixed_memoized = _timed_maxflow(
-        network, sessions, "fixed", profile.fixed_ratio, memoize=True
-    )
-    fixed_unmemoized = _timed_maxflow(
-        network, sessions, "fixed", profile.fixed_ratio, memoize=False
-    )
-    dynamic_memoized = _timed_maxflow(
-        network, sessions, "dynamic", profile.dynamic_ratio, memoize=True
-    )
-    tree_length = _timed_tree_length(profile)
-    ledger_kernel = _timed_ledger_kernel(profile)
-    length_multiply = _timed_multiply_batch(profile)
-    oracle_batch = _timed_oracle_batch(profile)
-    dynamic_oracle = _timed_dynamic_oracle(profile)
-    prim_crossover = _timed_prim_crossover(profile)
-    engine_step = _timed_engine_step(profile)
-    obs_overhead = _timed_obs_overhead(profile)
-    durability = _timed_durability(profile)
-
-    speedup = (
-        fixed_unmemoized["seconds"] / fixed_memoized["seconds"]
-        if fixed_memoized["seconds"] > 0
-        else 0.0
-    )
+    fixed = _timed_maxflow(network, sessions, "fixed", profile.fixed_ratio)
+    dynamic = _timed_maxflow(network, sessions, "dynamic", profile.dynamic_ratio)
     return {
         "schema": BENCH_SCHEMA,
         "scale": profile.name,
@@ -1266,23 +860,15 @@ def measure_core_perf(scale: str = "quick") -> Dict[str, object]:
             "dynamic_ratio": profile.dynamic_ratio,
             "seed": profile.seed,
         },
-        "maxflow_fixed": {
-            "memoized": fixed_memoized,
-            "unmemoized": fixed_unmemoized,
-            "memoization_speedup": speedup,
-        },
-        "maxflow_dynamic": {
-            "memoized": dynamic_memoized,
-        },
-        "tree_length": tree_length,
-        "ledger_kernel": ledger_kernel,
-        "length_multiply": length_multiply,
-        "oracle_batch": oracle_batch,
-        "dynamic_oracle": dynamic_oracle,
-        "prim_crossover": prim_crossover,
-        "engine_step": engine_step,
-        "obs_overhead": obs_overhead,
-        "durability": durability,
+        "maxflow_fixed": {"memoized": fixed},
+        "maxflow_dynamic": {"memoized": dynamic},
+        "tree_length": _timed_tree_length(profile),
+        "length_multiply": _timed_multiply_batch(profile),
+        "oracle_batch": _timed_oracle_batch(profile),
+        "dynamic_oracle": _timed_dynamic_oracle(profile),
+        "prim_crossover": _timed_prim_crossover(profile),
+        "obs_overhead": _timed_obs_overhead(profile),
+        "durability": _timed_durability(profile),
     }
 
 
@@ -1297,7 +883,6 @@ def _history_entry(record: Dict[str, object]) -> Dict[str, object]:
         "recorded_at": record.get("recorded_at"),
         "fixed_calls_per_sec": fixed.get("memoized", {}).get("calls_per_sec"),
         "fixed_seconds": fixed.get("memoized", {}).get("seconds"),
-        "memoization_speedup": fixed.get("memoization_speedup"),
         "dynamic_calls_per_sec": dynamic.get("memoized", {}).get("calls_per_sec"),
     }
     if tree_length:
@@ -1310,33 +895,12 @@ def _history_entry(record: Dict[str, object]) -> Dict[str, object]:
             entry["tree_length_measured_crossover"] = crossover.get(
                 "measured_crossover"
             )
-        ledger = tree_length.get("ledger", {})
-        if ledger:
-            entry["ledger_round_speedup"] = ledger.get("ledger_round_speedup")
-            if "backend" in ledger:
-                entry["ledger_round_backend"] = ledger.get("backend")
-    ledger_kernel = record.get("ledger_kernel", {})
-    if ledger_kernel:
-        entry["ledger_kernel_backend"] = ledger_kernel.get("backend")
-        entry["ledger_kernel_round_speedup"] = ledger_kernel.get(
-            "round_lengths", {}
-        ).get("compiled_speedup")
-        entry["ledger_kernel_scatter_speedup"] = ledger_kernel.get("scatter", {}).get(
-            "compiled_speedup"
-        )
-        entry["ledger_kernel_all_speedup"] = ledger_kernel.get(
-            "lengths_for_all", {}
-        ).get("compiled_speedup")
     length_multiply = record.get("length_multiply", {})
     if length_multiply:
         entry["multiply_batched_updates_per_sec"] = length_multiply.get(
             "batched_updates_per_sec"
         )
         entry["multiply_batched_speedup"] = length_multiply.get("batched_speedup")
-        if "unique_fastpath_speedup" in length_multiply:
-            entry["multiply_unique_speedup"] = length_multiply.get(
-                "unique_fastpath_speedup"
-            )
     oracle_batch = record.get("oracle_batch", {})
     if oracle_batch:
         entry["oracle_batch_rounds_per_sec"] = oracle_batch.get(
@@ -1346,22 +910,12 @@ def _history_entry(record: Dict[str, object]) -> Dict[str, object]:
     dynamic_oracle = record.get("dynamic_oracle", {})
     if dynamic_oracle:
         entry["dynamic_oracle_calls_per_sec"] = dynamic_oracle.get("calls_per_sec")
-        entry["dynamic_oracle_speedup"] = dynamic_oracle.get("fastpath_speedup")
         entry["dynamic_front_speedup"] = dynamic_oracle.get("front", {}).get(
             "batched_speedup"
         )
     prim = record.get("prim_crossover", {})
     if prim:
         entry["prim_crossover"] = prim.get("measured_crossover")
-    engine_step = record.get("engine_step", {})
-    if engine_step:
-        entry["engine_step_stacked_speedup"] = engine_step.get("stacked_speedup")
-        entry["engine_step_fixed_speedup"] = engine_step.get("fixed", {}).get(
-            "stacked_speedup"
-        )
-        entry["engine_step_dynamic_speedup"] = engine_step.get("dynamic", {}).get(
-            "stacked_speedup"
-        )
     obs_overhead = record.get("obs_overhead", {})
     if obs_overhead:
         entry["obs_metrics_overhead_pct"] = obs_overhead.get("metrics_overhead_pct")

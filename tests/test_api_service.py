@@ -183,6 +183,44 @@ class TestSolveReportSerialization:
         assert report.solution.overall_throughput > 0
 
 
+class TestRetiredSolverParams:
+    RETIRED = {"memoize": False, "stacked_trees": False, "kernel_backend": "numba"}
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_PARAMS))
+    def test_retired_keys_solve_with_one_warning(self, solver):
+        from repro.api.service import RETIRED_SOLVER_PARAMS
+
+        assert set(self.RETIRED) == set(RETIRED_SOLVER_PARAMS)
+        plain = _spec(solver, "ip")
+        stored = ScenarioSpec.from_json(
+            ScenarioSpec(
+                topology=TOPOLOGY,
+                workload=WORKLOAD,
+                solver=solver,
+                solver_params={**SOLVER_PARAMS[solver], **self.RETIRED},
+            ).to_json()
+        )
+        assert stored.canonical_key != plain.canonical_key
+        with pytest.warns(DeprecationWarning) as caught:
+            report = api.solve(stored)
+        assert len(caught) == 1
+        for key in self.RETIRED:
+            assert key in str(caught[0].message)
+        assert report.canonical_key == stored.canonical_key
+        assert _flows(report.solution) == _flows(api.solve(plain).solution)
+        assert report.oracle_calls == api.solve(plain).oracle_calls
+
+    def test_unknown_key_still_raises(self):
+        spec = ScenarioSpec(
+            topology=TOPOLOGY,
+            workload=WORKLOAD,
+            solver="max_flow",
+            solver_params={"approximation_ratio": 0.8, "batch_size": 3},
+        )
+        with pytest.raises(TypeError):
+            api.solve(spec)
+
+
 class TestInstanceSharing:
     def test_instance_cache_shared_across_solvers(self):
         api.solve(_spec("max_flow", "ip"))

@@ -9,7 +9,7 @@ from repro.core.rounding import RandomMinCongestion, solve_randomized_rounding
 from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.network import PhysicalNetwork
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, InvalidSessionError
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,50 @@ class TestOnlineMinCongestion:
         solver = OnlineMinCongestion(FixedIPRouting(waxman_network))
         with pytest.raises(Exception):
             solver.accept(Session((0, 10_000)))
+
+
+def test_online_incremental_accept_matches_accept_all(ring6_network):
+    arrivals = [
+        Session((0, 1), demand=5.0, name="a"),
+        Session((3, 4), demand=5.0, name="b"),
+        Session((0, 1), demand=5.0, name="a2"),
+        Session((3, 4), demand=5.0, name="b2"),
+    ]
+    batch = OnlineMinCongestion(FixedIPRouting(ring6_network), OnlineConfig(sigma=10.0))
+    batch_trees = batch.accept_all(arrivals)
+    one_by_one = OnlineMinCongestion(
+        FixedIPRouting(ring6_network), OnlineConfig(sigma=10.0)
+    )
+    single_trees = [one_by_one.accept(s) for s in arrivals]
+    assert [t.canonical_key() for t in batch_trees] == [
+        t.canonical_key() for t in single_trees
+    ]
+    assert np.array_equal(
+        batch.state.lengths.relative, one_by_one.state.lengths.relative
+    )
+    assert np.array_equal(batch.state.congestion, one_by_one.state.congestion)
+
+
+def test_failed_accept_all_routes_nothing(waxman_network):
+    # A sequence with an invalid arrival must leave the solver as it
+    # was: no earlier arrival of it queued, no demand scale applied.
+    solver = OnlineMinCongestion(
+        FixedIPRouting(waxman_network),
+        OnlineConfig(apply_no_bottleneck_scaling=True),
+    )
+    a = Session((0, 4, 9), demand=1.0, name="a")
+    b = Session((2, 7), demand=1.0, name="b")
+    bad = Session((0, 10_000), demand=1.0, name="bad")
+    with pytest.raises(InvalidSessionError):
+        solver.accept_all([a, b, bad])
+    x = Session((13, 20), demand=1.0, name="x")
+    tree = solver.accept(x)
+    assert set(tree.members) == {13, 20}
+    solution = solver.solution()
+    assert [s.session.members for s in solution.sessions] == [x.members]
+    assert solution.extra["num_arrivals"] == 1.0
+    assert solution.extra["demand_scale"] == 1.0
+    assert solver.state.oracle_calls == 1
 
 
 class TestRandomMinCongestion:

@@ -9,6 +9,7 @@ from repro.core.result import (
     SessionResult,
     TreeFlow,
 )
+from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
 from repro.routing.ip_routing import FixedIPRouting
@@ -103,6 +104,31 @@ class TestSessionResult:
         ranks, frac = solution.sessions[0].rate_distribution()
         assert frac[0] == pytest.approx(0.75)
         assert frac[-1] == pytest.approx(1.0)
+
+
+def test_session_edge_flows_one_scatter_matches_loop(waxman_network):
+    # edge_flows scatters every tree in one np.add.at; it must equal the
+    # per-tree fancy-+= loop bit for bit.
+    session = Session((0, 4, 9, 13), demand=100.0, name="s1")
+    oracle = MinimumOverlayTreeOracle(session, FixedIPRouting(waxman_network))
+    rng = np.random.default_rng(11)
+    flows = []
+    for _ in range(5):
+        tree = oracle.minimum_tree(
+            rng.uniform(0.5, 2.0, waxman_network.num_edges)
+        ).tree
+        flows.append(TreeFlow(tree=tree, flow=float(rng.uniform(0.1, 2.0))))
+    result = SessionResult(session=session, tree_flows=tuple(flows))
+    out = result.edge_flows(waxman_network.num_edges)
+    reference = np.zeros(waxman_network.num_edges, dtype=float)
+    for tf in flows:
+        reference[tf.tree.physical_edges] += tf.tree.usage_values * tf.flow
+    assert np.array_equal(out, reference)
+    empty = SessionResult(session=session, tree_flows=())
+    assert np.array_equal(
+        empty.edge_flows(waxman_network.num_edges),
+        np.zeros(waxman_network.num_edges),
+    )
 
 
 class TestFlowSolution:

@@ -7,10 +7,12 @@ weights and path reconstructions (``ShortestPathQuery`` /
 ``MinimumOverlayTreeOracle.minimum_tree_from_query``), and a
 union-of-members Dijkstra front for all-session query rounds
 (``BatchedOracleFront`` dynamic mode).  Its contract is *bit identity*:
-every dynamic-routing solver must produce exactly the results the
-pre-change pipeline produced.  The pre-change pipeline is kept runnable
-behind :func:`configure_dynamic_fastpath`, so every test here compares
-live implementations rather than recorded fixtures.
+every dynamic-routing solver must produce exactly the results of the
+plain pipeline — a distances-only Dijkstra, then one single-source
+Dijkstra per tree source and a freshly built tree.  That pipeline lives
+here as an in-test reference (``FreshTreeOracle`` and the pre-engine
+solver loops of ``tests/test_engine_equivalence.py``), so every test
+compares live implementations rather than recorded fixtures.
 """
 
 import numpy as np
@@ -21,27 +23,21 @@ from repro.core.engine import BatchedOracleFront
 from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.core.online import OnlineConfig, OnlineMinCongestion
-from repro.overlay.oracle import (
-    MinimumOverlayTreeOracle,
-    build_oracles,
-    configure_dynamic_fastpath,
-    dynamic_fastpath_default,
-)
+from repro.overlay.oracle import MinimumOverlayTreeOracle, build_oracles
 from repro.overlay.session import Session
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
 
-from tests.test_engine_equivalence import fingerprint
-
-
-@pytest.fixture
-def legacy_dynamic_pipeline():
-    """Run the enclosed block with the pre-change dynamic pipeline."""
-    previous = configure_dynamic_fastpath(False)
-    yield
-    configure_dynamic_fastpath(previous)
+from tests.test_engine_equivalence import (
+    FreshTreeOracle,
+    fingerprint,
+    fresh_oracles,
+    reference_max_concurrent_flow,
+    reference_max_flow,
+    reference_online_assignments,
+)
 
 
 def scratch_adjacency(network: PhysicalNetwork, weights: np.ndarray):
@@ -182,36 +178,29 @@ class TestShortestPathQuery:
 class TestOneDijkstraOracle:
     @pytest.mark.parametrize("memoize", [True, False], ids=["memoized", "unmemoized"])
     def test_oracle_results_match_legacy(self, waxman_network, memoize):
+        # The legacy pipeline is FreshTreeOracle.  Unmemoized clears the
+        # oracle's tree cache before every call, so each call builds.
         session = Session((0, 4, 9, 13, 27), demand=100.0, name="s")
-        fast_oracle = MinimumOverlayTreeOracle(
-            session, DynamicRouting(waxman_network), memoize=memoize
-        )
-        legacy_oracle = MinimumOverlayTreeOracle(
-            session,
-            DynamicRouting(waxman_network),
-            memoize=memoize,
-            dynamic_fastpath=False,
-        )
-        assert fast_oracle.dynamic_fastpath and not legacy_oracle.dynamic_fastpath
+        oracle = MinimumOverlayTreeOracle(session, DynamicRouting(waxman_network))
+        reference = FreshTreeOracle(session, DynamicRouting(waxman_network))
         rng = np.random.default_rng(6)
-        for _ in range(8):
-            w = rng.uniform(0.01, 5.0, waxman_network.num_edges)
-            fast = fast_oracle.minimum_tree(w)
-            legacy = legacy_oracle.minimum_tree(w)
-            assert fast.tree == legacy.tree
-            assert fast.length == legacy.length
-            assert fast.tree.canonical_key() == legacy.tree.canonical_key()
-        assert fast_oracle.call_count == legacy_oracle.call_count
-        assert fast_oracle.cache_info() == legacy_oracle.cache_info()
-
-    def test_fastpath_default_is_configurable(self):
-        assert dynamic_fastpath_default()
-        previous = configure_dynamic_fastpath(False)
-        try:
-            assert previous is True
-            assert not dynamic_fastpath_default()
-        finally:
-            configure_dynamic_fastpath(previous)
+        # Cycle the length vectors so the second pass can serve cached trees.
+        pool = [rng.uniform(0.01, 5.0, waxman_network.num_edges) for _ in range(4)]
+        for w in pool + pool:
+            if not memoize:
+                oracle.clear_tree_cache()
+            fast = oracle.minimum_tree(w)
+            fresh = reference.minimum_tree(w)
+            assert fast.tree == fresh.tree
+            assert fast.length == fresh.length
+            assert fast.tree.paths.keys() == fresh.tree.paths.keys()
+            for key, path in fresh.tree.paths.items():
+                assert fast.tree.paths[key].nodes == path.nodes
+        assert oracle.call_count == reference.call_count == 2 * len(pool)
+        if memoize:
+            assert oracle.cache_hits >= len(pool)
+        else:
+            assert oracle.cache_hits == 0
 
     def test_from_query_rejects_fixed_routing(self, waxman_network):
         from repro.routing.ip_routing import FixedIPRouting
@@ -233,76 +222,84 @@ def dynamic_sessions():
     ]
 
 
-@pytest.mark.parametrize("memoize", [True, False], ids=["memoized", "unmemoized"])
+@pytest.mark.parametrize(
+    "reference_oracles", [build_oracles, fresh_oracles], ids=["memoized", "unmemoized"]
+)
 class TestDynamicSolverEquivalence:
-    """Bit-identical solver outputs: fast path vs the pre-change loop."""
+    """Bit-identical solver outputs: the engine vs the pre-engine loops,
+    run over the cached oracles and over :class:`FreshTreeOracle`."""
 
-    def test_max_flow(
-        self, waxman_network, dynamic_sessions, memoize, legacy_dynamic_pipeline
-    ):
-        config = MaxFlowConfig(epsilon=0.15, memoize=memoize)
-        reference = MaxFlow(
-            dynamic_sessions, DynamicRouting(waxman_network), config
-        ).solve()
-        configure_dynamic_fastpath(True)
+    def test_max_flow(self, waxman_network, dynamic_sessions, reference_oracles):
+        reference = reference_max_flow(
+            dynamic_sessions, DynamicRouting(waxman_network), 0.15, reference_oracles
+        )
         fast = MaxFlow(
-            dynamic_sessions, DynamicRouting(waxman_network), config
+            dynamic_sessions,
+            DynamicRouting(waxman_network),
+            MaxFlowConfig(epsilon=0.15),
         ).solve()
         assert fingerprint(fast) == fingerprint(reference)
 
     def test_max_concurrent_flow(
-        self, waxman_network, dynamic_sessions, memoize, legacy_dynamic_pipeline
+        self, waxman_network, dynamic_sessions, reference_oracles
     ):
-        config = MaxConcurrentFlowConfig(
-            epsilon=0.25, prescale_epsilon=0.25, memoize=memoize, prescale_jobs=1
+        reference = reference_max_concurrent_flow(
+            dynamic_sessions,
+            DynamicRouting(waxman_network),
+            0.25,
+            0.25,
+            reference_oracles,
         )
-        reference = MaxConcurrentFlow(
-            dynamic_sessions, DynamicRouting(waxman_network), config
-        ).solve()
-        configure_dynamic_fastpath(True)
         fast = MaxConcurrentFlow(
-            dynamic_sessions, DynamicRouting(waxman_network), config
+            dynamic_sessions,
+            DynamicRouting(waxman_network),
+            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25, prescale_jobs=1),
         ).solve()
         assert fingerprint(fast) == fingerprint(reference)
 
     def test_online_min_congestion(
-        self, waxman_network, dynamic_sessions, memoize, legacy_dynamic_pipeline
+        self, waxman_network, dynamic_sessions, reference_oracles
     ):
         arrivals = [
             copy
             for session in dynamic_sessions
             for copy in session.replicate(3, demand=1.0)
         ]
-        config = OnlineConfig(sigma=50.0, memoize=memoize)
-
-        def run():
-            solver = OnlineMinCongestion(DynamicRouting(waxman_network), config)
-            solver.accept_all(arrivals)
-            return solver.solution(group_by_members=True)
-
-        reference = run()
-        configure_dynamic_fastpath(True)
-        fast = run()
-        assert fingerprint(fast) == fingerprint(reference)
+        reference_trail = reference_online_assignments(
+            arrivals, DynamicRouting(waxman_network), 50.0, reference_oracles
+        )
+        solver = OnlineMinCongestion(
+            DynamicRouting(waxman_network), OnlineConfig(sigma=50.0)
+        )
+        solver.accept_all(arrivals)
+        assert [tree.canonical_key() for _, tree, _ in solver.state.assignments] == [
+            key for key, _ in reference_trail
+        ]
+        snaps = [
+            e["max_congestion"]
+            for e in solver.solution().instrumentation["events"]
+            if e["kind"] == "congestion"
+        ]
+        assert snaps == [lmax for _, lmax in reference_trail]
 
 
 class TestDynamicFrontEquivalence:
     def test_batched_solver_run_matches_loop_run(
         self, waxman_network, dynamic_sessions
     ):
-        solutions = []
-        for batch_oracle in (True, False):
-            solver = MaxFlow(
-                dynamic_sessions,
-                DynamicRouting(waxman_network),
-                MaxFlowConfig(epsilon=0.15, batch_oracle=batch_oracle),
-            )
-            solutions.append(solver.solve())
-        batched, looped = solutions
+        # Every dynamic MaxFlow round goes through the union-Dijkstra
+        # front; the reference loop queries one oracle at a time.
+        batched = MaxFlow(
+            dynamic_sessions,
+            DynamicRouting(waxman_network),
+            MaxFlowConfig(epsilon=0.15),
+        ).solve()
+        looped = reference_max_flow(
+            dynamic_sessions, DynamicRouting(waxman_network), epsilon=0.15
+        )
         assert fingerprint(batched) == fingerprint(looped)
         assert batched.instrumentation["batched_rounds"] > 0
-        assert looped.instrumentation["batched_rounds"] == 0
-        assert looped.instrumentation["per_session_rounds"] > 0
+        assert batched.instrumentation["per_session_rounds"] == 0
 
     def test_union_round_matches_per_oracle_calls(
         self, waxman_network, dynamic_sessions

@@ -7,12 +7,14 @@ refactor's contract is *bit identity*: the ported solvers must produce
 counters, every ``extra`` entry — to the pre-refactor implementations.
 
 The reference implementations below are verbatim ports of the
-pre-engine solver loops (PR 3 state), written against the same public
-building blocks (``LengthFunction``, ``build_oracles``,
+pre-engine solver loops, written against the same public building
+blocks (``LengthFunction``, ``build_oracles``,
 ``SessionFlowAccumulator``), so any behavioural drift in the engine
-shows up as a fingerprint mismatch here.  Coverage: all four registered
-solvers x both routing models, plus the batched-oracle-front ablation
-(batched vs per-session query rounds) and the front's slice-level
+shows up as a fingerprint mismatch here.  They query one oracle at a
+time, so they are also the reference for the batched oracle front.
+:class:`FreshTreeOracle` is the matching reference for the oracle
+itself: no retained Dijkstra, no tree cache.  Coverage: all four
+registered solvers x both routing models, plus the front's slice-level
 bit-identity.
 """
 
@@ -33,8 +35,11 @@ from repro.core.result import (
     TreeFlow,
 )
 from repro.core.rounding import RandomMinCongestion
-from repro.overlay.oracle import build_oracles
+from repro.overlay.mst import minimum_spanning_tree_pairs
+from repro.overlay.oracle import OracleResult, build_oracles
 from repro.overlay.session import Session
+from repro.overlay.tree import OverlayTree
+from repro.routing.base import pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 
@@ -42,11 +47,53 @@ from repro.routing.ip_routing import FixedIPRouting
 # ----------------------------------------------------------------------
 # reference implementations (the pre-engine loops, verbatim)
 # ----------------------------------------------------------------------
-def reference_max_flow(sessions, routing, epsilon):
+class FreshTreeOracle:
+    """The oracle with nothing retained: every call builds a fresh tree.
+
+    ``routing.pair_lengths`` weights the overlay MST,
+    ``routing.paths_for_pairs`` realises the chosen overlay edges (one
+    single-source Dijkstra per tree source under dynamic routing), and
+    ``OverlayTree.from_paths`` builds the tree — no retained query, no
+    tree cache.
+    """
+
+    def __init__(self, session, routing):
+        self.session = session
+        self.routing = routing
+        self.call_count = 0
+
+    def minimum_tree(self, edge_lengths):
+        self.call_count += 1
+        lengths = np.asarray(edge_lengths, dtype=float)
+        members = list(self.session.members)
+        weight = self.routing.pair_lengths(members, lengths)
+        overlay_edges = [
+            pair_key(members[i], members[j])
+            for i, j in minimum_spanning_tree_pairs(weight)
+        ]
+        paths = self.routing.paths_for_pairs(overlay_edges, lengths)
+        tree = OverlayTree.from_paths(
+            members, overlay_edges, paths, self.routing.network.num_edges
+        )
+        return OracleResult(tree=tree, length=tree.length(lengths))
+
+    def max_route_length(self):
+        return self.routing.max_route_hops(self.session.members)
+
+    def normalized_length(self, result, max_session_size):
+        return result.length * (max_session_size - 1) / (self.session.size - 1)
+
+
+def fresh_oracles(sessions, routing):
+    """:func:`build_oracles` with :class:`FreshTreeOracle`s."""
+    return [FreshTreeOracle(s, routing) for s in sessions]
+
+
+def reference_max_flow(sessions, routing, epsilon, build=build_oracles):
     """Pre-refactor MaxFlow.solve (hand-rolled Table I loop)."""
     capacities = routing.network.capacities
     num_edges = routing.network.num_edges
-    oracles = build_oracles(sessions, routing)
+    oracles = build(sessions, routing)
     max_size = max(s.size for s in sessions)
     longest_route = max(1, max(o.max_route_length() for o in oracles))
     lengths = LengthFunction.for_maxflow(num_edges, epsilon, max_size, longest_route)
@@ -109,7 +156,9 @@ def reference_max_flow(sessions, routing, epsilon):
     )
 
 
-def reference_max_concurrent_flow(sessions, routing, epsilon, prescale_epsilon):
+def reference_max_concurrent_flow(
+    sessions, routing, epsilon, prescale_epsilon, build=build_oracles
+):
     """Pre-refactor MaxConcurrentFlow.solve (hand-rolled Table III loop)."""
     network = routing.network
     capacities = network.capacities
@@ -119,7 +168,7 @@ def reference_max_concurrent_flow(sessions, routing, epsilon, prescale_epsilon):
     prescale_calls = 0
     beta = []
     for session in sessions:
-        standalone = reference_max_flow([session], routing, prescale_epsilon)
+        standalone = reference_max_flow([session], routing, prescale_epsilon, build)
         beta.append(standalone.sessions[0].rate)
         prescale_calls += standalone.oracle_calls
     beta = np.asarray(beta, dtype=float)
@@ -127,7 +176,7 @@ def reference_max_concurrent_flow(sessions, routing, epsilon, prescale_epsilon):
     zeta = float(np.min(beta / demands))
     working_demands = demands * (zeta / k)
 
-    oracles = build_oracles(sessions, routing)
+    oracles = build(sessions, routing)
     lengths = LengthFunction.for_concurrent(capacities, epsilon)
     log_delta = lengths.log_offset
     scale_denominator = -log_delta / math.log1p(epsilon)
@@ -210,7 +259,7 @@ def reference_max_concurrent_flow(sessions, routing, epsilon, prescale_epsilon):
     )
 
 
-def reference_online_assignments(arrivals, routing, sigma):
+def reference_online_assignments(arrivals, routing, sigma, build=build_oracles):
     """Pre-refactor online accept loop: per-arrival (tree key, lmax)."""
     network = routing.network
     capacities = network.capacities
@@ -222,7 +271,7 @@ def reference_online_assignments(arrivals, routing, sigma):
         key = tuple(sorted(session.members))
         oracle = oracle_by_members.get(key)
         if oracle is None:
-            oracle = build_oracles([session], routing)[0]
+            oracle = build([session], routing)[0]
             oracle_by_members[key] = oracle
         result = oracle.minimum_tree(lengths.relative)
         tree = result.tree
@@ -371,7 +420,6 @@ def test_feed_driven_engine_is_idle_not_stopped_when_drained(waxman_network):
         stopping=RunToExhaustion(),
         accumulate_flows=False,
         track_congestion=True,
-        batch_oracle=False,
         oracle_factory=lambda s: MinimumOverlayTreeOracle(s, routing),
     )
     assert engine.step() is None  # drained: idle, not terminal
@@ -385,20 +433,19 @@ class TestBatchedOracleFront:
     def test_batched_rounds_bit_identical_to_loop(
         self, waxman_network, equivalence_sessions
     ):
-        solutions = []
-        for batch_oracle in (True, False):
-            solver = MaxFlow(
-                equivalence_sessions,
-                FixedIPRouting(waxman_network),
-                MaxFlowConfig(epsilon=0.15, batch_oracle=batch_oracle),
-            )
-            solutions.append(solver.solve())
-        batched, looped = solutions
+        # Every MaxFlow round goes through the front; the reference loop
+        # queries one oracle at a time.
+        batched = MaxFlow(
+            equivalence_sessions,
+            FixedIPRouting(waxman_network),
+            MaxFlowConfig(epsilon=0.15),
+        ).solve()
+        looped = reference_max_flow(
+            equivalence_sessions, FixedIPRouting(waxman_network), epsilon=0.15
+        )
         assert fingerprint(batched) == fingerprint(looped)
         assert batched.instrumentation["batched_rounds"] > 0
         assert batched.instrumentation["per_session_rounds"] == 0
-        assert looped.instrumentation["batched_rounds"] == 0
-        assert looped.instrumentation["per_session_rounds"] > 0
 
     def test_stacked_matvec_matches_per_oracle_products(
         self, waxman_network, equivalence_sessions
@@ -435,23 +482,16 @@ class TestBatchedOracleFront:
     def test_front_falls_back_when_not_batchable(
         self, waxman_network, equivalence_sessions
     ):
-        # A legacy-pipeline oracle (ablation baseline) must not be
-        # silently accelerated by the union run...
-        legacy_oracles = build_oracles(
-            equivalence_sessions, DynamicRouting(waxman_network),
-            dynamic_fastpath=False,
-        )
-        front = BatchedOracleFront(legacy_oracles)
-        assert not front.batched and front.mode is None
-        # ...and neither can a mixed fixed/dynamic oracle set.
+        # A mixed fixed/dynamic oracle set has no shared batched pass.
         mixed = [
             build_oracles([equivalence_sessions[0]], FixedIPRouting(waxman_network))[0],
             build_oracles([equivalence_sessions[1]], DynamicRouting(waxman_network))[0],
         ]
-        assert not BatchedOracleFront(mixed).batched
+        front = BatchedOracleFront(mixed)
+        assert not front.batched and front.mode is None
         # The fallback loop still answers the round, in request order.
         lengths = np.ones(waxman_network.num_edges)
-        results = front.query(range(len(legacy_oracles)), lengths)
+        results = front.query(range(len(mixed)), lengths)
         assert [index for index, _ in results] == [0, 1]
         for (_, result), session in zip(results, equivalence_sessions):
             assert result.tree.size == session.size

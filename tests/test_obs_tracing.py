@@ -2,7 +2,7 @@
 
 The load-bearing invariants: span counts match the engine's own
 instrumentation exactly (one ``engine.step`` span per step, one
-``oracle_round`` span per non-prefetched query round), child spans nest
+``oracle_round`` span per query round), child spans nest
 inside their parents' intervals, tracing never changes solver outputs,
 and multi-process traces merge into distinct Perfetto lanes.
 """
@@ -110,7 +110,7 @@ def test_span_records_complete_event_with_args():
 # the solve round trip
 # ----------------------------------------------------------------------
 def test_trace_round_trip_span_counts_match_instrumentation(tmp_path):
-    """Spans are exact: one per step, one per non-prefetched oracle round."""
+    """Spans are exact: one per step, one per oracle round."""
     path = tmp_path / "solve.trace.json"
     report = solve(small_spec(seed=11), trace=path)
     instr = report.solution.instrumentation

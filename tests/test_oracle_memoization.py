@@ -1,10 +1,12 @@
 """Cache-equivalence tests for the memoized spanning-tree oracle.
 
-The oracle's tree cache is purely a performance device: with memoization
-on or off, every solver must return *bit-identical* solutions — the same
-rates, the same tree sets with the same per-tree flows, and the same
-``oracle_calls`` counter (the paper's "MST operations" metric counts
-cache hits like any other oracle call).
+The oracle's tree cache is purely a performance device: every cached
+tree must equal the tree a fresh build would give, and every solver must
+return *bit-identical* solutions to the reference loops running on
+:class:`FreshTreeOracle` (no cache) — the same rates, the same tree sets
+with the same per-tree flows, and the same ``oracle_calls`` counter (the
+paper's "MST operations" metric counts cache hits like any other oracle
+call).
 """
 
 import numpy as np
@@ -13,20 +15,24 @@ import pytest
 from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.core.online import OnlineConfig, OnlineMinCongestion
-from repro.overlay.oracle import (
-    MinimumOverlayTreeOracle,
-    configure_tree_memoization,
-    tree_memoization_default,
-)
+from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+
+from tests.test_engine_equivalence import (
+    FreshTreeOracle,
+    fresh_oracles,
+    reference_max_concurrent_flow,
+    reference_max_flow,
+    reference_online_assignments,
+)
 
 
 class TestOracleCacheBehaviour:
     def test_repeat_call_hits_cache(self, diamond_network):
         oracle = MinimumOverlayTreeOracle(
-            Session((0, 1, 3)), FixedIPRouting(diamond_network), memoize=True
+            Session((0, 1, 3)), FixedIPRouting(diamond_network)
         )
         lengths = np.ones(diamond_network.num_edges)
         first = oracle.minimum_tree(lengths)
@@ -35,20 +41,29 @@ class TestOracleCacheBehaviour:
         assert oracle.call_count == 2  # hits still count as MST operations
         assert oracle.cache_info() == {"hits": 1, "misses": 1, "size": 1}
 
-    def test_unmemoized_oracle_builds_fresh_trees(self, diamond_network):
-        oracle = MinimumOverlayTreeOracle(
-            Session((0, 1, 3)), FixedIPRouting(diamond_network), memoize=False
-        )
-        lengths = np.ones(diamond_network.num_edges)
-        first = oracle.minimum_tree(lengths)
-        second = oracle.minimum_tree(lengths)
-        assert second.tree is not first.tree
-        assert second.tree == first.tree
-        assert oracle.cache_info() == {"hits": 0, "misses": 0, "size": 0}
+    def test_unmemoized_oracle_builds_fresh_trees(self, waxman_network):
+        # FreshTreeOracle builds every tree anew; the cached trees must
+        # equal its builds under both routing models.
+        session = Session((0, 4, 9, 13), demand=100.0, name="s1")
+        rng = np.random.default_rng(9)
+        pool = [rng.uniform(0.5, 2.0, waxman_network.num_edges) for _ in range(4)]
+        for routing_cls in (FixedIPRouting, DynamicRouting):
+            oracle = MinimumOverlayTreeOracle(session, routing_cls(waxman_network))
+            fresh = FreshTreeOracle(session, routing_cls(waxman_network))
+            for lengths in pool + pool:
+                cached = oracle.minimum_tree(lengths)
+                built = fresh.minimum_tree(lengths)
+                assert built.tree is not cached.tree
+                assert cached.tree == built.tree
+                assert cached.length == built.length
+                assert np.array_equal(cached.tree.edge_usage, built.tree.edge_usage)
+            # The second pass is served from the cache.
+            assert oracle.cache_hits >= len(pool)
+            assert oracle.call_count == fresh.call_count
 
     def test_clear_tree_cache(self, diamond_network):
         oracle = MinimumOverlayTreeOracle(
-            Session((0, 1, 3)), FixedIPRouting(diamond_network), memoize=True
+            Session((0, 1, 3)), FixedIPRouting(diamond_network)
         )
         lengths = np.ones(diamond_network.num_edges)
         oracle.minimum_tree(lengths)
@@ -63,7 +78,7 @@ class TestOracleCacheBehaviour:
         # must keep both realisations as separate entries and still hit
         # when an identical query repeats.
         oracle = MinimumOverlayTreeOracle(
-            Session((0, 3)), DynamicRouting(diamond_network), memoize=True
+            Session((0, 3)), DynamicRouting(diamond_network)
         )
         base = np.ones(diamond_network.num_edges)
         # The hop-metric tie is broken in favour of 0-2-3, so penalise
@@ -79,18 +94,6 @@ class TestOracleCacheBehaviour:
         repeat = oracle.minimum_tree(base)
         assert repeat.tree is first.tree
         assert oracle.cache_hits == 1
-
-    def test_configure_default(self, diamond_network):
-        assert tree_memoization_default() is True
-        previous = configure_tree_memoization(False)
-        try:
-            oracle = MinimumOverlayTreeOracle(
-                Session((0, 1, 3)), FixedIPRouting(diamond_network)
-            )
-            assert oracle.memoize is False
-        finally:
-            configure_tree_memoization(previous)
-        assert tree_memoization_default() is True
 
 
 def _fingerprint(solution):
@@ -118,46 +121,43 @@ def equivalence_sessions():
 @pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
 class TestSolverEquivalence:
     def test_maxflow_identical(self, waxman_network, equivalence_sessions, routing_cls):
-        fingerprints = []
-        for memoize in (True, False):
-            solver = MaxFlow(
-                equivalence_sessions,
-                routing_cls(waxman_network),
-                MaxFlowConfig(epsilon=0.2, memoize=memoize),
-            )
-            fingerprints.append(_fingerprint(solver.solve()))
-        assert fingerprints[0] == fingerprints[1]
+        cached = MaxFlow(
+            equivalence_sessions,
+            routing_cls(waxman_network),
+            MaxFlowConfig(epsilon=0.2),
+        ).solve()
+        fresh = reference_max_flow(
+            equivalence_sessions, routing_cls(waxman_network), 0.2, fresh_oracles
+        )
+        assert _fingerprint(cached) == _fingerprint(fresh)
 
     def test_maxconcurrent_identical(
         self, waxman_network, equivalence_sessions, routing_cls
     ):
-        fingerprints = []
-        for memoize in (True, False):
-            solver = MaxConcurrentFlow(
-                equivalence_sessions,
-                routing_cls(waxman_network),
-                MaxConcurrentFlowConfig(
-                    epsilon=0.25, prescale_epsilon=0.25, memoize=memoize
-                ),
-            )
-            fingerprints.append(_fingerprint(solver.solve()))
-        assert fingerprints[0] == fingerprints[1]
+        cached = MaxConcurrentFlow(
+            equivalence_sessions,
+            routing_cls(waxman_network),
+            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25),
+        ).solve()
+        fresh = reference_max_concurrent_flow(
+            equivalence_sessions, routing_cls(waxman_network), 0.25, 0.25, fresh_oracles
+        )
+        assert _fingerprint(cached) == _fingerprint(fresh)
 
     def test_online_identical(self, waxman_network, equivalence_sessions, routing_cls):
-        fingerprints = []
-        for memoize in (True, False):
-            solver = OnlineMinCongestion(
-                routing_cls(waxman_network),
-                OnlineConfig(sigma=50.0, memoize=memoize),
-            )
-            arrivals = [
-                copy
-                for session in equivalence_sessions
-                for copy in session.replicate(3, demand=1.0)
-            ]
-            solver.accept_all(arrivals)
-            solution = solver.solution(group_by_members=True)
-            fingerprint = _fingerprint(solution)
-            fingerprint["extra"] = dict(solution.extra)
-            fingerprints.append(fingerprint)
-        assert fingerprints[0] == fingerprints[1]
+        arrivals = [
+            copy
+            for session in equivalence_sessions
+            for copy in session.replicate(3, demand=1.0)
+        ]
+        solver = OnlineMinCongestion(
+            routing_cls(waxman_network), OnlineConfig(sigma=50.0)
+        )
+        solver.accept_all(arrivals)
+        fresh_trail = reference_online_assignments(
+            arrivals, routing_cls(waxman_network), 50.0, fresh_oracles
+        )
+        assert [tree.canonical_key() for _, tree, _ in solver.state.assignments] == [
+            key for key, _ in fresh_trail
+        ]
+        assert solver.state.max_congestion == fresh_trail[-1][1]

@@ -24,15 +24,11 @@ def test_write_core_perf_record_tiny(tmp_path):
 
     fixed = record["maxflow_fixed"]
     assert fixed["memoized"]["oracle_calls"] > 0
-    # Memoization must not change the algorithm: same number of MST
-    # operations and the same objective either way.
-    assert fixed["memoized"]["oracle_calls"] == fixed["unmemoized"]["oracle_calls"]
-    assert (
-        fixed["memoized"]["overall_throughput"]
-        == fixed["unmemoized"]["overall_throughput"]
-    )
     assert fixed["memoized"]["cache_hits"] > 0
-    assert fixed["memoization_speedup"] > 0
+    # The arms whose code paths are gone are gone from the record.
+    assert set(fixed) == {"memoized"}
+    assert "ledger_kernel" not in record
+    assert "engine_step" not in record
 
     dynamic = record["maxflow_dynamic"]["memoized"]
     assert dynamic["oracle_calls"] > 0
@@ -53,49 +49,21 @@ def test_write_core_perf_record_tiny(tmp_path):
     assert tree_length["dense_evals_per_sec"] > 0
     assert tree_length["sparse_speedup"] > 0
 
-    # Dense/sparse crossover sweep backing SPARSE_LENGTH_MIN_EDGES, and
-    # the ledger-round arm (one lengths_for gather per round).
+    # Dense/sparse crossover sweep backing SPARSE_LENGTH_MIN_EDGES.
+    assert "ledger" not in tree_length
     crossover = tree_length["crossover"]
     assert len(crossover["num_edges"]) == len(crossover["dense_us_per_eval"])
     assert len(crossover["num_edges"]) == len(crossover["sparse_us_per_eval"])
     assert crossover["configured_min_edges"] == float(SPARSE_LENGTH_MIN_EDGES)
-    ledger = tree_length["ledger"]
-    assert ledger["trees"] > 1
-    assert ledger["rounds"] > 0
-    assert ledger["ledger_seconds"] > 0
-    assert ledger["numpy_ledger_seconds"] > 0
-    assert ledger["loop_seconds"] > 0
-    assert ledger["ledger_round_speedup"] > 0
-    # The ledger arm runs under the best available kernel backend
-    # ("numba" when importable, else the pure-NumPy "ordered" backend)
-    # and records which one actually ran.
-    from repro.perf.record import _best_kernel_backend
-
-    assert ledger["backend"] == _best_kernel_backend()
-
-    # Kernel-backend ablation: numpy arms versus the best available
-    # backend over the three ledger hot ops, on the same ledger scale.
-    ledger_kernel = record["ledger_kernel"]
-    assert ledger_kernel["backend"] == _best_kernel_backend()
-    assert ledger_kernel["nnz"] > 0
-    for op in ("round_lengths", "scatter", "lengths_for_all"):
-        assert ledger_kernel[op]["numpy_seconds"] > 0
-        assert ledger_kernel[op]["compiled_seconds"] > 0
-        assert ledger_kernel[op]["compiled_speedup"] > 0
-
     # Length-update batching ablation: one multiply_batch call versus a
-    # loop of multiply calls over the same accumulated updates, plus the
-    # assume_unique fast-path arm on a duplicate-free batch.
+    # loop of multiply calls over the same accumulated updates.
     length_multiply = record["length_multiply"]
     assert length_multiply["updates"] > 0
     assert length_multiply["loop_seconds"] > 0
     assert length_multiply["batched_seconds"] > 0
     assert length_multiply["batched_updates_per_sec"] > 0
     assert length_multiply["batched_speedup"] > 0
-    assert length_multiply["unique_ids"] > 0
-    assert length_multiply["unique_safe_seconds"] > 0
-    assert length_multiply["unique_fast_seconds"] > 0
-    assert length_multiply["unique_fastpath_speedup"] > 0
+    assert not any(key.startswith("unique") for key in length_multiply)
 
     # Oracle-batching ablation: one BatchedOracleFront round (stacked
     # incidence mat-vec, all sessions) versus the per-oracle query loop.
@@ -107,13 +75,10 @@ def test_write_core_perf_record_tiny(tmp_path):
     assert oracle_batch["batched_rounds_per_sec"] > 0
     assert oracle_batch["batched_speedup"] > 0
 
-    # Dynamic-routing fast path: the one-Dijkstra oracle + union front
-    # versus the pre-change multi-Dijkstra loop, plus the front ablation.
+    # Dynamic-routing oracle throughput plus the union-front ablation.
     dynamic_oracle = record["dynamic_oracle"]
-    assert dynamic_oracle["outputs_identical"]
     assert dynamic_oracle["calls_per_sec"] > 0
-    assert dynamic_oracle["legacy_calls_per_sec"] > 0
-    assert dynamic_oracle["fastpath_speedup"] > 0
+    assert not any(key.startswith("legacy") for key in dynamic_oracle)
     front = dynamic_oracle["front"]
     assert front["rounds"] > 0
     assert front["sessions"] > 1
@@ -125,23 +90,6 @@ def test_write_core_perf_record_tiny(tmp_path):
     assert len(prim["sizes"]) == len(prim["python_us_per_call"])
     assert len(prim["sizes"]) == len(prim["numpy_us_per_call"])
     assert prim["configured_limit"] > 0
-
-    # Engine-step ablation: full PhaseEngine.step wall with the stacked
-    # representation versus the per-tree per-oracle loop, both routings.
-    engine_step = record["engine_step"]
-    assert engine_step["num_edges"] > 0
-    for arm in ("fixed", "dynamic"):
-        assert engine_step[arm]["steps"] > 0
-        assert engine_step[arm]["sessions"] > 1
-        assert engine_step[arm]["stacked_seconds"] > 0
-        assert engine_step[arm]["loop_seconds"] > 0
-        assert engine_step[arm]["stacked_speedup"] > 0
-        # Both arms executed the identical step sequence.
-        assert engine_step[arm]["outputs_identical"]
-    assert engine_step["stacked_speedup"] == max(
-        engine_step["fixed"]["stacked_speedup"],
-        engine_step["dynamic"]["stacked_speedup"],
-    )
 
     # Observability overhead: three interleaved arms over identical step
     # sequences, plus the traced-solve bit-identity check.
@@ -173,27 +121,11 @@ def test_write_core_perf_record_tiny(tmp_path):
     assert 0 < fault_point["disabled_ns_per_call"] < 1500.0, fault_point
 
     latest = record["history"][-1]
-    assert latest["ledger_kernel_backend"] == ledger_kernel["backend"]
-    assert latest["ledger_kernel_round_speedup"] == (
-        ledger_kernel["round_lengths"]["compiled_speedup"]
-    )
-    assert latest["ledger_kernel_scatter_speedup"] == (
-        ledger_kernel["scatter"]["compiled_speedup"]
-    )
-    assert latest["ledger_kernel_all_speedup"] == (
-        ledger_kernel["lengths_for_all"]["compiled_speedup"]
-    )
     assert latest["multiply_batched_speedup"] == length_multiply["batched_speedup"]
-    assert latest["multiply_unique_speedup"] == (
-        length_multiply["unique_fastpath_speedup"]
-    )
     assert latest["oracle_batch_speedup"] == oracle_batch["batched_speedup"]
     assert latest["dynamic_oracle_calls_per_sec"] == dynamic_oracle["calls_per_sec"]
-    assert latest["dynamic_oracle_speedup"] == dynamic_oracle["fastpath_speedup"]
     assert latest["prim_crossover"] == prim["measured_crossover"]
     assert latest["tree_length_measured_crossover"] == crossover["measured_crossover"]
-    assert latest["ledger_round_speedup"] == ledger["ledger_round_speedup"]
-    assert latest["engine_step_stacked_speedup"] == engine_step["stacked_speedup"]
     assert latest["obs_metrics_overhead_pct"] == obs["metrics_overhead_pct"]
     assert latest["obs_trace_overhead_pct"] == obs["trace_overhead_pct"]
     assert latest["durable_put_overhead_pct"] == durability["put_overhead_pct"]
@@ -304,12 +236,7 @@ def test_record_migrates_v5_history(tmp_path):
     assert len(record["history"]) == 3
     latest = record["history"][-1]
     assert latest["schema"] == BENCH_SCHEMA
-    assert latest["engine_step_stacked_speedup"] == (
-        record["engine_step"]["stacked_speedup"]
-    )
-    assert latest["engine_step_dynamic_speedup"] == (
-        record["engine_step"]["dynamic"]["stacked_speedup"]
-    )
+    assert latest["prim_crossover"] == record["prim_crossover"]["measured_crossover"]
 
 
 def test_record_migrates_v6_history(tmp_path):
@@ -376,9 +303,8 @@ def test_record_migrates_v7_history(tmp_path):
     assert len(record["history"]) == 3
     latest = record["history"][-1]
     assert latest["schema"] == BENCH_SCHEMA
-    assert latest["ledger_kernel_backend"] == record["ledger_kernel"]["backend"]
-    assert latest["ledger_kernel_round_speedup"] == (
-        record["ledger_kernel"]["round_lengths"]["compiled_speedup"]
+    assert latest["obs_trace_overhead_pct"] == (
+        record["obs_overhead"]["trace_overhead_pct"]
     )
 
 
@@ -392,7 +318,6 @@ def test_record_migrates_v8_history(tmp_path):
             "schema": "BENCH_core/v8",
             "scale": "quick",
             "fixed_calls_per_sec": 14.0,
-            "ledger_kernel_backend": "ordered",
             "ledger_kernel_round_speedup": 1.4,
         },
     ]
@@ -417,6 +342,48 @@ def test_record_migrates_v8_history(tmp_path):
     )
     assert latest["fault_point_disabled_ns"] == (
         record["durability"]["fault_point"]["disabled_ns_per_call"]
+    )
+
+
+def test_record_migrates_v9_history(tmp_path):
+    # A v9 record's trajectory keeps its ledger, kernel and engine-step
+    # fields verbatim; the v10 entry appended after it has none of them.
+    path = tmp_path / "BENCH_core.json"
+    v9_history = [
+        {"schema": "BENCH_core/v8", "scale": "quick", "fixed_calls_per_sec": 14.0},
+        {
+            "schema": "BENCH_core/v9",
+            "scale": "quick",
+            "fixed_calls_per_sec": 15.0,
+            "memoization_speedup": 1.6,
+            "ledger_round_speedup": 2.8,
+            "multiply_unique_speedup": 1.4,
+            "dynamic_oracle_speedup": 4.9,
+            "engine_step_stacked_speedup": 1.2,
+        },
+    ]
+    v9 = {
+        "schema": "BENCH_core/v9",
+        "scale": "quick",
+        "maxflow_fixed": {"memoized": {"calls_per_sec": 15.0}},
+        "maxflow_dynamic": {"memoized": {"calls_per_sec": 990.0}},
+        "ledger_kernel": {"backend": "ordered"},
+        "engine_step": {"stacked_speedup": 1.2},
+        "history": v9_history,
+    }
+    path.write_text(json.dumps(v9))
+    write_core_perf_record(path, scale="tiny")
+    record = json.loads(path.read_text())
+    assert record["schema"] == BENCH_SCHEMA == "BENCH_core/v10"
+    assert record["history"][:2] == v9_history
+    assert len(record["history"]) == 3
+    latest = record["history"][-1]
+    assert latest["schema"] == BENCH_SCHEMA
+    for retired in v9_history[1]:
+        if retired not in ("schema", "scale", "fixed_calls_per_sec"):
+            assert retired not in latest
+    assert latest["fixed_calls_per_sec"] == (
+        record["maxflow_fixed"]["memoized"]["calls_per_sec"]
     )
 
 

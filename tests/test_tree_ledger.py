@@ -1,58 +1,21 @@
-"""Stacked tree ledger: equivalence suite and unit tests.
+"""Unit tests of the standalone tree ledger.
 
-The stacked-trees engine path (``TreeLedger`` columns, one
-``lengths @ M`` product per query round, deduplicated per-step length
-flushes, grouped online rounds) is a pure performance representation —
-its contract is **bit identity** with the per-tree loop it replaces.
-This suite pins that contract across all four registered solvers, both
-routing models, and memoization on/off, and unit-tests the ledger's
-growth-doubling storage, content-addressed dedup, column identity with
-the oracle memo, and both evaluation products.
+No solver uses :class:`TreeLedger`; the benchmark's traced runs wrap its
+methods.  These tests pin what it still promises: columns are
+content-addressed, every tree spans the ledger's edge count, and both
+products agree with the per-tree arithmetic they stand for.
 """
 
 import numpy as np
 import pytest
 
-from repro.api.registry import (
-    solve_max_concurrent_flow_instance,
-    solve_max_flow_instance,
-    solve_online_instance,
-    solve_randomized_rounding_instance,
-)
-from repro.core.engine import (
-    TreeLedger,
-    configure_stacked_trees,
-    stacked_trees_default,
-    use_kernel_backend,
-)
-from repro.core.lengths import LengthFunction
-from repro.core.online import OnlineConfig, OnlineMinCongestion
-from repro.core.result import SessionResult, TreeFlow
+from repro.core.engine.ledger import TreeLedger
 from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
 from repro.routing.base import pair_key
-from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.util.errors import ConfigurationError
-
-
-def fingerprint(solution):
-    """Everything the paper reports about a solution, exactly."""
-    return {
-        "algorithm": solution.algorithm,
-        "epsilon": solution.epsilon,
-        "oracle_calls": solution.oracle_calls,
-        "rates": [s.rate for s in solution.sessions],
-        "names": [s.session.name for s in solution.sessions],
-        "num_trees": solution.num_trees_per_session,
-        "flows": [
-            sorted((tf.tree.canonical_key(), tf.flow) for tf in s.tree_flows)
-            for s in solution.sessions
-        ],
-        "edge_flows": solution.edge_flows().tolist(),
-        "extra": dict(solution.extra),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -63,232 +26,19 @@ def ledger_sessions():
     ]
 
 
-# ----------------------------------------------------------------------
-# equivalence: stacked on vs off, 4 solvers x 2 routings x memoize
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("memoize", [True, False], ids=["memo", "nomemo"])
-@pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
-class TestStackedEquivalence:
-    def test_max_flow_bit_identical(
-        self, waxman_network, ledger_sessions, routing_cls, memoize
-    ):
-        runs = [
-            solve_max_flow_instance(
-                ledger_sessions,
-                routing_cls(waxman_network),
-                epsilon=0.15,
-                memoize=memoize,
-                stacked_trees=stacked,
-            )
-            for stacked in (True, False)
-        ]
-        assert fingerprint(runs[0]) == fingerprint(runs[1])
-
-    def test_max_concurrent_flow_bit_identical(
-        self, waxman_network, ledger_sessions, routing_cls, memoize
-    ):
-        runs = [
-            solve_max_concurrent_flow_instance(
-                ledger_sessions,
-                routing_cls(waxman_network),
-                epsilon=0.25,
-                prescale_epsilon=0.3,
-                memoize=memoize,
-                stacked_trees=stacked,
-            )
-            for stacked in (True, False)
-        ]
-        assert fingerprint(runs[0]) == fingerprint(runs[1])
-
-    def test_online_bit_identical(
-        self, waxman_network, ledger_sessions, routing_cls, memoize
-    ):
-        arrivals = ledger_sessions + ledger_sessions + ledger_sessions
-        runs = [
-            solve_online_instance(
-                arrivals,
-                routing_cls(waxman_network),
-                sigma=10.0,
-                memoize=memoize,
-                stacked_trees=stacked,
-            )
-            for stacked in (True, False)
-        ]
-        assert fingerprint(runs[0]) == fingerprint(runs[1])
-
-    def test_randomized_rounding_bit_identical(
-        self, waxman_network, ledger_sessions, routing_cls, memoize
-    ):
-        runs = [
-            solve_randomized_rounding_instance(
-                ledger_sessions,
-                routing_cls(waxman_network),
-                max_trees=2,
-                seed=5,
-                epsilon=0.25,
-                prescale_epsilon=0.3,
-                memoize=memoize,
-                stacked_trees=stacked,
-            )
-            for stacked in (True, False)
-        ]
-        assert fingerprint(runs[0]) == fingerprint(runs[1])
-
-
-# ----------------------------------------------------------------------
-# engine counters and the process-wide default
-# ----------------------------------------------------------------------
-def test_stacked_run_reports_ledger_counters(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    stacked = solve_max_flow_instance(
-        ledger_sessions, routing, epsilon=0.15, stacked_trees=True
-    )
-    instr = stacked.instrumentation
-    assert instr["ledger_columns"] > 0
-    assert instr["spmm_rounds"] > 0
-    assert instr["batched_rounds"] > 0
-    # The gauge counts distinct trees, never more than length updates.
-    assert instr["ledger_columns"] <= instr["length_updates"] + 1
-
-    loop = solve_max_flow_instance(
-        ledger_sessions, routing, epsilon=0.15, stacked_trees=False
-    )
-    assert loop.instrumentation["ledger_columns"] == 0
-    assert loop.instrumentation["spmm_rounds"] == 0
-
-
-def test_stacked_loop_round_still_counts_per_session(waxman_network, ledger_sessions):
-    # batch_oracle off + stacked on: the grouped ledger round replaces
-    # the per-oracle loop but still books as a per-session round.
-    from repro.core.maxflow import MaxFlow, MaxFlowConfig
-
-    solution = MaxFlow(
-        ledger_sessions,
-        FixedIPRouting(waxman_network),
-        MaxFlowConfig(epsilon=0.15, batch_oracle=False, stacked_trees=True),
-    ).solve()
-    instr = solution.instrumentation
-    assert instr["batched_rounds"] == 0
-    assert instr["per_session_rounds"] > 0
-    assert instr["spmm_rounds"] > 0
-
-
-def test_configure_stacked_trees_round_trip():
-    assert stacked_trees_default() is True
-    previous = configure_stacked_trees(False)
-    try:
-        assert previous is True
-        assert stacked_trees_default() is False
-    finally:
-        configure_stacked_trees(previous)
-    assert stacked_trees_default() is True
-
-
-# ----------------------------------------------------------------------
-# online grouping: independent arrivals share one round, exactly
-# ----------------------------------------------------------------------
-def _ring_arrivals(demand=5.0):
-    # Footprint-disjoint on the 6-ring: (0,1) uses edge 0-1, (3,4) uses
-    # edge 3-4 — a groupable prefix under fixed routing.
-    return [
-        Session((0, 1), demand=demand, name="a"),
-        Session((3, 4), demand=demand, name="b"),
-        Session((0, 1), demand=demand, name="a2"),
-        Session((3, 4), demand=demand, name="b2"),
-    ]
-
-
-def _online_run(network, stacked, arrivals):
-    solver = OnlineMinCongestion(
-        FixedIPRouting(network), OnlineConfig(sigma=10.0, stacked_trees=stacked)
-    )
-    trees = solver.accept_all(arrivals)
-    return solver, trees
-
-
-def test_online_grouped_rounds_are_bit_identical(ring6_network):
-    arrivals = _ring_arrivals()
-    stacked_solver, stacked_trees = _online_run(ring6_network, True, arrivals)
-    loop_solver, loop_trees = _online_run(ring6_network, False, arrivals)
-    assert [t.canonical_key() for t in stacked_trees] == [
-        t.canonical_key() for t in loop_trees
-    ]
-    assert np.array_equal(
-        stacked_solver.state.congestion, loop_solver.state.congestion
-    )
-    assert np.array_equal(
-        stacked_solver.state.lengths.relative, loop_solver.state.lengths.relative
-    )
-    assert fingerprint(stacked_solver.solution()) == fingerprint(
-        loop_solver.solution()
-    )
-    # The stacked run actually grouped: footprint-disjoint arrivals were
-    # answered by shared SpMM rounds, with identical per-arrival calls.
-    stacked_instr = stacked_solver.solution().instrumentation
-    assert stacked_instr["spmm_rounds"] > 0
-    assert stacked_instr["oracle_queries"] == len(arrivals)
-    assert loop_solver.solution().instrumentation["spmm_rounds"] == 0
-
-
-def test_online_prefetch_dropped_on_renormalization(ring6_network):
-    # A demand this large renormalises the lengths while routing the
-    # group's head, so the prefetched mate must be re-queried — exactly
-    # reproducing the sequential decisions.
-    arrivals = _ring_arrivals(demand=1e250)
-    stacked_solver, stacked_trees = _online_run(ring6_network, True, arrivals)
-    loop_solver, loop_trees = _online_run(ring6_network, False, arrivals)
-    assert stacked_solver.state.lengths.log_offset > 0  # renorm fired
-    assert [t.canonical_key() for t in stacked_trees] == [
-        t.canonical_key() for t in loop_trees
-    ]
-    assert np.array_equal(
-        stacked_solver.state.lengths.relative, loop_solver.state.lengths.relative
-    )
-    # Dropped prefetches re-query, so the stacked run performs extra MST
-    # operations; the per-arrival accounting stays one per arrival.
-    stacked_instr = stacked_solver.solution().instrumentation
-    assert stacked_instr["oracle_queries"] > len(arrivals)
-    assert stacked_solver.state.oracle_calls == len(arrivals)
-
-
-def test_online_incremental_accept_matches_accept_all(ring6_network):
-    arrivals = _ring_arrivals()
-    batch_solver, batch_trees = _online_run(ring6_network, True, arrivals)
-    one_by_one = OnlineMinCongestion(
-        FixedIPRouting(ring6_network), OnlineConfig(sigma=10.0, stacked_trees=True)
-    )
-    single_trees = [one_by_one.accept(s) for s in arrivals]
-    assert [t.canonical_key() for t in batch_trees] == [
-        t.canonical_key() for t in single_trees
-    ]
-    assert np.array_equal(
-        batch_solver.state.lengths.relative, one_by_one.state.lengths.relative
-    )
-
-
-# ----------------------------------------------------------------------
-# ledger unit tests
-# ----------------------------------------------------------------------
 def _pair_tree(routing, network, u, v):
     pk = pair_key(u, v)
     paths = routing.paths_for_pairs([pk])
     return OverlayTree.from_paths((u, v), [pk], paths, network.num_edges)
 
 
-def test_register_growth_doubling_and_layout(ring6_network):
-    routing = FixedIPRouting(ring6_network)
-    ledger = TreeLedger(ring6_network.num_edges, initial_columns=1, initial_entries=1)
-    trees = [_pair_tree(routing, ring6_network, i, (i + 1) % 6) for i in range(6)]
-    columns = [ledger.register(t) for t in trees]
-    assert columns == list(range(6))
-    assert ledger.num_columns == 6
-    assert ledger.nnz == sum(t.physical_edges.size for t in trees)
-    for column, tree in zip(columns, trees):
-        start, end = ledger.column_slices(np.asarray([column]))
-        sl = slice(int(start[0]), int(end[0]))
-        assert np.array_equal(ledger._rows[sl], tree.physical_edges)
-        assert np.array_equal(ledger._values[sl], tree.usage_values)
-        assert ledger.tree_at(column) is tree
+def _oracle_trees(network, session, seed, count=6):
+    oracle = MinimumOverlayTreeOracle(session, FixedIPRouting(network))
+    rng = np.random.default_rng(seed)
+    return [
+        oracle.select_tree(rng.uniform(0.5, 2.0, network.num_edges))
+        for _ in range(count)
+    ]
 
 
 def test_register_is_content_addressed(ring6_network):
@@ -301,9 +51,9 @@ def test_register_is_content_addressed(ring6_network):
     again = ledger.register(rebuilt)
     assert first == again
     assert ledger.num_columns == 1
-    assert ledger.registrations == 2
-    assert ledger.column_for(rebuilt) == first
-    assert ledger.column_for(_pair_tree(routing, ring6_network, 2, 3)) is None
+    other = ledger.register(_pair_tree(routing, ring6_network, 2, 3))
+    assert other == 1
+    assert ledger.num_columns == 2
 
 
 def test_register_rejects_mismatched_edge_count(ring6_network, diamond_network):
@@ -313,59 +63,21 @@ def test_register_rejects_mismatched_edge_count(ring6_network, diamond_network):
         ledger.register(_pair_tree(routing, diamond_network, 0, 1))
 
 
-def test_oracle_memo_and_ledger_share_identity(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    ledger = TreeLedger(waxman_network.num_edges)
-    memo = MinimumOverlayTreeOracle(ledger_sessions[0], routing, memoize=True)
-    memo.attach_ledger(ledger)
-    fresh = MinimumOverlayTreeOracle(ledger_sessions[0], routing, memoize=False)
-    fresh.attach_ledger(ledger)
-    rng = np.random.default_rng(3)
-    for _ in range(8):
-        lengths = rng.uniform(0.5, 2.0, waxman_network.num_edges)
-        a = memo.select_tree(lengths)
-        b = fresh.select_tree(lengths)
-        # Same tree, same column — whether it came from the memo or a
-        # fresh construction.
-        assert ledger.column_for(a) == ledger.column_for(b)
-    assert ledger.num_columns == memo.cache_info()["size"]
-
-
-def test_attach_ledger_registers_existing_memo(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    oracle = MinimumOverlayTreeOracle(ledger_sessions[0], routing, memoize=True)
-    rng = np.random.default_rng(4)
-    for _ in range(6):
-        oracle.minimum_tree(rng.uniform(0.5, 2.0, waxman_network.num_edges))
-    ledger = TreeLedger(waxman_network.num_edges)
-    oracle.attach_ledger(ledger)
-    assert ledger.num_columns == oracle.cache_info()["size"]
-
-
 def test_lengths_for_matches_tree_length_dense(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    oracle = MinimumOverlayTreeOracle(ledger_sessions[0], routing)
+    trees = _oracle_trees(waxman_network, ledger_sessions[0], seed=5)
     ledger = TreeLedger(waxman_network.num_edges)
-    oracle.attach_ledger(ledger)
-    rng = np.random.default_rng(5)
-    trees = []
-    for _ in range(6):
-        trees.append(oracle.select_tree(rng.uniform(0.5, 2.0, waxman_network.num_edges)))
-    lengths = rng.uniform(0.5, 2.0, waxman_network.num_edges)
     columns = [ledger.register(t) for t in trees]
+    lengths = np.random.default_rng(15).uniform(0.5, 2.0, waxman_network.num_edges)
     stacked = ledger.lengths_for(columns, lengths)
     assert stacked.tolist() == [t.length(lengths) for t in trees]
 
 
 def test_lengths_for_matches_tree_length_sparse(monkeypatch, ring6_network):
-    # Force the sparse per-tree branch (and the ledger's gathered-dot
-    # path) on a small network: both read the module constant at
-    # construction time.
-    import repro.core.engine.ledger as ledger_mod
+    # Force the sparse per-tree branch on a small network: trees read the
+    # module constant at construction time.
     import repro.overlay.tree as tree_mod
 
     monkeypatch.setattr(tree_mod, "SPARSE_LENGTH_MIN_EDGES", 4)
-    monkeypatch.setattr(ledger_mod, "SPARSE_LENGTH_MIN_EDGES", 4)
     routing = FixedIPRouting(ring6_network)
     trees = [_pair_tree(routing, ring6_network, i, (i + 1) % 6) for i in range(6)]
     assert all(t._sparse_length for t in trees)
@@ -384,17 +96,10 @@ def test_lengths_for_matches_tree_length_sparse(monkeypatch, ring6_network):
 
 
 def test_edge_values_matches_per_tree_scatter(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    oracle = MinimumOverlayTreeOracle(ledger_sessions[0], routing)
+    trees = _oracle_trees(waxman_network, ledger_sessions[0], seed=7)
     ledger = TreeLedger(waxman_network.num_edges)
-    oracle.attach_ledger(ledger)
-    rng = np.random.default_rng(7)
-    trees = [
-        oracle.select_tree(rng.uniform(0.5, 2.0, waxman_network.num_edges))
-        for _ in range(6)
-    ]
     columns = [ledger.register(t) for t in trees]
-    weights = rng.uniform(0.1, 3.0, len(columns))
+    weights = np.random.default_rng(17).uniform(0.1, 3.0, len(columns))
     stacked = ledger.edge_values(columns, weights)
     reference = np.zeros(waxman_network.num_edges, dtype=float)
     for tree, w in zip(trees, weights):
@@ -402,211 +107,3 @@ def test_edge_values_matches_per_tree_scatter(waxman_network, ledger_sessions):
     assert np.array_equal(stacked, reference)
     with pytest.raises(ConfigurationError):
         ledger.edge_values(columns, weights[:-1])
-
-
-def test_bucket_partitions_cover_all_columns(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    ledger = TreeLedger(waxman_network.num_edges)
-    small = MinimumOverlayTreeOracle(
-        Session((0, 1), demand=1.0, name="tiny"), routing
-    )
-    big = MinimumOverlayTreeOracle(ledger_sessions[0], routing)
-    for oracle in (small, big):
-        oracle.attach_ledger(ledger)
-        oracle.minimum_tree(np.ones(waxman_network.num_edges))
-    partitions = ledger.bucket_partitions()
-    covered = np.concatenate(list(partitions.values()))
-    assert sorted(covered.tolist()) == list(range(ledger.num_columns))
-    for bucket, columns in partitions.items():
-        for column in columns:
-            footprint = int(ledger.tree_at(int(column)).physical_edges.size)
-            assert footprint.bit_length() == bucket
-
-
-def test_lengths_for_all_matches_lengths_for(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    ledger = TreeLedger(waxman_network.num_edges)
-    for session in [ledger_sessions[0], Session((1, 5), demand=1.0, name="p")]:
-        oracle = MinimumOverlayTreeOracle(session, routing)
-        oracle.attach_ledger(ledger)
-        rng = np.random.default_rng(8)
-        for _ in range(4):
-            oracle.minimum_tree(rng.uniform(0.5, 2.0, waxman_network.num_edges))
-    lengths = np.random.default_rng(9).uniform(0.5, 2.0, waxman_network.num_edges)
-    exact = ledger.lengths_for(list(range(ledger.num_columns)), lengths)
-    padded = ledger.lengths_for_all(lengths)
-    np.testing.assert_allclose(padded, exact, rtol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# satellite pieces: unique multiply_batch fast path, one-scatter flows
-# ----------------------------------------------------------------------
-def test_multiply_batch_assume_unique_bit_identical():
-    rng = np.random.default_rng(10)
-    ids = rng.permutation(50)[:20].astype(np.int64)
-    factors = rng.uniform(1.0, 3.0, ids.size)
-    runs = []
-    for assume_unique in (False, True):
-        lf = LengthFunction(50, 0.0)
-        lf.multiply_batch(ids, factors, assume_unique=assume_unique)
-        runs.append(lf.relative.copy())
-    loop = LengthFunction(50, 0.0)
-    loop.multiply(ids, factors)
-    assert np.array_equal(runs[0], runs[1])
-    assert np.array_equal(runs[1], loop.relative)
-
-
-def test_multiply_batch_assume_unique_renormalizes():
-    lf = LengthFunction(4, 0.0)
-    lf.multiply_batch(
-        np.array([0, 2]), np.array([1e201, 5.0]), assume_unique=True
-    )
-    reference = LengthFunction(4, 0.0)
-    reference.multiply(np.array([0, 2]), np.array([1e201, 5.0]))
-    assert lf.log_offset == reference.log_offset
-    assert np.array_equal(lf.relative, reference.relative)
-
-
-def test_multiply_batch_assume_unique_still_validates():
-    lf = LengthFunction(4, 0.0)
-    with pytest.raises(ConfigurationError):
-        lf.multiply_batch(np.array([0]), np.array([-1.0]), assume_unique=True)
-    with pytest.raises(ConfigurationError):
-        lf.multiply_batch(np.array([0, 1]), np.array([2.0]), assume_unique=True)
-
-
-def test_session_edge_flows_one_scatter_matches_loop(waxman_network, ledger_sessions):
-    routing = FixedIPRouting(waxman_network)
-    oracle = MinimumOverlayTreeOracle(ledger_sessions[0], routing)
-    rng = np.random.default_rng(11)
-    flows = []
-    for _ in range(5):
-        tree = oracle.minimum_tree(
-            rng.uniform(0.5, 2.0, waxman_network.num_edges)
-        ).tree
-        flows.append(TreeFlow(tree=tree, flow=float(rng.uniform(0.1, 2.0))))
-    result = SessionResult(session=ledger_sessions[0], tree_flows=tuple(flows))
-    out = result.edge_flows(waxman_network.num_edges)
-    reference = np.zeros(waxman_network.num_edges, dtype=float)
-    for tf in flows:
-        reference[tf.tree.physical_edges] += tf.tree.usage_values * tf.flow
-    assert np.array_equal(out, reference)
-    empty = SessionResult(session=ledger_sessions[0], tree_flows=())
-    assert np.array_equal(
-        empty.edge_flows(waxman_network.num_edges),
-        np.zeros(waxman_network.num_edges),
-    )
-
-
-# ----------------------------------------------------------------------
-# satellite pieces: empty-ledger guard, contiguous-gather fast path
-# ----------------------------------------------------------------------
-def _singleton_tree(member, num_edges):
-    # A one-member session's tree: valid, zero physical footprint.
-    return OverlayTree.from_paths((member,), [], {}, num_edges)
-
-
-@pytest.mark.parametrize("backend", ["numpy", "ordered"])
-def test_lengths_for_all_with_only_empty_columns(ring6_network, backend):
-    # Regression: columns registered but nnz == 0 (every footprint
-    # empty).  The numpy path's padded gather would otherwise index the
-    # stores at nnz - 1 == -1; both backends must return exact zeros.
-    ledger = TreeLedger(ring6_network.num_edges)
-    for member in range(3):
-        ledger.register(_singleton_tree(member, ring6_network.num_edges))
-    # Zero-footprint trees share the canonical key ((), ()), so the
-    # content-addressed store keeps exactly one empty column.
-    assert ledger.num_columns == 1
-    assert ledger.nnz == 0
-    lengths = np.linspace(0.5, 2.0, ring6_network.num_edges)
-    with use_kernel_backend(backend):
-        assert ledger.lengths_for_all(lengths).tolist() == [0.0]
-        assert ledger.lengths_for([0], lengths).tolist() == [0.0]
-        assert np.array_equal(
-            ledger.edge_values([0], np.ones(1)),
-            np.zeros(ring6_network.num_edges),
-        )
-
-
-def _cross_ring_ledger(network):
-    """Nine pair trees on the 6-ring: adjacent pairs plus chords."""
-    routing = FixedIPRouting(network)
-    trees = [_pair_tree(routing, network, i, (i + 1) % 6) for i in range(6)]
-    trees += [_pair_tree(routing, network, i, (i + 2) % 6) for i in range(3)]
-    ledger = TreeLedger(network.num_edges)
-    columns = [ledger.register(t) for t in trees]
-    assert columns == list(range(9))
-    return ledger, trees
-
-
-@pytest.mark.parametrize("backend", ["numpy", "ordered"])
-def test_lengths_for_contiguous_and_scattered_requests_agree(
-    monkeypatch, ring6_network, backend
-):
-    # The gathered-entries fast path serves contiguous column runs as
-    # direct store views; scattered/reversed requests take the
-    # concatenate path.  Both must produce the per-tree bits.  Force
-    # sparse evaluation so the numpy branch exercises the gathered dot.
-    import repro.core.engine.ledger as ledger_mod
-    import repro.overlay.tree as tree_mod
-
-    monkeypatch.setattr(tree_mod, "SPARSE_LENGTH_MIN_EDGES", 4)
-    monkeypatch.setattr(ledger_mod, "SPARSE_LENGTH_MIN_EDGES", 4)
-    ledger, trees = _cross_ring_ledger(ring6_network)
-    lengths = np.random.default_rng(12).uniform(0.5, 2.0, ring6_network.num_edges)
-    with use_kernel_backend(backend):
-        expected = [t.length(lengths) for t in trees]
-        # Contiguous run (zero-copy view path), below the graduation
-        # threshold so the ordered backend uses the gathered kernel.
-        assert ledger.lengths_for([2, 3, 4], lengths).tolist() == expected[2:5]
-        # Scattered and reversed requests (concatenate path).
-        assert ledger.lengths_for([1, 4, 7], lengths).tolist() == [
-            expected[1],
-            expected[4],
-            expected[7],
-        ]
-        assert ledger.lengths_for([5, 3, 0], lengths).tolist() == [
-            expected[5],
-            expected[3],
-            expected[0],
-        ]
-        # Full request: ordered backends graduate to lengths_for_all,
-        # which must compute the identical bits per column.
-        assert ledger.lengths_for(list(range(9)), lengths).tolist() == expected
-
-
-@pytest.mark.parametrize("backend", ["numpy", "ordered"])
-def test_edge_values_contiguous_and_scattered_requests_agree(
-    ring6_network, backend
-):
-    ledger, trees = _cross_ring_ledger(ring6_network)
-    rng = np.random.default_rng(13)
-    weights = rng.uniform(0.1, 3.0, 9)
-
-    def reference(cols):
-        out = np.zeros(ring6_network.num_edges, dtype=float)
-        for c in cols:
-            out[trees[c].physical_edges] += trees[c].usage_values * weights[c]
-        return out
-
-    with use_kernel_backend(backend):
-        # Contiguous run (view path), scattered subset (concatenate
-        # path), and accumulation into an existing output.
-        contiguous = [3, 4, 5]
-        assert np.array_equal(
-            ledger.edge_values(contiguous, weights[contiguous]),
-            reference(contiguous),
-        )
-        scattered = [0, 4, 8]
-        assert np.array_equal(
-            ledger.edge_values(scattered, weights[scattered]),
-            reference(scattered),
-        )
-        base = rng.uniform(0.1, 1.0, ring6_network.num_edges)
-        accumulated = ledger.edge_values(
-            scattered, weights[scattered], out=base.copy()
-        )
-        loop = base.copy()
-        for c in scattered:
-            loop[trees[c].physical_edges] += trees[c].usage_values * weights[c]
-        assert np.array_equal(accumulated, loop)
