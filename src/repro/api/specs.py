@@ -149,6 +149,16 @@ class SessionSpec(_SpecBase):
         )
 
 
+def _positive_finite(value: Any) -> bool:
+    """Whether ``value`` is a real number (not a bool) in ``(0, inf)``."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
 @dataclass(frozen=True)
 class ArrivalSpec(_SpecBase):
     """The online arrival process: how sessions become an arrival sequence.
@@ -212,12 +222,7 @@ class ArrivalSpec(_SpecBase):
                 raise ConfigurationError("order entries must be non-negative")
             if len(set(self.order)) != len(self.order):
                 raise ConfigurationError("order must not repeat an index")
-        if self.demand is not None and not (
-            isinstance(self.demand, (int, float))
-            and not isinstance(self.demand, bool)
-            and math.isfinite(self.demand)
-            and self.demand > 0
-        ):
+        if self.demand is not None and not _positive_finite(self.demand):
             raise ConfigurationError(
                 f"demand override must be a positive finite number, got {self.demand!r}"
             )
@@ -291,6 +296,12 @@ class WorkloadSpec(_SpecBase):
             raise ConfigurationError(
                 "exactly one of sizes (random mode) / sessions (explicit mode) "
                 "must be non-empty"
+            )
+        # Checked here rather than when sessions are built, so a bad spec
+        # is refused before it is keyed, queued and failed by every worker.
+        if not _positive_finite(self.demand):
+            raise ConfigurationError(
+                f"demand must be a positive finite number, got {self.demand!r}"
             )
         if self.demand_distribution is not None:
             if self.sessions:

@@ -22,8 +22,9 @@ strategies:
   length array (stacked sparse incidence mat-vec under fixed routing;
   one union-of-members Dijkstra with shared distance/predecessor rows
   under dynamic routing), bit-identical to the per-session loop it
-  replaces.  Every other round calls ``oracle.minimum_tree`` once per
-  queried session.
+  replaces; under fixed routing it re-runs the oracle only for sessions
+  whose route lengths changed since the previous round.  Every other
+  round calls ``oracle.minimum_tree`` once per queried session.
 * :class:`Instrumentation` — per-step events (oracle calls, phase
   boundaries, congestion snapshots) and counters, replacing the ad-hoc
   counters solvers used to hand-maintain; its :meth:`snapshot` rides on

@@ -138,7 +138,10 @@ class MaxFlowPolicy(StepPolicy):
     multiplies used-edge lengths by ``1 + eps * n_e(t) * c / c_e``.
 
     The all-session query is the engine's batched-front showcase: one
-    stacked incidence mat-vec serves every session's overlay lengths.
+    stacked incidence mat-vec serves every session's overlay lengths,
+    and under fixed routing only the sessions whose routes cross an edge
+    whose length changed — the last routed tree's, or every edge after a
+    renormalisation — run Prim again.
     """
 
     def __init__(self, epsilon: float, max_session_size: int) -> None:

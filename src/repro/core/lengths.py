@@ -191,12 +191,23 @@ class LengthFunction:
         satisfy this by construction (a tree visits each physical edge
         once); callers holding an *accumulated batch* of updates — where
         several (edge, factor) pairs may hit the same edge — use
-        :meth:`multiply_batch`.
+        :meth:`multiply_batch`.  Like it, this rejects mismatched shapes
+        (one factor must not broadcast over many edges) and factors that
+        are not positive and finite, so lengths stay positive and finite.
         """
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
         factors = np.asarray(factors, dtype=float)
-        if np.any(factors <= 0):
-            raise ConfigurationError("length update factors must be positive")
-        self._rel[np.asarray(edge_ids, dtype=np.int64)] *= factors
+        if edge_ids.shape != factors.shape:
+            raise ConfigurationError(
+                f"edge_ids and factors must have matching shapes, got "
+                f"{edge_ids.shape} and {factors.shape}"
+            )
+        # One pass: NaN fails both comparisons.
+        if not ((factors > 0) & (factors < np.inf)).all():
+            raise ConfigurationError(
+                "length update factors must be positive and finite"
+            )
+        self._rel[edge_ids] *= factors
         self._renormalize()
 
     def multiply_batch(self, edge_ids: np.ndarray, factors: np.ndarray) -> None:

@@ -34,6 +34,10 @@ oracle keys a per-session cache on exactly that, so repeated trees skip
 the ``np.add.at`` usage accumulation) entirely.  ``call_count`` — the
 paper's "MST operations" metric — is incremented on cache hits exactly as
 on misses, and cached results are bit-identical to freshly built ones.
+It also counts the answers the batched front reuses without asking the
+oracle again (:meth:`MinimumOverlayTreeOracle.count_reused_answer`), so
+Prim runs are ``cache_hits + cache_misses`` and ``call_count`` is the
+number of answers given.
 
 The ``select_tree*`` methods return the chosen tree; the
 ``minimum_tree*`` methods wrap them and add the tree's length, the
@@ -143,6 +147,16 @@ class MinimumOverlayTreeOracle:
     def reset_call_count(self) -> None:
         """Reset the MST-operation counter (used between experiment stages)."""
         self._call_count = 0
+
+    def count_reused_answer(self) -> None:
+        """Count an answer reused from an earlier query as one MST operation.
+
+        The batched front calls this when none of the session's route
+        lengths changed since its last answer, so the same tree and
+        length stand without running Prim — counted like a tree-cache
+        hit, but outside :attr:`cache_hits`.
+        """
+        self._call_count += 1
 
     @property
     def cache_hits(self) -> int:

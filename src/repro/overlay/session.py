@@ -10,6 +10,7 @@ problem M1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,8 +55,10 @@ class Session:
             )
         if len(set(members)) != len(members):
             raise InvalidSessionError(f"duplicate members in session: {members}")
-        if self.demand <= 0:
-            raise InvalidSessionError(f"demand must be positive, got {self.demand}")
+        if not 0 < self.demand < math.inf:
+            raise InvalidSessionError(
+                f"demand must be positive and finite, got {self.demand}"
+            )
         src = self.source if self.source is not None else members[0]
         if src not in members:
             raise InvalidSessionError(

@@ -406,7 +406,10 @@ def _timed_oracle_batch(profile: PerfProfile) -> Dict[str, float]:
     tree construction (:class:`repro.core.engine.BatchedOracleFront`);
     the loop arm is one ``incidence @ lengths`` per session.  Results
     are bit-identical (asserted in the engine equivalence suite); here
-    we only time.
+    we only time.  Consecutive rounds use different random vectors,
+    which differ on every edge, so the front reuses no answer: this
+    times the all-dirty round, not a MaxFlow step's, where only the
+    sessions crossing the routed tree run Prim again.
     """
     from repro.core.engine import BatchedOracleFront
     from repro.overlay.oracle import build_oracles
@@ -430,10 +433,11 @@ def _timed_oracle_batch(profile: PerfProfile) -> Dict[str, float]:
     ]
 
     # Warm both arms (route caches, incidence build, tree caches) so the
-    # timed rounds compare steady-state query cost.
-    front.query(indices, pool[0])
+    # timed rounds compare steady-state query cost.  Warm with the last
+    # vector: the first timed round's must differ from it.
+    front.query(indices, pool[-1])
     for oracle in loop_oracles:
-        oracle.minimum_tree(pool[0])
+        oracle.minimum_tree(pool[-1])
 
     rounds = profile.batch_rounds
     start = time.perf_counter()

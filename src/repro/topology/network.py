@@ -10,6 +10,7 @@ vectorised, which is what makes the FPTAS loops tractable in Python.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +48,9 @@ class PhysicalNetwork:
     ) -> None:
         if num_nodes <= 0:
             raise InvalidNetworkError(f"num_nodes must be positive, got {num_nodes}")
-        if default_capacity <= 0:
+        if not 0 < default_capacity < math.inf:
             raise InvalidNetworkError(
-                f"default_capacity must be positive, got {default_capacity}"
+                f"default_capacity must be positive and finite, got {default_capacity}"
             )
         self._num_nodes = int(num_nodes)
 
@@ -72,8 +73,10 @@ class PhysicalNetwork:
                 raise InvalidNetworkError(
                     f"edge ({u}, {v}) references a node outside 0..{num_nodes - 1}"
                 )
-            if cap <= 0:
-                raise InvalidNetworkError(f"edge ({u}, {v}) has non-positive capacity {cap}")
+            if not 0 < cap < math.inf:
+                raise InvalidNetworkError(
+                    f"edge ({u}, {v}) capacity must be positive and finite, got {cap}"
+                )
             key = (min(u, v), max(u, v))
             if key in index_of:
                 raise InvalidNetworkError(f"duplicate edge ({u}, {v})")

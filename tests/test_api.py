@@ -17,6 +17,7 @@ from repro.api import (
     TopologySpec,
     WorkloadSpec,
     default_registry,
+    solve,
 )
 from repro.api.specs import _canonical_json
 from repro.core.result import FlowSolution
@@ -25,7 +26,11 @@ from repro.experiments.settings import flat_setting_for_scale, sweep_setting_for
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.generators import grid_topology, paper_flat_topology
-from repro.util.errors import ConfigurationError
+from repro.util.errors import (
+    ConfigurationError,
+    InvalidNetworkError,
+    InvalidSessionError,
+)
 from repro.util.serialization import from_jsonable
 
 
@@ -135,6 +140,38 @@ class TestSpecConstruction:
             WorkloadSpec()  # neither mode
         with pytest.raises(ConfigurationError):
             WorkloadSpec(sizes=(3,), sessions=(SessionSpec((0, 1)),))  # both
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite capacities and demands are refused where they
+    enter, naming the value — not later as a disconnected overlay."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0, True])
+    def test_workload_demand_must_be_positive_finite(self, value):
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            WorkloadSpec(sizes=(3,), demand=value)
+
+    def test_nan_topology_capacity_names_the_value(self):
+        spec = ScenarioSpec(
+            topology=TopologySpec(
+                "paper_flat", {"num_nodes": 20, "capacity": float("nan")}, seed=1
+            ),
+            workload=WorkloadSpec(sizes=(3,), seed=2),
+        )
+        with pytest.raises(InvalidNetworkError, match="got nan"):
+            solve(spec)
+
+    @pytest.mark.parametrize("solver", ["max_concurrent_flow", "online"])
+    def test_infinite_session_demand_is_refused(self, solver):
+        spec = ScenarioSpec(
+            topology=TopologySpec("grid", {"rows": 3, "cols": 3, "capacity": 5.0}),
+            workload=WorkloadSpec(
+                sessions=(SessionSpec((0, 8), demand=float("inf")),)
+            ),
+            solver=solver,
+        )
+        with pytest.raises(InvalidSessionError, match="got inf"):
+            solve(spec)
 
 
 class TestDemandDistribution:

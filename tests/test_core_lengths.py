@@ -160,6 +160,26 @@ class TestLengthFunction:
         with pytest.raises(ConfigurationError):
             lf.multiply_batch(np.array([0, 1]), np.array([1.0, 0.0]))
 
+    def test_multiply_shape_mismatch_rejected(self):
+        # One factor must not broadcast over several edges.
+        lf = LengthFunction(3, 0.0)
+        with pytest.raises(ConfigurationError, match="matching shapes"):
+            lf.multiply(np.array([0, 1, 2]), np.array([2.0]))
+        assert lf.relative.tolist() == [1.0, 1.0, 1.0]
+
+    def test_multiply_rejects_nan_factor(self):
+        lf = LengthFunction(3, 0.0)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            lf.multiply(np.array([0, 1]), np.array([2.0, np.nan]))
+        assert lf.relative.tolist() == [1.0, 1.0, 1.0]
+
+    def test_multiply_rejects_infinite_factor(self):
+        lf = LengthFunction(3, 0.0)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            lf.multiply(np.array([1]), np.array([np.inf]))
+        assert lf.relative.tolist() == [1.0, 1.0, 1.0]
+        assert lf.log_offset == 0.0
+
     def test_multiply_batch_shape_mismatch_rejected(self):
         lf = LengthFunction(3, 0.0)
         with pytest.raises(ConfigurationError):

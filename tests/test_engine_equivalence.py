@@ -14,8 +14,9 @@ shows up as a fingerprint mismatch here.  They query one oracle at a
 time, so they are also the reference for the batched oracle front.
 :class:`FreshTreeOracle` is the matching reference for the oracle
 itself: no retained Dijkstra, no tree cache.  Coverage: all four
-registered solvers x both routing models, plus the front's slice-level
-bit-identity.
+registered solvers x both routing models, at the default renormalisation
+threshold and with renormalisation forced mid-run, plus the front's
+slice-level bit-identity and its reuse of unchanged sessions' answers.
 """
 
 import math
@@ -23,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import lengths as lengths_module
 from repro.core.engine import BatchedOracleFront
 from repro.core.lengths import LengthFunction
 from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
@@ -42,6 +44,7 @@ from repro.overlay.tree import OverlayTree
 from repro.routing.base import pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.topology.generators import grid_topology
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +405,44 @@ class TestEngineEquivalence:
         assert ported_fp == ref_fp
 
 
+# Online lengths start at 1/c = 0.01 and grow about 3x over the six
+# arrivals; the other solvers' relative lengths grow past 1e5.
+FORCED_RENORM_THRESHOLD = {
+    "max_flow": 1e3,
+    "max_concurrent_flow": 1e3,
+    "randomized_rounding": 1e3,
+    "online": 0.02,
+}
+
+
+@pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
+@pytest.mark.parametrize("solver", sorted(FORCED_RENORM_THRESHOLD))
+def test_bit_identical_across_forced_renormalisation(
+    monkeypatch, waxman_network, equivalence_sessions, solver, routing_cls
+):
+    # A renormalisation rescales every edge at once — the round where
+    # every snapshot compare of the batched front fires.  The default
+    # threshold (1e200) is never reached on these instances, so lower it.
+    monkeypatch.setattr(
+        lengths_module, "_RENORM_THRESHOLD", FORCED_RENORM_THRESHOLD[solver]
+    )
+    moved = []
+    renormalize = LengthFunction._renormalize
+
+    def recording_renormalize(self):
+        before = self.log_offset
+        renormalize(self)
+        if self.log_offset != before:
+            moved.append(self)
+
+    monkeypatch.setattr(LengthFunction, "_renormalize", recording_renormalize)
+    getattr(TestEngineEquivalence(), f"test_{solver}_bit_identical")(
+        waxman_network, equivalence_sessions, routing_cls
+    )
+    # Both the reference loop's and the engine's length functions moved.
+    assert len({id(lengths) for lengths in moved}) >= 2
+
+
 def test_feed_driven_engine_is_idle_not_stopped_when_drained(waxman_network):
     # The advertised stepwise pattern: a feed-driven policy that is
     # momentarily out of arrivals must leave the engine resumable —
@@ -495,3 +536,73 @@ class TestBatchedOracleFront:
         assert [index for index, _ in results] == [0, 1]
         for (_, result), session in zip(results, equivalence_sessions):
             assert result.tree.size == session.size
+
+
+def corner_sessions():
+    """Four pairwise-disjoint corner sessions on a 6x6 grid plus one that
+    crosses three of them: footprints that are partly disjoint."""
+    return [
+        Session((0, 1, 7, 8), name="nw"),
+        Session((4, 5, 10, 11), name="ne"),
+        Session((24, 25, 30, 31), name="sw"),
+        Session((28, 29, 34, 35), name="se"),
+        Session((7, 11, 25), name="mid"),
+    ]
+
+
+def prim_runs(oracle):
+    return oracle.cache_hits + oracle.cache_misses
+
+
+class TestFrontAnswerReuse:
+    def test_max_flow_reuses_answers_and_matches_reference(self):
+        network = grid_topology(6, 6, capacity=10.0)
+        sessions = corner_sessions()
+        solver = MaxFlow(
+            sessions, FixedIPRouting(network), MaxFlowConfig(epsilon=0.15)
+        )
+        ported = solver.solve()
+        reference = reference_max_flow(sessions, FixedIPRouting(network), 0.15)
+        assert fingerprint(ported) == fingerprint(reference)
+        oracles = solver.oracles
+        assert sum(prim_runs(o) for o in oracles) < sum(o.call_count for o in oracles)
+
+    def test_only_sessions_crossing_a_changed_edge_rerun(self):
+        network = grid_topology(6, 6, capacity=10.0)
+        sessions = corner_sessions()
+        routing = FixedIPRouting(network)
+        oracles = build_oracles(sessions, routing)
+        front = BatchedOracleFront(oracles)
+        everyone = range(len(oracles))
+        lengths = np.random.default_rng(5).uniform(0.5, 2.0, network.num_edges)
+        front.query(everyone, lengths)
+
+        footprints = [set(o.covered_edges().tolist()) for o in oracles]
+        edge = min(footprints[0] - set().union(*footprints[1:]))
+        runs = [prim_runs(o) for o in oracles]
+        calls = [o.call_count for o in oracles]
+        raised = lengths.copy()
+        raised[edge] *= 3.0
+        results = front.query(everyone, raised)
+
+        assert [prim_runs(o) - r for o, r in zip(oracles, runs)] == [1, 0, 0, 0, 0]
+        assert [o.call_count - c for o, c in zip(oracles, calls)] == [1] * 5
+        for (_, result), fresh in zip(results, build_oracles(sessions, routing)):
+            direct = fresh.minimum_tree(raised)
+            assert result.tree == direct.tree
+            assert result.length == direct.length
+
+    def test_in_place_mutation_between_rounds_is_seen(self):
+        network = grid_topology(6, 6, capacity=10.0)
+        sessions = corner_sessions()
+        routing = FixedIPRouting(network)
+        front = BatchedOracleFront(build_oracles(sessions, routing))
+        rng = np.random.default_rng(9)
+        lengths = rng.uniform(0.5, 2.0, network.num_edges)
+        front.query(range(len(sessions)), lengths)
+        lengths[:] = rng.uniform(0.5, 2.0, network.num_edges)
+        results = front.query(range(len(sessions)), lengths)
+        for (_, result), fresh in zip(results, build_oracles(sessions, routing)):
+            direct = fresh.minimum_tree(lengths)
+            assert result.tree == direct.tree
+            assert result.length == direct.length

@@ -37,6 +37,11 @@ class TestSession:
         with pytest.raises(InvalidSessionError):
             Session((1, 2), demand=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_demand(self, value):
+        with pytest.raises(InvalidSessionError, match=f"got {value}"):
+            Session((1, 2), demand=value)
+
     def test_validate_against_network(self, diamond_network):
         Session((0, 3)).validate_against(diamond_network)
         with pytest.raises(InvalidSessionError):

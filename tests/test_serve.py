@@ -420,6 +420,9 @@ class TestServeHTTP:
                 {**small_spec().to_jsonable(), "solver": "no_such_solver"}
             ).encode(),
             json.dumps({"spec": small_spec().to_jsonable(), "priority": "high"}).encode(),
+            json.dumps(small_spec().to_jsonable())
+            .replace('"demand": 10.0', '"demand": Infinity')
+            .encode(),
         ]
         for body in cases:
             code, payload, _ = http_post(f"{base}/v1/solve", body)

@@ -36,6 +36,13 @@ class TestConstruction:
         with pytest.raises(InvalidNetworkError):
             PhysicalNetwork(2, [(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_capacity(self, value):
+        with pytest.raises(InvalidNetworkError, match=f"got {value}"):
+            PhysicalNetwork(2, [(0, 1, value)])
+        with pytest.raises(InvalidNetworkError, match=f"got {value}"):
+            PhysicalNetwork(2, [(0, 1)], default_capacity=value)
+
     def test_rejects_empty_edge_set(self):
         with pytest.raises(InvalidNetworkError):
             PhysicalNetwork(3, [])
