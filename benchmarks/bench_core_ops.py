@@ -1,31 +1,42 @@
 """Micro/ablation benchmarks for the core algorithmic building blocks.
 
 These complement the per-table/figure benchmarks with the design-choice
-ablations called out in DESIGN.md: oracle cost under fixed versus dynamic
-routing, FPTAS cost versus epsilon, the online step cost, and fixed
-MaxFlow on the BENCH instance.  The final benchmark writes the repo-root
-``BENCH_core.json`` perf record (quick scale) so the hot-path trajectory
-is tracked across PRs.
+ablations: oracle cost under fixed versus dynamic routing, FPTAS cost
+versus epsilon, the online step cost, and the two crossover sweeps that
+back tuned constants — the Python/NumPy Prim split
+(``repro.overlay.mst._PYTHON_PRIM_LIMIT``) and the dense/sparse tree
+length split (``repro.overlay.tree.SPARSE_LENGTH_MIN_EDGES``).  Each
+sweep prints its measured crossover beside the configured constant and
+stores both in the benchmark's ``extra_info``.  End-to-end speed is
+``perfbench/``'s job.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.overlay.mst import _PYTHON_PRIM_LIMIT, _prim_numpy, _prim_python
 from repro.overlay.oracle import MinimumOverlayTreeOracle
-from repro.overlay.session import Session
-from repro.perf import QUICK_PROFILE, build_perf_instance, write_core_perf_record
+from repro.overlay.session import Session, random_session
+from repro.overlay.tree import SPARSE_LENGTH_MIN_EDGES
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.generators import paper_flat_topology
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+# Member counts bracketing _PYTHON_PRIM_LIMIT; each size is timed
+# max(3, PRIM_REPS // n) times.
+PRIM_SIZES = (8, 16, 32, 64, 96, 128, 192)
+PRIM_REPS = 2000
+# Node counts whose paper_flat edge counts bracket
+# SPARSE_LENGTH_MIN_EDGES, and evaluations per point.
+LENGTH_NODES = (160, 240, 320, 480, 640)
+LENGTH_EVALS = 3000
+SEED = 2004
 
 
 @pytest.fixture(scope="module")
@@ -83,114 +94,90 @@ def test_online_acceptance_throughput(benchmark, network, session):
     assert congestion > 0
 
 
-def test_maxflow_fixed_quick(run_once, benchmark):
-    """Fixed-routing MaxFlow on the BENCH instance; the tree cache hits."""
-    benchmark.group = "oracle-cache"
-    network, sessions = build_perf_instance(QUICK_PROFILE)
-    solver = MaxFlow(
-        sessions,
-        FixedIPRouting(network),
-        MaxFlowConfig(approximation_ratio=QUICK_PROFILE.fixed_ratio),
+def _us_per_call(fn, *args, reps):
+    start = time.perf_counter()
+    for _ in range(reps):
+        fn(*args)
+    return (time.perf_counter() - start) / reps * 1e6
+
+
+def _report_crossover(benchmark, capsys, sweep, name, configured, unit):
+    """Print and store the first point where the second arm won.
+
+    ``sweep`` rows are ``(x, first_us, second_us)``; the crossover is 0
+    when the first arm won everywhere (it then sits above the sweep).
+    """
+    measured = next((x for x, first, second in sweep if second < first), 0)
+    benchmark.extra_info.update(
+        sweep=[list(row) for row in sweep],
+        measured_crossover=measured,
+        configured=configured,
     )
-    solution = run_once(solver.solve)
-    assert solution.oracle_calls > 0
-    assert sum(o.cache_hits for o in solver.oracles) > 0
+    with capsys.disabled():
+        print(f"\n{name} = {configured}; measured crossover: {measured} {unit}")
 
 
-def test_length_multiply_batch_ablation(run_once, benchmark):
-    """Ablation: one ``multiply_batch`` call vs the per-update multiply loop."""
-    benchmark.group = "length-update"
-    from repro.perf.record import _timed_multiply_batch
-
-    result = run_once(_timed_multiply_batch, QUICK_PROFILE)
-    assert result["batched_seconds"] > 0
-    assert result["loop_seconds"] > 0
-    # Coalescing hundreds of per-step calls into one vectorised
-    # np.multiply.at must win, and by a wide margin at quick scale.
-    assert result["batched_speedup"] > 1.0
-
-
-def test_tree_length_crossover(run_once, benchmark):
-    """Re-measure the dense/sparse length crossover.
-
-    The sweep brackets ``SPARSE_LENGTH_MIN_EDGES``; the measured
-    crossover lands in BENCH_core.json.
-    """
-    benchmark.group = "tree-length"
-    from repro.perf.record import _timed_length_crossover
-
-    crossover = run_once(_timed_length_crossover, QUICK_PROFILE)
-    assert len(crossover["num_edges"]) == len(QUICK_PROFILE.crossover_nodes)
-    assert all(t > 0 for t in crossover["dense_us_per_eval"])
-    assert all(t > 0 for t in crossover["sparse_us_per_eval"])
+def _prim_sweep():
+    rng = np.random.default_rng(SEED + 6)
+    sweep = []
+    for n in PRIM_SIZES:
+        w = rng.uniform(0.1, 1.0, (n, n))
+        w = np.maximum(w, w.T)
+        np.fill_diagonal(w, 0.0)
+        reps = max(3, PRIM_REPS // n)
+        sweep.append((
+            n,
+            _us_per_call(_prim_python, w, n, reps=reps),
+            _us_per_call(_prim_numpy, w, n, reps=reps),
+        ))
+    return sweep
 
 
-def test_oracle_batch_ablation(run_once, benchmark):
-    """Ablation: batched all-session oracle rounds vs the per-oracle loop.
-
-    One :class:`~repro.core.engine.BatchedOracleFront` round answers
-    every session's tree query with a single stacked incidence mat-vec
-    — the scan MaxFlow performs each iteration.  Both arms are
-    bit-identical (engine equivalence suite); this records the
-    throughput gap for the BENCH trajectory.
-    """
-    benchmark.group = "oracle-batch"
-    from repro.perf.record import _timed_oracle_batch
-
-    result = run_once(_timed_oracle_batch, QUICK_PROFILE)
-    assert result["batched_seconds"] > 0
-    assert result["loop_seconds"] > 0
-    assert result["sessions"] == len(QUICK_PROFILE.batch_sessions)
-    # Structural assertion only (no wall-clock ratio: loaded CI machines
-    # flake) — the measured speedup lands in BENCH_core.json either way.
-    assert result["batched_speedup"] > 0
-
-
-def test_dynamic_oracle(run_once, benchmark):
-    """Dynamic-routing MaxFlow oracle throughput plus the union-front ablation.
-
-    The front arm answers every all-session round with one union-Dijkstra
-    versus one Dijkstra per oracle; both are bit-identical (the dynamic
-    front equivalence tests).  The throughputs land in the BENCH
-    trajectory.
-    """
-    benchmark.group = "oracle-dynamic"
-    from repro.perf.record import _timed_dynamic_oracle
-
-    result = run_once(_timed_dynamic_oracle, QUICK_PROFILE)
-    assert result["calls_per_sec"] > 0
-    assert result["front"]["batched_speedup"] > 0
-
-
-def test_prim_crossover_sweep(run_once, benchmark):
-    """Measure the python-vs-numpy Prim crossover behind _PYTHON_PRIM_LIMIT."""
+def test_prim_crossover_sweep(run_once, benchmark, capsys):
+    """Python vs NumPy Prim, µs per call, around ``_PYTHON_PRIM_LIMIT``."""
     benchmark.group = "mst"
-    from repro.perf.record import _timed_prim_crossover
+    sweep = run_once(_prim_sweep)
+    _report_crossover(
+        benchmark, capsys, sweep, "_PYTHON_PRIM_LIMIT", _PYTHON_PRIM_LIMIT, "rows"
+    )
+    assert [n for n, _, _ in sweep] == list(PRIM_SIZES)
+    assert all(python > 0 and numpy > 0 for _, python, numpy in sweep)
+    # Python must win at the smallest size (the reason the split exists).
+    assert sweep[0][1] < sweep[0][2]
 
-    result = run_once(_timed_prim_crossover, QUICK_PROFILE)
-    assert len(result["sizes"]) == len(QUICK_PROFILE.prim_sizes)
-    assert all(t > 0 for t in result["python_us_per_call"])
-    assert all(t > 0 for t in result["numpy_us_per_call"])
-    # Python must win at the smallest size (the reason the split exists);
-    # the crossover itself lands in BENCH_core.json.
-    assert result["python_us_per_call"][0] < result["numpy_us_per_call"][0]
 
+def _tree_length_sweep():
+    """The two evaluations behind ``OverlayTree.length``, µs each.
 
-def test_emit_bench_core_record(run_once):
-    """Write the repo-root BENCH_core.json perf record (quick scale).
-
-    The record is the PR-over-PR perf trajectory for the oracle hot
-    path.  Assert structural invariants rather than wall-clock ratios so
-    the suite does not flake on loaded machines — the measurements land
-    in the emitted record either way.
+    The dense full-``|E|`` dot against the gathered footprint dot, on
+    one 6-member tree per topology.
     """
-    path = run_once(write_core_perf_record, REPO_ROOT / "BENCH_core.json", scale="quick")
-    record = json.loads(Path(path).read_text())
-    fixed = record["maxflow_fixed"]["memoized"]
-    assert fixed["cache_hits"] > 0
-    assert fixed["oracle_calls"] > 0
-    assert record["maxflow_dynamic"]["memoized"]["oracle_calls"] > 0
-    assert record["length_multiply"]["batched_speedup"] > 0
-    assert record["oracle_batch"]["batched_speedup"] > 0
-    assert record["dynamic_oracle"]["calls_per_sec"] > 0
-    assert record["prim_crossover"]["configured_limit"] > 0
+    sweep = []
+    for nodes in LENGTH_NODES:
+        network = paper_flat_topology(num_nodes=nodes, capacity=100.0, seed=SEED)
+        session = random_session(network, 6, demand=100.0, seed=SEED + 2)
+        oracle = MinimumOverlayTreeOracle(session, FixedIPRouting(network))
+        tree = oracle.minimum_tree(np.ones(network.num_edges)).tree
+        lengths = np.random.default_rng(0).uniform(0.1, 1.0, network.num_edges)
+        usage, rows, values = tree.edge_usage, tree.physical_edges, tree.usage_values
+        sweep.append((
+            network.num_edges,
+            _us_per_call(lambda: float(np.dot(usage, lengths)), reps=LENGTH_EVALS),
+            _us_per_call(lambda: float(np.dot(values, lengths[rows])),
+                         reps=LENGTH_EVALS),
+        ))
+    return sweep
+
+
+def test_tree_length_crossover(run_once, benchmark, capsys):
+    """Dense vs sparse tree length, µs per call, around ``SPARSE_LENGTH_MIN_EDGES``."""
+    benchmark.group = "tree-length"
+    sweep = run_once(_tree_length_sweep)
+    _report_crossover(
+        benchmark, capsys, sweep, "SPARSE_LENGTH_MIN_EDGES", SPARSE_LENGTH_MIN_EDGES,
+        "edges",
+    )
+    edges = [e for e, _, _ in sweep]
+    assert edges == sorted(edges)
+    assert edges[0] < SPARSE_LENGTH_MIN_EDGES < edges[-1]
+    assert all(dense > 0 and sparse > 0 for _, dense, sparse in sweep)

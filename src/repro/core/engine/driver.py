@@ -187,8 +187,8 @@ class PhaseEngine:
             raise ConvergenceError(self._cap_message)
 
         # When no tracer is active (the default), maybe_span returns a
-        # shared no-op — the step loop pays one function call, which the
-        # obs_overhead BENCH section keeps under its 3% bound.
+        # shared no-op — the step loop pays one function call and one
+        # attribute check per span.  No bound on that cost is asserted.
         with maybe_span("engine.step", step=self._steps):
             if request.batched and self._front is None:
                 self._front = BatchedOracleFront(self._oracles)

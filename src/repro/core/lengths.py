@@ -30,6 +30,14 @@ from repro.util.errors import ConfigurationError
 _RENORM_THRESHOLD = 1e200
 
 
+def _positive_finite(values: np.ndarray) -> bool:
+    """Whether every entry is positive and finite, in one pass.
+
+    NaN fails both comparisons.
+    """
+    return bool(((values > 0) & (values < np.inf)).all())
+
+
 def epsilon_for_ratio(ratio: float, slack_factor: float = 2.0) -> float:
     """Map a target approximation ratio to the FPTAS parameter ``epsilon``.
 
@@ -84,6 +92,10 @@ class LengthFunction:
             raise ConfigurationError("num_edges must be positive")
         self._num_edges = int(num_edges)
         self._log_offset = float(log_offset)
+        # A NaN offset would make every at_least_one test False, so a
+        # MaxFlow run would only end at its step cap.
+        if not math.isfinite(self._log_offset):
+            raise ConfigurationError(f"log_offset must be finite, got {log_offset}")
         if relative is None:
             self._rel = np.ones(num_edges, dtype=float)
         else:
@@ -92,8 +104,11 @@ class LengthFunction:
                 raise ConfigurationError(
                     f"relative lengths must have shape ({num_edges},), got {rel.shape}"
                 )
-            if np.any(rel <= 0):
-                raise ConfigurationError("relative lengths must be strictly positive")
+            # An infinite entry would renormalise to NaN and the rest to 0.
+            if not _positive_finite(rel):
+                raise ConfigurationError(
+                    "relative lengths must be positive and finite"
+                )
             self._rel = rel
         self._renormalize()
 
@@ -202,8 +217,7 @@ class LengthFunction:
                 f"edge_ids and factors must have matching shapes, got "
                 f"{edge_ids.shape} and {factors.shape}"
             )
-        # One pass: NaN fails both comparisons.
-        if not ((factors > 0) & (factors < np.inf)).all():
+        if not _positive_finite(factors):
             raise ConfigurationError(
                 "length update factors must be positive and finite"
             )
@@ -220,6 +234,11 @@ class LengthFunction:
         of one ``multiply`` per step.  Equivalent to — and bit-compatible
         with, up to one shared renormalisation — the sequential loop, as
         multiplication is commutative.
+
+        No solver calls it.  It stays only because ``perfbench/layers.py``
+        wraps it in every traced (``--trace 1``) benchmark run, as it
+        does :class:`~repro.core.engine.ledger.TreeLedger`; it can go once
+        the benchmark drops that wrapper.
         """
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         factors = np.asarray(factors, dtype=float)
@@ -228,7 +247,7 @@ class LengthFunction:
                 f"edge_ids and factors must have matching shapes, got "
                 f"{edge_ids.shape} and {factors.shape}"
             )
-        if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
+        if not _positive_finite(factors):
             raise ConfigurationError(
                 "length update factors must be positive and finite"
             )
@@ -258,18 +277,6 @@ class LengthFunction:
             self._multiply_batch_checked(edge_ids[:half], factors[:half])
             self._multiply_batch_checked(edge_ids[half:], factors[half:])
             return
-        self._renormalize()
-
-    def multiply_dense(self, factors: np.ndarray) -> None:
-        """Multiply every edge length by the dense ``factors`` vector."""
-        factors = np.asarray(factors, dtype=float)
-        if factors.shape != (self._num_edges,):
-            raise ConfigurationError(
-                f"factors must have shape ({self._num_edges},), got {factors.shape}"
-            )
-        if np.any(factors <= 0):
-            raise ConfigurationError("length update factors must be positive")
-        self._rel *= factors
         self._renormalize()
 
     def _renormalize(self) -> None:

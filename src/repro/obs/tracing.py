@@ -15,8 +15,8 @@ Tracing is opt-in and thread-local.  Call sites use::
 
 When no tracer is active on the thread (the default), ``maybe_span``
 returns a shared no-op context manager — the cost is one function call
-and one attribute check, which the ``obs_overhead`` BENCH section pins
-below 3% of an engine step.  Activation::
+and one attribute check.  No bound on that cost is asserted; the tests
+pin only that tracing never changes a solver's outputs.  Activation::
 
     tracer = Tracer()
     with tracer.activate():

@@ -27,10 +27,10 @@ import numpy as np
 from repro.util.errors import InvalidSessionError
 
 # Below this size the plain-Python scan beats NumPy's per-call overhead.
-# Bench-retuned via the ``prim_crossover`` section of BENCH_core.json
-# (``repro.perf.record._timed_prim_crossover``): python wins up to ~64
-# rows (0.6x numpy's time at 64), the two arms cross in the flat 96-128
-# band, and numpy pulls away above (~1.8x faster at 192).
+# Re-measure with ``test_prim_crossover_sweep`` in
+# ``benchmarks/bench_core_ops.py``: python wins up to ~64 rows (0.6x
+# numpy's time at 64), the two arms cross in the flat 96-128 band, and
+# numpy pulls away above (~1.8x faster at 192).
 _PYTHON_PRIM_LIMIT = 96
 
 

@@ -22,12 +22,13 @@ from repro.util.errors import InvalidSessionError
 
 # Edge count above which the sparse tree-length evaluation (gather the
 # tree's physical-edge lengths, dot with the precomputed usage values)
-# beats the dense full-|E| dot product.  Re-measured via the BENCH_core
-# ``tree_length.crossover`` sweep: dense wins below ~1.5k edges (BLAS
-# on a short contiguous vector) and the gather wins above; the constant
-# stays at the conservative 2048 — mispredicting dense near the
-# boundary costs fractions of a microsecond, while the sweep's exact
-# crossover moves with footprint size and hardware.
+# beats the dense full-|E| dot product.  Re-measure with
+# ``test_tree_length_crossover`` in ``benchmarks/bench_core_ops.py``:
+# dense wins below ~1.5k edges (BLAS on a short contiguous vector) and
+# the gather wins above; the constant stays at the conservative 2048 —
+# mispredicting dense near the boundary costs fractions of a
+# microsecond, while the sweep's exact crossover moves with footprint
+# size and hardware.
 SPARSE_LENGTH_MIN_EDGES = 2048
 
 

@@ -87,11 +87,6 @@ class TestLengthFunction:
         lf.multiply(np.array([1, 3]), np.array([2.0, 3.0]))
         assert np.allclose(lf.relative, [1.0, 2.0, 1.0, 3.0])
 
-    def test_multiply_dense(self):
-        lf = LengthFunction(3, 0.0)
-        lf.multiply_dense(np.array([1.0, 2.0, 4.0]))
-        assert np.allclose(lf.relative, [1.0, 2.0, 4.0])
-
     def test_multiply_batch_accumulates_repeated_edges(self):
         # The whole point of the batched form: a repeated edge id takes
         # the *product* of its factors, where fancy-indexed multiply
@@ -155,8 +150,6 @@ class TestLengthFunction:
         lf = LengthFunction(3, 0.0)
         with pytest.raises(ConfigurationError):
             lf.multiply(np.array([0]), np.array([0.0]))
-        with pytest.raises(ConfigurationError):
-            lf.multiply_dense(np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ConfigurationError):
             lf.multiply_batch(np.array([0, 1]), np.array([1.0, 0.0]))
 
@@ -224,6 +217,15 @@ class TestLengthFunction:
             LengthFunction(2, 0.0, relative=np.array([1.0, -1.0]))
         with pytest.raises(ConfigurationError):
             LengthFunction(2, 0.0, relative=np.array([1.0]))
+        # An infinite entry would renormalise to [0, nan, 0] with an
+        # infinite offset; NaN passes a bare ``<= 0`` test.
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                LengthFunction(3, 0.0, relative=np.array([1.0, bad, 1.0]))
+        # A NaN offset would make at_least_one False forever.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="log_offset"):
+                LengthFunction(3, bad)
 
     def test_relative_view_is_readonly(self):
         lf = LengthFunction(2, 0.0)

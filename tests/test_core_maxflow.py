@@ -1,14 +1,16 @@
 """Tests for the MaxFlow FPTAS (paper Table I)."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.maxflow import MaxFlow, MaxFlowConfig, solve_max_flow
 from repro.lp.exact import exact_max_flow
-from repro.overlay.session import Session
+from repro.overlay.session import Session, random_session
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
-from repro.topology.generators import complete_topology
+from repro.topology.generators import complete_topology, paper_flat_topology
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import ConfigurationError
 
@@ -109,6 +111,29 @@ class TestBehaviour:
         assert dynamic.is_feasible()
         # Arbitrary routing can only help (up to FPTAS noise).
         assert dynamic.sessions[0].rate >= fixed.sessions[0].rate * 0.85
+
+    def test_fixed_routing_makes_oracle_calls_faster_than_dynamic(self):
+        # A fixed-routing oracle call is a mat-vec over cached routes plus
+        # Prim; a dynamic one also runs Dijkstra.  Tiny paper_flat instance
+        # (24 nodes, sessions of 4 and 3, ratio 0.8), one warm-up solve,
+        # then one timed solve per routing on a fresh routing model.
+        network = paper_flat_topology(num_nodes=24, capacity=100.0, seed=2004)
+        rng = np.random.default_rng(2005)
+        sessions = [
+            random_session(network, size, demand=100.0, seed=rng, name=f"s{i}")
+            for i, size in enumerate((4, 3))
+        ]
+
+        def calls_per_sec(routing):
+            solver = MaxFlow(sessions, routing, MaxFlowConfig(approximation_ratio=0.8))
+            start = time.perf_counter()
+            solution = solver.solve()
+            return solution.oracle_calls / (time.perf_counter() - start)
+
+        calls_per_sec(FixedIPRouting(network))
+        fixed = calls_per_sec(FixedIPRouting(network))
+        dynamic = calls_per_sec(DynamicRouting(network))
+        assert fixed > dynamic, (fixed, dynamic)
 
     def test_multiple_trees_found(self, waxman_network):
         routing = FixedIPRouting(waxman_network)

@@ -188,6 +188,17 @@ class TestFaultSpec:
         payload = b"payload"
         assert faults.mangle("not.armed", payload) is payload
 
+    def test_disabled_point_costs_under_1500ns(self):
+        # The seams stay in hot I/O paths for good, so with no plan a
+        # point must cost one global load and an ``is None`` test.
+        calls = 50_000
+        with fault_scope(None):
+            start = time.perf_counter()
+            for _ in range(calls):
+                faults.point("not.armed")
+            ns_per_call = (time.perf_counter() - start) / calls * 1e9
+        assert 0 < ns_per_call < 1500.0, ns_per_call
+
     def test_declared_catalogue_covers_the_hardened_seams(self):
         declared = set(faults.declared_points())
         assert {

@@ -125,7 +125,7 @@ def test_trace_round_trip_span_counts_match_instrumentation(tmp_path):
     assert len(solves) == 1
     assert len(spans_named(events, "build_instance")) == 1
     assert len(spans_named(events, "solve_instance")) == 1
-    assert len(steps) == instr["steps"]
+    assert len(steps) == instr["steps"] > 0
     assert len(rounds) == instr["batched_rounds"] + instr["per_session_rounds"]
 
     # Nesting: every engine.step sits inside the solve span, and every

@@ -11,6 +11,7 @@ asserted by counting live solver dispatches).
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,37 @@ class TestServiceWiring:
         api.solve_many(specs, jobs=2, store=store)
         store.clear_memory()
         assert all(store.get(s.canonical_key) is not None for s in specs)
+
+
+class TestDurabilityCost:
+    def test_durable_solve_and_persist_overhead_under_ten_percent(self, tmp_path):
+        # The unit a cluster worker runs: a cold solve persisted into a
+        # gzip store with no memory front.  Runs come in interleaved
+        # durable/volatile pairs; noise only inflates a pair's delta, so
+        # the smallest delta bounds what the fsyncs cost.
+        spec = ScenarioSpec(
+            topology=TopologySpec(
+                "paper_flat", {"num_nodes": 24, "capacity": 100.0}, seed=2004
+            ),
+            workload=WorkloadSpec(sizes=(4, 3), demand=100.0, seed=2005),
+            solver="max_flow",
+            solver_params={"approximation_ratio": 0.8},
+        )
+        api.solve_many([spec], jobs=1)  # warm-up
+
+        def cold_solve_and_persist(root, durable):
+            store = ReportStore(root, compress=True, durable=durable, memory_entries=0)
+            api.clear_caches()
+            start = time.perf_counter()
+            api.solve_many([spec], jobs=1, store=store)
+            return time.perf_counter() - start
+
+        overheads = []
+        for rep in range(4):
+            durable = cold_solve_and_persist(tmp_path / f"durable{rep}", True)
+            volatile = cold_solve_and_persist(tmp_path / f"volatile{rep}", False)
+            overheads.append((durable - volatile) / volatile)
+        assert min(overheads) < 0.10, overheads
 
 
 class TestMaintenance:
