@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.overlay.oracle import OracleResult
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
+from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine.driver import PhaseEngine
@@ -60,7 +61,9 @@ class RouteAction:
     (optional, same alignment) is added to the engine's congestion
     vector — the online algorithm's ``l_e`` bookkeeping.  ``amount`` is
     recorded in the engine's per-session flow accumulators when flow
-    accumulation is on.
+    accumulation is on.  A policy may return the same action, arrays
+    included, for every step that routes the same tree, so consumers must
+    not mutate it.
     """
 
     index: int
@@ -142,18 +145,32 @@ class MaxFlowPolicy(StepPolicy):
     and under fixed routing only the sessions whose routes cross an edge
     whose length changed — the last routed tree's, or every edge after a
     renormalisation — run Prim again.
+
+    A run routes few distinct trees over many steps, and the routed
+    amount (the bottleneck) and factors depend only on the tree, epsilon
+    and the capacities, so each session's :class:`RouteAction` is built
+    once per distinct tree and reused; its factors array is read-only.
     """
 
     def __init__(self, epsilon: float, max_session_size: int) -> None:
         self._epsilon = float(epsilon)
         self._max_size = int(max_session_size)
-        self._all: Tuple[int, ...] = ()
+        self._request: Optional[StepRequest] = None
+        self._receivers: Tuple[int, ...] = ()
+        self._routes: List[Dict[OverlayTree, RouteAction]] = []
 
     def bind(self, engine: "PhaseEngine") -> None:
-        self._all = tuple(range(len(engine.oracles)))
+        if self._max_size < 2:
+            raise ConfigurationError("max_session_size must be at least 2")
+        oracles = engine.oracles
+        self._request = StepRequest(indices=tuple(range(len(oracles))), batched=True)
+        self._receivers = tuple(o.session.size - 1 for o in oracles)
+        # Per session: the same tree routed for another session with the
+        # same members must credit that session.
+        self._routes = [{} for _ in oracles]
 
     def next_request(self, engine: "PhaseEngine") -> Optional[StepRequest]:
-        return StepRequest(indices=self._all, batched=True)
+        return self._request
 
     def select(
         self,
@@ -161,12 +178,16 @@ class MaxFlowPolicy(StepPolicy):
         results: Sequence[Tuple[int, OracleResult]],
     ) -> Selection:
         # Strict < with in-order iteration: ties keep the earliest
-        # session, exactly as the pre-engine loop did.
+        # session, exactly as the pre-engine loop did.  ``norm`` is
+        # ``MinimumOverlayTreeOracle.normalized_length`` inline, with the
+        # same operation order.
+        scale = self._max_size - 1
+        receivers = self._receivers
         best_index = -1
         best_norm = np.inf
         best_result: Optional[OracleResult] = None
         for index, result in results:
-            norm = engine.oracles[index].normalized_length(result, self._max_size)
+            norm = result.length * scale / receivers[index]
             if norm < best_norm:
                 best_norm = norm
                 best_index = index
@@ -175,13 +196,18 @@ class MaxFlowPolicy(StepPolicy):
 
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         tree = selection.result.tree
-        capacities = engine.capacities
-        bottleneck = tree.bottleneck_capacity(capacities)
-        used = tree.physical_edges
-        factors = 1.0 + self._epsilon * tree.usage_values * bottleneck / capacities[used]
-        return RouteAction(
-            index=selection.index, tree=tree, amount=bottleneck, factors=factors
-        )
+        routes = self._routes[selection.index]
+        action = routes.get(tree)
+        if action is None:
+            capacities = engine.capacities
+            bottleneck = tree.bottleneck_capacity(capacities)
+            used = tree.physical_edges
+            factors = 1.0 + self._epsilon * tree.usage_values * bottleneck / capacities[used]
+            factors.flags.writeable = False
+            action = routes[tree] = RouteAction(
+                index=selection.index, tree=tree, amount=bottleneck, factors=factors
+            )
+        return action
 
 
 class ConcurrentPhasePolicy(StepPolicy):
@@ -211,6 +237,10 @@ class ConcurrentPhasePolicy(StepPolicy):
         self._phases = 0
         self._doublings = 0
         self._phases_since_doubling = 0
+        # The bottleneck depends only on the tree and the capacities, so it
+        # is kept per tree; the routed amount and factors also depend on
+        # the remaining demand.
+        self._bottlenecks: Dict[OverlayTree, float] = {}
 
     @property
     def phases(self) -> int:
@@ -259,7 +289,9 @@ class ConcurrentPhasePolicy(StepPolicy):
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         tree = selection.result.tree
         capacities = engine.capacities
-        bottleneck = tree.bottleneck_capacity(capacities)
+        bottleneck = self._bottlenecks.get(tree)
+        if bottleneck is None:
+            bottleneck = self._bottlenecks[tree] = tree.bottleneck_capacity(capacities)
         amount = min(self._remaining, bottleneck)
         self._remaining -= amount
         used = tree.physical_edges

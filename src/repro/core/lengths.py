@@ -31,11 +31,12 @@ _RENORM_THRESHOLD = 1e200
 
 
 def _positive_finite(values: np.ndarray) -> bool:
-    """Whether every entry is positive and finite, in one pass.
+    """Whether every entry is positive and finite.
 
-    NaN fails both comparisons.
+    Two reductions and no temporary arrays: ``min`` propagates NaN, which
+    then fails ``> 0``.  An empty array passes.
     """
-    return bool(((values > 0) & (values < np.inf)).all())
+    return values.size == 0 or bool(values.min() > 0 and values.max() < np.inf)
 
 
 def epsilon_for_ratio(ratio: float, slack_factor: float = 2.0) -> float:
@@ -111,6 +112,10 @@ class LengthFunction:
                 )
             self._rel = rel
         self._renormalize()
+        # ``_rel`` is only ever updated in place, so one read-only view
+        # stays live for the object's lifetime.
+        self._view = self._rel.view()
+        self._view.flags.writeable = False
 
     # ------------------------------------------------------------------
     # constructors matching the paper's initialisations
@@ -163,10 +168,10 @@ class LengthFunction:
 
         This is the vector to hand to the spanning-tree oracle; relative
         and absolute lengths produce identical minimum spanning trees.
+        The same read-only view is returned on every call; it reflects
+        every later update.
         """
-        view = self._rel.view()
-        view.flags.writeable = False
-        return view
+        return self._view
 
     @property
     def log_offset(self) -> float:
@@ -207,22 +212,32 @@ class LengthFunction:
         once); callers holding an *accumulated batch* of updates — where
         several (edge, factor) pairs may hit the same edge — use
         :meth:`multiply_batch`.  Like it, this rejects mismatched shapes
-        (one factor must not broadcast over many edges) and factors that
-        are not positive and finite, so lengths stay positive and finite.
+        (one factor must not broadcast over many edges), edge ids outside
+        ``[0, num_edges)`` and factors that are not positive and finite,
+        so lengths stay positive and finite.
+
+        Per call this costs a range check of the ids and two reductions
+        over the update, and nothing over all edges: the factors' minimum
+        and the updated entries' maximum.  That maximum rejects an
+        infinite factor, or a finite one whose product leaves the double
+        range, before anything is written.  It also decides
+        renormalisation: every mutator leaves all entries at or below the
+        threshold, so only an updated entry can cross it, and
+        :meth:`_renormalize` still takes the global maximum when it runs.
         """
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        factors = np.asarray(factors, dtype=float)
-        if edge_ids.shape != factors.shape:
-            raise ConfigurationError(
-                f"edge_ids and factors must have matching shapes, got "
-                f"{edge_ids.shape} and {factors.shape}"
-            )
-        if not _positive_finite(factors):
+        edge_ids, factors = self._as_update(edge_ids, factors)
+        if not edge_ids.size:
+            return
+        updated = self._rel[edge_ids] * factors
+        peak = updated.max()
+        # NaN propagates through ``min`` and fails ``> 0``.
+        if not (factors.min() > 0 and peak < np.inf):
             raise ConfigurationError(
                 "length update factors must be positive and finite"
             )
-        self._rel[edge_ids] *= factors
-        self._renormalize()
+        self._rel[edge_ids] = updated
+        if peak > _RENORM_THRESHOLD:
+            self._renormalize()
 
     def multiply_batch(self, edge_ids: np.ndarray, factors: np.ndarray) -> None:
         """Apply a batch of (edge, factor) updates in one vectorised op.
@@ -240,6 +255,20 @@ class LengthFunction:
         does :class:`~repro.core.engine.ledger.TreeLedger`; it can go once
         the benchmark drops that wrapper.
         """
+        edge_ids, factors = self._as_update(edge_ids, factors)
+        if not _positive_finite(factors):
+            raise ConfigurationError(
+                "length update factors must be positive and finite"
+            )
+        self._multiply_batch_checked(edge_ids, factors)
+
+    def _as_update(self, edge_ids, factors):
+        """``(edge_ids, factors)`` as arrays of matching shape and valid ids.
+
+        Raises :class:`ConfigurationError` on mismatched shapes or an
+        edge id outside ``[0, num_edges)``; NumPy would wrap a negative
+        id round to the end of the array.
+        """
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         factors = np.asarray(factors, dtype=float)
         if edge_ids.shape != factors.shape:
@@ -247,11 +276,15 @@ class LengthFunction:
                 f"edge_ids and factors must have matching shapes, got "
                 f"{edge_ids.shape} and {factors.shape}"
             )
-        if not _positive_finite(factors):
+        # ``ravel_multi_index`` range-checks every id in C, negative ones
+        # included, in less time than one reduction.
+        try:
+            np.ravel_multi_index((edge_ids,), (self._num_edges,))
+        except ValueError:
             raise ConfigurationError(
-                "length update factors must be positive and finite"
-            )
-        self._multiply_batch_checked(edge_ids, factors)
+                f"edge ids must lie in [0, {self._num_edges})"
+            ) from None
+        return edge_ids, factors
 
     def _multiply_batch_checked(self, edge_ids: np.ndarray, factors: np.ndarray) -> None:
         """Accumulate a validated batch, splitting on double overflow.

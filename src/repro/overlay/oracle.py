@@ -344,10 +344,10 @@ class MinimumOverlayTreeOracle:
 
         :meth:`select_tree_precomputed` plus the tree's length under
         ``edge_lengths`` — the classic ``(tree, length)`` contract.
+        :meth:`OverlayTree.length` converts ``edge_lengths`` itself.
         """
         tree = self.select_tree_precomputed(pair_lengths)
-        lengths = np.asarray(edge_lengths, dtype=float)
-        return OracleResult(tree=tree, length=tree.length(lengths))
+        return OracleResult(tree=tree, length=tree.length(edge_lengths))
 
     def _cached_tree(self, key: Tuple, build) -> OverlayTree:
         """Memoized tree construction shared by both routing branches.

@@ -100,12 +100,15 @@ class OverlayTree:
         # flow-accumulation work scales with the tree's footprint rather
         # than with ``|E|``.
         physical = np.flatnonzero(usage > 0)
+        values = usage[physical]
+        # ``tolist`` yields the same Python ints and floats as per-entry
+        # ``int``/``float`` conversion, so the key and its hash are too.
         canonical = (
             tuple(sorted(edges)),
-            tuple((int(e), float(usage[e])) for e in physical),
+            tuple(zip(physical.tolist(), values.tolist())),
         )
         object.__setattr__(self, "_physical_edges", physical)
-        object.__setattr__(self, "_usage_values", usage[physical])
+        object.__setattr__(self, "_usage_values", values)
         object.__setattr__(
             self, "_sparse_length", usage.size >= SPARSE_LENGTH_MIN_EDGES
         )
@@ -123,13 +126,30 @@ class OverlayTree:
         paths: Mapping[PairKey, UnicastPath],
         num_physical_edges: int,
     ) -> "OverlayTree":
-        """Build a tree, deriving ``n_e(t)`` from the supplied paths."""
-        usage = np.zeros(num_physical_edges, dtype=float)
+        """Build a tree, deriving ``n_e(t)`` from the supplied paths.
+
+        Raises :class:`InvalidSessionError` when a path crosses an edge
+        id outside ``[0, num_physical_edges)``.
+        """
         canonical = [pair_key(*p) for p in overlay_edges]
-        for pk in canonical:
-            path = paths[pk]
-            np.add.at(usage, path.edge_ids, 1.0)
         kept_paths: Dict[PairKey, UnicastPath] = {pk: paths[pk] for pk in canonical}
+        # One count over every path's edges; an edge shared by several
+        # overlay paths is counted once per path.
+        edge_ids = (
+            np.concatenate([paths[pk].edge_ids for pk in canonical])
+            if canonical
+            else np.empty(0, dtype=np.int64)
+        )
+        # ``bincount`` would grow the vector past an id that is too large
+        # and reject a negative one with a bare ValueError, so range-check
+        # first (``ravel_multi_index`` does so in C).
+        try:
+            np.ravel_multi_index((edge_ids,), (num_physical_edges,))
+        except ValueError:
+            raise InvalidSessionError(
+                f"paths cross edge ids outside [0, {num_physical_edges})"
+            ) from None
+        usage = np.bincount(edge_ids, minlength=num_physical_edges).astype(float)
         return cls(
             members=tuple(members),
             overlay_edges=tuple(canonical),

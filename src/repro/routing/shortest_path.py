@@ -27,9 +27,10 @@ def _weight_matrix(network: PhysicalNetwork, edge_weights: Optional[np.ndarray])
 
     This is the single validation point for caller-supplied weights: the
     shape check and one ``weights.min() > 0`` test run once per Dijkstra
-    call.  Only a zero, negative or NaN weight fails the test and falls
-    through to the negative-weight error and the zero clamp (see
-    :func:`shortest_path_tree`); NaN passes both unchanged.
+    call.  Only a zero, negative or NaN weight fails the test, so the
+    slower checks run only then: a NaN or negative weight raises
+    :class:`InvalidNetworkError` (SciPy would silently drop a NaN edge)
+    and a zero weight is clamped (see :func:`shortest_path_tree`).
 
     The returned matrix is the network's shared scratch CSR adjacency
     (:meth:`PhysicalNetwork.csr_adjacency_inplace`): only its ``.data``
@@ -47,6 +48,8 @@ def _weight_matrix(network: PhysicalNetwork, edge_weights: Optional[np.ndarray])
                 f"got {weights.shape}"
             )
         if not weights.min() > 0:
+            if np.isnan(weights).any():
+                raise InvalidNetworkError("edge weights must not be NaN")
             if np.any(weights < 0):
                 raise InvalidNetworkError("edge weights must be non-negative")
             if np.any(weights == 0):

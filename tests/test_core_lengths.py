@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import lengths as lengths_module
 from repro.core.lengths import (
     LengthFunction,
     concurrent_delta_log,
@@ -231,3 +232,93 @@ class TestLengthFunction:
         lf = LengthFunction(2, 0.0)
         with pytest.raises(ValueError):
             lf.relative[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 7])
+    @pytest.mark.parametrize("update", ["multiply", "multiply_batch"])
+    def test_out_of_range_edge_id_rejected(self, update, bad):
+        # NumPy would wrap -1 round to edge 3 and raise a bare IndexError
+        # for 4 or more.
+        lf = LengthFunction(4, 0.0)
+        with pytest.raises(ConfigurationError, match="edge ids"):
+            getattr(lf, update)([1, bad], [2.0, 2.0])
+        assert lf.relative.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_multiply_rejects_product_past_double_range(self):
+        # A finite factor whose product overflows would leave an infinite
+        # length and renormalise every other edge to 0.
+        lf = LengthFunction(2, 0.0, relative=np.array([1e200, 1.0]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                lf.multiply([0], [1e200])
+        assert lf.relative.tolist() == [1e200, 1.0]
+        assert lf.log_offset == 0.0
+
+    def test_empty_multiply_is_a_no_op(self):
+        lf = LengthFunction(2, 0.0)
+        lf.multiply(np.array([], dtype=np.int64), np.array([]))
+        assert lf.relative.tolist() == [1.0, 1.0]
+
+    def test_relative_is_one_live_view(self, monkeypatch):
+        monkeypatch.setattr(lengths_module, "_RENORM_THRESHOLD", 10.0)
+        lf = LengthFunction(3, 0.0)
+        view = lf.relative
+        assert lf.relative is view
+        lf.multiply([1], [4.0])
+        assert view.tolist() == [1.0, 4.0, 1.0]
+        lf.multiply([1], [4.0])  # 16 > 10: renormalised in place
+        assert lf.log_offset == math.log(16.0)
+        assert view.tolist() == [1.0 / 16.0, 1.0, 1.0 / 16.0]
+
+
+def reference_multiply(rel, log_offset, edge_ids, factors, threshold):
+    """``LengthFunction.multiply`` before it read only the updated
+    entries: fancy-indexed in-place multiply, then renormalise on the
+    maximum over every edge.  Returns the new log offset."""
+    rel[edge_ids] *= factors
+    peak = float(rel.max())
+    if peak > threshold:
+        log_offset += math.log(peak)
+        rel /= peak
+    return log_offset
+
+
+class TestMultiplyMatchesFullMaxReference:
+    """The updated-entries renormalisation check is bitwise the full one."""
+
+    @pytest.mark.parametrize("threshold", [None, 1e3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences(self, monkeypatch, seed, threshold):
+        if threshold is not None:
+            monkeypatch.setattr(lengths_module, "_RENORM_THRESHOLD", threshold)
+        limit = lengths_module._RENORM_THRESHOLD
+        rng = np.random.default_rng(seed)
+        num_edges = 12
+        lf = LengthFunction(num_edges, -3.0)
+        rel = np.ones(num_edges)
+        offset = -3.0
+        renormalised = 0
+        for _ in range(300):
+            size = int(rng.integers(1, 8))
+            ids = rng.integers(0, num_edges, size)  # ids may repeat
+            factors = rng.uniform(0.5, 3.0, size)  # some factors below 1
+            lf.multiply(ids, factors)
+            before = offset
+            offset = reference_multiply(rel, offset, ids, factors, limit)
+            renormalised += offset != before
+            assert lf.relative.tobytes() == rel.tobytes()
+            assert lf.log_offset == offset
+        if threshold is None:
+            assert renormalised == 0
+        else:
+            assert renormalised > 0
+
+    def test_superseded_repeat_past_threshold(self, monkeypatch):
+        # With a repeated id the last factor wins; an earlier product above
+        # the threshold must not renormalise when no final entry is above.
+        monkeypatch.setattr(lengths_module, "_RENORM_THRESHOLD", 1e3)
+        lf = LengthFunction(3, 0.0)
+        rel = np.ones(3)
+        lf.multiply([0, 0], [1e4, 2.0])
+        offset = reference_multiply(rel, 0.0, [0, 0], [1e4, 2.0], 1e3)
+        assert lf.relative.tobytes() == rel.tobytes()
+        assert lf.log_offset == offset == 0.0

@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 
 from repro.core import lengths as lengths_module
-from repro.core.engine import BatchedOracleFront
+from repro.core.engine import (
+    BatchedOracleFront,
+    ConcurrentPhasePolicy,
+    DualObjectiveStop,
+    MaxFlowPolicy,
+    NormalizedLengthStop,
+    PhaseEngine,
+)
 from repro.core.lengths import LengthFunction
 from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
@@ -606,3 +613,69 @@ class TestFrontAnswerReuse:
             direct = fresh.minimum_tree(lengths)
             assert result.tree == direct.tree
             assert result.length == direct.length
+
+
+class TestRouteConstantsPerTree:
+    """The step policies' per-tree route constants equal their formulas."""
+
+    def test_max_flow_route_action_cached_per_tree(
+        self, waxman_network, equivalence_sessions
+    ):
+        capacities = waxman_network.capacities
+        epsilon = 0.15
+        max_size = max(s.size for s in equivalence_sessions)
+        oracles = build_oracles(equivalence_sessions, FixedIPRouting(waxman_network))
+        engine = PhaseEngine(
+            oracles=oracles,
+            lengths=LengthFunction.for_maxflow(
+                waxman_network.num_edges, epsilon, max_size, 5
+            ),
+            capacities=capacities,
+            policy=MaxFlowPolicy(epsilon=epsilon, max_session_size=max_size),
+            stopping=NormalizedLengthStop(),
+        )
+        actions = {}
+        routed = 0
+        while (action := engine.step()) is not None:
+            routed += 1
+            tree = action.tree
+            bottleneck = tree.bottleneck_capacity(capacities)
+            used = tree.physical_edges
+            factors = 1.0 + epsilon * tree.usage_values * bottleneck / capacities[used]
+            assert action.amount == bottleneck
+            assert action.factors.tobytes() == factors.tobytes()
+            assert not action.factors.flags.writeable
+            assert actions.setdefault((action.index, tree), action) is action
+        assert len(actions) < routed
+
+    def test_concurrent_bottleneck_cached_per_tree(
+        self, waxman_network, equivalence_sessions
+    ):
+        capacities = waxman_network.capacities
+        epsilon = 0.2
+        policy = ConcurrentPhasePolicy(
+            epsilon=epsilon,
+            working_demands=np.array([30.0, 20.0]),
+            phase_budget=50,
+        )
+        engine = PhaseEngine(
+            oracles=build_oracles(equivalence_sessions, FixedIPRouting(waxman_network)),
+            lengths=LengthFunction.for_concurrent(capacities, epsilon),
+            capacities=capacities,
+            policy=policy,
+            stopping=DualObjectiveStop(capacities),
+        )
+        trees = set()
+        routed = 0
+        while (action := engine.step()) is not None:
+            routed += 1
+            tree = action.tree
+            trees.add(tree)
+            used = tree.physical_edges
+            factors = 1.0 + epsilon * tree.usage_values * action.amount / capacities[used]
+            assert action.amount <= tree.bottleneck_capacity(capacities)
+            assert action.factors.tobytes() == factors.tobytes()
+        assert len(trees) < routed
+        assert set(policy._bottlenecks) == trees
+        for tree, bottleneck in policy._bottlenecks.items():
+            assert bottleneck == tree.bottleneck_capacity(capacities)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.overlay.mst import minimum_spanning_tree_pairs
 from repro.overlay.tree import OverlayTree
+from repro.routing.base import pair_key
+from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.routing.paths import UnicastPath
+from repro.topology.generators import grid_topology
 from repro.util.errors import InvalidSessionError
 
 
@@ -78,6 +82,78 @@ class TestOverlayTree:
             diamond_network.edge_id(0, 1),
             diamond_network.edge_id(0, 2),
         }
+
+
+def reference_from_paths(overlay_edges, paths, num_edges):
+    """``OverlayTree.from_paths`` before the single ``bincount``: one
+    ``np.add.at`` per overlay path, and the canonical key built entry by
+    entry.  Returns ``(edge_usage, physical_edges, usage_values, key)``."""
+    usage = np.zeros(num_edges, dtype=float)
+    canonical = [pair_key(*p) for p in overlay_edges]
+    for pk in canonical:
+        np.add.at(usage, paths[pk].edge_ids, 1.0)
+    physical = np.flatnonzero(usage > 0)
+    key = (
+        tuple(sorted(canonical)),
+        tuple((int(e), float(usage[e])) for e in physical),
+    )
+    return usage, physical, usage[physical], key
+
+
+def assert_matches_reference(tree, overlay_edges, paths, num_edges):
+    usage, physical, values, key = reference_from_paths(overlay_edges, paths, num_edges)
+    for got, want in (
+        (tree.edge_usage, usage),
+        (tree.physical_edges, physical),
+        (tree.usage_values, values),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert tree.canonical_key() == key
+    assert [type(x) for pair in key[1] for x in pair] == [
+        type(x) for pair in tree.canonical_key()[1] for x in pair
+    ]
+    assert hash(tree) == hash(key)
+
+
+class TestFromPathsMatchesReference:
+    def test_edge_shared_by_two_overlay_paths(self, path_network):
+        routing = FixedIPRouting(path_network)
+        edges = [(0, 4), (2, 4)]
+        paths = routing.paths_for_pairs(edges)
+        tree = OverlayTree.from_paths([0, 2, 4], edges, paths, path_network.num_edges)
+        assert tree.usage_of(path_network.edge_id(3, 4)) == 2.0
+        assert_matches_reference(tree, edges, paths, path_network.num_edges)
+
+    @pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_trees(self, routing_cls, seed):
+        network = grid_topology(5, 5, capacity=10.0)
+        routing = routing_cls(network)
+        rng = np.random.default_rng(seed)
+        lengths = rng.uniform(0.5, 2.0, network.num_edges)
+        for size in (2, 3, 5, 8):
+            members = sorted(rng.choice(network.num_nodes, size, replace=False).tolist())
+            weights = rng.uniform(1.0, 2.0, (size, size))
+            weights = weights + weights.T
+            edges = [
+                pair_key(members[i], members[j])
+                for i, j in minimum_spanning_tree_pairs(weights)
+            ]
+            paths = routing.paths_for_pairs(edges, lengths)
+            tree = OverlayTree.from_paths(members, edges, paths, network.num_edges)
+            assert_matches_reference(tree, edges, paths, network.num_edges)
+
+    @pytest.mark.parametrize("bad", [-1, "num_edges"])
+    def test_out_of_range_edge_id_raises(self, path_network, bad):
+        num_edges = path_network.num_edges
+        bad_id = num_edges if bad == "num_edges" else bad
+        paths = {
+            (0, 1): UnicastPath(nodes=(0, 1), edge_ids=np.array([0])),
+            (1, 2): UnicastPath(nodes=(1, 2), edge_ids=np.array([bad_id])),
+        }
+        with pytest.raises(InvalidSessionError, match="outside"):
+            OverlayTree.from_paths([0, 1, 2], [(0, 1), (1, 2)], paths, num_edges)
 
 
 class TestMinimumSpanningTreePairs:

@@ -6,8 +6,10 @@ import pytest
 from repro.routing.base import pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.routing.shortest_path import single_pair_shortest_path
+from repro.topology.generators import grid_topology
 from repro.topology.network import PhysicalNetwork
-from repro.util.errors import InfeasibleProblemError
+from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
 
 
 class TestPairKey:
@@ -141,6 +143,19 @@ class TestDynamicRouting:
         members = [0, 5, 11, 17]
         ones = np.ones(waxman_network.num_edges)
         assert np.allclose(ip.pair_lengths(members, ones), dyn.pair_lengths(members, ones))
+
+    def test_nan_length_rejected(self):
+        # SciPy drops a NaN edge from its search: on a 3x3 grid with NaN
+        # on edge 0 (nodes 0-1), node 1 was reached by the 3-hop path
+        # 0-3-4-1 as if the edge were missing.
+        network = grid_topology(3, 3, capacity=10.0)
+        lengths = np.ones(network.num_edges)
+        lengths[0] = np.nan
+        routing = DynamicRouting(network)
+        with pytest.raises(InvalidNetworkError, match="NaN"):
+            routing.pair_lengths([0, 1, 4], lengths)
+        with pytest.raises(InvalidNetworkError, match="NaN"):
+            single_pair_shortest_path(network, 0, 1, lengths)
 
     def test_pair_lengths_symmetrised_with_max(self, diamond_network, monkeypatch):
         # Regression: the symmetrisation must take the elementwise max of
