@@ -16,8 +16,11 @@ Layers
   built-in names (the paper's four solvers, both routing models, all
   topology generators).
 * :mod:`repro.api.service` — ``solve(spec) -> SolveReport``,
-  ``solve_many(specs, jobs=...)`` (canonical-key cache + process pool),
-  and ``solve_instance`` for callers that already hold live objects.
+  ``solve_many(specs, jobs=...)`` (canonical-key cache + the library's
+  one process pool, sized by ``--jobs`` / ``REPRO_JOBS``; every
+  experiment sweep solves through it), ``build_instance`` (the one
+  place specs become live networks, sessions and routing models) and
+  ``solve_instance`` for callers that already hold live objects.
   Both entry points take ``store=`` (or honour ``REPRO_STORE``) to
   persist reports in a :class:`repro.store.ReportStore` — warm keys
   skip the solver entirely, across processes.
@@ -72,13 +75,12 @@ A scenario spec file is a JSON object (or a list of them for a batch)::
 Solver parameters mirror the solver functions in
 :mod:`repro.api.registry`: ``max_flow`` takes ``approximation_ratio`` or
 ``epsilon`` (plus ``max_iterations``); ``max_concurrent_flow`` adds
-``prescale_epsilon``/``prescale_jobs``/``max_steps``; ``online`` takes
-``sigma`` and ``group_by_members``; ``randomized_rounding`` takes
-``max_trees`` and ``seed`` on top of the fractional solve's accuracy
-parameters.  Every solver takes ``max_events``.  The keys of retired
-speed switches (:data:`repro.api.service.RETIRED_SOLVER_PARAMS`) are
-accepted and ignored with a ``DeprecationWarning``, so stored specs
-still solve.
+``prescale_epsilon``/``max_steps``; ``online`` takes ``sigma``,
+``group_by_members`` and ``apply_no_bottleneck_scaling``;
+``randomized_rounding`` takes ``max_trees`` and ``seed`` on top of the
+fractional solve's accuracy parameters.  The keys of retired switches
+(:data:`repro.api.service.RETIRED_SOLVER_PARAMS`) are accepted and
+ignored with a ``DeprecationWarning``, so stored specs still solve.
 
 Quickstart
 ----------

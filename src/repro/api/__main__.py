@@ -51,7 +51,7 @@ from repro.api.specs import (
 )
 from repro.store import STORE_ENV_VAR, ReportStore, resolve_store
 from repro.util.errors import ConfigurationError
-from repro.util.jobs import JOBS_ENV_VAR, jobs_context
+from repro.util.jobs import JOBS_ENV_VAR
 from repro.util.serialization import dump_json
 
 
@@ -164,10 +164,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from contextlib import nullcontext
 
         tracer_cm = nullcontext()
-    # Install --jobs as the process-wide default too (so e.g. the
-    # MaxConcurrentFlow pre-scaling picks it up), restoring afterwards
-    # for in-process callers of main().
-    with jobs_context(args.jobs), tracer_cm:
+    with tracer_cm:
         reports = solve_many(
             specs,
             jobs=args.jobs,

@@ -196,14 +196,12 @@ def solve_max_flow_instance(
     approximation_ratio: float = 0.95,
     epsilon: Optional[float] = None,
     max_iterations: Optional[int] = None,
-    max_events: Optional[int] = None,
 ) -> FlowSolution:
     """MaxFlow FPTAS (paper M1 / Table I): maximise aggregate throughput."""
     config = MaxFlowConfig(
         epsilon=epsilon,
         approximation_ratio=None if epsilon is not None else approximation_ratio,
         max_iterations=max_iterations,
-        max_events=max_events,
     )
     return MaxFlow(sessions, routing, config).solve()
 
@@ -215,18 +213,14 @@ def solve_max_concurrent_flow_instance(
     approximation_ratio: float = 0.95,
     epsilon: Optional[float] = None,
     prescale_epsilon: float = 0.1,
-    prescale_jobs: Optional[int] = None,
     max_steps: Optional[int] = None,
-    max_events: Optional[int] = None,
 ) -> FlowSolution:
     """MaxConcurrentFlow FPTAS (paper M2 / Table III): max-min fairness."""
     config = MaxConcurrentFlowConfig(
         epsilon=epsilon,
         approximation_ratio=None if epsilon is not None else approximation_ratio,
         prescale_epsilon=prescale_epsilon,
-        prescale_jobs=prescale_jobs,
         max_steps=max_steps,
-        max_events=max_events,
     )
     return MaxConcurrentFlow(sessions, routing, config).solve()
 
@@ -238,13 +232,11 @@ def solve_online_instance(
     sigma: float = 10.0,
     group_by_members: bool = True,
     apply_no_bottleneck_scaling: bool = False,
-    max_events: Optional[int] = None,
 ) -> FlowSolution:
     """Online-MinCongestion (paper Table VI): one tree per arrival, in order."""
     config = OnlineConfig(
         sigma=sigma,
         apply_no_bottleneck_scaling=apply_no_bottleneck_scaling,
-        max_events=max_events,
     )
     solver = OnlineMinCongestion(routing, config)
     solver.accept_all(sessions)
@@ -260,7 +252,6 @@ def solve_randomized_rounding_instance(
     approximation_ratio: float = 0.95,
     epsilon: Optional[float] = None,
     prescale_epsilon: float = 0.1,
-    max_events: Optional[int] = None,
 ) -> FlowSolution:
     """Random-MinCongestion (paper Table V): round the fractional optimum.
 
@@ -274,7 +265,6 @@ def solve_randomized_rounding_instance(
         approximation_ratio=approximation_ratio,
         epsilon=epsilon,
         prescale_epsilon=prescale_epsilon,
-        max_events=max_events,
     )
     selection = RandomMinCongestion(fractional, seed=seed).select_trees(max_trees)
     return selection.solution

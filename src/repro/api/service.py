@@ -6,8 +6,11 @@
 echoed spec.  ``solve_many(specs, jobs=...)`` is the batch engine: it
 deduplicates specs by :attr:`ScenarioSpec.canonical_key`, reuses a
 process-level report cache, and farms uncached specs out to a process
-pool through the shared ``--jobs`` / ``REPRO_JOBS`` plumbing.  Parallel
-batch runs are bit-identical to serial ones because spec construction is
+pool sized by the ``--jobs`` / ``REPRO_JOBS`` plumbing
+(:mod:`repro.util.jobs`).  It is the library's only process pool: every
+experiment sweep and ``python -m repro.api run`` solve through it, and
+the solvers themselves run serially.  Parallel batch runs are
+bit-identical to serial ones because spec construction is
 deterministic.
 
 Both entry points optionally consult a persistent
@@ -22,7 +25,9 @@ in-process cache use ``solve_many``).
 Built networks, session lists and routing models are cached per
 *instance* (topology + workload + routing digest), so sweeping many
 solver configurations over one instance — the shape of every experiment
-in the paper — rebuilds nothing.
+in the paper — rebuilds nothing.  :func:`build_instance` is the only
+code that turns a spec into live objects; the experiment harness reads
+its networks and sessions from it too.
 """
 
 from __future__ import annotations
@@ -89,10 +94,17 @@ def build_instance(
         return instance
 
 
-#: ``solver_params`` keys of retired speed-only switches.  Stored specs
-#: may still carry them, so :func:`solve_instance` accepts and ignores
-#: them: such specs keep their canonical keys and still solve.
-RETIRED_SOLVER_PARAMS = ("memoize", "stacked_trees", "kernel_backend")
+#: ``solver_params`` keys of retired switches that never changed a
+#: solution (speed-only knobs and the engine's event-log bound).  Stored
+#: specs may still carry them, so :func:`solve_instance` accepts and
+#: ignores them: such specs keep their canonical keys and still solve.
+RETIRED_SOLVER_PARAMS = (
+    "memoize",
+    "stacked_trees",
+    "kernel_backend",
+    "prescale_jobs",
+    "max_events",
+)
 
 
 def solve_instance(
@@ -402,7 +414,7 @@ def solve_many(
       in-process report cache → store → solver pool, and every fresh
       solve is written back.  A batch whose keys are all warm in the
       store performs zero solver calls.
-    * ``jobs`` resolves through the shared ``--jobs`` / ``REPRO_JOBS``
+    * ``jobs`` resolves through the ``--jobs`` / ``REPRO_JOBS``
       plumbing; with more than one worker, uncached specs solve on a
       process pool.  Results are bit-identical to a serial run.
     * ``use_cache=False`` bypasses the cache, the store *and* the

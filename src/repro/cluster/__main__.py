@@ -34,7 +34,6 @@ from repro.cluster.async_api import solve_many_async
 from repro.cluster.queue import WorkQueue
 from repro.cluster.worker import run_worker, spawn_local_workers
 from repro.util.errors import ConfigurationError
-from repro.util.jobs import jobs_context
 
 
 def _load_specs(paths: List[str]) -> List[ScenarioSpec]:
@@ -64,18 +63,17 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    with jobs_context(args.jobs):
-        stats = run_worker(
-            _queue(args),
-            args.store,
-            shard=args.shard,
-            poll_seconds=args.poll,
-            max_tasks=args.max_tasks,
-            exit_when_empty=args.exit_when_empty,
-            relay=args.relay,
-            trace_dir=args.trace_dir,
-            heartbeat=not args.no_heartbeat,
-        )
+    stats = run_worker(
+        _queue(args),
+        args.store,
+        shard=args.shard,
+        poll_seconds=args.poll,
+        max_tasks=args.max_tasks,
+        exit_when_empty=args.exit_when_empty,
+        relay=args.relay,
+        trace_dir=args.trace_dir,
+        heartbeat=not args.no_heartbeat,
+    )
     print(
         f"worker done: {stats['completed']} task(s) "
         f"({stats['solved']} solved, {stats['store_hits']} store hits, "
@@ -156,12 +154,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--exit-when-empty",
         action="store_true",
         help="return when the queue drains instead of polling forever",
-    )
-    worker.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="process-wide REPRO_JOBS default while this worker runs",
     )
     worker.add_argument(
         "--relay",

@@ -253,7 +253,6 @@ def worker_command(
     poll_seconds: float = 0.2,
     exit_when_empty: bool = True,
     lease_seconds: Optional[float] = None,
-    jobs: Optional[int] = None,
     relay_root: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
 ) -> List[str]:
@@ -276,8 +275,6 @@ def worker_command(
         cmd.append("--exit-when-empty")
     if lease_seconds is not None:
         cmd.extend(["--lease", str(lease_seconds)])
-    if jobs is not None:
-        cmd.extend(["--jobs", str(jobs)])
     if relay_root is not None:
         cmd.extend(["--relay", str(relay_root)])
     if trace_dir is not None:

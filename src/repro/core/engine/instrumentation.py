@@ -28,9 +28,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 ENGINE_SCHEMA = "PhaseEngine/v4"
 
-# Default bound on the retained event log.  Solver configs expose
-# ``max_events`` so callers can widen (or zero out) the log per run
-# instead of being pinned to this process-wide default.
+# Default bound on the retained event log.  Solvers always use it (so
+# persisted instrumentation stays comparable); a caller that builds its
+# own engine passes ``Instrumentation(max_events=...)`` to change it.
 DEFAULT_MAX_EVENTS = 256
 
 # ----------------------------------------------------------------------

@@ -21,15 +21,12 @@ from the main run; :class:`FlowSolution.extra` carries both counters.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import ConcurrentPhasePolicy, DualObjectiveStop, PhaseEngine
-from repro.core.engine.instrumentation import Instrumentation
 from repro.core.lengths import LengthFunction, epsilon_for_ratio
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.core.result import FlowSolution, SessionResult, TreeFlow
@@ -57,26 +54,12 @@ class MaxConcurrentFlowConfig:
     max_steps:
         Hard safety cap on routing steps (``None`` = derive from theory
         with a generous factor).
-    prescale_jobs:
-        Worker processes for the per-session standalone MaxFlow runs of
-        the pre-scaling step — the runs are mutually independent, so with
-        ``k`` sessions up to ``k`` of them solve concurrently.  ``None``
-        falls back to the shared ``--jobs`` / ``REPRO_JOBS`` plumbing
-        (:func:`repro.util.jobs.default_jobs`); ``0`` means all cores.
-        Purely a performance switch: the resulting ``beta`` vector is
-        bit-identical to a serial run.
-    max_events:
-        Bound on the main run's retained instrumentation event log
-        (``None`` = engine default).  Telemetry capacity only; never
-        changes the solution.
     """
 
     epsilon: Optional[float] = None
     approximation_ratio: Optional[float] = None
     prescale_epsilon: float = 0.1
     max_steps: Optional[int] = None
-    prescale_jobs: Optional[int] = None
-    max_events: Optional[int] = None
 
     def resolved_epsilon(self) -> float:
         """The epsilon actually used (resolving the ratio form)."""
@@ -93,23 +76,21 @@ class MaxConcurrentFlowConfig:
         return epsilon_for_ratio(self.approximation_ratio, slack_factor=3.0)
 
 
-# Per-process pre-scaling context (routing, epsilon), installed by the
-# pool initializer so it is pickled once per worker rather than once per
-# session task.
-_prescale_context: Optional[Tuple[RoutingModel, float]] = None
+def standalone_rates(
+    sessions: Sequence[Session], routing: RoutingModel, epsilon: float
+) -> Tuple[np.ndarray, int]:
+    """Per-session standalone MaxFlow rates ``beta_i`` and their oracle cost.
 
-
-def _set_prescale_context(context: Tuple[RoutingModel, float]) -> None:
-    """Install the shared pre-scaling context in this process."""
-    global _prescale_context
-    _prescale_context = context
-
-
-def _standalone_rate_cell(session: Session) -> Tuple[float, int]:
-    """Solve one session's standalone MaxFlow (module-level for pickling)."""
-    routing, epsilon = _prescale_context
-    solution = MaxFlow([session], routing, MaxFlowConfig(epsilon=epsilon)).solve()
-    return solution.sessions[0].rate, solution.oracle_calls
+    The demand pre-scaling of Section III-C: each session solves MaxFlow
+    alone on the network, one after the other, at accuracy ``epsilon``.
+    """
+    rates = []
+    calls = 0
+    for session in sessions:
+        solution = MaxFlow([session], routing, MaxFlowConfig(epsilon=epsilon)).solve()
+        rates.append(solution.sessions[0].rate)
+        calls += solution.oracle_calls
+    return np.asarray(rates, dtype=float), calls
 
 
 class MaxConcurrentFlow:
@@ -131,49 +112,6 @@ class MaxConcurrentFlow:
         self._config = config or MaxConcurrentFlowConfig(approximation_ratio=0.95)
 
     # ------------------------------------------------------------------
-    # pre-scaling
-    # ------------------------------------------------------------------
-    def _standalone_rates(self) -> tuple[np.ndarray, int]:
-        """Per-session standalone MaxFlow rates ``beta_i`` and their oracle cost.
-
-        Each session's standalone run is independent of the others, so
-        they are farmed out to a process pool when the resolved
-        ``prescale_jobs`` worker count exceeds one.  Results are gathered
-        in session order either way, so ``beta`` is bit-identical between
-        serial and parallel runs.
-
-        Child processes never fan out further: when this solver already
-        runs inside a pool worker (an experiment sweep cell or a
-        ``solve_many`` batch worker), the same ambient ``REPRO_JOBS``
-        value would otherwise multiply — ``jobs`` outer workers times
-        ``jobs`` prescale workers — and oversubscribe the machine, so the
-        pre-scaling stays serial there and the outer pool keeps the
-        parallelism.
-        """
-        from repro.util.jobs import resolve_jobs
-
-        context = (self._routing, self._config.prescale_epsilon)
-        in_child_process = multiprocessing.parent_process() is not None
-        workers = 1 if in_child_process else min(
-            resolve_jobs(self._config.prescale_jobs), len(self._sessions)
-        )
-        if workers > 1 and len(self._sessions) > 1:
-            # The routing model (all-pairs route structures) travels once
-            # per worker via the initializer; tasks carry only sessions.
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_set_prescale_context,
-                initargs=(context,),
-            ) as pool:
-                results = list(pool.map(_standalone_rate_cell, self._sessions))
-        else:
-            _set_prescale_context(context)
-            results = [_standalone_rate_cell(s) for s in self._sessions]
-        rates = np.asarray([rate for rate, _ in results], dtype=float)
-        calls = sum(calls for _, calls in results)
-        return rates, calls
-
-    # ------------------------------------------------------------------
     # main algorithm
     # ------------------------------------------------------------------
     def solve(self) -> FlowSolution:
@@ -184,7 +122,9 @@ class MaxConcurrentFlow:
         num_edges = network.num_edges
         k = len(self._sessions)
 
-        beta, prescale_calls = self._standalone_rates()
+        beta, prescale_calls = standalone_rates(
+            self._sessions, self._routing, self._config.prescale_epsilon
+        )
         demands = np.asarray([s.demand for s in self._sessions], dtype=float)
         zeta = float(np.min(beta / demands))
         if zeta <= 0:
@@ -229,11 +169,6 @@ class MaxConcurrentFlow:
             stopping=DualObjectiveStop(capacities),
             step_cap=step_cap,
             cap_message=f"MaxConcurrentFlow exceeded the step cap of {step_cap}",
-            instrumentation=(
-                Instrumentation(max_events=self._config.max_events)
-                if self._config.max_events is not None
-                else None
-            ),
         )
         run = engine.run()
         steps = run.steps
@@ -288,21 +223,3 @@ class MaxConcurrentFlow:
             instrumentation=run.instrumentation.snapshot(),
         )
         return solution
-
-
-def solve_max_concurrent_flow(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    epsilon: Optional[float] = None,
-    approximation_ratio: Optional[float] = None,
-    prescale_epsilon: float = 0.1,
-) -> FlowSolution:
-    """Convenience wrapper: build a :class:`MaxConcurrentFlow` solver and run it."""
-    if epsilon is None and approximation_ratio is None:
-        approximation_ratio = 0.95
-    config = MaxConcurrentFlowConfig(
-        epsilon=epsilon,
-        approximation_ratio=approximation_ratio,
-        prescale_epsilon=prescale_epsilon,
-    )
-    return MaxConcurrentFlow(sessions, routing, config).solve()

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.engine import MaxFlowPolicy, NormalizedLengthStop, PhaseEngine
-from repro.core.engine.instrumentation import Instrumentation
 from repro.core.lengths import LengthFunction, epsilon_for_ratio
 from repro.core.result import FlowSolution, SessionResult
 from repro.overlay.oracle import MinimumOverlayTreeOracle, build_oracles
@@ -49,16 +48,11 @@ class MaxFlowConfig:
     max_iterations:
         Hard safety cap on augmentation iterations.  ``None`` derives the
         provable bound from Lemma 1 with a x10 safety factor.
-    max_events:
-        Bound on the run's retained instrumentation event log (``None``
-        = engine default).  Telemetry capacity only; never changes the
-        solution.
     """
 
     epsilon: Optional[float] = None
     approximation_ratio: Optional[float] = None
     max_iterations: Optional[int] = None
-    max_events: Optional[int] = None
 
     def resolved_epsilon(self) -> float:
         """The epsilon actually used (resolving the ratio form)."""
@@ -131,11 +125,6 @@ class MaxFlow:
             stopping=NormalizedLengthStop(),
             step_cap=iteration_cap,
             cap_message=f"MaxFlow exceeded the iteration cap of {iteration_cap}",
-            instrumentation=(
-                Instrumentation(max_events=self._config.max_events)
-                if self._config.max_events is not None
-                else None
-            ),
         )
         run = engine.run()
         iterations = run.steps
@@ -179,16 +168,3 @@ class MaxFlow:
             },
             instrumentation=run.instrumentation.snapshot(),
         )
-
-
-def solve_max_flow(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    epsilon: Optional[float] = None,
-    approximation_ratio: Optional[float] = None,
-) -> FlowSolution:
-    """Convenience wrapper: build a :class:`MaxFlow` solver and run it."""
-    if epsilon is None and approximation_ratio is None:
-        approximation_ratio = 0.95
-    config = MaxFlowConfig(epsilon=epsilon, approximation_ratio=approximation_ratio)
-    return MaxFlow(sessions, routing, config).solve()

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import OnlineArrivalPolicy, PhaseEngine, RunToExhaustion
-from repro.core.engine.instrumentation import Instrumentation
 from repro.core.lengths import LengthFunction
 from repro.core.result import FlowSolution, SessionResult, TreeFlow
 from repro.overlay.oracle import MinimumOverlayTreeOracle
@@ -47,15 +46,10 @@ class OnlineConfig:
         sufficient condition for the Theorem 4 bound.  The scaling only
         affects the routing decisions through the length updates; reported
         rates are always re-expressed in original demand units.
-    max_events:
-        Bound on the run's retained instrumentation event log (``None``
-        = engine default).  Telemetry capacity only; never changes the
-        routing decisions.
     """
 
     sigma: float = 10.0
     apply_no_bottleneck_scaling: bool = False
-    max_events: Optional[int] = None
 
     def validate(self) -> None:
         if self.sigma <= 0:
@@ -109,11 +103,6 @@ class OnlineMinCongestion:
             track_congestion=True,
             oracle_factory=lambda session: MinimumOverlayTreeOracle(
                 session, self._routing
-            ),
-            instrumentation=(
-                Instrumentation(max_events=self._config.max_events)
-                if self._config.max_events is not None
-                else None
             ),
         )
         self._state = OnlineState(
@@ -264,15 +253,3 @@ class OnlineMinCongestion:
             },
             instrumentation=self._engine.instrumentation.snapshot(),
         )
-
-
-def solve_online(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    sigma: float = 10.0,
-    group_by_members: bool = True,
-) -> FlowSolution:
-    """Route ``sessions`` online (in the given order) and return the solution."""
-    solver = OnlineMinCongestion(routing, OnlineConfig(sigma=sigma))
-    solver.accept_all(sessions)
-    return solver.solution(group_by_members=group_by_members)

@@ -19,13 +19,11 @@ probability proportional to their fractional flows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.result import FlowSolution, SessionResult, TreeFlow
-from repro.overlay.session import Session
-from repro.overlay.tree import OverlayTree
 from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedLike, ensure_rng
 
@@ -191,12 +189,3 @@ class RandomMinCongestion:
             out[f"mean_rate_session_{index + 1}"] = float(rates[:, index].mean())
             out[f"mean_trees_session_{index + 1}"] = float(tree_counts[:, index].mean())
         return out
-
-
-def solve_randomized_rounding(
-    fractional: FlowSolution,
-    max_trees: int = 1,
-    seed: SeedLike = None,
-) -> RoundedSelection:
-    """Convenience wrapper around :class:`RandomMinCongestion`."""
-    return RandomMinCongestion(fractional, seed=seed).select_trees(max_trees)

@@ -6,13 +6,16 @@ declarative spec / registry surface — so that argument conventions live
 in exactly one place (:mod:`repro.api.registry`).  New code should
 prefer ``repro.api``: build a :class:`~repro.api.specs.ScenarioSpec` and
 call :func:`~repro.api.service.solve`, or dispatch prebuilt objects with
-:func:`~repro.api.service.solve_instance`.
+:func:`~repro.api.service.solve_instance`.  These are the library's only
+solver convenience functions (``repro`` re-exports them); the algorithm
+modules define none.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.core.maxconcurrent import standalone_rates
 from repro.core.result import FlowSolution
 from repro.core.rounding import RandomMinCongestion, RoundedSelection
 from repro.overlay.session import Session
@@ -96,14 +99,10 @@ def standalone_session_rates(
 ) -> List[float]:
     """Maximum rate of each session when it has the network to itself.
 
-    This is the quantity ``beta_i`` used to bound the concurrent-flow
-    optimum; exposed because experiments also report it as the
-    "single-session" baseline (Fig. 12 with one session).
+    This is the quantity ``beta_i`` that MaxConcurrentFlow's pre-scaling
+    uses to bound the concurrent-flow optimum (the same loop); exposed
+    because experiments also report it as the "single-session" baseline
+    (Fig. 12 with one session).
     """
-    from repro.api.registry import default_registry
-
-    solver = default_registry().solver("max_flow")
-    return [
-        solver([session], routing, epsilon=epsilon).sessions[0].rate
-        for session in sessions
-    ]
+    rates, _ = standalone_rates(sessions, routing, epsilon)
+    return rates.tolist()

@@ -6,123 +6,72 @@ all read the Section VI sweep).  This module performs those runs once per
 process and caches the results, keyed by scale / routing kind / algorithm,
 so that generating every figure does not re-solve identical instances.
 
-Every sweep is a grid of mutually independent configuration cells (one
-ratio, one (session count, session size) point, one tree limit), each
-deterministically seeded from the setting, so the sweeps also support a
-process-pool parallel mode: pass ``jobs=`` to a sweep function, export
-``REPRO_JOBS``, or use the section CLIs' ``--jobs`` flag.  Parallel runs
-produce bit-identical results to serial ones — each worker rebuilds the
-(deterministic) instance from the scale name and solves whole cells.
-
-Every sweep is spec-representable — including, since the arrival
-process became a spec field (:class:`repro.api.specs.ArrivalSpec`), the
-online cells: the flat ratio sweeps, the Section VI grid, the
-limited-tree fractional reference, the limited-tree online orderings
-and the Section VI online sweep all route through
-``repro.api.solve_many`` on declarative scenario specs (bit-identical
-to the direct path, per the Scenario API contract).  With a persistent
-:class:`repro.store.ReportStore` — pass ``store=`` or export
-``REPRO_STORE`` — re-running a sweep in a fresh process performs zero
-solver calls; only the randomized-rounding trials (which resample a
-live fractional solution) always compute.
+Every sweep is a grid of mutually independent cells (one ratio, one
+(session count, session size) point, one tree-limit ordering), and every
+cell is a declarative :class:`~repro.api.specs.ScenarioSpec` — online
+cells included, since the arrival process is a spec field
+(:class:`repro.api.specs.ArrivalSpec`).  So each sweep is exactly one
+``repro.api.solve_many(specs, jobs=jobs, store=store)`` call: the flat
+ratio sweeps, the Section VI grid, its online sweep, and the limited-tree
+study's fractional reference plus online orderings.  ``solve_many`` owns
+the process pool (``jobs=``, ``REPRO_JOBS`` or the section CLIs'
+``--jobs``; parallel runs are bit-identical to serial ones) and, with a
+persistent :class:`repro.store.ReportStore` — pass ``store=`` or export
+``REPRO_STORE`` — a re-run of a sweep in a fresh process performs zero
+solver calls.  Only the randomized-rounding trials (which resample a
+live fractional solution) always compute, in a plain loop.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.service import solve_instance, solve_many
+from repro.api import service
 from repro.api.specs import ArrivalSpec, ScenarioSpec
-from repro.store.report_store import StoreLike, resolve_store
 from repro.core.result import FlowSolution
 from repro.core.rounding import RandomMinCongestion
 from repro.experiments.settings import (
-    FlatSetting,
     LimitedTreeSetting,
-    SweepSetting,
     flat_setting_for_scale,
     limited_tree_setting_for_scale,
-    resolve_jobs,
     sweep_setting_for_scale,
 )
 from repro.overlay.session import Session
-from repro.routing.base import RoutingModel
-from repro.topology.network import PhysicalNetwork
+from repro.store.report_store import StoreLike
 from repro.util.errors import ConfigurationError
 from repro.util.rng import spawn_child_seed
 
 
-def _map_cells(worker: Callable, tasks: Sequence[Tuple], jobs: Optional[int]) -> List:
-    """Run ``worker`` over ``tasks`` serially or on a process pool.
+def _solve_specs(
+    specs: Sequence[ScenarioSpec], jobs: Optional[int], store: StoreLike
+) -> List[FlowSolution]:
+    """Solve one sweep's cells in a single ``solve_many`` batch, in order."""
+    reports = service.solve_many(specs, jobs=jobs, store=store)
+    return [report.solution for report in reports]
 
-    ``worker`` must be a module-level function and every task a picklable
-    tuple; results come back in task order either way.
-    """
-    workers = min(resolve_jobs(jobs), len(tasks))
-    if workers <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
 
 # ----------------------------------------------------------------------
 # flat (Sections III–V) runs
 # ----------------------------------------------------------------------
-@dataclass
-class FlatInstance:
-    """A concrete flat-setting problem instance (network + sessions + routing)."""
-
-    setting: FlatSetting
-    network: PhysicalNetwork
-    sessions: List[Session]
-    routing: RoutingModel
-    routing_kind: str
-
-
-_FLAT_INSTANCES: Dict[Tuple[str, str], FlatInstance] = {}
 _FLAT_SWEEPS: Dict[Tuple[str, str, str], Dict[float, FlowSolution]] = {}
 _LIMITED_TREE_STUDIES: Dict[Tuple[str, str], "LimitedTreeStudy"] = {}
-_LIMITED_TREE_FRACTIONALS: Dict[Tuple[str, str], FlowSolution] = {}
 
 
 def clear_caches() -> None:
-    """Drop every cached run (used by tests that need fresh instances)."""
-    _FLAT_INSTANCES.clear()
+    """Drop every cached run, and the API's report and instance caches.
+
+    The API caches go too: otherwise a re-run after this call would be
+    served from the in-process report cache and never reach the solver
+    (or the process pool).
+    """
     _FLAT_SWEEPS.clear()
     _LIMITED_TREE_STUDIES.clear()
-    _LIMITED_TREE_FRACTIONALS.clear()
-    _SWEEP_INSTANCES.clear()
     _SWEEP_RUNS.clear()
     _ONLINE_SWEEP_RUNS.clear()
-
-
-def flat_instance(scale: str, routing_kind: str = "ip") -> FlatInstance:
-    """The (cached) flat-setting instance for a scale and routing kind."""
-    key = (scale, routing_kind)
-    if key not in _FLAT_INSTANCES:
-        setting = flat_setting_for_scale(scale)
-        network = setting.build_network()
-        sessions = setting.build_sessions(network)
-        routing = setting.build_routing(network, routing_kind)
-        _FLAT_INSTANCES[key] = FlatInstance(
-            setting=setting,
-            network=network,
-            sessions=sessions,
-            routing=routing,
-            routing_kind=routing_kind,
-        )
-    return _FLAT_INSTANCES[key]
-
-
-def _solve_flat_cell(task: Tuple[str, str, str, float]) -> FlowSolution:
-    """Solve one (scale, routing kind, algorithm, ratio) flat cell."""
-    scale, routing_kind, algorithm, ratio = task
-    instance = flat_instance(scale, routing_kind)
-    solver, params = instance.setting.solver_spec(algorithm, ratio)
-    return solve_instance(solver, instance.sessions, instance.routing, params)
+    service.clear_caches()
 
 
 def flat_scenario_spec(
@@ -131,24 +80,10 @@ def flat_scenario_spec(
     """Declarative spec of one flat sweep cell (provenance / remote submission).
 
     ``repro.api.solve`` on this spec reproduces the corresponding
-    :func:`flat_ratio_sweep` cell bit-identically.
+    :func:`flat_ratio_sweep` cell bit-identically; ``build_instance`` on
+    it gives the cell's network, sessions and routing.
     """
     return flat_setting_for_scale(scale).scenario_spec(routing_kind, algorithm, ratio)
-
-
-def _solve_specs_store_backed(
-    specs: Sequence[ScenarioSpec], jobs: Optional[int], store
-) -> List[FlowSolution]:
-    """Solve sweep cells through the batch service + persistent store.
-
-    The Scenario API contract (each ``*_scenario_spec`` reproduces its
-    direct-path cell bit-identically) is what makes this a pure routing
-    decision: results match ``_map_cells`` exactly, but warm store keys
-    skip the solver entirely.
-    """
-    from repro.api.service import solve_many
-
-    return [report.solution for report in solve_many(specs, jobs=jobs, store=store)]
 
 
 def flat_ratio_sweep(
@@ -163,27 +98,18 @@ def flat_ratio_sweep(
     ``algorithm`` is ``"maxflow"`` or ``"maxconcurrent"``.  Results are
     cached per (scale, routing kind, algorithm); ``jobs`` controls how
     many ratio cells solve concurrently on an uncached first call.  With
-    a persistent store (``store=`` or ``REPRO_STORE``), cells route
-    through the spec path and re-runs come back without solver work.
+    a persistent store (``store=`` or ``REPRO_STORE``), re-runs come
+    back without solver work.
     """
     if algorithm not in ("maxflow", "maxconcurrent"):
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     key = (scale, routing_kind, algorithm)
     if key not in _FLAT_SWEEPS:
-        setting = flat_instance(scale, routing_kind).setting
-        resolved_store = resolve_store(store)
-        if resolved_store is not None:
-            specs = [
-                flat_scenario_spec(scale, routing_kind, algorithm, ratio)
-                for ratio in setting.ratios
-            ]
-            results = _solve_specs_store_backed(specs, jobs, resolved_store)
-        else:
-            tasks = [
-                (scale, routing_kind, algorithm, ratio) for ratio in setting.ratios
-            ]
-            results = _map_cells(_solve_flat_cell, tasks, jobs)
-        _FLAT_SWEEPS[key] = dict(zip(setting.ratios, results))
+        ratios = flat_setting_for_scale(scale).ratios
+        specs = [
+            flat_scenario_spec(scale, routing_kind, algorithm, ratio) for ratio in ratios
+        ]
+        _FLAT_SWEEPS[key] = dict(zip(ratios, _solve_specs(specs, jobs, store)))
     return _FLAT_SWEEPS[key]
 
 
@@ -226,44 +152,16 @@ class LimitedTreeStudy:
         return out
 
 
-def _limited_tree_fractional(
-    scale: str, routing_kind: str, store: StoreLike = None
-) -> FlowSolution:
-    """The (cached) fractional MaxConcurrentFlow reference solution."""
-    key = (scale, routing_kind)
-    if key not in _LIMITED_TREE_FRACTIONALS:
-        resolved_store = resolve_store(store)
-        if resolved_store is not None:
-            spec = fractional_scenario_spec(scale, routing_kind)
-            _LIMITED_TREE_FRACTIONALS[key] = _solve_specs_store_backed(
-                [spec], jobs=1, store=resolved_store
-            )[0]
-        else:
-            instance = flat_instance(scale, routing_kind)
-            setting = limited_tree_setting_for_scale(scale)
-            solver, params = instance.setting.solver_spec(
-                "maxconcurrent", setting.fractional_ratio
-            )
-            _LIMITED_TREE_FRACTIONALS[key] = solve_instance(
-                solver, instance.sessions, instance.routing, params
-            )
-    return _LIMITED_TREE_FRACTIONALS[key]
-
-
-def _solve_rounding_point(
-    task: Tuple[str, str, int, FlowSolution]
+def _rounding_point(
+    setting: LimitedTreeSetting, fractional: FlowSolution, limit: int
 ) -> Dict[str, float]:
     """Randomized rounding at one tree-limit value, averaged over trials.
 
     Seeded from ``setting.seed + limit`` (unchanged from the original
     harness — the rounding averages are a different random process from
     the arrival orderings, which now draw from the setting's spawn tree
-    and therefore can no longer collide with these roots).  The shared
-    fractional solution travels in the task payload so pool workers
-    never re-solve it, whatever the multiprocessing start method.
+    and therefore can no longer collide with these roots).
     """
-    scale, routing_kind, limit, fractional = task
-    setting = limited_tree_setting_for_scale(scale)
     rounding = RandomMinCongestion(fractional, seed=setting.seed)
     return rounding.average_over_trials(
         limit, setting.rounding_trials, seed=setting.seed + limit
@@ -356,44 +254,38 @@ def limited_tree_study(
 ) -> LimitedTreeStudy:
     """Run (or fetch) the Random/Online versus tree-limit study.
 
-    The fractional reference and every online ordering cell are
-    spec-representable and solve through ``repro.api.solve_many`` — with
-    a persistent store (``store=`` or ``REPRO_STORE``) a re-run of the
-    study's online cells performs zero solver calls.  The rounding
-    trials remain procedural (they resample a live fractional solution)
-    and always compute.
+    The fractional reference and every online ordering cell solve as one
+    ``repro.api.solve_many`` batch — with a persistent store (``store=``
+    or ``REPRO_STORE``) a re-run of the study performs zero solver
+    calls.  The rounding trials resample the live fractional solution,
+    so they always compute, serially (they take milliseconds).
     """
     key = (scale, routing_kind)
     if key in _LIMITED_TREE_STUDIES:
         return _LIMITED_TREE_STUDIES[key]
 
     setting = limited_tree_setting_for_scale(scale)
-    fractional = _limited_tree_fractional(scale, routing_kind, store=store)
-    base_sessions = flat_instance(scale, routing_kind).sessions
-    num_sessions = len(base_sessions)
-
-    rounding_tasks = [
-        (scale, routing_kind, limit, fractional) for limit in setting.tree_limits
-    ]
-    rounding_stats = _map_cells(_solve_rounding_point, rounding_tasks, jobs)
-
-    # One spec per (limit, sigma, ordering): the whole online side of the
-    # study is a flat batch, so the service deduplicates, parallelises
-    # and (with a store) persists it like any other sweep.
+    fractional_spec = fractional_scenario_spec(scale, routing_kind)
+    # One spec per (limit, sigma, ordering) behind the fractional one:
+    # the whole study is a flat batch, so the service deduplicates,
+    # parallelises and (with a store) persists it like any other sweep.
     cells = [
         (limit, sigma, ordering)
         for limit in setting.tree_limits
         for sigma in setting.sigmas
         for ordering in range(setting.online_orderings)
     ]
-    specs = [
+    specs = [fractional_spec] + [
         limited_tree_online_spec(scale, routing_kind, limit, sigma, ordering)
         for limit, sigma, ordering in cells
     ]
-    reports = solve_many(specs, jobs=jobs, store=store)
-    solutions_by_cell = {
-        cell: report.solution for cell, report in zip(cells, reports)
-    }
+    fractional, *online = _solve_specs(specs, jobs, store)
+    solutions_by_cell = dict(zip(cells, online))
+    _, base_sessions, _ = service.build_instance(fractional_spec)
+    num_sessions = len(base_sessions)
+    rounding_stats = [
+        _rounding_point(setting, fractional, limit) for limit in setting.tree_limits
+    ]
 
     points = []
     for limit, random_stats in zip(setting.tree_limits, rounding_stats):
@@ -440,51 +332,16 @@ def limited_tree_study(
 # ----------------------------------------------------------------------
 # Section VI sweep runs
 # ----------------------------------------------------------------------
-@dataclass
-class SweepInstance:
-    """The Section VI network plus per-grid-point session sets."""
-
-    setting: SweepSetting
-    network: PhysicalNetwork
-    routing: RoutingModel
-    sessions: Dict[Tuple[int, int], List[Session]]
-
-
-_SWEEP_INSTANCES: Dict[str, SweepInstance] = {}
 _SWEEP_RUNS: Dict[Tuple[str, str], Dict[Tuple[int, int], FlowSolution]] = {}
 _ONLINE_SWEEP_RUNS: Dict[Tuple[str, int], Dict[Tuple[int, int], FlowSolution]] = {}
-
-
-def sweep_instance(scale: str) -> SweepInstance:
-    """The (cached) Section VI instance for a scale."""
-    if scale not in _SWEEP_INSTANCES:
-        setting = sweep_setting_for_scale(scale)
-        network = setting.build_network()
-        routing = setting.build_routing(network, "ip")
-        sessions: Dict[Tuple[int, int], List[Session]] = {}
-        for count in setting.session_counts:
-            for size in setting.session_sizes:
-                sessions[(count, size)] = setting.build_sessions(network, count, size)
-        _SWEEP_INSTANCES[scale] = SweepInstance(
-            setting=setting, network=network, routing=routing, sessions=sessions
-        )
-    return _SWEEP_INSTANCES[scale]
-
-
-def _solve_sweep_cell(task: Tuple[str, str, Tuple[int, int]]) -> FlowSolution:
-    """Solve one (scale, algorithm, grid point) Section VI cell."""
-    scale, algorithm, grid_point = task
-    instance = sweep_instance(scale)
-    sessions = instance.sessions[grid_point]
-    solver, params = instance.setting.solver_spec(algorithm)
-    return solve_instance(solver, sessions, instance.routing, params)
 
 
 def sweep_scenario_spec(scale: str, algorithm: str, count: int, size: int) -> ScenarioSpec:
     """Declarative spec of one Section VI grid cell.
 
     ``repro.api.solve`` on this spec reproduces the corresponding
-    :func:`sweep_runs` cell bit-identically.
+    :func:`sweep_runs` cell bit-identically; ``build_instance`` on it
+    gives the cell's network, sessions and routing.
     """
     return sweep_setting_for_scale(scale).scenario_spec(count, size, algorithm)
 
@@ -497,46 +354,20 @@ def sweep_runs(
 ) -> Dict[Tuple[int, int], FlowSolution]:
     """MaxFlow or MaxConcurrentFlow over the whole (sessions x size) grid.
 
-    With a persistent store (``store=`` or ``REPRO_STORE``), grid cells
-    route through the spec path so sweep re-runs skip solved cells.
+    With a persistent store (``store=`` or ``REPRO_STORE``), sweep
+    re-runs skip solved cells.
     """
     if algorithm not in ("maxflow", "maxconcurrent"):
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     key = (scale, algorithm)
     if key not in _SWEEP_RUNS:
-        instance = sweep_instance(scale)
-        grid_points = list(instance.sessions)
-        resolved_store = resolve_store(store)
-        if resolved_store is not None:
-            specs = [
-                sweep_scenario_spec(scale, algorithm, count, size)
-                for count, size in grid_points
-            ]
-            results = _solve_specs_store_backed(specs, jobs, resolved_store)
-        else:
-            tasks = [(scale, algorithm, gp) for gp in grid_points]
-            results = _map_cells(_solve_sweep_cell, tasks, jobs)
-        _SWEEP_RUNS[key] = dict(zip(grid_points, results))
+        grid_points = sweep_setting_for_scale(scale).grid_points()
+        specs = [
+            sweep_scenario_spec(scale, algorithm, count, size)
+            for count, size in grid_points
+        ]
+        _SWEEP_RUNS[key] = dict(zip(grid_points, _solve_specs(specs, jobs, store)))
     return _SWEEP_RUNS[key]
-
-
-def _solve_online_cell(task: Tuple[str, int, Tuple[int, int]]) -> FlowSolution:
-    """Route one grid point's replicated arrival sequence online.
-
-    The arrival process comes from the cell's declarative spec
-    (:meth:`SweepSetting.online_scenario_spec` — replication, demand
-    and a spawn-tree permutation seed), applied to the shared cached
-    instance, so this procedural path is bit-identical to solving the
-    spec through ``repro.api``.
-    """
-    scale, tree_limit, grid_point = task
-    instance = sweep_instance(scale)
-    setting = instance.setting
-    spec = setting.online_scenario_spec(*grid_point, tree_limit)
-    ordered = spec.arrivals.apply(instance.sessions[grid_point])
-    return solve_instance(
-        "online", ordered, instance.routing, spec.solver_params
-    )
 
 
 def online_scenario_spec(
@@ -558,23 +389,18 @@ def online_sweep_runs(
 ) -> Dict[Tuple[int, int], FlowSolution]:
     """Online algorithm over the grid with each session replicated ``tree_limit`` times.
 
-    With a persistent store (``store=`` or ``REPRO_STORE``), grid cells
-    route through the spec path — a warm re-run of the online sweep
-    performs zero solver calls, exactly like the offline sweeps.
+    With a persistent store (``store=`` or ``REPRO_STORE``), a warm
+    re-run of the online sweep performs zero solver calls, exactly like
+    the offline sweeps.
     """
     key = (scale, tree_limit)
     if key not in _ONLINE_SWEEP_RUNS:
-        instance = sweep_instance(scale)
-        grid_points = list(instance.sessions)
-        resolved_store = resolve_store(store)
-        if resolved_store is not None:
-            specs = [
-                online_scenario_spec(scale, tree_limit, count, size)
-                for count, size in grid_points
-            ]
-            results = _solve_specs_store_backed(specs, jobs, resolved_store)
-        else:
-            tasks = [(scale, tree_limit, gp) for gp in grid_points]
-            results = _map_cells(_solve_online_cell, tasks, jobs)
-        _ONLINE_SWEEP_RUNS[key] = dict(zip(grid_points, results))
+        grid_points = sweep_setting_for_scale(scale).grid_points()
+        specs = [
+            online_scenario_spec(scale, tree_limit, count, size)
+            for count, size in grid_points
+        ]
+        _ONLINE_SWEEP_RUNS[key] = dict(
+            zip(grid_points, _solve_specs(specs, jobs, store))
+        )
     return _ONLINE_SWEEP_RUNS[key]

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.api.service import build_instance
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import flat_instance, flat_ratio_sweep, flat_scenario_spec
+from repro.experiments.runner import flat_ratio_sweep, flat_scenario_spec
 from repro.experiments.settings import flat_setting_for_scale
 from repro.metrics.distribution import tree_rate_distribution
 from repro.metrics.summary import solutions_to_table
@@ -23,7 +24,6 @@ from repro.metrics.utilization import (
 
 def _ratio_table_data(scale: str, routing_kind: str, algorithm: str) -> Dict:
     solutions = flat_ratio_sweep(scale, routing_kind, algorithm)
-    instance = flat_instance(scale, routing_kind)
     data: Dict[str, Dict] = {"ratios": sorted(solutions), "columns": {}}
     for ratio in sorted(solutions):
         solution = solutions[ratio]
@@ -40,17 +40,19 @@ def _ratio_table_data(scale: str, routing_kind: str, algorithm: str) -> Dict:
                 solution.extra["prescale_oracle_calls"]
             )
         data["columns"][f"{ratio:g}"] = column
-    data["session_sizes"] = [s.size for s in instance.sessions]
-    data["demand"] = instance.setting.demand
-    data["num_nodes"] = instance.network.num_nodes
-    data["num_edges"] = instance.network.num_edges
     # Declarative provenance: each column's cell as a Scenario-API spec,
     # so any table entry can be re-solved (or submitted remotely) with
-    # ``repro.api.solve``.
-    data["scenario_specs"] = {
-        f"{ratio:g}": flat_scenario_spec(scale, routing_kind, algorithm, ratio).to_jsonable()
+    # ``repro.api.solve``.  Every cell shares one instance.
+    specs = {
+        f"{ratio:g}": flat_scenario_spec(scale, routing_kind, algorithm, ratio)
         for ratio in data["ratios"]
     }
+    network, sessions, _ = build_instance(next(iter(specs.values())))
+    data["session_sizes"] = [s.size for s in sessions]
+    data["demand"] = flat_setting_for_scale(scale).demand
+    data["num_nodes"] = network.num_nodes
+    data["num_edges"] = network.num_edges
+    data["scenario_specs"] = {label: spec.to_jsonable() for label, spec in specs.items()}
     return data
 
 
@@ -168,11 +170,25 @@ def fig3(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
 # Figure 4 — link utilization
 # ----------------------------------------------------------------------
 def fig4(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
-    """Paper Fig. 4: link-utilization distribution for MaxFlow and MaxConcurrentFlow."""
-    instance = flat_instance(scale, routing_kind)
-    covered = covered_edges_for_sessions(instance.network, instance.sessions)
-    data: Dict[str, Dict] = {"covered_links": int(covered.size), "algorithms": {}}
-    lines = [f"physical links covered by the sessions' unicast paths: {covered.size}"]
+    """Paper Fig. 4: link-utilization distribution for MaxFlow and MaxConcurrentFlow.
+
+    Under fixed routing the series covers the links on the sessions'
+    unicast paths, as in the paper.  Under dynamic routing (Fig. 9) the
+    trees leave those paths, so each series covers the links the
+    solution's trees use, and the count is reported per ratio.
+    """
+    setting = flat_setting_for_scale(scale)
+    network, sessions, routing = build_instance(
+        flat_scenario_spec(scale, routing_kind, "maxflow", setting.ratios[0])
+    )
+    if routing.is_dynamic:
+        covered = None
+        data: Dict[str, Dict] = {"algorithms": {}}
+        lines: List[str] = []
+    else:
+        covered = covered_edges_for_sessions(network, sessions)
+        data = {"covered_links": int(covered.size), "algorithms": {}}
+        lines = [f"physical links covered by the sessions' unicast paths: {covered.size}"]
     for algorithm, label in (("maxflow", "MaxFlow"), ("maxconcurrent", "MaxConcurrentFlow")):
         solutions = flat_ratio_sweep(scale, routing_kind, algorithm)
         per_ratio = {}
@@ -184,8 +200,12 @@ def fig4(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
                 "utilization": list(utilization),
                 "staircase": staircase,
             }
+            links = ""
+            if covered is None:
+                per_ratio[f"{ratio:g}"]["links"] = int(utilization.size)
+                links = f"{utilization.size} links used by its trees, "
             lines.append(
-                f"{label} ratio {ratio:g}: mean utilization "
+                f"{label} ratio {ratio:g}: {links}mean utilization "
                 f"{float(utilization.mean()) if utilization.size else 0.0:.3f}, "
                 f"{len(staircase)} distinct congestion levels"
             )

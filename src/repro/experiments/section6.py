@@ -18,15 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
+from repro.api.service import build_instance
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import (
-    online_sweep_runs,
-    sweep_instance,
-    sweep_runs,
-    sweep_scenario_spec,
-)
+from repro.experiments.runner import online_sweep_runs, sweep_runs, sweep_scenario_spec
 from repro.experiments.settings import sweep_setting_for_scale
 from repro.metrics.distribution import top_fraction_share, tree_rate_distribution
 from repro.metrics.utilization import (
@@ -143,10 +137,9 @@ def fig16(scale: str = "quick") -> ExperimentResult:
 # ----------------------------------------------------------------------
 def fig13(scale: str = "quick") -> ExperimentResult:
     """Paper Fig. 13: number of covered physical edges per overlay node."""
-    instance = sweep_instance(scale)
     values = {
-        point: edges_per_node(instance.network, sessions, instance.routing)
-        for point, sessions in instance.sessions.items()
+        point: edges_per_node(*build_instance(sweep_scenario_spec(scale, "maxflow", *point)))
+        for point in sweep_setting_for_scale(scale).grid_points()
     }
     return _surface_result(
         "fig13", "Number of Edges per Node", scale, values, "physical edges per node"
@@ -158,8 +151,7 @@ def fig13(scale: str = "quick") -> ExperimentResult:
 # ----------------------------------------------------------------------
 def fig14(scale: str = "quick") -> ExperimentResult:
     """Paper Fig. 14: link-utilization distributions for low/high concurrency."""
-    instance = sweep_instance(scale)
-    setting = instance.setting
+    setting = sweep_setting_for_scale(scale)
     counts = sorted(setting.session_counts)
     selected_counts = sorted({counts[0], counts[len(counts) // 2], counts[-1]})
     data: Dict = {"panels": {}}
@@ -171,7 +163,7 @@ def fig14(scale: str = "quick") -> ExperimentResult:
             for size in setting.session_sizes:
                 solution = runs[(count, size)]
                 covered = covered_edges_for_sessions(
-                    instance.network, instance.sessions[(count, size)], instance.routing
+                    *build_instance(sweep_scenario_spec(scale, algorithm, count, size))
                 )
                 ranks, utilization = link_utilization_series(solution, covered)
                 panel[f"size_{size}"] = {

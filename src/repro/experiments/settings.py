@@ -12,7 +12,13 @@ Two experiment families appear in the paper:
 "Quick" scale shrinks the topology, session sizes and ratio grids so that
 every experiment finishes in seconds (suitable for the test and benchmark
 suites); "paper" scale uses the paper's parameters.  Every reduction is
-recorded in EXPERIMENTS.md.
+recorded in the scale presets below (``quick_*_setting`` and
+``tiny_*_setting`` against ``paper_*_setting``).
+
+A setting only describes its cells as declarative
+:class:`~repro.api.specs.ScenarioSpec` objects; the live network,
+sessions and routing of a cell come from
+:func:`repro.api.service.build_instance` on its spec.
 """
 
 from __future__ import annotations
@@ -20,11 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.api.registry import default_registry
 from repro.api.specs import ArrivalSpec, ScenarioSpec, TopologySpec, WorkloadSpec
-from repro.overlay.session import Session
-from repro.routing.base import RoutingModel
-from repro.topology.network import PhysicalNetwork
 from repro.util.errors import ConfigurationError
 from repro.util.rng import spawn_child_seed
 
@@ -45,15 +47,14 @@ def solver_name_for_algorithm(algorithm: str) -> str:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}") from None
 
 
-def _solver_spec(
+def _solver_params(
     algorithm: str, ratio: float, prescale_epsilon: float
-) -> Tuple[str, Dict[str, Any]]:
-    """Registry solver name + params shared by both setting families."""
-    solver = solver_name_for_algorithm(algorithm)
+) -> Dict[str, Any]:
+    """Solver params of one offline cell, shared by both setting families."""
     params: Dict[str, Any] = {"approximation_ratio": ratio}
     if algorithm == "maxconcurrent":
         params["prescale_epsilon"] = prescale_epsilon
-    return solver, params
+    return params
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,16 @@ class FlatSetting:
             sizes=self.session_sizes, demand=self.demand, seed=self.seed + 1
         )
 
-    def solver_spec(self, algorithm: str, ratio: float) -> Tuple[str, Dict[str, Any]]:
-        """Registry solver name + params for one grid cell of this setting."""
-        return _solver_spec(algorithm, ratio, self.prescale_epsilon)
-
     def scenario_spec(
         self, routing_kind: str, algorithm: str, ratio: float
     ) -> ScenarioSpec:
         """The complete declarative scenario of one flat sweep cell."""
-        solver, params = self.solver_spec(algorithm, ratio)
         return ScenarioSpec(
             topology=self.topology_spec(),
             workload=self.workload_spec(),
             routing=routing_kind,
-            solver=solver,
-            solver_params=params,
+            solver=solver_name_for_algorithm(algorithm),
+            solver_params=_solver_params(algorithm, ratio, self.prescale_epsilon),
         )
 
     def online_scenario_spec(
@@ -123,18 +119,6 @@ class FlatSetting:
             solver_params={"sigma": sigma, "group_by_members": True},
             arrivals=arrivals,
         )
-
-    def build_network(self) -> PhysicalNetwork:
-        """The Waxman topology of this setting."""
-        return self.topology_spec().build()
-
-    def build_sessions(self, network: PhysicalNetwork) -> List[Session]:
-        """The competing sessions of this setting (deterministic for the seed)."""
-        return self.workload_spec().build(network)
-
-    def build_routing(self, network: PhysicalNetwork, kind: str = "ip") -> RoutingModel:
-        """Routing model of the requested kind over ``network``."""
-        return default_registry().build_routing(network, kind)
 
 
 @dataclass(frozen=True)
@@ -185,19 +169,22 @@ class SweepSetting:
             seed=self.seed + count * 1000 + size,
         )
 
-    def solver_spec(self, algorithm: str) -> Tuple[str, Dict[str, Any]]:
-        """Registry solver name + params for one sweep cell of this setting."""
-        return _solver_spec(algorithm, self.ratio, self.prescale_epsilon)
+    def grid_points(self) -> List[Tuple[int, int]]:
+        """Every ``(session count, session size)`` cell, counts outermost."""
+        return [
+            (count, size)
+            for count in self.session_counts
+            for size in self.session_sizes
+        ]
 
     def scenario_spec(self, count: int, size: int, algorithm: str) -> ScenarioSpec:
         """The complete declarative scenario of one Section VI grid cell."""
-        solver, params = self.solver_spec(algorithm)
         return ScenarioSpec(
             topology=self.topology_spec(),
             workload=self.workload_spec(count, size),
             routing="ip",
-            solver=solver,
-            solver_params=params,
+            solver=solver_name_for_algorithm(algorithm),
+            solver_params=_solver_params(algorithm, self.ratio, self.prescale_epsilon),
         )
 
     def online_scenario_spec(self, count: int, size: int, tree_limit: int) -> ScenarioSpec:
@@ -223,20 +210,6 @@ class SweepSetting:
                 seed=spawn_child_seed(self.seed, tree_limit, count, size),
             ),
         )
-
-    def build_network(self) -> PhysicalNetwork:
-        """The two-level AS/router topology of this setting."""
-        return self.topology_spec().build()
-
-    def build_sessions(
-        self, network: PhysicalNetwork, count: int, size: int
-    ) -> List[Session]:
-        """``count`` random sessions of ``size`` members each."""
-        return self.workload_spec(count, size).build(network)
-
-    def build_routing(self, network: PhysicalNetwork, kind: str = "ip") -> RoutingModel:
-        """Routing model of the requested kind over ``network``."""
-        return default_registry().build_routing(network, kind)
 
 
 # ----------------------------------------------------------------------
@@ -377,9 +350,8 @@ def sweep_setting_for_scale(scale: str) -> SweepSetting:
 # execution settings (parallel sweep runs)
 # ----------------------------------------------------------------------
 # The ``--jobs`` / REPRO_JOBS plumbing lives in ``repro.util.jobs`` so
-# that core algorithms (MaxConcurrentFlow pre-scaling) and the batch API
-# can share it without importing the experiments layer; re-exported here
-# for backwards compatibility.
+# that the batch API, whose pool runs every sweep, reads it without
+# importing the experiments layer; re-exported here for the section CLIs.
 from repro.util.jobs import (  # noqa: E402,F401  (re-exports)
     JOBS_ENV_VAR,
     configure_jobs,
@@ -408,8 +380,8 @@ def experiment_cli_parser(description: str):
         type=int,
         default=None,
         help=(
-            "worker processes for independent sweep cells "
-            f"(0 = all CPU cores; default: ${JOBS_ENV_VAR} or 1)"
+            "worker processes of repro.api.solve_many's pool, which solves "
+            f"every sweep (0 = all CPU cores; default: ${JOBS_ENV_VAR} or 1)"
         ),
     )
     return parser

@@ -1,19 +1,18 @@
-"""Process-pool worker-count plumbing shared across the library.
+"""Worker-count plumbing for the batch solve service's process pool.
 
-Every parallel facility in the repo — the experiment sweeps, the batch
-solve service (``repro.api.solve_many``), and the MaxConcurrentFlow
-pre-scaling step — resolves its worker count through this module so that
-one ``--jobs`` flag / ``REPRO_JOBS`` environment variable governs them
-all.  Precedence: an explicitly passed ``jobs`` value, then the value
-installed by :func:`configure_jobs` (the CLI flag), then ``REPRO_JOBS``,
-then 1 (serial).  ``0`` always means "all CPU cores".
+``repro.api.solve_many`` owns the library's only process pool, and every
+experiment sweep solves through it; this module resolves that pool's
+size, so one ``--jobs`` flag / ``REPRO_JOBS`` environment variable
+governs every parallel run.  Precedence: an explicitly passed ``jobs``
+value, then the value installed by :func:`configure_jobs` (the section
+CLIs' flag), then ``REPRO_JOBS``, then 1 (serial).  ``0`` always means
+"all CPU cores".
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.util.errors import ConfigurationError
 
@@ -25,38 +24,18 @@ _configured_jobs: Optional[int] = None
 def configure_jobs(jobs: Optional[int]) -> Optional[int]:
     """Set the process-wide default worker count for parallel runs.
 
-    This is the programmatic face of the ``--jobs`` CLI knob: the section
-    CLIs and ``python -m repro.api`` call it once at startup and every
-    sweep in the process picks it up.  A configured value takes
-    precedence over the ``REPRO_JOBS`` environment variable — an explicit
-    flag must win over ambient environment.  ``0`` means "all CPU
-    cores"; ``None`` clears the configured value.  Returns the previous
-    configured value (``None`` if unset), suitable for restoring.
+    This is the programmatic face of the section CLIs' ``--jobs`` knob:
+    they call it once at startup and every sweep in the process picks
+    it up.  A configured value takes precedence over the ``REPRO_JOBS``
+    environment variable — an explicit flag must win over ambient
+    environment.  ``0`` means "all CPU cores"; ``None`` clears the
+    configured value.  Returns the previous configured value (``None``
+    if unset), suitable for restoring.
     """
     global _configured_jobs
     previous = _configured_jobs
     _configured_jobs = None if jobs is None else _validate_jobs(jobs)
     return previous
-
-
-@contextlib.contextmanager
-def jobs_context(jobs: Optional[int]) -> Iterator[None]:
-    """Scope :func:`configure_jobs` to a ``with`` block.
-
-    The CLI entry points (``python -m repro.api``, ``python -m
-    repro.cluster``) install their ``--jobs`` flag process-wide for the
-    duration of one command and restore the previous value afterwards,
-    so in-process callers of their ``main()`` functions are unaffected.
-    ``None`` leaves the configuration untouched.
-    """
-    if jobs is None:
-        yield
-        return
-    previous = configure_jobs(jobs)
-    try:
-        yield
-    finally:
-        configure_jobs(previous)
 
 
 def default_jobs() -> int:

@@ -2,8 +2,9 @@
 
 The paper reports its evaluation as tables (Tables II, IV, VII, VIII) and
 gnuplot figures.  The experiment harness renders the same rows as ASCII
-tables so results can be compared side by side in a terminal or in
-EXPERIMENTS.md.
+tables so results can be compared side by side in a terminal; the scale
+presets in :mod:`repro.experiments.settings` record how each run's
+parameters depart from the paper's.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from repro.api import (
     SessionSpec,
     TopologySpec,
     WorkloadSpec,
+    build_instance,
     default_registry,
     solve,
 )
@@ -118,10 +119,14 @@ class TestSpecConstruction:
         assert spec.build() == grid_topology(3, 4, capacity=5.0)
 
     def test_flat_setting_specs_reproduce_builders(self):
+        # A cell's instance is the setting's topology and workload.
         setting = flat_setting_for_scale("tiny")
         network = setting.topology_spec().build()
-        direct = setting.build_sessions(network)
-        via_spec = setting.workload_spec().build(network)
+        direct = setting.workload_spec().build(network)
+        cell_network, via_spec, _ = build_instance(
+            setting.scenario_spec("ip", "maxflow", setting.ratios[0])
+        )
+        assert cell_network == network
         assert [(s.name, s.members, s.demand) for s in via_spec] == [
             (s.name, s.members, s.demand) for s in direct
         ]
@@ -129,8 +134,9 @@ class TestSpecConstruction:
     def test_sweep_setting_specs_reproduce_builders(self):
         setting = sweep_setting_for_scale("tiny")
         network = setting.topology_spec().build()
-        direct = setting.build_sessions(network, 2, 3)
-        via_spec = setting.workload_spec(2, 3).build(network)
+        direct = setting.workload_spec(2, 3).build(network)
+        cell_network, via_spec, _ = build_instance(setting.scenario_spec(2, 3, "maxflow"))
+        assert cell_network == network
         assert [(s.name, s.members) for s in via_spec] == [
             (s.name, s.members) for s in direct
         ]

@@ -184,7 +184,13 @@ class TestSolveReportSerialization:
 
 
 class TestRetiredSolverParams:
-    RETIRED = {"memoize": False, "stacked_trees": False, "kernel_backend": "numba"}
+    RETIRED = {
+        "memoize": False,
+        "stacked_trees": False,
+        "kernel_backend": "numba",
+        "prescale_jobs": 2,
+        "max_events": 4,
+    }
 
     @pytest.mark.parametrize("solver", sorted(SOLVER_PARAMS))
     def test_retired_keys_solve_with_one_warning(self, solver):

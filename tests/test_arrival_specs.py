@@ -23,6 +23,7 @@ import repro.api.service as service
 from repro.api import ArrivalSpec, ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.experiments import runner
 from repro.overlay.session import Session
+from repro.routing.ip_routing import FixedIPRouting
 from repro.store import ReportStore
 from repro.util.errors import ConfigurationError
 
@@ -224,16 +225,24 @@ class TestWarmStoreOnlineSweep:
             assert _flows(warm[grid_point]) == _flows(cold[grid_point])
 
     def test_store_path_matches_procedural_path(self, tmp_path):
+        # Reference: each cell re-solved by hand from its spec's parts,
+        # outside the service's instance cache and report store.
         store = ReportStore(tmp_path / "store")
         runner.clear_caches()
-        api.clear_caches()
         stored = runner.online_sweep_runs("tiny", tree_limit=2, store=store)
-        runner.clear_caches()
-        api.clear_caches()
-        procedural = runner.online_sweep_runs("tiny", tree_limit=2)
-        assert set(stored) == set(procedural)
-        for grid_point in stored:
-            assert _flows(stored[grid_point]) == _flows(procedural[grid_point])
+        assert list(stored)
+        for count, size in stored:
+            spec = runner.online_scenario_spec("tiny", 2, count, size)
+            net = spec.topology.build()
+            reference = api.solve_instance(
+                "online",
+                spec.arrivals.apply(spec.workload.build(net)),
+                FixedIPRouting(net),
+                spec.solver_params,
+            )
+            solution = stored[(count, size)]
+            assert _flows(solution) == _flows(reference)
+            assert solution.oracle_calls == reference.oracle_calls
 
     def test_limited_tree_online_cells_come_from_store_on_rerun(
         self, tmp_path, monkeypatch

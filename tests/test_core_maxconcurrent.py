@@ -1,12 +1,12 @@
 """Tests for the MaxConcurrentFlow FPTAS (paper Table III)."""
 
-import numpy as np
 import pytest
 
-from repro.core.maxconcurrent import (
-    MaxConcurrentFlow,
-    MaxConcurrentFlowConfig,
+from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
+from repro.core.solver import (
     solve_max_concurrent_flow,
+    solve_max_flow,
+    standalone_session_rates,
 )
 from repro.lp.exact import exact_max_concurrent_flow
 from repro.overlay.session import Session
@@ -98,14 +98,12 @@ class TestAgainstExactLP:
 
 class TestBehaviourVersusMaxFlow:
     def test_raises_minimum_rate(self, waxman_network):
-        from repro.core.maxflow import solve_max_flow as maxflow
-
         routing = FixedIPRouting(waxman_network)
         sessions = [
             Session((0, 4, 9, 13, 17, 25), demand=100.0, name="big"),
             Session((2, 7, 20), demand=100.0, name="small"),
         ]
-        throughput_solution = maxflow(sessions, routing, epsilon=0.1)
+        throughput_solution = solve_max_flow(sessions, routing, epsilon=0.1)
         fair_solution = solve_max_concurrent_flow(sessions, routing, epsilon=0.1)
         # Fairness lifts the weakest session (or keeps it, within FPTAS noise)...
         assert fair_solution.min_rate >= throughput_solution.min_rate * 0.9
@@ -120,50 +118,24 @@ class TestBehaviourVersusMaxFlow:
             MaxConcurrentFlow([], FixedIPRouting(waxman_network))
 
 
-class TestParallelPrescaling:
-    """The pre-scaling MaxFlow runs may fan out to a process pool."""
-
-    def test_parallel_prescale_bit_identical(self, waxman_network):
+class TestPrescaling:
+    def test_prescale_is_one_standalone_maxflow_per_session(self, waxman_network):
+        # Section III-C: beta_i is session i's MaxFlow alone on the
+        # network; standalone_session_rates runs the same loop.
         routing = FixedIPRouting(waxman_network)
         sessions = [
             Session((0, 4, 9, 13), demand=100.0, name="s1"),
-            Session((2, 7, 20), demand=100.0, name="s2"),
-            Session((5, 11, 31, 36), demand=100.0, name="s3"),
+            Session((2, 7, 20), demand=50.0, name="s2"),
         ]
-        serial = MaxConcurrentFlow(
+        solution = MaxConcurrentFlow(
             sessions,
             routing,
-            MaxConcurrentFlowConfig(epsilon=0.1, prescale_jobs=1),
+            MaxConcurrentFlowConfig(epsilon=0.1, prescale_epsilon=0.2),
         ).solve()
-        parallel = MaxConcurrentFlow(
-            sessions,
-            routing,
-            MaxConcurrentFlowConfig(epsilon=0.1, prescale_jobs=2),
-        ).solve()
-        # Bit-identical: same beta bound, same oracle accounting, same flows.
-        assert parallel.extra["zeta_upper_bound"] == serial.extra["zeta_upper_bound"]
-        assert parallel.extra["prescale_oracle_calls"] == serial.extra["prescale_oracle_calls"]
-        assert parallel.summary() == serial.summary()
-        for p_session, s_session in zip(parallel.sessions, serial.sessions):
-            assert [
-                (tf.tree.canonical_key(), tf.flow) for tf in p_session.tree_flows
-            ] == [(tf.tree.canonical_key(), tf.flow) for tf in s_session.tree_flows]
-
-    def test_prescale_jobs_env_plumbing(self, waxman_network, monkeypatch):
-        from repro.util.jobs import JOBS_ENV_VAR
-
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        routing = FixedIPRouting(waxman_network)
-        sessions = [
-            Session((0, 4, 9), demand=100.0, name="s1"),
-            Session((2, 7, 20), demand=100.0, name="s2"),
-        ]
-        # prescale_jobs=None falls back to REPRO_JOBS; results unchanged.
-        pooled = MaxConcurrentFlow(
-            sessions, routing, MaxConcurrentFlowConfig(epsilon=0.15)
-        ).solve()
-        monkeypatch.delenv(JOBS_ENV_VAR)
-        serial = MaxConcurrentFlow(
-            sessions, routing, MaxConcurrentFlowConfig(epsilon=0.15)
-        ).solve()
-        assert pooled.summary() == serial.summary()
+        alone = [solve_max_flow([s], routing, epsilon=0.2) for s in sessions]
+        rates = standalone_session_rates(sessions, routing, epsilon=0.2)
+        assert rates == [a.sessions[0].rate for a in alone]
+        assert solution.extra["zeta_upper_bound"] == min(
+            rate / s.demand for rate, s in zip(rates, sessions)
+        )
+        assert solution.extra["prescale_oracle_calls"] == sum(a.oracle_calls for a in alone)

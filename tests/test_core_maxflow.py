@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.maxflow import MaxFlow, MaxFlowConfig, solve_max_flow
+from repro.core.maxflow import MaxFlow, MaxFlowConfig
+from repro.core.solver import solve_max_flow
 from repro.lp.exact import exact_max_flow
 from repro.overlay.session import Session, random_session
 from repro.routing.dynamic import DynamicRouting

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.maxconcurrent import solve_max_concurrent_flow
-from repro.core.online import OnlineConfig, OnlineMinCongestion, solve_online
-from repro.core.rounding import RandomMinCongestion, solve_randomized_rounding
+from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.rounding import RandomMinCongestion
+from repro.core.solver import (
+    solve_max_concurrent_flow,
+    solve_online,
+    solve_randomized_rounding,
+)
 from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
-from repro.topology.network import PhysicalNetwork
 from repro.util.errors import ConfigurationError, InvalidSessionError
 
 

@@ -253,7 +253,7 @@ class TestDynamicSolverEquivalence:
         fast = MaxConcurrentFlow(
             dynamic_sessions,
             DynamicRouting(waxman_network),
-            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25, prescale_jobs=1),
+            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25),
         ).solve()
         assert fingerprint(fast) == fingerprint(reference)
 

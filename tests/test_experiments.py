@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.api.service import build_instance
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import (
     clear_caches,
-    flat_instance,
     flat_ratio_sweep,
+    flat_scenario_spec,
     limited_tree_study,
     online_sweep_runs,
-    sweep_instance,
     sweep_runs,
+    sweep_scenario_spec,
 )
 from repro.experiments.settings import (
     flat_setting_for_scale,
@@ -55,8 +56,9 @@ class TestSettings:
 
     def test_flat_setting_builds_consistent_instance(self):
         setting = tiny_flat_setting()
-        network = setting.build_network()
-        sessions = setting.build_sessions(network)
+        network, sessions, _ = build_instance(
+            setting.scenario_spec("ip", "maxflow", setting.ratios[0])
+        )
         assert len(sessions) == len(setting.session_sizes)
         for session, size in zip(sessions, setting.session_sizes):
             assert session.size == size
@@ -64,25 +66,33 @@ class TestSettings:
 
     def test_flat_setting_routing_kinds(self):
         setting = tiny_flat_setting()
-        network = setting.build_network()
-        assert not setting.build_routing(network, "ip").is_dynamic
-        assert setting.build_routing(network, "dynamic").is_dynamic
+
+        def routing(kind):
+            return build_instance(setting.scenario_spec(kind, "maxflow", 0.8))[2]
+
+        assert not routing("ip").is_dynamic
+        assert routing("dynamic").is_dynamic
         with pytest.raises(ConfigurationError):
-            setting.build_routing(network, "bogus")
+            routing("bogus")
 
     def test_sweep_setting_builds_sessions(self):
         setting = sweep_setting_for_scale("tiny")
-        network = setting.build_network()
-        sessions = setting.build_sessions(network, 2, 3)
+        _, sessions, _ = build_instance(setting.scenario_spec(2, 3, "maxflow"))
         assert len(sessions) == 2
         assert all(s.size == 3 for s in sessions)
+        assert setting.grid_points() == [
+            (count, size)
+            for count in setting.session_counts
+            for size in setting.session_sizes
+        ]
 
 
 class TestRunner:
     def test_flat_instance_cached(self):
-        a = flat_instance(SCALE, "ip")
-        b = flat_instance(SCALE, "ip")
-        assert a is b
+        # Every cell of a flat sweep shares one built instance.
+        maxflow = build_instance(flat_scenario_spec(SCALE, "ip", "maxflow", 0.8))
+        concurrent = build_instance(flat_scenario_spec(SCALE, "ip", "maxconcurrent", 0.9))
+        assert maxflow is concurrent
 
     def test_flat_ratio_sweep_keys(self):
         solutions = flat_ratio_sweep(SCALE, "ip", "maxflow")
@@ -104,11 +114,15 @@ class TestRunner:
                 assert point.online_throughput[sigma] > 0
 
     def test_sweep_runs_cover_grid(self):
-        instance = sweep_instance(SCALE)
+        setting = sweep_setting_for_scale(SCALE)
         runs = sweep_runs(SCALE, "maxflow")
-        assert set(runs) == set(instance.sessions)
-        for solution in runs.values():
+        assert list(runs) == setting.grid_points()
+        for (count, size), solution in runs.items():
             assert solution.is_feasible(tolerance=1e-6)
+            _, sessions, _ = build_instance(sweep_scenario_spec(SCALE, "maxflow", count, size))
+            assert [s.session.members for s in solution.sessions] == [
+                s.members for s in sessions
+            ]
 
     def test_online_sweep_runs(self):
         runs = online_sweep_runs(SCALE, tree_limit=2)
@@ -172,6 +186,18 @@ class TestExperimentContent:
         assert "session_1" in sessions
         series = next(iter(sessions["session_1"].values()))
         assert series["cumulative_fraction"][-1] == pytest.approx(1.0)
+
+    def test_fig9_series_cover_every_edge_with_flow(self):
+        # Under dynamic routing the trees leave the fixed-IP routes, so
+        # each Fig 9 series holds one entry per edge that carries flow.
+        result = run_experiment("fig9", scale=SCALE)
+        for algorithm, label in (("maxflow", "MaxFlow"), ("maxconcurrent", "MaxConcurrentFlow")):
+            for ratio, solution in flat_ratio_sweep(SCALE, "dynamic", algorithm).items():
+                series = result.data["algorithms"][label][f"{ratio:g}"]
+                used = int(np.count_nonzero(solution.edge_flows() > 0))
+                assert len(series["utilization"]) == used
+                assert series["links"] == used
+                assert min(series["utilization"]) > 0
 
     def test_fig5_series_lengths(self):
         result = run_experiment("fig5", scale=SCALE)

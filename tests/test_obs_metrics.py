@@ -17,7 +17,6 @@ from repro.api.service import solve
 from repro.api.specs import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.cluster.queue import WorkQueue
 from repro.core.engine.instrumentation import DEFAULT_MAX_EVENTS, Instrumentation
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     METRICS_ENV_VAR,
@@ -313,7 +312,7 @@ def test_queue_metrics_claim_complete_and_latency(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# satellites: the dropped-events split and configurable max_events
+# satellites: the dropped-events split and the default max_events
 # ----------------------------------------------------------------------
 def test_dropped_events_split_fanned_out_vs_lost():
     # No listener: overflowed events are lost entirely (not even built).
@@ -338,19 +337,9 @@ def test_dropped_events_split_fanned_out_vs_lost():
     assert snap["dropped_events"] == 3
 
 
-def test_max_events_flows_through_solver_config():
-    spec_sessions_net = small_spec(seed=61)
-    from repro.api.service import build_instance
-
-    _, sessions, routing = build_instance(spec_sessions_net)
-    solver = MaxFlow(
-        sessions, routing, MaxFlowConfig(approximation_ratio=0.7, max_events=4)
-    )
-    solution = solver.solve()
-    assert len(solution.instrumentation["events"]) <= 4
-    assert solution.instrumentation["lost_events"] > 0
-    # The default stays the canonical 256 so persisted report bytes and
-    # canonical keys are unchanged.
+def test_default_max_events_is_256():
+    # Every solver logs with this bound, and it stays the canonical 256
+    # so persisted report bytes and canonical keys are unchanged.
     assert DEFAULT_MAX_EVENTS == 256
     assert Instrumentation()._max_events == DEFAULT_MAX_EVENTS
 

@@ -1,11 +1,18 @@
 """Parallel experiment-runner equivalence and ``--jobs`` resolution.
 
-Every sweep cell is deterministically seeded from its setting, so a
-process-pool run must produce exactly the results of a serial run.
+Every sweep cell is deterministically seeded from its setting, so a run
+on ``solve_many``'s process pool must produce exactly the results of a
+serial run: the same trees, flows and oracle calls in every cell.
+``runner.clear_caches()`` also empties the API's report cache, so the
+parallel arm really reaches the pool.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import runner
 from repro.experiments.settings import (
     JOBS_ENV_VAR,
@@ -67,36 +74,85 @@ class TestJobsResolution:
         assert resolve_jobs() == 1
 
 
-def _summaries(runs):
-    return {key: solution.summary() for key, solution in runs.items()}
+def _flows(solution):
+    """Per-session tree keys and exact flows, plus the oracle calls."""
+    return solution.oracle_calls, [
+        sorted((tf.tree.canonical_key(), tf.flow) for tf in s.tree_flows)
+        for s in solution.sessions
+    ]
+
+
+def _cells(runs):
+    return {key: _flows(solution) for key, solution in runs.items()}
+
+
+@pytest.fixture
+def pool_cells(monkeypatch):
+    """Count the specs ``solve_many`` hands to its process pool."""
+    from repro.api import service
+
+    shipped = []
+    pool = service.ProcessPoolExecutor
+
+    class CountingPool(pool):
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            shipped.extend(payloads)
+            return super().map(fn, payloads)
+
+    monkeypatch.setattr(service, "ProcessPoolExecutor", CountingPool)
+    return shipped
 
 
 class TestParallelEquivalence:
-    def test_sweep_runs_match_serial(self):
-        serial = _summaries(runner.sweep_runs(SCALE, "maxflow"))
+    def test_sweep_runs_match_serial(self, pool_cells):
+        serial = _cells(runner.sweep_runs(SCALE, "maxflow"))
         runner.clear_caches()
-        parallel = _summaries(runner.sweep_runs(SCALE, "maxflow", jobs=2))
+        parallel = _cells(runner.sweep_runs(SCALE, "maxflow", jobs=2))
         assert parallel == serial
+        assert len(pool_cells) == len(serial)
 
-    def test_online_sweep_runs_match_serial(self):
-        serial = _summaries(runner.online_sweep_runs(SCALE, tree_limit=2))
+    def test_online_sweep_runs_match_serial(self, pool_cells):
+        serial = _cells(runner.online_sweep_runs(SCALE, tree_limit=2))
         runner.clear_caches()
-        parallel = _summaries(runner.online_sweep_runs(SCALE, tree_limit=2, jobs=2))
+        parallel = _cells(runner.online_sweep_runs(SCALE, tree_limit=2, jobs=2))
         assert parallel == serial
+        assert len(pool_cells) == len(serial)
 
-    def test_limited_tree_study_matches_serial(self):
+    def test_limited_tree_study_matches_serial(self, pool_cells):
         serial = runner.limited_tree_study(SCALE)
         runner.clear_caches()
         parallel = runner.limited_tree_study(SCALE, jobs=2)
         assert [p.__dict__ for p in parallel.points] == [
             p.__dict__ for p in serial.points
         ]
-        assert (
-            parallel.fractional.summary() == serial.fractional.summary()
+        assert _flows(parallel.fractional) == _flows(serial.fractional)
+        setting = serial.setting
+        online_cells = (
+            len(setting.tree_limits) * len(setting.sigmas) * setting.online_orderings
         )
+        assert len(pool_cells) == 1 + online_cells  # the fractional one too
 
     def test_flat_ratio_sweep_accepts_jobs(self):
-        serial = _summaries(runner.flat_ratio_sweep(SCALE, "ip", "maxflow"))
+        # The tiny grid has one ratio, so this batch stays serial.
+        serial = _cells(runner.flat_ratio_sweep(SCALE, "ip", "maxflow"))
         runner.clear_caches()
-        parallel = _summaries(runner.flat_ratio_sweep(SCALE, "ip", "maxflow", jobs=2))
+        parallel = _cells(runner.flat_ratio_sweep(SCALE, "ip", "maxflow", jobs=2))
         assert parallel == serial
+
+
+def test_solve_many_owns_the_only_process_pool():
+    src = Path(repro.__file__).parent
+    pools = sorted(
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if "ProcessPoolExecutor" in path.read_text()
+    )
+    assert pools == ["api/service.py"]
+    pooled_imports = re.compile(
+        r"^\s*(import|from)\s+(multiprocessing|concurrent\.futures)", re.M
+    )
+    assert not [
+        path for path in (src / "core").rglob("*.py")
+        if pooled_imports.search(path.read_text())
+    ]
