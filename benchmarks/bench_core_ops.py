@@ -2,13 +2,12 @@
 
 These complement the per-table/figure benchmarks with the design-choice
 ablations: oracle cost under fixed versus dynamic routing, FPTAS cost
-versus epsilon, the online step cost, and the two crossover sweeps that
-back tuned constants — the Python/NumPy Prim split
-(``repro.overlay.mst._PYTHON_PRIM_LIMIT``) and the dense/sparse tree
-length split (``repro.overlay.tree.SPARSE_LENGTH_MIN_EDGES``).  Each
-sweep prints its measured crossover beside the configured constant and
-stores both in the benchmark's ``extra_info``.  End-to-end speed is
-``perfbench/``'s job.
+versus epsilon, the online step cost, and the crossover sweep that
+backs a tuned constant: the dense/sparse tree length split
+(``repro.overlay.tree.SPARSE_LENGTH_MIN_EDGES``).  The sweep prints its
+measured crossover beside the configured constant and stores both in
+the benchmark's ``extra_info``.  End-to-end speed is ``perfbench/``'s
+job.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.core.online import OnlineConfig, OnlineMinCongestion
-from repro.overlay.mst import _PYTHON_PRIM_LIMIT, _prim_numpy, _prim_python
 from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session, random_session
 from repro.overlay.tree import SPARSE_LENGTH_MIN_EDGES
@@ -28,10 +26,6 @@ from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.generators import paper_flat_topology
 
-# Member counts bracketing _PYTHON_PRIM_LIMIT; each size is timed
-# max(3, PRIM_REPS // n) times.
-PRIM_SIZES = (8, 16, 32, 64, 96, 128, 192)
-PRIM_REPS = 2000
 # Node counts whose paper_flat edge counts bracket
 # SPARSE_LENGTH_MIN_EDGES, and evaluations per point.
 LENGTH_NODES = (160, 240, 320, 480, 640)
@@ -115,35 +109,6 @@ def _report_crossover(benchmark, capsys, sweep, name, configured, unit):
     )
     with capsys.disabled():
         print(f"\n{name} = {configured}; measured crossover: {measured} {unit}")
-
-
-def _prim_sweep():
-    rng = np.random.default_rng(SEED + 6)
-    sweep = []
-    for n in PRIM_SIZES:
-        w = rng.uniform(0.1, 1.0, (n, n))
-        w = np.maximum(w, w.T)
-        np.fill_diagonal(w, 0.0)
-        reps = max(3, PRIM_REPS // n)
-        sweep.append((
-            n,
-            _us_per_call(_prim_python, w, n, reps=reps),
-            _us_per_call(_prim_numpy, w, n, reps=reps),
-        ))
-    return sweep
-
-
-def test_prim_crossover_sweep(run_once, benchmark, capsys):
-    """Python vs NumPy Prim, µs per call, around ``_PYTHON_PRIM_LIMIT``."""
-    benchmark.group = "mst"
-    sweep = run_once(_prim_sweep)
-    _report_crossover(
-        benchmark, capsys, sweep, "_PYTHON_PRIM_LIMIT", _PYTHON_PRIM_LIMIT, "rows"
-    )
-    assert [n for n, _, _ in sweep] == list(PRIM_SIZES)
-    assert all(python > 0 and numpy > 0 for _, python, numpy in sweep)
-    # Python must win at the smallest size (the reason the split exists).
-    assert sweep[0][1] < sweep[0][2]
 
 
 def _tree_length_sweep():

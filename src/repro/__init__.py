@@ -59,7 +59,6 @@ from repro.overlay import (
     OverlayTree,
     MinimumOverlayTreeOracle,
     random_session,
-    random_sessions,
 )
 from repro.core import (
     MaxFlow,
@@ -73,12 +72,6 @@ from repro.core import (
     SessionResult,
     TreeFlow,
     LengthFunction,
-    make_routing,
-    solve_max_flow,
-    solve_max_concurrent_flow,
-    solve_online,
-    solve_randomized_rounding,
-    standalone_session_rates,
 )
 from repro.api import (
     Registry,
@@ -115,7 +108,6 @@ __all__ = [
     "OverlayTree",
     "MinimumOverlayTreeOracle",
     "random_session",
-    "random_sessions",
     "MaxFlow",
     "MaxFlowConfig",
     "MaxConcurrentFlow",
@@ -127,12 +119,6 @@ __all__ = [
     "SessionResult",
     "TreeFlow",
     "LengthFunction",
-    "make_routing",
-    "solve_max_flow",
-    "solve_max_concurrent_flow",
-    "solve_online",
-    "solve_randomized_rounding",
-    "standalone_session_rates",
     "Registry",
     "default_registry",
     "register_topology",

@@ -10,9 +10,9 @@ Subcommands
     parallelism (0 = all cores; default honours ``REPRO_JOBS``);
     ``--store DIR`` attaches a persistent report store (default honours
     ``REPRO_STORE``), making repeated runs of solved specs near-free;
-    ``--verbose`` prints each report's phase-engine instrumentation
-    (phases, oracle calls, batched versus per-session oracle time) to
-    stderr; ``--trace out.json`` records the run as a Chrome
+    ``--verbose`` prints each report's phase-engine counts (steps,
+    phases, oracle calls, batched and per-session oracle rounds, events)
+    to stderr; ``--trace out.json`` records the run as a Chrome
     trace-event file (open in Perfetto / ``chrome://tracing``, or
     summarise with ``python -m repro.obs summary``).
 
@@ -91,25 +91,11 @@ def _describe_instrumentation(report: SolveReport) -> str:
         f"{instr.get('phases', 0)} phases, "
         f"{instr.get('oracle_queries', 0)} oracle calls "
         f"({report.oracle_calls} total incl. pre-scaling)",
-        f"  oracle time: batched {instr.get('batched_oracle_seconds', 0.0):.4f}s "
-        f"over {instr.get('batched_rounds', 0)} rounds / "
-        f"per-session {instr.get('per_session_oracle_seconds', 0.0):.4f}s "
-        f"over {instr.get('per_session_rounds', 0)} rounds",
+        f"  oracle rounds: {instr.get('batched_rounds', 0)} batched / "
+        f"{instr.get('per_session_rounds', 0)} per-session",
+        f"  events: {len(instr.get('events', []))} retained, "
+        f"{instr.get('dropped_events', 0)} dropped past the log bound",
     ]
-    retained = len(instr.get("events", []))
-    dropped = instr.get("dropped_events", 0)
-    # Older reports predate the fanned-out/lost split; fall back to
-    # attributing the whole legacy count to the bounded log.
-    fanned = instr.get("dropped_fanned_out", dropped)
-    lost = instr.get("lost_events", 0)
-    detail = ""
-    if fanned:
-        detail += f"; {fanned} fanned out to live listeners only"
-    if lost:
-        detail += f"; {lost} lost entirely (no listener attached)"
-    lines.append(
-        f"  events: {retained} retained, {dropped} dropped past the log bound{detail}"
-    )
     if instr.get("max_congestion", 0.0) > 0:
         lines.append(f"  max congestion seen: {instr['max_congestion']:.6g}")
     return "\n".join(lines)
@@ -269,8 +255,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument(
         "--verbose",
         action="store_true",
-        help="print engine instrumentation per report to stderr "
-        "(phases, oracle calls, batched vs per-session oracle time)",
+        help="print engine counts per report to stderr "
+        "(steps, phases, oracle calls and rounds, events)",
     )
     run.add_argument(
         "--trace",

@@ -11,10 +11,9 @@ namespaces:
 All built-in names are registered at import time; third-party code can
 plug in more through the ``@register_solver("my_solver")`` /
 ``@register_topology`` / ``@register_routing`` decorators (open
-registration, duplicate names rejected).  The legacy
-``repro.core.solver`` facade dispatches through this module, so a name
-registered here is immediately addressable from specs, the batch
-service and the ``python -m repro.api`` CLI.
+registration, duplicate names rejected).  A name registered here is
+immediately addressable from specs, the batch service, the serve layer
+and the ``python -m repro.api`` CLI.
 """
 
 from __future__ import annotations
@@ -74,8 +73,12 @@ class Registry:
         return self._register(self._topologies, "topology", name, fn)
 
     def register_routing(self, name: str, fn: Optional[RoutingFactory] = None):
-        """Register a routing-model factory under ``name`` (usable as decorator)."""
-        return self._register(self._routings, "routing", name, fn)
+        """Register a routing-model factory under ``name`` (usable as decorator).
+
+        Routing names are case-insensitive: they are stored lower-cased,
+        the form :meth:`routing` looks up.
+        """
+        return self._register(self._routings, "routing", name.lower(), fn)
 
     def register_solver(self, name: str, fn: Optional[SolverFunction] = None):
         """Register a solver function under ``name`` (usable as decorator).
@@ -117,8 +120,8 @@ class Registry:
         return self._lookup(self._topologies, "topology", name)
 
     def routing(self, name: str) -> RoutingFactory:
-        """The routing-model factory registered under ``name``."""
-        return self._lookup(self._routings, "routing", name)
+        """The routing-model factory registered under ``name`` (any case)."""
+        return self._lookup(self._routings, "routing", name.lower())
 
     def solver(self, name: str) -> SolverFunction:
         """The solver function registered under ``name``."""
@@ -138,7 +141,7 @@ class Registry:
 
     def build_routing(self, network: PhysicalNetwork, kind: str) -> RoutingModel:
         """Build a routing model by (case-insensitive) registered name."""
-        return self.routing(kind.lower())(network)
+        return self.routing(kind)(network)
 
 
 _DEFAULT_REGISTRY = Registry()
@@ -178,7 +181,7 @@ register_topology("complete", _topo.complete_topology)
 register_topology("random_regular", _topo.random_regular_topology)
 
 # ----------------------------------------------------------------------
-# built-in routing models (aliases match the legacy make_routing strings)
+# built-in routing models and their aliases
 # ----------------------------------------------------------------------
 for _name in ("ip", "fixed", "fixed-ip", "static"):
     register_routing(_name, FixedIPRouting)

@@ -211,9 +211,9 @@ class SolveReport:
             "sessions": sessions,
         }
         if self.solution.instrumentation is not None:
-            # Engine telemetry (phases, oracle rounds, batched-vs-loop
-            # oracle time).  Key absent for pre-engine reports, keeping
-            # their persisted bytes (and digests) untouched.
+            # Engine telemetry (phases, oracle rounds, events).  Key
+            # absent for pre-engine reports, keeping their persisted
+            # bytes (and digests) untouched.
             payload["instrumentation"] = to_jsonable(self.solution.instrumentation)
         return payload
 

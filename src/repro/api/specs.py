@@ -465,21 +465,6 @@ class ScenarioSpec(_SpecBase):
             del data["arrivals"]
         return data
 
-    def build_sessions(self, network: PhysicalNetwork) -> List[Session]:
-        """The solver's session input: workload sessions, arrival-ordered.
-
-        Convenience composition of ``workload.build`` and
-        ``arrivals.apply`` for callers holding only a spec and a
-        network.  Instance-caching callers (the solve service, the
-        experiment runner) instead apply :meth:`ArrivalSpec.apply` on
-        top of an already-built session list — same two operations, so
-        the result is identical.
-        """
-        sessions = self.workload.build(network)
-        if self.arrivals is not None:
-            sessions = self.arrivals.apply(sessions)
-        return sessions
-
     def with_solver(self, solver: str, **solver_params: Any) -> "ScenarioSpec":
         """Copy of this scenario with a different solver (shared instance)."""
         return dataclasses.replace(

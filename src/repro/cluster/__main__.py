@@ -72,7 +72,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         exit_when_empty=args.exit_when_empty,
         relay=args.relay,
         trace_dir=args.trace_dir,
-        heartbeat=not args.no_heartbeat,
     )
     print(
         f"worker done: {stats['completed']} task(s) "
@@ -172,12 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         help="lease expiries before a task is dead-lettered as poison",
-    )
-    worker.add_argument(
-        "--no-heartbeat",
-        action="store_true",
-        help="disable lease renewal while solving (testing only: a solve "
-        "longer than --lease will be re-executed by another worker)",
     )
     worker.set_defaults(handler=_cmd_worker)
 

@@ -212,7 +212,7 @@ class WorkQueue:
                 old_name = pending_names.get(key)
                 if old_name is not None and old_name != name:
                     try:
-                        os.rename(
+                        self._rename(
                             self._dir("pending") / old_name,
                             self._dir("pending") / name,
                         )

@@ -92,7 +92,6 @@ def run_worker(
     lease_seconds: Optional[float] = None,
     relay: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
-    heartbeat: bool = True,
     max_attempts: Optional[int] = None,
 ) -> Dict[str, int]:
     """Drain tasks from ``queue`` into ``store`` until told to stop.
@@ -129,10 +128,6 @@ def run_worker(
         ``<trace_dir>/<canonical_key>.trace.json`` — one Chrome
         trace-event file per run, next to the relay channels in spirit.
         Stitch multi-worker runs with ``python -m repro.obs merge``.
-    heartbeat:
-        Renew the lease of the task being solved every third of the
-        lease window (default on).  Turn off only to reproduce the
-        pre-heartbeat lapse behaviour in tests.
     max_attempts:
         Forwarded to the :class:`WorkQueue` constructor when ``queue``
         is a path (ignored — must be ``None`` or equal — when a live
@@ -209,11 +204,7 @@ def run_worker(
             if trace_dir is not None
             else None
         )
-        beat = (
-            _Heartbeat(queue, task, interval=queue.lease_seconds / 3.0).start()
-            if heartbeat
-            else None
-        )
+        beat = _Heartbeat(queue, task, interval=queue.lease_seconds / 3.0).start()
         try:
             try:
                 report = solve(
@@ -229,8 +220,7 @@ def run_worker(
                 stats["failed"] += 1
                 continue
         finally:
-            if beat is not None:
-                beat.stop()
+            beat.stop()
         if writer is not None:
             # End marker *after* the store put inside solve(): a tailer
             # that sees "end" can rely on the report being fetchable.

@@ -29,14 +29,6 @@ from repro.core.maxflow import MaxFlow, MaxFlowConfig
 from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
 from repro.core.online import OnlineMinCongestion, OnlineConfig, OnlineState
 from repro.core.rounding import RandomMinCongestion, RoundedSelection
-from repro.core.solver import (
-    make_routing,
-    solve_max_flow,
-    solve_max_concurrent_flow,
-    solve_online,
-    solve_randomized_rounding,
-    standalone_session_rates,
-)
 
 __all__ = [
     "LengthFunction",
@@ -56,10 +48,4 @@ __all__ = [
     "OnlineState",
     "RandomMinCongestion",
     "RoundedSelection",
-    "make_routing",
-    "solve_max_flow",
-    "solve_max_concurrent_flow",
-    "solve_online",
-    "solve_randomized_rounding",
-    "standalone_session_rates",
 ]

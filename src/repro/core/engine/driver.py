@@ -17,7 +17,6 @@ and stepwise execution (:meth:`step`, the online algorithm's
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +54,6 @@ class PhaseEngine:
         stopping: StoppingRule,
         step_cap: Optional[int] = None,
         cap_message: str = "phase engine exceeded its step cap",
-        instrumentation: Optional[Instrumentation] = None,
         accumulate_flows: bool = True,
         track_congestion: bool = False,
         oracle_factory=None,
@@ -67,7 +65,7 @@ class PhaseEngine:
         self._stopping = stopping
         self._step_cap = step_cap
         self._cap_message = cap_message
-        self._instr = instrumentation or Instrumentation()
+        self._instr = Instrumentation()
         self._accumulators: List[SessionFlowAccumulator] = (
             [SessionFlowAccumulator(session=o.session) for o in self._oracles]
             if accumulate_flows
@@ -196,7 +194,6 @@ class PhaseEngine:
             with maybe_span(
                 "oracle_round", queries=len(request.indices), batched=batched
             ):
-                start = time.perf_counter()
                 if batched:
                     results = self._front.query(
                         request.indices, self._lengths.relative
@@ -207,10 +204,7 @@ class PhaseEngine:
                         for index in request.indices
                     ]
                 self._instr.oracle_round(
-                    queries=len(request.indices),
-                    batched=batched,
-                    seconds=time.perf_counter() - start,
-                    step=self._steps,
+                    queries=len(request.indices), batched=batched, step=self._steps
                 )
 
             selection = self._policy.select(self, results)

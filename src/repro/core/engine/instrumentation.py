@@ -2,9 +2,8 @@
 
 Every :class:`~repro.core.engine.driver.PhaseEngine` run carries one
 :class:`Instrumentation` instance.  The engine emits *events* at the
-points the ISSUE-level questions ("how many phases?", "how much time in
-batched versus per-session oracle queries?", "how did congestion
-evolve?") are answered from:
+points the questions "how many phases?", "how many oracle rounds ran
+batched?" and "how did congestion evolve?" are answered from:
 
 * ``phase`` — a phase boundary (MaxConcurrentFlow's outer loop),
 * ``oracle`` — one oracle query round, with the query count and whether
@@ -16,7 +15,10 @@ hundred-thousand-step run cannot balloon a report — dropped events are
 counted, never silently lost.  :meth:`Instrumentation.snapshot` renders
 everything as a plain-JSON dict that rides on
 :attr:`repro.core.result.FlowSolution.instrumentation` and survives the
-:class:`~repro.api.service.SolveReport` round trip byte-for-byte.
+:class:`~repro.api.service.SolveReport` round trip byte-for-byte.  It
+holds no wall-clock reading and does not depend on whether a listener
+was attached, so the same spec always yields the same snapshot; oracle
+time is the ``oracle_round`` span's (:mod:`repro.obs.tracing`).
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-ENGINE_SCHEMA = "PhaseEngine/v4"
+ENGINE_SCHEMA = "PhaseEngine/v5"
 
-# Default bound on the retained event log.  Solvers always use it (so
-# persisted instrumentation stays comparable); a caller that builds its
-# own engine passes ``Instrumentation(max_events=...)`` to change it.
+# Bound on the retained event log.  Every engine uses it (so persisted
+# instrumentation stays comparable); tests pass
+# ``Instrumentation(max_events=...)`` to exercise a smaller bound.
 DEFAULT_MAX_EVENTS = 256
 
 # ----------------------------------------------------------------------
@@ -118,18 +120,11 @@ class Instrumentation:
         self.oracle_queries = 0
         self.batched_rounds = 0
         self.per_session_rounds = 0
-        self.batched_oracle_seconds = 0.0
-        self.per_session_oracle_seconds = 0.0
         self.length_updates = 0
         self.max_congestion = 0.0
         self._events: List[EngineEvent] = []
         self._max_events = int(max_events)
-        # Two flavours of "the bounded log did not retain this event":
-        # fanned-out events were still constructed and delivered to live
-        # listeners (a streaming consumer saw them); lost events were
-        # never constructed at all (no listener, log full).
-        self._dropped_fanned_out = 0
-        self._lost_events = 0
+        self._dropped_events = 0
         self._metrics_published = False
         # Taps installed in this thread (see event_tap) observe the run
         # from its first event; add_listener appends run-specific ones.
@@ -145,19 +140,19 @@ class Instrumentation:
     def emit(self, kind: str, step: int, **payload: float) -> Optional[EngineEvent]:
         """Record (and fan out) one event; bounded log, exact counters.
 
-        With the log full and no listeners registered the event would go
-        nowhere — skip constructing it (counters are updated by the
-        callers either way), keeping long runs' hot loops allocation-free
-        past the log bound.
+        An event past the log bound counts as dropped whether or not a
+        listener still receives it.  With the log full and no listeners
+        registered the event would go nowhere — skip constructing it
+        (counters are updated by the callers either way), keeping long
+        runs' hot loops allocation-free past the log bound.
         """
-        if len(self._events) >= self._max_events and not self._listeners:
-            self._lost_events += 1
-            return None
+        if len(self._events) >= self._max_events:
+            self._dropped_events += 1
+            if not self._listeners:
+                return None
         event = EngineEvent(kind=kind, step=step, payload=dict(payload))
         if len(self._events) < self._max_events:
             self._events.append(event)
-        else:
-            self._dropped_fanned_out += 1
         for listener in self._listeners:
             listener(event)
         return event
@@ -167,15 +162,13 @@ class Instrumentation:
         self.phases += 1
         self.emit("phase", step, phase=float(phase))
 
-    def oracle_round(self, queries: int, batched: bool, seconds: float, step: int) -> None:
+    def oracle_round(self, queries: int, batched: bool, step: int) -> None:
         """One query round: ``queries`` oracle calls, batched or looped."""
         self.oracle_queries += int(queries)
         if batched:
             self.batched_rounds += 1
-            self.batched_oracle_seconds += seconds
         else:
             self.per_session_rounds += 1
-            self.per_session_oracle_seconds += seconds
         self.emit(
             "oracle", step, queries=float(queries), batched=float(bool(batched))
         )
@@ -196,22 +189,8 @@ class Instrumentation:
 
     @property
     def dropped_events(self) -> int:
-        """Events beyond the bounded log's capacity (counted, not kept).
-
-        The sum of :attr:`dropped_fanned_out` and :attr:`lost_events` —
-        kept as the back-compatible total.
-        """
-        return self._dropped_fanned_out + self._lost_events
-
-    @property
-    def dropped_fanned_out(self) -> int:
-        """Events the bounded log dropped but listeners still received."""
-        return self._dropped_fanned_out
-
-    @property
-    def lost_events(self) -> int:
-        """Events lost entirely: log full and no listener to fan out to."""
-        return self._lost_events
+        """Events beyond the bounded log's capacity (counted, not kept)."""
+        return self._dropped_events
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-JSON summary: all counters plus the retained events.
@@ -234,23 +213,18 @@ class Instrumentation:
             "oracle_queries": int(self.oracle_queries),
             "batched_rounds": int(self.batched_rounds),
             "per_session_rounds": int(self.per_session_rounds),
-            "batched_oracle_seconds": float(self.batched_oracle_seconds),
-            "per_session_oracle_seconds": float(self.per_session_oracle_seconds),
             "length_updates": int(self.length_updates),
             "max_congestion": float(self.max_congestion),
-            "dropped_events": int(self.dropped_events),
-            "dropped_fanned_out": int(self._dropped_fanned_out),
-            "lost_events": int(self._lost_events),
+            "dropped_events": int(self._dropped_events),
             "events": [event.to_jsonable() for event in self._events],
         }
 
     def publish_metrics(self) -> None:
         """Publish this run's counters to the process metrics registry.
 
-        Idempotent per instance (repeated snapshots add nothing), a
-        no-op under ``REPRO_METRICS=0``, and deliberately *not* called
-        from the step loop — aggregate engine metrics cost zero hot-loop
-        work.
+        Idempotent per instance (repeated snapshots add nothing) and
+        deliberately *not* called from the step loop — aggregate engine
+        metrics cost zero hot-loop work.
         """
         if self._metrics_published:
             return
@@ -258,8 +232,6 @@ class Instrumentation:
         from repro.obs import metrics as obs_metrics
 
         reg = obs_metrics.registry()
-        if not reg.enabled:
-            return
         reg.counter(
             "repro_engine_runs_total", "Engine runs snapshotted"
         ).inc()
@@ -280,25 +252,9 @@ class Instrumentation:
             labels={"front": "per_session"},
         ).inc(self.per_session_rounds)
         reg.counter(
-            "repro_engine_oracle_seconds_total",
-            "Wall seconds inside oracle rounds by front",
-            labels={"front": "batched"},
-        ).inc(self.batched_oracle_seconds)
-        reg.counter(
-            "repro_engine_oracle_seconds_total",
-            "Wall seconds inside oracle rounds by front",
-            labels={"front": "per_session"},
-        ).inc(self.per_session_oracle_seconds)
-        reg.counter(
             "repro_engine_length_updates_total", "Per-step length updates"
         ).inc(self.length_updates)
         reg.counter(
             "repro_engine_events_dropped_total",
             "Events not retained by the bounded log",
-            labels={"fate": "fanned_out"},
-        ).inc(self._dropped_fanned_out)
-        reg.counter(
-            "repro_engine_events_dropped_total",
-            "Events not retained by the bounded log",
-            labels={"fate": "lost"},
-        ).inc(self._lost_events)
+        ).inc(self._dropped_events)

@@ -317,7 +317,3 @@ class LengthFunction:
         if peak > _RENORM_THRESHOLD:
             self._log_offset += math.log(peak)
             self._rel /= peak
-
-    def copy(self) -> "LengthFunction":
-        """Deep copy (used when algorithms need to restart phases)."""
-        return LengthFunction(self._num_edges, self._log_offset, self._rel.copy())

@@ -168,12 +168,13 @@ class OnlineMinCongestion:
     # ------------------------------------------------------------------
     # result extraction
     # ------------------------------------------------------------------
-    def solution(
-        self,
-        group_by_members: bool = True,
-        saturate: bool = True,
-    ) -> FlowSolution:
+    def solution(self, group_by_members: bool = True) -> FlowSolution:
         """Package the assignments made so far into a :class:`FlowSolution`.
+
+        Every rate is scaled by ``1 / l_max`` so the busiest physical link
+        is exactly saturated (the paper's way of turning congestion into
+        achievable throughput).  When the current ``l_max`` is zero, rates
+        are reported as raw demands.
 
         Parameters
         ----------
@@ -183,20 +184,15 @@ class OnlineMinCongestion:
             sharing the same member set are reported as one session whose
             rate is the sum of its copies' rates (how Figs 5/6 and 18/19
             present results).
-        saturate:
-            Scale every rate by ``1 / l_max`` so the busiest physical link
-            is exactly saturated (the paper's way of turning congestion
-            into achievable throughput).  When the current ``l_max`` is
-            zero, rates are reported as raw demands.
         """
         if not self._state.assignments:
             raise ConfigurationError("no sessions have been accepted yet")
         lmax = self._state.max_congestion
         # Congestion is measured in *scaled* demand units; rates below are
         # expressed in original units, so the rate of one copy is
-        # dem / (lmax / demand_scale) when saturating.
+        # dem / (lmax / demand_scale).
         effective_lmax = lmax / self._demand_scale if self._demand_scale > 0 else lmax
-        if saturate and effective_lmax > 0:
+        if effective_lmax > 0:
             rate_factor = 1.0 / effective_lmax
         else:
             rate_factor = 1.0

@@ -16,7 +16,6 @@ import numpy as np
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
 from repro.topology.network import PhysicalNetwork
-from repro.util.cdf import cumulative_distribution
 from repro.util.errors import ConfigurationError
 
 
@@ -98,10 +97,6 @@ class SessionResult:
         """Per-tree flow vector (unsorted)."""
         return np.asarray([tf.flow for tf in self.tree_flows], dtype=float)
 
-    def rate_distribution(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Accumulative rate distribution vs normalized tree rank (Figs 2/3/7/8/17)."""
-        return cumulative_distribution(self.tree_rates())
-
     def edge_flows(self, num_edges: int) -> np.ndarray:
         """Physical traffic this session places on each edge.
 
@@ -144,8 +139,8 @@ class FlowSolution:
         concurrent throughput ``lambda``, congestion values).
     instrumentation:
         The :class:`repro.core.engine` telemetry snapshot of the run
-        that produced this solution (phases, oracle-query rounds,
-        batched-vs-per-session oracle time, congestion snapshots).
+        that produced this solution (phases, batched and per-session
+        oracle-query rounds, congestion snapshots).
         ``None`` for solutions built outside the engine (e.g. rounding
         selections, deserialized legacy reports).  Excluded from
         equality: two runs of the same algorithm are the *same solution*
@@ -203,25 +198,6 @@ class FlowSolution:
         for s in self.sessions:
             out += s.edge_flows(self.network.num_edges)
         return out
-
-    def link_utilization(self, covered_only: bool = True) -> np.ndarray:
-        """Per-edge utilization ratio ``flow_e / c_e``.
-
-        With ``covered_only`` (the paper's convention for Figs 4/9/14) the
-        vector is restricted to edges that belong to at least one overlay
-        link of a live session, i.e. edges with non-zero usage in at least
-        one tree that carries flow... plus edges on any session's overlay
-        routes; here we use the edges touched by any selected tree.
-        """
-        flows = self.edge_flows()
-        utilization = flows / self.network.capacities
-        if not covered_only:
-            return utilization
-        covered = np.zeros(self.network.num_edges, dtype=bool)
-        for s in self.sessions:
-            for tf in s.tree_flows:
-                covered[tf.tree.physical_edges] = True
-        return utilization[covered]
 
     def max_congestion(self) -> float:
         """Maximum link utilization (``l_max`` in the rounding/online algorithms)."""

@@ -27,11 +27,6 @@ def jains_index(rates: np.ndarray) -> float:
     return float(np.sum(r)) ** 2 / denom
 
 
-def weighted_min_rate(solution: FlowSolution) -> float:
-    """``min_i rate_i / dem(i)`` — the concurrent-flow objective value."""
-    return solution.concurrent_throughput
-
-
 def throughput_ratio(solution: FlowSolution, reference: FlowSolution) -> float:
     """Overall-throughput ratio of ``solution`` against ``reference``.
 

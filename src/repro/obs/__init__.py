@@ -6,7 +6,6 @@ Two halves, both stdlib-only and import-safe from every layer:
   of counters/gauges/histograms that store, queue, engine, solve and
   serve instruments feed; rendered as Prometheus text on the serve
   layer's ``GET /metrics`` and as JSON by ``python -m repro.obs dump``.
-  ``REPRO_METRICS=0`` disables every instrument.
 * :mod:`repro.obs.tracing` — opt-in hierarchical wall-clock spans
   (``solve`` → ``build_instance`` → ``engine.step`` → ``oracle_round``)
   written as Chrome trace-event JSON for Perfetto; ``python -m
@@ -16,13 +15,10 @@ Two halves, both stdlib-only and import-safe from every layer:
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    METRICS_ENV_VAR,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    configure_metrics,
-    metrics_enabled,
     registry,
     reset_registry,
 )
@@ -39,13 +35,10 @@ from repro.obs.tracing import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "METRICS_ENV_VAR",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "configure_metrics",
-    "metrics_enabled",
     "registry",
     "reset_registry",
     "Span",

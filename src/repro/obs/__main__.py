@@ -8,9 +8,8 @@ Subcommands::
                           Perfetto-loadable trace with labelled lanes
     summary TRACE         aggregate a trace into a top-spans table
 
-``dump`` is mostly useful under ``REPRO_METRICS`` experiments and as a
-library example — long-lived processes expose the same registry over
-``GET /metrics`` on the serve layer.
+``dump`` is mostly useful as a library example — long-lived processes
+expose the same registry over ``GET /metrics`` on the serve layer.
 """
 
 from __future__ import annotations

@@ -20,21 +20,15 @@ without torn counts.  Two read surfaces:
 * :meth:`MetricsRegistry.to_jsonable` — plain JSON
   (``python -m repro.obs dump``).
 
-The ``REPRO_METRICS=0`` environment kill switch makes every instrument a
-shared no-op singleton: call sites keep calling ``.inc()``/``.observe()``
-but nothing is recorded and nothing is locked.  The process-wide
-registry is reached through :func:`registry`; tests use
-:func:`reset_registry` / :func:`configure_metrics` for isolation.
+The process-wide registry is reached through :func:`registry`; tests
+use :func:`reset_registry` for isolation.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-METRICS_ENV_VAR = "REPRO_METRICS"
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Latency buckets (seconds): spans sub-millisecond store puts up to
 # multi-minute solves, Prometheus-style cumulative with a +Inf tail.
@@ -208,38 +202,6 @@ class Histogram:
         return float(self.buckets[-1])
 
 
-class _NullInstrument:
-    """The shared no-op instrument the kill switch hands out."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
 _TYPES = ("counter", "gauge", "histogram")
 
 
@@ -256,15 +218,9 @@ class _Family:
 
 
 class MetricsRegistry:
-    """A name → instrument table shared by every subsystem in a process.
+    """A name → instrument table shared by every subsystem in a process."""
 
-    ``enabled=False`` turns every lookup into :data:`NULL_INSTRUMENT`:
-    the registry then holds nothing, renders empty, and costs one
-    attribute check per call site.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: "Dict[str, _Family]" = {}
 
@@ -279,8 +235,6 @@ class MetricsRegistry:
         labels: LabelsLike,
         factory,
     ):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
@@ -353,7 +307,7 @@ class MetricsRegistry:
 
     def to_jsonable(self) -> Dict[str, Any]:
         """Plain-JSON registry dump (``python -m repro.obs dump``)."""
-        out: Dict[str, Any] = {"enabled": self.enabled, "metrics": {}}
+        out: Dict[str, Any] = {"metrics": {}}
         for family in self._snapshot_families():
             samples = []
             for key in sorted(family.samples):
@@ -382,48 +336,19 @@ _GLOBAL_LOCK = threading.Lock()
 _GLOBAL: Optional[MetricsRegistry] = None
 
 
-def _env_enabled() -> bool:
-    return os.environ.get(METRICS_ENV_VAR, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 def registry() -> MetricsRegistry:
-    """The process-wide registry (created on first use, honours the env)."""
+    """The process-wide registry (created on first use)."""
     global _GLOBAL
     if _GLOBAL is None:
         with _GLOBAL_LOCK:
             if _GLOBAL is None:
-                _GLOBAL = MetricsRegistry(enabled=_env_enabled())
+                _GLOBAL = MetricsRegistry()
     return _GLOBAL
 
 
-def metrics_enabled() -> bool:
-    """Whether the process-wide registry records anything."""
-    return registry().enabled
-
-
-def configure_metrics(enabled: Union[bool, None] = None) -> MetricsRegistry:
-    """Replace the process-wide registry (``None`` = re-read the env).
-
-    Returns the fresh registry.  Used by tests and by the overhead
-    benchmark to compare enabled/disabled arms in one process.
-    """
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = MetricsRegistry(
-            enabled=_env_enabled() if enabled is None else bool(enabled)
-        )
-        return _GLOBAL
-
-
 def reset_registry() -> MetricsRegistry:
-    """Drop all recorded samples (a fresh registry with the same setting)."""
+    """Drop all recorded samples: install and return a fresh registry."""
     global _GLOBAL
     with _GLOBAL_LOCK:
-        enabled = _GLOBAL.enabled if _GLOBAL is not None else _env_enabled()
-        _GLOBAL = MetricsRegistry(enabled=enabled)
+        _GLOBAL = MetricsRegistry()
         return _GLOBAL

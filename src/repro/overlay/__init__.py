@@ -17,7 +17,7 @@ of the paper:
   problem reformulation.
 """
 
-from repro.overlay.session import Session, random_session, random_sessions
+from repro.overlay.session import Session, random_session
 from repro.overlay.tree import OverlayTree
 from repro.overlay.mst import minimum_spanning_tree_pairs
 from repro.overlay.oracle import MinimumOverlayTreeOracle, OracleResult
@@ -32,7 +32,6 @@ from repro.overlay.tree_packing import (
 __all__ = [
     "Session",
     "random_session",
-    "random_sessions",
     "OverlayTree",
     "minimum_spanning_tree_pairs",
     "MinimumOverlayTreeOracle",

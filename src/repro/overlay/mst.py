@@ -9,13 +9,10 @@ treats zero weights as real (very cheap) edges rather than missing ones,
 which matters because the exponential length function can underflow to
 zero for never-used physical links.
 
-At the session sizes the oracle sees, the per-operation overhead of NumPy
-calls dominates an ``O(n^2)`` scan, so matrices up to
-``_PYTHON_PRIM_LIMIT`` rows run a plain-Python Prim over ``tolist()``
-rows; larger matrices use the vectorised NumPy variant.  Both variants
-use identical tie-breaking (first index with the minimum candidate
-weight, exactly as ``np.argmin``) so they return the same tree for the
-same input.
+At these sizes the per-operation overhead of NumPy calls dominates an
+``O(n^2)`` scan, so Prim runs in plain Python over ``tolist()`` rows.
+Ties go to the first index with the minimum candidate weight, exactly
+as ``np.argmin`` would break them.
 """
 
 from __future__ import annotations
@@ -26,16 +23,9 @@ import numpy as np
 
 from repro.util.errors import InvalidSessionError
 
-# Below this size the plain-Python scan beats NumPy's per-call overhead.
-# Re-measure with ``test_prim_crossover_sweep`` in
-# ``benchmarks/bench_core_ops.py``: python wins up to ~64 rows (0.6x
-# numpy's time at 64), the two arms cross in the flat 96-128 band, and
-# numpy pulls away above (~1.8x faster at 192).
-_PYTHON_PRIM_LIMIT = 96
 
-
-def _prim_python(w: np.ndarray, n: int) -> List[Tuple[int, int]]:
-    """Plain-Python Prim over the rows of ``w`` (fast for small ``n``)."""
+def _prim(w: np.ndarray, n: int) -> List[Tuple[int, int]]:
+    """Plain-Python Prim over the rows of ``w``."""
     rows = w.tolist()
     inf = float("inf")
     in_tree = [False] * n
@@ -66,36 +56,6 @@ def _prim_python(w: np.ndarray, n: int) -> List[Tuple[int, int]]:
             if not in_tree[j] and row[j] < best_weight[j]:
                 best_weight[j] = row[j]
                 best_parent[j] = nxt
-    return edges
-
-
-def _prim_numpy(w: np.ndarray, n: int) -> List[Tuple[int, int]]:
-    """Vectorised Prim (used for large matrices)."""
-    in_tree = np.zeros(n, dtype=bool)
-    best_weight = np.full(n, np.inf)
-    best_parent = np.full(n, -1, dtype=np.int64)
-
-    in_tree[0] = True
-    best_weight[:] = w[0]
-    best_weight[0] = np.inf
-    best_parent[:] = 0
-    best_parent[0] = -1
-
-    edges: List[Tuple[int, int]] = []
-    for _ in range(n - 1):
-        candidates = np.where(~in_tree, best_weight, np.inf)
-        nxt = int(np.argmin(candidates))
-        if not np.isfinite(candidates[nxt]):
-            raise InvalidSessionError(
-                "overlay graph is disconnected under the given weights"
-            )
-        parent = int(best_parent[nxt])
-        edges.append((min(parent, nxt), max(parent, nxt)))
-        in_tree[nxt] = True
-        # Relax.
-        improved = (~in_tree) & (w[nxt] < best_weight)
-        best_weight[improved] = w[nxt][improved]
-        best_parent[improved] = nxt
     return edges
 
 
@@ -140,6 +100,4 @@ def minimum_spanning_tree_pairs(
         if np.any(w < 0):
             raise InvalidSessionError("weights must be non-negative")
 
-    if n <= _PYTHON_PRIM_LIMIT:
-        return _prim_python(w, n)
-    return _prim_numpy(w, n)
+    return _prim(w, n)

@@ -381,8 +381,3 @@ def build_oracles(
 ) -> List[MinimumOverlayTreeOracle]:
     """Construct one oracle per session over a shared routing model."""
     return [MinimumOverlayTreeOracle(s, routing) for s in sessions]
-
-
-def total_oracle_calls(oracles: Sequence[MinimumOverlayTreeOracle]) -> int:
-    """Total MST operations across a set of oracles."""
-    return int(sum(o.call_count for o in oracles))

@@ -160,26 +160,3 @@ def random_session(
     else:
         members = [int(m) for m in rng.choice(network.num_nodes, size=size, replace=False)]
     return Session(tuple(members), demand=demand, name=name)
-
-
-def random_sessions(
-    network: PhysicalNetwork,
-    count: int,
-    size: int,
-    demand: float = 1.0,
-    seed: SeedLike = None,
-    spread_across_levels: bool = True,
-) -> List[Session]:
-    """Draw ``count`` independent random sessions of the given size."""
-    rng = ensure_rng(seed)
-    return [
-        random_session(
-            network,
-            size,
-            demand=demand,
-            seed=rng,
-            name=f"session-{i + 1}",
-            spread_across_levels=spread_across_levels,
-        )
-        for i in range(count)
-    ]

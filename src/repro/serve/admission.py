@@ -30,6 +30,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.util.errors import ConfigurationError, ReproError
 
 DEFAULT_HIGH_WATER = 64
+# Seconds a shed or draining client is told to wait before retrying.
+RETRY_AFTER_SECONDS = 1.0
 
 
 class AdmissionShed(ReproError):
@@ -41,13 +43,12 @@ class AdmissionShed(ReproError):
         depth: int,
         high_water: int,
         client: str,
-        retry_after: float = 1.0,
     ) -> None:
         super().__init__(message)
         self.depth = depth
         self.high_water = high_water
         self.client = client
-        self.retry_after = retry_after
+        self.retry_after = RETRY_AFTER_SECONDS
 
 
 class AdmissionController:
@@ -61,7 +62,6 @@ class AdmissionController:
         self,
         high_water: int = DEFAULT_HIGH_WATER,
         per_client_limit: Optional[int] = None,
-        retry_after: float = 1.0,
     ) -> None:
         if high_water < 1:
             raise ConfigurationError(f"high_water must be >= 1, got {high_water}")
@@ -71,7 +71,6 @@ class AdmissionController:
             )
         self.high_water = int(high_water)
         self.per_client_limit = per_client_limit
-        self.retry_after = float(retry_after)
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._heap: List[Tuple[int, int, str, Any]] = []
@@ -101,7 +100,6 @@ class AdmissionController:
                     depth=depth,
                     high_water=self.high_water,
                     client=client,
-                    retry_after=self.retry_after,
                 )
             client_depth = self._queued_per_client.get(client, 0)
             if (
@@ -115,7 +113,6 @@ class AdmissionController:
                     depth=depth,
                     high_water=self.high_water,
                     client=client,
-                    retry_after=self.retry_after,
                 )
             heapq.heappush(self._heap, (int(priority), next(self._seq), client, item))
             self._queued_per_client[client] = client_depth + 1

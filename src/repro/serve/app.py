@@ -48,6 +48,7 @@ from repro.api.specs import ScenarioSpec
 from repro.obs import metrics as obs_metrics
 from repro.serve.admission import (
     DEFAULT_HIGH_WATER,
+    RETRY_AFTER_SECONDS,
     AdmissionController,
     AdmissionShed,
 )
@@ -60,6 +61,11 @@ from repro.util.errors import ConfigurationError
 from repro.util.retry import RetryPolicy
 
 SERVICE_SCHEMA = "repro.serve/v1"
+
+# The tenant a submission without a client name is charged to.
+DEFAULT_CLIENT = "anonymous"
+# Floor of the relay tailer's and the cluster collector's polling.
+POLL_SECONDS = 0.05
 
 _TERMINAL = ("done", "failed")
 
@@ -98,16 +104,8 @@ class ServeConfig:
     inline_workers: int = 1
     high_water: int = DEFAULT_HIGH_WATER
     per_client_limit: Optional[int] = None
-    retry_after: float = 1.0
     num_shards: int = 1
-    poll_seconds: float = 0.05
     sse_timeout: float = 300.0
-    default_client: str = "anonymous"
-    # Store circuit breaker: consecutive request-path store failures
-    # before submits/reports shed with 503, and how long the breaker
-    # stays open before probing again.
-    breaker_failures: int = 3
-    breaker_reset_seconds: float = 5.0
 
 
 @dataclass
@@ -171,13 +169,11 @@ class ServeApp:
         self.admission = AdmissionController(
             high_water=config.high_water,
             per_client_limit=config.per_client_limit,
-            retry_after=config.retry_after,
         )
         self.registry = default_registry()
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failures,
-            reset_seconds=config.breaker_reset_seconds,
-        )
+        # Store circuit breaker at its default threshold and cool-down:
+        # while it is open, submits and reports shed with 503.
+        self.breaker = CircuitBreaker()
         self._draining = False
         # The collector shares the tailer's stance on transient store
         # blips: retry in place before declaring the store down.
@@ -222,7 +218,7 @@ class ServeApp:
         except OSError as exc:
             self.breaker.record_failure()
             raise StoreUnavailable(
-                self.breaker.retry_after() or self.config.retry_after
+                self.breaker.retry_after() or RETRY_AFTER_SECONDS
             ) from exc
         self.breaker.record_success()
         return result
@@ -244,7 +240,7 @@ class ServeApp:
             return 503, _error(
                 "Draining",
                 "server is draining; resubmit elsewhere or after restart",
-                retry_after_seconds=self.config.retry_after,
+                retry_after_seconds=RETRY_AFTER_SECONDS,
             )
         try:
             body = json.loads(raw.decode("utf-8"))
@@ -264,7 +260,7 @@ class ServeApp:
             return 400, _error("InvalidRequest", "priority must be an integer")
         if client is not None and not isinstance(client, str):
             return 400, _error("InvalidRequest", "client must be a string")
-        client = (client or self.config.default_client)[:64]
+        client = (client or DEFAULT_CLIENT)[:64]
         try:
             spec = ScenarioSpec.from_jsonable(spec_data)
             # Name resolution up front: an unregistered solver/topology/
@@ -408,7 +404,7 @@ class ServeApp:
             return sse_frames(iter([{"kind": "end", "status": "done", "cached": True}]))
         events = self.relay.tail(
             key,
-            poll_seconds=self.config.poll_seconds,
+            poll_seconds=POLL_SECONDS,
             timeout=timeout,
             finished=lambda: self._run_finished(key),
         )
@@ -546,7 +542,7 @@ class ServeApp:
 
     def _collect_loop(self) -> None:
         """Cluster collector: finalise watched runs as reports land."""
-        backoff = ExponentialBackoff(self.config.poll_seconds, cap=1.0)
+        backoff = ExponentialBackoff(POLL_SECONDS, cap=1.0)
         reopened: set = set()
         while not self._stop.is_set():
             with self._lock:

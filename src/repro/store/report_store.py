@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
 STORE_ENV_VAR = "REPRO_STORE"
 ENTRY_SCHEMA = "ReportStoreEntry/v1"
 INDEX_SCHEMA = "ReportStoreIndex/v1"
+# Capacity of each store's in-memory LRU front of live reports.
+MEMORY_ENTRIES = 128
 
 StoreLike = Union[None, str, Path, "ReportStore"]
 
@@ -91,8 +93,6 @@ class ReportStore:
     compress:
         Gzip new payloads.  Reading is always format-agnostic — a store
         may hold a mix of plain and gzipped entries.
-    memory_entries:
-        Capacity of the in-memory LRU front (0 disables it).
     durable:
         fsync puts (temp file + parent directory around the rename) so a
         published entry survives power loss, not just process death.
@@ -103,17 +103,11 @@ class ReportStore:
         self,
         root: Union[str, Path],
         compress: bool = False,
-        memory_entries: int = 128,
         durable: bool = True,
     ) -> None:
         self.root = Path(root)
         self.compress = bool(compress)
         self.durable = bool(durable)
-        if memory_entries < 0:
-            raise ConfigurationError(
-                f"memory_entries must be >= 0, got {memory_entries}"
-            )
-        self._memory_entries = int(memory_entries)
         self._memory: "OrderedDict[str, SolveReport]" = OrderedDict()
         # One lock guards the LRU front and the hit/miss/corrupt
         # counters: gets run concurrently on serve worker threads, and
@@ -295,12 +289,10 @@ class ReportStore:
             pass
 
     def _remember(self, key: str, report: "SolveReport") -> None:
-        if self._memory_entries == 0:
-            return
         with self._lock:
             self._memory[key] = report
             self._memory.move_to_end(key)
-            while len(self._memory) > self._memory_entries:
+            while len(self._memory) > MEMORY_ENTRIES:
                 self._memory.popitem(last=False)
 
     # ------------------------------------------------------------------

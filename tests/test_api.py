@@ -3,7 +3,7 @@
 Covers the declarative layer: JSON round-trips, canonical keys, workload
 construction equivalence with the experiment settings, and the
 open-registration registry (duplicate and unknown names, plugin
-decorators, the legacy ``make_routing`` shim).
+decorators, routing models built by name).
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.api import (
 )
 from repro.api.specs import _canonical_json
 from repro.core.result import FlowSolution
-from repro.core.solver import make_routing
 from repro.experiments.settings import flat_setting_for_scale, sweep_setting_for_scale
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
@@ -388,6 +387,14 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.routing("nope")
 
+    def test_routing_names_fold_case(self, diamond_network):
+        registry = Registry()
+        registry.register_routing("Mixed-Case", FixedIPRouting)
+        assert registry.routing_names() == ["mixed-case"]
+        assert registry.routing("MIXED-case") is FixedIPRouting
+        routing = registry.build_routing(diamond_network, "Mixed-Case")
+        assert isinstance(routing, FixedIPRouting)
+
     def test_decorator_registration_and_removal(self):
         registry = Registry()
 
@@ -428,12 +435,15 @@ class TestRegistry:
 
 
 class TestMakeRoutingShim:
+    """Routing models built by registered name, in any case."""
+
     def test_aliases(self, diamond_network):
+        build = default_registry().build_routing
         for kind in ("ip", "fixed", "fixed-ip", "static", "IP"):
-            assert isinstance(make_routing(diamond_network, kind), FixedIPRouting)
+            assert isinstance(build(diamond_network, kind), FixedIPRouting)
         for kind in ("dynamic", "arbitrary", "Dynamic"):
-            assert isinstance(make_routing(diamond_network, kind), DynamicRouting)
+            assert isinstance(build(diamond_network, kind), DynamicRouting)
 
     def test_unknown_kind(self, diamond_network):
         with pytest.raises(ConfigurationError):
-            make_routing(diamond_network, "pigeon")
+            default_registry().build_routing(diamond_network, "pigeon")

@@ -1,10 +1,11 @@
-"""Solve-service tests: spec → JSON → spec → solve equals the direct facade.
+"""Solve-service tests: spec → JSON → spec → solve equals the direct classes.
 
 The acceptance contract of the Scenario API: for every solver × routing
-combination, solving a JSON-round-tripped spec reproduces the legacy
-facade's ``FlowSolution`` bit-identically; the batch engine's parallel
-runs equal its serial runs; the cache serves repeated canonical keys;
-and the ``python -m repro.api`` CLI emits the same reports either way.
+combination, solving a JSON-round-tripped spec reproduces the
+``FlowSolution`` of the algorithm classes called by hand bit-identically;
+the batch engine's parallel runs equal its serial runs; the cache serves
+repeated canonical keys; and the ``python -m repro.api`` CLI emits the
+same reports either way.
 """
 
 import json
@@ -14,12 +15,10 @@ import pytest
 from repro import api
 from repro.api import ScenarioSpec, SessionSpec, SolveReport, TopologySpec, WorkloadSpec
 from repro.api.__main__ import main as api_main
-from repro.core.solver import (
-    solve_max_concurrent_flow,
-    solve_max_flow,
-    solve_online,
-    solve_randomized_rounding,
-)
+from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
+from repro.core.maxflow import MaxFlow, MaxFlowConfig
+from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.rounding import RandomMinCongestion
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 
@@ -57,23 +56,22 @@ def _spec(solver: str, routing: str) -> ScenarioSpec:
 
 
 def _facade_solution(solver: str, routing_kind: str):
-    """The legacy hand-wired path the API must reproduce bit-for-bit."""
+    """The hand-wired algorithm classes the API must reproduce bit-for-bit."""
     network = TOPOLOGY.build()
     sessions = WORKLOAD.build(network)
     routing_cls = FixedIPRouting if routing_kind == "ip" else DynamicRouting
     routing = routing_cls(network)
     if solver == "max_flow":
-        return solve_max_flow(sessions, routing, approximation_ratio=0.8)
-    if solver == "max_concurrent_flow":
-        return solve_max_concurrent_flow(
-            sessions, routing, approximation_ratio=0.8, prescale_epsilon=0.2
-        )
+        return MaxFlow(sessions, routing, MaxFlowConfig(approximation_ratio=0.8)).solve()
     if solver == "online":
-        return solve_online(sessions, routing, sigma=10.0)
-    fractional = solve_max_concurrent_flow(
-        sessions, routing, approximation_ratio=0.8, prescale_epsilon=0.2
-    )
-    return solve_randomized_rounding(fractional, max_trees=2, seed=42).solution
+        online = OnlineMinCongestion(routing, OnlineConfig(sigma=10.0))
+        online.accept_all(sessions)
+        return online.solution()
+    config = MaxConcurrentFlowConfig(approximation_ratio=0.8, prescale_epsilon=0.2)
+    fractional = MaxConcurrentFlow(sessions, routing, config).solve()
+    if solver == "max_concurrent_flow":
+        return fractional
+    return RandomMinCongestion(fractional, seed=42).select_trees(2).solution
 
 
 def _flows(solution):
@@ -295,6 +293,23 @@ class TestCli:
         assert len(reports) == 1
         assert reports[0]["schema"] == api.REPORT_SCHEMA
         assert reports[0]["summary"]["overall_throughput"] > 0
+
+    def test_run_verbose_prints_counts_only(self, tmp_path, capsys):
+        spec_path = self._write_spec_file(
+            tmp_path, _spec("max_flow", "ip").to_jsonable()
+        )
+        out_path = tmp_path / "reports.json"
+        argv = ["run", str(spec_path), "--output", str(out_path), "--verbose"]
+        assert api_main(argv) == 0
+        instr = json.loads(out_path.read_text())[0]["instrumentation"]
+        printed = capsys.readouterr().err.splitlines()
+        assert printed[1:] == [
+            f"  oracle rounds: {instr['batched_rounds']} batched / "
+            f"{instr['per_session_rounds']} per-session",
+            f"  events: {len(instr['events'])} retained, "
+            f"{instr['dropped_events']} dropped past the log bound",
+        ]
+        assert f"{instr['steps']} steps" in printed[0]
 
     def test_run_batch_parallel_matches_serial(self, tmp_path):
         batch = [

@@ -105,19 +105,6 @@ class TestArrivalSpecApplication:
         arrivals = ArrivalSpec(replication=1, order=(1, 0)).apply(sessions)
         assert [s.name for s in arrivals] == ["b#0", "a#0"]
 
-    def test_build_sessions_matches_the_service_path(self):
-        # ScenarioSpec.build_sessions is the convenience composition of
-        # workload.build + arrivals.apply; it must produce exactly the
-        # arrival sequence the solve service feeds the solver (which
-        # applies arrivals on top of the cached instance's sessions).
-        spec = _online_spec(replication=2, seed=7, demand=1.0)
-        network = spec.topology.build()
-        composed = spec.build_sessions(network)
-        service_path = spec.arrivals.apply(spec.workload.build(network))
-        assert composed == service_path
-        plain = ScenarioSpec(topology=spec.topology, workload=spec.workload)
-        assert plain.build_sessions(network) == plain.workload.build(network)
-
 
 class TestArrivalCanonicalKeys:
     def test_round_trip_preserves_key(self):

@@ -200,6 +200,25 @@ class TestWorkQueue:
         assert task.key == spec.canonical_key
         assert task.shard == new_shard  # filename, not payload, wins
 
+    def test_reshard_rename_fsyncs_the_pending_directory(self, tmp_path, monkeypatch):
+        # The re-shard is a state transition like any other: under
+        # durable=True its rename must survive power loss, or pinned
+        # workers of the new layout may never see the task.
+        import repro.cluster.queue as queue_module
+
+        queue = WorkQueue(tmp_path / "q")
+        spec = _spec(3)
+        num_shards = next(
+            n for n in range(2, 9) if shard_of(spec.canonical_key, n) != 0
+        )
+        queue.submit([spec], num_shards=1)
+        synced = []
+        monkeypatch.setattr(queue_module, "fsync_directory", synced.append)
+        queue.submit([spec], num_shards=num_shards)
+        assert queue._dir("pending") in synced
+        new_shard = shard_of(spec.canonical_key, num_shards)
+        assert queue.claim("worker-a", shard=new_shard) is not None
+
     def test_reopen_done_task(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         spec = _spec(3)

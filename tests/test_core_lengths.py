@@ -205,12 +205,6 @@ class TestLengthFunction:
         expected = math.log(2.0 * weights.sum())
         assert lf.weighted_sum_log(weights) == pytest.approx(expected)
 
-    def test_copy_is_independent(self):
-        lf = LengthFunction(2, 0.0)
-        clone = lf.copy()
-        lf.multiply(np.array([0]), np.array([5.0]))
-        assert clone.relative[0] == 1.0
-
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
             LengthFunction(0, 0.0)

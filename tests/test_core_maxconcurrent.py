@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.solver import (
-    solve_max_concurrent_flow,
-    solve_max_flow,
-    standalone_session_rates,
+from repro.api import solve_instance
+from repro.core.maxconcurrent import (
+    MaxConcurrentFlow,
+    MaxConcurrentFlowConfig,
+    standalone_rates,
 )
 from repro.lp.exact import exact_max_concurrent_flow
 from repro.overlay.session import Session
@@ -39,7 +39,9 @@ class TestSingleLink:
             Session((0, 1), demand=1.0, name="a"),
             Session((0, 1), demand=1.0, name="b"),
         ]
-        solution = solve_max_concurrent_flow(sessions, FixedIPRouting(net), epsilon=0.05)
+        solution = solve_instance(
+            "max_concurrent_flow", sessions, FixedIPRouting(net), {"epsilon": 0.05}
+        )
         assert solution.is_feasible()
         rates = solution.session_rates
         # Equal demands on a shared link: rates within a few percent of each other.
@@ -49,8 +51,11 @@ class TestSingleLink:
 
     def test_metadata(self):
         net = PhysicalNetwork(2, [(0, 1, 10.0)])
-        solution = solve_max_concurrent_flow(
-            [Session((0, 1), demand=1.0)], FixedIPRouting(net), epsilon=0.1
+        solution = solve_instance(
+            "max_concurrent_flow",
+            [Session((0, 1), demand=1.0)],
+            FixedIPRouting(net),
+            {"epsilon": 0.1},
         )
         assert solution.algorithm == "MaxConcurrentFlow"
         assert solution.extra["phases"] >= 1
@@ -64,7 +69,9 @@ class TestAgainstExactLP:
         sessions = [Session((0, 1, 2, 3), demand=4.0)]
         routing = FixedIPRouting(net)
         exact = exact_max_concurrent_flow(sessions, routing)
-        approx = solve_max_concurrent_flow(sessions, routing, epsilon=0.05)
+        approx = solve_instance(
+            "max_concurrent_flow", sessions, routing, {"epsilon": 0.05}
+        )
         assert approx.is_feasible()
         assert approx.concurrent_throughput <= exact.objective + 1e-6
         assert approx.concurrent_throughput >= (1 - 3 * 0.05) * exact.objective - 1e-4
@@ -91,7 +98,9 @@ class TestAgainstExactLP:
             Session((0, 1), demand=1.0, name="light"),
             Session((0, 1), demand=3.0, name="heavy"),
         ]
-        solution = solve_max_concurrent_flow(sessions, FixedIPRouting(net), epsilon=0.05)
+        solution = solve_instance(
+            "max_concurrent_flow", sessions, FixedIPRouting(net), {"epsilon": 0.05}
+        )
         ratio = solution.sessions[1].rate / solution.sessions[0].rate
         assert ratio == pytest.approx(3.0, rel=0.15)
 
@@ -103,8 +112,12 @@ class TestBehaviourVersusMaxFlow:
             Session((0, 4, 9, 13, 17, 25), demand=100.0, name="big"),
             Session((2, 7, 20), demand=100.0, name="small"),
         ]
-        throughput_solution = solve_max_flow(sessions, routing, epsilon=0.1)
-        fair_solution = solve_max_concurrent_flow(sessions, routing, epsilon=0.1)
+        throughput_solution = solve_instance(
+            "max_flow", sessions, routing, {"epsilon": 0.1}
+        )
+        fair_solution = solve_instance(
+            "max_concurrent_flow", sessions, routing, {"epsilon": 0.1}
+        )
         # Fairness lifts the weakest session (or keeps it, within FPTAS noise)...
         assert fair_solution.min_rate >= throughput_solution.min_rate * 0.9
         # ...at the price of overall throughput.
@@ -121,7 +134,7 @@ class TestBehaviourVersusMaxFlow:
 class TestPrescaling:
     def test_prescale_is_one_standalone_maxflow_per_session(self, waxman_network):
         # Section III-C: beta_i is session i's MaxFlow alone on the
-        # network; standalone_session_rates runs the same loop.
+        # network; standalone_rates is that loop.
         routing = FixedIPRouting(waxman_network)
         sessions = [
             Session((0, 4, 9, 13), demand=100.0, name="s1"),
@@ -132,8 +145,10 @@ class TestPrescaling:
             routing,
             MaxConcurrentFlowConfig(epsilon=0.1, prescale_epsilon=0.2),
         ).solve()
-        alone = [solve_max_flow([s], routing, epsilon=0.2) for s in sessions]
-        rates = standalone_session_rates(sessions, routing, epsilon=0.2)
+        alone = [solve_instance(
+            "max_flow", [s], routing, {"epsilon": 0.2}
+        ) for s in sessions]
+        rates = standalone_rates(sessions, routing, 0.2)[0].tolist()
         assert rates == [a.sessions[0].rate for a in alone]
         assert solution.extra["zeta_upper_bound"] == min(
             rate / s.demand for rate, s in zip(rates, sessions)

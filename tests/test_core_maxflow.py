@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import solve_instance
 from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.solver import solve_max_flow
 from repro.lp.exact import exact_max_flow
 from repro.overlay.session import Session, random_session
 from repro.routing.dynamic import DynamicRouting
@@ -36,14 +36,18 @@ class TestConfig:
 class TestSingleLink:
     def test_two_member_session(self):
         net = PhysicalNetwork(2, [(0, 1, 10.0)])
-        solution = solve_max_flow([Session((0, 1))], FixedIPRouting(net), epsilon=0.05)
+        solution = solve_instance(
+            "max_flow", [Session((0, 1))], FixedIPRouting(net), {"epsilon": 0.05}
+        )
         assert solution.is_feasible()
         assert solution.sessions[0].rate >= 0.9 * 10.0
         assert solution.sessions[0].rate <= 10.0 + 1e-9
 
     def test_solution_metadata(self):
         net = PhysicalNetwork(2, [(0, 1, 10.0)])
-        solution = solve_max_flow([Session((0, 1))], FixedIPRouting(net), epsilon=0.05)
+        solution = solve_instance(
+            "max_flow", [Session((0, 1))], FixedIPRouting(net), {"epsilon": 0.05}
+        )
         assert solution.algorithm == "MaxFlow"
         assert solution.epsilon == pytest.approx(0.05)
         assert solution.oracle_calls > 0
@@ -57,7 +61,7 @@ class TestAgainstExactLP:
         sessions = [Session((0, 1, 2))]
         routing = FixedIPRouting(net)
         exact = exact_max_flow(sessions, routing)
-        approx = solve_max_flow(sessions, routing, epsilon=epsilon)
+        approx = solve_instance("max_flow", sessions, routing, {"epsilon": epsilon})
         assert approx.is_feasible()
         rate = approx.sessions[0].rate
         assert rate <= exact.session_rates[0] + 1e-6
@@ -94,8 +98,12 @@ class TestBehaviour:
         net1 = complete_topology(4, capacity=10.0)
         net2 = complete_topology(4, capacity=20.0)
         sessions = [Session((0, 1, 2, 3))]
-        r1 = solve_max_flow(sessions, FixedIPRouting(net1), epsilon=0.1).sessions[0].rate
-        r2 = solve_max_flow(sessions, FixedIPRouting(net2), epsilon=0.1).sessions[0].rate
+        r1 = solve_instance(
+            "max_flow", sessions, FixedIPRouting(net1), {"epsilon": 0.1}
+        ).sessions[0].rate
+        r2 = solve_instance(
+            "max_flow", sessions, FixedIPRouting(net2), {"epsilon": 0.1}
+        ).sessions[0].rate
         assert r2 == pytest.approx(2 * r1, rel=0.05)
 
     def test_tighter_epsilon_needs_more_oracle_calls(self, waxman_network):
@@ -107,8 +115,12 @@ class TestBehaviour:
 
     def test_dynamic_routing_at_least_as_good(self, waxman_network):
         sessions = [Session((0, 4, 9, 13), demand=100.0)]
-        fixed = solve_max_flow(sessions, FixedIPRouting(waxman_network), epsilon=0.1)
-        dynamic = solve_max_flow(sessions, DynamicRouting(waxman_network), epsilon=0.1)
+        fixed = solve_instance(
+            "max_flow", sessions, FixedIPRouting(waxman_network), {"epsilon": 0.1}
+        )
+        dynamic = solve_instance(
+            "max_flow", sessions, DynamicRouting(waxman_network), {"epsilon": 0.1}
+        )
         assert dynamic.is_feasible()
         # Arbitrary routing can only help (up to FPTAS noise).
         assert dynamic.sessions[0].rate >= fixed.sessions[0].rate * 0.85
@@ -139,7 +151,7 @@ class TestBehaviour:
     def test_multiple_trees_found(self, waxman_network):
         routing = FixedIPRouting(waxman_network)
         sessions = [Session((0, 4, 9, 13), demand=100.0)]
-        solution = solve_max_flow(sessions, routing, epsilon=0.05)
+        solution = solve_instance("max_flow", sessions, routing, {"epsilon": 0.05})
         assert solution.sessions[0].num_trees > 1
 
     def test_no_sessions_rejected(self, waxman_network):

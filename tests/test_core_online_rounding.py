@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import solve_instance
 from repro.core.online import OnlineConfig, OnlineMinCongestion
 from repro.core.rounding import RandomMinCongestion
-from repro.core.solver import (
-    solve_max_concurrent_flow,
-    solve_online,
-    solve_randomized_rounding,
-)
 from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
 from repro.util.errors import ConfigurationError, InvalidSessionError
@@ -22,7 +18,7 @@ def fractional_solution(waxman_network):
         Session((0, 4, 9, 13), demand=100.0, name="s1"),
         Session((2, 7, 20), demand=100.0, name="s2"),
     ]
-    return solve_max_concurrent_flow(sessions, routing, epsilon=0.08)
+    return solve_instance("max_concurrent_flow", sessions, routing, {"epsilon": 0.08})
 
 
 class TestOnlineConfig:
@@ -61,7 +57,9 @@ class TestOnlineMinCongestion:
             Session((2, 7, 20), demand=1.0, name="b"),
         ]
         arrivals = [c for s in sessions for c in s.replicate(5)]
-        solution = solve_online(arrivals, FixedIPRouting(waxman_network), sigma=20.0)
+        solution = solve_instance(
+            "online", arrivals, FixedIPRouting(waxman_network), {"sigma": 20.0}
+        )
         assert solution.is_feasible(tolerance=1e-6)
         assert len(solution.sessions) == 2
         assert solution.extra["num_arrivals"] == 10
@@ -69,23 +67,30 @@ class TestOnlineMinCongestion:
     def test_grouping_by_members(self, waxman_network):
         session = Session((0, 4, 9), demand=1.0, name="a")
         arrivals = session.replicate(4)
-        solution = solve_online(arrivals, FixedIPRouting(waxman_network))
+        solution = solve_instance("online", arrivals, FixedIPRouting(waxman_network))
         assert len(solution.sessions) == 1
-        ungrouped = solve_online(
-            arrivals, FixedIPRouting(waxman_network), group_by_members=False
+        ungrouped = solve_instance(
+            "online",
+            arrivals,
+            FixedIPRouting(waxman_network),
+            {"group_by_members": False},
         )
         assert len(ungrouped.sessions) == 4
 
     def test_grouped_name_strips_replica_suffix(self, waxman_network):
         session = Session((0, 4, 9), demand=1.0, name="stream")
-        solution = solve_online(session.replicate(3), FixedIPRouting(waxman_network))
+        solution = solve_instance(
+            "online", session.replicate(3), FixedIPRouting(waxman_network)
+        )
         assert solution.sessions[0].session.name == "stream"
 
     def test_grouped_name_with_leading_hash(self, waxman_network):
         # Regression: a base name starting with "#" used to be reported
         # with its replica suffix still attached ("#live#0").
         session = Session((0, 4, 9), demand=1.0, name="#live")
-        solution = solve_online(session.replicate(3), FixedIPRouting(waxman_network))
+        solution = solve_instance(
+            "online", session.replicate(3), FixedIPRouting(waxman_network)
+        )
         assert solution.sessions[0].session.name == "#live"
 
     def test_no_bottleneck_scaling(self, waxman_network):
@@ -196,6 +201,15 @@ class TestRandomMinCongestion:
         with pytest.raises(ConfigurationError):
             rounding.average_over_trials(1, trials=0)
 
-    def test_wrapper(self, fractional_solution):
-        selection = solve_randomized_rounding(fractional_solution, max_trees=2, seed=8)
-        assert selection.solution.algorithm == "Random-MinCongestion"
+    def test_wrapper(self, waxman_network, fractional_solution):
+        # The registered solver is the fractional solve plus select_trees.
+        sessions = [s.session for s in fractional_solution.sessions]
+        wrapped = solve_instance(
+            "randomized_rounding",
+            sessions,
+            FixedIPRouting(waxman_network),
+            {"epsilon": 0.08, "max_trees": 2, "seed": 8},
+        )
+        direct = RandomMinCongestion(fractional_solution, seed=8).select_trees(2)
+        assert wrapped.algorithm == "Random-MinCongestion"
+        assert wrapped.summary() == direct.solution.summary()

@@ -9,6 +9,8 @@ from repro.core.result import (
     SessionResult,
     TreeFlow,
 )
+from repro.metrics.distribution import tree_rate_distribution
+from repro.metrics.utilization import link_utilization_series
 from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
@@ -101,7 +103,7 @@ class TestSessionResult:
 
     def test_rate_distribution(self, diamond_network, diamond_trees):
         solution = _make_solution(diamond_network, diamond_trees)
-        ranks, frac = solution.sessions[0].rate_distribution()
+        ranks, frac = tree_rate_distribution(solution.sessions[0])
         assert frac[0] == pytest.approx(0.75)
         assert frac[-1] == pytest.approx(1.0)
 
@@ -151,8 +153,9 @@ class TestFlowSolution:
 
     def test_link_utilization_covered_only(self, diamond_network, diamond_trees):
         solution = _make_solution(diamond_network, diamond_trees)
-        covered = solution.link_utilization(covered_only=True)
-        full = solution.link_utilization(covered_only=False)
+        _, covered = link_utilization_series(solution)
+        every_edge = np.arange(diamond_network.num_edges)
+        _, full = link_utilization_series(solution, every_edge)
         assert covered.size <= full.size
         assert full.size == diamond_network.num_edges
 

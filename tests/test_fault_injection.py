@@ -368,9 +368,10 @@ class TestRetryPolicy:
 # ----------------------------------------------------------------------
 class TestStoreFaults:
     def test_get_retries_through_transient_read_faults(self, tmp_path):
-        store = ReportStore(tmp_path, memory_entries=0, durable=False)
+        store = ReportStore(tmp_path, durable=False)
         report = solve(_spec(3))
         store.put(report)
+        store.clear_memory()
         with fault_scope("store.get.read:raisex2"):
             fetched = store.get(report.canonical_key)
         assert fetched is not None
@@ -378,9 +379,10 @@ class TestStoreFaults:
         assert store.corrupt == 0  # an I/O blip is never a corruption verdict
 
     def test_persistent_read_failure_degrades_to_miss_not_quarantine(self, tmp_path):
-        store = ReportStore(tmp_path, memory_entries=0, durable=False)
+        store = ReportStore(tmp_path, durable=False)
         report = solve(_spec(3))
         path = store.put(report)
+        store.clear_memory()
         with fault_scope("store.get.read:raisex*"):
             assert store.get(report.canonical_key) is None
         assert path.exists()  # the entry survives to be read next time
@@ -388,10 +390,11 @@ class TestStoreFaults:
         assert store.get(report.canonical_key) is not None
 
     def test_truncated_gzip_entry_is_quarantined(self, tmp_path):
-        store = ReportStore(tmp_path, compress=True, memory_entries=0, durable=False)
+        store = ReportStore(tmp_path, compress=True, durable=False)
         report = solve(_spec(3))
         with fault_scope("store.put.write:truncate=0.5"):
             path = store.put(report)
+        store.clear_memory()
         assert path.exists()
         assert store.get(report.canonical_key) is None
         assert store.corrupt == 1
@@ -406,14 +409,13 @@ class TestStoreFaults:
         report = solve(_spec(3))
         key = report.canonical_key
         for index, point_name in enumerate(points):
-            store = ReportStore(
-                tmp_path / f"s{index}", memory_entries=0, durable=False
-            )
+            store = ReportStore(tmp_path / f"s{index}", durable=False)
             with fault_scope(f"{point_name}:raise"):
                 try:
                     store.put(report)
                 except OSError:
                     pass
+            store.clear_memory()
             # Invariant: whatever instruction the put died on, a reader
             # sees either nothing or the complete verified report.
             fetched = store.get(key)
@@ -567,6 +569,11 @@ class TestHeartbeat:
     def _run_two_workers(self, tmp_path, monkeypatch, heartbeat: bool) -> dict:
         import repro.api.service as service_module
 
+        if not heartbeat:
+            # A renew that keeps ownership but never pushes the lease
+            # out: the lease lapses mid-solve exactly as with no beat.
+            monkeypatch.setattr(WorkQueue, "renew", lambda self, task, now=None: True)
+
         real_solve = service_module.solve
         solve_calls = []
         solve_lock = threading.Lock()
@@ -590,7 +597,6 @@ class TestHeartbeat:
                 worker_id=name,
                 poll_seconds=0.02,
                 exit_when_empty=True,
-                heartbeat=heartbeat,
             )
 
         threads = [
@@ -624,7 +630,7 @@ class TestHeartbeat:
     def test_without_heartbeat_completion_is_still_exactly_once(
         self, tmp_path, monkeypatch
     ):
-        # The pre-heartbeat regression this PR fixes: the lease lapses
+        # The double execution heartbeats fixed: the lease lapses
         # mid-solve and another worker re-executes — and because the
         # lease is stolen again before each solve lands, the task
         # ping-pongs every window without ever completing, until

@@ -16,11 +16,9 @@ from repro import (
     RandomMinCongestion,
     Session,
     paper_flat_topology,
-    solve_max_concurrent_flow,
-    solve_max_flow,
-    solve_online,
-    standalone_session_rates,
+    solve_instance,
 )
+from repro.core.maxconcurrent import standalone_rates
 from repro.lp.exact import exact_max_concurrent_flow, exact_max_flow
 from repro.metrics.fairness import jains_index
 
@@ -39,13 +37,13 @@ def scenario():
 @pytest.fixture(scope="module")
 def maxflow_solution(scenario):
     _, routing, sessions = scenario
-    return solve_max_flow(sessions, routing, epsilon=0.05)
+    return solve_instance("max_flow", sessions, routing, {"epsilon": 0.05})
 
 
 @pytest.fixture(scope="module")
 def concurrent_solution(scenario):
     _, routing, sessions = scenario
-    return solve_max_concurrent_flow(sessions, routing, epsilon=0.05)
+    return solve_instance("max_concurrent_flow", sessions, routing, {"epsilon": 0.05})
 
 
 class TestPipelineAgainstExactOptima:
@@ -70,7 +68,7 @@ class TestPipelineAgainstExactOptima:
 
     def test_standalone_rates_upper_bound_concurrent(self, scenario, concurrent_solution):
         _, routing, sessions = scenario
-        standalone = standalone_session_rates(sessions, routing, epsilon=0.1)
+        standalone = standalone_rates(sessions, routing, 0.1)[0].tolist()
         for session_result, alone in zip(concurrent_solution.sessions, standalone):
             assert session_result.rate <= alone * 1.1 + 1e-6
 
@@ -108,7 +106,9 @@ class TestPaperFindings:
         # measured magnitudes (``throughput_improvement_vs_ip`` in their
         # data).
         network, _, sessions = scenario
-        dynamic = solve_max_flow(sessions, DynamicRouting(network), epsilon=0.05)
+        dynamic = solve_instance(
+            "max_flow", sessions, DynamicRouting(network), {"epsilon": 0.05}
+        )
         assert dynamic.is_feasible()
         assert dynamic.overall_throughput >= 0.9 * maxflow_solution.overall_throughput
 
@@ -117,7 +117,9 @@ class TestPaperFindings:
         arrivals = [copy for s in sessions for copy in s.replicate(10, demand=1.0)]
         rng = np.random.default_rng(3)
         order = rng.permutation(len(arrivals))
-        online = solve_online([arrivals[i] for i in order], routing, sigma=50.0)
+        online = solve_instance(
+            "online", [arrivals[i] for i in order], routing, {"sigma": 50.0}
+        )
         assert online.is_feasible(tolerance=1e-6)
         # The online solution reaches a meaningful fraction of the offline
         # optimum even with a single tree per arrival.

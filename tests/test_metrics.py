@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import solve_instance
 from repro.core.result import FlowSolution, SessionResult, TreeFlow
-from repro.core.solver import solve_max_flow
 from repro.metrics.distribution import (
     asymmetry_index,
     session_rate_distributions,
@@ -39,7 +39,7 @@ def maxflow_solution(waxman_network):
         Session((0, 4, 9, 13), demand=100.0, name="s1"),
         Session((2, 7, 20), demand=100.0, name="s2"),
     ]
-    return solve_max_flow(sessions, routing, epsilon=0.08)
+    return solve_instance("max_flow", sessions, routing, {"epsilon": 0.08})
 
 
 class TestDistributionMetrics:

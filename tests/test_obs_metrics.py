@@ -1,10 +1,9 @@
 """Tests for the cross-subsystem metrics registry (``repro.obs.metrics``).
 
 Covers the registry's concurrency contract (a threaded hammer must land
-exact totals), the Prometheus text exposition, the ``REPRO_METRICS``
-kill switch, the engine's registry tap (counters published once at
-``snapshot()`` time), and the metrics wired into the report store and
-work queue.
+exact totals), the Prometheus text exposition, the engine's registry
+tap (counters published once at ``snapshot()`` time), and the metrics
+wired into the report store and work queue.
 """
 
 from __future__ import annotations
@@ -19,14 +18,10 @@ from repro.cluster.queue import WorkQueue
 from repro.core.engine.instrumentation import DEFAULT_MAX_EVENTS, Instrumentation
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    METRICS_ENV_VAR,
-    NULL_INSTRUMENT,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    configure_metrics,
-    metrics_enabled,
     registry,
     reset_registry,
 )
@@ -35,10 +30,10 @@ from repro.store.report_store import ReportStore
 
 @pytest.fixture(autouse=True)
 def fresh_registry():
-    """Every test starts from an empty, enabled process-wide registry."""
-    configure_metrics(True)
+    """Every test starts from an empty process-wide registry."""
+    reset_registry()
     yield
-    configure_metrics(None)  # restore the env-driven default
+    reset_registry()
 
 
 def small_spec(seed: int = 5) -> ScenarioSpec:
@@ -200,39 +195,16 @@ def test_to_jsonable_shape():
     reg = MetricsRegistry()
     reg.counter("j_total", "a counter", labels={"k": "v"}).inc(4)
     payload = reg.to_jsonable()
-    assert payload["enabled"] is True
+    assert list(payload) == ["metrics"]
     family = payload["metrics"]["j_total"]
     assert family["type"] == "counter"
     assert family["samples"] == [{"labels": {"k": "v"}, "value": 4.0}]
 
 
-# ----------------------------------------------------------------------
-# the kill switch
-# ----------------------------------------------------------------------
-def test_disabled_registry_hands_out_null_instruments():
-    reg = MetricsRegistry(enabled=False)
-    counter = reg.counter("x_total")
-    assert counter is NULL_INSTRUMENT
-    counter.inc()
-    counter.observe(1.0)  # every instrument method is a no-op
-    assert reg.render_prometheus() == ""
-    assert reg.to_jsonable()["metrics"] == {}
-
-
-def test_env_kill_switch(monkeypatch):
-    monkeypatch.setenv(METRICS_ENV_VAR, "0")
-    configure_metrics(None)  # re-read the env
-    assert not metrics_enabled()
-    assert registry().counter("env_total") is NULL_INSTRUMENT
-    monkeypatch.setenv(METRICS_ENV_VAR, "1")
-    configure_metrics(None)
-    assert metrics_enabled()
-
-
 def test_reset_registry_keeps_setting_drops_samples():
     registry().counter("r_total").inc(9)
     fresh = reset_registry()
-    assert fresh.enabled
+    assert registry() is fresh
     assert fresh.counter("r_total").value == 0
 
 
@@ -312,29 +284,35 @@ def test_queue_metrics_claim_complete_and_latency(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# satellites: the dropped-events split and the default max_events
+# dropped events and the default max_events
 # ----------------------------------------------------------------------
-def test_dropped_events_split_fanned_out_vs_lost():
-    # No listener: overflowed events are lost entirely (not even built).
-    lost_instr = Instrumentation(max_events=2)
-    for step in range(5):
-        lost_instr.emit("phase", step)
-    snap = lost_instr.snapshot()
-    assert snap["lost_events"] == 3
-    assert snap["dropped_fanned_out"] == 0
-    assert snap["dropped_events"] == 3  # back-compat: the sum
-
-    # With a listener: overflowed events still fanned out live.
+def test_dropped_events_count_alike_with_or_without_listener():
+    # Events past the log bound count as dropped whether or not a live
+    # listener still received them, so the snapshot is the same.
+    quiet = Instrumentation(max_events=2)
     seen = []
-    fanned_instr = Instrumentation(max_events=2)
-    fanned_instr.add_listener(seen.append)
-    for step in range(5):
-        fanned_instr.emit("phase", step)
-    snap = fanned_instr.snapshot()
+    watched = Instrumentation(max_events=2)
+    watched.add_listener(seen.append)
+    for instr in (quiet, watched):
+        for step in range(5):
+            instr.emit("phase", step)
     assert len(seen) == 5
-    assert snap["dropped_fanned_out"] == 3
-    assert snap["lost_events"] == 0
-    assert snap["dropped_events"] == 3
+    assert quiet.snapshot() == watched.snapshot()
+    assert watched.snapshot()["dropped_events"] == 3
+    reg = registry()
+    assert reg.counter("repro_engine_events_dropped_total").value == 6
+
+
+def test_instrumentation_depends_only_on_the_spec():
+    # A run long enough to overflow the event log, solved with and
+    # without a live listener: the report's telemetry must be the same.
+    spec = small_spec(seed=5).with_solver("max_flow", approximation_ratio=0.85)
+    seen = []
+    quiet = solve(spec).solution.instrumentation
+    watched = solve(spec, on_event=seen.append).solution.instrumentation
+    assert quiet["dropped_events"] > 0
+    assert len(seen) == quiet["steps"]
+    assert quiet == watched
 
 
 def test_default_max_events_is_256():

@@ -302,9 +302,9 @@ def test_cli_merge_and_summary(tmp_path, capsys):
 
 
 def test_cli_dump_renders_registry(capsys):
-    from repro.obs.metrics import configure_metrics
+    from repro.obs.metrics import reset_registry
 
-    reg = configure_metrics(True)
+    reg = reset_registry()
     try:
         reg.counter("cli_dump_total").inc(5)
         assert obs_cli.main(["dump"]) == 0
@@ -313,7 +313,7 @@ def test_cli_dump_renders_registry(capsys):
         assert obs_cli.main(["dump", "--format", "prom"]) == 0
         assert "cli_dump_total 5" in capsys.readouterr().out
     finally:
-        configure_metrics(None)
+        reset_registry()
 
 
 # ----------------------------------------------------------------------

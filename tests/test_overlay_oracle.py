@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.overlay.oracle import (
-    MinimumOverlayTreeOracle,
-    build_oracles,
-    total_oracle_calls,
-)
+from repro.overlay.oracle import MinimumOverlayTreeOracle, build_oracles
 from repro.overlay.session import Session
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
@@ -139,4 +135,4 @@ class TestOracleHelpers:
         oracles[0].minimum_tree(lengths)
         oracles[1].minimum_tree(lengths)
         oracles[1].minimum_tree(lengths)
-        assert total_oracle_calls(oracles) == 3
+        assert [oracle.call_count for oracle in oracles] == [1, 2]

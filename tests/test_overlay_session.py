@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.overlay.session import Session, random_session, random_sessions
+from repro.api import WorkloadSpec
+from repro.overlay.session import Session, random_session
 from repro.topology.generators import paper_two_level_topology
 from repro.util.errors import InvalidSessionError
 
@@ -104,7 +105,7 @@ class TestRandomSessions:
         assert s.size == 4
 
     def test_random_sessions_batch(self, waxman_network):
-        sessions = random_sessions(waxman_network, 3, 4, seed=9)
+        sessions = WorkloadSpec(sizes=(4, 4, 4), seed=9).build(waxman_network)
         assert len(sessions) == 3
         assert all(s.size == 4 for s in sessions)
         assert len({s.name for s in sessions}) == 3

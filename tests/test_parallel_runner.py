@@ -7,6 +7,7 @@ serial run: the same trees, flows and oracle calls in every cell.
 parallel arm really reaches the pool.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.experiments.settings import (
     configure_jobs,
     default_jobs,
     resolve_jobs,
+    tiny_flat_setting,
 )
 from repro.util.errors import ConfigurationError
 
@@ -133,12 +135,21 @@ class TestParallelEquivalence:
         )
         assert len(pool_cells) == 1 + online_cells  # the fractional one too
 
-    def test_flat_ratio_sweep_accepts_jobs(self):
-        # The tiny grid has one ratio, so this batch stays serial.
-        serial = _cells(runner.flat_ratio_sweep(SCALE, "ip", "maxflow"))
-        runner.clear_caches()
-        parallel = _cells(runner.flat_ratio_sweep(SCALE, "ip", "maxflow", jobs=2))
-        assert parallel == serial
+    def test_flat_ratio_sweep_accepts_jobs(self, pool_cells, monkeypatch):
+        # The tiny grid has one ratio, which solve_many solves serially;
+        # a second ratio sends the sweep through the pool.
+        setting = dataclasses.replace(tiny_flat_setting(), ratios=(0.75, 0.80))
+        monkeypatch.setattr(runner, "flat_setting_for_scale", lambda scale: setting)
+        for routing, algorithm in (("ip", "maxflow"), ("dynamic", "maxconcurrent")):
+            runner.clear_caches()
+            serial = _cells(runner.flat_ratio_sweep(SCALE, routing, algorithm))
+            runner.clear_caches()
+            parallel = _cells(
+                runner.flat_ratio_sweep(SCALE, routing, algorithm, jobs=2)
+            )
+            assert list(parallel) == [0.75, 0.80]
+            assert parallel == serial
+        assert len(pool_cells) == 4
 
 
 def test_solve_many_owns_the_only_process_pool():

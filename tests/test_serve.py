@@ -304,7 +304,7 @@ class TestSSE:
 @pytest.fixture
 def http_server(tmp_path):
     """A live inline-mode server on an ephemeral port."""
-    app = ServeApp(ServeConfig(store=tmp_path / "store", poll_seconds=0.01))
+    app = ServeApp(ServeConfig(store=tmp_path / "store"))
     server = make_server(app, port=0)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
@@ -501,6 +501,22 @@ class TestServeHTTP:
         assert len(nodelay) == 1 and nodelay[0] != 0
 
 
+class TestSubmitValidation:
+    def test_routing_name_in_any_case_is_accepted(self, tmp_path):
+        # solve() folds the routing name's case, so submission must too.
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
+        try:
+            upper = json.dumps(small_spec(routing="IP").to_jsonable()).encode()
+            code, payload = app.submit(upper)
+            assert code == 202, payload
+            unknown = json.dumps(small_spec(routing="pigeon").to_jsonable()).encode()
+            code, payload = app.submit(unknown)
+            assert code == 400
+            assert "pigeon" in payload["error"]["message"]
+        finally:
+            app.close()
+
+
 class TestReportLookup:
     """``ServeApp.report`` against a run finishing between its two reads."""
 
@@ -598,19 +614,14 @@ class TestCircuitBreaker:
 
 class TestServeDegradation:
     def test_store_failure_sheds_503_with_retry_after(self, tmp_path):
-        app = ServeApp(
-            ServeConfig(
-                store=tmp_path / "store",
-                inline_workers=0,
-                breaker_failures=1,
-                breaker_reset_seconds=60.0,
-            )
-        )
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
         try:
             body = json.dumps(small_spec().to_jsonable()).encode()
-            with fault_scope("serve.store.lookup:raise"):
-                code, payload = app.submit(body)
-            assert code == 503
+            # Three store failures in a row reach the breaker's threshold.
+            with fault_scope("serve.store.lookup:raisex3"):
+                for _ in range(3):
+                    code, payload = app.submit(body)
+                    assert code == 503
             assert payload["error"]["type"] == "StoreUnavailable"
             assert payload["retry_after_seconds"] > 0
             # The breaker is now open: requests shed fast, without
@@ -674,7 +685,7 @@ class TestServeDegradation:
         assert "draining" in end["error"]
 
     def test_drain_waits_for_inflight_work(self, tmp_path):
-        app = ServeApp(ServeConfig(store=tmp_path / "store", poll_seconds=0.01))
+        app = ServeApp(ServeConfig(store=tmp_path / "store"))
         try:
             code, ticket = app.submit(
                 json.dumps(small_spec(seed=401).to_jsonable()).encode()
@@ -694,9 +705,7 @@ class TestServeClusterMode:
     def test_queue_worker_roundtrip_with_relay(self, tmp_path):
         store_root = tmp_path / "store"
         queue_root = tmp_path / "queue"
-        app = ServeApp(
-            ServeConfig(store=store_root, queue=queue_root, poll_seconds=0.01)
-        )
+        app = ServeApp(ServeConfig(store=store_root, queue=queue_root))
         try:
             spec = small_spec()
             code, ticket = app.submit(json.dumps(spec.to_jsonable()).encode())
@@ -733,11 +742,7 @@ class TestServeClusterMode:
             app.close()
 
     def test_dead_lettered_run_surfaces_as_500(self, tmp_path):
-        app = ServeApp(
-            ServeConfig(
-                store=tmp_path / "store", queue=tmp_path / "queue", poll_seconds=0.01
-            )
-        )
+        app = ServeApp(ServeConfig(store=tmp_path / "store", queue=tmp_path / "queue"))
         try:
             # Passes registry name validation but fails inside the solver.
             bad = small_spec(solver_params={"approximation_ratio": 1.5})

@@ -20,6 +20,7 @@ from repro import api
 from repro.api import ScenarioSpec, SessionSpec, TopologySpec, WorkloadSpec
 from repro.api import service
 from repro.store import STORE_ENV_VAR, ReportStore
+from repro.store.report_store import MEMORY_ENTRIES
 from repro.util.errors import ConfigurationError
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
@@ -205,9 +206,10 @@ class TestConcurrentWriters:
         ]
         # Read continuously while both writers hammer the same key: a
         # torn write would surface as a digest/JSON failure (corrupt).
-        reader = ReportStore(tmp_path / "store", memory_entries=0)
+        reader = ReportStore(tmp_path / "store")
         seen = 0
         while any(w.poll() is None for w in writers):
+            reader.clear_memory()  # every read goes to disk
             got = reader.get(report.canonical_key)
             assert got is not None, "reader saw a torn or missing entry"
             seen += 1
@@ -324,9 +326,9 @@ class TestServiceWiring:
 class TestDurabilityCost:
     def test_durable_solve_and_persist_overhead_under_ten_percent(self, tmp_path):
         # The unit a cluster worker runs: a cold solve persisted into a
-        # gzip store with no memory front.  Runs come in interleaved
-        # durable/volatile pairs; noise only inflates a pair's delta, so
-        # the smallest delta bounds what the fsyncs cost.
+        # gzip store.  Runs come in interleaved durable/volatile pairs;
+        # noise only inflates a pair's delta, so the smallest delta
+        # bounds what the fsyncs cost.
         spec = ScenarioSpec(
             topology=TopologySpec(
                 "paper_flat", {"num_nodes": 24, "capacity": 100.0}, seed=2004
@@ -338,7 +340,7 @@ class TestDurabilityCost:
         api.solve_many([spec], jobs=1)  # warm-up
 
         def cold_solve_and_persist(root, durable):
-            store = ReportStore(root, compress=True, durable=durable, memory_entries=0)
+            store = ReportStore(root, compress=True, durable=durable)
             api.clear_caches()
             start = time.perf_counter()
             api.solve_many([spec], jobs=1, store=store)
@@ -375,12 +377,16 @@ class TestMaintenance:
         assert store.stats()["entries"] == 1
 
     def test_memory_front_is_lru(self, tmp_path):
-        store = ReportStore(tmp_path / "store", memory_entries=2)
+        store = ReportStore(tmp_path / "store")
         reports = [api.solve(_spec(rows)) for rows in (3, 4, 5)]
         for report in reports[:2]:
             store.put(report)
         store.get(reports[0].canonical_key)  # refresh oldest
+        # Fill the front to capacity behind the two reports.
+        for index in range(MEMORY_ENTRIES - 2):
+            store._remember(f"filler-{index}", None)
         store.put(reports[2])  # evicts reports[1], not reports[0]
+        assert len(store._memory) == MEMORY_ENTRIES
         assert reports[0].canonical_key in store._memory
         assert reports[1].canonical_key not in store._memory
         assert reports[2].canonical_key in store._memory
@@ -388,8 +394,6 @@ class TestMaintenance:
         assert store.get(reports[1].canonical_key) is not None
 
     def test_invalid_configuration_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ReportStore(tmp_path, memory_entries=-1)
         store = ReportStore(tmp_path)
         with pytest.raises(ConfigurationError):
             store.prune(max_entries=-2)
