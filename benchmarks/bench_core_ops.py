@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.maxflow import max_flow
+from repro.core.online import online_min_congestion
 from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session, random_session
 from repro.overlay.tree import SPARSE_LENGTH_MIN_EDGES
@@ -67,22 +67,20 @@ def test_oracle_dynamic_routing(benchmark, network, session):
 def test_maxflow_epsilon_ablation(run_once, benchmark, network, session, epsilon):
     """Ablation: MaxFlow oracle-call count scales roughly with 1/epsilon^2."""
     benchmark.group = "fptas-epsilon"
-    solver = MaxFlow([session], FixedIPRouting(network), MaxFlowConfig(epsilon=epsilon))
-    solution = run_once(solver.solve)
+    solution = run_once(max_flow, [session], FixedIPRouting(network), epsilon=epsilon)
     assert solution.is_feasible()
     assert solution.oracle_calls > 0
 
 
 def test_online_acceptance_throughput(benchmark, network, session):
-    """Cost of accepting one session online (oracle + length update)."""
+    """Cost of routing five online arrivals (oracles, trees, length updates)."""
     benchmark.group = "online"
     routing = FixedIPRouting(network)
 
     def accept_batch():
-        solver = OnlineMinCongestion(routing, OnlineConfig(sigma=50.0))
-        for copy in session.replicate(5, demand=1.0):
-            solver.accept(copy)
-        return solver.state.max_congestion
+        arrivals = session.replicate(5, demand=1.0)
+        solution = online_min_congestion(arrivals, routing, sigma=50.0)
+        return solution.extra["max_congestion"]
 
     congestion = benchmark.pedantic(accept_batch, rounds=3, iterations=1)
     assert congestion > 0

@@ -7,9 +7,13 @@ The package models multi-tree overlay multicast with multiple competing
 sessions as a multicommodity flow over overlay spanning trees and provides
 
 * the **MaxFlow** and **MaxConcurrentFlow** FPTAS solvers (throughput
-  maximisation and weighted max-min fairness),
+  maximisation and weighted max-min fairness; :func:`max_flow`,
+  :func:`max_concurrent_flow`),
 * the **Random-MinCongestion** and **Online-MinCongestion** practical
-  algorithms for the tree-limited (unsplittable) setting,
+  algorithms for the tree-limited (unsplittable) setting
+  (:func:`randomized_rounding`, :func:`online_min_congestion`), each
+  algorithm one function whose keyword parameters are its
+  ``solver_params``,
 * both **fixed IP routing** and **arbitrary dynamic routing** overlay
   models,
 * the topology, routing, and metrics substrates the paper's evaluation
@@ -61,12 +65,10 @@ from repro.overlay import (
     random_session,
 )
 from repro.core import (
-    MaxFlow,
-    MaxFlowConfig,
-    MaxConcurrentFlow,
-    MaxConcurrentFlowConfig,
-    OnlineMinCongestion,
-    OnlineConfig,
+    max_flow,
+    max_concurrent_flow,
+    randomized_rounding,
+    online_min_congestion,
     RandomMinCongestion,
     FlowSolution,
     SessionResult,
@@ -108,12 +110,10 @@ __all__ = [
     "OverlayTree",
     "MinimumOverlayTreeOracle",
     "random_session",
-    "MaxFlow",
-    "MaxFlowConfig",
-    "MaxConcurrentFlow",
-    "MaxConcurrentFlowConfig",
-    "OnlineMinCongestion",
-    "OnlineConfig",
+    "max_flow",
+    "max_concurrent_flow",
+    "randomized_rounding",
+    "online_min_congestion",
     "RandomMinCongestion",
     "FlowSolution",
     "SessionResult",

@@ -13,8 +13,8 @@ Layers
   through JSON and exposes a ``canonical_key`` digest for caching.
 * :mod:`repro.api.registry` — ``@register_topology`` /
   ``@register_routing`` / ``@register_solver`` decorators and the
-  built-in names (the paper's four solvers, both routing models, all
-  topology generators).
+  built-in names (the paper's four solver functions from
+  :mod:`repro.core`, both routing models, all topology generators).
 * :mod:`repro.api.service` — ``solve(spec) -> SolveReport``,
   ``solve_many(specs, jobs=...)`` (canonical-key cache + the library's
   one process pool, sized by ``--jobs`` / ``REPRO_JOBS``; every
@@ -72,10 +72,12 @@ A scenario spec file is a JSON object (or a list of them for a batch)::
                                           // offline scenarios
     }
 
-Solver parameters mirror the solver functions in
-:mod:`repro.api.registry`: ``max_flow`` takes ``approximation_ratio`` or
-``epsilon`` (plus ``max_iterations``); ``max_concurrent_flow`` adds
-``prescale_epsilon``/``max_steps``; ``online`` takes ``sigma``,
+Solver parameters are the keyword parameters of the registered solver
+functions (:func:`repro.core.max_flow` and so on): ``max_flow`` takes
+``approximation_ratio`` or ``epsilon`` (``epsilon`` wins when both are
+given; plus ``max_iterations``); ``max_concurrent_flow`` adds
+``prescale_epsilon``/``max_steps``; ``online``
+(:func:`~repro.core.online_min_congestion`) takes ``sigma``,
 ``group_by_members`` and ``apply_no_bottleneck_scaling``;
 ``randomized_rounding`` takes ``max_trees`` and ``seed`` on top of the
 fractional solve's accuracy parameters.  The keys of retired switches

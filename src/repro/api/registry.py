@@ -8,24 +8,26 @@ namespaces:
 * **routings** — ``name -> factory(network) -> RoutingModel``,
 * **solvers** — ``name -> fn(sessions, routing, **params) -> FlowSolution``.
 
-All built-in names are registered at import time; third-party code can
-plug in more through the ``@register_solver("my_solver")`` /
-``@register_topology`` / ``@register_routing`` decorators (open
-registration, duplicate names rejected).  A name registered here is
-immediately addressable from specs, the batch service, the serve layer
-and the ``python -m repro.api`` CLI.
+The built-in solvers are the paper's four algorithms, each one function
+in :mod:`repro.core` registered here directly, so a spec's
+``solver_params`` are that function's keyword parameters.  All built-in
+names are registered at import time; third-party code can plug in more
+through the ``@register_solver("my_solver")`` / ``@register_topology`` /
+``@register_routing`` decorators (open registration, duplicate names
+rejected).  A name registered here is immediately addressable from
+specs, the batch service, the serve layer and the ``python -m repro.api``
+CLI.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.maxconcurrent import max_concurrent_flow
+from repro.core.maxflow import max_flow
+from repro.core.online import online_min_congestion
 from repro.core.result import FlowSolution
-from repro.core.rounding import RandomMinCongestion
-from repro.overlay.session import Session
+from repro.core.rounding import randomized_rounding
 from repro.routing.base import RoutingModel
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
@@ -35,7 +37,6 @@ from repro.topology.hierarchical import two_level_topology
 from repro.topology.network import PhysicalNetwork
 from repro.topology.waxman import waxman_topology
 from repro.util.errors import ConfigurationError
-from repro.util.rng import SeedLike
 
 TopologyFactory = Callable[..., PhysicalNetwork]
 RoutingFactory = Callable[[PhysicalNetwork], RoutingModel]
@@ -190,89 +191,12 @@ for _name in ("dynamic", "arbitrary"):
 
 
 # ----------------------------------------------------------------------
-# built-in solvers — the paper's four algorithms
+# built-in solvers — the paper's four algorithms, plus the aliases the
+# experiment sweeps use ("maxflow"/"maxconcurrent" grids)
 # ----------------------------------------------------------------------
-@register_solver("max_flow")
-def solve_max_flow_instance(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    approximation_ratio: float = 0.95,
-    epsilon: Optional[float] = None,
-    max_iterations: Optional[int] = None,
-) -> FlowSolution:
-    """MaxFlow FPTAS (paper M1 / Table I): maximise aggregate throughput."""
-    config = MaxFlowConfig(
-        epsilon=epsilon,
-        approximation_ratio=None if epsilon is not None else approximation_ratio,
-        max_iterations=max_iterations,
-    )
-    return MaxFlow(sessions, routing, config).solve()
-
-
-@register_solver("max_concurrent_flow")
-def solve_max_concurrent_flow_instance(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    approximation_ratio: float = 0.95,
-    epsilon: Optional[float] = None,
-    prescale_epsilon: float = 0.1,
-    max_steps: Optional[int] = None,
-) -> FlowSolution:
-    """MaxConcurrentFlow FPTAS (paper M2 / Table III): max-min fairness."""
-    config = MaxConcurrentFlowConfig(
-        epsilon=epsilon,
-        approximation_ratio=None if epsilon is not None else approximation_ratio,
-        prescale_epsilon=prescale_epsilon,
-        max_steps=max_steps,
-    )
-    return MaxConcurrentFlow(sessions, routing, config).solve()
-
-
-@register_solver("online")
-def solve_online_instance(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    sigma: float = 10.0,
-    group_by_members: bool = True,
-    apply_no_bottleneck_scaling: bool = False,
-) -> FlowSolution:
-    """Online-MinCongestion (paper Table VI): one tree per arrival, in order."""
-    config = OnlineConfig(
-        sigma=sigma,
-        apply_no_bottleneck_scaling=apply_no_bottleneck_scaling,
-    )
-    solver = OnlineMinCongestion(routing, config)
-    solver.accept_all(sessions)
-    return solver.solution(group_by_members=group_by_members)
-
-
-@register_solver("randomized_rounding")
-def solve_randomized_rounding_instance(
-    sessions: Sequence[Session],
-    routing: RoutingModel,
-    max_trees: int = 1,
-    seed: SeedLike = None,
-    approximation_ratio: float = 0.95,
-    epsilon: Optional[float] = None,
-    prescale_epsilon: float = 0.1,
-) -> FlowSolution:
-    """Random-MinCongestion (paper Table V): round the fractional optimum.
-
-    Solves the fractional MaxConcurrentFlow relaxation with the given
-    accuracy parameters, then selects up to ``max_trees`` trees per
-    session by flow-proportional sampling (seeded by ``seed``).
-    """
-    fractional = solve_max_concurrent_flow_instance(
-        sessions,
-        routing,
-        approximation_ratio=approximation_ratio,
-        epsilon=epsilon,
-        prescale_epsilon=prescale_epsilon,
-    )
-    selection = RandomMinCongestion(fractional, seed=seed).select_trees(max_trees)
-    return selection.solution
-
-
-# Aliases used by the experiment sweeps ("maxflow"/"maxconcurrent" grids).
-register_solver("maxflow", solve_max_flow_instance)
-register_solver("maxconcurrent", solve_max_concurrent_flow_instance)
+register_solver("max_flow", max_flow)
+register_solver("max_concurrent_flow", max_concurrent_flow)
+register_solver("online", online_min_congestion)
+register_solver("randomized_rounding", randomized_rounding)
+register_solver("maxflow", max_flow)
+register_solver("maxconcurrent", max_concurrent_flow)

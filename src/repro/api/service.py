@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.registry import Registry, default_registry
+from repro.api.registry import default_registry
 from repro.api.specs import ScenarioSpec, SessionSpec
 from repro.core.engine.instrumentation import event_tap
 from repro.core.result import FlowSolution, SessionResult, TreeFlow
@@ -68,7 +68,7 @@ _instance_cache: "OrderedDict[str, Tuple[PhysicalNetwork, List[Session], Routing
 
 
 def build_instance(
-    spec: ScenarioSpec, registry: Optional[Registry] = None
+    spec: ScenarioSpec,
 ) -> Tuple[PhysicalNetwork, List[Session], RoutingModel]:
     """Build (or fetch) the live network, sessions and routing of a spec.
 
@@ -76,21 +76,19 @@ def build_instance(
     only in solver/solver_params share one built instance — matching how
     the experiment harness reuses instances across a ratio sweep.
     """
-    reg = registry or default_registry()
     key = spec.instance_key
     with maybe_span("build_instance", instance=key[:12]) as span:
-        if registry is None and key in _instance_cache:
+        if key in _instance_cache:
             _instance_cache.move_to_end(key)
             span.set(cached=True)
             return _instance_cache[key]
-        network = spec.topology.build(reg)
+        network = spec.topology.build()
         sessions = spec.workload.build(network)
-        routing = reg.build_routing(network, spec.routing)
+        routing = default_registry().build_routing(network, spec.routing)
         instance = (network, sessions, routing)
-        if registry is None:
-            _instance_cache[key] = instance
-            while len(_instance_cache) > _INSTANCE_CACHE_LIMIT:
-                _instance_cache.popitem(last=False)
+        _instance_cache[key] = instance
+        while len(_instance_cache) > _INSTANCE_CACHE_LIMIT:
+            _instance_cache.popitem(last=False)
         return instance
 
 
@@ -112,17 +110,16 @@ def solve_instance(
     sessions: Sequence[Session],
     routing: RoutingModel,
     params: Optional[Mapping[str, Any]] = None,
-    registry: Optional[Registry] = None,
 ) -> FlowSolution:
     """Dispatch prebuilt sessions/routing to a registered solver by name.
 
     The lower of the API's two layers: callers that already hold live
     objects (the experiment runner, the examples' online-arrival loops)
-    use this; callers with a declarative spec use :func:`solve`.  Keys in
+    use this; callers with a declarative spec use :func:`solve`.
+    ``params`` are the registered function's keyword parameters.  Keys in
     :data:`RETIRED_SOLVER_PARAMS` are dropped with one
     ``DeprecationWarning``; any other unknown key raises ``TypeError``.
     """
-    reg = registry or default_registry()
     kwargs = dict(params or {})
     retired = [key for key in RETIRED_SOLVER_PARAMS if key in kwargs]
     if retired:
@@ -133,7 +130,7 @@ def solve_instance(
         )
         for key in retired:
             del kwargs[key]
-    return reg.solver(solver)(sessions, routing, **kwargs)
+    return default_registry().solver(solver)(sessions, routing, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -271,20 +268,16 @@ class SolveReport:
 # ----------------------------------------------------------------------
 # single solve
 # ----------------------------------------------------------------------
-def _solve_uncached(
-    spec: ScenarioSpec, registry: Optional[Registry] = None
-) -> SolveReport:
+def _solve_uncached(spec: ScenarioSpec) -> SolveReport:
     """One live solve, no cache or store consultation (the pool-worker path)."""
-    _, sessions, routing = build_instance(spec, registry)
+    _, sessions, routing = build_instance(spec)
     if spec.arrivals is not None:
         # Arrival ordering sits on top of the cached instance: the same
         # built network/sessions serve every ordering/replication variant.
         sessions = spec.arrivals.apply(sessions)
     start = time.perf_counter()
     with maybe_span("solve_instance", solver=spec.solver):
-        solution = solve_instance(
-            spec.solver, sessions, routing, spec.solver_params, registry
-        )
+        solution = solve_instance(spec.solver, sessions, routing, spec.solver_params)
     wall = time.perf_counter() - start
     return SolveReport(
         spec=spec,
@@ -304,7 +297,6 @@ def _solve_outcome_counter(outcome: str):
 
 def solve(
     spec: ScenarioSpec,
-    registry: Optional[Registry] = None,
     store: StoreLike = None,
     on_event: Optional[Callable[..., None]] = None,
     trace: Optional[Any] = None,
@@ -319,9 +311,6 @@ def solve(
     ``REPRO_STORE`` environment variable), the store is consulted first
     — a verified hit returns the persisted report with ``cached=True``
     and performs no solver work — and a fresh solve is written back.
-    Stores only apply with the default registry: a custom registry may
-    resolve the same names to different implementations, which would
-    poison content-addressed entries.
 
     ``on_event`` observes the solve live: it is installed as a
     thread-local engine :func:`~repro.core.engine.instrumentation.event_tap`
@@ -343,22 +332,21 @@ def solve(
     if trace is not None:
         tracer = trace if isinstance(trace, Tracer) else Tracer()
         with tracer.activate():
-            report = _solve_impl(spec, registry, store, on_event)
+            report = _solve_impl(spec, store, on_event)
         if not isinstance(trace, Tracer):
             tracer.save(trace)
         return report
-    return _solve_impl(spec, registry, store, on_event)
+    return _solve_impl(spec, store, on_event)
 
 
 def _solve_impl(
     spec: ScenarioSpec,
-    registry: Optional[Registry],
     store: StoreLike,
     on_event: Optional[Callable[..., None]],
 ) -> SolveReport:
     global _store_hits
     with maybe_span("solve", solver=spec.solver, key=spec.canonical_key[:12]) as span:
-        resolved = resolve_store(store) if registry is None else None
+        resolved = resolve_store(store)
         if resolved is not None:
             hit = resolved.get(spec.canonical_key)
             if hit is not None:
@@ -368,9 +356,9 @@ def _solve_impl(
                 return dataclasses.replace(hit, cached=True)
         if on_event is not None:
             with event_tap(on_event):
-                report = _solve_uncached(spec, registry)
+                report = _solve_uncached(spec)
         else:
-            report = _solve_uncached(spec, registry)
+            report = _solve_uncached(spec)
         _solve_outcome_counter("cold").inc()
         span.set(outcome="cold")
         if resolved is not None:

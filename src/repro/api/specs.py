@@ -108,12 +108,11 @@ class TopologySpec(_SpecBase):
             raise ConfigurationError("topology generator name must be non-empty")
         object.__setattr__(self, "params", dict(self.params))
 
-    def build(self, registry=None) -> PhysicalNetwork:
+    def build(self) -> PhysicalNetwork:
         """Construct the physical network this spec describes."""
         from repro.api.registry import default_registry
 
-        reg = registry or default_registry()
-        generator = reg.topology(self.generator)
+        generator = default_registry().topology(self.generator)
         kwargs = dict(self.params)
         if self.seed is not None:
             kwargs["seed"] = self.seed

@@ -1,12 +1,17 @@
 """Core algorithms: the paper's primary contribution.
 
-* :class:`MaxFlow` — FPTAS for the overlay maximum flow problem M1
+Each algorithm is one function ``fn(sessions, routing, **params) ->
+FlowSolution``; its keyword parameters are the ``solver_params`` the
+registry (:mod:`repro.api.registry`) accepts under its name.
+
+* :func:`max_flow` — FPTAS for the overlay maximum flow problem M1
   (paper Table I),
-* :class:`MaxConcurrentFlow` — FPTAS for the overlay maximum concurrent
+* :func:`max_concurrent_flow` — FPTAS for the overlay maximum concurrent
   flow problem M2 (paper Table III), achieving weighted max-min fairness,
-* :class:`RandomMinCongestion` — randomized rounding to a bounded number
-  of trees per session (paper Table V),
-* :class:`OnlineMinCongestion` — the online, single-tree-per-arrival
+* :func:`randomized_rounding` — randomized rounding of the fractional
+  M2 solution to a bounded number of trees per session (paper Table V;
+  :class:`RandomMinCongestion` runs repeated trials),
+* :func:`online_min_congestion` — the online, single-tree-per-arrival
   algorithm with the ``O(log |E|)`` congestion bound (paper Table VI),
 * :class:`LengthFunction` — the shared, numerically robust exponential
   length function,
@@ -25,10 +30,10 @@ from repro.core.result import (
     SessionResult,
     FlowSolution,
 )
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.online import OnlineMinCongestion, OnlineConfig, OnlineState
-from repro.core.rounding import RandomMinCongestion, RoundedSelection
+from repro.core.maxflow import max_flow
+from repro.core.maxconcurrent import max_concurrent_flow
+from repro.core.online import online_min_congestion
+from repro.core.rounding import RandomMinCongestion, RoundedSelection, randomized_rounding
 
 __all__ = [
     "LengthFunction",
@@ -39,13 +44,10 @@ __all__ = [
     "SessionFlowAccumulator",
     "SessionResult",
     "FlowSolution",
-    "MaxFlow",
-    "MaxFlowConfig",
-    "MaxConcurrentFlow",
-    "MaxConcurrentFlowConfig",
-    "OnlineMinCongestion",
-    "OnlineConfig",
-    "OnlineState",
+    "max_flow",
+    "max_concurrent_flow",
+    "randomized_rounding",
+    "online_min_congestion",
     "RandomMinCongestion",
     "RoundedSelection",
 ]

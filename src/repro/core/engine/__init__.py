@@ -37,7 +37,7 @@ pre-refactor loop (asserted in ``tests/test_engine_equivalence.py``).
 """
 
 from repro.core.engine.batch import BatchedOracleFront
-from repro.core.engine.driver import EngineRun, PhaseEngine
+from repro.core.engine.driver import PhaseEngine
 from repro.core.engine.instrumentation import EngineEvent, Instrumentation, event_tap
 from repro.core.engine.strategies import (
     ConcurrentPhasePolicy,
@@ -55,7 +55,6 @@ from repro.core.engine.strategies import (
 
 __all__ = [
     "PhaseEngine",
-    "EngineRun",
     "BatchedOracleFront",
     "Instrumentation",
     "EngineEvent",

@@ -45,8 +45,9 @@ lengths are bit-identical to the per-oracle products; scipy's Dijkstra
 likewise computes every source row independently, so the union run's
 rows equal the rows each oracle's own run would produce — same rows,
 same MST weights, same reconstructed paths (asserted in the equivalence
-suites).  Oracle sets the front cannot serve (mixed routing models or
-distinct networks) fall back to the per-session loop transparently.
+suites).  Every solver builds its oracles from one routing model, so the
+front serves exactly such sets and rejects any other (mixed routing
+models or distinct networks) with :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from scipy.sparse import csr_matrix, vstack
 
 from repro.overlay.oracle import MinimumOverlayTreeOracle, OracleResult
 from repro.routing.dynamic import DynamicRouting
+from repro.util.errors import ConfigurationError
 
 
 class BatchedOracleFront:
@@ -65,7 +67,6 @@ class BatchedOracleFront:
 
     def __init__(self, oracles: Sequence[MinimumOverlayTreeOracle]) -> None:
         self._oracles = list(oracles)
-        self._mode: Optional[str] = None
         self._stacked: csr_matrix = None
         self._slices: List[Tuple[int, int]] = []
         self._routing: Optional[DynamicRouting] = None
@@ -103,6 +104,11 @@ class BatchedOracleFront:
                 union.update(oracle.members)
             self._union_members = tuple(sorted(union))
             self._mode = "dynamic"
+        else:
+            raise ConfigurationError(
+                "the batched front serves a non-empty oracle set of one "
+                "routing model over one network"
+            )
 
     @staticmethod
     def _dynamic_batchable(oracles: Sequence[MinimumOverlayTreeOracle]) -> bool:
@@ -121,24 +127,9 @@ class BatchedOracleFront:
         )
 
     @property
-    def batched(self) -> bool:
-        """Whether rounds are served by a vectorised pass (either mode)."""
-        return self._mode is not None
-
-    @property
-    def mode(self) -> Optional[str]:
-        """``"fixed"`` (stacked mat-vec), ``"dynamic"`` (union Dijkstra),
-        or ``None`` (per-oracle fallback)."""
+    def mode(self) -> str:
+        """``"fixed"`` (stacked mat-vec) or ``"dynamic"`` (union Dijkstra)."""
         return self._mode
-
-    def supports(self, indices: Sequence[int]) -> bool:
-        """Whether a round over ``indices`` can use the batched pass.
-
-        Only full-width rounds qualify: a partial round's stacked
-        product (or union Dijkstra) would compute pair lengths for
-        sessions nobody asked about.
-        """
-        return self._mode is not None and len(indices) == len(self._oracles)
 
     def query(
         self,
@@ -147,24 +138,23 @@ class BatchedOracleFront:
     ) -> List[Tuple[int, OracleResult]]:
         """Minimum trees for the requested oracles under shared lengths.
 
-        Results come back in request order, as ``(index, result)`` pairs;
-        rounds :meth:`supports` cannot serve fall back to the per-oracle
-        loop.
+        Results come back in request order, as ``(index, result)`` pairs.
+        Each round pays for every oracle's pair lengths (the stacked
+        product, or the union Dijkstra), so callers ask for all-session
+        rounds.
         """
         lengths = np.asarray(edge_lengths, dtype=float)
-        if self.supports(indices):
-            if self._mode == "fixed":
-                return self._fixed_round(indices, lengths)
-            # Dynamic mode: one Dijkstra from the union of all sessions'
-            # members — weight validation and the in-place CSR refresh
-            # happen once per round, and overlapping members' rows are
-            # computed once and shared across every oracle.
-            shared = self._routing.query(self._union_members, lengths)
-            return [
-                (index, self._oracles[index].minimum_tree_from_query(shared, lengths))
-                for index in indices
-            ]
-        return [(index, self._oracles[index].minimum_tree(lengths)) for index in indices]
+        if self._mode == "fixed":
+            return self._fixed_round(indices, lengths)
+        # Dynamic mode: one Dijkstra from the union of all sessions'
+        # members — weight validation and the in-place CSR refresh
+        # happen once per round, and overlapping members' rows are
+        # computed once and shared across every oracle.
+        shared = self._routing.query(self._union_members, lengths)
+        return [
+            (index, self._oracles[index].minimum_tree_from_query(shared, lengths))
+            for index in indices
+        ]
 
     def _fixed_round(
         self, indices: Sequence[int], lengths: np.ndarray

@@ -8,17 +8,14 @@ serve the queries (all-session rounds through the
 apply the returned :class:`RouteAction` (flow accumulation, length
 multiply, congestion update), enforce the step cap, and emit
 instrumentation.  The algorithms themselves reduce to a policy, a
-stopping rule, and result post-processing.
-
-The engine supports both batch execution (:meth:`run`, offline solvers)
-and stepwise execution (:meth:`step`, the online algorithm's
-``accept`` API).
+stopping rule, and result post-processing: each solver builds its
+oracles, calls :meth:`PhaseEngine.run` and reads the engine's
+accumulators, congestion, step count and instrumentation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,17 +26,7 @@ from repro.core.lengths import LengthFunction
 from repro.obs.tracing import maybe_span
 from repro.core.result import SessionFlowAccumulator
 from repro.overlay.oracle import MinimumOverlayTreeOracle
-from repro.overlay.session import Session
-from repro.util.errors import ConfigurationError, ConvergenceError
-
-
-@dataclass
-class EngineRun:
-    """What a finished (or paused) engine run exposes to its solver."""
-
-    accumulators: List[SessionFlowAccumulator]
-    instrumentation: Instrumentation
-    steps: int
+from repro.util.errors import ConvergenceError
 
 
 class PhaseEngine:
@@ -56,7 +43,6 @@ class PhaseEngine:
         cap_message: str = "phase engine exceeded its step cap",
         accumulate_flows: bool = True,
         track_congestion: bool = False,
-        oracle_factory=None,
     ) -> None:
         self._oracles: List[MinimumOverlayTreeOracle] = list(oracles)
         self._lengths = lengths
@@ -71,7 +57,6 @@ class PhaseEngine:
             if accumulate_flows
             else []
         )
-        self._accumulate = accumulate_flows
         self._congestion = (
             np.zeros(self._capacities.shape[0], dtype=float) if track_congestion else None
         )
@@ -79,10 +64,6 @@ class PhaseEngine:
         # ever query one session per step (concurrent phases, online
         # arrivals) never pay for stacking the incidence matrices.
         self._front: Optional[BatchedOracleFront] = None
-        self._oracle_factory = oracle_factory
-        self._oracle_keys: Dict[Tuple[int, ...], int] = {
-            tuple(sorted(o.session.members)): i for i, o in enumerate(self._oracles)
-        }
         self._steps = 0
         self._stopped = False
         self._policy.bind(self)
@@ -130,30 +111,6 @@ class PhaseEngine:
         """Total MST operations across the engine's oracles."""
         return int(sum(o.call_count for o in self._oracles))
 
-    def oracle_index_for(self, session: Session) -> int:
-        """The oracle index serving ``session``, creating one on demand.
-
-        Oracles are shared per member set (the online algorithm's
-        replicated arrivals all hit one oracle and its tree cache);
-        creation needs an ``oracle_factory`` — engines without one are
-        fixed-roster by construction.
-        """
-        key = tuple(sorted(session.members))
-        index = self._oracle_keys.get(key)
-        if index is None:
-            if self._oracle_factory is None:
-                raise ConfigurationError(
-                    f"no oracle for session {session.name or session.members} and "
-                    "no oracle_factory to create one"
-                )
-            oracle = self._oracle_factory(session)
-            self._oracles.append(oracle)
-            index = len(self._oracles) - 1
-            self._oracle_keys[key] = index
-            if self._accumulate:
-                self._accumulators.append(SessionFlowAccumulator(session=session))
-        return index
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -161,7 +118,7 @@ class PhaseEngine:
         """Run one step; ``None`` once the run has stopped.
 
         A step is: stopping-rule check → policy query request → oracle
-        round (batched when possible) → policy selection → stopping-rule
+        round (batched when the request asks) → policy selection → stopping-rule
         check → route → apply.  The terminating round (a query whose
         selection trips the stopping rule) counts as a step, matching
         the iteration accounting of the pre-engine loops.
@@ -173,10 +130,7 @@ class PhaseEngine:
             return None
         request = self._policy.next_request(self)
         if request is None:
-            # Policy exhaustion is *idle*, not terminal: a feed-driven
-            # policy (online arrivals) may receive more work later, and
-            # the stopping rules above re-establish any genuine stop on
-            # the next call.  Only rule-triggered stops latch.
+            # The policy is out of steps (online: every arrival routed).
             return None
 
         self._steps += 1
@@ -188,9 +142,9 @@ class PhaseEngine:
         # shared no-op — the step loop pays one function call and one
         # attribute check per span.  No bound on that cost is asserted.
         with maybe_span("engine.step", step=self._steps):
-            if request.batched and self._front is None:
+            batched = request.batched
+            if batched and self._front is None:
                 self._front = BatchedOracleFront(self._oracles)
-            batched = request.batched and self._front.supports(request.indices)
             with maybe_span(
                 "oracle_round", queries=len(request.indices), batched=batched
             ):
@@ -214,22 +168,16 @@ class PhaseEngine:
 
             action = self._policy.route(self, selection)
             self._apply(action)
-            self._policy.on_routed(self, action)
             return action
 
-    def run(self) -> EngineRun:
+    def run(self) -> None:
         """Run steps until the stopping rule or the policy ends the loop."""
         while self.step() is not None:
             pass
-        return EngineRun(
-            accumulators=self._accumulators,
-            instrumentation=self._instr,
-            steps=self._steps,
-        )
 
     def _apply(self, action: RouteAction) -> None:
         """Record the flow and apply the length/congestion updates."""
-        if self._accumulate:
+        if self._accumulators:
             self._accumulators[action.index].add(action.tree, action.amount)
         used = action.tree.physical_edges
         self._lengths.multiply(used, action.factors)

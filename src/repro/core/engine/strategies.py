@@ -16,7 +16,7 @@ ported solvers stay bit-identical (see ``tests/test_engine_equivalence``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ class StepRequest:
     ``indices`` lists engine oracle indices in query order; ``batched``
     asks the engine to serve them through the
     :class:`~repro.core.engine.batch.BatchedOracleFront` (one vectorised
-    pass) when the front supports it.
+    pass over every oracle, worth it only for all-session rounds).
     """
 
     indices: Tuple[int, ...]
@@ -130,9 +130,6 @@ class StepPolicy(ABC):
     @abstractmethod
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         """Turn the selected tree into flow + length-update factors."""
-
-    def on_routed(self, engine: "PhaseEngine", action: RouteAction) -> None:
-        """Observe a completed step (custom bookkeeping hook)."""
 
 
 class MaxFlowPolicy(StepPolicy):
@@ -301,35 +298,42 @@ class ConcurrentPhasePolicy(StepPolicy):
         )
 
 
-@dataclass
 class OnlineArrivalPolicy(StepPolicy):
     """Table VI: each step routes one arriving session on the minimum
     overlay tree under the current lengths, multiplies used-edge lengths
     by ``1 + sigma * load`` and adds the load to the congestion vector.
 
-    Arrivals are *fed* (:meth:`feed`) rather than fixed up front so the
-    incremental ``accept``/``accept_all`` API keeps working; oracles are
-    shared per member set through the engine's dynamic oracle table.
+    The arrival sequence is known up front: ``oracle_indices[i]`` is the
+    engine oracle serving ``arrivals[i]`` (one oracle per member set, so
+    replicas of a session share its tree cache), and the run ends after
+    the last arrival.  Loads and length factors use
+    ``demand * demand_scale`` (the no-bottleneck scaling); assignments
+    keep the original demand.
     """
 
-    sigma: float
-    demand_scale: float = 1.0
-    _pending: List[Session] = field(default_factory=list)
-    _assignments: List[Tuple[Session, OverlayTree, float]] = field(default_factory=list)
-
-    def feed(self, session: Session) -> None:
-        """Queue one arriving session for the next engine step."""
-        self._pending.append(session)
+    def __init__(
+        self,
+        sigma: float,
+        arrivals: Sequence[Session],
+        oracle_indices: Sequence[int],
+        demand_scale: float,
+    ) -> None:
+        self._sigma = sigma
+        self._demand_scale = demand_scale
+        self._arrivals = list(arrivals)
+        self._oracle_indices = list(oracle_indices)
+        self._next = 0
+        self._assignments: List[Tuple[Session, OverlayTree, float]] = []
 
     @property
     def assignments(self) -> List[Tuple[Session, OverlayTree, float]]:
-        """(session, tree, original demand) per accepted arrival, in order."""
+        """(session, tree, original demand) per routed arrival, in order."""
         return self._assignments
 
     def next_request(self, engine: "PhaseEngine") -> Optional[StepRequest]:
-        if not self._pending:
+        if self._next == len(self._arrivals):
             return None
-        return StepRequest(indices=(engine.oracle_index_for(self._pending[0]),))
+        return StepRequest(indices=(self._oracle_indices[self._next],))
 
     def select(
         self,
@@ -340,12 +344,13 @@ class OnlineArrivalPolicy(StepPolicy):
         return Selection(index=index, result=result, score=result.length)
 
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
-        session = self._pending.pop(0)
+        session = self._arrivals[self._next]
+        self._next += 1
         tree = selection.result.tree
-        demand = session.demand * self.demand_scale
+        demand = session.demand * self._demand_scale
         used = tree.physical_edges
         load = tree.usage_values * demand / engine.capacities[used]
-        factors = 1.0 + self.sigma * load
+        factors = 1.0 + self._sigma * load
         self._assignments.append((session, tree, session.demand))
         return RouteAction(
             index=selection.index,

@@ -21,150 +21,119 @@ overlay trees.  Following Garg–Könemann (and the paper's Table I):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.engine import MaxFlowPolicy, NormalizedLengthStop, PhaseEngine
 from repro.core.lengths import LengthFunction, epsilon_for_ratio
-from repro.core.result import FlowSolution, SessionResult
-from repro.overlay.oracle import MinimumOverlayTreeOracle, build_oracles
+from repro.core.result import FlowSolution, SessionResult, TreeFlow
+from repro.overlay.oracle import build_oracles
 from repro.overlay.session import Session
 from repro.routing.base import RoutingModel
 from repro.util.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class MaxFlowConfig:
-    """Configuration of the MaxFlow FPTAS.
+def max_flow(
+    sessions: Sequence[Session],
+    routing: RoutingModel,
+    approximation_ratio: Optional[float] = 0.95,
+    epsilon: Optional[float] = None,
+    max_iterations: Optional[int] = None,
+) -> FlowSolution:
+    """MaxFlow FPTAS (paper M1 / Table I): maximise aggregate throughput.
 
-    Attributes
+    Parameters
     ----------
-    epsilon:
-        The FPTAS accuracy parameter; the returned flow is at least
-        ``(1 - 2 epsilon)`` times optimal.  Exactly one of ``epsilon`` and
-        ``approximation_ratio`` must be provided.
     approximation_ratio:
-        Convenience alternative: target ratio ``1 - 2 epsilon``.
+        Target ratio ``1 - 2 epsilon``; used only when ``epsilon`` is
+        ``None``.
+    epsilon:
+        The FPTAS accuracy parameter, in ``(0, 0.5)``; the returned flow
+        is at least ``(1 - 2 epsilon)`` times optimal.  Takes precedence
+        over ``approximation_ratio``.
     max_iterations:
         Hard safety cap on augmentation iterations.  ``None`` derives the
         provable bound from Lemma 1 with a x10 safety factor.
     """
+    if not sessions:
+        raise ConfigurationError("at least one session is required")
+    sessions = list(sessions)
+    network = routing.network
+    for s in sessions:
+        s.validate_against(network)
+    if epsilon is not None:
+        if not 0 < epsilon < 0.5:
+            raise ConfigurationError(f"epsilon must be in (0, 0.5), got {epsilon}")
+        epsilon = float(epsilon)
+    elif approximation_ratio is not None:
+        epsilon = epsilon_for_ratio(approximation_ratio, slack_factor=2.0)
+    else:
+        raise ConfigurationError(
+            "exactly one of epsilon / approximation_ratio must be set"
+        )
+    oracles = build_oracles(sessions, routing)
+    capacities = network.capacities
+    num_edges = network.num_edges
+    max_size = max(s.size for s in sessions)
+    longest_route = max(1, max(o.max_route_length() for o in oracles))
 
-    epsilon: Optional[float] = None
-    approximation_ratio: Optional[float] = None
-    max_iterations: Optional[int] = None
+    lengths = LengthFunction.for_maxflow(num_edges, epsilon, max_size, longest_route)
 
-    def resolved_epsilon(self) -> float:
-        """The epsilon actually used (resolving the ratio form)."""
-        if (self.epsilon is None) == (self.approximation_ratio is None):
-            raise ConfigurationError(
-                "exactly one of epsilon / approximation_ratio must be set"
+    # Scale factor applied to the raw flow at the end (Lemma 2):
+    # log_{1+eps}((1 + eps) / delta).
+    log_delta = lengths.log_offset
+    scale_denominator = (math.log1p(epsilon) - log_delta) / math.log1p(epsilon)
+
+    if max_iterations is not None:
+        iteration_cap = max_iterations
+    else:
+        iteration_cap = int(10 * num_edges * max(1.0, scale_denominator)) + 10
+
+    # Table I on the shared phase engine: every step queries all
+    # sessions (one batched pass over the shared length array), routes
+    # the bottleneck of the minimum normalised tree, and stops when
+    # that normalised length reaches 1.
+    engine = PhaseEngine(
+        oracles=oracles,
+        lengths=lengths,
+        capacities=capacities,
+        policy=MaxFlowPolicy(epsilon=epsilon, max_session_size=max_size),
+        stopping=NormalizedLengthStop(),
+        step_cap=iteration_cap,
+        cap_message=f"MaxFlow exceeded the iteration cap of {iteration_cap}",
+    )
+    engine.run()
+
+    scale = 1.0 / scale_denominator
+    results = tuple(
+        SessionResult(session=acc.session, tree_flows=tuple(acc.scaled(scale)))
+        for acc in engine.accumulators
+    )
+    # Guard against the final augmentation pushing a link marginally over
+    # capacity: rescale uniformly if the scaled flow is infeasible.
+    probe = FlowSolution(algorithm="MaxFlow", sessions=results, network=network)
+    congestion = probe.max_congestion()
+    if congestion > 1.0:
+        results = tuple(
+            SessionResult(
+                session=s.session,
+                tree_flows=tuple(
+                    TreeFlow(tree=tf.tree, flow=tf.flow / congestion)
+                    for tf in s.tree_flows
+                ),
             )
-        if self.epsilon is not None:
-            if not 0 < self.epsilon < 0.5:
-                raise ConfigurationError(
-                    f"epsilon must be in (0, 0.5), got {self.epsilon}"
-                )
-            return float(self.epsilon)
-        return epsilon_for_ratio(self.approximation_ratio, slack_factor=2.0)
-
-
-class MaxFlow:
-    """The maximum flow FPTAS over overlay spanning trees."""
-
-    def __init__(
-        self,
-        sessions: Sequence[Session],
-        routing: RoutingModel,
-        config: Optional[MaxFlowConfig] = None,
-    ) -> None:
-        if not sessions:
-            raise ConfigurationError("at least one session is required")
-        self._sessions = list(sessions)
-        for s in self._sessions:
-            s.validate_against(routing.network)
-        self._routing = routing
-        self._network = routing.network
-        self._config = config or MaxFlowConfig(approximation_ratio=0.95)
-        self._oracles = build_oracles(self._sessions, routing)
-
-    @property
-    def oracles(self) -> Sequence[MinimumOverlayTreeOracle]:
-        """The per-session spanning-tree oracles (exposes MST-op counters)."""
-        return tuple(self._oracles)
-
-    def solve(self) -> FlowSolution:
-        """Run the FPTAS and return a feasible, near-optimal flow."""
-        epsilon = self._config.resolved_epsilon()
-        capacities = self._network.capacities
-        num_edges = self._network.num_edges
-        max_size = max(s.size for s in self._sessions)
-        longest_route = max(1, max(o.max_route_length() for o in self._oracles))
-
-        lengths = LengthFunction.for_maxflow(num_edges, epsilon, max_size, longest_route)
-
-        # Scale factor applied to the raw flow at the end (Lemma 2):
-        # log_{1+eps}((1 + eps) / delta).
-        log_delta = lengths.log_offset
-        scale_denominator = (math.log1p(epsilon) - log_delta) / math.log1p(epsilon)
-
-        if self._config.max_iterations is not None:
-            iteration_cap = self._config.max_iterations
-        else:
-            iteration_cap = int(10 * num_edges * max(1.0, scale_denominator)) + 10
-
-        # Table I on the shared phase engine: every step queries all
-        # sessions (one batched pass over the shared length array), routes
-        # the bottleneck of the minimum normalised tree, and stops when
-        # that normalised length reaches 1.
-        engine = PhaseEngine(
-            oracles=self._oracles,
-            lengths=lengths,
-            capacities=capacities,
-            policy=MaxFlowPolicy(epsilon=epsilon, max_session_size=max_size),
-            stopping=NormalizedLengthStop(),
-            step_cap=iteration_cap,
-            cap_message=f"MaxFlow exceeded the iteration cap of {iteration_cap}",
+            for s in results
         )
-        run = engine.run()
-        iterations = run.steps
-
-        scale = 1.0 / scale_denominator
-        sessions = tuple(
-            SessionResult(session=acc.session, tree_flows=tuple(acc.scaled(scale)))
-            for acc in run.accumulators
-        )
-        # Guard against the final augmentation pushing a link marginally over
-        # capacity: rescale uniformly if the scaled flow is infeasible.
-        probe = FlowSolution(
-            algorithm="MaxFlow", sessions=sessions, network=self._network
-        )
-        congestion = probe.max_congestion()
-        if congestion > 1.0:
-            from repro.core.result import TreeFlow
-
-            sessions = tuple(
-                SessionResult(
-                    session=s.session,
-                    tree_flows=tuple(
-                        TreeFlow(tree=tf.tree, flow=tf.flow / congestion)
-                        for tf in s.tree_flows
-                    ),
-                )
-                for s in sessions
-            )
-        oracle_calls = sum(o.call_count for o in self._oracles)
-        return FlowSolution(
-            algorithm="MaxFlow",
-            sessions=sessions,
-            network=self._network,
-            epsilon=epsilon,
-            oracle_calls=oracle_calls,
-            extra={
-                "iterations": float(iterations),
-                "scale_denominator": scale_denominator,
-                "longest_route": float(longest_route),
-                "routing": "dynamic" if self._routing.is_dynamic else "fixed",
-            },
-            instrumentation=run.instrumentation.snapshot(),
-        )
+    return FlowSolution(
+        algorithm="MaxFlow",
+        sessions=results,
+        network=network,
+        epsilon=epsilon,
+        oracle_calls=engine.oracle_calls,
+        extra={
+            "iterations": float(engine.steps),
+            "scale_denominator": scale_denominator,
+            "longest_route": float(longest_route),
+            "routing": "dynamic" if routing.is_dynamic else "fixed",
+        },
+        instrumentation=engine.instrumentation.snapshot(),
+    )

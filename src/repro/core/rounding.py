@@ -13,17 +13,22 @@ probability proportional to their fractional flows:
   experiment — ``n`` draws per session (with replacement, so the same
   tree may be selected more than once); the distinct selected trees keep
   their fractional rates, giving the session rate plotted against the
-  tree limit.
+  tree limit;
+* :func:`randomized_rounding` is the registered ``randomized_rounding``
+  solver: the fractional solve followed by :meth:`select_trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.maxconcurrent import max_concurrent_flow
 from repro.core.result import FlowSolution, SessionResult, TreeFlow
+from repro.overlay.session import Session
+from repro.routing.base import RoutingModel
 from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedLike, ensure_rng
 
@@ -189,3 +194,28 @@ class RandomMinCongestion:
             out[f"mean_rate_session_{index + 1}"] = float(rates[:, index].mean())
             out[f"mean_trees_session_{index + 1}"] = float(tree_counts[:, index].mean())
         return out
+
+
+def randomized_rounding(
+    sessions: Sequence[Session],
+    routing: RoutingModel,
+    max_trees: int = 1,
+    seed: SeedLike = None,
+    approximation_ratio: Optional[float] = 0.95,
+    epsilon: Optional[float] = None,
+    prescale_epsilon: float = 0.1,
+) -> FlowSolution:
+    """Random-MinCongestion (paper Table V): round the fractional optimum.
+
+    Solves the fractional MaxConcurrentFlow relaxation with the given
+    accuracy parameters, then selects up to ``max_trees`` trees per
+    session by flow-proportional sampling (seeded by ``seed``).
+    """
+    fractional = max_concurrent_flow(
+        sessions,
+        routing,
+        approximation_ratio=approximation_ratio,
+        epsilon=epsilon,
+        prescale_epsilon=prescale_epsilon,
+    )
+    return RandomMinCongestion(fractional, seed=seed).select_trees(max_trees).solution

@@ -12,13 +12,12 @@ paper's theory sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
 from repro.overlay.session import Session
-from repro.overlay.tree import OverlayTree
 from repro.overlay.tree_packing import enumerate_spanning_trees
 from repro.routing.base import RoutingModel
 from repro.util.errors import ConfigurationError, InfeasibleProblemError

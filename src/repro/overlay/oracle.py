@@ -54,7 +54,7 @@ import numpy as np
 from repro.overlay.mst import minimum_spanning_tree_pairs
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
-from repro.routing.base import PairKey, RoutingModel, pair_key
+from repro.routing.base import RoutingModel, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.util.errors import ConfigurationError

@@ -27,7 +27,7 @@ problems M1'/M2' polynomially solvable.  We provide:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 

@@ -13,7 +13,6 @@ CLI (``python -m repro.api cache stats|prune --store runs/store``).
 
 from repro.store.report_store import (
     ENTRY_SCHEMA,
-    INDEX_SCHEMA,
     STORE_ENV_VAR,
     ReportStore,
     resolve_store,
@@ -24,5 +23,4 @@ __all__ = [
     "resolve_store",
     "STORE_ENV_VAR",
     "ENTRY_SCHEMA",
-    "INDEX_SCHEMA",
 ]

@@ -9,9 +9,9 @@ only within one process's report cache.
 Design
 ------
 * **Content addressing.**  An entry's path is derived from its canonical
-  key alone (``objects/<key[:2]>/<key>.json[.gz]``), so ``get`` and
-  ``contains`` never need the index and multiple processes share one
-  store with no coordination.
+  key alone (``objects/<key[:2]>/<key>.json[.gz]``), so ``get``,
+  ``contains``, ``stats`` and ``prune`` read the object files alone and
+  multiple processes share one store with no coordination.
 * **Atomic writes.**  Payloads are written tmp-file-then-rename
   (:func:`repro.util.serialization.atomic_write_bytes`), so a reader
   never sees a torn entry and two concurrent writers of the same key
@@ -21,11 +21,10 @@ Design
   SHA-256 of its canonical report JSON.  ``get`` verifies the digest and
   the schema; a corrupt entry is quarantined (deleted) and reported as a
   miss, so the caller falls back to re-solving and the next ``put``
-  heals the store.
-* **Index.**  ``index.jsonl`` accumulates one schema-versioned JSON line
-  per put — provenance and bookkeeping for ``stats``/``prune``.  It is
-  advisory: lookups go through the content-addressed path, so a torn or
-  missing index line never loses data.
+  heals the store.  A report whose engine instrumentation comes from
+  another engine version (``instrumentation.engine`` other than
+  :data:`~repro.core.engine.instrumentation.ENGINE_SCHEMA`) is treated
+  the same way, so warm and cold reports of one spec always agree.
 * **LRU front.**  A small in-memory map of live reports serves repeated
   gets in one process without re-reading and re-building solutions.
 """
@@ -54,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
 
 STORE_ENV_VAR = "REPRO_STORE"
 ENTRY_SCHEMA = "ReportStoreEntry/v1"
-INDEX_SCHEMA = "ReportStoreIndex/v1"
 # Capacity of each store's in-memory LRU front of live reports.
 MEMORY_ENTRIES = 128
 
@@ -65,8 +63,7 @@ StoreLike = Union[None, str, Path, "ReportStore"]
 # from the fault_point passed by put().
 faults.declare_point("store.put.write", "payload bytes of a report put")
 faults.declare_point("store.put.rename", "before the put's atomic rename")
-faults.declare_point("store.put.publish", "after the rename, before the index append")
-faults.declare_point("store.put.index", "before the advisory index append")
+faults.declare_point("store.put.publish", "after the put's atomic rename")
 faults.declare_point("store.get.read", "reading an entry's bytes")
 
 
@@ -136,10 +133,6 @@ class ReportStore:
     def _objects_dir(self) -> Path:
         return self.root / "objects"
 
-    @property
-    def _index_path(self) -> Path:
-        return self.root / "index.jsonl"
-
     def _object_path(self, key: str, gz: bool) -> Path:
         suffix = ".json.gz" if gz else ".json"
         return self._objects_dir / key[:2] / f"{key}{suffix}"
@@ -188,8 +181,6 @@ class ReportStore:
             durable=self.durable,
             fault_point="store.put",
         )
-        faults.point("store.put.index")
-        self._append_index(key, path, len(data))
         self._remember(key, report)
         reg = obs_metrics.registry()
         reg.counter("repro_store_puts_total", "Reports persisted").inc()
@@ -202,8 +193,9 @@ class ReportStore:
         """Fetch and verify the report stored under ``key``.
 
         Returns ``None`` — and quarantines the entry — when the entry is
-        missing, unreadable, schema-mismatched or fails its digest check,
-        so callers always fall back to a fresh solve.
+        missing, unreadable, schema-mismatched (the engine version of its
+        instrumentation included) or fails its digest check, so callers
+        always fall back to a fresh solve.
         """
         with self._lock:
             if key in self._memory:
@@ -236,6 +228,7 @@ class ReportStore:
 
     def _load_entry(self, key: str, path: Path) -> Optional["SolveReport"]:
         from repro.api.service import SolveReport
+        from repro.core.engine.instrumentation import ENGINE_SCHEMA
 
         try:
             raw = self._read_retry.call(self._read_entry, path)
@@ -263,6 +256,11 @@ class ReportStore:
             digest = hashlib.sha256(_canonical_bytes(report_payload)).hexdigest()
             if digest != envelope.get("sha256"):
                 raise ValueError("entry digest mismatch")
+            # A report from another engine version would differ from a
+            # cold solve of the same spec in its instrumentation.
+            engine = (report_payload.get("instrumentation") or {}).get("engine")
+            if engine not in (None, ENGINE_SCHEMA):
+                raise ValueError("entry engine schema mismatch")
             return SolveReport.from_jsonable(report_payload)
         except (ValueError, KeyError, TypeError, ReproError):
             # ReproError covers reconstruction failures from the repo's
@@ -296,44 +294,8 @@ class ReportStore:
                 self._memory.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # index, stats and pruning
+    # stats and pruning
     # ------------------------------------------------------------------
-    def _append_index(self, key: str, path: Path, num_bytes: int) -> None:
-        line = _canonical_bytes(
-            {
-                "schema": INDEX_SCHEMA,
-                "key": key,
-                "file": str(path.relative_to(self.root)),
-                "gzip": path.suffix == ".gz",
-                "bytes": num_bytes,
-                "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            }
-        ) + b"\n"
-        self.root.mkdir(parents=True, exist_ok=True)
-        # O_APPEND + one small write: concurrent putters each land a
-        # whole line in practice; a torn line is skipped on read and the
-        # object file (the source of truth) is unaffected.
-        with self._index_path.open("ab") as fh:
-            fh.write(line)
-
-    def index_entries(self) -> List[Dict[str, Any]]:
-        """Parse the JSONL index, skipping torn/foreign lines."""
-        if not self._index_path.exists():
-            return []
-        entries: List[Dict[str, Any]] = []
-        with self._index_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(entry, dict) and entry.get("schema") == INDEX_SCHEMA:
-                    entries.append(entry)
-        return entries
-
     def _disk_entries(self) -> List[Path]:
         if not self._objects_dir.exists():
             return []
@@ -358,7 +320,6 @@ class ReportStore:
         return {
             "entries": len(paths),
             "bytes": total,
-            "index_lines": len(self.index_entries()),
             "memory_entries": memory_entries,
             "hits": hits,
             "misses": misses,
@@ -371,11 +332,7 @@ class ReportStore:
         max_age_seconds: Optional[float] = None,
     ) -> int:
         """Delete entries beyond ``max_entries`` (oldest-first) or older
-        than ``max_age_seconds``; returns the number removed.
-
-        The index is compacted to the surviving entries so it does not
-        grow without bound across put/prune cycles.
-        """
+        than ``max_age_seconds``; returns the number removed."""
         if max_entries is not None and max_entries < 0:
             raise ConfigurationError(f"max_entries must be >= 0, got {max_entries}")
         paths = self._disk_entries()
@@ -404,19 +361,7 @@ class ReportStore:
         with self._lock:
             for key in removed_keys:
                 self._memory.pop(key, None)
-        self._compact_index()
         return len(doomed)
-
-    def _compact_index(self) -> None:
-        """Rewrite the index to one line per surviving disk entry."""
-        survivors = {p.name.split(".")[0] for p in self._disk_entries()}
-        latest: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        for entry in self.index_entries():
-            key = entry.get("key")
-            if key in survivors:
-                latest[key] = entry  # last write wins
-        data = b"".join(_canonical_bytes(e) + b"\n" for e in latest.values())
-        atomic_write_bytes(self._index_path, data)
 
     def clear_memory(self) -> None:
         """Drop the in-memory LRU front (disk entries are untouched)."""

@@ -372,6 +372,39 @@ class TestRegistry:
         for name in ("paper_flat", "paper_two_level", "waxman", "grid"):
             assert name in registry.topology_names()
 
+    def test_builtin_solver_parameters(self):
+        # A spec's solver_params are the registered function's keyword
+        # parameters; these are the keys (and defaults) each name takes.
+        import inspect
+
+        expected = {
+            "max_flow": {
+                "approximation_ratio": 0.95, "epsilon": None, "max_iterations": None,
+            },
+            "max_concurrent_flow": {
+                "approximation_ratio": 0.95, "epsilon": None,
+                "prescale_epsilon": 0.1, "max_steps": None,
+            },
+            "randomized_rounding": {
+                "max_trees": 1, "seed": None, "approximation_ratio": 0.95,
+                "epsilon": None, "prescale_epsilon": 0.1,
+            },
+            "online": {
+                "sigma": 10.0, "group_by_members": True,
+                "apply_no_bottleneck_scaling": False,
+            },
+        }
+        expected["maxflow"] = expected["max_flow"]
+        expected["maxconcurrent"] = expected["max_concurrent_flow"]
+        registry = default_registry()
+        for name, params in expected.items():
+            signature = inspect.signature(registry.solver(name))
+            names = list(signature.parameters)
+            assert names[:2] == ["sessions", "routing"], name
+            assert {
+                key: signature.parameters[key].default for key in names[2:]
+            } == params, name
+
     def test_duplicate_name_rejected(self):
         registry = Registry()
         registry.register_solver("mine", lambda sessions, routing: None)
@@ -413,12 +446,11 @@ class TestRegistry:
 
     def test_plugin_solver_addressable_from_spec(self, scenario):
         from repro.api import register_solver, solve
-        from repro.core.maxflow import MaxFlow, MaxFlowConfig
+        from repro.core.maxflow import max_flow
 
         @register_solver("test_plugin_halved_max_flow")
         def halved(sessions, routing, approximation_ratio=0.9):
-            config = MaxFlowConfig(approximation_ratio=approximation_ratio)
-            return MaxFlow(sessions, routing, config).solve().scaled(0.5)
+            return max_flow(sessions, routing, approximation_ratio).scaled(0.5)
 
         try:
             spec = scenario.with_solver(

@@ -1,8 +1,8 @@
-"""Solve-service tests: spec → JSON → spec → solve equals the direct classes.
+"""Solve-service tests: spec → JSON → spec → solve equals the direct calls.
 
 The acceptance contract of the Scenario API: for every solver × routing
 combination, solving a JSON-round-tripped spec reproduces the
-``FlowSolution`` of the algorithm classes called by hand bit-identically;
+``FlowSolution`` of the algorithm functions called by hand bit-identically;
 the batch engine's parallel runs equal its serial runs; the cache serves
 repeated canonical keys; and the ``python -m repro.api`` CLI emits the
 same reports either way.
@@ -15,9 +15,9 @@ import pytest
 from repro import api
 from repro.api import ScenarioSpec, SessionSpec, SolveReport, TopologySpec, WorkloadSpec
 from repro.api.__main__ import main as api_main
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.maxconcurrent import max_concurrent_flow
+from repro.core.maxflow import max_flow
+from repro.core.online import online_min_congestion
 from repro.core.rounding import RandomMinCongestion
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
@@ -56,19 +56,18 @@ def _spec(solver: str, routing: str) -> ScenarioSpec:
 
 
 def _facade_solution(solver: str, routing_kind: str):
-    """The hand-wired algorithm classes the API must reproduce bit-for-bit."""
+    """The hand-wired algorithm calls the API must reproduce bit-for-bit."""
     network = TOPOLOGY.build()
     sessions = WORKLOAD.build(network)
     routing_cls = FixedIPRouting if routing_kind == "ip" else DynamicRouting
     routing = routing_cls(network)
     if solver == "max_flow":
-        return MaxFlow(sessions, routing, MaxFlowConfig(approximation_ratio=0.8)).solve()
+        return max_flow(sessions, routing, approximation_ratio=0.8)
     if solver == "online":
-        online = OnlineMinCongestion(routing, OnlineConfig(sigma=10.0))
-        online.accept_all(sessions)
-        return online.solution()
-    config = MaxConcurrentFlowConfig(approximation_ratio=0.8, prescale_epsilon=0.2)
-    fractional = MaxConcurrentFlow(sessions, routing, config).solve()
+        return online_min_congestion(sessions, routing, sigma=10.0)
+    fractional = max_concurrent_flow(
+        sessions, routing, approximation_ratio=0.8, prescale_epsilon=0.2
+    )
     if solver == "max_concurrent_flow":
         return fractional
     return RandomMinCongestion(fractional, seed=42).select_trees(2).solution

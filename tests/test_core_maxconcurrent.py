@@ -3,11 +3,7 @@
 import pytest
 
 from repro.api import solve_instance
-from repro.core.maxconcurrent import (
-    MaxConcurrentFlow,
-    MaxConcurrentFlowConfig,
-    standalone_rates,
-)
+from repro.core.maxconcurrent import max_concurrent_flow, standalone_rates
 from repro.lp.exact import exact_max_concurrent_flow
 from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
@@ -16,20 +12,34 @@ from repro.topology.network import PhysicalNetwork
 from repro.util.errors import ConfigurationError
 
 
+def _link():
+    return [Session((0, 1))], FixedIPRouting(PhysicalNetwork(2, [(0, 1, 10.0)]))
+
+
 class TestConfig:
+    """The parameter rules of ``max_concurrent_flow``."""
+
     def test_requires_exactly_one_parameter(self):
+        # One of the two must be set; with both, epsilon is the one used.
         with pytest.raises(ConfigurationError):
-            MaxConcurrentFlowConfig().resolved_epsilon()
-        with pytest.raises(ConfigurationError):
-            MaxConcurrentFlowConfig(epsilon=0.1, approximation_ratio=0.9).resolved_epsilon()
+            max_concurrent_flow(*_link(), approximation_ratio=None)
+        both = max_concurrent_flow(*_link(), approximation_ratio=0.5, epsilon=0.1)
+        assert both.epsilon == 0.1
+        alone = max_concurrent_flow(*_link(), epsilon=0.1)
+        assert both.extra == alone.extra
 
     def test_ratio_to_epsilon(self):
-        config = MaxConcurrentFlowConfig(approximation_ratio=0.91)
-        assert config.resolved_epsilon() == pytest.approx(0.03)
+        solution = max_concurrent_flow(*_link(), approximation_ratio=0.91)
+        assert solution.epsilon == pytest.approx(0.03)
 
     def test_epsilon_bounds(self):
         with pytest.raises(ConfigurationError):
-            MaxConcurrentFlowConfig(epsilon=0.5).resolved_epsilon()
+            max_concurrent_flow(*_link(), epsilon=0.5)
+        with pytest.raises(ConfigurationError):
+            max_concurrent_flow(*_link(), epsilon=1.0 / 3.0)
+        # prescale_epsilon runs MaxFlow, whose epsilon lies in (0, 0.5).
+        with pytest.raises(ConfigurationError):
+            max_concurrent_flow(*_link(), epsilon=0.1, prescale_epsilon=0.5)
 
 
 class TestSingleLink:
@@ -83,9 +93,7 @@ class TestAgainstExactLP:
             Session((2, 7, 20), demand=100.0, name="s2"),
         ]
         exact = exact_max_concurrent_flow(sessions, routing)
-        approx = MaxConcurrentFlow(
-            sessions, routing, MaxConcurrentFlowConfig(epsilon=0.05)
-        ).solve()
+        approx = max_concurrent_flow(sessions, routing, epsilon=0.05)
         assert approx.is_feasible()
         assert approx.concurrent_throughput <= exact.objective + 1e-6
         assert approx.concurrent_throughput >= (1 - 3 * 0.05) * exact.objective - 1e-4
@@ -128,7 +136,7 @@ class TestBehaviourVersusMaxFlow:
 
     def test_no_sessions_rejected(self, waxman_network):
         with pytest.raises(ConfigurationError):
-            MaxConcurrentFlow([], FixedIPRouting(waxman_network))
+            max_concurrent_flow([], FixedIPRouting(waxman_network))
 
 
 class TestPrescaling:
@@ -140,11 +148,9 @@ class TestPrescaling:
             Session((0, 4, 9, 13), demand=100.0, name="s1"),
             Session((2, 7, 20), demand=50.0, name="s2"),
         ]
-        solution = MaxConcurrentFlow(
-            sessions,
-            routing,
-            MaxConcurrentFlowConfig(epsilon=0.1, prescale_epsilon=0.2),
-        ).solve()
+        solution = max_concurrent_flow(
+            sessions, routing, epsilon=0.1, prescale_epsilon=0.2
+        )
         alone = [solve_instance(
             "max_flow", [s], routing, {"epsilon": 0.2}
         ) for s in sessions]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import solve_instance
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
+from repro.core.maxflow import max_flow
 from repro.lp.exact import exact_max_flow
 from repro.overlay.session import Session, random_session
 from repro.routing.dynamic import DynamicRouting
@@ -16,21 +16,32 @@ from repro.topology.network import PhysicalNetwork
 from repro.util.errors import ConfigurationError
 
 
+def _link():
+    return [Session((0, 1))], FixedIPRouting(PhysicalNetwork(2, [(0, 1, 10.0)]))
+
+
 class TestConfig:
+    """The parameter rules of ``max_flow``."""
+
     def test_requires_exactly_one_parameter(self):
+        # One of the two must be set; with both, epsilon is the one used.
         with pytest.raises(ConfigurationError):
-            MaxFlowConfig().resolved_epsilon()
-        with pytest.raises(ConfigurationError):
-            MaxFlowConfig(epsilon=0.1, approximation_ratio=0.9).resolved_epsilon()
+            max_flow(*_link(), approximation_ratio=None)
+        both = max_flow(*_link(), approximation_ratio=0.5, epsilon=0.1)
+        assert both.epsilon == 0.1
+        assert both.oracle_calls == max_flow(*_link(), epsilon=0.1).oracle_calls
 
     def test_ratio_to_epsilon(self):
-        assert MaxFlowConfig(approximation_ratio=0.9).resolved_epsilon() == pytest.approx(0.05)
+        assert max_flow(*_link(), approximation_ratio=0.9).epsilon == pytest.approx(0.05)
+        assert max_flow(*_link()).epsilon == pytest.approx(0.025)  # ratio 0.95
 
     def test_epsilon_bounds(self):
         with pytest.raises(ConfigurationError):
-            MaxFlowConfig(epsilon=0.6).resolved_epsilon()
+            max_flow(*_link(), epsilon=0.6)
         with pytest.raises(ConfigurationError):
-            MaxFlowConfig(epsilon=0.0).resolved_epsilon()
+            max_flow(*_link(), epsilon=0.0)
+        with pytest.raises(ConfigurationError):
+            max_flow(*_link(), approximation_ratio=1.0)
 
 
 class TestSingleLink:
@@ -74,7 +85,7 @@ class TestAgainstExactLP:
             Session((2, 7, 20), demand=100.0, name="s2"),
         ]
         exact = exact_max_flow(sessions, routing)
-        approx = MaxFlow(sessions, routing, MaxFlowConfig(epsilon=0.05)).solve()
+        approx = max_flow(sessions, routing, epsilon=0.05)
         assert approx.is_feasible()
         max_size = max(s.size for s in sessions)
         objective = sum(
@@ -89,7 +100,7 @@ class TestAgainstExactLP:
         routing = FixedIPRouting(waxman_network)
         big = Session((0, 4, 9, 13, 17, 22), demand=100.0, name="big")
         small = Session((2, 7, 20), demand=100.0, name="small")
-        solution = MaxFlow([big, small], routing, MaxFlowConfig(epsilon=0.1)).solve()
+        solution = max_flow([big, small], routing, epsilon=0.1)
         assert solution.sessions[0].rate >= solution.sessions[1].rate * 0.5
 
 
@@ -109,8 +120,8 @@ class TestBehaviour:
     def test_tighter_epsilon_needs_more_oracle_calls(self, waxman_network):
         routing = FixedIPRouting(waxman_network)
         sessions = [Session((0, 4, 9, 13), demand=100.0)]
-        loose = MaxFlow(sessions, routing, MaxFlowConfig(epsilon=0.15)).solve()
-        tight = MaxFlow(sessions, routing, MaxFlowConfig(epsilon=0.05)).solve()
+        loose = max_flow(sessions, routing, epsilon=0.15)
+        tight = max_flow(sessions, routing, epsilon=0.05)
         assert tight.oracle_calls > loose.oracle_calls
 
     def test_dynamic_routing_at_least_as_good(self, waxman_network):
@@ -138,9 +149,8 @@ class TestBehaviour:
         ]
 
         def calls_per_sec(routing):
-            solver = MaxFlow(sessions, routing, MaxFlowConfig(approximation_ratio=0.8))
             start = time.perf_counter()
-            solution = solver.solve()
+            solution = max_flow(sessions, routing, approximation_ratio=0.8)
             return solution.oracle_calls / (time.perf_counter() - start)
 
         calls_per_sec(FixedIPRouting(network))
@@ -156,7 +166,7 @@ class TestBehaviour:
 
     def test_no_sessions_rejected(self, waxman_network):
         with pytest.raises(ConfigurationError):
-            MaxFlow([], FixedIPRouting(waxman_network))
+            max_flow([], FixedIPRouting(waxman_network))
 
     def test_iteration_cap_enforced(self, waxman_network):
         from repro.util.errors import ConvergenceError
@@ -164,6 +174,4 @@ class TestBehaviour:
         routing = FixedIPRouting(waxman_network)
         sessions = [Session((0, 4, 9, 13), demand=100.0)]
         with pytest.raises(ConvergenceError):
-            MaxFlow(
-                sessions, routing, MaxFlowConfig(epsilon=0.05, max_iterations=3)
-            ).solve()
+            max_flow(sessions, routing, epsilon=0.05, max_iterations=3)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.api import solve_instance
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.engine import PhaseEngine
+from repro.core.online import online_min_congestion
 from repro.core.rounding import RandomMinCongestion
 from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
@@ -21,35 +22,75 @@ def fractional_solution(waxman_network):
     return solve_instance("max_concurrent_flow", sessions, routing, {"epsilon": 0.08})
 
 
+def _congestion_trail(solution):
+    """``l_max`` after each arrival, from the engine's congestion events."""
+    return [
+        e["max_congestion"]
+        for e in solution.instrumentation["events"]
+        if e["kind"] == "congestion"
+    ]
+
+
 class TestOnlineConfig:
-    def test_sigma_must_be_positive(self):
+    def test_sigma_must_be_positive(self, waxman_network):
         with pytest.raises(ConfigurationError):
-            OnlineConfig(sigma=0.0).validate()
+            online_min_congestion(
+                [Session((0, 4, 9), demand=1.0)],
+                FixedIPRouting(waxman_network),
+                sigma=0.0,
+            )
 
 
 class TestOnlineMinCongestion:
     def test_accept_assigns_single_tree(self, waxman_network):
-        solver = OnlineMinCongestion(FixedIPRouting(waxman_network))
-        tree = solver.accept(Session((0, 4, 9), demand=1.0))
-        assert set(tree.members) == {0, 4, 9}
-        assert solver.state.oracle_calls == 1
-        assert solver.state.max_congestion > 0
+        solution = online_min_congestion(
+            [Session((0, 4, 9), demand=1.0)], FixedIPRouting(waxman_network)
+        )
+        [result] = solution.sessions
+        [tree_flow] = result.tree_flows
+        assert set(tree_flow.tree.members) == {0, 4, 9}
+        assert solution.oracle_calls == 1
+        assert solution.extra["max_congestion"] > 0
 
     def test_congestion_accumulates(self, waxman_network):
-        solver = OnlineMinCongestion(FixedIPRouting(waxman_network))
         session = Session((0, 4, 9), demand=1.0)
-        solver.accept(session)
-        first = solver.state.max_congestion
-        solver.accept(session)
-        assert solver.state.max_congestion >= 2 * first - 1e-12
+        solution = online_min_congestion(
+            [session, session], FixedIPRouting(waxman_network)
+        )
+        first, second = _congestion_trail(solution)
+        assert second >= 2 * first - 1e-12
 
     def test_lengths_steer_later_sessions(self, waxman_network):
         # With a large sigma, repeated copies of the same session must
         # eventually diversify onto more than one distinct tree.
-        solver = OnlineMinCongestion(FixedIPRouting(waxman_network), OnlineConfig(sigma=500.0))
         session = Session((0, 4, 9, 13), demand=1.0)
-        trees = {solver.accept(copy).canonical_key() for copy in session.replicate(10)}
-        assert len(trees) >= 2
+        solution = online_min_congestion(
+            session.replicate(10), FixedIPRouting(waxman_network), sigma=500.0
+        )
+        assert solution.sessions[0].num_trees >= 2
+
+    def test_one_oracle_per_member_set_in_first_arrival_order(
+        self, monkeypatch, waxman_network
+    ):
+        from repro.core import online as online_module
+
+        built = []
+        oracle_class = online_module.MinimumOverlayTreeOracle
+
+        def recording_oracle(session, routing):
+            built.append(session.name)
+            return oracle_class(session, routing)
+
+        monkeypatch.setattr(online_module, "MinimumOverlayTreeOracle", recording_oracle)
+        a = Session((0, 4, 9), demand=1.0, name="a")
+        b = Session((9, 2, 7), demand=1.0, name="b")
+        a_again = Session((9, 0, 4), demand=1.0, name="a2")
+        solution = online_min_congestion(
+            [b, a, a_again, b], FixedIPRouting(waxman_network)
+        )
+        assert built == ["b", "a"]
+        assert solution.oracle_calls == 4
+        assert [s.session.name for s in solution.sessions] == ["b", "a"]
 
     def test_solution_feasible_after_saturation(self, waxman_network):
         sessions = [
@@ -94,68 +135,49 @@ class TestOnlineMinCongestion:
         assert solution.sessions[0].session.name == "#live"
 
     def test_no_bottleneck_scaling(self, waxman_network):
-        config = OnlineConfig(sigma=10.0, apply_no_bottleneck_scaling=True)
-        solver = OnlineMinCongestion(FixedIPRouting(waxman_network), config)
         sessions = [Session((0, 4, 9), demand=1.0), Session((2, 7, 20), demand=1.0)]
-        scale = solver.prepare_demand_scaling(sessions)
-        assert scale > 0
-        solver.accept_all(sessions)
-        solution = solver.solution()
+        solution = online_min_congestion(
+            sessions,
+            FixedIPRouting(waxman_network),
+            apply_no_bottleneck_scaling=True,
+        )
+        # scale * max dem * |Smax| / min c_e == 1 / (2k): scale * 3 / c == 1 / 4.
+        min_cap = float(np.min(waxman_network.capacities))
+        assert solution.extra["demand_scale"] == pytest.approx(min_cap / 12.0)
         assert solution.is_feasible(tolerance=1e-6)
 
     def test_solution_before_accept_rejected(self, waxman_network):
-        solver = OnlineMinCongestion(FixedIPRouting(waxman_network))
+        # No arrivals, no solution.
         with pytest.raises(ConfigurationError):
-            solver.solution()
+            online_min_congestion([], FixedIPRouting(waxman_network))
 
     def test_member_outside_network_rejected(self, waxman_network):
-        solver = OnlineMinCongestion(FixedIPRouting(waxman_network))
-        with pytest.raises(Exception):
-            solver.accept(Session((0, 10_000)))
+        with pytest.raises(InvalidSessionError):
+            online_min_congestion(
+                [Session((0, 10_000))], FixedIPRouting(waxman_network)
+            )
 
 
-def test_online_incremental_accept_matches_accept_all(ring6_network):
-    arrivals = [
-        Session((0, 1), demand=5.0, name="a"),
-        Session((3, 4), demand=5.0, name="b"),
-        Session((0, 1), demand=5.0, name="a2"),
-        Session((3, 4), demand=5.0, name="b2"),
-    ]
-    batch = OnlineMinCongestion(FixedIPRouting(ring6_network), OnlineConfig(sigma=10.0))
-    batch_trees = batch.accept_all(arrivals)
-    one_by_one = OnlineMinCongestion(
-        FixedIPRouting(ring6_network), OnlineConfig(sigma=10.0)
-    )
-    single_trees = [one_by_one.accept(s) for s in arrivals]
-    assert [t.canonical_key() for t in batch_trees] == [
-        t.canonical_key() for t in single_trees
-    ]
-    assert np.array_equal(
-        batch.state.lengths.relative, one_by_one.state.lengths.relative
-    )
-    assert np.array_equal(batch.state.congestion, one_by_one.state.congestion)
-
-
-def test_failed_accept_all_routes_nothing(waxman_network):
-    # A sequence with an invalid arrival must leave the solver as it
-    # was: no earlier arrival of it queued, no demand scale applied.
-    solver = OnlineMinCongestion(
-        FixedIPRouting(waxman_network),
-        OnlineConfig(apply_no_bottleneck_scaling=True),
+def test_failed_accept_all_routes_nothing(monkeypatch, waxman_network):
+    # Every arrival is validated before the first one is routed: a
+    # sequence with an invalid arrival raises before any engine step.
+    steps = []
+    step = PhaseEngine.step
+    monkeypatch.setattr(
+        PhaseEngine, "step", lambda self: steps.append(1) or step(self)
     )
     a = Session((0, 4, 9), demand=1.0, name="a")
     b = Session((2, 7), demand=1.0, name="b")
     bad = Session((0, 10_000), demand=1.0, name="bad")
     with pytest.raises(InvalidSessionError):
-        solver.accept_all([a, b, bad])
-    x = Session((13, 20), demand=1.0, name="x")
-    tree = solver.accept(x)
-    assert set(tree.members) == {13, 20}
-    solution = solver.solution()
-    assert [s.session.members for s in solution.sessions] == [x.members]
-    assert solution.extra["num_arrivals"] == 1.0
-    assert solution.extra["demand_scale"] == 1.0
-    assert solver.state.oracle_calls == 1
+        online_min_congestion(
+            [a, b, bad],
+            FixedIPRouting(waxman_network),
+            apply_no_bottleneck_scaling=True,
+        )
+    assert steps == []
+    online_min_congestion([a, b], FixedIPRouting(waxman_network))
+    assert len(steps) == 3  # two routed arrivals, then the policy is done
 
 
 class TestRandomMinCongestion:

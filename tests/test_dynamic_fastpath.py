@@ -20,9 +20,8 @@ import pytest
 from scipy.sparse import coo_matrix
 
 from repro.core.engine import BatchedOracleFront
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.maxconcurrent import max_concurrent_flow
+from repro.core.maxflow import max_flow
 from repro.overlay.oracle import MinimumOverlayTreeOracle, build_oracles
 from repro.overlay.session import Session
 from repro.routing.dynamic import DynamicRouting
@@ -34,6 +33,7 @@ from tests.test_engine_equivalence import (
     FreshTreeOracle,
     fingerprint,
     fresh_oracles,
+    online_trail,
     reference_max_concurrent_flow,
     reference_max_flow,
     reference_online_assignments,
@@ -233,11 +233,7 @@ class TestDynamicSolverEquivalence:
         reference = reference_max_flow(
             dynamic_sessions, DynamicRouting(waxman_network), 0.15, reference_oracles
         )
-        fast = MaxFlow(
-            dynamic_sessions,
-            DynamicRouting(waxman_network),
-            MaxFlowConfig(epsilon=0.15),
-        ).solve()
+        fast = max_flow(dynamic_sessions, DynamicRouting(waxman_network), epsilon=0.15)
         assert fingerprint(fast) == fingerprint(reference)
 
     def test_max_concurrent_flow(
@@ -250,11 +246,12 @@ class TestDynamicSolverEquivalence:
             0.25,
             reference_oracles,
         )
-        fast = MaxConcurrentFlow(
+        fast = max_concurrent_flow(
             dynamic_sessions,
             DynamicRouting(waxman_network),
-            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25),
-        ).solve()
+            epsilon=0.25,
+            prescale_epsilon=0.25,
+        )
         assert fingerprint(fast) == fingerprint(reference)
 
     def test_online_min_congestion(
@@ -268,19 +265,9 @@ class TestDynamicSolverEquivalence:
         reference_trail = reference_online_assignments(
             arrivals, DynamicRouting(waxman_network), 50.0, reference_oracles
         )
-        solver = OnlineMinCongestion(
-            DynamicRouting(waxman_network), OnlineConfig(sigma=50.0)
+        assert online_trail(arrivals, DynamicRouting(waxman_network), 50.0) == (
+            reference_trail
         )
-        solver.accept_all(arrivals)
-        assert [tree.canonical_key() for _, tree, _ in solver.state.assignments] == [
-            key for key, _ in reference_trail
-        ]
-        snaps = [
-            e["max_congestion"]
-            for e in solver.solution().instrumentation["events"]
-            if e["kind"] == "congestion"
-        ]
-        assert snaps == [lmax for _, lmax in reference_trail]
 
 
 class TestDynamicFrontEquivalence:
@@ -289,11 +276,9 @@ class TestDynamicFrontEquivalence:
     ):
         # Every dynamic MaxFlow round goes through the union-Dijkstra
         # front; the reference loop queries one oracle at a time.
-        batched = MaxFlow(
-            dynamic_sessions,
-            DynamicRouting(waxman_network),
-            MaxFlowConfig(epsilon=0.15),
-        ).solve()
+        batched = max_flow(
+            dynamic_sessions, DynamicRouting(waxman_network), epsilon=0.15
+        )
         looped = reference_max_flow(
             dynamic_sessions, DynamicRouting(waxman_network), epsilon=0.15
         )

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import lengths as lengths_module
+from repro.core import maxflow as maxflow_module
 from repro.core.engine import (
     BatchedOracleFront,
     ConcurrentPhasePolicy,
@@ -34,9 +35,9 @@ from repro.core.engine import (
     PhaseEngine,
 )
 from repro.core.lengths import LengthFunction
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.maxconcurrent import max_concurrent_flow
+from repro.core.maxflow import max_flow
+from repro.core.online import online_min_congestion
 from repro.core.result import (
     FlowSolution,
     SessionFlowAccumulator,
@@ -52,6 +53,7 @@ from repro.routing.base import pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.generators import grid_topology
+from repro.util.errors import ConfigurationError
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +295,25 @@ def reference_online_assignments(arrivals, routing, sigma, build=build_oracles):
     return trail
 
 
+def online_trail(arrivals, routing, sigma):
+    """Per-arrival (tree key, lmax) of :func:`online_min_congestion`.
+
+    Ungrouped, every arrival is its own session with its one tree, in
+    arrival order; the engine's congestion events carry ``l_max`` after
+    each arrival.
+    """
+    solution = online_min_congestion(
+        arrivals, routing, sigma=sigma, group_by_members=False
+    )
+    keys = [s.tree_flows[0].tree.canonical_key() for s in solution.sessions]
+    lmaxes = [
+        e["max_congestion"]
+        for e in solution.instrumentation["events"]
+        if e["kind"] == "congestion"
+    ]
+    return list(zip(keys, lmaxes))
+
+
 def fingerprint(solution):
     """Everything the paper reports about a solution, exactly."""
     return {
@@ -326,11 +347,9 @@ class TestEngineEquivalence:
         reference = reference_max_flow(
             equivalence_sessions, routing_cls(waxman_network), epsilon=0.15
         )
-        ported = MaxFlow(
-            equivalence_sessions,
-            routing_cls(waxman_network),
-            MaxFlowConfig(epsilon=0.15),
-        ).solve()
+        ported = max_flow(
+            equivalence_sessions, routing_cls(waxman_network), epsilon=0.15
+        )
         assert fingerprint(ported) == fingerprint(reference)
         assert ported.instrumentation is not None
         assert ported.instrumentation["steps"] == int(reference.extra["iterations"])
@@ -344,11 +363,12 @@ class TestEngineEquivalence:
             epsilon=0.25,
             prescale_epsilon=0.25,
         )
-        ported = MaxConcurrentFlow(
+        ported = max_concurrent_flow(
             equivalence_sessions,
             routing_cls(waxman_network),
-            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25),
-        ).solve()
+            epsilon=0.25,
+            prescale_epsilon=0.25,
+        )
         assert fingerprint(ported) == fingerprint(reference)
         assert ported.instrumentation["phases"] == int(reference.extra["phases"])
 
@@ -363,23 +383,15 @@ class TestEngineEquivalence:
         reference_trail = reference_online_assignments(
             arrivals, routing_cls(waxman_network), sigma=50.0
         )
-        solver = OnlineMinCongestion(
-            routing_cls(waxman_network), OnlineConfig(sigma=50.0)
-        )
-        for session in arrivals:
-            solver.accept(session)
-        ported_trail = [
-            (tree.canonical_key(), None) for _, tree, _ in solver.state.assignments
-        ]
-        assert [k for k, _ in ported_trail] == [k for k, _ in reference_trail]
-        assert solver.state.max_congestion == reference_trail[-1][1]
-        solution = solver.solution(group_by_members=True)
-        assert solution.oracle_calls == len(arrivals)
         # Congestion snapshots (one per arrival) ride in instrumentation.
-        snaps = [
-            e for e in solution.instrumentation["events"] if e["kind"] == "congestion"
-        ]
-        assert [s["max_congestion"] for s in snaps] == [c for _, c in reference_trail]
+        assert online_trail(arrivals, routing_cls(waxman_network), 50.0) == (
+            reference_trail
+        )
+        solution = online_min_congestion(
+            arrivals, routing_cls(waxman_network), sigma=50.0
+        )
+        assert solution.oracle_calls == len(arrivals)
+        assert solution.extra["max_congestion"] == reference_trail[-1][1]
 
     def test_randomized_rounding_bit_identical(
         self, waxman_network, equivalence_sessions, routing_cls
@@ -450,44 +462,15 @@ def test_bit_identical_across_forced_renormalisation(
     assert len({id(lengths) for lengths in moved}) >= 2
 
 
-def test_feed_driven_engine_is_idle_not_stopped_when_drained(waxman_network):
-    # The advertised stepwise pattern: a feed-driven policy that is
-    # momentarily out of arrivals must leave the engine resumable —
-    # step() returns None (idle) and later fed work is still served.
-    from repro.core.engine import OnlineArrivalPolicy, PhaseEngine, RunToExhaustion
-    from repro.core.lengths import LengthFunction as LF
-    from repro.overlay.oracle import MinimumOverlayTreeOracle
-
-    routing = FixedIPRouting(waxman_network)
-    policy = OnlineArrivalPolicy(sigma=10.0)
-    engine = PhaseEngine(
-        oracles=[],
-        lengths=LF.for_online(waxman_network.capacities),
-        capacities=waxman_network.capacities,
-        policy=policy,
-        stopping=RunToExhaustion(),
-        accumulate_flows=False,
-        track_congestion=True,
-        oracle_factory=lambda s: MinimumOverlayTreeOracle(s, routing),
-    )
-    assert engine.step() is None  # drained: idle, not terminal
-    policy.feed(Session((0, 4), demand=1.0, name="late"))
-    action = engine.step()
-    assert action is not None and action.tree.size == 2
-    assert engine.steps == 1
-
-
 class TestBatchedOracleFront:
     def test_batched_rounds_bit_identical_to_loop(
         self, waxman_network, equivalence_sessions
     ):
         # Every MaxFlow round goes through the front; the reference loop
         # queries one oracle at a time.
-        batched = MaxFlow(
-            equivalence_sessions,
-            FixedIPRouting(waxman_network),
-            MaxFlowConfig(epsilon=0.15),
-        ).solve()
+        batched = max_flow(
+            equivalence_sessions, FixedIPRouting(waxman_network), epsilon=0.15
+        )
         looped = reference_max_flow(
             equivalence_sessions, FixedIPRouting(waxman_network), epsilon=0.15
         )
@@ -501,7 +484,7 @@ class TestBatchedOracleFront:
         routing = FixedIPRouting(waxman_network)
         oracles = build_oracles(equivalence_sessions, routing)
         front = BatchedOracleFront(oracles)
-        assert front.batched
+        assert front.mode == "fixed"
         lengths = np.random.default_rng(3).uniform(0.01, 5.0, waxman_network.num_edges)
         batched = front.query(range(len(oracles)), lengths)
         for (index, result), oracle in zip(batched, oracles):
@@ -517,7 +500,7 @@ class TestBatchedOracleFront:
         routing = DynamicRouting(waxman_network)
         oracles = build_oracles(equivalence_sessions, routing)
         front = BatchedOracleFront(oracles)
-        assert front.batched and front.mode == "dynamic"
+        assert front.mode == "dynamic"
         lengths = np.random.default_rng(3).uniform(0.01, 5.0, waxman_network.num_edges)
         results = front.query(range(len(oracles)), lengths)
         assert [index for index, _ in results] == [0, 1]
@@ -527,22 +510,19 @@ class TestBatchedOracleFront:
             assert result.tree == direct.tree
             assert result.length == direct.length
 
-    def test_front_falls_back_when_not_batchable(
+    def test_front_rejects_mixed_routing_models(
         self, waxman_network, equivalence_sessions
     ):
-        # A mixed fixed/dynamic oracle set has no shared batched pass.
+        # A mixed fixed/dynamic oracle set has no shared batched pass,
+        # and no solver builds one.
         mixed = [
             build_oracles([equivalence_sessions[0]], FixedIPRouting(waxman_network))[0],
             build_oracles([equivalence_sessions[1]], DynamicRouting(waxman_network))[0],
         ]
-        front = BatchedOracleFront(mixed)
-        assert not front.batched and front.mode is None
-        # The fallback loop still answers the round, in request order.
-        lengths = np.ones(waxman_network.num_edges)
-        results = front.query(range(len(mixed)), lengths)
-        assert [index for index, _ in results] == [0, 1]
-        for (_, result), session in zip(results, equivalence_sessions):
-            assert result.tree.size == session.size
+        with pytest.raises(ConfigurationError):
+            BatchedOracleFront(mixed)
+        with pytest.raises(ConfigurationError):
+            BatchedOracleFront([])
 
 
 def corner_sessions():
@@ -562,17 +542,21 @@ def prim_runs(oracle):
 
 
 class TestFrontAnswerReuse:
-    def test_max_flow_reuses_answers_and_matches_reference(self):
+    def test_max_flow_reuses_answers_and_matches_reference(self, monkeypatch):
         network = grid_topology(6, 6, capacity=10.0)
         sessions = corner_sessions()
-        solver = MaxFlow(
-            sessions, FixedIPRouting(network), MaxFlowConfig(epsilon=0.15)
-        )
-        ported = solver.solve()
+        built = []
+
+        def recording_build(*args):
+            oracles = build_oracles(*args)
+            built.extend(oracles)
+            return oracles
+
+        monkeypatch.setattr(maxflow_module, "build_oracles", recording_build)
+        ported = max_flow(sessions, FixedIPRouting(network), epsilon=0.15)
         reference = reference_max_flow(sessions, FixedIPRouting(network), 0.15)
         assert fingerprint(ported) == fingerprint(reference)
-        oracles = solver.oracles
-        assert sum(prim_runs(o) for o in oracles) < sum(o.call_count for o in oracles)
+        assert sum(prim_runs(o) for o in built) < sum(o.call_count for o in built)
 
     def test_only_sessions_crossing_a_changed_edge_rerun(self):
         network = grid_topology(6, 6, capacity=10.0)

@@ -12,9 +12,8 @@ call).
 import numpy as np
 import pytest
 
-from repro.core.maxconcurrent import MaxConcurrentFlow, MaxConcurrentFlowConfig
-from repro.core.maxflow import MaxFlow, MaxFlowConfig
-from repro.core.online import OnlineConfig, OnlineMinCongestion
+from repro.core.maxconcurrent import max_concurrent_flow
+from repro.core.maxflow import max_flow
 from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
 from repro.routing.dynamic import DynamicRouting
@@ -23,6 +22,7 @@ from repro.routing.ip_routing import FixedIPRouting
 from tests.test_engine_equivalence import (
     FreshTreeOracle,
     fresh_oracles,
+    online_trail,
     reference_max_concurrent_flow,
     reference_max_flow,
     reference_online_assignments,
@@ -121,11 +121,9 @@ def equivalence_sessions():
 @pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
 class TestSolverEquivalence:
     def test_maxflow_identical(self, waxman_network, equivalence_sessions, routing_cls):
-        cached = MaxFlow(
-            equivalence_sessions,
-            routing_cls(waxman_network),
-            MaxFlowConfig(epsilon=0.2),
-        ).solve()
+        cached = max_flow(
+            equivalence_sessions, routing_cls(waxman_network), epsilon=0.2
+        )
         fresh = reference_max_flow(
             equivalence_sessions, routing_cls(waxman_network), 0.2, fresh_oracles
         )
@@ -134,11 +132,12 @@ class TestSolverEquivalence:
     def test_maxconcurrent_identical(
         self, waxman_network, equivalence_sessions, routing_cls
     ):
-        cached = MaxConcurrentFlow(
+        cached = max_concurrent_flow(
             equivalence_sessions,
             routing_cls(waxman_network),
-            MaxConcurrentFlowConfig(epsilon=0.25, prescale_epsilon=0.25),
-        ).solve()
+            epsilon=0.25,
+            prescale_epsilon=0.25,
+        )
         fresh = reference_max_concurrent_flow(
             equivalence_sessions, routing_cls(waxman_network), 0.25, 0.25, fresh_oracles
         )
@@ -150,14 +149,7 @@ class TestSolverEquivalence:
             for session in equivalence_sessions
             for copy in session.replicate(3, demand=1.0)
         ]
-        solver = OnlineMinCongestion(
-            routing_cls(waxman_network), OnlineConfig(sigma=50.0)
-        )
-        solver.accept_all(arrivals)
         fresh_trail = reference_online_assignments(
             arrivals, routing_cls(waxman_network), 50.0, fresh_oracles
         )
-        assert [tree.canonical_key() for _, tree, _ in solver.state.assignments] == [
-            key for key, _ in fresh_trail
-        ]
-        assert solver.state.max_congestion == fresh_trail[-1][1]
+        assert online_trail(arrivals, routing_cls(waxman_network), 50.0) == fresh_trail
