@@ -173,7 +173,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"no store configured: pass --store DIR or export {STORE_ENV_VAR}"
         )
     if args.cache_command == "stats":
-        process_local = {"hits", "misses", "corrupt", "memory_entries"}
+        process_local = {"hits", "misses", "corrupt", "stale", "memory_entries"}
         for name, value in store.stats().items():
             scope = "  (this process only)" if name in process_local else ""
             print(f"{name:15s} {value}{scope}")

@@ -315,7 +315,7 @@ class WorkQueue:
 
         After a lease expires and the task is re-claimed, the *same
         filename* in ``claimed/`` belongs to the successor — the original
-        worker must not complete/fail/release on its behalf.
+        worker must not complete or fail it on its behalf.
         """
         lease = self._read_lease(task.name)
         return lease is None or lease.get("worker") == task.worker
@@ -401,18 +401,6 @@ class WorkQueue:
                 "repro_queue_claim_to_complete_seconds",
                 "Latency from claim to complete (seconds)",
             ).observe(max(0.0, time.time() - task.claimed_at))
-
-    def release(self, task: ClaimedTask) -> None:
-        """Voluntarily hand a claimed task back to ``pending/``."""
-        if not self._owns(task):
-            return
-        try:
-            self._rename(
-                self._dir("claimed") / task.name, self._dir("pending") / task.name
-            )
-        except FileNotFoundError:
-            pass
-        self._drop_lease(task.name)
 
     def fail(self, task: ClaimedTask, error: str) -> None:
         """Dead-letter a claimed task whose solve raised (terminal state).

@@ -7,7 +7,9 @@ registry (:mod:`repro.api.registry`) accepts under its name.
 * :func:`max_flow` — FPTAS for the overlay maximum flow problem M1
   (paper Table I),
 * :func:`max_concurrent_flow` — FPTAS for the overlay maximum concurrent
-  flow problem M2 (paper Table III), achieving weighted max-min fairness,
+  flow problem M2 (paper Table III), achieving weighted max-min fairness;
+  the two FPTAS functions share :mod:`repro.core.fptas`'s epsilon rule
+  and finish,
 * :func:`randomized_rounding` — randomized rounding of the fractional
   M2 solution to a bounded number of trees per session (paper Table V;
   :class:`RandomMinCongestion` runs repeated trials),

@@ -119,13 +119,18 @@ class StepPolicy(ABC):
     def next_request(self, engine: "PhaseEngine") -> Optional[StepRequest]:
         """The next step's oracle queries, or ``None`` when exhausted."""
 
-    @abstractmethod
     def select(
         self,
         engine: "PhaseEngine",
         results: Sequence[Tuple[int, OracleResult]],
     ) -> Selection:
-        """Pick one tree among the query results."""
+        """Pick one tree among the query results.
+
+        By default a step queries one session and takes its tree, scored
+        by its length.
+        """
+        index, result = results[0]
+        return Selection(index=index, result=result, score=result.length)
 
     @abstractmethod
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
@@ -275,14 +280,6 @@ class ConcurrentPhasePolicy(StepPolicy):
                 self._remaining = float(self._working_demands[self._session_index])
         return StepRequest(indices=(self._session_index,), batched=False)
 
-    def select(
-        self,
-        engine: "PhaseEngine",
-        results: Sequence[Tuple[int, OracleResult]],
-    ) -> Selection:
-        index, result = results[0]
-        return Selection(index=index, result=result, score=result.length)
-
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         tree = selection.result.tree
         capacities = engine.capacities
@@ -334,14 +331,6 @@ class OnlineArrivalPolicy(StepPolicy):
         if self._next == len(self._arrivals):
             return None
         return StepRequest(indices=(self._oracle_indices[self._next],))
-
-    def select(
-        self,
-        engine: "PhaseEngine",
-        results: Sequence[Tuple[int, OracleResult]],
-    ) -> Selection:
-        index, result = results[0]
-        return Selection(index=index, result=result, score=result.length)
 
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         session = self._arrivals[self._next]

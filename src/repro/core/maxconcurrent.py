@@ -26,9 +26,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import ConcurrentPhasePolicy, DualObjectiveStop, PhaseEngine
-from repro.core.lengths import LengthFunction, epsilon_for_ratio
+from repro.core.fptas import finish, resolve_epsilon
+from repro.core.lengths import LengthFunction
 from repro.core.maxflow import max_flow
-from repro.core.result import FlowSolution, SessionResult, TreeFlow
+from repro.core.result import FlowSolution
 from repro.overlay.oracle import build_oracles
 from repro.overlay.session import Session
 from repro.routing.base import RoutingModel
@@ -83,18 +84,10 @@ def max_concurrent_flow(
         raise ConfigurationError("at least one session is required")
     sessions = list(sessions)
     network = routing.network
-    for s in sessions:
-        s.validate_against(network)
-    if epsilon is not None:
-        if not 0 < epsilon < 1.0 / 3.0:
-            raise ConfigurationError(f"epsilon must be in (0, 1/3), got {epsilon}")
-        epsilon = float(epsilon)
-    elif approximation_ratio is not None:
-        epsilon = epsilon_for_ratio(approximation_ratio, slack_factor=3.0)
-    else:
-        raise ConfigurationError(
-            "exactly one of epsilon / approximation_ratio must be set"
-        )
+    # Building the oracles validates every session, so a bad one fails
+    # before any pre-scaling MaxFlow runs.
+    oracles = build_oracles(sessions, routing)
+    epsilon = resolve_epsilon(epsilon, approximation_ratio, slack=3)
     capacities = network.capacities
     num_edges = network.num_edges
     k = len(sessions)
@@ -110,7 +103,6 @@ def max_concurrent_flow(
     # Scale demands so the optimal concurrent throughput lies in [1, k].
     working_demands = demands * (zeta / k)
 
-    oracles = build_oracles(sessions, routing)
     lengths = LengthFunction.for_concurrent(capacities, epsilon)
 
     # Final scaling factor (Lemma 4): divide flows by log_{1+eps}(1/delta).
@@ -146,47 +138,23 @@ def max_concurrent_flow(
         cap_message=f"MaxConcurrentFlow exceeded the step cap of {step_cap}",
     )
     engine.run()
-
-    scale = 1.0 / scale_denominator
-    results = tuple(
-        SessionResult(session=acc.session, tree_flows=tuple(acc.scaled(scale)))
-        for acc in engine.accumulators
-    )
-    main_calls = engine.oracle_calls
     # Lemma 4 only guarantees feasibility for the flow of the completed
     # phases; the flow routed during the final (partial) phase can push a
-    # link marginally above capacity.  Rescale by the max congestion so
-    # the returned solution is always strictly feasible without changing
-    # the relative (fair) rate split.
-    probe = FlowSolution(
-        algorithm="MaxConcurrentFlow", sessions=results, network=network
-    )
-    congestion = probe.max_congestion()
-    if congestion > 1.0:
-        results = tuple(
-            SessionResult(
-                session=s.session,
-                tree_flows=tuple(
-                    TreeFlow(tree=tf.tree, flow=tf.flow / congestion)
-                    for tf in s.tree_flows
-                ),
-            )
-            for s in results
-        )
-    return FlowSolution(
-        algorithm="MaxConcurrentFlow",
-        sessions=results,
-        network=network,
-        epsilon=epsilon,
-        oracle_calls=main_calls + prescale_calls,
-        extra={
+    # link marginally above capacity, and the finish's uniform rescale
+    # keeps the relative (fair) rate split.
+    return finish(
+        "MaxConcurrentFlow",
+        engine,
+        routing,
+        epsilon,
+        scale_denominator,
+        {
             "phases": float(policy.phases),
             "steps": float(engine.steps),
             "doublings": float(policy.doublings),
-            "main_oracle_calls": float(main_calls),
+            "main_oracle_calls": float(engine.oracle_calls),
             "prescale_oracle_calls": float(prescale_calls),
             "zeta_upper_bound": zeta,
-            "routing": "dynamic" if routing.is_dynamic else "fixed",
         },
-        instrumentation=engine.instrumentation.snapshot(),
+        prescale_oracle_calls=prescale_calls,
     )

@@ -24,8 +24,9 @@ import math
 from typing import Optional, Sequence
 
 from repro.core.engine import MaxFlowPolicy, NormalizedLengthStop, PhaseEngine
-from repro.core.lengths import LengthFunction, epsilon_for_ratio
-from repro.core.result import FlowSolution, SessionResult, TreeFlow
+from repro.core.fptas import finish, resolve_epsilon
+from repro.core.lengths import LengthFunction
+from repro.core.result import FlowSolution
 from repro.overlay.oracle import build_oracles
 from repro.overlay.session import Session
 from repro.routing.base import RoutingModel
@@ -58,19 +59,8 @@ def max_flow(
         raise ConfigurationError("at least one session is required")
     sessions = list(sessions)
     network = routing.network
-    for s in sessions:
-        s.validate_against(network)
-    if epsilon is not None:
-        if not 0 < epsilon < 0.5:
-            raise ConfigurationError(f"epsilon must be in (0, 0.5), got {epsilon}")
-        epsilon = float(epsilon)
-    elif approximation_ratio is not None:
-        epsilon = epsilon_for_ratio(approximation_ratio, slack_factor=2.0)
-    else:
-        raise ConfigurationError(
-            "exactly one of epsilon / approximation_ratio must be set"
-        )
     oracles = build_oracles(sessions, routing)
+    epsilon = resolve_epsilon(epsilon, approximation_ratio, slack=2)
     capacities = network.capacities
     num_edges = network.num_edges
     max_size = max(s.size for s in sessions)
@@ -102,38 +92,15 @@ def max_flow(
         cap_message=f"MaxFlow exceeded the iteration cap of {iteration_cap}",
     )
     engine.run()
-
-    scale = 1.0 / scale_denominator
-    results = tuple(
-        SessionResult(session=acc.session, tree_flows=tuple(acc.scaled(scale)))
-        for acc in engine.accumulators
-    )
-    # Guard against the final augmentation pushing a link marginally over
-    # capacity: rescale uniformly if the scaled flow is infeasible.
-    probe = FlowSolution(algorithm="MaxFlow", sessions=results, network=network)
-    congestion = probe.max_congestion()
-    if congestion > 1.0:
-        results = tuple(
-            SessionResult(
-                session=s.session,
-                tree_flows=tuple(
-                    TreeFlow(tree=tf.tree, flow=tf.flow / congestion)
-                    for tf in s.tree_flows
-                ),
-            )
-            for s in results
-        )
-    return FlowSolution(
-        algorithm="MaxFlow",
-        sessions=results,
-        network=network,
-        epsilon=epsilon,
-        oracle_calls=engine.oracle_calls,
-        extra={
+    return finish(
+        "MaxFlow",
+        engine,
+        routing,
+        epsilon,
+        scale_denominator,
+        {
             "iterations": float(engine.steps),
             "scale_denominator": scale_denominator,
             "longest_route": float(longest_route),
-            "routing": "dynamic" if routing.is_dynamic else "fixed",
         },
-        instrumentation=engine.instrumentation.snapshot(),
     )

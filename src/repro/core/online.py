@@ -17,16 +17,16 @@ paper's Fig. 5/6 sweeps (there written as ``r``).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import OnlineArrivalPolicy, PhaseEngine, RunToExhaustion
 from repro.core.lengths import LengthFunction
-from repro.core.result import FlowSolution, SessionResult, TreeFlow
+from repro.core.result import FlowSolution, SessionFlowAccumulator, SessionResult
 from repro.overlay.oracle import MinimumOverlayTreeOracle
 from repro.overlay.session import Session
-from repro.overlay.tree import OverlayTree
 from repro.routing.base import RoutingModel
 from repro.util.errors import ConfigurationError
 
@@ -62,12 +62,10 @@ def online_min_congestion(
         affects the routing decisions through the length updates; reported
         rates are always re-expressed in original demand units.
     """
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
     network = routing.network
     arrivals = list(sessions)
-    for session in arrivals:
-        session.validate_against(network)
     if not arrivals:
         raise ConfigurationError("at least one session is required")
     demand_scale = 1.0
@@ -116,40 +114,35 @@ def online_min_congestion(
     else:
         rate_factor = 1.0
 
-    groups: Dict[Tuple[int, ...], List[Tuple[Session, OverlayTree, float]]] = {}
-    order: List[Tuple[int, ...]] = []
+    # Per group, in arrival order: the demands, and each arrival's
+    # ``demand * rate_factor`` summed per distinct tree.
+    groups: Dict[Tuple[int, ...], Tuple[List[float], SessionFlowAccumulator]] = {}
     for session, tree, demand in policy.assignments:
         key = tuple(sorted(session.members)) if group_by_members else (id(session),)
         if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((session, tree, demand))
+            groups[key] = ([], SessionFlowAccumulator(session=session))
+        demands, accumulator = groups[key]
+        demands.append(demand)
+        accumulator.add(tree, demand * rate_factor)
 
     session_results = []
-    for key in order:
-        entries = groups[key]
-        base_session = entries[0][0]
-        total_demand = sum(d for _, _, d in entries)
+    for demands, accumulator in groups.values():
+        base_session = accumulator.session
         # Strip the "#<i>" replica suffix appended by Session.replicate.
         # rsplit keeps base names that themselves start with "#" intact
         # (a plain split("#")[0] would yield "" and fall back to the
         # full name, replica suffix included).
         representative = Session(
             base_session.members,
-            demand=total_demand,
+            demand=sum(demands),
             source=base_session.source,
             name=base_session.name.rsplit("#", 1)[0] or base_session.name,
         )
-        tree_flows: Dict[Tuple, TreeFlow] = {}
-        for _, tree, demand in entries:
-            flow = demand * rate_factor
-            k = tree.canonical_key()
-            if k in tree_flows:
-                tree_flows[k] = TreeFlow(tree=tree, flow=tree_flows[k].flow + flow)
-            else:
-                tree_flows[k] = TreeFlow(tree=tree, flow=flow)
+        # Scaling by 1.0 is exact: the flows are the sums built above.
         session_results.append(
-            SessionResult(session=representative, tree_flows=tuple(tree_flows.values()))
+            SessionResult(
+                session=representative, tree_flows=tuple(accumulator.scaled(1.0))
+            )
         )
 
     return FlowSolution(

@@ -61,11 +61,6 @@ class SessionFlowAccumulator:
         return [TreeFlow(tree=t, flow=f * factor) for t, f in self._flows.values()]
 
     @property
-    def total_flow(self) -> float:
-        """Unscaled total flow routed for this session."""
-        return float(sum(f for _, f in self._flows.values()))
-
-    @property
     def num_trees(self) -> int:
         """Number of distinct trees carrying flow."""
         return len(self._flows)
@@ -208,32 +203,6 @@ class FlowSolution:
         """Whether total per-edge traffic respects capacities (within tolerance)."""
         flows = self.edge_flows()
         return bool(np.all(flows <= self.network.capacities * (1.0 + tolerance)))
-
-    # ------------------------------------------------------------------
-    # transformations
-    # ------------------------------------------------------------------
-    def scaled(self, factor: float) -> "FlowSolution":
-        """Return a copy with every tree flow multiplied by ``factor``."""
-        if factor < 0:
-            raise ConfigurationError(f"scale factor must be non-negative, got {factor}")
-        sessions = tuple(
-            SessionResult(
-                session=s.session,
-                tree_flows=tuple(
-                    TreeFlow(tree=tf.tree, flow=tf.flow * factor) for tf in s.tree_flows
-                ),
-            )
-            for s in self.sessions
-        )
-        return FlowSolution(
-            algorithm=self.algorithm,
-            sessions=sessions,
-            network=self.network,
-            epsilon=self.epsilon,
-            oracle_calls=self.oracle_calls,
-            extra=dict(self.extra),
-            instrumentation=self.instrumentation,
-        )
 
     def summary(self) -> Dict[str, float]:
         """Headline metrics as a flat dict (used by experiment reports)."""

@@ -9,13 +9,12 @@ helpers extract those curves and summary statistics from a
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.result import FlowSolution, SessionResult
 from repro.util.cdf import cumulative_distribution, fraction_of_mass_in_top
-from repro.util.errors import ConfigurationError
 
 
 def tree_rate_distribution(session_result: SessionResult) -> Tuple[np.ndarray, np.ndarray]:
@@ -62,22 +61,3 @@ def asymmetry_index(session_result: SessionResult) -> float:
     cumulative = np.cumsum(rates)
     gini = 1.0 + 1.0 / n - 2.0 * float(np.sum(cumulative)) / (n * total)
     return float(np.clip(gini, 0.0, 1.0))
-
-
-def distribution_by_session_size(
-    solutions_by_size: Dict[int, FlowSolution],
-    session_index: int = 0,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Tree-rate distribution of one session per solution, keyed by size.
-
-    Helper for the Fig 17 experiment where the same curve is plotted for a
-    sweep of session sizes.
-    """
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for size, solution in solutions_by_size.items():
-        if session_index >= len(solution.sessions):
-            raise ConfigurationError(
-                f"solution for size {size} has only {len(solution.sessions)} sessions"
-            )
-        out[size] = tree_rate_distribution(solution.sessions[session_index])
-    return out

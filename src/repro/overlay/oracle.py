@@ -144,10 +144,6 @@ class MinimumOverlayTreeOracle:
         """Number of minimum-spanning-tree operations performed so far."""
         return self._call_count
 
-    def reset_call_count(self) -> None:
-        """Reset the MST-operation counter (used between experiment stages)."""
-        self._call_count = 0
-
     def count_reused_answer(self) -> None:
         """Count an answer reused from an earlier query as one MST operation.
 

@@ -90,10 +90,6 @@ class Session:
                     f"(num_nodes={network.num_nodes})"
                 )
 
-    def with_demand(self, demand: float) -> "Session":
-        """Copy of this session with a different demand."""
-        return Session(self.members, demand=demand, source=self.source, name=self.name)
-
     def replicate(self, copies: int, demand: Optional[float] = None) -> List["Session"]:
         """Return ``copies`` sessions with the same member set.
 

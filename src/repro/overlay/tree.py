@@ -229,10 +229,6 @@ class OverlayTree:
         """
         return self._canonical_key
 
-    def total_physical_hops(self) -> float:
-        """Total number of physical link traversals (the tree's "link stress")."""
-        return float(self.edge_usage.sum())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OverlayTree):
             return NotImplemented

@@ -69,16 +69,6 @@ class RoutingModel(abc.ABC):
         keyed by canonical pair.
         """
 
-    def path_for_pair(
-        self,
-        u: int,
-        v: int,
-        edge_lengths: Optional[np.ndarray] = None,
-    ) -> UnicastPath:
-        """Route for a single pair (convenience wrapper)."""
-        key = pair_key(u, v)
-        return self.paths_for_pairs([key], edge_lengths)[key]
-
     def max_route_hops(self, members: Sequence[int]) -> int:
         """Longest route (in hops) among all member pairs under hop metric.
 

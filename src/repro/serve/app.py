@@ -88,6 +88,11 @@ def _serve_counter(name: str, help_text: str):
     return obs_metrics.registry().counter(name, help_text)
 
 
+def _reject_non_finite(literal: str) -> float:
+    """``json.loads`` accepts ``NaN`` and ``±Infinity``; JSON does not."""
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 @dataclass
 class ServeConfig:
     """Everything a :class:`ServeApp` needs, CLI-flag-shaped.
@@ -243,8 +248,8 @@ class ServeApp:
                 retry_after_seconds=RETRY_AFTER_SECONDS,
             )
         try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            body = json.loads(raw.decode("utf-8"), parse_constant=_reject_non_finite)
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError included
             return 400, _error("InvalidJSON", str(exc))
         if not isinstance(body, dict):
             return 400, _error(

@@ -23,8 +23,9 @@ Design
   miss, so the caller falls back to re-solving and the next ``put``
   heals the store.  A report whose engine instrumentation comes from
   another engine version (``instrumentation.engine`` other than
-  :data:`~repro.core.engine.instrumentation.ENGINE_SCHEMA`) is treated
-  the same way, so warm and cold reports of one spec always agree.
+  :data:`~repro.core.engine.instrumentation.ENGINE_SCHEMA`) is removed
+  and re-solved the same way, so warm and cold reports of one spec
+  always agree, but it counts as ``stale``, not ``corrupt``.
 * **LRU front.**  A small in-memory map of live reports serves repeated
   gets in one process without re-reading and re-building solutions.
 """
@@ -106,7 +107,7 @@ class ReportStore:
         self.compress = bool(compress)
         self.durable = bool(durable)
         self._memory: "OrderedDict[str, SolveReport]" = OrderedDict()
-        # One lock guards the LRU front and the hit/miss/corrupt
+        # One lock guards the LRU front and the hit/miss/corrupt/stale
         # counters: gets run concurrently on serve worker threads, and
         # unguarded `+= 1` / OrderedDict mutation would tear.  Disk I/O
         # happens outside the lock (atomic writes make that safe).
@@ -114,6 +115,7 @@ class ReportStore:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
+        self.stale = 0
         # Transient read blips (NFS hiccups, injected OSErrors) are
         # retried before an entry is declared missing; corruption is a
         # *verification* verdict, never an I/O one, so a flaky read can
@@ -192,10 +194,10 @@ class ReportStore:
     def get(self, key: str) -> Optional["SolveReport"]:
         """Fetch and verify the report stored under ``key``.
 
-        Returns ``None`` — and quarantines the entry — when the entry is
-        missing, unreadable, schema-mismatched (the engine version of its
-        instrumentation included) or fails its digest check, so callers
-        always fall back to a fresh solve.
+        Returns ``None`` — and removes the entry — when the entry is
+        missing, unreadable, schema-mismatched, fails its digest check or
+        comes from another engine version, so callers always fall back to
+        a fresh solve.
         """
         with self._lock:
             if key in self._memory:
@@ -257,10 +259,11 @@ class ReportStore:
             if digest != envelope.get("sha256"):
                 raise ValueError("entry digest mismatch")
             # A report from another engine version would differ from a
-            # cold solve of the same spec in its instrumentation.
+            # cold solve of the same spec in its instrumentation.  Its
+            # bytes are sound, so it is stale, not corrupt.
             engine = (report_payload.get("instrumentation") or {}).get("engine")
             if engine not in (None, ENGINE_SCHEMA):
-                raise ValueError("entry engine schema mismatch")
+                return self._retire_stale(path)
             return SolveReport.from_jsonable(report_payload)
         except (ValueError, KeyError, TypeError, ReproError):
             # ReproError covers reconstruction failures from the repo's
@@ -276,6 +279,17 @@ class ReportStore:
         obs_metrics.registry().counter(
             "repro_store_quarantines_total",
             "Corrupt entries quarantined on read",
+        ).inc()
+        self._quarantine(path)
+        return None
+
+    def _retire_stale(self, path: Path) -> None:
+        """Count and remove a sound entry from another engine version."""
+        with self._lock:
+            self.stale += 1
+        obs_metrics.registry().counter(
+            "repro_store_stale_total",
+            "Entries from another engine version removed on read",
         ).inc()
         self._quarantine(path)
         return None
@@ -306,7 +320,7 @@ class ReportStore:
         )
 
     def stats(self) -> Dict[str, int]:
-        """Store counters: disk entries/bytes, memory front, hit/miss/corrupt."""
+        """Store counters: disk entries/bytes, memory front, hit/miss/corrupt/stale."""
         paths = self._disk_entries()
         total = 0
         for p in paths:
@@ -317,6 +331,7 @@ class ReportStore:
         with self._lock:
             memory_entries = len(self._memory)
             hits, misses, corrupt = self.hits, self.misses, self.corrupt
+            stale = self.stale
         return {
             "entries": len(paths),
             "bytes": total,
@@ -324,6 +339,7 @@ class ReportStore:
             "hits": hits,
             "misses": misses,
             "corrupt": corrupt,
+            "stale": stale,
         }
 
     def prune(

@@ -216,21 +216,6 @@ class PhysicalNetwork:
                     stack.append(v)
         return count == self._num_nodes
 
-    def connected_component(self, start: int) -> List[int]:
-        """Vertices reachable from ``start`` (including ``start``)."""
-        seen = np.zeros(self._num_nodes, dtype=bool)
-        stack = [start]
-        seen[start] = True
-        out = [start]
-        while stack:
-            u = stack.pop()
-            for v, _eid in self._adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    out.append(v)
-                    stack.append(v)
-        return sorted(out)
-
     def validate(self) -> None:
         """Re-run structural validation; raises on inconsistency."""
         if self._capacities.min() <= 0:
@@ -378,10 +363,6 @@ class PhysicalNetwork:
             node_positions=self._positions,
             node_levels=self._levels,
         )
-
-    def with_uniform_capacity(self, capacity: float) -> "PhysicalNetwork":
-        """Return a copy with every edge capacity set to ``capacity``."""
-        return self.with_capacities(np.full(self.num_edges, float(capacity)))
 
     # ------------------------------------------------------------------
     # dunder helpers

@@ -86,15 +86,6 @@ class ExponentialBackoff:
         self._delay = min(self._delay * self.factor, self.cap)
         return delay
 
-    def peek(self) -> float:
-        """The delay :meth:`next_delay` would return, without advancing.
-
-        Under ``jitter`` the next delay is random; ``peek`` then reports
-        the correlation state (the previous draw, or the floor right
-        after a reset) rather than a prediction.
-        """
-        return self._delay
-
     def reset(self) -> None:
         """A productive poll happened: restore the floor."""
         self._delay = self.floor

@@ -9,7 +9,7 @@ same topology, sessions, and rounding decisions.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -86,25 +86,3 @@ def spawn_child_seed(seed: SeedLike, *indices: int) -> int:
     resistant.
     """
     return int(spawn_child_sequence(seed, *indices).generate_state(1, np.uint64)[0])
-
-
-def choice_weighted(
-    rng: np.random.Generator, weights: Iterable[float], size: Optional[int] = None
-):
-    """Sample index/indices proportionally to non-negative ``weights``.
-
-    A thin wrapper that normalises the weight vector and guards against the
-    all-zero case (falls back to uniform), which occurs when a session ends
-    up with zero flow on every tree.
-    """
-    w = np.asarray(list(weights), dtype=float)
-    if w.size == 0:
-        raise ValueError("cannot sample from an empty weight vector")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        p = np.full(w.size, 1.0 / w.size)
-    else:
-        p = w / total
-    return rng.choice(w.size, size=size, p=p)

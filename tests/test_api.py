@@ -445,25 +445,31 @@ class TestRegistry:
             registry.remove("gadget", "constant")
 
     def test_plugin_solver_addressable_from_spec(self, scenario):
+        import dataclasses
+
         from repro.api import register_solver, solve
         from repro.core.maxflow import max_flow
 
-        @register_solver("test_plugin_halved_max_flow")
-        def halved(sessions, routing, approximation_ratio=0.9):
-            return max_flow(sessions, routing, approximation_ratio).scaled(0.5)
+        @register_solver("test_plugin_tagged_max_flow")
+        def tagged(sessions, routing, approximation_ratio=0.9):
+            solution = max_flow(sessions, routing, approximation_ratio)
+            return dataclasses.replace(
+                solution, algorithm=f"Tagged@{approximation_ratio}"
+            )
 
         try:
             spec = scenario.with_solver(
-                "test_plugin_halved_max_flow", approximation_ratio=0.8
+                "test_plugin_tagged_max_flow", approximation_ratio=0.8
             )
             report = solve(spec)
             assert isinstance(report.solution, FlowSolution)
+            assert report.solution.algorithm == "Tagged@0.8"
             baseline = solve(scenario)
-            assert report.solution.overall_throughput == pytest.approx(
-                0.5 * baseline.solution.overall_throughput
+            assert report.solution.overall_throughput == (
+                baseline.solution.overall_throughput
             )
         finally:
-            default_registry().remove("solver", "test_plugin_halved_max_flow")
+            default_registry().remove("solver", "test_plugin_tagged_max_flow")
 
 
 class TestMakeRoutingShim:

@@ -121,14 +121,6 @@ class TestWorkQueue:
             assert claimed is not None and claimed.shard == 1 - my_shard
         assert queue.claim("worker-b", shard=1 - my_shard) is None
 
-    def test_release_returns_task_to_pending(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.submit([_spec(3)])
-        task = queue.claim("worker-a")
-        queue.release(task)
-        assert queue.counts() == {"pending": 1, "claimed": 0, "done": 0, "failed": 0}
-        assert queue.claim("worker-b") is not None
-
     def test_expired_lease_is_requeued(self, tmp_path):
         # Crash safety: a worker that claims and dies must not strand
         # the task — once the lease lapses any worker can requeue it.
@@ -149,9 +141,9 @@ class TestWorkQueue:
 
     def test_stale_worker_cannot_fail_a_reclaimed_task(self, tmp_path):
         # Regression: after a lease expires and a successor re-claims
-        # the same task name, the original worker's late fail()/
-        # complete()/release() must be a no-op — dead-lettering the
-        # successor's live claim would strand good work.
+        # the same task name, the original worker's late fail() and
+        # complete() must be no-ops — dead-lettering the successor's
+        # live claim would strand good work.
         queue = WorkQueue(tmp_path / "q", lease_seconds=0.05)
         queue.submit([_spec(3)])
         stale = queue.claim("worker-a")
@@ -161,7 +153,6 @@ class TestWorkQueue:
         assert fresh is not None
         queue.fail(stale, "late transient error")  # must not dead-letter
         assert queue.counts()["failed"] == 0
-        queue.release(stale)  # must not move the successor's claim
         assert queue.counts()["claimed"] == 1
         queue.complete(stale)  # must not drop the successor's lease
         assert queue._read_lease(fresh.name) is not None

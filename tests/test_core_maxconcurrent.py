@@ -1,15 +1,19 @@
 """Tests for the MaxConcurrentFlow FPTAS (paper Table III)."""
 
+import math
+
 import pytest
 
 from repro.api import solve_instance
+from repro.core.engine import PhaseEngine
 from repro.core.maxconcurrent import max_concurrent_flow, standalone_rates
+from repro.core.result import FlowSolution, SessionResult
 from repro.lp.exact import exact_max_concurrent_flow
 from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.generators import complete_topology
 from repro.topology.network import PhysicalNetwork
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, InvalidSessionError
 
 
 def _link():
@@ -71,6 +75,40 @@ class TestSingleLink:
         assert solution.extra["phases"] >= 1
         assert solution.extra["prescale_oracle_calls"] > 0
         assert solution.oracle_calls >= solution.extra["main_oracle_calls"]
+
+
+class TestFeasibilityRescale:
+    def test_overshoot_divides_every_tree_flow(self, monkeypatch):
+        # Lemma 4 covers the completed phases only: on one link at ratio
+        # 0.9 the last partial phase overshoots the capacity, so the
+        # finish divides every tree flow by the congestion.
+        engines = []
+        init = PhaseEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append((self, self.lengths.log_offset))
+
+        monkeypatch.setattr(PhaseEngine, "__init__", recording_init)
+        sessions, routing = _link()
+        solution = max_concurrent_flow(sessions, routing, approximation_ratio=0.9)
+        # The pre-scaling MaxFlow engines come first; the main run is last.
+        engine, log_delta = engines[-1]
+        scale = 1.0 / (-log_delta / math.log1p(solution.epsilon))
+        scaled = tuple(
+            SessionResult(session=acc.session, tree_flows=tuple(acc.scaled(scale)))
+            for acc in engine.accumulators
+        )
+        congestion = FlowSolution(
+            algorithm="probe", sessions=scaled, network=routing.network
+        ).max_congestion()
+        assert congestion > 1.0
+        before = [tf.flow for s in scaled for tf in s.tree_flows]
+        after = [tf.flow for s in solution.sessions for tf in s.tree_flows]
+        assert after == [flow / congestion for flow in before]
+        assert solution.max_congestion() <= 1.0
+        # Multiplying by the reciprocal would give other last bits.
+        assert any(flow * (1.0 / congestion) != flow / congestion for flow in before)
 
 
 class TestAgainstExactLP:
@@ -137,6 +175,18 @@ class TestBehaviourVersusMaxFlow:
     def test_no_sessions_rejected(self, waxman_network):
         with pytest.raises(ConfigurationError):
             max_concurrent_flow([], FixedIPRouting(waxman_network))
+
+    def test_invalid_session_fails_before_prescaling(self, monkeypatch):
+        from repro.core import maxconcurrent
+
+        prescaled = []
+        monkeypatch.setattr(
+            maxconcurrent, "max_flow", lambda *args, **kwargs: prescaled.append(args)
+        )
+        sessions, routing = _link()
+        with pytest.raises(InvalidSessionError):
+            max_concurrent_flow(sessions + [Session((0, 5))], routing)
+        assert prescaled == []
 
 
 class TestPrescaling:

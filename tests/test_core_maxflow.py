@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.api import solve_instance
+from repro.core.engine import PhaseEngine
 from repro.core.maxflow import max_flow
+from repro.core.result import FlowSolution, SessionResult
 from repro.lp.exact import exact_max_flow
 from repro.overlay.session import Session, random_session
 from repro.routing.dynamic import DynamicRouting
@@ -63,6 +65,41 @@ class TestSingleLink:
         assert solution.epsilon == pytest.approx(0.05)
         assert solution.oracle_calls > 0
         assert solution.extra["iterations"] > 0
+
+
+class TestFeasibilityRescale:
+    def test_overshoot_divides_every_tree_flow(self, monkeypatch):
+        # One link of capacity 9 at ratio 0.95: the last augmentation,
+        # scaled by Lemma 2's factor, overshoots the capacity by an ulp,
+        # so the finish divides every tree flow by the congestion.
+        engines = []
+        init = PhaseEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append(self)
+
+        monkeypatch.setattr(PhaseEngine, "__init__", recording_init)
+        net = PhysicalNetwork(2, [(0, 1, 9.0)])
+        solution = max_flow(
+            [Session((0, 1))], FixedIPRouting(net), approximation_ratio=0.95
+        )
+        [engine] = engines
+        scale = 1.0 / solution.extra["scale_denominator"]
+        scaled = tuple(
+            SessionResult(session=acc.session, tree_flows=tuple(acc.scaled(scale)))
+            for acc in engine.accumulators
+        )
+        congestion = FlowSolution(
+            algorithm="probe", sessions=scaled, network=net
+        ).max_congestion()
+        assert congestion > 1.0
+        before = [tf.flow for s in scaled for tf in s.tree_flows]
+        after = [tf.flow for s in solution.sessions for tf in s.tree_flows]
+        assert after == [flow / congestion for flow in before]
+        assert solution.max_congestion() <= 1.0
+        # Multiplying by the reciprocal would give other last bits.
+        assert any(flow * (1.0 / congestion) != flow / congestion for flow in before)
 
 
 class TestAgainstExactLP:

@@ -40,6 +40,24 @@ class TestOnlineConfig:
                 sigma=0.0,
             )
 
+    def test_sigma_must_be_finite(self, monkeypatch, waxman_network):
+        # A non-finite sigma is named before any oracle is built, not
+        # found later as a bad length-update factor.
+        from repro.core import online as online_module
+
+        built = []
+        monkeypatch.setattr(
+            online_module, "MinimumOverlayTreeOracle", lambda *args: built.append(args)
+        )
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=f"sigma .* got {sigma}"):
+                online_min_congestion(
+                    [Session((0, 4, 9), demand=1.0)],
+                    FixedIPRouting(waxman_network),
+                    sigma=sigma,
+                )
+        assert built == []
+
 
 class TestOnlineMinCongestion:
     def test_accept_assigns_single_tree(self, waxman_network):

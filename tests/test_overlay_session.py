@@ -48,12 +48,6 @@ class TestSession:
         with pytest.raises(InvalidSessionError):
             Session((0, 9)).validate_against(diamond_network)
 
-    def test_with_demand(self):
-        s = Session((1, 2), demand=1.0)
-        s2 = s.with_demand(5.0)
-        assert s2.demand == 5.0
-        assert s2.members == s.members
-
     def test_replicate(self):
         s = Session((1, 2, 3), demand=4.0, name="base")
         copies = s.replicate(3)

@@ -26,7 +26,6 @@ class TestOverlayTree:
         assert tree.num_receivers == 2
         assert tree.usage_of(diamond_network.edge_id(0, 1)) == 1.0
         assert tree.usage_of(diamond_network.edge_id(1, 3)) == 1.0
-        assert tree.total_physical_hops() == 2.0
 
     def test_shared_physical_edge_counts_twice(self, path_network):
         # Members 0, 2, 4 on a path; overlay edges (0,4) and (2,4) both use

@@ -136,7 +136,6 @@ class TestExponentialBackoff:
         for _ in range(20):
             backoff.next_delay()
         backoff.reset()
-        assert backoff.peek() == 0.5
         # Right after a reset the draw envelope is [floor, floor*factor].
         assert 0.5 <= backoff.next_delay() <= 1.0
 
@@ -513,6 +512,22 @@ class TestSubmitValidation:
             code, payload = app.submit(unknown)
             assert code == 400
             assert "pigeon" in payload["error"]["message"]
+        finally:
+            app.close()
+
+    def test_non_finite_numbers_are_invalid_json(self, tmp_path):
+        # json.loads accepts NaN and +-Infinity, which JSON does not; a
+        # spec carrying one must not be admitted to fail later in a run.
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
+        try:
+            spec = json.dumps(online_spec().to_jsonable())
+            for literal in ("NaN", "Infinity", "-Infinity"):
+                body = spec.replace('"sigma": 10.0', f'"sigma": {literal}')
+                assert literal in body
+                code, payload = app.submit(body.encode())
+                assert code == 400, payload
+                assert payload["error"]["type"] == "InvalidJSON"
+                assert literal in payload["error"]["message"]
         finally:
             app.close()
 

@@ -193,6 +193,10 @@ class TestCorruption:
         store.clear_memory()
         assert store.get(spec.canonical_key) is None
         assert not path.exists()
+        # Version skew is not damage: the read counts as stale.
+        assert store.corrupt == 0
+        assert store.stale == 1
+        assert store.stats()["stale"] == 1
         api.clear_caches()
         again = api.solve(spec, store=store)
         assert again.cached is False

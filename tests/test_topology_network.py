@@ -101,11 +101,6 @@ class TestStructure:
     def test_disconnected_graph_detected(self):
         net = PhysicalNetwork(4, [(0, 1), (2, 3)])
         assert not net.is_connected()
-        assert net.connected_component(0) == [0, 1]
-        assert net.connected_component(2) == [2, 3]
-
-    def test_connected_component_whole_graph(self, ring6_network):
-        assert ring6_network.connected_component(3) == list(range(6))
 
     def test_validate_passes(self, diamond_network):
         diamond_network.validate()
@@ -142,10 +137,6 @@ class TestConversions:
     def test_with_capacities_wrong_shape(self, diamond_network):
         with pytest.raises(InvalidNetworkError):
             diamond_network.with_capacities([1.0, 2.0])
-
-    def test_with_uniform_capacity(self, diamond_network):
-        net2 = diamond_network.with_uniform_capacity(3.0)
-        assert np.allclose(net2.capacities, 3.0)
 
     def test_equality_and_hash(self, diamond_network):
         edges = [(0, 1, 10.0), (1, 3, 10.0), (0, 2, 10.0), (2, 3, 10.0), (1, 2, 10.0)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import choice_weighted, ensure_rng, spawn_rngs
+from repro.util.rng import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -47,26 +47,3 @@ class TestSpawnRngs:
         rngs = spawn_rngs(np.random.default_rng(9), 2)
         assert len(rngs) == 2
 
-
-class TestChoiceWeighted:
-    def test_prefers_heavy_weight(self):
-        rng = ensure_rng(0)
-        draws = [choice_weighted(rng, [0.01, 0.99]) for _ in range(200)]
-        assert sum(d == 1 for d in draws) > 150
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        rng = ensure_rng(0)
-        draws = {int(choice_weighted(rng, [0.0, 0.0, 0.0])) for _ in range(100)}
-        assert draws == {0, 1, 2}
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            choice_weighted(ensure_rng(0), [1.0, -1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            choice_weighted(ensure_rng(0), [])
-
-    def test_size_argument(self):
-        out = choice_weighted(ensure_rng(0), [1.0, 1.0], size=5)
-        assert len(out) == 5
