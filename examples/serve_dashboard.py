@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -186,8 +187,10 @@ def main() -> int:
         if server is not None and not args.keep:
             server.terminate()
             server.wait(timeout=5)
+            shutil.rmtree(workdir, ignore_errors=True)
         elif server is not None:
-            print(f"\nserver left running at {base} (pid {server.pid})")
+            print(f"\nserver left running at {base} (pid {server.pid}), "
+                  f"store under {workdir}")
     return 0
 
 

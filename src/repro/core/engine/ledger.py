@@ -45,9 +45,9 @@ class TreeLedger:
         column = self._columns.get(key)
         if column is not None:
             return column
-        if tree.edge_usage.size != self._num_edges:
+        if tree.num_physical_edges != self._num_edges:
             raise ConfigurationError(
-                f"tree spans {tree.edge_usage.size} edges, ledger holds "
+                f"tree spans {tree.num_physical_edges} edges, ledger holds "
                 f"{self._num_edges}"
             )
         column = self._columns[key] = len(self._trees)

@@ -57,7 +57,7 @@ def _is_spanning_tree(members: Sequence[int], pairs: Sequence[PairKey]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OverlayTree:
     """A spanning tree of a session's overlay graph with its physical mapping.
 
@@ -69,36 +69,43 @@ class OverlayTree:
         The ``|S| - 1`` overlay edges as canonical member pairs.
     paths:
         Mapping from overlay edge to the unicast path realising it.
-    edge_usage:
-        Dense vector ``n_e(t)`` over physical edges (traversal counts).
+
+    The constructor also takes ``edge_usage``, the dense vector ``n_e(t)``
+    of traversal counts over all ``|E|`` physical edges.  The tree stores
+    its footprint (:attr:`physical_edges`, :attr:`usage_values`), which
+    spans ``O(|S| * diameter)`` edges, and keeps the dense vector only
+    below ``SPARSE_LENGTH_MIN_EDGES``, where :meth:`length` dots it.
     """
 
     members: Tuple[int, ...]
     overlay_edges: Tuple[PairKey, ...]
     paths: Mapping[PairKey, UnicastPath] = field(repr=False)
-    edge_usage: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        members = tuple(int(m) for m in self.members)
-        edges = tuple(pair_key(*p) for p in self.overlay_edges)
+    def __init__(
+        self,
+        members: Sequence[int],
+        overlay_edges: Sequence[PairKey],
+        paths: Mapping[PairKey, UnicastPath],
+        edge_usage: np.ndarray,
+    ) -> None:
+        members = tuple(int(m) for m in members)
+        edges = tuple(pair_key(*p) for p in overlay_edges)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "overlay_edges", edges)
-        usage = np.asarray(self.edge_usage, dtype=float)
-        object.__setattr__(self, "edge_usage", usage)
+        object.__setattr__(self, "paths", paths)
+        usage = np.asarray(edge_usage, dtype=float)
         if not _is_spanning_tree(members, edges):
             raise InvalidSessionError(
                 f"overlay edges {edges} do not form a spanning tree over {members}"
             )
-        missing = [p for p in edges if p not in self.paths]
+        missing = [p for p in edges if p not in paths]
         if missing:
             raise InvalidSessionError(f"missing unicast paths for overlay edges {missing}")
-        # Identity caches.  ``edge_usage`` must not be mutated after
-        # construction: the accumulators and the oracle's tree cache key
-        # off these precomputed values.  ``_usage_values`` is the sparse
-        # companion of ``edge_usage`` — ``n_e(t)`` restricted to the
-        # edges the tree actually touches — so per-call tree-length and
-        # flow-accumulation work scales with the tree's footprint rather
-        # than with ``|E|``.
+        # Identity caches, never mutated after construction: the
+        # accumulators and the oracle's tree cache key off them.
+        # ``_usage_values`` is ``n_e(t)`` restricted to the edges the tree
+        # touches, so per-call tree-length and flow-accumulation work
+        # scales with the tree's footprint rather than with ``|E|``.
         physical = np.flatnonzero(usage > 0)
         values = usage[physical]
         # ``tolist`` yields the same Python ints and floats as per-entry
@@ -107,10 +114,13 @@ class OverlayTree:
             tuple(sorted(edges)),
             tuple(zip(physical.tolist(), values.tolist())),
         )
+        object.__setattr__(self, "_num_edges", usage.size)
         object.__setattr__(self, "_physical_edges", physical)
         object.__setattr__(self, "_usage_values", values)
         object.__setattr__(
-            self, "_sparse_length", usage.size >= SPARSE_LENGTH_MIN_EDGES
+            self,
+            "_dense_usage",
+            usage if usage.size < SPARSE_LENGTH_MIN_EDGES else None,
         )
         object.__setattr__(self, "_canonical_key", canonical)
         object.__setattr__(self, "_key_hash", hash(canonical))
@@ -171,6 +181,25 @@ class OverlayTree:
         return len(self.members) - 1
 
     @property
+    def num_physical_edges(self) -> int:
+        """``|E|``, the length of :attr:`edge_usage`."""
+        return self._num_edges
+
+    @property
+    def edge_usage(self) -> np.ndarray:
+        """Dense ``n_e(t)`` over all ``|E|`` physical edges.
+
+        Below ``SPARSE_LENGTH_MIN_EDGES`` this is the vector the tree
+        keeps; above, a new vector built from the footprint on each
+        access, which the tree does not keep.
+        """
+        if self._dense_usage is not None:
+            return self._dense_usage
+        usage = np.zeros(self._num_edges)
+        usage[self._physical_edges] = self._usage_values
+        return usage
+
+    @property
     def physical_edges(self) -> np.ndarray:
         """Indices of physical edges with non-zero usage (precomputed)."""
         return self._physical_edges
@@ -186,8 +215,16 @@ class OverlayTree:
         return self._usage_values
 
     def usage_of(self, edge_id: int) -> float:
-        """``n_e(t)`` for a specific physical edge."""
-        return float(self.edge_usage[int(edge_id)])
+        """``n_e(t)`` for a specific physical edge, read from the footprint.
+
+        Raises :class:`InvalidSessionError` for an id outside ``[0, |E|)``.
+        """
+        edge = int(edge_id)
+        if not 0 <= edge < self._num_edges:
+            raise InvalidSessionError(
+                f"edge id {edge} is outside [0, {self._num_edges})"
+            )
+        return float(self._usage_values[self._physical_edges == edge].sum())
 
     def length(self, edge_lengths: np.ndarray) -> float:
         """Tree length ``sum_e n_e(t) * d_e`` under a length function.
@@ -201,9 +238,9 @@ class OverlayTree:
         fixed per tree at construction, so results stay deterministic).
         """
         lengths = np.asarray(edge_lengths, dtype=float)
-        if self._sparse_length:
+        if self._dense_usage is None:
             return float(np.dot(self._usage_values, lengths[self._physical_edges]))
-        return float(np.dot(self.edge_usage, lengths))
+        return float(np.dot(self._dense_usage, lengths))
 
     def bottleneck_capacity(self, capacities: np.ndarray) -> float:
         """``min_{e in t} c_e / n_e(t)`` — the rate one unit of tree flow allows.

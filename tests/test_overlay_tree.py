@@ -1,15 +1,19 @@
 """Tests for repro.overlay.tree and repro.overlay.mst."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.overlay.mst import minimum_spanning_tree_pairs
-from repro.overlay.tree import OverlayTree
+from repro.overlay.oracle import MinimumOverlayTreeOracle
+from repro.overlay.session import Session, random_session
+from repro.overlay.tree import SPARSE_LENGTH_MIN_EDGES, OverlayTree
 from repro.routing.base import pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.routing.paths import UnicastPath
-from repro.topology.generators import grid_topology
+from repro.topology.generators import grid_topology, paper_flat_topology
 from repro.util.errors import InvalidSessionError
 
 
@@ -153,6 +157,98 @@ class TestFromPathsMatchesReference:
         }
         with pytest.raises(InvalidSessionError, match="outside"):
             OverlayTree.from_paths([0, 1, 2], [(0, 1), (1, 2)], paths, num_edges)
+
+
+class TestUsageOf:
+    def test_reads_the_footprint_and_rejects_ids_outside_the_network(self):
+        network = paper_flat_topology(24, seed=7)
+        oracle = MinimumOverlayTreeOracle(
+            Session((3, 21, 23)), FixedIPRouting(network)
+        )
+        tree = oracle.minimum_tree(np.ones(network.num_edges)).tree
+        num_edges = network.num_edges
+        assert [tree.usage_of(e) for e in range(num_edges)] == tree.edge_usage.tolist()
+        # The last edge is in this tree's footprint, so a wrapped -1
+        # would read 1.0.
+        assert tree.usage_of(num_edges - 1) == 1.0
+        for bad in (-1, num_edges):
+            with pytest.raises(InvalidSessionError, match=rf"outside \[0, {num_edges}\)"):
+                tree.usage_of(bad)
+
+
+@pytest.fixture(scope="module")
+def flat_networks():
+    """``paper_flat`` networks on either side of ``SPARSE_LENGTH_MIN_EDGES``."""
+    small = paper_flat_topology(num_nodes=100, seed=2004)
+    large = paper_flat_topology(num_nodes=320, seed=2004)
+    assert small.num_edges < SPARSE_LENGTH_MIN_EDGES <= large.num_edges == 2361
+    return {"small": small, "large": large}
+
+
+def _oracle_trees(network, routing_cls, seed):
+    """Oracle trees of 2-, 4- and 6-member sessions under random lengths."""
+    routing = routing_cls(network)
+    rng = np.random.default_rng(seed)
+    trees = []
+    for size in (2, 4, 6):
+        session = random_session(network, size, demand=1.0, seed=seed * 10 + size)
+        oracle = MinimumOverlayTreeOracle(session, routing)
+        for _ in range(3):
+            trees.append(oracle.select_tree(rng.uniform(0.5, 2.0, network.num_edges)))
+    return trees
+
+
+class TestLengthAcrossCrossover:
+    """Each side of the crossover keeps its own ``length`` formula, bit for bit."""
+
+    @pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("side", ["small", "large"])
+    def test_length_and_dense_view(self, flat_networks, side, seed, routing_cls):
+        network = flat_networks[side]
+        rng = np.random.default_rng(100 + seed)
+        for tree in _oracle_trees(network, routing_cls, seed):
+            usage = reference_from_paths(
+                tree.overlay_edges, tree.paths, network.num_edges
+            )[0]
+            dense = tree.edge_usage
+            assert dense.dtype == usage.dtype
+            assert dense.tobytes() == usage.tobytes()
+            for _ in range(8):
+                lengths = rng.uniform(1e-3, 10.0, network.num_edges)
+                if side == "small":
+                    want = float(np.dot(dense, lengths))
+                else:
+                    want = float(
+                        np.dot(tree.usage_values, lengths[tree.physical_edges])
+                    )
+                assert tree.length(lengths) == want
+
+
+def _retained_arrays(obj):
+    """Every NumPy array reachable from ``obj``'s instance data."""
+    seen, stack, arrays = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+            if item.base is not None:
+                stack.append(item.base)
+        stack.extend(gc.get_referents(item))
+    return arrays
+
+
+@pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
+def test_trees_above_the_crossover_keep_only_their_footprint(flat_networks, routing_cls):
+    network = flat_networks["large"]
+    for tree in _oracle_trees(network, routing_cls, seed=0):
+        footprint = tree.physical_edges.size
+        sizes = [a.size for a in _retained_arrays(tree)]
+        assert sizes and max(sizes) <= footprint, (footprint, sizes)
+        assert tree.num_physical_edges == network.num_edges
 
 
 class TestMinimumSpanningTreePairs:

@@ -80,7 +80,7 @@ def test_lengths_for_matches_tree_length_sparse(monkeypatch, ring6_network):
     monkeypatch.setattr(tree_mod, "SPARSE_LENGTH_MIN_EDGES", 4)
     routing = FixedIPRouting(ring6_network)
     trees = [_pair_tree(routing, ring6_network, i, (i + 1) % 6) for i in range(6)]
-    assert all(t._sparse_length for t in trees)
+    assert all(t._dense_usage is None for t in trees)
     ledger = TreeLedger(ring6_network.num_edges)
     columns = [ledger.register(t) for t in trees]
     rng = np.random.default_rng(6)
