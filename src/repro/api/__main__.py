@@ -179,7 +179,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"{name:15s} {value}{scope}")
         return 0
     max_age = None if args.max_age_days is None else args.max_age_days * 86400.0
-    removed = store.prune(max_entries=args.max_entries, max_age_seconds=max_age)
+    try:
+        removed = store.prune(max_entries=args.max_entries, max_age_seconds=max_age)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"pruned {removed} entr{'y' if removed == 1 else 'ies'} from {store.root}")
     return 0
 

@@ -268,21 +268,7 @@ class WorkQueue:
             except OSError:
                 pass
             faults.point("queue.claim.lease")
-            atomic_write_bytes(
-                self._lease_path(name),
-                json.dumps(
-                    {
-                        "schema": LEASE_SCHEMA,
-                        "task": name,
-                        "worker": worker_id,
-                        "claimed_at": now,
-                        "expires_at": now + self.lease_seconds,
-                        "renewals": 0,
-                    },
-                    sort_keys=True,
-                ).encode("utf-8"),
-                durable=self.durable,
-            )
+            self._write_lease(name, worker_id, now, 0, now)
             try:
                 payload = json.loads(target.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError):
@@ -348,21 +334,7 @@ class WorkQueue:
             else task.claimed_at
         )
         faults.point("queue.renew.write")
-        atomic_write_bytes(
-            self._lease_path(task.name),
-            json.dumps(
-                {
-                    "schema": LEASE_SCHEMA,
-                    "task": task.name,
-                    "worker": task.worker,
-                    "claimed_at": claimed_at,
-                    "expires_at": now + self.lease_seconds,
-                    "renewals": renewals,
-                },
-                sort_keys=True,
-            ).encode("utf-8"),
-            durable=self.durable,
-        )
+        self._write_lease(task.name, task.worker, claimed_at, renewals, now)
         obs_metrics.registry().counter(
             "repro_lease_renewals_total", "Heartbeat lease renewals"
         ).inc()
@@ -415,24 +387,32 @@ class WorkQueue:
             # their (possibly successful) attempt owns the outcome now —
             # dead-lettering it on their behalf would strand good work.
             return
-        source = self._dir("claimed") / task.name
-        target = self._dir("failed") / task.name
+        self._dead_letter(task.name, task.key, error)
+
+    def _dead_letter(self, name: str, key: str, error: str) -> bool:
+        """Move a claimed task to ``failed/`` with its error recorded.
+
+        Returns whether the claim file moved; only then are its lease
+        and attempts sidecars dropped, since a claim that left
+        ``claimed/`` first belongs to whoever moved it.
+        """
+        target = self._dir("failed") / name
         target.parent.mkdir(parents=True, exist_ok=True)
         # ".error" suffix keeps the sidecar out of the task-name scans.
         atomic_write_bytes(
-            self._dir("failed") / f"{task.name}.error",
+            self._dir("failed") / f"{name}.error",
             json.dumps(
-                {"task": task.name, "key": task.key, "error": error},
-                sort_keys=True,
+                {"task": name, "key": key, "error": error}, sort_keys=True
             ).encode("utf-8"),
             durable=self.durable,
         )
         try:
-            self._rename(source, target, "queue.fail.rename")
+            self._rename(self._dir("claimed") / name, target, "queue.fail.rename")
         except FileNotFoundError:
-            pass
-        self._drop_lease(task.name)
-        self._drop_attempts(task.name)
+            return False
+        self._drop_lease(name)
+        self._drop_attempts(name)
+        return True
 
     def failures(self) -> Dict[str, str]:
         """Canonical key → recorded error message for failed tasks."""
@@ -529,33 +509,15 @@ class WorkQueue:
                     continue
             requeues = self._read_requeues(name) + 1
             if requeues >= self.max_attempts:
-                target = self._dir("failed") / name
-                target.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_bytes(
-                    self._dir("failed") / f"{name}.error",
-                    json.dumps(
-                        {
-                            "task": name,
-                            "key": _key_of_task_name(name),
-                            "error": (
-                                f"poison task: lease expired {requeues} times "
-                                f"(max_attempts={self.max_attempts})"
-                            ),
-                        },
-                        sort_keys=True,
-                    ).encode("utf-8"),
-                    durable=self.durable,
+                error = (
+                    f"poison task: lease expired {requeues} times "
+                    f"(max_attempts={self.max_attempts})"
                 )
-                try:
-                    self._rename(claim_path, target, "queue.fail.rename")
-                except FileNotFoundError:
-                    continue
-                self._drop_lease(name)
-                self._drop_attempts(name)
-                obs_metrics.registry().counter(
-                    "repro_queue_poison_total",
-                    "Tasks dead-lettered after exhausting max_attempts",
-                ).inc()
+                if self._dead_letter(name, _key_of_task_name(name), error):
+                    obs_metrics.registry().counter(
+                        "repro_queue_poison_total",
+                        "Tasks dead-lettered after exhausting max_attempts",
+                    ).inc()
                 continue
             self._write_requeues(name, requeues)
             pending = self._dir("pending")
@@ -629,6 +591,26 @@ class WorkQueue:
             self._attempts_path(name).unlink()
         except OSError:
             pass
+
+    def _write_lease(
+        self, name: str, worker: str, claimed_at: float, renewals: int, now: float
+    ) -> None:
+        """The lease sidecar: ``worker`` owns ``name`` for ``lease_seconds``."""
+        atomic_write_bytes(
+            self._lease_path(name),
+            json.dumps(
+                {
+                    "schema": LEASE_SCHEMA,
+                    "task": name,
+                    "worker": worker,
+                    "claimed_at": claimed_at,
+                    "expires_at": now + self.lease_seconds,
+                    "renewals": renewals,
+                },
+                sort_keys=True,
+            ).encode("utf-8"),
+            durable=self.durable,
+        )
 
     def _read_lease(self, name: str) -> Optional[Dict[str, Any]]:
         try:

@@ -19,10 +19,8 @@ from scipy.optimize import linprog
 
 from repro.overlay.session import Session
 from repro.overlay.tree_packing import enumerate_spanning_trees
-from repro.routing.base import RoutingModel
+from repro.routing.base import PairKey, RoutingModel, member_pairs
 from repro.util.errors import ConfigurationError, InfeasibleProblemError
-
-PairKey = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,18 @@ def enumerate_session_trees(
     """All overlay trees of a session and their ``n_e(t)`` usage matrix.
 
     Returns ``(trees, usage)`` where ``usage[t]`` is the per-physical-edge
-    traversal-count vector of tree ``t`` under the routing model's
-    hop-metric routes (fixed IP routes).  Limited to ``max_members``
-    members to keep the enumeration tractable.
+    traversal-count vector of tree ``t`` under the fixed IP routes.
+    Limited to ``max_members`` members to keep the enumeration tractable.
+    Dynamic routing is refused: its trees change with the lengths, so no
+    fixed usage matrix describes them, and the fixed-route optimum is
+    only a lower bound on its optimum.
     """
+    if routing.is_dynamic:
+        raise ConfigurationError(
+            "exact tree enumeration needs fixed IP routing; dynamic routes "
+            "change with the lengths, so this LP would give the fixed-route "
+            "optimum, not the dynamic one"
+        )
     if session.size > max_members:
         raise ConfigurationError(
             f"exact enumeration limited to {max_members} members, "
@@ -75,11 +81,7 @@ def enumerate_session_trees(
     network = routing.network
     members = list(session.members)
     trees = enumerate_spanning_trees(members)
-    pairs = [
-        (min(members[i], members[j]), max(members[i], members[j]))
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    ]
+    pairs = member_pairs(members)
     paths = routing.paths_for_pairs(pairs)
     pair_usage = {
         pk: np.bincount(paths[pk].edge_ids, minlength=network.num_edges).astype(float)

@@ -54,7 +54,7 @@ import numpy as np
 from repro.overlay.mst import minimum_spanning_tree_pairs
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
-from repro.routing.base import RoutingModel, pair_key
+from repro.routing.base import RoutingModel, member_pairs, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.util.errors import ConfigurationError
@@ -106,21 +106,12 @@ class MinimumOverlayTreeOracle:
 
         if isinstance(routing, FixedIPRouting):
             self._fixed = True
-            self._pairs = routing.member_pairs(self._members)
             self._incidence = routing.incidence_for_members(self._members)
-            self._paths = routing.paths_for_pairs(self._pairs)
-            # Map canonical pair -> row index in the incidence matrix.
-            self._pair_row = {pk: r for r, pk in enumerate(self._pairs)}
+            self._paths = routing.paths_for_pairs(member_pairs(self._members))
         elif isinstance(routing, DynamicRouting):
             self._fixed = False
-            self._pairs = [
-                pair_key(self._members[i], self._members[j])
-                for i in range(len(self._members))
-                for j in range(i + 1, len(self._members))
-            ]
             self._incidence = None
             self._paths = None
-            self._pair_row = {}
         else:
             raise ConfigurationError(
                 f"unsupported routing model {type(routing).__name__}"
@@ -211,13 +202,10 @@ class MinimumOverlayTreeOracle:
         return self._routing.max_route_hops(self._members)
 
     def covered_edges(self) -> np.ndarray:
-        """Physical edges reachable by this session's overlay (fixed routes)."""
-        if self._fixed:
-            usage = np.asarray(self._incidence.sum(axis=0)).ravel()
-            return np.flatnonzero(usage > 0)
-        # For dynamic routing use hop-metric routes as the session
-        # footprint, served by the oracle's own routing model (the model
-        # is stateless per call, so reuse is free and construction-free).
+        """Physical edges on this session's member-pair routes.
+
+        Fixed routes, or the hop-metric routes under dynamic routing.
+        """
         return self._routing.covered_edges(self._members)
 
     # ------------------------------------------------------------------
@@ -301,10 +289,10 @@ class MinimumOverlayTreeOracle:
         """Fixed-routing tree selection given precomputed pair lengths.
 
         ``pair_lengths`` must equal ``incidence @ edge_lengths`` (row
-        per :meth:`~repro.routing.ip_routing.FixedIPRouting.member_pairs`
-        entry) — the batched oracle front computes it for all sessions in
-        one stacked mat-vec and hands each oracle its slice.  Counts as
-        one MST operation, exactly like :meth:`minimum_tree`.
+        per :func:`~repro.routing.base.member_pairs` entry) — the
+        batched oracle front computes it for all sessions in one stacked
+        mat-vec and hands each oracle its slice.  Counts as one MST
+        operation, exactly like :meth:`minimum_tree`.
         """
         if not self._fixed:
             raise ConfigurationError(

@@ -13,18 +13,15 @@ members) onto a unicast route in the physical network:
 
 Both are exposed behind the :class:`RoutingModel` interface so every
 algorithm in :mod:`repro.core` can switch between them with a flag, which
-is how the paper quantifies the impact of IP routing.
+is how the paper quantifies the impact of IP routing.  They are one
+shortest-path computation under two weightings: both take their routes
+from :class:`ShortestPathQuery`, the hop metric once for fixed routing
+and the current lengths on every call for dynamic routing.
 """
 
 from repro.routing.paths import UnicastPath
-from repro.routing.shortest_path import (
-    ShortestPathQuery,
-    shortest_path_tree,
-    reconstruct_path,
-    pairwise_distances,
-    single_pair_shortest_path,
-)
-from repro.routing.base import RoutingModel
+from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
+from repro.routing.base import RoutingModel, member_pairs
 from repro.routing.ip_routing import FixedIPRouting
 from repro.routing.dynamic import DynamicRouting
 
@@ -32,10 +29,8 @@ __all__ = [
     "UnicastPath",
     "ShortestPathQuery",
     "shortest_path_tree",
-    "reconstruct_path",
-    "pairwise_distances",
-    "single_pair_shortest_path",
     "RoutingModel",
+    "member_pairs",
     "FixedIPRouting",
     "DynamicRouting",
 ]

@@ -10,7 +10,7 @@ shortest paths under the current lengths.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,21 @@ def pair_key(u: int, v: int) -> PairKey:
     """Canonical (sorted) key for an unordered node pair."""
     u, v = int(u), int(v)
     return (u, v) if u < v else (v, u)
+
+
+def member_pairs(members: Sequence[int]) -> List[PairKey]:
+    """Canonical pairs of a member set, in ``np.triu_indices`` order.
+
+    Entry ``r`` pairs ``members[i]`` with ``members[j]`` for the ``r``-th
+    ``i < j``: the row order of the fixed-routing incidence matrix and of
+    the upper triangle of :meth:`RoutingModel.pair_lengths`.
+    """
+    members = [int(m) for m in members]
+    return [
+        pair_key(members[i], members[j])
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    ]
 
 
 class RoutingModel(abc.ABC):
@@ -81,3 +96,16 @@ class RoutingModel(abc.ABC):
         hop_lengths = self.pair_lengths(members, np.ones(self._network.num_edges))
         finite = hop_lengths[np.isfinite(hop_lengths)]
         return int(round(float(finite.max()))) if finite.size else 0
+
+    def covered_edges(self, members: Sequence[int]) -> np.ndarray:
+        """Indices of physical edges on at least one member-pair route.
+
+        The "physical links covered by the overlay" of the paper's
+        link-utilization figures (Figs. 4, 9, 14) and edges-per-node
+        statistic (Fig. 13).  Dynamic routing answers with its hop-metric
+        routes, which are the fixed IP routes.
+        """
+        used = np.zeros(self._network.num_edges, dtype=bool)
+        for path in self.paths_for_pairs(member_pairs(members)).values():
+            used[path.edge_ids] = True
+        return np.flatnonzero(used)

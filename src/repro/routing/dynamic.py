@@ -7,31 +7,24 @@ algorithms pick, at every oracle invocation, the shortest path under the
 current exponential length function.  This class implements exactly that:
 every call recomputes shortest paths with the supplied per-edge lengths.
 
-Two call shapes are offered.  The classic :meth:`pair_lengths` /
-:meth:`paths_for_pairs` pair recomputes Dijkstra per call (the
-pre-fast-path pipeline, kept as the ablation baseline and for ad-hoc
-callers).  The session-query shape — :meth:`query` returning a
-:class:`~repro.routing.shortest_path.ShortestPathQuery` — runs *one*
-Dijkstra and retains both distances and predecessors, so an oracle call
-derives its MST weights and reconstructs the chosen tree's paths from
-the same run (bit-identical rows, hence bit-identical paths).
+Every answer comes from one retained Dijkstra, :meth:`query`, returning a
+:class:`~repro.routing.shortest_path.ShortestPathQuery` that holds both
+distances and predecessors.  An oracle call derives its MST weights
+(:meth:`pair_lengths_from_query`) and reconstructs the chosen tree's
+paths from the same run; :meth:`pair_lengths` and
+:meth:`paths_for_pairs` are each one such query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.routing.base import PairKey, RoutingModel, pair_key
 from repro.routing.paths import UnicastPath
-from repro.routing.shortest_path import (
-    ShortestPathQuery,
-    reconstruct_path,
-    shortest_path_tree,
-)
+from repro.routing.shortest_path import ShortestPathQuery
 from repro.topology.network import PhysicalNetwork
-from repro.util.errors import InfeasibleProblemError
 
 
 class DynamicRouting(RoutingModel):
@@ -59,16 +52,7 @@ class DynamicRouting(RoutingModel):
         edge_lengths: np.ndarray,
     ) -> np.ndarray:
         """Shortest-path distance between every member pair under the lengths."""
-        members = [int(m) for m in members]
-        n = len(members)
-        if n < 2:
-            return np.zeros((n, n), dtype=float)
-        distances, _ = shortest_path_tree(self._network, members, edge_lengths)
-        sub = distances[:, members]
-        # Symmetrise (undirected graph; numerical asymmetry should not occur,
-        # but a single max keeps the matrix exactly symmetric for the MST
-        # step without averaging in any one-sided rounding error).
-        return np.maximum(sub, sub.T)
+        return self.pair_lengths_from_query(self.query(members, edge_lengths), members)
 
     def paths_for_pairs(
         self,
@@ -81,27 +65,8 @@ class DynamicRouting(RoutingModel):
         dynamic model coincide with fixed IP routing for a fresh network.
         """
         canonical = [pair_key(*p) for p in pairs]
-        by_source: Dict[int, List[int]] = {}
-        for u, v in canonical:
-            if u != v:
-                by_source.setdefault(u, []).append(v)
-        out: Dict[PairKey, UnicastPath] = {}
-        for source, dests in by_source.items():
-            distances, predecessors = shortest_path_tree(
-                self._network, [source], edge_lengths
-            )
-            for dest in dests:
-                if not np.isfinite(distances[0, dest]):
-                    raise InfeasibleProblemError(
-                        f"nodes {source} and {dest} are disconnected"
-                    )
-                out[(source, dest)] = reconstruct_path(
-                    self._network, predecessors[0], source, dest
-                )
-        for u, v in canonical:
-            if u == v:
-                out[(u, v)] = UnicastPath(nodes=(u,), edge_ids=np.empty(0, dtype=np.int64))
-        return out
+        sources = list(dict.fromkeys(u for u, v in canonical if u != v))
+        return self.query(sources, edge_lengths).paths_for_pairs(canonical)
 
     def query(
         self,
@@ -123,10 +88,13 @@ class DynamicRouting(RoutingModel):
     ) -> np.ndarray:
         """:meth:`pair_lengths` served from a retained query.
 
-        Bit-identical to :meth:`pair_lengths` under the same lengths:
-        scipy computes each Dijkstra source row independently, so the
-        retained rows equal the rows a fresh run over ``members`` would
-        produce, and the same elementwise-max symmetrisation is applied.
+        ``query`` may have more sources than ``members`` (the batched
+        front's union run): scipy computes each Dijkstra source row
+        independently, so its rows equal those of a run over ``members``
+        alone.  The elementwise max of the two directions keeps the
+        matrix exactly symmetric for the MST step (the graph is
+        undirected, so the directions agree) without averaging in any
+        one-sided rounding error.
         """
         members = [int(m) for m in members]
         n = len(members)
@@ -134,18 +102,3 @@ class DynamicRouting(RoutingModel):
             return np.zeros((n, n), dtype=float)
         sub = query.distance_submatrix(members)
         return np.maximum(sub, sub.T)
-
-    def covered_edges(
-        self, members: Sequence[int], edge_lengths: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Edges used by the member-pair shortest paths under ``edge_lengths``."""
-        pairs = [
-            pair_key(members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        ]
-        paths = self.paths_for_pairs(pairs, edge_lengths)
-        used = np.zeros(self._network.num_edges, dtype=bool)
-        for path in paths.values():
-            used[path.edge_ids] = True
-        return np.flatnonzero(used)

@@ -19,11 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.routing.base import PairKey, RoutingModel, pair_key
+from repro.routing.base import PairKey, RoutingModel, member_pairs, pair_key
 from repro.routing.paths import UnicastPath
-from repro.routing.shortest_path import reconstruct_path, shortest_path_tree
+from repro.routing.shortest_path import ShortestPathQuery
 from repro.topology.network import PhysicalNetwork
-from repro.util.errors import InfeasibleProblemError
 
 
 class FixedIPRouting(RoutingModel):
@@ -38,77 +37,38 @@ class FixedIPRouting(RoutingModel):
     def is_dynamic(self) -> bool:
         return False
 
-    # ------------------------------------------------------------------
-    # route computation / caching
-    # ------------------------------------------------------------------
-    def _compute_routes_from(self, source: int, destinations: Sequence[int]) -> None:
-        """Populate the path cache with routes from ``source``."""
-        distances, predecessors = shortest_path_tree(self._network, [source])
-        for dest in destinations:
-            key = pair_key(source, dest)
-            if key in self._path_cache or source == dest:
-                continue
-            if not np.isfinite(distances[0, dest]):
-                raise InfeasibleProblemError(
-                    f"nodes {source} and {dest} are disconnected in the physical network"
-                )
-            path = reconstruct_path(self._network, predecessors[0], source, dest)
-            # Store the path oriented from the smaller to the larger node id
-            # so lookups by canonical pair are orientation-independent.
-            if path.nodes[0] != key[0]:
-                path = UnicastPath(
-                    nodes=tuple(reversed(path.nodes)), edge_ids=path.edge_ids[::-1]
-                )
-            self._path_cache[key] = path
-
     def paths_for_pairs(
         self,
         pairs: Sequence[PairKey],
         edge_lengths: Optional[np.ndarray] = None,
     ) -> Dict[PairKey, UnicastPath]:
-        """Fixed routes for the given pairs (``edge_lengths`` is ignored)."""
-        canonical = [pair_key(*p) for p in pairs]
-        missing: Dict[int, List[int]] = {}
-        for u, v in canonical:
-            if (u, v) not in self._path_cache and u != v:
-                missing.setdefault(u, []).append(v)
-        for source, dests in missing.items():
-            self._compute_routes_from(source, dests)
-        out: Dict[PairKey, UnicastPath] = {}
-        for key in canonical:
-            u, v = key
-            if u == v:
-                out[key] = UnicastPath(nodes=(u,), edge_ids=np.empty(0, dtype=np.int64))
-            else:
-                out[key] = self._path_cache[key]
-        return out
+        """Fixed routes for the given pairs (``edge_lengths`` is ignored).
 
-    # ------------------------------------------------------------------
-    # incidence matrices
-    # ------------------------------------------------------------------
-    @staticmethod
-    def member_pairs(members: Sequence[int]) -> List[PairKey]:
-        """Canonical pair list for a member set, in deterministic order."""
-        members = [int(m) for m in members]
-        return [
-            pair_key(members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        ]
+        Every route not cached yet comes from one multi-source hop-metric
+        Dijkstra, each from its pair's smaller node.
+        """
+        canonical = [pair_key(*p) for p in pairs]
+        missing = [key for key in canonical if key not in self._path_cache]
+        if missing:
+            sources = list(dict.fromkeys(u for u, v in missing if u != v))
+            query = ShortestPathQuery.run(self._network, sources)
+            self._path_cache.update(query.paths_for_pairs(missing))
+        return {key: self._path_cache[key] for key in canonical}
 
     def incidence_for_members(self, members: Sequence[int]) -> csr_matrix:
         """Sparse (num_pairs x num_edges) 0/1 incidence of fixed routes.
 
         Row ``r`` corresponds to the ``r``-th pair returned by
-        :meth:`member_pairs`; entry ``(r, e)`` is 1 when physical edge
-        ``e`` lies on the fixed route of that pair.  Cached per member
-        tuple because the FPTAS evaluates it thousands of times.
+        :func:`~repro.routing.base.member_pairs`; entry ``(r, e)`` is 1
+        when physical edge ``e`` lies on the fixed route of that pair.
+        Cached per member tuple because the FPTAS evaluates it thousands
+        of times.
         """
         key = tuple(int(m) for m in members)
         cached = self._incidence_cache.get(key)
         if cached is not None:
             return cached
-        pairs = self.member_pairs(members)
+        pairs = member_pairs(members)
         paths = self.paths_for_pairs(pairs)
         rows: List[int] = []
         cols: List[int] = []
@@ -141,20 +101,6 @@ class FixedIPRouting(RoutingModel):
         lengths[cols, rows] = pair_lengths
         return lengths
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def cached_pair_count(self) -> int:
         """Number of pair routes currently cached (for tests/diagnostics)."""
         return len(self._path_cache)
-
-    def covered_edges(self, members: Sequence[int]) -> np.ndarray:
-        """Indices of physical edges used by at least one member-pair route.
-
-        This is the "physical links covered by the overlay" notion used in
-        the paper's link-utilization figures (Fig. 4/9/14) and the
-        edges-per-node statistic (Fig. 13).
-        """
-        incidence = self.incidence_for_members(members)
-        usage = np.asarray(incidence.sum(axis=0)).ravel()
-        return np.flatnonzero(usage > 0)

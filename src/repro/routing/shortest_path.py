@@ -1,13 +1,13 @@
 """Shortest-path primitives over :class:`PhysicalNetwork`.
 
 Thin, vectorised wrappers around :func:`scipy.sparse.csgraph.dijkstra`.
-The flow algorithms need two operations:
+Both routing models take their routes from here:
 
-* per-source shortest-path trees under a given per-edge weight vector
-  (used by both routing models), and
-* path reconstruction from the predecessor matrix into
-  :class:`~repro.routing.paths.UnicastPath` objects with physical edge
-  indices resolved.
+* :func:`shortest_path_tree` runs Dijkstra from a set of sources under a
+  given per-edge weight vector (the hop metric when none is given), and
+* :class:`ShortestPathQuery` retains one such run and turns its
+  predecessor rows into :class:`~repro.routing.paths.UnicastPath`
+  objects with physical edge indices resolved — the only route builder.
 """
 
 from __future__ import annotations
@@ -97,106 +97,22 @@ def shortest_path_tree(
     return distances, predecessors
 
 
-def _walk_predecessors(
-    network: PhysicalNetwork,
-    predecessors_row: np.ndarray,
-    source: int,
-    destination: int,
-) -> Tuple[int, ...]:
-    """Node sequence ``source .. destination`` from one predecessor row.
-
-    Raises :class:`InfeasibleProblemError` when the destination is
-    unreachable from the source.
-    """
-    nodes = [int(destination)]
-    current = int(destination)
-    limit = network.num_nodes + 1
-    for _ in range(limit):
-        prev = int(predecessors_row[current])
-        if prev < 0:
-            raise InfeasibleProblemError(
-                f"node {destination} is unreachable from node {source}"
-            )
-        nodes.append(prev)
-        current = prev
-        if current == source:
-            break
-    else:  # pragma: no cover - defensive; predecessor chains cannot cycle
-        raise InfeasibleProblemError("predecessor chain did not terminate")
-    nodes.reverse()
-    return tuple(nodes)
-
-
-def reconstruct_path(
-    network: PhysicalNetwork,
-    predecessors_row: np.ndarray,
-    source: int,
-    destination: int,
-) -> UnicastPath:
-    """Rebuild the path ``source -> destination`` from one predecessor row.
-
-    Raises :class:`InfeasibleProblemError` when the destination is
-    unreachable from the source.
-    """
-    if source == destination:
-        return UnicastPath(nodes=(int(source),), edge_ids=np.empty(0, dtype=np.int64))
-    nodes = _walk_predecessors(network, predecessors_row, source, destination)
-    return UnicastPath.from_nodes(network, nodes)
-
-
-def single_pair_shortest_path(
-    network: PhysicalNetwork,
-    source: int,
-    destination: int,
-    edge_weights: Optional[np.ndarray] = None,
-) -> UnicastPath:
-    """Shortest path between a single pair of nodes.
-
-    Routes through :func:`shortest_path_tree` and therefore the cached
-    CSR structure, so ad-hoc callers (the LP baseline, metrics) share the
-    hot path's zero-build Dijkstra setup.
-    """
-    distances, predecessors = shortest_path_tree(network, [source], edge_weights)
-    if not np.isfinite(distances[0, destination]):
-        raise InfeasibleProblemError(
-            f"node {destination} is unreachable from node {source}"
-        )
-    return reconstruct_path(network, predecessors[0], source, destination)
-
-
-def pairwise_distances(
-    network: PhysicalNetwork,
-    nodes: Sequence[int],
-    edge_weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Distance matrix restricted to ``nodes`` (square, in ``nodes`` order).
-
-    Routes through :func:`shortest_path_tree` and therefore the cached
-    CSR structure, like every other Dijkstra entry point in this module.
-    """
-    nodes = list(int(n) for n in nodes)
-    distances, _ = shortest_path_tree(network, nodes, edge_weights)
-    return distances[:, nodes]
-
-
 class ShortestPathQuery:
     """Retained result of one (multi-source) Dijkstra invocation.
 
-    The dynamic-routing oracle needs, per call, both the member-pair
-    *distances* (to weight the overlay MST) and the chosen tree's
-    *paths*.  Both come out of the same Dijkstra run: scipy computes
-    every source row independently, so the predecessor row retained here
-    is bit-identical to the row a fresh single-source run would return.
-    Holding on to the ``(distances, predecessors)`` pair therefore lets
-    one invocation answer distance lookups *and* reconstruct any
-    ``source -> destination`` path for ``source`` in ``sources`` — the
-    pre-change pipeline re-ran a fresh Dijkstra per path source and
-    discarded this matrix.
+    Both routing models build their routes here.  Fixed IP routing runs
+    one hop-metric query per batch of uncached pairs; the dynamic-routing
+    oracle needs, per call, both the member-pair *distances* (to weight
+    the overlay MST) and the chosen tree's *paths*, and both come out of
+    the same run.  scipy computes every source row independently, so a
+    retained row is bit-identical to the row a fresh single-source run
+    would return: one invocation answers distance lookups *and*
+    reconstructs any ``source -> destination`` path for ``source`` in
+    ``sources``.
     """
 
     __slots__ = (
         "_network",
-        "_sources",
         "_row_of",
         "_path_cache",
         "distances",
@@ -212,8 +128,7 @@ class ShortestPathQuery:
         path_cache: Optional[dict] = None,
     ) -> None:
         self._network = network
-        self._sources = tuple(int(s) for s in sources)
-        self._row_of = {s: i for i, s in enumerate(self._sources)}
+        self._row_of = {int(s): i for i, s in enumerate(sources)}
         # Optional cross-query cache of UnicastPaths keyed by their node
         # sequence (the sequence pins the path down completely, edge ids
         # included, so sharing the immutable object is bit-safe).  The
@@ -234,11 +149,6 @@ class ShortestPathQuery:
         """One Dijkstra from every node in ``sources``, retained."""
         distances, predecessors = shortest_path_tree(network, sources, edge_weights)
         return cls(network, sources, distances, predecessors, path_cache)
-
-    @property
-    def sources(self) -> Tuple[int, ...]:
-        """The Dijkstra sources, in row order."""
-        return self._sources
 
     def row_index(self, source: int) -> int:
         """Row of ``source`` in the distance/predecessor matrices."""
@@ -261,7 +171,11 @@ class ShortestPathQuery:
         return self.distances[rows][:, members]
 
     def path(self, source: int, destination: int) -> UnicastPath:
-        """Reconstruct ``source -> destination`` from the retained rows."""
+        """Reconstruct ``source -> destination`` from the retained rows.
+
+        Raises :class:`InfeasibleProblemError` when the destination is
+        unreachable from the source.
+        """
         source, destination = int(source), int(destination)
         if source == destination:
             return UnicastPath(nodes=(source,), edge_ids=np.empty(0, dtype=np.int64))
@@ -270,9 +184,11 @@ class ShortestPathQuery:
             raise InfeasibleProblemError(
                 f"nodes {source} and {destination} are disconnected"
             )
-        nodes = _walk_predecessors(
-            self._network, self.predecessors[row], source, destination
-        )
+        predecessors = self.predecessors[row]
+        nodes = [destination]
+        while nodes[-1] != source:
+            nodes.append(int(predecessors[nodes[-1]]))
+        nodes = tuple(reversed(nodes))
         if self._path_cache is None:
             return UnicastPath.from_nodes(self._network, nodes)
         path = self._path_cache.get(nodes)
@@ -284,10 +200,9 @@ class ShortestPathQuery:
     def paths_for_pairs(self, pairs: Sequence[Tuple[int, int]]):
         """Paths for canonical pairs, each from its smaller node's row.
 
-        Orientation matches :meth:`DynamicRouting.paths_for_pairs`: the
-        path runs from the canonical (smaller) node, so reconstruction
-        from the retained predecessor rows yields exactly the paths the
-        per-pair Dijkstra loop produced.
+        Every path runs from the canonical (smaller) node, so a pair's
+        route does not depend on the order it was asked in; the smaller
+        node of every non-trivial pair must be a source.
         """
         out = {}
         for u, v in pairs:

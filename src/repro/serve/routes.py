@@ -163,8 +163,14 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             try:
                 timeout = float(query["timeout"][0])
             except (ValueError, IndexError):
+                timeout = math.nan
+            # NaN and inf would hold this thread for as long as the run
+            # stays unfinished.
+            if not 0 <= timeout < math.inf:
                 return self._send_error_json(
-                    400, "InvalidRequest", "timeout must be a number of seconds"
+                    400,
+                    "InvalidRequest",
+                    "timeout must be a finite, non-negative number of seconds",
                 )
         frames = self.app.event_stream(key, timeout=timeout)
         if frames is None:

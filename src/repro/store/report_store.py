@@ -36,6 +36,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -351,6 +352,10 @@ class ReportStore:
         than ``max_age_seconds``; returns the number removed."""
         if max_entries is not None and max_entries < 0:
             raise ConfigurationError(f"max_entries must be >= 0, got {max_entries}")
+        if max_age_seconds is not None and not 0 <= max_age_seconds < math.inf:
+            raise ConfigurationError(
+                f"max_age_seconds must be finite and >= 0, got {max_age_seconds}"
+            )
         paths = self._disk_entries()
         stamped = []
         for p in paths:

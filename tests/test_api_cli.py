@@ -3,7 +3,9 @@
 Each call is a fresh interpreter in ``tmp_path`` with no ``REPRO_*``
 variable set: ``list`` and ``example``, a ``run --jobs 2`` batch, a
 ``run --verbose`` that prints its engine counters on stderr, and a cold
-then warm ``run --store`` whose warm report is served from disk.
+then warm ``run --store`` whose warm report is served from disk, a
+``cache prune`` that refuses bad bounds in one line, and a ``run
+--trace`` summarised by ``python -m repro.obs summary``.
 """
 
 import json
@@ -17,19 +19,29 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _api(cwd, *args):
+def clean_env(cwd):
+    """The environment with no ``REPRO_*`` variable and ``TMPDIR`` at ``cwd``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(PYTHONPATH=str(ROOT / "src"), TMPDIR=str(cwd))
+    return env
+
+
+def run_python(cwd, *args, returncode=0):
+    """``python *args`` in a fresh interpreter in ``cwd``."""
     done = subprocess.run(
-        [sys.executable, "-m", "repro.api", *args],
+        [sys.executable, *args],
         cwd=cwd,
-        env=env,
+        env=clean_env(cwd),
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.returncode == returncode, done.stderr[-2000:]
     return done
+
+
+def _api(cwd, *args, returncode=0):
+    return run_python(cwd, "-m", "repro.api", *args, returncode=returncode)
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +83,25 @@ def test_store_serves_the_warm_run_from_disk(spec_file, tmp_path):
         return {k: v for k, v in report.items() if k not in ("wall_seconds", "cached")}
 
     assert strip(cold) == strip(warm), "store round-trip not bit-identical"
+
+
+def test_cache_prune_refuses_bad_bounds_in_one_line(spec_file, tmp_path):
+    # A negative age put the cutoff in the future and pruned every entry.
+    _api(tmp_path, "run", str(spec_file), "--store", "store", "--output", "run.json")
+    for bound in (("--max-age-days", "-1"), ("--max-entries", "-1")):
+        done = _api(tmp_path, "cache", "prune", "--store", "store", *bound, returncode=1)
+        assert done.stderr.count("\n") == 1 and "must be" in done.stderr, done.stderr
+    stats = _api(tmp_path, "cache", "stats", "--store", "store").stdout
+    assert dict(line.split()[:2] for line in stats.splitlines())["entries"] == "1"
+
+
+def test_traced_run_summarises_with_solve_and_step_spans(spec_file, tmp_path):
+    # Formerly the trace half of CI's "Observability smoke" step.
+    _api(tmp_path, "run", str(spec_file), "--trace", "run.trace.json", "--output", "traced.json")
+    summary = run_python(tmp_path, "-m", "repro.obs", "summary", "run.trace.json")
+    assert "solve" in summary.stdout
+    events = json.loads((tmp_path / "run.trace.json").read_text())["traceEvents"]
+    spans = [e for e in events if e.get("ph") == "X"]
+    names = {e["name"] for e in spans}
+    assert "solve" in names and "engine.step" in names, sorted(names)
+    assert all("ts" in e and "dur" in e for e in spans)

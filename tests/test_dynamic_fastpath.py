@@ -10,9 +10,10 @@ union-of-members Dijkstra front for all-session query rounds
 every dynamic-routing solver must produce exactly the results of the
 plain pipeline — a distances-only Dijkstra, then one single-source
 Dijkstra per tree source and a freshly built tree.  That pipeline lives
-here as an in-test reference (``FreshTreeOracle`` and the pre-engine
-solver loops of ``tests/test_engine_equivalence.py``), so every test
-compares live implementations rather than recorded fixtures.
+only in the tests (``reference_paths``, ``reference_pair_lengths``,
+``FreshTreeOracle`` and the pre-engine solver loops of
+``tests/test_engine_equivalence.py``), so every test compares live
+implementations rather than recorded fixtures.
 """
 
 import numpy as np
@@ -37,6 +38,8 @@ from tests.test_engine_equivalence import (
     reference_max_concurrent_flow,
     reference_max_flow,
     reference_online_assignments,
+    reference_pair_lengths,
+    reference_paths,
 )
 
 
@@ -127,21 +130,24 @@ class TestShortestPathQuery:
         members = [0, 5, 11, 17]
         pairs = [(0, 5), (11, 5), (17, 0), (11, 17)]
         w = np.random.default_rng(3).uniform(0.1, 2.0, waxman_network.num_edges)
-        legacy = routing.paths_for_pairs(pairs, w)
-        query = routing.query(members, w)
-        fast = query.paths_for_pairs(pairs)
-        assert set(fast) == set(legacy)
-        for key in legacy:
-            assert fast[key].nodes == legacy[key].nodes
-            assert np.array_equal(fast[key].edge_ids, legacy[key].edge_ids)
+        legacy = reference_paths(waxman_network, pairs, w)
+        for fast in (
+            routing.query(members, w).paths_for_pairs(pairs),
+            routing.paths_for_pairs(pairs, w),
+        ):
+            assert set(fast) == set(legacy)
+            for key in legacy:
+                assert fast[key].nodes == legacy[key].nodes
+                assert np.array_equal(fast[key].edge_ids, legacy[key].edge_ids)
 
     def test_pair_lengths_from_query_matches_pair_lengths(self, waxman_network):
         routing = DynamicRouting(waxman_network)
         members = [3, 9, 21, 30]
         w = np.random.default_rng(4).uniform(0.1, 2.0, waxman_network.num_edges)
-        legacy = routing.pair_lengths(members, w)
+        legacy = reference_pair_lengths(waxman_network, members, w)
         fast = routing.pair_lengths_from_query(routing.query(members, w), members)
         assert np.array_equal(fast, legacy)
+        assert np.array_equal(routing.pair_lengths(members, w), legacy)
 
     def test_union_query_serves_member_subsets(self, waxman_network):
         routing = DynamicRouting(waxman_network)
@@ -149,7 +155,7 @@ class TestShortestPathQuery:
         union = sorted({0, 5, 11, 17, 23, 30})
         shared = routing.query(union, w)
         for members in ([0, 5, 11], [23, 5, 30, 17]):
-            direct = routing.pair_lengths(members, w)
+            direct = reference_pair_lengths(waxman_network, members, w)
             sliced = routing.pair_lengths_from_query(shared, members)
             assert np.array_equal(sliced, direct)
 

@@ -13,7 +13,10 @@ blocks (``LengthFunction``, ``build_oracles``,
 shows up as a fingerprint mismatch here.  They query one oracle at a
 time, so they are also the reference for the batched oracle front.
 :class:`FreshTreeOracle` is the matching reference for the oracle
-itself: no retained Dijkstra, no tree cache.  Coverage: all four
+itself: no retained Dijkstra, no tree cache, and routes from
+:func:`reference_paths` — one single-source Dijkstra and a predecessor
+walk per tree source, the pipeline ``ShortestPathQuery`` replaced —
+rather than from ``repro.routing``'s route builder.  Coverage: all four
 registered solvers x both routing models, at the default renormalisation
 threshold and with renormalisation forced mid-run, plus the front's
 slice-level bit-identity and its reuse of unchanged sessions' answers.
@@ -23,6 +26,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.core import lengths as lengths_module
 from repro.core import maxflow as maxflow_module
@@ -49,48 +53,109 @@ from repro.overlay.mst import minimum_spanning_tree_pairs
 from repro.overlay.oracle import OracleResult, build_oracles
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
-from repro.routing.base import pair_key
+from repro.routing.base import member_pairs, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.routing.paths import UnicastPath
+from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
 from repro.topology.generators import grid_topology
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, InfeasibleProblemError
 
 
 # ----------------------------------------------------------------------
 # reference implementations (the pre-engine loops, verbatim)
 # ----------------------------------------------------------------------
+def reference_paths(network, pairs, edge_lengths=None):
+    """Routes for ``pairs`` from the per-source pipeline.
+
+    One single-source Dijkstra per distinct smaller node, then a walk of
+    its predecessor row for each of that node's pairs.  ``edge_lengths``
+    ``None`` is the hop metric, which gives the fixed IP routes.  Built
+    on :func:`shortest_path_tree` alone, so it shares no route-building
+    code with ``repro.routing``.
+    """
+    by_source = {}
+    for u, v in pairs:
+        u, v = pair_key(u, v)
+        by_source.setdefault(u, []).append(v)
+    paths = {}
+    for source, destinations in by_source.items():
+        distances, predecessors = shortest_path_tree(network, [source], edge_lengths)
+        for destination in destinations:
+            if not np.isfinite(distances[0, destination]):
+                raise InfeasibleProblemError(f"{source} and {destination} disconnected")
+            nodes = [destination]
+            while nodes[-1] != source:
+                nodes.append(int(predecessors[0, nodes[-1]]))
+            paths[(source, destination)] = UnicastPath.from_nodes(network, nodes[::-1])
+    return paths
+
+
+def reference_pair_lengths(network, members, edge_lengths):
+    """Dynamic routing's MST weights from one distances-only Dijkstra."""
+    distances, _ = shortest_path_tree(network, members, edge_lengths)
+    sub = distances[:, members]
+    return np.maximum(sub, sub.T)
+
+
 class FreshTreeOracle:
     """The oracle with nothing retained: every call builds a fresh tree.
 
-    ``routing.pair_lengths`` weights the overlay MST,
-    ``routing.paths_for_pairs`` realises the chosen overlay edges (one
-    single-source Dijkstra per tree source under dynamic routing), and
-    ``OverlayTree.from_paths`` builds the tree — no retained query, no
-    tree cache.
+    Under dynamic routing each call weights the overlay MST with
+    :func:`reference_pair_lengths` and realises the chosen overlay edges
+    with :func:`reference_paths` under the current lengths.  Under fixed
+    routing it routes every member pair once with
+    :func:`reference_paths` (hop metric) and weights the MST with the
+    incidence mat-vec of those routes.  ``OverlayTree.from_paths`` builds
+    the tree: no retained query, no tree cache and no call into the
+    routing model.
     """
 
     def __init__(self, session, routing):
         self.session = session
-        self.routing = routing
+        self.network = routing.network
+        self.dynamic = routing.is_dynamic
+        self.members = [int(m) for m in session.members]
         self.call_count = 0
+        if not self.dynamic:
+            pairs = member_pairs(self.members)
+            self.paths = reference_paths(self.network, pairs)
+            rows = [r for r, pk in enumerate(pairs) for _ in self.paths[pk].edge_ids]
+            cols = [int(e) for pk in pairs for e in self.paths[pk].edge_ids]
+            self.incidence = csr_matrix(
+                (np.ones(len(rows)), (rows, cols)),
+                shape=(len(pairs), self.network.num_edges),
+            )
+
+    def pair_lengths(self, lengths):
+        if self.dynamic:
+            return reference_pair_lengths(self.network, self.members, lengths)
+        n = len(self.members)
+        weight = np.zeros((n, n))
+        rows, cols = np.triu_indices(n, k=1)
+        weight[rows, cols] = weight[cols, rows] = self.incidence @ lengths
+        return weight
 
     def minimum_tree(self, edge_lengths):
         self.call_count += 1
         lengths = np.asarray(edge_lengths, dtype=float)
-        members = list(self.session.members)
-        weight = self.routing.pair_lengths(members, lengths)
+        members = self.members
         overlay_edges = [
             pair_key(members[i], members[j])
-            for i, j in minimum_spanning_tree_pairs(weight)
+            for i, j in minimum_spanning_tree_pairs(self.pair_lengths(lengths))
         ]
-        paths = self.routing.paths_for_pairs(overlay_edges, lengths)
+        if self.dynamic:
+            paths = reference_paths(self.network, overlay_edges, lengths)
+        else:
+            paths = self.paths
         tree = OverlayTree.from_paths(
-            members, overlay_edges, paths, self.routing.network.num_edges
+            members, overlay_edges, paths, self.network.num_edges
         )
         return OracleResult(tree=tree, length=tree.length(lengths))
 
     def max_route_length(self):
-        return self.routing.max_route_hops(self.session.members)
+        hops = reference_pair_lengths(self.network, self.members, None)
+        return int(round(float(hops[np.isfinite(hops)].max())))
 
     def normalized_length(self, result, max_session_size):
         return result.length * (max_session_size - 1) / (self.session.size - 1)
@@ -422,6 +487,32 @@ class TestEngineEquivalence:
         ref_fp.pop("extra")
         ported_fp.pop("extra")
         assert ported_fp == ref_fp
+
+
+@pytest.mark.parametrize("routing_cls", [FixedIPRouting, DynamicRouting])
+def test_fresh_oracle_builds_no_route_in_repro_routing(
+    monkeypatch, waxman_network, equivalence_sessions, routing_cls
+):
+    # A reference that called the route builder would compare it with
+    # itself.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference called repro.routing's route builder")
+
+    for owner, name in (
+        (ShortestPathQuery, "__init__"),
+        (ShortestPathQuery, "run"),
+        (DynamicRouting, "pair_lengths"),
+        (DynamicRouting, "pair_lengths_from_query"),
+        (DynamicRouting, "paths_for_pairs"),
+        (FixedIPRouting, "pair_lengths"),
+        (FixedIPRouting, "paths_for_pairs"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    lengths = np.random.default_rng(12).uniform(0.01, 5.0, waxman_network.num_edges)
+    for session in equivalence_sessions:
+        oracle = FreshTreeOracle(session, routing_cls(waxman_network))
+        assert oracle.max_route_length() >= 1
+        assert oracle.minimum_tree(lengths).length > 0
 
 
 # Online lengths start at 1/c = 0.01 and grow about 3x over the six

@@ -9,6 +9,7 @@ from repro.lp.exact import (
     exact_max_flow,
 )
 from repro.overlay.session import Session
+from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.topology.generators import complete_topology, ring_topology
 from repro.topology.network import PhysicalNetwork
@@ -28,6 +29,20 @@ class TestEnumeration:
         session = Session(tuple(range(7)))
         with pytest.raises(ConfigurationError):
             enumerate_session_trees(session, FixedIPRouting(waxman_network), max_members=6)
+
+    def test_dynamic_routing_is_refused(self, diamond_network):
+        # The enumerated usage matrix holds the fixed routes, so under
+        # dynamic routing both solvers would return the fixed-route
+        # optimum labelled as the exact one.
+        routing = DynamicRouting(diamond_network)
+        sessions = [Session((0, 1, 3))]
+        for solve in (
+            lambda: enumerate_session_trees(sessions[0], routing),
+            lambda: exact_max_flow(sessions, routing),
+            lambda: exact_max_concurrent_flow(sessions, routing),
+        ):
+            with pytest.raises(ConfigurationError, match="fixed IP routing"):
+                solve()
 
 
 class TestExactMaxFlow:

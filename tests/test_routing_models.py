@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.routing.base import pair_key
+from repro.routing.base import member_pairs, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
-from repro.routing.shortest_path import single_pair_shortest_path
 from repro.topology.generators import grid_topology
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
+
+from tests.test_engine_equivalence import reference_paths
+
+
+def assert_routes_match_reference(routes, reference):
+    assert set(routes) == set(reference)
+    for key, path in reference.items():
+        assert routes[key].nodes == path.nodes
+        assert np.array_equal(routes[key].edge_ids, path.edge_ids)
 
 
 class TestPairKey:
@@ -47,14 +55,14 @@ class TestFixedIPRouting:
         assert not FixedIPRouting(diamond_network).is_dynamic
 
     def test_member_pairs_order(self):
-        pairs = FixedIPRouting.member_pairs([3, 1, 2])
+        pairs = member_pairs([3, 1, 2])
         assert pairs == [(1, 3), (2, 3), (1, 2)]
 
     def test_incidence_matrix_matches_paths(self, diamond_network):
         routing = FixedIPRouting(diamond_network)
         members = [0, 1, 3]
         incidence = routing.incidence_for_members(members)
-        pairs = routing.member_pairs(members)
+        pairs = member_pairs(members)
         paths = routing.paths_for_pairs(pairs)
         assert incidence.shape == (3, diamond_network.num_edges)
         for row, pk in enumerate(pairs):
@@ -86,6 +94,13 @@ class TestFixedIPRouting:
     def test_max_route_hops_single_member(self, path_network):
         routing = FixedIPRouting(path_network)
         assert routing.max_route_hops([2]) == 0
+
+    def test_routes_match_per_source_reference(self, waxman_network):
+        # The hop-metric paths of one single-source Dijkstra per smaller
+        # node, walked outside repro.routing.
+        pairs = member_pairs(range(0, 40, 3))
+        routes = FixedIPRouting(waxman_network).paths_for_pairs(pairs)
+        assert_routes_match_reference(routes, reference_paths(waxman_network, pairs))
 
     def test_disconnected_members_raise(self):
         net = PhysicalNetwork(4, [(0, 1), (2, 3)])
@@ -131,6 +146,14 @@ class TestDynamicRouting:
         covered = routing.covered_edges([0, 1, 3])
         assert covered.size >= 2
 
+    def test_routes_match_per_source_reference(self, waxman_network):
+        pairs = member_pairs(range(1, 40, 3))
+        lengths = np.random.default_rng(13).uniform(0.01, 5.0, waxman_network.num_edges)
+        routes = DynamicRouting(waxman_network).paths_for_pairs(pairs, lengths)
+        assert_routes_match_reference(
+            routes, reference_paths(waxman_network, pairs, lengths)
+        )
+
     def test_disconnected_members_raise(self):
         net = PhysicalNetwork(4, [(0, 1), (2, 3)])
         routing = DynamicRouting(net)
@@ -155,7 +178,7 @@ class TestDynamicRouting:
         with pytest.raises(InvalidNetworkError, match="NaN"):
             routing.pair_lengths([0, 1, 4], lengths)
         with pytest.raises(InvalidNetworkError, match="NaN"):
-            single_pair_shortest_path(network, 0, 1, lengths)
+            routing.paths_for_pairs([(0, 1)], lengths)
 
     def test_pair_lengths_symmetrised_with_max(self, diamond_network, monkeypatch):
         # Regression: the symmetrisation must take the elementwise max of
@@ -171,7 +194,7 @@ class TestDynamicRouting:
             return distances, None
 
         monkeypatch.setattr(
-            "repro.routing.dynamic.shortest_path_tree", fake_shortest_path_tree
+            "repro.routing.shortest_path.shortest_path_tree", fake_shortest_path_tree
         )
         routing = DynamicRouting(diamond_network)
         result = routing.pair_lengths(members, np.ones(diamond_network.num_edges))

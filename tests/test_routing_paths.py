@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.routing.paths import UnicastPath
-from repro.routing.shortest_path import (
-    pairwise_distances,
-    reconstruct_path,
-    shortest_path_tree,
-    single_pair_shortest_path,
-)
+from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
 
@@ -118,36 +113,37 @@ class TestShortestPathTree:
 
 class TestReconstruction:
     def test_roundtrip(self, grid_network):
-        distances, predecessors = shortest_path_tree(grid_network, [0])
-        path = reconstruct_path(grid_network, predecessors[0], 0, 15)
+        query = ShortestPathQuery.run(grid_network, [0])
+        path = query.path(0, 15)
         assert path.source == 0 and path.destination == 15
-        assert path.hop_count == distances[0, 15]
+        assert path.hop_count == query.distances[0, 15]
         path.validate(grid_network)
 
     def test_source_equals_destination(self, grid_network):
-        _, predecessors = shortest_path_tree(grid_network, [3])
-        path = reconstruct_path(grid_network, predecessors[0], 3, 3)
+        path = ShortestPathQuery.run(grid_network, [3]).path(3, 3)
         assert path.hop_count == 0
 
     def test_unreachable_raises(self):
         net = PhysicalNetwork(4, [(0, 1), (2, 3)])
-        _, predecessors = shortest_path_tree(net, [0])
         with pytest.raises(InfeasibleProblemError):
-            reconstruct_path(net, predecessors[0], 0, 3)
+            ShortestPathQuery.run(net, [0]).path(0, 3)
 
     def test_single_pair_helper(self, diamond_network):
-        path = single_pair_shortest_path(diamond_network, 0, 3)
-        assert path.hop_count == 2
+        # One pair asked in either orientation runs from its smaller node.
+        query = ShortestPathQuery.run(diamond_network, [0])
+        path = query.paths_for_pairs([(3, 0)])[(0, 3)]
+        assert path.nodes[0] == 0 and path.hop_count == 2
+        path.validate(diamond_network)
 
     def test_single_pair_unreachable(self):
         net = PhysicalNetwork(4, [(0, 1), (2, 3)])
         with pytest.raises(InfeasibleProblemError):
-            single_pair_shortest_path(net, 0, 2)
+            ShortestPathQuery.run(net, [0]).paths_for_pairs([(0, 2)])
 
 
 class TestPairwiseDistances:
     def test_submatrix(self, path_network):
-        d = pairwise_distances(path_network, [0, 2, 4])
+        d = ShortestPathQuery.run(path_network, [0, 2, 4]).distance_submatrix([0, 2, 4])
         assert d.shape == (3, 3)
         assert d[0, 2] == pytest.approx(4.0)
         assert np.allclose(np.diag(d), 0.0)

@@ -383,6 +383,26 @@ class TestServeHTTP:
         assert kinds.count("congestion") >= 1
         assert kinds.index("congestion") < kinds.index("end")
 
+    def test_sse_timeout_must_be_finite_and_non_negative(self, http_server):
+        # A NaN or infinite timeout would hold a server thread for as
+        # long as the run stays unfinished.
+        _, base = http_server
+        body = json.dumps(small_spec().to_jsonable()).encode()
+        code, ticket, _ = http_post(f"{base}/v1/solve", body)
+        assert code == 202
+        poll_report(base, ticket["key"])
+        events = f"{base}/v1/runs/{ticket['key']}/events"
+        for bad in ("nan", "inf", "-inf", "-5", "soon"):
+            try:
+                with urllib.request.urlopen(f"{events}?timeout={bad}", timeout=10) as resp:
+                    code, payload = resp.status, None
+            except urllib.error.HTTPError as err:
+                code, payload = err.code, json.load(err)
+            assert code == 400, bad
+            assert payload["error"]["type"] == "InvalidRequest"
+        with urllib.request.urlopen(f"{events}?timeout=0", timeout=10) as resp:
+            assert resp.status == 200
+
     def test_shed_returns_429_with_retry_after(self, tmp_path):
         # inline_workers=0: nothing drains admission, so with
         # high_water=1 the second submission deterministically sheds.

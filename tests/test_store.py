@@ -9,6 +9,7 @@ asserted by counting live solver dispatches).
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -410,6 +411,16 @@ class TestMaintenance:
         store = ReportStore(tmp_path / "store")
         store.put(api.solve(_spec()))
         assert store.prune(max_age_seconds=3600.0) == 0
+        assert store.stats()["entries"] == 1
+
+    def test_prune_rejects_negative_and_non_finite_ages(self, tmp_path):
+        # A negative age put the cutoff in the future and pruned every
+        # entry; NaN pruned none, silently.
+        store = ReportStore(tmp_path / "store")
+        store.put(api.solve(_spec()))
+        for age in (-86400.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="max_age_seconds"):
+                store.prune(max_age_seconds=age)
         assert store.stats()["entries"] == 1
 
     def test_memory_front_is_lru(self, tmp_path):
