@@ -137,7 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument("specs", nargs="+", help="spec file(s): one scenario or a list")
     submit.add_argument("--queue", required=True, help="work-queue directory")
     submit.add_argument("--num-shards", type=int, default=1, help="shard count")
-    submit.add_argument("--lease", type=float, default=None, help="lease seconds")
     submit.set_defaults(handler=_cmd_submit)
 
     worker = sub.add_parser("worker", help="run one cooperative queue worker")
@@ -197,7 +196,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     status = sub.add_parser("status", help="print queue task counts")
     status.add_argument("--queue", required=True, help="work-queue directory")
-    status.add_argument("--lease", type=float, default=None, help="lease seconds")
     status.set_defaults(handler=_cmd_status)
 
     retry = sub.add_parser("retry", help="requeue dead-lettered (failed) tasks")
@@ -205,7 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     retry.add_argument(
         "--key", default=None, help="retry one canonical key (default: all failed)"
     )
-    retry.add_argument("--lease", type=float, default=None, help="lease seconds")
     retry.set_defaults(handler=_cmd_retry)
 
     args = parser.parse_args(argv)

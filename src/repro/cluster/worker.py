@@ -89,17 +89,17 @@ def run_worker(
     poll_seconds: float = 0.2,
     max_tasks: Optional[int] = None,
     exit_when_empty: bool = False,
-    lease_seconds: Optional[float] = None,
     relay: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
-    max_attempts: Optional[int] = None,
 ) -> Dict[str, int]:
     """Drain tasks from ``queue`` into ``store`` until told to stop.
 
     Parameters
     ----------
     queue, store:
-        The shared work queue and report store (paths are opened).
+        The shared work queue and report store (paths are opened, the
+        queue with its default lease and attempt limit; pass a
+        :class:`WorkQueue` to set ``lease_seconds`` or ``max_attempts``).
     worker_id:
         Lease owner label; defaults to ``<host>-<pid>-<nonce>``.
     shard:
@@ -128,36 +128,13 @@ def run_worker(
         ``<trace_dir>/<canonical_key>.trace.json`` — one Chrome
         trace-event file per run, next to the relay channels in spirit.
         Stitch multi-worker runs with ``python -m repro.obs merge``.
-    max_attempts:
-        Forwarded to the :class:`WorkQueue` constructor when ``queue``
-        is a path (ignored — must be ``None`` or equal — when a live
-        queue object is passed): how many lease expiries dead-letter a
-        poison task.
 
     Returns counters: tasks completed, reports solved live, store hits.
     """
     if poll_seconds <= 0:
         raise ConfigurationError(f"poll_seconds must be positive, got {poll_seconds}")
-    if isinstance(queue, WorkQueue):
-        if lease_seconds is not None and lease_seconds != queue.lease_seconds:
-            raise ConfigurationError(
-                "lease_seconds conflicts with the passed WorkQueue's "
-                f"({lease_seconds} vs {queue.lease_seconds}); configure it "
-                "on the queue instead"
-            )
-        if max_attempts is not None and max_attempts != queue.max_attempts:
-            raise ConfigurationError(
-                "max_attempts conflicts with the passed WorkQueue's "
-                f"({max_attempts} vs {queue.max_attempts}); configure it "
-                "on the queue instead"
-            )
-    else:
-        kwargs = {}
-        if lease_seconds is not None:
-            kwargs["lease_seconds"] = lease_seconds
-        if max_attempts is not None:
-            kwargs["max_attempts"] = max_attempts
-        queue = WorkQueue(queue, **kwargs)
+    if not isinstance(queue, WorkQueue):
+        queue = WorkQueue(queue)
     if not isinstance(store, ReportStore):
         store = ReportStore(store)
     worker_id = worker_id or _default_worker_id()

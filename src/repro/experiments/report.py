@@ -24,7 +24,7 @@ class ExperimentResult:
     data:
         JSON-serialisable dict with the series/rows of the table/figure.
     rendered:
-        Pre-formatted plain-text report (what ``main()`` prints).
+        Pre-formatted plain-text report (what the section CLIs print).
     notes:
         Free-form notes, e.g. scale reductions relative to the paper.
     """

@@ -12,34 +12,24 @@ from typing import Dict, List
 from repro.api.service import build_instance
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import flat_ratio_sweep, flat_scenario_spec
-from repro.experiments.settings import flat_setting_for_scale
-from repro.metrics.distribution import tree_rate_distribution
-from repro.metrics.summary import solutions_to_table
+from repro.experiments.settings import flat_setting_for_scale, run_section_cli
+from repro.metrics.distribution import top_fraction_share, tree_rate_distribution
+from repro.metrics.summary import solution_table_row, solutions_to_table
 from repro.metrics.utilization import (
     covered_edges_for_sessions,
     link_utilization_series,
+    mean_utilization,
     utilization_staircase,
 )
 
 
 def _ratio_table_data(scale: str, routing_kind: str, algorithm: str) -> Dict:
     solutions = flat_ratio_sweep(scale, routing_kind, algorithm)
-    data: Dict[str, Dict] = {"ratios": sorted(solutions), "columns": {}}
-    for ratio in sorted(solutions):
-        solution = solutions[ratio]
-        column: Dict[str, float] = {
-            "overall_throughput": solution.overall_throughput,
-            "oracle_calls": float(solution.oracle_calls),
-        }
-        for index, session_result in enumerate(solution.sessions):
-            column[f"rate_session_{index + 1}"] = session_result.rate
-            column[f"trees_session_{index + 1}"] = float(session_result.num_trees)
-        if "prescale_oracle_calls" in solution.extra:
-            column["main_oracle_calls"] = float(solution.extra["main_oracle_calls"])
-            column["prescale_oracle_calls"] = float(
-                solution.extra["prescale_oracle_calls"]
-            )
-        data["columns"][f"{ratio:g}"] = column
+    ratios = sorted(solutions)
+    data: Dict[str, Dict] = {
+        "ratios": ratios,
+        "columns": {f"{r:g}": solution_table_row(solutions[r]) for r in ratios},
+    }
     # Declarative provenance: each column's cell as a Scenario-API spec,
     # so any table entry can be re-solved (or submitted remotely) with
     # ``repro.api.solve``.  Every cell shares one instance.
@@ -123,7 +113,8 @@ def _tree_rate_figure(
     for session_index in range(num_sessions):
         per_ratio = {}
         for ratio, solution in sorted(solutions.items()):
-            ranks, fractions = tree_rate_distribution(solution.sessions[session_index])
+            session_result = solution.sessions[session_index]
+            ranks, fractions = tree_rate_distribution(session_result)
             per_ratio[f"{ratio:g}"] = {
                 "normalized_rank": list(ranks),
                 "cumulative_fraction": list(fractions),
@@ -131,7 +122,7 @@ def _tree_rate_figure(
             # Report the paper's headline statistic: share of rate in the
             # top 10% of trees.
             if fractions.size:
-                top10 = fractions[max(0, int(0.1 * fractions.size) - 1)]
+                top10 = top_fraction_share(session_result, 0.1)
                 lines.append(
                     f"session {session_index + 1} ratio {ratio:g}: "
                     f"top-10% trees carry {top10:.2%} of the rate "
@@ -206,7 +197,7 @@ def fig4(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
                 links = f"{utilization.size} links used by its trees, "
             lines.append(
                 f"{label} ratio {ratio:g}: {links}mean utilization "
-                f"{float(utilization.mean()) if utilization.size else 0.0:.3f}, "
+                f"{mean_utilization(solution, covered):.3f}, "
                 f"{len(staircase)} distinct congestion levels"
             )
         data["algorithms"][label] = per_ratio
@@ -220,19 +211,8 @@ def fig4(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    from repro.experiments.settings import configure_jobs, experiment_cli_parser
-
-    args = experiment_cli_parser(
-        "Section III experiments (Tables II/IV, Figs 2-4)"
-    ).parse_args()
-    if args.jobs is not None:
-        configure_jobs(args.jobs)
-    scale = args.scale
-    for result in (table2(scale), table4(scale), fig2(scale), fig3(scale), fig4(scale)):
-        print(result)
-        print()
-
-
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_section_cli(
+        "Section III experiments (Tables II/IV, Figs 2-4)",
+        (table2, table4, fig2, fig3, fig4),
+    )

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import fractional_scenario_spec, limited_tree_study
-from repro.experiments.settings import limited_tree_setting_for_scale
+from repro.experiments.settings import limited_tree_setting_for_scale, run_section_cli
 from repro.util.tables import format_table
 
 
@@ -113,18 +113,5 @@ def fig6(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    from repro.experiments.settings import configure_jobs, experiment_cli_parser
-
-    args = experiment_cli_parser(
-        "Section IV experiments (Figs 5-6, limited-tree study)"
-    ).parse_args()
-    if args.jobs is not None:
-        configure_jobs(args.jobs)
-    for result in (fig5(args.scale), fig6(args.scale)):
-        print(result)
-        print()
-
-
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_section_cli("Section IV experiments (Figs 5-6, limited-tree study)", (fig5, fig6))

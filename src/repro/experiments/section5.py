@@ -15,23 +15,20 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import flat_ratio_sweep
 from repro.experiments.section3 import fig2, fig3, fig4, table2, table4
 from repro.experiments.section4 import fig5, fig6
+from repro.experiments.settings import run_section_cli
+from repro.metrics.fairness import throughput_improvement
 
 
 def _with_ip_comparison(result: ExperimentResult, scale: str, algorithm: str) -> ExperimentResult:
     """Attach the arbitrary-vs-IP throughput improvement to a table result."""
     dynamic = flat_ratio_sweep(scale, "dynamic", algorithm)
     fixed = flat_ratio_sweep(scale, "ip", algorithm)
-    improvements: Dict[str, float] = {}
-    for ratio in sorted(dynamic):
-        fixed_tp = fixed[ratio].overall_throughput
-        dynamic_tp = dynamic[ratio].overall_throughput
-        improvements[f"{ratio:g}"] = (
-            (dynamic_tp - fixed_tp) / fixed_tp if fixed_tp > 0 else 0.0
-        )
+    improvements: Dict[str, float] = {
+        f"{ratio:g}": throughput_improvement(dynamic[ratio], fixed[ratio])
+        for ratio in sorted(dynamic)
+    }
     result.data["throughput_improvement_vs_ip"] = improvements
-    mean_improvement = (
-        sum(improvements.values()) / len(improvements) if improvements else 0.0
-    )
+    mean_improvement = sum(improvements.values()) / len(improvements)
     result.rendered += (
         f"\nmean throughput improvement of arbitrary routing over IP routing: "
         f"{mean_improvement:+.3%}"
@@ -97,27 +94,8 @@ def fig11(scale: str = "quick") -> ExperimentResult:
     return result
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    from repro.experiments.settings import configure_jobs, experiment_cli_parser
-
-    args = experiment_cli_parser(
-        "Section V experiments (Tables VII/VIII, Figs 7-11, arbitrary routing)"
-    ).parse_args()
-    if args.jobs is not None:
-        configure_jobs(args.jobs)
-    scale = args.scale
-    for result in (
-        table7(scale),
-        table8(scale),
-        fig7(scale),
-        fig8(scale),
-        fig9(scale),
-        fig10(scale),
-        fig11(scale),
-    ):
-        print(result)
-        print()
-
-
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_section_cli(
+        "Section V experiments (Tables VII/VIII, Figs 7-11, arbitrary routing)",
+        (table7, table8, fig7, fig8, fig9, fig10, fig11),
+    )

@@ -16,17 +16,20 @@ are run over the whole grid and the paper's surfaces/curves extracted:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.api.service import build_instance
+from repro.core.result import FlowSolution
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import online_sweep_runs, sweep_runs, sweep_scenario_spec
-from repro.experiments.settings import sweep_setting_for_scale
+from repro.experiments.settings import run_section_cli, sweep_setting_for_scale
 from repro.metrics.distribution import top_fraction_share, tree_rate_distribution
+from repro.metrics.fairness import min_rate_ratio, throughput_ratio
 from repro.metrics.utilization import (
     covered_edges_for_sessions,
     edges_per_node,
     link_utilization_series,
+    mean_utilization,
     utilization_staircase,
 )
 from repro.util.tables import format_table
@@ -114,10 +117,7 @@ def fig16(scale: str = "quick") -> ExperimentResult:
     """Paper Fig. 16: overall throughput ratio MaxConcurrentFlow vs MaxFlow."""
     maxflow = sweep_runs(scale, "maxflow")
     concurrent = sweep_runs(scale, "maxconcurrent")
-    values = {}
-    for point, mf in maxflow.items():
-        tp = mf.overall_throughput
-        values[point] = concurrent[point].overall_throughput / tp if tp > 0 else 0.0
+    values = {point: throughput_ratio(concurrent[point], maxflow[point]) for point in maxflow}
     result = _surface_result(
         "fig16",
         "Overall Throughput Ratio (MaxConcurrentFlow vs. MaxFlow)",
@@ -170,7 +170,7 @@ def fig14(scale: str = "quick") -> ExperimentResult:
                     "normalized_rank": list(ranks),
                     "utilization": list(utilization),
                     "staircase": utilization_staircase(solution, covered),
-                    "mean_utilization": float(utilization.mean()) if utilization.size else 0.0,
+                    "mean_utilization": mean_utilization(solution, covered),
                 }
                 lines.append(
                     f"{label}, {count} session(s), size {size}: mean utilization "
@@ -229,84 +229,66 @@ def fig17(scale: str = "quick") -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Fig 18 / 19 — online algorithm against the upper bounds
 # ----------------------------------------------------------------------
-def fig18(scale: str = "quick") -> ExperimentResult:
-    """Paper Fig. 18: online / MaxFlow overall throughput ratio."""
+def _online_ratio_figure(
+    experiment_id: str,
+    title: str,
+    scale: str,
+    reference_algorithm: str,
+    ratio: Callable[[FlowSolution, FlowSolution], float],
+    surface_title: str,
+    value_label: str,
+) -> ExperimentResult:
+    """One ``ratio(online, reference)`` surface per online tree limit."""
     setting = sweep_setting_for_scale(scale)
-    maxflow = sweep_runs(scale, "maxflow")
+    reference = sweep_runs(scale, reference_algorithm)
     data: Dict = {"tree_limits": list(setting.online_tree_limits), "surfaces": {}}
     rendered_parts: List[str] = []
     for limit in setting.online_tree_limits:
         online = online_sweep_runs(scale, limit)
-        values = {}
-        for point, sol in online.items():
-            reference = maxflow[point].overall_throughput
-            values[point] = sol.overall_throughput / reference if reference > 0 else 0.0
+        values = {point: ratio(sol, reference[point]) for point, sol in online.items()}
         surface = _surface_result(
-            "fig18", f"Online vs MaxFlow throughput ratio ({limit} trees)", scale, values,
-            "throughput ratio",
+            experiment_id, f"{surface_title} ({limit} trees)", scale, values, value_label
         )
         data["surfaces"][f"trees_{limit}"] = surface.data
         rendered_parts.append(surface.rendered)
     return ExperimentResult(
-        experiment_id="fig18",
-        title="Overall Throughput Ratio (Online vs. MaxFlow)",
+        experiment_id=experiment_id,
+        title=title,
         scale=scale,
         data=data,
         rendered="\n\n".join(rendered_parts),
         notes=_notes(scale),
+    )
+
+
+def fig18(scale: str = "quick") -> ExperimentResult:
+    """Paper Fig. 18: online / MaxFlow overall throughput ratio."""
+    return _online_ratio_figure(
+        "fig18",
+        "Overall Throughput Ratio (Online vs. MaxFlow)",
+        scale,
+        "maxflow",
+        throughput_ratio,
+        "Online vs MaxFlow throughput ratio",
+        "throughput ratio",
     )
 
 
 def fig19(scale: str = "quick") -> ExperimentResult:
     """Paper Fig. 19: online / MaxConcurrentFlow minimum-rate ratio."""
-    setting = sweep_setting_for_scale(scale)
-    concurrent = sweep_runs(scale, "maxconcurrent")
-    data: Dict = {"tree_limits": list(setting.online_tree_limits), "surfaces": {}}
-    rendered_parts: List[str] = []
-    for limit in setting.online_tree_limits:
-        online = online_sweep_runs(scale, limit)
-        values = {}
-        for point, sol in online.items():
-            reference = concurrent[point].min_rate
-            values[point] = sol.min_rate / reference if reference > 0 else 0.0
-        surface = _surface_result(
-            "fig19", f"Online vs MaxConcurrentFlow min-rate ratio ({limit} trees)", scale,
-            values, "min-rate ratio",
-        )
-        data["surfaces"][f"trees_{limit}"] = surface.data
-        rendered_parts.append(surface.rendered)
-    return ExperimentResult(
-        experiment_id="fig19",
-        title="Minimum Rate Ratio (Online vs. MaxConcurrentFlow)",
-        scale=scale,
-        data=data,
-        rendered="\n\n".join(rendered_parts),
-        notes=_notes(scale),
+    return _online_ratio_figure(
+        "fig19",
+        "Minimum Rate Ratio (Online vs. MaxConcurrentFlow)",
+        scale,
+        "maxconcurrent",
+        min_rate_ratio,
+        "Online vs MaxConcurrentFlow min-rate ratio",
+        "min-rate ratio",
     )
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    from repro.experiments.settings import configure_jobs, experiment_cli_parser
-
-    args = experiment_cli_parser(
-        "Section VI experiments (Figs 12-19, two-level sweep)"
-    ).parse_args()
-    if args.jobs is not None:
-        configure_jobs(args.jobs)
-    scale = args.scale
-    for result in (
-        fig12(scale),
-        fig13(scale),
-        fig14(scale),
-        fig15(scale),
-        fig16(scale),
-        fig17(scale),
-        fig18(scale),
-        fig19(scale),
-    ):
-        print(result)
-        print()
-
-
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_section_cli(
+        "Section VI experiments (Figs 12-19, two-level sweep)",
+        (fig12, fig13, fig14, fig15, fig16, fig17, fig18, fig19),
+    )

@@ -24,7 +24,7 @@ sessions and routing of a cell come from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.api.specs import ArrivalSpec, ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.util.errors import ConfigurationError
@@ -351,7 +351,8 @@ def sweep_setting_for_scale(scale: str) -> SweepSetting:
 # ----------------------------------------------------------------------
 # The ``--jobs`` / REPRO_JOBS plumbing lives in ``repro.util.jobs`` so
 # that the batch API, whose pool runs every sweep, reads it without
-# importing the experiments layer; re-exported here for the section CLIs.
+# importing the experiments layer; re-exported here for the section CLI
+# runner below.
 from repro.util.jobs import (  # noqa: E402,F401  (re-exports)
     JOBS_ENV_VAR,
     configure_jobs,
@@ -360,11 +361,14 @@ from repro.util.jobs import (  # noqa: E402,F401  (re-exports)
 )
 
 
-def experiment_cli_parser(description: str):
-    """Argparse parser with the shared ``--scale`` / ``--jobs`` knobs.
+def run_section_cli(
+    description: str, experiments: Sequence[Callable[[str], Any]]
+) -> None:
+    """Command line of a ``repro.experiments.sectionN`` module.
 
-    Used by the ``repro.experiments.sectionN`` CLIs; callers should pass
-    ``args.jobs`` to :func:`configure_jobs` when it is not ``None``.
+    Parses the shared ``--scale`` / ``--jobs`` flags, installs ``--jobs``
+    with :func:`configure_jobs`, then prints each of ``experiments``
+    (functions of the scale) run at that scale, one blank line after each.
     """
     import argparse
 
@@ -384,4 +388,9 @@ def experiment_cli_parser(description: str):
             f"every sweep (0 = all CPU cores; default: ${JOBS_ENV_VAR} or 1)"
         ),
     )
-    return parser
+    args = parser.parse_args()
+    if args.jobs is not None:
+        configure_jobs(args.jobs)
+    for experiment in experiments:
+        print(experiment(args.scale))
+        print()

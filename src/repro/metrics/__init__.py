@@ -1,20 +1,22 @@
-"""Evaluation metrics used by the paper's tables and figures.
+"""Evaluation metrics: one definition of each statistic the paper reports.
+
+The section experiments (:mod:`repro.experiments`) define no share, ratio
+or table row of their own; each comes from here:
 
 * :mod:`distribution` — accumulative tree-rate distributions and the
-  "asymmetric rate distribution" statistics (Figs 2, 3, 7, 8, 17),
-* :mod:`utilization` — link-utilization ratio series, the staircase
-  summary, and edges-per-node counts (Figs 4, 9, 13, 14),
-* :mod:`fairness` — fairness indices and algorithm-versus-algorithm
-  ratios (Figs 15, 16, 18, 19),
+  top-10% rate share (Figs 2, 3, 7, 8, 17),
+* :mod:`utilization` — link-utilization ratio series, their mean and
+  staircase (Figs 4, 9, 14), and edges-per-node counts (Fig 13),
+* :mod:`fairness` — algorithm-versus-algorithm ratios (Figs 16, 18, 19),
+  the arbitrary-over-IP throughput gain (Tables VII, VIII) and Jain's
+  index,
 * :mod:`summary` — row builders for the Table II / IV / VII / VIII style
   reports.
 """
 
 from repro.metrics.distribution import (
     tree_rate_distribution,
-    session_rate_distributions,
     top_fraction_share,
-    asymmetry_index,
 )
 from repro.metrics.utilization import (
     link_utilization_series,
@@ -26,8 +28,8 @@ from repro.metrics.utilization import (
 from repro.metrics.fairness import (
     jains_index,
     min_rate_ratio,
+    throughput_improvement,
     throughput_ratio,
-    max_min_violation,
 )
 from repro.metrics.summary import (
     solution_table_row,
@@ -37,9 +39,7 @@ from repro.metrics.summary import (
 
 __all__ = [
     "tree_rate_distribution",
-    "session_rate_distributions",
     "top_fraction_share",
-    "asymmetry_index",
     "link_utilization_series",
     "utilization_staircase",
     "covered_edge_count",
@@ -47,8 +47,8 @@ __all__ = [
     "mean_utilization",
     "jains_index",
     "min_rate_ratio",
+    "throughput_improvement",
     "throughput_ratio",
-    "max_min_violation",
     "solution_table_row",
     "solutions_to_table",
     "compare_solutions",

@@ -1,9 +1,10 @@
 """Fairness and cross-algorithm comparison metrics.
 
-Used by the Section VI experiments: the minimum-rate surface of
-MaxConcurrentFlow (Fig 15), the throughput ratio between
-MaxConcurrentFlow and MaxFlow (Fig 16), and the online algorithm's
-approximation ratios against both upper bounds (Figs 18, 19).
+The throughput ratio between MaxConcurrentFlow and MaxFlow (Fig 16), the
+online algorithm's ratios against both upper bounds (Figs 18, 19), and
+the throughput gain of arbitrary over IP routing (Tables VII, VIII).
+Each ratio raises :class:`ConfigurationError` on a zero reference, which
+only a broken solve produces.  Jain's index serves the examples.
 """
 
 from __future__ import annotations
@@ -39,25 +40,21 @@ def throughput_ratio(solution: FlowSolution, reference: FlowSolution) -> float:
     return solution.overall_throughput / ref
 
 
+def throughput_improvement(solution: FlowSolution, reference: FlowSolution) -> float:
+    """Relative overall-throughput gain of ``solution`` over ``reference``.
+
+    Tables VII and VIII report it for arbitrary routing (the solution)
+    against fixed IP routing (the reference), per approximation ratio.
+    """
+    ref = reference.overall_throughput
+    if ref <= 0:
+        raise ConfigurationError("reference solution has zero throughput")
+    return (solution.overall_throughput - ref) / ref
+
+
 def min_rate_ratio(solution: FlowSolution, reference: FlowSolution) -> float:
     """Minimum-session-rate ratio of ``solution`` against ``reference`` (Fig 19)."""
     ref = reference.min_rate
     if ref <= 0:
         raise ConfigurationError("reference solution has zero minimum rate")
     return solution.min_rate / ref
-
-
-def max_min_violation(solution: FlowSolution) -> float:
-    """How far the solution is from equalising weighted rates.
-
-    Returns ``(max_i rate_i/dem_i - min_i rate_i/dem_i) / max_i rate_i/dem_i``;
-    zero means all sessions achieve the same demand fraction, which is
-    what MaxConcurrentFlow equalises when no session can get more without
-    hurting another.
-    """
-    weighted = np.asarray(
-        [s.rate / s.session.demand for s in solution.sessions], dtype=float
-    )
-    if weighted.size == 0 or weighted.max() <= 0:
-        return 0.0
-    return float((weighted.max() - weighted.min()) / weighted.max())

@@ -2,9 +2,9 @@
 
 Tables II, IV, VII and VIII all share the same layout: one column per
 approximation ratio, with rows for per-session rates, overall throughput,
-per-session tree counts and running time (MST-operation counts).  These
-helpers turn :class:`FlowSolution` objects into those rows and into
-generic comparison tables.
+minimum rate, per-session tree counts and running time (MST-operation
+counts).  These helpers turn :class:`FlowSolution` objects into those rows
+and into generic comparison tables (the examples' side-by-side reports).
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ from repro.util.tables import format_table
 
 
 def solution_table_row(solution: FlowSolution) -> Dict[str, float]:
-    """Flatten one solution into the fields the paper's tables report."""
+    """Flatten one solution into the fields the paper's tables report.
+
+    Tables II, IV, VII and VIII both render these rows and save them as
+    their per-ratio ``columns``.
+    """
     row: Dict[str, float] = {}
     for index, session_result in enumerate(solution.sessions):
         row[f"rate_session_{index + 1}"] = session_result.rate

@@ -37,7 +37,7 @@ def link_utilization_series(
     solution: FlowSolution,
     covered_edges: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(normalized_edge_rank, utilization_ratio)`` sorted descending.
+    """``(normalized_edge_rank, utilization_ratio)`` sorted descending (Figs 4, 9, 14).
 
     When ``covered_edges`` is given, only those edges enter the series
     (the paper restricts the plot to the 52 links covered by the two
@@ -60,7 +60,11 @@ def link_utilization_series(
 def mean_utilization(
     solution: FlowSolution, covered_edges: Optional[np.ndarray] = None
 ) -> float:
-    """Average utilization ratio over the covered edges."""
+    """Average utilization ratio over the covered edges.
+
+    The mean that Figs 4, 9 and 14 print beside each series; 0.0 when no
+    edge is covered.
+    """
     _, series = link_utilization_series(solution, covered_edges)
     return float(series.mean()) if series.size else 0.0
 

@@ -100,7 +100,3 @@ class FixedIPRouting(RoutingModel):
         lengths[rows, cols] = pair_lengths
         lengths[cols, rows] = pair_lengths
         return lengths
-
-    def cached_pair_count(self) -> int:
-        """Number of pair routes currently cached (for tests/diagnostics)."""
-        return len(self._path_cache)

@@ -12,6 +12,7 @@ Both routing models take their routes from here:
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +21,13 @@ from scipy.sparse.csgraph import dijkstra
 from repro.routing.paths import UnicastPath
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
+
+#: Held from the scratch-CSR refresh through the Dijkstra that reads it.
+#: Every solve of a cached instance shares one network and so one scratch
+#: matrix; two threads (``repro.serve``'s inline workers) would otherwise
+#: re-weight it under each other's search.  A module lock, not one per
+#: network, because networks are pickled into reports.
+_SCRATCH_LOCK = threading.Lock()
 
 
 def _weight_matrix(network: PhysicalNetwork, edge_weights: Optional[np.ndarray]):
@@ -35,8 +43,8 @@ def _weight_matrix(network: PhysicalNetwork, edge_weights: Optional[np.ndarray])
     The returned matrix is the network's shared scratch CSR adjacency
     (:meth:`PhysicalNetwork.csr_adjacency_inplace`): only its ``.data``
     array is refreshed per call, so a Dijkstra invocation performs zero
-    CSR builds.  It is consumed immediately by the caller and never
-    escapes this module.
+    CSR builds.  It is consumed immediately by the caller, under
+    ``_SCRATCH_LOCK``, and never escapes this module.
     """
     if edge_weights is None:
         weights = np.ones(network.num_edges, dtype=float)
@@ -90,10 +98,11 @@ def shortest_path_tree(
         )
     if src.min() < 0 or src.max() >= network.num_nodes:
         raise InvalidNetworkError("source outside the network's node range")
-    matrix = _weight_matrix(network, edge_weights)
-    distances, predecessors = dijkstra(
-        matrix, directed=True, indices=src, return_predecessors=True
-    )
+    with _SCRATCH_LOCK:
+        matrix = _weight_matrix(network, edge_weights)
+        distances, predecessors = dijkstra(
+            matrix, directed=True, indices=src, return_predecessors=True
+        )
     return distances, predecessors
 
 

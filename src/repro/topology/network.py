@@ -297,8 +297,10 @@ class PhysicalNetwork:
         Returns the same matrix object on every call with its ``.data``
         refreshed from ``weights`` — zero allocations beyond the first
         call, no conversion, no sort.  The matrix is *invalidated by the
-        next call*: callers must consume it immediately (the Dijkstra
-        wrappers do) and never hand it out or mutate its structure.
+        next call*: callers must consume it immediately, holding one lock
+        across the refresh and the read when threads share the network
+        (the Dijkstra wrapper does), and never hand it out or mutate its
+        structure.
 
         Both orientations of every edge are stored, ``(u, v)`` and
         ``(v, u)``, and both slots are filled from the same ``weights``

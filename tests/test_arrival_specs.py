@@ -26,6 +26,7 @@ from repro.overlay.session import Session
 from repro.routing.ip_routing import FixedIPRouting
 from repro.store import ReportStore
 from repro.util.errors import ConfigurationError
+from tests.test_api_cli import run_python
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -210,6 +211,24 @@ class TestWarmStoreOnlineSweep:
         assert set(warm) == set(cold)
         for grid_point in cold:
             assert _flows(warm[grid_point]) == _flows(cold[grid_point])
+
+    def test_online_sweep_rerun_in_a_fresh_process_is_zero_solver_calls(
+        self, tmp_path
+    ):
+        # The same criterion across processes: one child persists the
+        # cold sweep, and a second serves every cell from the store.
+        program = (
+            "import repro.api as api\n"
+            "from repro.experiments.runner import online_sweep_runs\n"
+            "runs = online_sweep_runs("
+            f"'tiny', tree_limit=2, store={str(tmp_path / 'store')!r})\n"
+            "info = api.cache_info()\n"
+            "print(len(runs), info['misses'], info['store_hits'])\n"
+        )
+        cells, _, _ = run_python(tmp_path, "-c", program).stdout.split()
+        assert int(cells) > 0
+        warm = run_python(tmp_path, "-c", program).stdout.split()
+        assert warm == [cells, "0", cells]  # every cell from the store, no solve
 
     def test_store_path_matches_procedural_path(self, tmp_path):
         # Reference: each cell re-solved by hand from its spec's parts,

@@ -25,6 +25,8 @@ from repro.experiments.settings import (
     sweep_setting_for_scale,
     tiny_flat_setting,
 )
+from repro.metrics.distribution import top_fraction_share
+from repro.metrics.summary import solution_table_row
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import load_json
 
@@ -165,6 +167,8 @@ class TestExperimentContent:
         column = next(iter(result.data["columns"].values()))
         assert "overall_throughput" in column
         assert "rate_session_1" in column
+        for ratio, solution in flat_ratio_sweep(SCALE, "ip", "maxflow").items():
+            assert result.data["columns"][f"{ratio:g}"] == solution_table_row(solution)
 
     def test_table4_reports_prescale_cost(self):
         result = run_experiment("table4", scale=SCALE)
@@ -186,6 +190,27 @@ class TestExperimentContent:
         assert "session_1" in sessions
         series = next(iter(sessions["session_1"].values()))
         assert series["cumulative_fraction"][-1] == pytest.approx(1.0)
+
+    def test_top10_lines_print_top_fraction_share(self):
+        # Each Fig 2/3 top-10% line prints its session's top_fraction_share,
+        # also for a tree count that is not a multiple of ten (13 trees in
+        # Fig 3's session 1 at this scale).
+        uneven = 0
+        for experiment_id, algorithm in (("fig2", "maxflow"), ("fig3", "maxconcurrent")):
+            solutions = sorted(flat_ratio_sweep(SCALE, "ip", algorithm).items())
+            expected = []
+            for index in range(len(solutions[0][1].sessions)):
+                for ratio, solution in solutions:
+                    session = solution.sessions[index]
+                    uneven += session.num_trees % 10 != 0
+                    expected.append(
+                        f"session {index + 1} ratio {ratio:g}: top-10% trees carry "
+                        f"{top_fraction_share(session, 0.1):.2%} of the rate "
+                        f"({session.num_trees} trees)"
+                    )
+            result = run_experiment(experiment_id, scale=SCALE)
+            assert result.rendered.splitlines() == expected
+        assert uneven
 
     def test_fig9_series_cover_every_edge_with_flow(self):
         # Under dynamic routing the trees leave the fixed-IP routes, so

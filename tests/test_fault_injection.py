@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -775,3 +776,75 @@ class TestCrashResumeBitIdentity:
             assert fetched is not None
             resumed.append(_strip(fetched.to_jsonable()))
         assert resumed == serial
+
+
+class TestKillNine:
+    def test_sigkilled_worker_mid_drain_recovers_bit_identical(self, tmp_path):
+        # A real SIGKILL, not an injected exit at a declared seam: the
+        # worker dies wherever it is once one task is done and work
+        # remains.  Expiring its lease and draining in-process must then
+        # finish the batch with every report equal to a serial
+        # solve_many, instrumentation included.
+        specs = [
+            ScenarioSpec(
+                topology=TopologySpec(
+                    "paper_flat", {"num_nodes": 32, "capacity": 100.0}, seed=s
+                ),
+                workload=WorkloadSpec(sizes=(4, 3), demand=100.0, seed=s + 1),
+                solver="max_flow",
+                solver_params={"approximation_ratio": 0.8},
+            )
+            for s in range(8)
+        ]
+
+        def strip(report):
+            jsonable = report.to_jsonable()
+            return {k: v for k, v in jsonable.items() if k not in ("wall_seconds", "cached")}
+
+        expected = [strip(r) for r in api.solve_many(specs, jobs=1)]
+        api.clear_caches()
+        queue_root = tmp_path / "queue"
+        store_root = tmp_path / "store"
+        queue = WorkQueue(queue_root, lease_seconds=1.0, durable=False)
+        queue.submit(specs)
+        victim = subprocess.Popen(
+            worker_command(
+                queue_root,
+                store_root,
+                poll_seconds=0.05,
+                exit_when_empty=True,
+                lease_seconds=1.0,
+            ),
+            env=_worker_env(),
+        )
+        try:
+            deadline = time.time() + 120
+            while victim.poll() is None and time.time() < deadline:
+                counts = queue.counts()
+                if counts["done"] >= 1 and counts["pending"] + counts["claimed"] > 0:
+                    break
+                time.sleep(0.005)
+            assert victim.poll() is None, f"worker exited before the kill: {queue.counts()}"
+            os.kill(victim.pid, signal.SIGKILL)
+            assert victim.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+                victim.wait(timeout=30)
+        assert 1 <= queue.counts()["done"] < len(specs)
+
+        queue.requeue_expired(now=time.time() + 3600.0)
+        run_worker(
+            queue, store_root, worker_id="recovery", poll_seconds=0.05, exit_when_empty=True
+        )
+        counts = queue.counts()
+        assert counts["done"] == len(specs), counts
+        assert counts["pending"] == 0 and counts["claimed"] == 0, counts
+        assert counts["failed"] == 0, counts
+        store = ReportStore(store_root)
+        got = []
+        for spec in specs:
+            report = store.get(spec.canonical_key)
+            assert report is not None, spec.canonical_key
+            got.append(strip(report))
+        assert got == expected

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from repro.api import solve_instance
-from repro.core.result import FlowSolution, SessionResult, TreeFlow
-from repro.metrics.distribution import (
-    asymmetry_index,
-    session_rate_distributions,
-    top_fraction_share,
-    tree_rate_distribution,
-)
+from repro.core.result import FlowSolution, SessionResult
+from repro.metrics.distribution import top_fraction_share, tree_rate_distribution
 from repro.metrics.fairness import (
     jains_index,
-    max_min_violation,
     min_rate_ratio,
+    throughput_improvement,
     throughput_ratio,
 )
 from repro.metrics.summary import compare_solutions, solution_table_row, solutions_to_table
@@ -49,28 +44,10 @@ class TestDistributionMetrics:
             assert frac[-1] == pytest.approx(1.0)
             assert ranks[-1] == pytest.approx(1.0)
 
-    def test_session_rate_distributions_length(self, maxflow_solution):
-        curves = session_rate_distributions(maxflow_solution)
-        assert len(curves) == 2
-
     def test_top_fraction_share_bounds(self, maxflow_solution):
         share = top_fraction_share(maxflow_solution.sessions[0], 0.1)
         assert 0.0 < share <= 1.0
         assert top_fraction_share(maxflow_solution.sessions[0], 1.0) == pytest.approx(1.0)
-
-    def test_asymmetry_index_range(self, maxflow_solution):
-        for session_result in maxflow_solution.sessions:
-            value = asymmetry_index(session_result)
-            assert 0.0 <= value <= 1.0
-
-    def test_asymmetry_index_uniform_is_low(self, maxflow_solution):
-        # Build a synthetic session result with equal tree rates.
-        base = maxflow_solution.sessions[0]
-        equal = SessionResult(
-            session=base.session,
-            tree_flows=tuple(TreeFlow(tree=tf.tree, flow=1.0) for tf in base.tree_flows[:4]),
-        )
-        assert asymmetry_index(equal) < 0.3
 
 
 class TestUtilizationMetrics:
@@ -127,10 +104,20 @@ class TestFairnessMetrics:
     def test_throughput_and_min_rate_ratio(self, maxflow_solution):
         assert throughput_ratio(maxflow_solution, maxflow_solution) == pytest.approx(1.0)
         assert min_rate_ratio(maxflow_solution, maxflow_solution) == pytest.approx(1.0)
+        assert throughput_improvement(maxflow_solution, maxflow_solution) == 0.0
 
-    def test_max_min_violation_bounds(self, maxflow_solution):
-        violation = max_min_violation(maxflow_solution)
-        assert 0.0 <= violation <= 1.0
+    def test_ratios_reject_a_zero_reference(self, maxflow_solution):
+        empty = FlowSolution(
+            algorithm="empty",
+            sessions=tuple(
+                SessionResult(session=s.session, tree_flows=())
+                for s in maxflow_solution.sessions
+            ),
+            network=maxflow_solution.network,
+        )
+        for ratio in (throughput_ratio, throughput_improvement, min_rate_ratio):
+            with pytest.raises(ConfigurationError, match="reference"):
+                ratio(maxflow_solution, empty)
 
 
 class TestSummary:

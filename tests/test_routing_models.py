@@ -6,6 +6,7 @@ import pytest
 from repro.routing.base import member_pairs, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.routing.shortest_path import ShortestPathQuery
 from repro.topology.generators import grid_topology
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
@@ -32,12 +33,20 @@ class TestFixedIPRouting:
         paths = routing.paths_for_pairs([(0, 3)])
         assert paths[(0, 3)].hop_count == 2
 
-    def test_routes_are_cached(self, diamond_network):
+    def test_routes_are_cached(self, diamond_network, monkeypatch):
         routing = FixedIPRouting(diamond_network)
-        routing.paths_for_pairs([(0, 3), (0, 2)])
-        assert routing.cached_pair_count() == 2
-        routing.paths_for_pairs([(0, 3)])
-        assert routing.cached_pair_count() == 2
+        first = routing.paths_for_pairs([(0, 3), (0, 2)])
+        runs = []
+        original = ShortestPathQuery.run.__func__
+        monkeypatch.setattr(
+            ShortestPathQuery,
+            "run",
+            classmethod(lambda cls, *a, **k: runs.append(a) or original(cls, *a, **k)),
+        )
+        again = routing.paths_for_pairs([(3, 0), (0, 2)])
+        assert runs == []  # no Dijkstra: both routes come from the cache
+        assert again[(0, 3)] is first[(0, 3)]
+        assert again[(0, 2)] is first[(0, 2)]
 
     def test_routes_ignore_length_function(self, diamond_network):
         routing = FixedIPRouting(diamond_network)

@@ -1,8 +1,13 @@
 """Tests for repro.routing.paths and repro.routing.shortest_path."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api import ScenarioSpec, TopologySpec, WorkloadSpec
+from repro.api.service import build_instance, solve_instance
 from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
 from repro.topology.network import PhysicalNetwork
@@ -147,3 +152,51 @@ class TestPairwiseDistances:
         assert d.shape == (3, 3)
         assert d[0, 2] == pytest.approx(4.0)
         assert np.allclose(np.diag(d), 0.0)
+
+
+class TestConcurrentDijkstra:
+    def test_threads_solving_one_dynamic_instance_match_serial(self):
+        # Every solve of a cached instance shares its PhysicalNetwork, and
+        # with it the one scratch CSR that each Dijkstra call re-weights
+        # in place.  Two threads solving at once must each get exactly
+        # the serial answer, with no error from a torn scratch matrix.
+        spec = ScenarioSpec(
+            topology=TopologySpec("paper_flat", {"num_nodes": 24}, seed=5),
+            workload=WorkloadSpec(sizes=(3, 3), seed=6),
+            routing="dynamic",
+            solver="max_flow",
+        )
+        _, sessions, routing = build_instance(spec)
+        ratios = (0.6, 0.5)
+
+        def solve_at(ratio):
+            solution = solve_instance(
+                "max_flow", sessions, routing, {"approximation_ratio": ratio}
+            )
+            return [
+                sorted((tf.tree.canonical_key(), tf.flow) for tf in s.tree_flows)
+                for s in solution.sessions
+            ]
+
+        serial = {ratio: solve_at(ratio) for ratio in ratios}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                results = {}
+
+                def run(ratio):
+                    try:
+                        results[ratio] = solve_at(ratio)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        results[ratio] = exc
+
+                threads = [threading.Thread(target=run, args=(r,)) for r in ratios]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == serial
+        finally:
+            sys.setswitchinterval(previous)
