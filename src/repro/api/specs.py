@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.overlay.session import Session, random_session
-from repro.topology.network import PhysicalNetwork
-from repro.util.errors import ConfigurationError
+from repro.topology.network import PhysicalNetwork, node_id
+from repro.util.errors import ConfigurationError, InvalidSessionError
 from repro.util.rng import ensure_rng
 from repro.util.serialization import canonical_json as _canonical_json
 from repro.util.serialization import from_jsonable, to_jsonable
@@ -129,7 +129,12 @@ class SessionSpec(_SpecBase):
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        members = tuple(node_id(m, InvalidSessionError) for m in self.members)
+        object.__setattr__(self, "members", members)
+        if self.source is not None:
+            object.__setattr__(
+                self, "source", node_id(self.source, InvalidSessionError)
+            )
 
     def build(self) -> Session:
         """Construct the live :class:`Session`."""

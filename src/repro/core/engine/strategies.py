@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,31 @@ class RouteAction:
     amount: float
     factors: np.ndarray
     congestion_delta: Optional[np.ndarray] = None
+
+
+class TreeConstants(NamedTuple):
+    """What MaxConcurrentFlow's length update needs of one tree.
+
+    ``bottleneck`` is the tree's :meth:`~OverlayTree.bottleneck_capacity`.
+    ``scaled_usage`` is ``eps * n_e(t)`` and ``capacities`` is ``c_e``,
+    both aligned with ``tree.physical_edges`` and read-only, so
+    ``1 + scaled_usage * amount / capacities`` is the update
+    ``1 + eps * n_e(t) * amount / c_e`` in its operation order.
+    """
+
+    bottleneck: float
+    scaled_usage: np.ndarray
+    capacities: np.ndarray
+
+    @classmethod
+    def of(
+        cls, tree: OverlayTree, epsilon: float, capacities: np.ndarray
+    ) -> "TreeConstants":
+        scaled_usage = epsilon * tree.usage_values
+        on_tree = capacities[tree.physical_edges]
+        scaled_usage.flags.writeable = False
+        on_tree.flags.writeable = False
+        return cls(tree.bottleneck_capacity(capacities), scaled_usage, on_tree)
 
 
 class StoppingRule(ABC):
@@ -223,6 +248,13 @@ class ConcurrentPhasePolicy(StepPolicy):
     boundary is only crossed when the run is still live — matching the
     ``while remaining > 0 and not dual()`` structure of the original
     loop exactly.
+
+    The routed amount depends on the remaining demand, but the rest of
+    the update ``1 + eps * n_e(t) * amount / c_e`` depends only on the
+    tree, epsilon and the capacities: each distinct tree's bottleneck,
+    ``eps * n_e(t)`` and ``c_e`` on its edges are computed once
+    (:class:`TreeConstants`, read-only arrays), and a step evaluates the
+    update from them in the same operation order.
     """
 
     def __init__(
@@ -239,10 +271,13 @@ class ConcurrentPhasePolicy(StepPolicy):
         self._phases = 0
         self._doublings = 0
         self._phases_since_doubling = 0
-        # The bottleneck depends only on the tree and the capacities, so it
-        # is kept per tree; the routed amount and factors also depend on
-        # the remaining demand.
-        self._bottlenecks: Dict[OverlayTree, float] = {}
+        self._requests: Tuple[StepRequest, ...] = ()
+        self._constants: Dict[OverlayTree, TreeConstants] = {}
+
+    def bind(self, engine: "PhaseEngine") -> None:
+        self._requests = tuple(
+            StepRequest(indices=(index,)) for index in range(len(engine.oracles))
+        )
 
     @property
     def phases(self) -> int:
@@ -278,18 +313,18 @@ class ConcurrentPhasePolicy(StepPolicy):
                 self._start_phase(engine)
             else:
                 self._remaining = float(self._working_demands[self._session_index])
-        return StepRequest(indices=(self._session_index,), batched=False)
+        return self._requests[self._session_index]
 
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         tree = selection.result.tree
-        capacities = engine.capacities
-        bottleneck = self._bottlenecks.get(tree)
-        if bottleneck is None:
-            bottleneck = self._bottlenecks[tree] = tree.bottleneck_capacity(capacities)
-        amount = min(self._remaining, bottleneck)
+        constants = self._constants.get(tree)
+        if constants is None:
+            constants = self._constants[tree] = TreeConstants.of(
+                tree, self._epsilon, engine.capacities
+            )
+        amount = min(self._remaining, constants.bottleneck)
         self._remaining -= amount
-        used = tree.physical_edges
-        factors = 1.0 + self._epsilon * tree.usage_values * amount / capacities[used]
+        factors = 1.0 + constants.scaled_usage * amount / constants.capacities
         return RouteAction(
             index=selection.index, tree=tree, amount=amount, factors=factors
         )
@@ -306,6 +341,11 @@ class OnlineArrivalPolicy(StepPolicy):
     the last arrival.  Loads and length factors use
     ``demand * demand_scale`` (the no-bottleneck scaling); assignments
     keep the original demand.
+
+    The load and factors depend only on the tree, the demand, sigma and
+    the capacities, and replicas route the same few trees at the same
+    demand, so one read-only :class:`RouteAction` per (oracle, tree,
+    demand) serves every arrival that routes it.
     """
 
     def __init__(
@@ -321,6 +361,13 @@ class OnlineArrivalPolicy(StepPolicy):
         self._oracle_indices = list(oracle_indices)
         self._next = 0
         self._assignments: List[Tuple[Session, OverlayTree, float]] = []
+        self._requests: Tuple[StepRequest, ...] = ()
+        self._actions: List[Dict[Tuple[OverlayTree, float], RouteAction]] = []
+
+    def bind(self, engine: "PhaseEngine") -> None:
+        count = len(engine.oracles)
+        self._requests = tuple(StepRequest(indices=(index,)) for index in range(count))
+        self._actions = [{} for _ in range(count)]
 
     @property
     def assignments(self) -> List[Tuple[Session, OverlayTree, float]]:
@@ -330,21 +377,27 @@ class OnlineArrivalPolicy(StepPolicy):
     def next_request(self, engine: "PhaseEngine") -> Optional[StepRequest]:
         if self._next == len(self._arrivals):
             return None
-        return StepRequest(indices=(self._oracle_indices[self._next],))
+        return self._requests[self._oracle_indices[self._next]]
 
     def route(self, engine: "PhaseEngine", selection: Selection) -> RouteAction:
         session = self._arrivals[self._next]
         self._next += 1
         tree = selection.result.tree
-        demand = session.demand * self._demand_scale
-        used = tree.physical_edges
-        load = tree.usage_values * demand / engine.capacities[used]
-        factors = 1.0 + self._sigma * load
         self._assignments.append((session, tree, session.demand))
-        return RouteAction(
-            index=selection.index,
-            tree=tree,
-            amount=session.demand,
-            factors=factors,
-            congestion_delta=load,
-        )
+        key = (tree, session.demand)
+        actions = self._actions[selection.index]
+        action = actions.get(key)
+        if action is None:
+            demand = session.demand * self._demand_scale
+            load = tree.usage_values * demand / engine.capacities[tree.physical_edges]
+            factors = 1.0 + self._sigma * load
+            load.flags.writeable = False
+            factors.flags.writeable = False
+            action = actions[key] = RouteAction(
+                index=selection.index,
+                tree=tree,
+                amount=session.demand,
+                factors=factors,
+                congestion_delta=load,
+            )
+        return action

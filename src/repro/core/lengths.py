@@ -229,9 +229,11 @@ class LengthFunction:
         if not edge_ids.size:
             return
         updated = self._rel[edge_ids] * factors
-        peak = updated.max()
-        # NaN propagates through ``min`` and fails ``> 0``.
-        if not (factors.min() > 0 and peak < np.inf):
+        # The ufunc reductions themselves, without ``ndarray.max``'s
+        # Python-level wrapper; NaN propagates through ``minimum`` and
+        # fails ``> 0``.
+        peak = np.maximum.reduce(updated, axis=None)
+        if not (np.minimum.reduce(factors, axis=None) > 0 and peak < np.inf):
             raise ConfigurationError(
                 "length update factors must be positive and finite"
             )

@@ -35,13 +35,14 @@ class TreeFlow:
 class SessionFlowAccumulator:
     """Mutable per-session flow bookkeeping used while an algorithm runs.
 
-    Flows are keyed by the tree's canonical identity so that routing the
-    same tree twice accumulates into one entry — which is exactly how the
-    paper counts "number of trees".
+    Flows are keyed by the tree, whose equality is its canonical identity,
+    so that routing the same tree twice accumulates into one entry — which
+    is exactly how the paper counts "number of trees".  A tree's hash is
+    computed once at construction, so an add never rehashes the nested key.
     """
 
     session: Session
-    _flows: Dict[Tuple, Tuple[OverlayTree, float]] = field(default_factory=dict)
+    _flows: Dict[OverlayTree, float] = field(default_factory=dict)
 
     def add(self, tree: OverlayTree, flow: float) -> None:
         """Accumulate ``flow`` units on ``tree``."""
@@ -49,16 +50,13 @@ class SessionFlowAccumulator:
             raise ConfigurationError(f"flow must be non-negative, got {flow}")
         if flow == 0:
             return
-        key = tree.canonical_key()
-        if key in self._flows:
-            existing_tree, existing_flow = self._flows[key]
-            self._flows[key] = (existing_tree, existing_flow + flow)
-        else:
-            self._flows[key] = (tree, flow)
+        # ``0.0 + flow`` is ``flow`` exactly; the first tree added stays
+        # the key, as equal trees do not replace a dict key.
+        self._flows[tree] = self._flows.get(tree, 0.0) + flow
 
     def scaled(self, factor: float) -> List[TreeFlow]:
         """Return the accumulated flows multiplied by ``factor``."""
-        return [TreeFlow(tree=t, flow=f * factor) for t, f in self._flows.values()]
+        return [TreeFlow(tree=t, flow=f * factor) for t, f in self._flows.items()]
 
     @property
     def num_trees(self) -> int:

@@ -1,22 +1,33 @@
-"""Minimum spanning tree on small dense complete graphs.
+"""Minimum spanning tree on small complete graphs.
 
 The spanning-tree oracle works on the complete overlay graph of a session
 (at most ~90 members in the paper's experiments), so an ``O(n^2)`` Prim
-implementation over a dense weight matrix is both simplest and fastest
-here — it avoids the overhead of building a sparse graph object per
-oracle call and, unlike :func:`scipy.sparse.csgraph.minimum_spanning_tree`,
-treats zero weights as real (very cheap) edges rather than missing ones,
-which matters because the exponential length function can underflow to
-zero for never-used physical links.
+implementation is both simplest and fastest here — it avoids the
+overhead of building a sparse graph object per oracle call and, unlike
+:func:`scipy.sparse.csgraph.minimum_spanning_tree`, treats zero weights
+as real (very cheap) edges rather than missing ones, which matters
+because the exponential length function can underflow to zero for
+never-used physical links.
+
+The graph's weights come as one *condensed* pair vector: entry ``r``
+weights the ``r``-th pair ``(i, j)``, ``i < j``, in
+``np.triu_indices(n, k=1)`` order — the order of
+:func:`~repro.routing.base.member_pairs`, of the fixed-routing incidence
+rows and of the dynamic routing's pair lengths.  Both routings hand the
+oracle's vector straight to Prim, so no oracle call fills an ``n x n``
+matrix.  A square symmetric matrix is accepted too, checked and reduced
+to its upper triangle.
 
 At these sizes the per-operation overhead of NumPy calls dominates an
-``O(n^2)`` scan, so Prim runs in plain Python over ``tolist()`` rows.
-Ties go to the first index with the minimum candidate weight, exactly
-as ``np.argmin`` would break them.
+``O(n^2)`` scan, so Prim runs in plain Python over the ``tolist()`` of
+the vector.  Ties go to the first index with the minimum candidate
+weight, exactly as ``np.argmin`` would break them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -24,23 +35,30 @@ import numpy as np
 from repro.util.errors import InvalidSessionError
 
 
-def _prim(w: np.ndarray, n: int) -> List[Tuple[int, int]]:
-    """Plain-Python Prim over the rows of ``w``."""
-    rows = w.tolist()
+@functools.lru_cache(maxsize=None)
+def _row_starts(n: int) -> Tuple[int, ...]:
+    """``starts[i] + j`` is the condensed position of pair ``(i, j)``, ``i < j``."""
+    return tuple(i * (n - 1) - i * (i - 1) // 2 - i - 1 for i in range(n))
+
+
+def _prim(weights: List[float], n: int) -> List[Tuple[int, int]]:
+    """Plain-Python Prim over condensed pair weights, grown from node 0."""
     inf = float("inf")
-    in_tree = [False] * n
-    in_tree[0] = True
-    best_weight = list(rows[0])
-    best_weight[0] = inf
+    starts = _row_starts(n)
+    # Node 0's pairs are the first n - 1 entries.
+    best_weight = [inf]
+    best_weight += weights[: n - 1]
     best_parent = [0] * n
-    best_parent[0] = -1
+    # Nodes not yet in the tree, in increasing order, so the strict <
+    # scan keeps the first index among equal candidates.
+    outside = list(range(1, n))
 
     edges: List[Tuple[int, int]] = []
-    for _ in range(n - 1):
+    while outside:
         nxt = -1
         best = inf
-        for j in range(n):
-            if not in_tree[j] and best_weight[j] < best:
+        for j in outside:
+            if best_weight[j] < best:
                 best = best_weight[j]
                 nxt = j
         if nxt < 0:
@@ -49,55 +67,69 @@ def _prim(w: np.ndarray, n: int) -> List[Tuple[int, int]]:
             )
         parent = best_parent[nxt]
         edges.append((parent, nxt) if parent < nxt else (nxt, parent))
-        in_tree[nxt] = True
-        # Relax.
-        row = rows[nxt]
-        for j in range(n):
-            if not in_tree[j] and row[j] < best_weight[j]:
-                best_weight[j] = row[j]
+        outside.remove(nxt)
+        # Relax through nxt's pairs: (j, nxt) sits in j's run of the
+        # vector, (nxt, j) in nxt's.
+        base = starts[nxt]
+        for j in outside:
+            w = weights[starts[j] + nxt] if j < nxt else weights[base + j]
+            if w < best_weight[j]:
+                best_weight[j] = w
                 best_parent[j] = nxt
     return edges
 
 
-def minimum_spanning_tree_pairs(
-    weights: np.ndarray, *, validate: bool = True
-) -> List[Tuple[int, int]]:
-    """Prim's algorithm over a dense symmetric weight matrix.
+def minimum_spanning_tree_pairs(weights: np.ndarray) -> List[Tuple[int, int]]:
+    """Prim's algorithm over a complete graph's pair weights.
 
     Parameters
     ----------
     weights:
-        Square symmetric matrix of non-negative edge weights over a
-        complete graph.  ``inf`` entries are treated as missing edges.
-    validate:
-        Check symmetry and non-negativity before running.  Callers that
-        build the matrix symmetric by construction (the spanning-tree
-        oracle writes both triangles from one vector every call) pass
-        ``False`` to keep the checks off the hot path.
+        The condensed pair vector of an ``n``-node complete graph (length
+        ``n (n - 1) / 2``, ``np.triu_indices(n, k=1)`` order), taken as
+        given (the oracles build it from non-negative lengths), or a
+        square symmetric matrix with non-negative entries, which is
+        checked and reduced to that vector.  ``inf`` entries are treated
+        as missing edges.  An empty vector is the one-node graph.
 
     Returns
     -------
     list of (i, j)
-        Index pairs (into the matrix) of the ``n - 1`` tree edges, each
-        with ``i < j``.  Deterministic for a given input (ties broken by
-        smallest index).
+        Node index pairs of the ``n - 1`` tree edges, each with
+        ``i < j``, in the order Prim adds them.  Deterministic for a
+        given input (ties broken by smallest index).
 
     Raises
     ------
     InvalidSessionError
-        If the matrix is not square/symmetric or the graph restricted to
-        finite weights is disconnected.
+        If a vector's length is not ``n (n - 1) / 2`` for any ``n``, a
+        matrix is not square, symmetric and non-negative, or the graph
+        restricted to finite weights is disconnected.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InvalidSessionError(f"weight matrix must be square, got shape {w.shape}")
-    n = w.shape[0]
+    if w.ndim == 2:
+        w = _upper_triangle(w)
+    elif w.ndim != 1:
+        raise InvalidSessionError(
+            f"pair weights must be a vector or a square matrix, got shape {w.shape}"
+        )
+    pairs = w.shape[0]
+    n = (1 + math.isqrt(1 + 8 * pairs)) // 2
+    if n * (n - 1) // 2 != pairs:
+        raise InvalidSessionError(
+            f"{pairs} pair weights do not cover the pairs of any node count"
+        )
     if n <= 1:
         return []
-    if validate:
-        if not np.allclose(w, w.T, equal_nan=True):
-            raise InvalidSessionError("weight matrix must be symmetric")
-        if np.any(w < 0):
-            raise InvalidSessionError("weights must be non-negative")
+    return _prim(w.tolist(), n)
 
-    return _prim(w, n)
+
+def _upper_triangle(w: np.ndarray) -> np.ndarray:
+    """The condensed pair vector of a checked square symmetric matrix."""
+    if w.shape[0] != w.shape[1]:
+        raise InvalidSessionError(f"weight matrix must be square, got shape {w.shape}")
+    if not np.allclose(w, w.T, equal_nan=True):
+        raise InvalidSessionError("weight matrix must be symmetric")
+    if np.any(w < 0):
+        raise InvalidSessionError("weights must be non-negative")
+    return w[np.triu_indices(w.shape[0], k=1)]

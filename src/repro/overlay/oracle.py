@@ -18,6 +18,9 @@ overlay MST from the distances, and reconstructs only the ``|S| - 1``
 chosen paths from the same predecessor rows — the same trees a
 distances-only run followed by one single-source Dijkstra per tree
 source would give (scipy computes every source row independently).
+Under both routings Prim takes the pair lengths as they come, one
+condensed vector in :func:`~repro.routing.base.member_pairs` order, so
+no call fills an ``n x n`` weight matrix.
 
 The oracle also counts its own invocations; the paper's Tables II and IV
 report running time as "number of MST operations", and we reproduce that
@@ -98,11 +101,6 @@ class MinimumOverlayTreeOracle:
         self._tree_cache: Dict[Tuple, OverlayTree] = {}
         self._cache_hits = 0
         self._cache_misses = 0
-
-        n = len(self._members)
-        self._triu_rows, self._triu_cols = np.triu_indices(n, k=1)
-        # Preallocated symmetric MST weight matrix, refilled per call.
-        self._weight = np.zeros((n, n), dtype=float)
 
         if isinstance(routing, FixedIPRouting):
             self._fixed = True
@@ -251,8 +249,8 @@ class MinimumOverlayTreeOracle:
             )
         self._call_count += 1
         members = self._members
-        weight = self._routing.pair_lengths_from_query(query, members)
-        tree_index_pairs = minimum_spanning_tree_pairs(weight, validate=False)
+        pair_lengths = self._routing.pair_lengths_from_query(query, members)
+        tree_index_pairs = minimum_spanning_tree_pairs(pair_lengths)
         overlay_edges = [
             pair_key(members[i], members[j]) for i, j in tree_index_pairs
         ]
@@ -300,13 +298,7 @@ class MinimumOverlayTreeOracle:
             )
         self._call_count += 1
         members = self._members
-        # The preallocated matrix is exactly symmetric by construction
-        # (both triangles written from one vector), so the MST step
-        # can skip its validation pass.
-        weight = self._weight
-        weight[self._triu_rows, self._triu_cols] = pair_lengths
-        weight[self._triu_cols, self._triu_rows] = pair_lengths
-        tree_index_pairs = minimum_spanning_tree_pairs(weight, validate=False)
+        tree_index_pairs = minimum_spanning_tree_pairs(pair_lengths)
         # Sort so the key is independent of Prim's discovery order: the
         # same tree reached from different length functions must hit the
         # same cache entry.  Fixed routes pin down the physical

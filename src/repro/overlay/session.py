@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.topology.network import PhysicalNetwork
+from repro.topology.network import PhysicalNetwork, node_id
 from repro.util.errors import InvalidSessionError
 from repro.util.rng import SeedLike, ensure_rng
 
@@ -47,7 +47,7 @@ class Session:
     name: str = ""
 
     def __post_init__(self) -> None:
-        members = tuple(int(m) for m in self.members)
+        members = tuple(node_id(m, InvalidSessionError) for m in self.members)
         object.__setattr__(self, "members", members)
         if len(members) < 2:
             raise InvalidSessionError(
@@ -59,12 +59,16 @@ class Session:
             raise InvalidSessionError(
                 f"demand must be positive and finite, got {self.demand}"
             )
-        src = self.source if self.source is not None else members[0]
+        src = (
+            members[0]
+            if self.source is None
+            else node_id(self.source, InvalidSessionError)
+        )
         if src not in members:
             raise InvalidSessionError(
                 f"source {src} is not a member of the session {members}"
             )
-        object.__setattr__(self, "source", int(src))
+        object.__setattr__(self, "source", src)
 
     @property
     def size(self) -> int:

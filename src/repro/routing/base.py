@@ -10,19 +10,24 @@ shortest paths under the current lengths.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.routing.paths import UnicastPath
-from repro.topology.network import PhysicalNetwork
+from repro.topology.network import PhysicalNetwork, node_id
 
 PairKey = Tuple[int, int]
 
 
 def pair_key(u: int, v: int) -> PairKey:
-    """Canonical (sorted) key for an unordered node pair."""
-    u, v = int(u), int(v)
+    """Canonical (sorted) key for an unordered node pair.
+
+    Raises :class:`~repro.util.errors.InvalidNetworkError` for an id that
+    is not an integer.
+    """
+    u, v = node_id(u), node_id(v)
     return (u, v) if u < v else (v, u)
 
 
@@ -30,15 +35,41 @@ def member_pairs(members: Sequence[int]) -> List[PairKey]:
     """Canonical pairs of a member set, in ``np.triu_indices`` order.
 
     Entry ``r`` pairs ``members[i]`` with ``members[j]`` for the ``r``-th
-    ``i < j``: the row order of the fixed-routing incidence matrix and of
-    the upper triangle of :meth:`RoutingModel.pair_lengths`.
+    ``i < j``: the row order of the fixed-routing incidence matrix and
+    the order of every condensed pair-length vector.
     """
-    members = [int(m) for m in members]
+    members = list(members)
     return [
         pair_key(members[i], members[j])
         for i in range(len(members))
         for j in range(i + 1, len(members))
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only and computed once per ``n``.
+
+    Pair ``r`` of a condensed pair-length vector joins node
+    ``first[r]`` to node ``second[r]``.
+    """
+    first, second = np.triu_indices(n, k=1)
+    first.flags.writeable = False
+    second.flags.writeable = False
+    return first, second
+
+
+def square_pair_lengths(condensed: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric ``n x n`` matrix of a condensed pair-length vector.
+
+    Both triangles are written from the one vector, so the matrix is
+    exactly symmetric; the diagonal is zero.
+    """
+    matrix = np.zeros((n, n), dtype=float)
+    first, second = pair_indices(n)
+    matrix[first, second] = condensed
+    matrix[second, first] = condensed
+    return matrix
 
 
 class RoutingModel(abc.ABC):

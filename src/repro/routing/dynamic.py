@@ -10,9 +10,9 @@ every call recomputes shortest paths with the supplied per-edge lengths.
 Every answer comes from one retained Dijkstra, :meth:`query`, returning a
 :class:`~repro.routing.shortest_path.ShortestPathQuery` that holds both
 distances and predecessors.  An oracle call derives its MST weights
-(:meth:`pair_lengths_from_query`) and reconstructs the chosen tree's
-paths from the same run; :meth:`pair_lengths` and
-:meth:`paths_for_pairs` are each one such query.
+(:meth:`pair_lengths_from_query`, a condensed pair vector) and
+reconstructs the chosen tree's paths from the same run;
+:meth:`pair_lengths` and :meth:`paths_for_pairs` are each one such query.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.routing.base import PairKey, RoutingModel, pair_key
+from repro.routing.base import PairKey, RoutingModel, pair_key, square_pair_lengths
 from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery
 from repro.topology.network import PhysicalNetwork
@@ -52,7 +52,11 @@ class DynamicRouting(RoutingModel):
         edge_lengths: np.ndarray,
     ) -> np.ndarray:
         """Shortest-path distance between every member pair under the lengths."""
-        return self.pair_lengths_from_query(self.query(members, edge_lengths), members)
+        members = list(members)
+        return square_pair_lengths(
+            self.pair_lengths_from_query(self.query(members, edge_lengths), members),
+            len(members),
+        )
 
     def paths_for_pairs(
         self,
@@ -86,19 +90,15 @@ class DynamicRouting(RoutingModel):
     def pair_lengths_from_query(
         self, query: ShortestPathQuery, members: Sequence[int]
     ) -> np.ndarray:
-        """:meth:`pair_lengths` served from a retained query.
+        """The member-pair distances of a retained query, condensed.
 
+        Entry ``r`` is the ``r``-th pair's entry of :meth:`pair_lengths`
+        (:func:`~repro.routing.base.pair_indices` order), the form the
+        oracle's Prim takes; see
+        :meth:`~repro.routing.shortest_path.ShortestPathQuery.pair_distances`.
         ``query`` may have more sources than ``members`` (the batched
         front's union run): scipy computes each Dijkstra source row
         independently, so its rows equal those of a run over ``members``
-        alone.  The elementwise max of the two directions keeps the
-        matrix exactly symmetric for the MST step (the graph is
-        undirected, so the directions agree) without averaging in any
-        one-sided rounding error.
+        alone.
         """
-        members = [int(m) for m in members]
-        n = len(members)
-        if n < 2:
-            return np.zeros((n, n), dtype=float)
-        sub = query.distance_submatrix(members)
-        return np.maximum(sub, sub.T)
+        return query.pair_distances(members)

@@ -19,10 +19,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.routing.base import PairKey, RoutingModel, member_pairs, pair_key
+from repro.routing.base import (
+    PairKey,
+    RoutingModel,
+    member_pairs,
+    pair_key,
+    square_pair_lengths,
+)
 from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery
-from repro.topology.network import PhysicalNetwork
+from repro.topology.network import PhysicalNetwork, node_id
 
 
 class FixedIPRouting(RoutingModel):
@@ -64,7 +70,7 @@ class FixedIPRouting(RoutingModel):
         Cached per member tuple because the FPTAS evaluates it thousands
         of times.
         """
-        key = tuple(int(m) for m in members)
+        key = tuple(node_id(m) for m in members)
         cached = self._incidence_cache.get(key)
         if cached is not None:
             return cached
@@ -89,14 +95,9 @@ class FixedIPRouting(RoutingModel):
         edge_lengths: np.ndarray,
     ) -> np.ndarray:
         """Symmetric matrix of fixed-route lengths under ``edge_lengths``."""
-        members = [int(m) for m in members]
+        members = list(members)
         n = len(members)
-        lengths = np.zeros((n, n), dtype=float)
         if n < 2:
-            return lengths
+            return np.zeros((n, n), dtype=float)
         incidence = self.incidence_for_members(members)
-        pair_lengths = incidence @ np.asarray(edge_lengths, dtype=float)
-        rows, cols = np.triu_indices(n, k=1)
-        lengths[rows, cols] = pair_lengths
-        lengths[cols, rows] = pair_lengths
-        return lengths
+        return square_pair_lengths(incidence @ np.asarray(edge_lengths, dtype=float), n)

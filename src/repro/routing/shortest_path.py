@@ -12,14 +12,16 @@ Both routing models take their routes from here:
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
+from repro.routing.base import pair_indices, pair_key
 from repro.routing.paths import UnicastPath
-from repro.topology.network import PhysicalNetwork
+from repro.topology.network import PhysicalNetwork, node_id
 from repro.util.errors import InfeasibleProblemError, InvalidNetworkError
 
 #: Held from the scratch-CSR refresh through the Dijkstra that reads it.
@@ -90,13 +92,13 @@ def shortest_path_tree(
     the directed run *is* the undirected run, ties included.  Undirected
     mode would also transpose and re-convert the matrix on every call.
     """
-    src = np.asarray(list(sources), dtype=np.int64)
-    if src.size == 0:
+    src = [node_id(s) for s in sources]
+    if not src:
         return (
             np.zeros((0, network.num_nodes)),
             np.zeros((0, network.num_nodes), dtype=np.int64),
         )
-    if src.min() < 0 or src.max() >= network.num_nodes:
+    if min(src) < 0 or max(src) >= network.num_nodes:
         raise InvalidNetworkError("source outside the network's node range")
     with _SCRATCH_LOCK:
         matrix = _weight_matrix(network, edge_weights)
@@ -137,7 +139,7 @@ class ShortestPathQuery:
         path_cache: Optional[dict] = None,
     ) -> None:
         self._network = network
-        self._row_of = {int(s): i for i, s in enumerate(sources)}
+        self._row_of = {node_id(s): i for i, s in enumerate(sources)}
         # Optional cross-query cache of UnicastPaths keyed by their node
         # sequence (the sequence pins the path down completely, edge ids
         # included, so sharing the immutable object is bit-safe).  The
@@ -160,24 +162,37 @@ class ShortestPathQuery:
         return cls(network, sources, distances, predecessors, path_cache)
 
     def row_index(self, source: int) -> int:
-        """Row of ``source`` in the distance/predecessor matrices."""
+        """Row of ``source`` in the distance/predecessor matrices.
+
+        The rows are keyed by integer node ids, so a non-integral
+        ``source`` such as 1.5 finds none and raises.
+        """
         try:
-            return self._row_of[int(source)]
+            return self._row_of[source]
         except KeyError as exc:
             raise InvalidNetworkError(
                 f"node {source} is not a source of this query"
             ) from exc
 
-    def distance_submatrix(self, members: Sequence[int]) -> np.ndarray:
-        """``(len(members), len(members))`` distances between ``members``.
+    def pair_distances(self, members: Sequence[int]) -> np.ndarray:
+        """Distances between ``members`` as one condensed pair vector.
 
-        Every member must be one of the query's sources.  Row/column
-        order follows ``members``, matching
-        :meth:`~repro.routing.base.RoutingModel.pair_lengths`.
+        Entry ``r`` is ``max(d(m_i -> m_j), d(m_j -> m_i))`` for the
+        ``r``-th pair ``i < j`` in
+        :func:`~repro.routing.base.pair_indices` order, gathered from
+        the two members' retained rows; every member must be a source.
+        The graph is undirected, so the two directions agree; taking
+        their maximum, rather than their mean, keeps each entry one of
+        the computed distances, without averaging in any one-sided
+        rounding error.
         """
-        members = [int(m) for m in members]
-        rows = [self.row_index(m) for m in members]
-        return self.distances[rows][:, members]
+        rows = np.array([self.row_index(m) for m in members], dtype=np.intp)
+        cols = np.array(members, dtype=np.intp)
+        first, second = pair_indices(cols.shape[0])
+        distances = self.distances
+        return np.maximum(
+            distances[rows[first], cols[second]], distances[rows[second], cols[first]]
+        )
 
     def path(self, source: int, destination: int) -> UnicastPath:
         """Reconstruct ``source -> destination`` from the retained rows.
@@ -185,18 +200,21 @@ class ShortestPathQuery:
         Raises :class:`InfeasibleProblemError` when the destination is
         unreachable from the source.
         """
-        source, destination = int(source), int(destination)
+        source, destination = node_id(source), node_id(destination)
         if source == destination:
             return UnicastPath(nodes=(source,), edge_ids=np.empty(0, dtype=np.int64))
         row = self.row_index(source)
-        if not np.isfinite(self.distances[row, destination]):
+        if not math.isfinite(self.distances.item(row, destination)):
             raise InfeasibleProblemError(
                 f"nodes {source} and {destination} are disconnected"
             )
-        predecessors = self.predecessors[row]
-        nodes = [destination]
-        while nodes[-1] != source:
-            nodes.append(int(predecessors[nodes[-1]]))
+        # ``item`` returns a Python int without a NumPy scalar between.
+        step = self.predecessors.item
+        node = destination
+        nodes = [node]
+        while node != source:
+            node = step(row, node)
+            nodes.append(node)
         nodes = tuple(reversed(nodes))
         if self._path_cache is None:
             return UnicastPath.from_nodes(self._network, nodes)
@@ -214,7 +232,7 @@ class ShortestPathQuery:
         node of every non-trivial pair must be a source.
         """
         out = {}
-        for u, v in pairs:
-            u, v = (int(u), int(v)) if u < v else (int(v), int(u))
+        for pair in pairs:
+            u, v = pair_key(*pair)
             out[(u, v)] = self.path(u, v)
         return out

@@ -11,11 +11,25 @@ vectorised, which is what makes the FPTAS loops tractable in Python.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import operator
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.util.errors import InvalidNetworkError
+from repro.util.errors import InvalidNetworkError, ReproError
+
+
+def node_id(value: Any, error: Type[ReproError] = InvalidNetworkError) -> int:
+    """``value`` as a node id, or ``error`` naming it.
+
+    Python and NumPy integers pass (through ``operator.index``); a float
+    raises, even an integral one, where ``int()`` would quietly turn
+    1.5 into node 1.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"node id must be an integer, got {value!r}") from None
 
 
 class PhysicalNetwork:

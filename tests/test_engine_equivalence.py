@@ -36,7 +36,9 @@ from repro.core.engine import (
     DualObjectiveStop,
     MaxFlowPolicy,
     NormalizedLengthStop,
+    OnlineArrivalPolicy,
     PhaseEngine,
+    RunToExhaustion,
 )
 from repro.core.lengths import LengthFunction
 from repro.core.maxconcurrent import max_concurrent_flow
@@ -751,6 +753,51 @@ class TestRouteConstantsPerTree:
             assert action.amount <= tree.bottleneck_capacity(capacities)
             assert action.factors.tobytes() == factors.tobytes()
         assert len(trees) < routed
-        assert set(policy._bottlenecks) == trees
-        for tree, bottleneck in policy._bottlenecks.items():
-            assert bottleneck == tree.bottleneck_capacity(capacities)
+        assert set(policy._constants) == trees
+        for tree, constants in policy._constants.items():
+            used = tree.physical_edges
+            assert constants.bottleneck == tree.bottleneck_capacity(capacities)
+            scaled_usage = epsilon * tree.usage_values
+            assert constants.scaled_usage.tobytes() == scaled_usage.tobytes()
+            assert constants.capacities.tobytes() == capacities[used].tobytes()
+            assert not constants.scaled_usage.flags.writeable
+            assert not constants.capacities.flags.writeable
+
+    def test_online_route_action_cached_per_tree(
+        self, waxman_network, equivalence_sessions
+    ):
+        capacities = waxman_network.capacities
+        sigma, scale = 10.0, 0.01
+        arrivals, indices = [], []
+        for copy in range(6):
+            for index, session in enumerate(equivalence_sessions):
+                demand = 40.0 if copy % 2 else session.demand
+                arrivals.append(Session(session.members, demand=demand))
+                indices.append(index)
+        engine = PhaseEngine(
+            oracles=build_oracles(equivalence_sessions, FixedIPRouting(waxman_network)),
+            lengths=LengthFunction.for_online(capacities),
+            capacities=capacities,
+            policy=OnlineArrivalPolicy(sigma, arrivals, indices, scale),
+            stopping=RunToExhaustion(),
+            accumulate_flows=False,
+            track_congestion=True,
+        )
+        actions = {}
+        routed = 0
+        while (action := engine.step()) is not None:
+            session = arrivals[routed]
+            routed += 1
+            tree = action.tree
+            used = tree.physical_edges
+            load = tree.usage_values * (session.demand * scale) / capacities[used]
+            assert action.index == indices[routed - 1]
+            assert action.amount == session.demand
+            assert action.congestion_delta.tobytes() == load.tobytes()
+            assert action.factors.tobytes() == (1.0 + sigma * load).tobytes()
+            assert not action.factors.flags.writeable
+            assert not action.congestion_delta.flags.writeable
+            key = (action.index, tree, session.demand)
+            assert actions.setdefault(key, action) is action
+        assert routed == len(arrivals)
+        assert len(actions) < routed

@@ -148,10 +148,10 @@ class TestReconstruction:
 
 class TestPairwiseDistances:
     def test_submatrix(self, path_network):
-        d = ShortestPathQuery.run(path_network, [0, 2, 4]).distance_submatrix([0, 2, 4])
-        assert d.shape == (3, 3)
-        assert d[0, 2] == pytest.approx(4.0)
-        assert np.allclose(np.diag(d), 0.0)
+        # The member submatrix's upper triangle: pairs (0, 2), (0, 4), (2, 4).
+        d = ShortestPathQuery.run(path_network, [0, 2, 4]).pair_distances([0, 2, 4])
+        assert d.shape == (3,)
+        assert d.tolist() == [2.0, 4.0, 2.0]
 
 
 class TestConcurrentDijkstra:
