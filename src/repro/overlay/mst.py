@@ -15,8 +15,7 @@ weights the ``r``-th pair ``(i, j)``, ``i < j``, in
 :func:`~repro.routing.base.member_pairs`, of the fixed-routing incidence
 rows and of the dynamic routing's pair lengths.  Both routings hand the
 oracle's vector straight to Prim, so no oracle call fills an ``n x n``
-matrix.  A square symmetric matrix is accepted too, checked and reduced
-to its upper triangle.
+matrix.
 
 At these sizes the per-operation overhead of NumPy calls dominates an
 ``O(n^2)`` scan, so Prim runs in plain Python over the ``tolist()`` of
@@ -87,10 +86,9 @@ def minimum_spanning_tree_pairs(weights: np.ndarray) -> List[Tuple[int, int]]:
     weights:
         The condensed pair vector of an ``n``-node complete graph (length
         ``n (n - 1) / 2``, ``np.triu_indices(n, k=1)`` order), taken as
-        given (the oracles build it from non-negative lengths), or a
-        square symmetric matrix with non-negative entries, which is
-        checked and reduced to that vector.  ``inf`` entries are treated
-        as missing edges.  An empty vector is the one-node graph.
+        given (the oracles build it from non-negative lengths).  ``inf``
+        entries are treated as missing edges.  An empty vector is the
+        one-node graph.
 
     Returns
     -------
@@ -102,16 +100,14 @@ def minimum_spanning_tree_pairs(weights: np.ndarray) -> List[Tuple[int, int]]:
     Raises
     ------
     InvalidSessionError
-        If a vector's length is not ``n (n - 1) / 2`` for any ``n``, a
-        matrix is not square, symmetric and non-negative, or the graph
-        restricted to finite weights is disconnected.
+        If ``weights`` is not a vector, its length is not
+        ``n (n - 1) / 2`` for any ``n``, or the graph restricted to
+        finite weights is disconnected.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim == 2:
-        w = _upper_triangle(w)
-    elif w.ndim != 1:
+    if w.ndim != 1:
         raise InvalidSessionError(
-            f"pair weights must be a vector or a square matrix, got shape {w.shape}"
+            f"pair weights must be a condensed vector, got shape {w.shape}"
         )
     pairs = w.shape[0]
     n = (1 + math.isqrt(1 + 8 * pairs)) // 2
@@ -123,13 +119,3 @@ def minimum_spanning_tree_pairs(weights: np.ndarray) -> List[Tuple[int, int]]:
         return []
     return _prim(w.tolist(), n)
 
-
-def _upper_triangle(w: np.ndarray) -> np.ndarray:
-    """The condensed pair vector of a checked square symmetric matrix."""
-    if w.shape[0] != w.shape[1]:
-        raise InvalidSessionError(f"weight matrix must be square, got shape {w.shape}")
-    if not np.allclose(w, w.T, equal_nan=True):
-        raise InvalidSessionError("weight matrix must be symmetric")
-    if np.any(w < 0):
-        raise InvalidSessionError("weights must be non-negative")
-    return w[np.triu_indices(w.shape[0], k=1)]

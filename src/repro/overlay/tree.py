@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.routing.base import PairKey, pair_key
 from repro.routing.paths import UnicastPath
+from repro.topology.network import node_id
 from repro.util.errors import InvalidSessionError
 
 
@@ -88,7 +89,7 @@ class OverlayTree:
         paths: Mapping[PairKey, UnicastPath],
         edge_usage: np.ndarray,
     ) -> None:
-        members = tuple(int(m) for m in members)
+        members = tuple(node_id(m, InvalidSessionError) for m in members)
         edges = tuple(pair_key(*p) for p in overlay_edges)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "overlay_edges", edges)

@@ -19,35 +19,44 @@ problems M1'/M2' polynomially solvable.  We provide:
   for the session sizes where exactness is needed, i.e. tests and the
   Fig. 1 example),
 * :func:`pack_spanning_trees_lp` — the exact LP over all spanning trees of
-  the overlay graph (Cayley enumeration via Prüfer sequences),
+  the overlay graph (Cayley enumeration via Prüfer sequences), solved by
+  :func:`repro.lp.exact.solve_tree_lp` over :func:`tree_pair_incidence`,
 * :func:`pack_spanning_trees_greedy` — a fast greedy packing used as a
   lower-bound sanity check.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
+from repro.overlay.mst import minimum_spanning_tree_pairs
+from repro.routing.base import PairKey, member_pairs, pair_key
+from repro.topology.network import node_id
 from repro.util.errors import ConfigurationError, InvalidSessionError
 
-PairKey = Tuple[int, int]
+
+def _node_ids(nodes: Sequence[int]) -> List[int]:
+    """``nodes`` as node ids; a float raises instead of being truncated."""
+    return [node_id(node, InvalidSessionError) for node in nodes]
 
 
 def _canonical_weights(weights: Dict[PairKey, float], members: Sequence[int]) -> Dict[PairKey, float]:
     out: Dict[PairKey, float] = {}
-    member_set = set(int(m) for m in members)
+    member_set = set(members)
     for (u, v), w in weights.items():
-        u, v = int(u), int(v)
+        u, v = _node_ids((u, v))
         if u == v:
             raise InvalidSessionError("overlay weights cannot contain self-loops")
         if u not in member_set or v not in member_set:
             raise InvalidSessionError(f"weight for ({u}, {v}) references a non-member")
         if w < 0:
             raise InvalidSessionError(f"negative overlay weight for ({u}, {v})")
-        key = (min(u, v), max(u, v))
+        key = pair_key(u, v)
         out[key] = out.get(key, 0.0) + float(w)
     return out
 
@@ -85,8 +94,8 @@ def crossing_weight(
     """Total weight of overlay edges whose endpoints lie in different blocks."""
     block_of = {}
     for b_index, block in enumerate(partition):
-        for node in block:
-            block_of[int(node)] = b_index
+        for node in _node_ids(block):
+            block_of[node] = b_index
     total = 0.0
     for (u, v), w in weights.items():
         if block_of.get(u) != block_of.get(v):
@@ -103,7 +112,7 @@ def best_partition(
     undefined for the trivial one-block partition).  Exponential in the
     number of members; intended for validation and small sessions.
     """
-    members = [int(m) for m in members]
+    members = _node_ids(members)
     if len(members) < 2:
         raise InvalidSessionError("need at least two members")
     if len(members) > 12:
@@ -142,12 +151,12 @@ def enumerate_spanning_trees(members: Sequence[int]) -> List[Tuple[PairKey, ...]
     count is Cayley's ``n^(n-2)``.  Limited to 8 members (8^6 = 262144
     trees) to keep memory bounded.
     """
-    members = [int(m) for m in members]
+    members = _node_ids(members)
     n = len(members)
     if n < 2:
         raise InvalidSessionError("need at least two members")
     if n == 2:
-        return [((min(members), max(members)),)]
+        return [(pair_key(*members),)]
     if n > 8:
         raise ConfigurationError(
             f"exact tree enumeration is limited to 8 members, got {n}"
@@ -159,18 +168,34 @@ def enumerate_spanning_trees(members: Sequence[int]) -> List[Tuple[PairKey, ...]
     return trees
 
 
+def tree_pair_incidence(
+    trees: Sequence[Tuple[PairKey, ...]], members: Sequence[int]
+) -> csr_matrix:
+    """Sparse (num_trees x num_pairs) 0/1 incidence of trees over ``members``.
+
+    Entry ``(t, r)`` is 1 when tree ``t`` uses the ``r``-th pair of
+    :func:`~repro.routing.base.member_pairs` — the row order of
+    :meth:`~repro.routing.ip_routing.FixedIPRouting.incidence_for_members`,
+    so ``T @ R`` holds every tree's usage vector ``n_e(t)``.
+    """
+    column = {pk: r for r, pk in enumerate(member_pairs(members))}
+    rows = [t for t, tree in enumerate(trees) for _ in tree]
+    cols = [column[edge] for tree in trees for edge in tree]
+    return csr_matrix(
+        (np.ones(len(cols)), (rows, cols)), shape=(len(trees), len(column))
+    )
+
+
 def prufer_to_tree(prufer: Sequence[int], members: Sequence[int]) -> List[PairKey]:
     """Decode a Prüfer sequence (over member labels) into tree edges."""
-    members = [int(m) for m in members]
-    prufer = [int(p) for p in prufer]
+    members = _node_ids(members)
+    prufer = _node_ids(prufer)
     degree = {m: 1 for m in members}
     for p in prufer:
         if p not in degree:
             raise InvalidSessionError(f"Prüfer entry {p} is not a member")
         degree[p] += 1
     edges: List[PairKey] = []
-    import heapq
-
     leaves = [m for m in members if degree[m] == 1]
     heapq.heapify(leaves)
     for p in prufer:
@@ -190,37 +215,27 @@ def pack_spanning_trees_lp(
     """Exact maximum fractional spanning-tree packing via linear programming.
 
     Maximises the total tree rate subject to the per-overlay-edge weight
-    constraints of problem S (paper eq. 5).  Returns the optimum and the
+    constraints of problem S (paper eq. 5): the tree LP of
+    :mod:`repro.lp.exact` with one session, the member pairs as capacity
+    rows and the weights as capacities.  Returns the optimum and the
     non-zero tree rates.  Exponential in the session size (all trees are
     enumerated); use for validation and small sessions only.
     """
-    from scipy.optimize import linprog
+    # repro.lp.exact imports this module at load.
+    from repro.lp.exact import solve_tree_lp
 
-    members = [int(m) for m in members]
+    members = _node_ids(members)
     w = _canonical_weights(weights, members)
     trees = enumerate_spanning_trees(members)
-    pairs = [
-        (members[i], members[j]) if members[i] < members[j] else (members[j], members[i])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    ]
-    pair_index = {pk: r for r, pk in enumerate(pairs)}
-
-    # Constraint matrix: A[p, t] = 1 if tree t uses overlay edge p.
-    a_ub = np.zeros((len(pairs), len(trees)))
-    for t_index, tree in enumerate(trees):
-        for edge in tree:
-            a_ub[pair_index[edge], t_index] = 1.0
-    b_ub = np.asarray([w.get(pk, 0.0) for pk in pairs], dtype=float)
-    c = -np.ones(len(trees))
-
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if not result.success:  # pragma: no cover - defensive
-        raise InvalidSessionError(f"tree packing LP failed: {result.message}")
-    rates = {
-        trees[t]: float(x) for t, x in enumerate(result.x) if x > 1e-9
-    }
-    return float(-result.fun), rates
+    capacities = np.asarray([w.get(pk, 0.0) for pk in member_pairs(members)], dtype=float)
+    value, (flows,) = solve_tree_lp(
+        capacities,
+        [tree_pair_incidence(trees, members)],
+        "tree packing LP",
+        InvalidSessionError,
+        weights=[1.0],
+    )
+    return value, {trees[t]: float(x) for t, x in enumerate(flows) if x > 1e-9}
 
 
 def pack_spanning_trees_greedy(
@@ -236,41 +251,31 @@ def pack_spanning_trees_greedy(
     feasible, generally below the LP optimum; used as a fast lower bound
     and in examples.
     """
-    members = [int(m) for m in members]
-    n = len(members)
-    residual = dict(_canonical_weights(weights, members))
-    index_of = {m: i for i, m in enumerate(members)}
+    members = _node_ids(members)
+    pairs = member_pairs(members)
+    position = {pk: r for r, pk in enumerate(pairs)}
+    w = _canonical_weights(weights, members)
+    # Residual weight per member pair, condensed; missing pairs have zero.
+    residual = np.asarray([w.get(pk, 0.0) for pk in pairs], dtype=float)
     total = 0.0
     chosen: Dict[Tuple[PairKey, ...], float] = {}
 
     for _ in range(max_trees):
-        # Build residual weight matrix; missing pairs have zero residual.
-        matrix = np.zeros((n, n))
-        for (u, v), w in residual.items():
-            matrix[index_of[u], index_of[v]] = matrix[index_of[v], index_of[u]] = w
-        # Maximum-bottleneck spanning tree == maximum spanning tree by weight.
-        # Reuse Prim on negated weights shifted to be non-negative.
-        if matrix.max() <= 0:
+        top = residual.max(initial=0.0)
+        if top <= 0:
             break
-        from repro.overlay.mst import minimum_spanning_tree_pairs
-
-        shifted = matrix.max() - matrix
-        np.fill_diagonal(shifted, 0.0)
+        # Maximum-bottleneck spanning tree == maximum spanning tree by
+        # weight: Prim on the weights mirrored below the largest.
         try:
-            tree_pairs = minimum_spanning_tree_pairs(shifted)
+            tree_pairs = minimum_spanning_tree_pairs(top - residual)
         except InvalidSessionError:
             break
-        edges = tuple(
-            sorted(
-                (min(members[i], members[j]), max(members[i], members[j]))
-                for i, j in tree_pairs
-            )
-        )
-        bottleneck = min(residual.get(e, 0.0) for e in edges)
+        edges = tuple(sorted(pair_key(members[i], members[j]) for i, j in tree_pairs))
+        rows = [position[e] for e in edges]
+        bottleneck = float(residual[rows].min())
         if bottleneck <= 1e-12:
             break
-        for e in edges:
-            residual[e] = residual.get(e, 0.0) - bottleneck
+        residual[rows] -= bottleneck
         chosen[edges] = chosen.get(edges, 0.0) + bottleneck
         total += bottleneck
     return total, chosen

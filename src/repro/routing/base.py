@@ -16,19 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.routing.paths import UnicastPath
-from repro.topology.network import PhysicalNetwork, node_id
-
-PairKey = Tuple[int, int]
-
-
-def pair_key(u: int, v: int) -> PairKey:
-    """Canonical (sorted) key for an unordered node pair.
-
-    Raises :class:`~repro.util.errors.InvalidNetworkError` for an id that
-    is not an integer.
-    """
-    u, v = node_id(u), node_id(v)
-    return (u, v) if u < v else (v, u)
+from repro.topology.network import PairKey, PhysicalNetwork, node_id, pair_key
 
 
 def member_pairs(members: Sequence[int]) -> List[PairKey]:
@@ -59,19 +47,6 @@ def pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def square_pair_lengths(condensed: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric ``n x n`` matrix of a condensed pair-length vector.
-
-    Both triangles are written from the one vector, so the matrix is
-    exactly symmetric; the diagonal is zero.
-    """
-    matrix = np.zeros((n, n), dtype=float)
-    first, second = pair_indices(n)
-    matrix[first, second] = condensed
-    matrix[second, first] = condensed
-    return matrix
-
-
 class RoutingModel(abc.ABC):
     """Maps overlay node pairs to unicast routes in the physical network."""
 
@@ -94,12 +69,12 @@ class RoutingModel(abc.ABC):
         members: Sequence[int],
         edge_lengths: np.ndarray,
     ) -> np.ndarray:
-        """Length of the route between every pair of ``members``.
+        """Length of the route between every pair of ``members``, condensed.
 
-        Returns a symmetric ``(len(members), len(members))`` matrix whose
-        ``(i, j)`` entry is the length, under ``edge_lengths``, of the
-        unicast route this model assigns to ``(members[i], members[j])``.
-        The diagonal is zero.
+        Entry ``r`` is the length, under ``edge_lengths``, of the unicast
+        route this model assigns to the ``r``-th pair of
+        :func:`member_pairs` (``np.triu_indices`` order), the vector the
+        oracle's Prim takes.  Fewer than two members give an empty vector.
         """
 
     @abc.abstractmethod
@@ -121,7 +96,7 @@ class RoutingModel(abc.ABC):
         Used to compute the FPTAS initialisation constant ``U`` (the
         length of the longest unicast route) from the paper's Lemma 3.
         """
-        members = list(dict.fromkeys(int(m) for m in members))
+        members = list(dict.fromkeys(node_id(m) for m in members))
         if len(members) < 2:
             return 0
         hop_lengths = self.pair_lengths(members, np.ones(self._network.num_edges))

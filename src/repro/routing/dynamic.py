@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.routing.base import PairKey, RoutingModel, pair_key, square_pair_lengths
+from repro.routing.base import PairKey, RoutingModel, pair_key
 from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery
 from repro.topology.network import PhysicalNetwork
@@ -51,12 +51,9 @@ class DynamicRouting(RoutingModel):
         members: Sequence[int],
         edge_lengths: np.ndarray,
     ) -> np.ndarray:
-        """Shortest-path distance between every member pair under the lengths."""
+        """Shortest-path distances of the member pairs under the lengths, condensed."""
         members = list(members)
-        return square_pair_lengths(
-            self.pair_lengths_from_query(self.query(members, edge_lengths), members),
-            len(members),
-        )
+        return self.pair_lengths_from_query(self.query(members, edge_lengths), members)
 
     def paths_for_pairs(
         self,
@@ -92,7 +89,7 @@ class DynamicRouting(RoutingModel):
     ) -> np.ndarray:
         """The member-pair distances of a retained query, condensed.
 
-        Entry ``r`` is the ``r``-th pair's entry of :meth:`pair_lengths`
+        This is :meth:`pair_lengths`'s vector
         (:func:`~repro.routing.base.pair_indices` order), the form the
         oracle's Prim takes; see
         :meth:`~repro.routing.shortest_path.ShortestPathQuery.pair_distances`.

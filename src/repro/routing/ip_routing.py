@@ -19,13 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.routing.base import (
-    PairKey,
-    RoutingModel,
-    member_pairs,
-    pair_key,
-    square_pair_lengths,
-)
+from repro.routing.base import PairKey, RoutingModel, member_pairs, pair_key
 from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery
 from repro.topology.network import PhysicalNetwork, node_id
@@ -94,10 +88,9 @@ class FixedIPRouting(RoutingModel):
         members: Sequence[int],
         edge_lengths: np.ndarray,
     ) -> np.ndarray:
-        """Symmetric matrix of fixed-route lengths under ``edge_lengths``."""
+        """Fixed-route lengths of the member pairs, condensed."""
         members = list(members)
-        n = len(members)
-        if n < 2:
-            return np.zeros((n, n), dtype=float)
+        if len(members) < 2:
+            return np.zeros(0, dtype=float)
         incidence = self.incidence_for_members(members)
-        return square_pair_lengths(incidence @ np.asarray(edge_lengths, dtype=float), n)
+        return incidence @ np.asarray(edge_lengths, dtype=float)

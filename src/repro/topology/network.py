@@ -32,6 +32,19 @@ def node_id(value: Any, error: Type[ReproError] = InvalidNetworkError) -> int:
         raise error(f"node id must be an integer, got {value!r}") from None
 
 
+PairKey = Tuple[int, int]
+
+
+def pair_key(u: int, v: int) -> PairKey:
+    """Canonical (sorted) key for an unordered node pair.
+
+    Raises :class:`~repro.util.errors.InvalidNetworkError` for an id that
+    is not an integer.
+    """
+    u, v = node_id(u), node_id(v)
+    return (u, v) if u < v else (v, u)
+
+
 class PhysicalNetwork:
     """Undirected capacitated graph with integer-indexed edges.
 
@@ -79,7 +92,7 @@ class PhysicalNetwork:
                 u, v, cap = item
             else:
                 raise InvalidNetworkError(f"edge tuple must have 2 or 3 items, got {item!r}")
-            u, v = int(u), int(v)
+            u, v = node_id(u), node_id(v)
             cap = float(cap)
             if u == v:
                 raise InvalidNetworkError(f"self-loop on node {u} is not allowed")
@@ -183,16 +196,14 @@ class PhysicalNetwork:
 
         Raises :class:`InvalidNetworkError` if the edge does not exist.
         """
-        key = (min(int(u), int(v)), max(int(u), int(v)))
         try:
-            return self._edge_index[key]
+            return self._edge_index[pair_key(u, v)]
         except KeyError as exc:
             raise InvalidNetworkError(f"edge ({u}, {v}) does not exist") from exc
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
-        key = (min(int(u), int(v)), max(int(u), int(v)))
-        return key in self._edge_index
+        return pair_key(u, v) in self._edge_index
 
     def capacity(self, u: int, v: int) -> float:
         """Capacity of edge ``(u, v)``."""

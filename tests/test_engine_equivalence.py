@@ -130,13 +130,11 @@ class FreshTreeOracle:
             )
 
     def pair_lengths(self, lengths):
+        """The condensed pair vector Prim takes (``np.triu_indices`` order)."""
         if self.dynamic:
-            return reference_pair_lengths(self.network, self.members, lengths)
-        n = len(self.members)
-        weight = np.zeros((n, n))
-        rows, cols = np.triu_indices(n, k=1)
-        weight[rows, cols] = weight[cols, rows] = self.incidence @ lengths
-        return weight
+            matrix = reference_pair_lengths(self.network, self.members, lengths)
+            return matrix[np.triu_indices(len(self.members), k=1)]
+        return self.incidence @ lengths
 
     def minimum_tree(self, edge_lengths):
         self.call_count += 1

@@ -1,9 +1,16 @@
 """Tests for the exact LP baselines (repro.lp.exact)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.api import ScenarioSpec
+from repro.api.registry import default_registry
+from repro.api.service import build_instance
 from repro.lp.exact import (
+    MAX_MEMBERS,
     enumerate_session_trees,
     exact_max_concurrent_flow,
     exact_max_flow,
@@ -25,10 +32,22 @@ class TestEnumeration:
         # Every tree of a 3-member session uses at least 2 physical links.
         assert np.all(usage.sum(axis=1) >= 2)
 
+    def test_usage_rows_sum_the_fixed_routes_of_each_tree(self, waxman_network):
+        # Row t of T @ R is n_e(t): each overlay edge's route counted once.
+        routing = FixedIPRouting(waxman_network)
+        session = Session((4, 9, 17, 30))
+        trees, usage = enumerate_session_trees(session, routing)
+        for tree, row in zip(trees, usage):
+            expected = np.zeros(waxman_network.num_edges)
+            for path in routing.paths_for_pairs(tree).values():
+                np.add.at(expected, path.edge_ids, 1.0)
+            assert np.array_equal(row, expected)
+        assert len(trees) == 16
+
     def test_member_limit(self, waxman_network):
-        session = Session(tuple(range(7)))
+        session = Session(tuple(range(MAX_MEMBERS + 1)))
         with pytest.raises(ConfigurationError):
-            enumerate_session_trees(session, FixedIPRouting(waxman_network), max_members=6)
+            enumerate_session_trees(session, FixedIPRouting(waxman_network))
 
     def test_dynamic_routing_is_refused(self, diamond_network):
         # The enumerated usage matrix holds the fixed routes, so under
@@ -120,3 +139,26 @@ class TestExactMaxConcurrent:
                 concurrent.objective * session.demand
                 <= alone.session_rates[0] + 1e-6
             )
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _first_specs_with_lp():
+    families = json.loads(REFERENCE.read_text(encoding="utf-8"))["families"]
+    firsts = {
+        name: next((entry for entry in entries if "lp" in entry), None)
+        for name, entries in sorted(families.items())
+    }
+    return [pytest.param(entry, id=name) for name, entry in firsts.items() if entry]
+
+
+@pytest.mark.parametrize("entry", _first_specs_with_lp())
+def test_reference_lp_optimum_is_reproduced_exactly(entry):
+    # The benchmark's ground truth: the fixed-route LP of the spec's
+    # instance, solved as the reference file recorded it.
+    spec = ScenarioSpec.from_jsonable(entry["spec"])
+    network, sessions, _ = build_instance(spec)
+    routing = default_registry().build_routing(network, "ip")
+    exact = exact_max_concurrent_flow if spec.solver == "max_concurrent_flow" else exact_max_flow
+    assert exact(sessions, routing).objective == entry["lp"]

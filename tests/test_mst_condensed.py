@@ -73,8 +73,6 @@ def assert_same_tree(condensed, n):
     condensed = np.asarray(condensed, dtype=float)
     expected = outcome(matrix_prim, square(condensed, n))
     assert outcome(minimum_spanning_tree_pairs, condensed) == expected
-    # A square matrix is reduced to the same vector.
-    assert outcome(minimum_spanning_tree_pairs, square(condensed, n)) == expected
     return expected
 
 
@@ -126,7 +124,13 @@ def test_disconnecting_inf_entries_raise():
 
 def test_one_node_has_no_pairs():
     assert minimum_spanning_tree_pairs(np.empty(0)) == []
-    assert minimum_spanning_tree_pairs(np.zeros((1, 1))) == []
+    assert minimum_spanning_tree_pairs(np.zeros((1, 1))[np.triu_indices(1, 1)]) == []
+
+
+def test_a_square_matrix_is_refused():
+    # Every caller passes the condensed vector; a matrix is not read as one.
+    with pytest.raises(InvalidSessionError, match="condensed vector"):
+        minimum_spanning_tree_pairs(square(np.array([1.0, 2.0, 3.0]), 3))
 
 
 @pytest.mark.parametrize("size", [2, 4, 5, 7])

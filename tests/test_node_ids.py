@@ -11,11 +11,23 @@ import pytest
 
 from repro.api import SessionSpec
 from repro.overlay.session import Session
+from repro.overlay.tree import OverlayTree
+from repro.overlay.tree_packing import (
+    crossing_weight,
+    enumerate_spanning_trees,
+    pack_spanning_trees_greedy,
+    pack_spanning_trees_lp,
+    partition_bound,
+    prufer_to_tree,
+)
 from repro.routing.base import member_pairs, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
 from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
+from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InvalidNetworkError, InvalidSessionError
+
+TRIANGLE_WEIGHTS = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}
 
 
 class TestSessions:
@@ -79,3 +91,79 @@ class TestRouting:
             query.row_index(1.5)
         with pytest.raises(InvalidNetworkError, match="1.5"):
             query.pair_distances([0, 1.5])
+
+
+class TestNetwork:
+    def test_float_edge_endpoints_are_refused(self):
+        # int() built edges (0, 1) and (1, 2) from these.
+        with pytest.raises(InvalidNetworkError, match="0.5"):
+            PhysicalNetwork(3, [(0.5, 1.7), (1, 2.9)])
+
+    def test_edge_lookups_refuse_floats(self, diamond_network):
+        # int() answered edge (0, 1) for both.
+        with pytest.raises(InvalidNetworkError, match="1.9"):
+            diamond_network.edge_id(0, 1.9)
+        with pytest.raises(InvalidNetworkError, match="1.9"):
+            diamond_network.has_edge(0, 1.9)
+
+    def test_numpy_endpoints_and_lookups_pass(self, diamond_network):
+        network = PhysicalNetwork(3, [(np.int64(0), np.int32(1)), (1, np.int64(2))])
+        assert list(network.edges()) == [(0, 1), (1, 2)]
+        assert diamond_network.edge_id(np.int64(1), 0) == 0
+        assert diamond_network.has_edge(np.int32(3), np.int64(2))
+
+
+class TestOverlayTrees:
+    def test_float_tree_members_are_refused(self, path_network):
+        paths = FixedIPRouting(path_network).paths_for_pairs([(0, 1)])
+        with pytest.raises(InvalidSessionError, match="1.5"):
+            OverlayTree.from_paths([0, 1.5], [(0, 1)], paths, path_network.num_edges)
+
+    def test_numpy_tree_members_become_python_ints(self, path_network):
+        paths = FixedIPRouting(path_network).paths_for_pairs([(0, 1)])
+        tree = OverlayTree.from_paths(
+            [np.int64(0), np.int32(1)], [(0, 1)], paths, path_network.num_edges
+        )
+        assert tree.members == (0, 1) and all(type(m) is int for m in tree.members)
+
+    def test_max_route_hops_refuses_floats(self, path_network):
+        # int() measured the route 0 -> 3 instead.
+        routing = FixedIPRouting(path_network)
+        with pytest.raises(InvalidNetworkError, match="3.5"):
+            routing.max_route_hops([0, 3.5])
+        assert routing.max_route_hops(np.array([0, 3])) == 3
+
+
+class TestTreePacking:
+    def test_float_members_are_refused(self):
+        # int() enumerated the trees over nodes 0, 1, 2.
+        with pytest.raises(InvalidSessionError, match="1.5"):
+            enumerate_spanning_trees([0, 1.5, 2.7])
+
+    def test_packing_refuses_float_members(self):
+        # int() solved the packing over node 2.
+        for pack in (pack_spanning_trees_lp, pack_spanning_trees_greedy):
+            with pytest.raises(InvalidSessionError, match="2.5"):
+                pack([0, 1, 2.5], TRIANGLE_WEIGHTS)
+
+    def test_float_weight_keys_are_refused(self):
+        # int() read the key as pair (0, 1).
+        with pytest.raises(InvalidSessionError, match="1.5"):
+            partition_bound([0, 1], {(0, 1.5): 1.0})
+
+    def test_float_pruefer_entries_are_refused(self):
+        with pytest.raises(InvalidSessionError, match="1.5"):
+            prufer_to_tree([1.5], [0, 1, 2])
+
+    def test_float_partition_blocks_are_refused(self):
+        # int() put node 1 in the first block.
+        with pytest.raises(InvalidSessionError, match="1.5"):
+            crossing_weight([[0, 1.5], [2]], {(0, 2): 1.0, (1, 2): 2.0})
+
+    def test_numpy_ids_give_the_int_answers(self):
+        members = np.array([0, 1, 2])
+        weights = {(np.int64(u), np.int32(v)): w for (u, v), w in TRIANGLE_WEIGHTS.items()}
+        assert enumerate_spanning_trees(members) == enumerate_spanning_trees([0, 1, 2])
+        for pack in (pack_spanning_trees_lp, pack_spanning_trees_greedy):
+            assert pack(members, weights) == pack([0, 1, 2], TRIANGLE_WEIGHTS)
+        assert partition_bound(members, weights) == partition_bound([0, 1, 2], TRIANGLE_WEIGHTS)

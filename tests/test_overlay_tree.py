@@ -141,7 +141,7 @@ class TestFromPathsMatchesReference:
             weights = weights + weights.T
             edges = [
                 pair_key(members[i], members[j])
-                for i, j in minimum_spanning_tree_pairs(weights)
+                for i, j in minimum_spanning_tree_pairs(weights[np.triu_indices(size, 1)])
             ]
             paths = routing.paths_for_pairs(edges, lengths)
             tree = OverlayTree.from_paths(members, edges, paths, network.num_edges)
@@ -254,18 +254,17 @@ def test_trees_above_the_crossover_keep_only_their_footprint(flat_networks, rout
 class TestMinimumSpanningTreePairs:
     def test_simple_triangle(self):
         w = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 2.0], [5.0, 2.0, 0.0]])
-        edges = minimum_spanning_tree_pairs(w)
+        edges = minimum_spanning_tree_pairs(w[np.triu_indices(3, 1)])
         assert sorted(edges) == [(0, 1), (1, 2)]
 
     def test_single_node(self):
-        assert minimum_spanning_tree_pairs(np.zeros((1, 1))) == []
+        assert minimum_spanning_tree_pairs(np.zeros(0)) == []
 
     def test_two_nodes(self):
-        assert minimum_spanning_tree_pairs(np.array([[0.0, 3.0], [3.0, 0.0]])) == [(0, 1)]
+        assert minimum_spanning_tree_pairs(np.array([3.0])) == [(0, 1)]
 
     def test_zero_weights_allowed(self):
-        w = np.zeros((4, 4))
-        edges = minimum_spanning_tree_pairs(w)
+        edges = minimum_spanning_tree_pairs(np.zeros(6))
         assert len(edges) == 3
 
     def test_total_weight_is_minimal(self):
@@ -275,7 +274,7 @@ class TestMinimumSpanningTreePairs:
             sym = rng.uniform(1, 10, size=(n, n))
             w = (sym + sym.T) / 2
             np.fill_diagonal(w, 0.0)
-            edges = minimum_spanning_tree_pairs(w)
+            edges = minimum_spanning_tree_pairs(w[np.triu_indices(n, 1)])
             total = sum(w[i, j] for i, j in edges)
             # Compare against networkx's MST as an oracle.
             import networkx as nx
@@ -294,18 +293,4 @@ class TestMinimumSpanningTreePairs:
         np.fill_diagonal(w, 0.0)
         w[0, 1] = w[1, 0] = 1.0
         with pytest.raises(InvalidSessionError):
-            minimum_spanning_tree_pairs(w)
-
-    def test_asymmetric_matrix_rejected(self):
-        w = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(InvalidSessionError):
-            minimum_spanning_tree_pairs(w)
-
-    def test_negative_weights_rejected(self):
-        w = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(InvalidSessionError):
-            minimum_spanning_tree_pairs(w)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(InvalidSessionError):
-            minimum_spanning_tree_pairs(np.zeros((2, 3)))
+            minimum_spanning_tree_pairs(w[np.triu_indices(3, 1)])
