@@ -25,7 +25,7 @@ from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.service import SolveReport, solve
 from repro.api.specs import ScenarioSpec
-from repro.cluster.queue import WorkQueue
+from repro.cluster.queue import LOST, WorkQueue
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
 from repro.util.errors import ConfigurationError
@@ -80,7 +80,8 @@ async def as_reports_completed(
     finishing — e.g. no worker is attached to the queue — naming the
     unfinished canonical keys and the queue's state counts; raises
     ``RuntimeError`` when a worker dead-letters one of the batch's
-    specs (its recorded error is included).
+    specs (its recorded error is included), after yielding what landed.
+    A key whose task is done but whose report is gone is solved inline.
 
     ``poll_seconds`` is the poll *floor*: consecutive empty polls back
     off exponentially (capped) so an idle gather does not spin on the
@@ -102,50 +103,33 @@ async def as_reports_completed(
     deadline = None if timeout is None else time.monotonic() + timeout
     while waiting:
         landed = [key for key in waiting if store.contains(key)]
-        progressed = False
-        for key in landed:
-            report = store.get(key)
+        outcomes = queue.outcomes(waiting, set(landed))
+        lost = [key for key, outcome in outcomes.items() if outcome is LOST]
+        for key in landed + lost:
+            # A stored entry found corrupt (get() quarantines it and
+            # returns None) or a done task whose report is gone is healed
+            # here rather than re-queued: the task is already done, and
+            # batch-mode workers may have exited, so a queued retry could
+            # wait forever.  On a thread, so other coroutines keep running.
+            report = store.get(key) if key not in outcomes else None
             if report is None:
-                # The entry was corrupt and has been quarantined by the
-                # store.  Heal here rather than re-queueing: the task is
-                # already marked done, and batch-mode workers may have
-                # exited — a queued retry could wait forever.  On a
-                # thread, so other coroutines on the loop keep running.
                 report = await asyncio.to_thread(
                     solve, specs[waiting[key][0]], store=store
                 )
-            progressed = True
             for index in waiting.pop(key):
                 yield index, report
-        if not waiting:
-            break
-        if not progressed:
-            failures = queue.failures()
-            dead = sorted(set(waiting) & set(failures))
-            if dead:
-                details = "; ".join(f"{key[:12]}…: {failures[key]}" for key in dead)
-                raise RuntimeError(
-                    f"{len(dead)} spec(s) failed in the worker pool — {details}"
-                )
-            # A done marker with no store entry (the store was pruned,
-            # or a fresh store was attached to an old queue) would wait
-            # forever — nobody re-solves a done task.  Same inline heal.
-            done = set(queue.done_keys())
-            recovered = [key for key in waiting if key in done]
-            for key in recovered:
-                report = await asyncio.to_thread(
-                    solve, specs[waiting[key][0]], store=store
-                )
-                progressed = True
-                for index in waiting.pop(key):
-                    yield index, report
-            if progressed:
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(_stalled_batch_message(waiting, queue, timeout))
-            await asyncio.sleep(backoff.next_delay())
-        else:
+        dead = sorted(key for key, outcome in outcomes.items() if outcome is not LOST)
+        if dead:
+            details = "; ".join(f"{key[:12]}…: {outcomes[key]}" for key in dead)
+            raise RuntimeError(
+                f"{len(dead)} spec(s) failed in the worker pool — {details}"
+            )
+        if landed or lost:
             backoff.reset()
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(_stalled_batch_message(waiting, queue, timeout))
+        await asyncio.sleep(backoff.next_delay())
 
 
 async def solve_many_async(

@@ -37,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import faults
 from repro.api.specs import ScenarioSpec
@@ -55,6 +55,10 @@ _STATES = ("pending", "claimed", "done", "failed")
 #: Buckets for the per-task attempts histogram: attempts are small
 #: integers, so the default latency buckets would bin them uselessly.
 ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0)
+
+#: :meth:`WorkQueue.outcomes`' verdict for a done task whose report is
+#: not in the store (pruned, quarantined, or a fresh store).
+LOST = object()
 
 # Crash seams for the fault-injection sweep: each is a precise spot a
 # worker can die between two filesystem operations of one logical
@@ -424,6 +428,28 @@ class WorkQueue:
                 out[key] = json.loads(error_path.read_text(encoding="utf-8"))["error"]
             except (OSError, json.JSONDecodeError, KeyError):
                 out[key] = "unknown error (sidecar missing or unreadable)"
+        return out
+
+    def outcomes(self, keys: Iterable[str], stored: Container[str]) -> Dict[str, Any]:
+        """Where each of ``keys`` not in ``stored`` ended, if it did.
+
+        ``stored`` holds the keys the caller found in the store.  Each
+        other key maps to its recorded error when its task was
+        dead-lettered, or to :data:`LOST` when its task is done but its
+        report is gone; keys still pending or claimed are left out.  The
+        queue is not read when every key is stored.
+        """
+        missing = [key for key in keys if key not in stored]
+        if not missing:
+            return {}
+        failures = self.failures()
+        done = set(self.done_keys())
+        out: Dict[str, Any] = {}
+        for key in missing:
+            if key in failures:
+                out[key] = failures[key]
+            elif key in done:
+                out[key] = LOST
         return out
 
     def retry_failed(self, key: Optional[str] = None) -> int:

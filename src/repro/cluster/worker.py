@@ -30,7 +30,6 @@ from repro.cluster.queue import ClaimedTask, WorkQueue
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
 from repro.util.errors import ConfigurationError
-from repro.util.retry import RetryPolicy
 
 
 def _default_worker_id() -> str:
@@ -151,20 +150,13 @@ def run_worker(
 
     stats = {"completed": 0, "solved": 0, "store_hits": 0, "failed": 0}
     backoff = ExponentialBackoff(poll_seconds)
-    # Transient filesystem errors during the scan/claim phase (injected
-    # or real) retry in place; a failure that outlives its retries is
-    # treated like an empty poll rather than killing the worker.
-    claim_retry = RetryPolicy(
-        max_attempts=4,
-        floor=min(poll_seconds, 0.05),
-        cap=1.0,
-        surface="worker.claim",
-    )
     while True:
         try:
-            claim_retry.call(queue.requeue_expired)
-            task = claim_retry.call(queue.claim, worker_id, shard=shard)
+            queue.requeue_expired()
+            task = queue.claim(worker_id, shard=shard)
         except OSError:
+            # A failed scan or claim (injected or real) is an empty poll:
+            # the next poll tries again, and the worker lives on.
             backoff.sleep()
             continue
         if task is None:
@@ -270,7 +262,8 @@ def spawn_local_workers(
     wait — a reused queue may hold *foreign* pending tasks the workers
     would otherwise keep draining long after the caller's batch is done
     — after which the workers are terminated (their claimed tasks requeue
-    via lease expiry).
+    via lease expiry).  A worker still running 5 s after its terminate
+    is killed.
     """
     if num_workers < 1:
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
@@ -293,23 +286,24 @@ def spawn_local_workers(
             )
             procs.append(subprocess.Popen(cmd, env=env))
         yield procs
-    except BaseException:
-        # The gather failed (timeout, dead-lettered spec, interrupt):
-        # waiting for a batch-mode worker to finish draining would hold
-        # the caller long past its own deadline — kill them instead.
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait()
-        raise
-    else:
-        for proc in procs:
-            if exit_when_empty:
+        if exit_when_empty:
+            for proc in procs:
                 try:
                     proc.wait(timeout=shutdown_timeout)
                 except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    proc.wait()
-            elif proc.poll() is None:
+                    pass
+    finally:
+        # Whatever still runs is stopped: polling workers never exit on
+        # their own, batch workers past shutdown_timeout may be draining
+        # foreign tasks, and when the caller failed (timeout,
+        # dead-lettered spec, interrupt) waiting for the drain would hold
+        # it long past its own deadline.
+        for proc in procs:
+            if proc.poll() is None:
                 proc.terminate()
+        for proc in procs:
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
                 proc.wait()

@@ -91,14 +91,25 @@ def iter_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
 def crossing_weight(
     partition: Sequence[Sequence[int]], weights: Dict[PairKey, float]
 ) -> float:
-    """Total weight of overlay edges whose endpoints lie in different blocks."""
-    block_of = {}
-    for b_index, block in enumerate(partition):
-        for node in _node_ids(block):
-            block_of[node] = b_index
+    """Total weight of overlay edges whose endpoints lie in different blocks.
+
+    Raises :class:`InvalidSessionError` for a weight key that is not a
+    pair of distinct nodes of the partition, or for a negative weight.
+    """
+    blocks = [_node_ids(block) for block in partition]
+    members = [node for block in blocks for node in block]
+    return _crossing_weight(blocks, _canonical_weights(weights, members))
+
+
+def _crossing_weight(
+    partition: Sequence[Sequence[int]], weights: Dict[PairKey, float]
+) -> float:
+    """:func:`crossing_weight` unchecked: :func:`best_partition` checks its
+    weights once, then sums them over up to Bell(12) partitions."""
+    block_of = {node: index for index, block in enumerate(partition) for node in block}
     total = 0.0
     for (u, v), w in weights.items():
-        if block_of.get(u) != block_of.get(v):
+        if block_of[u] != block_of[v]:
             total += w
     return total
 
@@ -127,7 +138,7 @@ def best_partition(
         parts = len(partition)
         if parts < 2:
             continue
-        value = crossing_weight(partition, w) / (parts - 1)
+        value = _crossing_weight(partition, w) / (parts - 1)
         if value < best_value - 1e-12:
             best_value = value
             best = [sorted(block) for block in partition]

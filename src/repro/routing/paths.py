@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.topology.network import PhysicalNetwork
+from repro.topology.network import PhysicalNetwork, node_id
 from repro.util.errors import InvalidNetworkError
 
 
@@ -91,7 +91,7 @@ class UnicastPath:
     @classmethod
     def from_nodes(cls, network: PhysicalNetwork, nodes: Sequence[int]) -> "UnicastPath":
         """Build a path from a node sequence, resolving edge indices."""
-        nodes = tuple(int(n) for n in nodes)
+        nodes = tuple(map(node_id, nodes))
         edge_ids = np.asarray(
             [network.edge_id(a, b) for a, b in zip(nodes[:-1], nodes[1:])],
             dtype=np.int64,

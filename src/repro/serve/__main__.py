@@ -22,8 +22,8 @@ wrappers and tests can parse it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
-import subprocess
 import sys
 import threading
 from typing import List, Optional
@@ -136,67 +136,59 @@ def main(argv: Optional[List[str]] = None) -> int:
     app = build_app(args)
     server = make_server(app, host=args.host, port=args.port, verbose=args.verbose)
 
-    children: List[subprocess.Popen] = []
+    workers = contextlib.nullcontext()
     if args.spawn_workers:
-        from repro.cluster.worker import worker_command
+        from repro.cluster.worker import spawn_local_workers
 
-        cmd = worker_command(
+        workers = spawn_local_workers(
+            args.spawn_workers,
             args.queue,
             app.store.root,
             poll_seconds=0.1,
             exit_when_empty=False,
             relay_root=app.relay.root,
         )
-        for _ in range(args.spawn_workers):
-            children.append(subprocess.Popen(cmd))
+    with workers:
+        host, port = server.server_address[0], server.server_address[1]
+        print(f"listening on http://{host}:{port}", flush=True)
+        print(
+            f"mode={app.mode} store={app.store.root} relay={app.relay.root}"
+            + (f" queue={args.queue} workers={args.spawn_workers}" if args.queue else ""),
+            file=sys.stderr,
+            flush=True,
+        )
+        # Graceful SIGTERM: stop admitting (503 Draining), wait for in-flight
+        # runs up to --drain-timeout, flush relay end markers, then stop the
+        # accept loop.  Runs on a helper thread because serve_forever owns
+        # the main thread and app.drain blocks.
+        drained = threading.Event()
 
-    host, port = server.server_address[0], server.server_address[1]
-    print(f"listening on http://{host}:{port}", flush=True)
-    print(
-        f"mode={app.mode} store={app.store.root} relay={app.relay.root}"
-        + (f" queue={args.queue} workers={args.spawn_workers}" if args.queue else ""),
-        file=sys.stderr,
-        flush=True,
-    )
-    # Graceful SIGTERM: stop admitting (503 Draining), wait for in-flight
-    # runs up to --drain-timeout, flush relay end markers, then stop the
-    # accept loop.  Runs on a helper thread because serve_forever owns
-    # the main thread and app.drain blocks.
-    drained = threading.Event()
+        def _drain_and_stop(signum: int, frame: object) -> None:
+            if drained.is_set():
+                return
+            drained.set()
 
-    def _drain_and_stop(signum: int, frame: object) -> None:
-        if drained.is_set():
-            return
-        drained.set()
+            def _worker() -> None:
+                print("SIGTERM: draining...", file=sys.stderr, flush=True)
+                try:
+                    app.drain(timeout=args.drain_timeout)
+                finally:
+                    server.shutdown()
 
-        def _worker() -> None:
-            print("SIGTERM: draining...", file=sys.stderr, flush=True)
-            try:
-                app.drain(timeout=args.drain_timeout)
-            finally:
-                server.shutdown()
+            threading.Thread(target=_worker, name="serve-drain", daemon=True).start()
 
-        threading.Thread(target=_worker, name="serve-drain", daemon=True).start()
+        try:
+            signal.signal(signal.SIGTERM, _drain_and_stop)
+        except ValueError:  # pragma: no cover - not on the main thread
+            pass
 
-    try:
-        signal.signal(signal.SIGTERM, _drain_and_stop)
-    except ValueError:  # pragma: no cover - not on the main thread
-        pass
-
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        app.close()
-        for child in children:
-            child.terminate()
-        for child in children:
-            try:
-                child.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                child.kill()
+        try:
+            server.serve_forever(poll_interval=0.2)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.server_close()
+            app.close()
     return 0
 
 

@@ -58,7 +58,6 @@ from repro.serve.sse import sse_frames
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
 from repro.util.errors import ConfigurationError
-from repro.util.retry import RetryPolicy
 
 SERVICE_SCHEMA = "repro.serve/v1"
 
@@ -69,7 +68,9 @@ POLL_SECONDS = 0.05
 
 _TERMINAL = ("done", "failed")
 
-faults.declare_point("serve.store.lookup", "a request thread touching the store")
+faults.declare_point(
+    "serve.store.lookup", "a breaker-guarded store lookup (requests, collector)"
+)
 
 
 class StoreUnavailable(Exception):
@@ -180,11 +181,6 @@ class ServeApp:
         # while it is open, submits and reports shed with 503.
         self.breaker = CircuitBreaker()
         self._draining = False
-        # The collector shares the tailer's stance on transient store
-        # blips: retry in place before declaring the store down.
-        self._collect_retry = RetryPolicy(
-            max_attempts=3, floor=0.05, cap=0.5, surface="serve.collect"
-        )
         self.started_at = time.time()
         # Uptime is measured on the monotonic clock: an NTP step moving
         # time.time() backwards must never yield negative uptime.
@@ -208,7 +204,7 @@ class ServeApp:
         self._threads.append(thread)
 
     def _store_contains(self, key: str) -> bool:
-        """``store.contains`` on the request path, through the breaker.
+        """``store.contains`` through the breaker (request threads, collector).
 
         Raises :class:`StoreUnavailable` (→ 503 + Retry-After) when the
         breaker is open or this call pushed it over the threshold —
@@ -502,6 +498,15 @@ class ServeApp:
             # just isn't available this round.
             return False
 
+    def _finish(self, client: str, run: RunRecord, error: Optional[str] = None) -> None:
+        """End ``run``: done, or failed with ``error``; release its slot."""
+        run.error = error
+        run.state = "done" if error is None else "failed"
+        run.finished_at = time.time()
+        with self._lock:
+            self._watched.pop(run.key, None)
+        self.admission.finish(client)
+
     def _inline_loop(self) -> None:
         """Inline executor: admission queue → solve-with-relay → store."""
         while not self._stop.is_set():
@@ -511,19 +516,15 @@ class ServeApp:
             client, run = taken
             run.state = "running"
             run.started_at = time.time()
-            writer = self.relay.open_writer(run.key)
+            error = None
             try:
-                report = solve(run.spec, store=self.store, on_event=writer)
-                writer.finish("done", cached=report.cached)
-                run.state = "done"
+                # On an exception the writer ends the channel as failed.
+                with self.relay.open_writer(run.key) as writer:
+                    report = solve(run.spec, store=self.store, on_event=writer)
+                    writer.finish("done", cached=report.cached)
             except Exception as exc:  # noqa: BLE001 - a bad spec must not kill the executor
-                run.error = f"{type(exc).__name__}: {exc}"
-                writer.finish("failed", error=run.error)
-                run.state = "failed"
-            finally:
-                writer.close()
-                run.finished_at = time.time()
-                self.admission.finish(client)
+                error = f"{type(exc).__name__}: {exc}"
+            self._finish(client, run, error)
 
     def _dispatch_loop(self) -> None:
         """Cluster dispatcher: admission queue → work queue, in priority order."""
@@ -535,10 +536,7 @@ class ServeApp:
             try:
                 self.queue.submit([run.spec], num_shards=self.config.num_shards)
             except Exception as exc:  # noqa: BLE001 - submission failure is the run's failure
-                run.error = f"{type(exc).__name__}: {exc}"
-                run.state = "failed"
-                run.finished_at = time.time()
-                self.admission.finish(client)
+                self._finish(client, run, f"{type(exc).__name__}: {exc}")
                 continue
             run.state = "running"
             run.started_at = time.time()
@@ -547,53 +545,33 @@ class ServeApp:
 
     def _collect_loop(self) -> None:
         """Cluster collector: finalise watched runs as reports land."""
+        from repro.cluster.queue import LOST
+
         backoff = ExponentialBackoff(POLL_SECONDS, cap=1.0)
         reopened: set = set()
         while not self._stop.is_set():
             with self._lock:
-                watched = list(self._watched.items())
-            progressed = False
-            failures: Optional[Dict[str, str]] = None
-            done_keys: Optional[set] = None
-            for key, (client, run) in watched:
-                try:
-                    contains = self._collect_retry.call(self.store.contains, key)
-                except OSError:
-                    # Store unreachable even after retries: skip this key
-                    # for the round and let the breaker inform request
-                    # threads; the run stays watched.
-                    self.breaker.record_failure()
-                    continue
-                self.breaker.record_success()
-                if contains:
-                    run.state = "done"
-                else:
-                    if failures is None:
-                        try:
-                            failures = self.queue.failures()
-                        except OSError:
-                            continue
-                    if key not in failures:
-                        if done_keys is None:
-                            try:
-                                done_keys = set(self.queue.done_keys())
-                            except OSError:
-                                continue
-                        if key in done_keys and key not in reopened:
-                            # Done marker but no stored report (store pruned
-                            # or quarantined): put the spec back in front of
-                            # the workers once.
-                            self.queue.reopen(key)
-                            reopened.add(key)
-                        continue
-                    run.error = failures[key]
-                    run.state = "failed"
-                run.finished_at = time.time()
-                with self._lock:
-                    self._watched.pop(key, None)
-                self.admission.finish(client)
-                progressed = True
-            if progressed:
+                watched = dict(self._watched)
+            finished: Dict[str, Optional[str]] = {}  # key -> error (None: done)
+            try:
+                for key in watched:
+                    if self._store_contains(key):
+                        finished[key] = None
+                for key, outcome in self.queue.outcomes(watched, finished).items():
+                    if outcome is not LOST:
+                        finished[key] = outcome
+                    elif key not in reopened:
+                        # Done, but the report is gone (store pruned or
+                        # quarantined): put the spec back in front of the
+                        # long-lived workers, once.
+                        self.queue.reopen(key)
+                        reopened.add(key)
+            except (StoreUnavailable, OSError):
+                pass  # an empty poll for the keys not reached; they stay watched
+            for key, error in finished.items():
+                client, run = watched[key]
+                self._finish(client, run, error)
+            if finished:
                 backoff.reset()
                 continue
             self._stop.wait(backoff.next_delay())

@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, Iterator, Optional, Union
 from repro import faults
 from repro.core.engine.instrumentation import EngineEvent
 from repro.util.backoff import ExponentialBackoff
-from repro.util.retry import RetryPolicy
 from repro.util.serialization import canonical_json
 
 RELAY_SCHEMA = "RunEvents/v1"
@@ -104,9 +103,11 @@ class RelayWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None and not self.finished:
-            self.finish("failed", error=f"{exc_type.__name__}: {exc}")
-        self.close()
+        try:
+            if exc_type is not None and not self.finished:
+                self.finish("failed", error=f"{exc_type.__name__}: {exc}")
+        finally:
+            self.close()
 
 
 class EventRelay:
@@ -168,17 +169,9 @@ class EventRelay:
         path = self.path_for(key)
         deadline = None if timeout is None else time.monotonic() + timeout
         backoff = ExponentialBackoff(poll_seconds, cap=0.5)
-        read_retry = RetryPolicy(
-            max_attempts=3, floor=0.02, cap=0.25, surface="relay.tail"
-        )
         buffer = b""
         handle = None
         finished_since: Optional[float] = None
-
-        def _read_chunk(fh) -> bytes:
-            faults.point("relay.tail.read")
-            return fh.read()
-
         try:
             while True:
                 if handle is None and path.exists():
@@ -186,11 +179,11 @@ class EventRelay:
                 progressed = False
                 if handle is not None:
                     try:
-                        chunk = read_retry.call(_read_chunk, handle)
+                        faults.point("relay.tail.read")
+                        chunk = handle.read()
                     except OSError:
-                        # Still failing after retries: treat as an empty
-                        # poll — the SSE stream stays up and the next
-                        # round tries again.
+                        # A failed read is an empty poll: the SSE stream
+                        # stays up and the next poll reads again.
                         chunk = b""
                     if chunk:
                         buffer += chunk

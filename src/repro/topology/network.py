@@ -211,6 +211,7 @@ class PhysicalNetwork:
 
     def neighbors(self, u: int) -> Tuple[Tuple[int, int], ...]:
         """Neighbours of ``u`` as ``(neighbor, edge_index)`` pairs."""
+        u = node_id(u)
         if not (0 <= u < self._num_nodes):
             raise InvalidNetworkError(f"node {u} outside 0..{self._num_nodes - 1}")
         return self._adjacency[u]

@@ -1,12 +1,12 @@
-"""Unified retry policy for transient I/O failures.
+"""Retry policy for transient failures of one-shot reads.
 
-Every layer that touches the shared filesystem — store reads, worker
-claim loops, the serve collector, the relay tailer — used to have its
-own ad-hoc stance on transient errors (usually "hope").  The
-fault-injection harness makes those errors routine, so the stance is now
-explicit and shared: :class:`RetryPolicy` wraps a callable with bounded,
-backed-off retries and a single classification of what is worth
-retrying.
+A polling loop on the shared filesystem (the worker's claim loop, the
+relay tailer, the serve collector) needs no retry of its own: it treats
+a failed call as an empty poll, and its next poll is the retry.  A
+one-shot read has no next poll — ``ReportStore.get`` would otherwise
+report a miss on one I/O blip — so :class:`RetryPolicy` runs a callable
+with bounded, backed-off retries and a single classification of what is
+worth retrying.
 
 Classification: an exception retries when it matches ``retryable``
 *and not* ``non_retryable``.  The defaults treat I/O-flavoured errors
@@ -115,12 +115,3 @@ class RetryPolicy:
             if attempt > 1:
                 _retry_counter(self.surface, "recovered").inc()
             return result
-
-    def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """A callable that routes every invocation through :meth:`call`."""
-
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            return self.call(fn, *args, **kwargs)
-
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        return wrapped

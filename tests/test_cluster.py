@@ -26,6 +26,7 @@ from repro.cluster import (
     solve_many_async,
     spawn_local_workers,
 )
+from repro.cluster.queue import LOST
 from repro.store import ReportStore
 from repro.util.errors import ConfigurationError
 
@@ -219,6 +220,26 @@ class TestWorkQueue:
         assert queue.reopen(spec.canonical_key) is True
         assert queue.counts() == {"pending": 1, "claimed": 0, "done": 0, "failed": 0}
         assert queue.reopen("0" * 64) is False
+
+    def test_outcomes_of_keys_missing_from_the_store(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        names = ("stored", "failed", "pruned", "pending")
+        specs = {name: _spec(rows) for name, rows in zip(names, (3, 4, 5, 6))}
+        key = {name: spec.canonical_key for name, spec in specs.items()}
+        queue.submit([specs["stored"], specs["failed"], specs["pruned"]])
+        while (task := queue.claim("worker-a")) is not None:
+            if task.key == key["failed"]:
+                queue.fail(task, "ValueError: boom")
+            else:
+                queue.complete(task)
+        queue.submit([specs["pending"]])
+        # The caller found only "stored" in the store: "pruned" is done
+        # but its report is gone, and "pending" is still in flight.
+        assert queue.outcomes(key.values(), {key["stored"]}) == {
+            key["failed"]: "ValueError: boom",
+            key["pruned"]: LOST,
+        }
+        assert queue.outcomes([key["stored"]], {key["stored"]}) == {}
 
     def test_invalid_lease_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

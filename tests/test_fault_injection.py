@@ -349,19 +349,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             self._policy(max_attempts=0)
 
-    def test_wrap_routes_through_call(self):
-        calls = []
-
-        def flaky(value):
-            calls.append(1)
-            if len(calls) < 2:
-                raise OSError("blip")
-            return value
-
-        wrapped = self._policy().wrap(flaky)
-        assert wrapped("v") == "v"
-        assert len(calls) == 2
-
 
 # ----------------------------------------------------------------------
 # Store: read retries, quarantine, interrupted-put sweep

@@ -23,6 +23,7 @@ from repro.overlay.tree_packing import (
 from repro.routing.base import member_pairs, pair_key
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import InvalidNetworkError, InvalidSessionError
@@ -73,6 +74,12 @@ class TestRouting:
         with pytest.raises(InvalidNetworkError, match="1.5"):
             DynamicRouting(diamond_network).paths_for_pairs([(1.5, 3)])
 
+    def test_paths_from_nodes_refuse_floats(self):
+        # int() built the path 0 -> 1 -> 2; stored reports load through here.
+        network = PhysicalNetwork(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidNetworkError, match="1.5"):
+            UnicastPath.from_nodes(network, [0, 1.5, 2.7])
+
     def test_dijkstra_refuses_float_sources(self, diamond_network):
         with pytest.raises(InvalidNetworkError, match="1.7"):
             shortest_path_tree(diamond_network, [1.7])
@@ -105,6 +112,13 @@ class TestNetwork:
             diamond_network.edge_id(0, 1.9)
         with pytest.raises(InvalidNetworkError, match="1.9"):
             diamond_network.has_edge(0, 1.9)
+
+    def test_neighbor_lookups_refuse_floats(self, diamond_network):
+        # Both raised a bare TypeError from the adjacency list.
+        with pytest.raises(InvalidNetworkError, match="1.5"):
+            diamond_network.neighbors(1.5)
+        with pytest.raises(InvalidNetworkError, match="1.5"):
+            diamond_network.degree(1.5)
 
     def test_numpy_endpoints_and_lookups_pass(self, diamond_network):
         network = PhysicalNetwork(3, [(np.int64(0), np.int32(1)), (1, np.int64(2))])
@@ -159,6 +173,16 @@ class TestTreePacking:
         # int() put node 1 in the first block.
         with pytest.raises(InvalidSessionError, match="1.5"):
             crossing_weight([[0, 1.5], [2]], {(0, 2): 1.0, (1, 2): 2.0})
+
+    @pytest.mark.parametrize(
+        "key, named",
+        [((1.5, 2), "1.5"), ((7, 2), r"\(7, 2\)")],
+        ids=["float", "non-member"],
+    )
+    def test_weight_keys_outside_the_partition_are_refused(self, key, named):
+        # Both keys were counted as crossing: the sum read 3.0.
+        with pytest.raises(InvalidSessionError, match=named):
+            crossing_weight([[0, 1], [2]], {(0, 2): 1.0, key: 2.0})
 
     def test_numpy_ids_give_the_int_answers(self):
         members = np.array([0, 1, 2])

@@ -808,6 +808,76 @@ class TestServeClusterMode:
         finally:
             app.close()
 
+    def test_done_task_without_its_report_is_reopened_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The queue already holds the spec as done, but the store is
+        # fresh: the collector puts the task back in front of the
+        # workers once, and a worker's re-solve redeems the ticket.
+        spec = small_spec(seed=41)
+        queue = WorkQueue(tmp_path / "queue")
+        queue.submit([spec])
+        queue.complete(queue.claim("earlier-worker"))
+        reopened = []
+        reopen = queue.reopen
+        monkeypatch.setattr(
+            queue, "reopen", lambda key: reopened.append(key) or reopen(key)
+        )
+        app = ServeApp(ServeConfig(store=tmp_path / "store", queue=queue))
+        try:
+            code, ticket = app.submit(json.dumps(spec.to_jsonable()).encode())
+            assert code == 202
+            key = ticket["key"]
+            deadline = time.monotonic() + 10
+            while queue.counts()["pending"] == 0:
+                assert time.monotonic() < deadline, "collector never reopened the task"
+                time.sleep(0.01)
+            stats = run_worker(queue, app.store, poll_seconds=0.01, exit_when_empty=True)
+            assert stats["solved"] == 1
+            deadline = time.monotonic() + 10
+            while app._runs[key].state != "done":
+                assert time.monotonic() < deadline, "collector never finalised"
+                time.sleep(0.01)
+            assert app.report(key)[0] == 200
+            assert reopened == [key]
+            assert queue.counts() == {"pending": 0, "claimed": 0, "done": 1, "failed": 0}
+        finally:
+            app.close()
+
+    def test_collector_leaves_an_open_breaker_to_its_probe(self, tmp_path):
+        # The collector reads the store through the request threads'
+        # breaker: a report landing while the breaker is open must not
+        # close it before the cool-down's half-open probe.
+        clock = [0.0]
+        app = ServeApp(ServeConfig(store=tmp_path / "store", queue=tmp_path / "queue"))
+        app.breaker = CircuitBreaker(clock=lambda: clock[0])
+        try:
+            spec = small_spec(seed=42)
+            code, ticket = app.submit(json.dumps(spec.to_jsonable()).encode())
+            assert code == 202
+            key = ticket["key"]
+            deadline = time.monotonic() + 10
+            while key not in app._watched:
+                assert time.monotonic() < deadline, "dispatcher never queued the run"
+                time.sleep(0.01)
+            for _ in range(app.breaker.failure_threshold):
+                app.breaker.record_failure()
+            solve(spec, store=app.store)
+            # The collector polls at least once a second.
+            settle = time.monotonic() + 1.5
+            while time.monotonic() < settle:
+                assert app.breaker.state == "open"
+                assert app._runs[key].state == "running"
+                time.sleep(0.05)
+            clock[0] = app.breaker.reset_seconds  # the cool-down is over
+            deadline = time.monotonic() + 10
+            while app._runs[key].state != "done":
+                assert time.monotonic() < deadline, "collector never probed the store"
+                time.sleep(0.01)
+            assert app.breaker.state == "closed"
+        finally:
+            app.close()
+
 
 # ----------------------------------------------------------------------
 # Satellites: event tap, dropped-event accounting, timeout diagnostics

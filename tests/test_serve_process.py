@@ -5,13 +5,17 @@ purely over HTTP: submit the ``repro.api example`` spec, poll its report,
 stream its SSE telemetry to the end marker, then read ``/v1/status`` and
 the Prometheus ``/metrics`` exposition.  Formerly CI's "Serve HTTP
 smoke" step and the ``/metrics`` half of its "Observability smoke" step.
+A second server runs in cluster mode with ``--spawn-workers 1``: its
+child worker solves the spec, and SIGTERM stops the server and the child.
 """
 
 import json
+import signal
 import subprocess
 import sys
 import time
 import urllib.request
+from pathlib import Path
 
 from tests.test_api_cli import clean_env, run_python
 
@@ -84,4 +88,42 @@ def test_serve_submit_poll_stream_status_and_metrics(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=10)
+        server.stdout.close()
+
+
+def test_spawned_workers_solve_and_stop_with_the_server(tmp_path):
+    spec = run_python(tmp_path, "-m", "repro.api", "example").stdout.encode()
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serve", "--store", "store",
+            "--queue", "queue", "--spawn-workers", "1", "--port", "0",
+        ],
+        cwd=tmp_path,
+        env=clean_env(tmp_path),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        base = server.stdout.readline().split()[-1]
+        request = urllib.request.Request(f"{base}/v1/solve", data=spec, method="POST")
+        with urllib.request.urlopen(request, timeout=60) as resp:
+            key = json.load(resp)["key"]
+        deadline = time.monotonic() + 60
+        while True:
+            with urllib.request.urlopen(f"{base}/v1/reports/{key}", timeout=60) as resp:
+                if resp.status == 200:
+                    break
+            assert time.monotonic() < deadline, "the spawned worker never solved"
+            time.sleep(0.05)
+        children = Path(f"/proc/{server.pid}/task/{server.pid}/children")
+        pids = [int(pid) for pid in children.read_text().split()]
+        assert len(pids) == 1, pids
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=60) == 0
+        for pid in pids:
+            assert not Path(f"/proc/{pid}").exists(), f"worker {pid} outlived the server"
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
         server.stdout.close()
