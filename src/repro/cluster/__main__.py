@@ -19,6 +19,8 @@ Subcommands
 
 ``status --queue DIR``
     Print pending/claimed/done task counts.
+
+A bad setting (a NaN ``--lease``, say) exits with one line on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.api.specs import ScenarioSpec, load_scenario_specs
 from repro.cluster.async_api import solve_many_async
 from repro.cluster.queue import WorkQueue
 from repro.cluster.worker import run_worker, spawn_local_workers
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, check_seconds
 
 
 def _load_specs(paths: List[str]) -> List[ScenarioSpec]:
@@ -82,6 +84,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_drain(args: argparse.Namespace) -> int:
+    # Checked before any worker starts: each worker would refuse a bad
+    # --poll on its own, and the gather a bad --timeout once they ran.
+    check_seconds("--poll", args.poll)
+    if args.timeout is not None:
+        check_seconds("--timeout", args.timeout, zero_ok=True)
     specs = _load_specs(args.specs)
     queue = _queue(args)
     queue.submit(specs, num_shards=args.num_shards)
@@ -211,7 +218,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         and args.num_shards != args.workers
     ):
         parser.error("--pin-shards requires --num-shards to equal --workers")
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

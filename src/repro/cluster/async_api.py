@@ -28,7 +28,7 @@ from repro.api.specs import ScenarioSpec
 from repro.cluster.queue import LOST, WorkQueue
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
-from repro.util.errors import ConfigurationError
+from repro.util.errors import check_seconds
 
 
 def _stalled_batch_message(
@@ -85,16 +85,18 @@ async def as_reports_completed(
 
     ``poll_seconds`` is the poll *floor*: consecutive empty polls back
     off exponentially (capped) so an idle gather does not spin on the
-    store, and any landed report resets the interval to the floor.
+    store, and any landed report resets the interval to the floor.  It
+    must be finite and positive, and ``timeout`` finite and non-negative
+    (``ConfigurationError``, raised before the batch is submitted).
     """
-    if poll_seconds <= 0:
-        raise ConfigurationError(f"poll_seconds must be positive, got {poll_seconds}")
+    backoff = ExponentialBackoff(poll_seconds)
+    if timeout is not None:
+        check_seconds("timeout", timeout, zero_ok=True)
     queue = _coerce_queue(queue)
     store = _coerce_store(store)
     specs = list(specs)
     if submit:
         queue.submit(specs, num_shards=num_shards)
-    backoff = ExponentialBackoff(poll_seconds)
 
     waiting: Dict[str, List[int]] = {}
     for index, spec in enumerate(specs):

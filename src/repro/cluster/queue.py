@@ -43,7 +43,7 @@ from repro import faults
 from repro.api.specs import ScenarioSpec
 from repro.cluster.sharding import shard_of
 from repro.obs import metrics as obs_metrics
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, check_seconds
 from repro.util.serialization import atomic_write_bytes, fsync_directory
 
 TASK_SCHEMA = "WorkQueueTask/v1"
@@ -121,7 +121,8 @@ class WorkQueue:
         How long a claim stays owned without completing before
         :meth:`requeue_expired` hands it to another worker.  Workers
         heartbeat (:meth:`renew`) while solving, so this bounds
-        *crash detection latency*, not solve duration.
+        *crash detection latency*, not solve duration.  Finite and
+        positive: a NaN lease expires at once, an infinite one never.
     max_attempts:
         How many lease expirations a task survives before
         :meth:`requeue_expired` dead-letters it as poison instead of
@@ -140,16 +141,12 @@ class WorkQueue:
         max_attempts: int = 5,
         durable: bool = True,
     ) -> None:
-        if lease_seconds <= 0:
-            raise ConfigurationError(
-                f"lease_seconds must be positive, got {lease_seconds}"
-            )
         if max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
         self.root = Path(root)
-        self.lease_seconds = float(lease_seconds)
+        self.lease_seconds = check_seconds("lease_seconds", lease_seconds)
         self.max_attempts = int(max_attempts)
         self.durable = bool(durable)
 
@@ -194,14 +191,15 @@ class WorkQueue:
         another client already queued or finished, even with different
         sharding.
         """
-        existing = {
-            _key_of_task_name(name)
-            for state in _STATES
-            for name in self._names(state)
-        }
         pending_names = {
             _key_of_task_name(name): name for name in self._names("pending")
         }
+        existing = set(pending_names).union(
+            _key_of_task_name(name)
+            for state in _STATES
+            if state != "pending"
+            for name in self._names(state)
+        )
         keys: List[str] = []
         for spec in specs:
             key = spec.canonical_key
@@ -420,15 +418,18 @@ class WorkQueue:
 
     def failures(self) -> Dict[str, str]:
         """Canonical key → recorded error message for failed tasks."""
-        out: Dict[str, str] = {}
-        for name in self._names("failed"):
-            key = _key_of_task_name(name)
-            error_path = self._dir("failed") / f"{name}.error"
-            try:
-                out[key] = json.loads(error_path.read_text(encoding="utf-8"))["error"]
-            except (OSError, json.JSONDecodeError, KeyError):
-                out[key] = "unknown error (sidecar missing or unreadable)"
-        return out
+        return {
+            _key_of_task_name(name): self._recorded_error(name)
+            for name in self._names("failed")
+        }
+
+    def _recorded_error(self, name: str) -> str:
+        """The error the dead-lettered task ``name`` was failed with."""
+        error_path = self._dir("failed") / f"{name}.error"
+        try:
+            return json.loads(error_path.read_text(encoding="utf-8"))["error"]
+        except (OSError, json.JSONDecodeError, KeyError):
+            return "unknown error (sidecar missing or unreadable)"
 
     def outcomes(self, keys: Iterable[str], stored: Container[str]) -> Dict[str, Any]:
         """Where each of ``keys`` not in ``stored`` ended, if it did.
@@ -442,12 +443,12 @@ class WorkQueue:
         missing = [key for key in keys if key not in stored]
         if not missing:
             return {}
-        failures = self.failures()
+        failed = {_key_of_task_name(name): name for name in self._names("failed")}
         done = set(self.done_keys())
         out: Dict[str, Any] = {}
         for key in missing:
-            if key in failures:
-                out[key] = failures[key]
+            if key in failed:
+                out[key] = self._recorded_error(failed[key])
             elif key in done:
                 out[key] = LOST
         return out

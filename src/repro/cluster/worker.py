@@ -130,8 +130,7 @@ def run_worker(
 
     Returns counters: tasks completed, reports solved live, store hits.
     """
-    if poll_seconds <= 0:
-        raise ConfigurationError(f"poll_seconds must be positive, got {poll_seconds}")
+    backoff = ExponentialBackoff(poll_seconds)
     if not isinstance(queue, WorkQueue):
         queue = WorkQueue(queue)
     if not isinstance(store, ReportStore):
@@ -149,7 +148,6 @@ def run_worker(
         event_relay = relay if isinstance(relay, EventRelay) else EventRelay(relay)
 
     stats = {"completed": 0, "solved": 0, "store_hits": 0, "failed": 0}
-    backoff = ExponentialBackoff(poll_seconds)
     while True:
         try:
             queue.requeue_expired()

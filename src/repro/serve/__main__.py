@@ -16,7 +16,9 @@ self-contained single-host cluster::
 
 ``--port 0`` binds an ephemeral port; the chosen address is always
 printed as ``listening on http://HOST:PORT`` (stdout, flushed) so
-wrappers and tests can parse it.
+wrappers and tests can parse it.  A bad setting (a NaN or negative
+``--sse-timeout`` or ``--drain-timeout``, say) exits with one line on
+stderr before the server starts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import List, Optional
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.routes import make_server
 from repro.store import STORE_ENV_VAR, resolve_store
+from repro.util.errors import ConfigurationError, check_seconds
 
 
 def build_app(args: argparse.Namespace) -> ServeApp:
@@ -132,7 +135,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.spawn_workers and not args.queue:
         raise SystemExit("--spawn-workers requires --queue (cluster mode)")
+    try:
+        return _serve(args)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
 
+
+def _serve(args: argparse.Namespace) -> int:
+    # Checked now, not when a SIGTERM asks for the drain.
+    check_seconds("--drain-timeout", args.drain_timeout, zero_ok=True)
     app = build_app(args)
     server = make_server(app, host=args.host, port=args.port, verbose=args.verbose)
 

@@ -57,7 +57,7 @@ from repro.serve.relay import EventRelay
 from repro.serve.sse import sse_frames
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, check_seconds
 
 SERVICE_SCHEMA = "repro.serve/v1"
 
@@ -69,7 +69,8 @@ POLL_SECONDS = 0.05
 _TERMINAL = ("done", "failed")
 
 faults.declare_point(
-    "serve.store.lookup", "a breaker-guarded store lookup (requests, collector)"
+    "serve.store.lookup",
+    "a breaker-guarded store lookup (requests, collector, SSE tailer)",
 )
 
 
@@ -154,6 +155,7 @@ class ServeApp:
             raise ConfigurationError(
                 f"inline_workers must be >= 0, got {config.inline_workers}"
             )
+        check_seconds("sse_timeout", config.sse_timeout, zero_ok=True)
         self.store = (
             config.store
             if isinstance(config.store, ReportStore)
@@ -204,7 +206,7 @@ class ServeApp:
         self._threads.append(thread)
 
     def _store_contains(self, key: str) -> bool:
-        """``store.contains`` through the breaker (request threads, collector).
+        """``store.contains`` through the breaker (requests, collector, tailer).
 
         Raises :class:`StoreUnavailable` (→ 503 + Retry-After) when the
         breaker is open or this call pushed it over the threshold —
@@ -488,12 +490,13 @@ class ServeApp:
     # execution backends
     # ------------------------------------------------------------------
     def _run_finished(self, key: str) -> bool:
+        """The SSE tailer's ``finished`` predicate, polled on empty reads."""
         run = self._runs.get(key)
         if run is not None and run.state in _TERMINAL:
             return True
         try:
-            return self.store.contains(key)
-        except OSError:
+            return self._store_contains(key)
+        except StoreUnavailable:
             # The tailer keeps following the relay; the store's verdict
             # just isn't available this round.
             return False
@@ -589,8 +592,11 @@ class ServeApp:
         finish; whatever is still non-terminal afterwards is marked
         failed and its relay channel gets an end marker, so no SSE
         client is left hanging on a stream whose writer is about to die.
-        Finally the executor threads stop (:meth:`close`).
+        Finally the executor threads stop (:meth:`close`).  ``timeout``
+        is ``None`` (wait for every run) or finite and non-negative.
         """
+        if timeout is not None:
+            check_seconds("drain timeout", timeout, zero_ok=True)
         self._draining = True
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:

@@ -19,10 +19,13 @@ Design
   deterministic report).
 * **Corruption detection.**  Each payload is an envelope carrying a
   SHA-256 of its canonical report JSON.  ``get`` verifies the digest and
-  the schema; a corrupt entry is quarantined (deleted) and reported as a
-  miss, so the caller falls back to re-solving and the next ``put``
-  heals the store.  A report whose engine instrumentation comes from
-  another engine version (``instrumentation.engine`` other than
+  the schema; an entry whose bytes are not a verified report, whatever
+  their shape, is quarantined (deleted) and reported as a miss, so the
+  caller falls back to re-solving and the next ``put`` heals the store.
+  A read that fails with a transient ``OSError`` is retried a bounded
+  number of times first, and never deletes the entry.  A report whose
+  engine instrumentation comes from another engine version
+  (``instrumentation.engine`` other than
   :data:`~repro.core.engine.instrumentation.ENGINE_SCHEMA`) is removed
   and re-solved the same way, so warm and cold reports of one spec
   always agree, but it counts as ``stale``, not ``corrupt``.
@@ -36,18 +39,18 @@ import dataclasses
 import gzip
 import hashlib
 import json
-import math
 import os
+import random
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro import faults
 from repro.obs import metrics as obs_metrics
-from repro.util.errors import ConfigurationError, ReproError
-from repro.util.retry import DEFAULT_NON_RETRYABLE, RetryPolicy
+from repro.util.errors import ConfigurationError, ReproError, check_seconds
 from repro.util.serialization import atomic_write_bytes, canonical_json, read_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
@@ -57,6 +60,12 @@ STORE_ENV_VAR = "REPRO_STORE"
 ENTRY_SCHEMA = "ReportStoreEntry/v1"
 # Capacity of each store's in-memory LRU front of live reports.
 MEMORY_ENTRIES = 128
+# An entry read makes at most READ_ATTEMPTS calls; after a transient
+# OSError it sleeps a decorrelated-jitter delay, the first drawn from
+# [floor, 2 * floor] and each next from [floor, 2 * previous], capped.
+READ_ATTEMPTS = 3
+READ_RETRY_FLOOR = 0.02
+READ_RETRY_CAP = 0.25
 
 StoreLike = Union[None, str, Path, "ReportStore"]
 
@@ -72,6 +81,14 @@ faults.declare_point("store.get.read", "reading an entry's bytes")
 def _canonical_bytes(data: Any) -> bytes:
     """Deterministic JSON bytes (the repo-wide canonical encoding)."""
     return canonical_json(data).encode("utf-8")
+
+
+def _retry_counter(outcome: str):
+    return obs_metrics.registry().counter(
+        "repro_retry_total",
+        "Report-store read attempts by outcome",
+        labels={"surface": "store.get", "outcome": outcome},
+    )
 
 
 def _lookup_counter(outcome: str):
@@ -117,17 +134,7 @@ class ReportStore:
         self.misses = 0
         self.corrupt = 0
         self.stale = 0
-        # Transient read blips (NFS hiccups, injected OSErrors) are
-        # retried before an entry is declared missing; corruption is a
-        # *verification* verdict, never an I/O one, so a flaky read can
-        # no longer delete good data (see _load_entry).
-        self._read_retry = RetryPolicy(
-            max_attempts=3,
-            floor=0.02,
-            cap=0.25,
-            surface="store.get",
-            non_retryable=DEFAULT_NON_RETRYABLE + (gzip.BadGzipFile,),
-        )
+        self._jitter = random.Random()
 
     # ------------------------------------------------------------------
     # paths
@@ -230,47 +237,77 @@ class ReportStore:
         return read_bytes(path)
 
     def _load_entry(self, key: str, path: Path) -> Optional["SolveReport"]:
+        """Read, verify and rebuild the entry at ``path``; ``None`` is a miss.
+
+        A transient ``OSError`` is retried (``repro_retry_total`` counts
+        each attempt's outcome).  A vanished entry, or one this process
+        may not read, is a miss left in place.  Bytes that are not a
+        verified report are quarantined as ``corrupt``, and a sound
+        report from another engine version is removed as ``stale``.
+        """
         from repro.api.service import SolveReport
         from repro.core.engine.instrumentation import ENGINE_SCHEMA
 
-        try:
-            raw = self._read_retry.call(self._read_entry, path)
-        except FileNotFoundError:
-            # Raced with prune/quarantine in another process: plain miss.
-            return None
-        except (gzip.BadGzipFile, EOFError):
-            # Truncated or garbled gzip stream — the bytes themselves are
-            # bad, so this is corruption, not a flaky read.
-            return self._condemn(path)
-        except OSError:
-            # A transient read failure that outlived its retries.  The
-            # entry may be perfectly fine — deleting it would turn an
-            # I/O blip into data loss — so degrade to a miss and leave
-            # the file for the next reader.
-            return None
+        delay = READ_RETRY_FLOOR
+        for attempt in range(1, READ_ATTEMPTS + 1):
+            try:
+                raw = self._read_entry(path)
+                break
+            except (gzip.BadGzipFile, EOFError, zlib.error):
+                # A truncated or garbled gzip stream: the bytes are bad.
+                _retry_counter("rejected").inc()
+                return self._condemn(path)
+            except (
+                FileNotFoundError,
+                IsADirectoryError,
+                NotADirectoryError,
+                PermissionError,
+            ):
+                # Gone (a prune or quarantine raced us) or not ours to
+                # read: another attempt would meet the same world.
+                _retry_counter("rejected").inc()
+                return None
+            except OSError:
+                # Deleting the entry would turn an I/O blip into data
+                # loss, so an outlasting failure is a miss, not corrupt.
+                if attempt == READ_ATTEMPTS:
+                    _retry_counter("exhausted").inc()
+                    return None
+                _retry_counter("retried").inc()
+                delay = min(
+                    READ_RETRY_CAP, self._jitter.uniform(READ_RETRY_FLOOR, 2 * delay)
+                )
+                time.sleep(delay)
+        if attempt > 1:
+            _retry_counter("recovered").inc()
         try:
             envelope = json.loads(raw.decode("utf-8"))
+            if not isinstance(envelope, dict):
+                raise ValueError("entry is not a JSON object")
+            report_payload = envelope.get("report")
             if (
-                envelope.get("schema") != ENTRY_SCHEMA
+                not isinstance(report_payload, dict)
+                or envelope.get("schema") != ENTRY_SCHEMA
                 or envelope.get("key") != key
             ):
-                raise ValueError("entry schema/key mismatch")
-            report_payload = envelope["report"]
+                raise ValueError("entry schema/key/report mismatch")
             digest = hashlib.sha256(_canonical_bytes(report_payload)).hexdigest()
             if digest != envelope.get("sha256"):
                 raise ValueError("entry digest mismatch")
             # A report from another engine version would differ from a
             # cold solve of the same spec in its instrumentation.  Its
             # bytes are sound, so it is stale, not corrupt.
-            engine = (report_payload.get("instrumentation") or {}).get("engine")
-            if engine not in (None, ENGINE_SCHEMA):
+            instrumentation = report_payload.get("instrumentation") or {}
+            if not isinstance(instrumentation, dict):
+                raise ValueError("entry instrumentation is not an object")
+            if instrumentation.get("engine") not in (None, ENGINE_SCHEMA):
                 return self._retire_stale(path)
             return SolveReport.from_jsonable(report_payload)
         except (ValueError, KeyError, TypeError, ReproError):
-            # ReproError covers reconstruction failures from the repo's
-            # own layers (schema mismatch, invalid spec/session data) —
-            # every flavour of bad entry must degrade to a miss, never
-            # propagate to callers that promised to fall back to a solve.
+            # ValueError covers non-UTF-8 bytes and bad JSON; ReproError
+            # covers a payload the repo's own layers refuse to rebuild.
+            # Every flavour of bad entry degrades to a miss, never
+            # propagates to callers that promised to fall back to a solve.
             return self._condemn(path)
 
     def _condemn(self, path: Path) -> None:
@@ -352,10 +389,8 @@ class ReportStore:
         than ``max_age_seconds``; returns the number removed."""
         if max_entries is not None and max_entries < 0:
             raise ConfigurationError(f"max_entries must be >= 0, got {max_entries}")
-        if max_age_seconds is not None and not 0 <= max_age_seconds < math.inf:
-            raise ConfigurationError(
-                f"max_age_seconds must be finite and >= 0, got {max_age_seconds}"
-            )
+        if max_age_seconds is not None:
+            check_seconds("max_age_seconds", max_age_seconds, zero_ok=True)
         paths = self._disk_entries()
         stamped = []
         for p in paths:

@@ -13,7 +13,6 @@ from repro.util.errors import (
     ConfigurationError,
 )
 from repro.util.backoff import ExponentialBackoff
-from repro.util.retry import RetryPolicy
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.tables import format_table, format_kv
 from repro.util.cdf import cumulative_distribution, normalized_rank_cdf
@@ -26,7 +25,6 @@ __all__ = [
     "InfeasibleProblemError",
     "ConfigurationError",
     "ExponentialBackoff",
-    "RetryPolicy",
     "ensure_rng",
     "spawn_rngs",
     "format_table",

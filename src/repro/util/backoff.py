@@ -15,11 +15,10 @@ stretch.
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Optional
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import check_seconds
 
 DEFAULT_CAP_SECONDS = 2.0
 
@@ -36,54 +35,22 @@ class ExponentialBackoff:
         Upper bound on the delay.  Defaults to
         ``max(floor, DEFAULT_CAP_SECONDS)`` so a floor above the default
         cap degrades to fixed-interval polling rather than shrinking.
-    factor:
-        Growth multiplier per consecutive empty poll.
-    jitter:
-        Off by default (the historical deterministic ladder).  When on,
-        each delay is *decorrelated jitter* — drawn uniformly from
-        ``[floor, previous * factor]`` and capped — which de-synchronises
-        fleets of retrying workers that would otherwise hammer a
-        recovering store in lockstep.  Every delay still lies in
-        ``[floor, cap]``, and :meth:`reset` restores the floor as the
-        correlation state exactly as in the deterministic mode.
-    rng:
-        RNG for the jitter draws (a ``random.Random``); seed one for
-        reproducible schedules.  A private instance is created when
-        omitted.
+
+    Both are finite positive seconds (:class:`ConfigurationError`
+    otherwise): ``time.sleep(nan)`` raises.
     """
 
-    def __init__(
-        self,
-        floor: float,
-        cap: Optional[float] = None,
-        factor: float = 2.0,
-        jitter: bool = False,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if floor <= 0:
-            raise ConfigurationError(f"backoff floor must be positive, got {floor}")
-        if factor < 1.0:
-            raise ConfigurationError(f"backoff factor must be >= 1, got {factor}")
-        self.floor = float(floor)
-        self.cap = max(float(cap), self.floor) if cap is not None else max(
-            self.floor, DEFAULT_CAP_SECONDS
-        )
-        self.factor = float(factor)
-        self.jitter = bool(jitter)
-        self._rng = rng if rng is not None else random.Random()
+    def __init__(self, floor: float, cap: Optional[float] = None) -> None:
+        self.floor = check_seconds("poll interval", floor)
+        if cap is not None:
+            cap = check_seconds("poll interval cap", cap)
+        self.cap = max(self.floor, DEFAULT_CAP_SECONDS if cap is None else cap)
         self._delay = self.floor
 
     def next_delay(self) -> float:
         """The delay to sleep now; grows the next one (capped)."""
-        if self.jitter:
-            delay = min(
-                self.cap,
-                self._rng.uniform(self.floor, max(self.floor, self._delay * self.factor)),
-            )
-            self._delay = delay
-            return delay
         delay = self._delay
-        self._delay = min(self._delay * self.factor, self.cap)
+        self._delay = min(self._delay * 2.0, self.cap)
         return delay
 
     def reset(self) -> None:

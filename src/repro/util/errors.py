@@ -2,9 +2,13 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 applications embedding the library can catch a single base class.
+:func:`check_seconds` is the one check of a duration argument.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 
 class ReproError(Exception):
@@ -52,3 +56,18 @@ class ConvergenceError(ReproError):
     pathological instance and is reported explicitly rather than looping
     forever.
     """
+
+
+def check_seconds(name: str, value: Any, zero_ok: bool = False) -> float:
+    """``value`` as a float of seconds, if finite and positive.
+
+    ``zero_ok`` also accepts zero.  Anything else raises
+    :class:`ConfigurationError`: a NaN lease expires at once and a NaN
+    deadline never does (``monotonic() > nan`` is false), and an
+    infinite lease never expires.
+    """
+    above_floor = 0 <= value if zero_ok else 0 < value
+    if not (above_floor and value < math.inf):
+        bound = "non-negative" if zero_ok else "positive"
+        raise ConfigurationError(f"{name} must be finite and {bound}, got {value}")
+    return float(value)

@@ -11,7 +11,9 @@ timeout without workers).
 
 import asyncio
 import json
+import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.cluster import (
 from repro.cluster.queue import LOST
 from repro.store import ReportStore
 from repro.util.errors import ConfigurationError
+from tests.test_api_cli import run_python
 
 
 def _spec(rows: int) -> ScenarioSpec:
@@ -241,9 +244,35 @@ class TestWorkQueue:
         }
         assert queue.outcomes([key["stored"]], {key["stored"]}) == {}
 
+    def test_outcomes_read_only_the_asked_keys_sidecars(self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path / "q", durable=False)
+        specs = [_spec(rows) for rows in (3, 4, 5, 6)]
+        queue.submit(specs)
+        while (task := queue.claim("worker-a")) is not None:
+            queue.fail(task, f"ValueError: {task.key[:6]}")
+        failed = tmp_path / "q" / "failed"
+        (failed / f"s0000-{specs[1].canonical_key}.json.error").unlink()
+        reads = []
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            if path.name.endswith(".error"):
+                reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        first, second = specs[0].canonical_key, specs[1].canonical_key
+        assert queue.outcomes([first], set()) == {first: f"ValueError: {first[:6]}"}
+        assert len(reads) == 1
+        # A missing sidecar reads as the fallback message.
+        assert queue.outcomes([second], set()) == {
+            second: "unknown error (sidecar missing or unreadable)"
+        }
+
     def test_invalid_lease_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            WorkQueue(tmp_path / "q", lease_seconds=0.0)
+        for lease in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                WorkQueue(tmp_path / "q", lease_seconds=lease)
 
 
 class TestWorker:
@@ -415,6 +444,18 @@ class TestAsyncFrontEnd:
         assert by_index[0] == by_index[2] == spec.canonical_key
         assert queue.counts()["done"] == 2  # deduplicated to two tasks
 
+    def test_bad_poll_or_timeout_is_refused_before_submission(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        bad = [{"poll_seconds": v} for v in (0.0, math.nan, math.inf)]
+        bad += [{"timeout": v} for v in (-1.0, math.nan, math.inf)]
+        for kwargs in bad:
+            gather = solve_many_async([_spec(3)], queue, tmp_path / "s", **kwargs)
+            with pytest.raises(ConfigurationError):
+                # Bounded: a NaN poll or deadline that got through would
+                # wait forever.
+                asyncio.run(asyncio.wait_for(gather, 10))
+        assert queue.counts()["pending"] == 0
+
     def test_timeout_without_workers(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         store = ReportStore(tmp_path / "store")
@@ -495,6 +536,16 @@ class TestClusterCli:
             return {k: v for k, v in report.items() if k not in ("wall_seconds", "cached")}
 
         assert [strip(r) for r in cluster_reports] == [strip(r) for r in serial]
+
+    def test_worker_refuses_a_nan_lease_in_one_line(self, tmp_path):
+        done = run_python(
+            tmp_path,
+            "-m", "repro.cluster", "worker", "--queue", "Q", "--store", "S",
+            "--lease", "nan", "--exit-when-empty",
+            returncode=1,
+        )
+        assert done.stderr.count("\n") == 1 and "must be" in done.stderr, done.stderr
+        assert not (tmp_path / "Q").exists()
 
     def test_status_and_submit_commands(self, tmp_path, capsys):
         from repro.cluster.__main__ import main as cluster_main

@@ -4,8 +4,8 @@ The proof obligations of the robustness PR, layered:
 
 * unit semantics of the injector itself (spec grammar, hit counting,
   deterministic probabilistic rules, scoping);
-* the unified :class:`RetryPolicy` (classification, attempt accounting,
-  metrics);
+* the report store's bounded read retry (classification, attempt
+  accounting, delays, metrics);
 * in-process *raise* sweeps over every declared fault point of
   ``store.put`` and the queue lifecycle, asserting the invariants that
   matter: no lost task, no duplicate completion, corrupt entries
@@ -48,7 +48,6 @@ from repro.obs import metrics as obs_metrics
 import repro.serve.relay  # noqa: F401 - imports declare the relay fault points
 from repro.store.report_store import ReportStore
 from repro.util.errors import ConfigurationError
-from repro.util.retry import RetryPolicy
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -255,99 +254,70 @@ class TestFaultSpec:
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy
+# Store: the read's bounded retry
 # ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def _policy(self, **overrides) -> RetryPolicy:
-        defaults = dict(
-            max_attempts=3, floor=0.001, cap=0.002, sleep=lambda _s: None
-        )
-        defaults.update(overrides)
-        return RetryPolicy(**defaults)
+def _retries(outcome: str) -> float:
+    return _counter_value("repro_retry_total", surface="store.get", outcome=outcome)
 
-    def test_recovers_from_transient_errors(self):
-        calls = []
 
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("blip")
-            return "ok"
-
-        recovered_before = _counter_value(
-            "repro_retry_total", surface="t.recover", outcome="recovered"
-        )
-        assert self._policy(surface="t.recover").call(flaky) == "ok"
-        assert len(calls) == 3
-        assert (
-            _counter_value("repro_retry_total", surface="t.recover", outcome="recovered")
-            == recovered_before + 1
-        )
-
-    def test_exhausts_after_max_attempts(self):
-        calls = []
-
-        def always_fails():
-            calls.append(1)
-            raise TimeoutError("down")
-
-        exhausted_before = _counter_value(
-            "repro_retry_total", surface="t.exhaust", outcome="exhausted"
-        )
-        with pytest.raises(TimeoutError):
-            self._policy(surface="t.exhaust").call(always_fails)
-        assert len(calls) == 3
-        assert (
-            _counter_value("repro_retry_total", surface="t.exhaust", outcome="exhausted")
-            == exhausted_before + 1
-        )
-
-    def test_non_retryable_errors_propagate_immediately(self):
-        calls = []
-
-        def missing():
-            calls.append(1)
-            raise FileNotFoundError("gone for good")
-
-        with pytest.raises(FileNotFoundError):
-            self._policy(surface="t.reject").call(missing)
-        assert len(calls) == 1  # never retried
-
-    def test_classification(self):
-        policy = self._policy()
-        assert policy.is_retryable(OSError("x"))
-        assert policy.is_retryable(ConnectionError("x"))
-        assert policy.is_retryable(TimeoutError("x"))
-        assert policy.is_retryable(InjectedFault("x"))
-        assert not policy.is_retryable(FileNotFoundError("x"))
-        assert not policy.is_retryable(PermissionError("x"))
-        assert not policy.is_retryable(ValueError("x"))
-
-    def test_sleeps_follow_the_backoff_schedule(self):
+class TestStoreReadRetry:
+    @pytest.fixture
+    def stored(self, tmp_path, monkeypatch):
+        """A store holding one entry (memory front cleared); sleeps recorded."""
         slept = []
-        policy = self._policy(
-            max_attempts=4, floor=0.05, cap=0.2, jitter=False, sleep=slept.append
-        )
+        monkeypatch.setattr("repro.store.report_store.time.sleep", slept.append)
+        store = ReportStore(tmp_path, durable=False)
+        report = solve(_spec(3))
+        path = store.put(report)
+        store.clear_memory()
+        return store, report.canonical_key, path, slept
 
-        def always_fails():
-            raise OSError("down")
+    def test_two_read_faults_are_retried_then_recovered(self, stored):
+        store, key, _path, slept = stored
+        before = {o: _retries(o) for o in ("retried", "recovered", "exhausted")}
+        with fault_scope("store.get.read:raisex2"):
+            assert store.get(key) is not None
+        assert _retries("retried") == before["retried"] + 2
+        assert _retries("recovered") == before["recovered"] + 1
+        assert _retries("exhausted") == before["exhausted"]
+        assert len(slept) == 2
 
-        with pytest.raises(OSError):
-            policy.call(always_fails)
-        assert slept == [0.05, 0.1, 0.2]
+    def test_persistent_fault_is_exhausted_and_keeps_the_entry(self, stored):
+        store, key, path, slept = stored
+        exhausted = _retries("exhausted")
+        with fault_scope("store.get.read:raisex*"):
+            assert store.get(key) is None
+        assert _retries("exhausted") == exhausted + 1
+        assert len(slept) == 2  # three attempts
+        assert path.exists() and store.corrupt == 0
 
-    def test_max_attempts_one_disables_retry(self):
+    def test_permission_error_is_one_rejected_attempt(self, stored, monkeypatch):
+        store, key, path, slept = stored
         calls = []
 
-        def fails():
-            calls.append(1)
-            raise OSError("down")
+        def refuse(entry_path):
+            calls.append(entry_path)
+            raise PermissionError(13, "Permission denied", str(entry_path))
 
-        with pytest.raises(OSError):
-            self._policy(max_attempts=1).call(fails)
-        assert len(calls) == 1
-        with pytest.raises(ConfigurationError):
-            self._policy(max_attempts=0)
+        monkeypatch.setattr(store, "_read_entry", refuse)
+        rejected, retried = _retries("rejected"), _retries("retried")
+        assert store.get(key) is None
+        assert calls == [path]
+        assert _retries("rejected") == rejected + 1
+        assert _retries("retried") == retried and slept == []
+        assert path.exists() and store.corrupt == 0
+
+    def test_delays_are_decorrelated_jitter_within_floor_and_cap(self, stored):
+        store, key, _path, slept = stored
+        for _ in range(20):
+            with fault_scope("store.get.read:raisex*"):
+                assert store.get(key) is None
+        assert len(slept) == 40
+        assert all(0.02 <= delay <= 0.25 for delay in slept)
+        firsts, seconds = slept[0::2], slept[1::2]
+        assert all(delay <= 0.04 for delay in firsts)
+        assert all(b <= 2 * a for a, b in zip(firsts, seconds))
+        assert len(set(slept)) > 1  # drawn, not a fixed ladder
 
 
 # ----------------------------------------------------------------------

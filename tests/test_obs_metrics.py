@@ -373,22 +373,15 @@ def test_fault_tolerance_families_reach_the_exposition(tmp_path):
     """
     from repro import faults
     from repro.serve.breaker import CircuitBreaker
-    from repro.util.retry import RetryPolicy
 
-    # repro_retry_total{surface,outcome}: one recovered retry.
-    blips = iter([OSError("blip")])
-    policy = RetryPolicy(
-        max_attempts=2, floor=0.001, cap=0.002, surface="obs-smoke",
-        sleep=lambda _s: None,
-    )
-
-    def flaky() -> str:
-        try:
-            raise next(blips)
-        except StopIteration:
-            return "ok"
-
-    assert policy.call(flaky) == "ok"
+    # repro_retry_total{surface,outcome}: one store read recovered after
+    # one injected fault.
+    store = ReportStore(tmp_path / "store", durable=False)
+    report = solve(small_spec(seed=82))
+    store.put(report)
+    store.clear_memory()
+    with faults.fault_scope("store.get.read:raisex1"):
+        assert store.get(report.canonical_key) is not None
 
     # repro_lease_renewals_total + repro_task_attempts: one claim whose
     # lease is renewed, then completed.
@@ -417,5 +410,5 @@ def test_fault_tolerance_families_reach_the_exposition(tmp_path):
         "repro_fault_injections_total",
     ):
         assert family in text, f"{family} missing from exposition:\n{text}"
-    assert 'surface="obs-smoke"' in text
+    assert 'surface="store.get"' in text
     assert 'outcome="recovered"' in text

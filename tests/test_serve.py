@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import random
+import math
 import socket
 import threading
 import time
@@ -106,48 +106,9 @@ class TestExponentialBackoff:
         assert backoff.next_delay() == 5.0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            ExponentialBackoff(0.0)
-        with pytest.raises(ConfigurationError):
-            ExponentialBackoff(0.1, factor=0.5)
-
-    def test_jitter_default_off_preserves_ladder(self):
-        backoff = ExponentialBackoff(0.1, cap=0.5)
-        assert backoff.jitter is False
-        assert [backoff.next_delay() for _ in range(4)] == [0.1, 0.2, 0.4, 0.5]
-
-    def test_jitter_delays_stay_inside_the_envelope(self):
-        # Decorrelated jitter: every delay lies in [floor, cap] AND below
-        # previous * factor (the decorrelation bound).
-        backoff = ExponentialBackoff(
-            0.1, cap=2.0, factor=3.0, jitter=True, rng=random.Random(42)
-        )
-        previous = 0.1
-        for _ in range(100):
-            delay = backoff.next_delay()
-            assert 0.1 <= delay <= 2.0
-            assert delay <= max(0.1, previous * 3.0) + 1e-12
-            previous = delay
-
-    def test_jitter_reset_restores_floor_correlation(self):
-        backoff = ExponentialBackoff(
-            0.5, cap=60.0, jitter=True, rng=random.Random(7)
-        )
-        for _ in range(20):
-            backoff.next_delay()
-        backoff.reset()
-        # Right after a reset the draw envelope is [floor, floor*factor].
-        assert 0.5 <= backoff.next_delay() <= 1.0
-
-    def test_jitter_is_deterministic_under_a_seeded_rng(self):
-        schedules = []
-        for _ in range(2):
-            backoff = ExponentialBackoff(
-                0.1, cap=5.0, jitter=True, rng=random.Random(99)
-            )
-            schedules.append([backoff.next_delay() for _ in range(16)])
-        assert schedules[0] == schedules[1]
-        assert len(set(schedules[0])) > 1  # it does actually jitter
+        for floor in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                ExponentialBackoff(floor)
 
 
 # ----------------------------------------------------------------------
@@ -718,6 +679,36 @@ class TestServeDegradation:
         end = app.relay.events(ticket["key"])[-1]
         assert end["kind"] == "end" and end["status"] == "failed"
         assert "draining" in end["error"]
+
+    def test_sse_tailer_leaves_an_open_breaker_alone(self, tmp_path, monkeypatch):
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
+        try:
+            calls = []
+            contains = app.store.contains
+            monkeypatch.setattr(
+                app.store, "contains", lambda key: calls.append(key) or contains(key)
+            )
+            for _ in range(3):
+                app.breaker.record_failure()
+            assert app.breaker.state == "open"
+            # The relay tailer's predicate sheds like a request would.
+            assert app._run_finished(small_spec().canonical_key) is False
+            assert calls == []
+        finally:
+            app.close()
+
+    def test_timeouts_must_be_finite_and_non_negative(self, tmp_path):
+        for timeout in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                ServeApp(ServeConfig(store=tmp_path / "s", sse_timeout=timeout))
+        app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
+        try:
+            for timeout in (-1.0, math.nan, math.inf):
+                with pytest.raises(ConfigurationError):
+                    app.drain(timeout=timeout)
+            assert app.health()[1]["draining"] is False  # refused up front
+        finally:
+            app.close()
 
     def test_drain_waits_for_inflight_work(self, tmp_path):
         app = ServeApp(ServeConfig(store=tmp_path / "store"))

@@ -120,6 +120,30 @@ class TestCorruption:
         assert store.corrupt == 1
         assert not path.exists()  # quarantined, ready to be re-put
 
+    def test_corrupt_deflate_stream_is_quarantined(self, tmp_path):
+        # A valid gzip header and trailer around a block of the reserved
+        # type: gunzipping raises zlib.error, not BadGzipFile or EOFError.
+        store = ReportStore(tmp_path / "store", compress=True)
+        report = api.solve(_spec())
+        path = store.put(report)
+        store.clear_memory()
+        header = bytes([0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 0xFF])
+        path.write_bytes(header + b"\x07" + bytes(8))
+        assert store.get(report.canonical_key) is None
+        assert store.corrupt == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("body", [b"[]", b"123", b'{"report": []}'])
+    def test_json_that_is_not_an_envelope_is_quarantined(self, tmp_path, body):
+        store = ReportStore(tmp_path / "store")
+        report = api.solve(_spec())
+        path = store.put(report)
+        store.clear_memory()
+        path.write_bytes(body)
+        assert store.get(report.canonical_key) is None
+        assert store.corrupt == 1
+        assert not path.exists()
+
     def test_bit_flip_fails_digest_check(self, tmp_path):
         store = ReportStore(tmp_path / "store")
         report = api.solve(_spec())
