@@ -8,9 +8,10 @@ methods, each returning ``(http_status, payload)``:
   ``from_jsonable`` path; malformed input is a structured 400), answer
   warm keys straight from the store (zero solver work), dedupe in-flight
   keys, and pass the rest through admission control (full queue → 429).
-* :meth:`report` — store-first report lookup: 200 with the full
-  ``SolveReport`` JSON once solved, 202 while queued/running, 404 for
-  unknown keys, 500 for dead-lettered runs.
+* :meth:`report` — store-first report lookup: 200 with the stored
+  report's canonical JSON bytes once solved (never rebuilt or
+  re-encoded), 202 while queued/running, 404 for unknown keys, 500 for
+  dead-lettered runs.
 * :meth:`event_stream` — the SSE source: tails the run's relay channel
   (replay + follow), so clients watch engine telemetry live even when
   the solve executes in a queue worker process.
@@ -329,16 +330,18 @@ class ServeApp:
             **links,
         }
 
-    def _stored_report(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored report as JSON, or ``None`` (raises ``StoreUnavailable``)."""
+    def _stored_report(self, key: str) -> Optional[bytes]:
+        """The stored report's bytes, or ``None`` (raises ``StoreUnavailable``)."""
         if self._store_contains(key):
-            stored = self.store.get(key)
-            if stored is not None:
-                return stored.to_jsonable()
+            return self.store.get_bytes(key)
         return None
 
-    def report(self, key: str) -> Tuple[int, Dict[str, Any]]:
-        """``GET /v1/reports/{key}``: the report, or where it stands."""
+    def report(self, key: str) -> Tuple[int, Union[bytes, Dict[str, Any]]]:
+        """``GET /v1/reports/{key}``: the report, or where it stands.
+
+        A 200's payload is the report's canonical JSON bytes as the
+        store keeps them; every other status carries a JSON object.
+        """
         try:
             stored = self._stored_report(key)
             run = self._runs.get(key)

@@ -25,7 +25,7 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.obs import metrics as obs_metrics
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, check_seconds
 
 CLOSED = "closed"
 OPEN = "open"
@@ -56,12 +56,9 @@ class CircuitBreaker:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
-        if reset_seconds <= 0:
-            raise ConfigurationError(
-                f"reset_seconds must be positive, got {reset_seconds}"
-            )
         self.failure_threshold = int(failure_threshold)
-        self.reset_seconds = float(reset_seconds)
+        # A NaN cool-down never ends while retry_after() reads 0.
+        self.reset_seconds = check_seconds("reset_seconds", reset_seconds)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED

@@ -16,9 +16,10 @@ load-bearing, not an optimisation) dispatching to the app's
 ====================  ==================================================
 
 Conventions: JSON bodies everywhere (errors are
-``{"error": {"type", "message"}}``), the ``X-Client`` request header
-names the tenant for admission accounting, and 429/503 shed responses
-carry a standard ``Retry-After`` header.
+``{"error": {"type", "message"}}``; a report is sent as the store's
+compact canonical JSON bytes, every other body indented), the
+``X-Client`` request header names the tenant for admission accounting,
+and 429/503 shed responses carry a standard ``Retry-After`` header.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import math
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.app import ServeApp
@@ -81,7 +82,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self,
         code: int,
-        payload: Dict[str, Any],
+        payload: Union[bytes, Dict[str, Any]],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         headers = dict(headers or {})
@@ -94,7 +95,10 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                 headers["Retry-After"] = str(max(1, int(math.ceil(float(retry)))))
             except (TypeError, ValueError):
                 headers["Retry-After"] = "1"
-        body = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8") + b"\n"
+        if isinstance(payload, bytes):
+            body = payload  # JSON already: a stored report's bytes
+        else:
+            body = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8") + b"\n"
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -17,8 +17,13 @@ Design
   never sees a torn entry and two concurrent writers of the same key
   each land a complete file (last writer wins; both wrote the same
   deterministic report).
+* **Stored bytes.**  A report's canonical JSON bytes are what the store
+  keeps: ``put`` encodes the report once and writes the entry envelope
+  around those bytes, the memory front holds them, and ``get_bytes``
+  hands them out verified but unparsed (the body serve sends).  ``get``
+  rebuilds a live report from them for callers that want an object.
 * **Corruption detection.**  Each payload is an envelope carrying a
-  SHA-256 of its canonical report JSON.  ``get`` verifies the digest and
+  SHA-256 of its canonical report JSON.  Reads verify the digest and
   the schema; an entry whose bytes are not a verified report, whatever
   their shape, is quarantined (deleted) and reported as a miss, so the
   caller falls back to re-solving and the next ``put`` heals the store.
@@ -29,13 +34,12 @@ Design
   :data:`~repro.core.engine.instrumentation.ENGINE_SCHEMA`) is removed
   and re-solved the same way, so warm and cold reports of one spec
   always agree, but it counts as ``stale``, not ``corrupt``.
-* **LRU front.**  A small in-memory map of live reports serves repeated
-  gets in one process without re-reading and re-building solutions.
+* **LRU front.**  A small in-memory map of verified report bytes serves
+  repeated reads in one process without re-reading or re-verifying them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import hashlib
 import json
@@ -58,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
 
 STORE_ENV_VAR = "REPRO_STORE"
 ENTRY_SCHEMA = "ReportStoreEntry/v1"
-# Capacity of each store's in-memory LRU front of live reports.
+# Capacity of each store's in-memory LRU front of report bytes.
 MEMORY_ENTRIES = 128
 # An entry read makes at most READ_ATTEMPTS calls; after a transient
 # OSError it sleeps a decorrelated-jitter delay, the first drawn from
@@ -81,6 +85,23 @@ faults.declare_point("store.get.read", "reading an entry's bytes")
 def _canonical_bytes(data: Any) -> bytes:
     """Deterministic JSON bytes (the repo-wide canonical encoding)."""
     return canonical_json(data).encode("utf-8")
+
+
+# The canonical envelope's keys sort as key, report, schema, sha256, so
+# an entry is a head naming the key, the report's bytes and a tail
+# naming the schema and the digest.
+def _entry_head(key: str) -> bytes:
+    return b'{"key":' + _canonical_bytes(key) + b',"report":'
+
+
+def _entry_tail(digest: str) -> bytes:
+    return (
+        b',"schema":'
+        + _canonical_bytes(ENTRY_SCHEMA)
+        + b',"sha256":'
+        + _canonical_bytes(digest)
+        + b"}"
+    )
 
 
 def _retry_counter(outcome: str):
@@ -124,7 +145,7 @@ class ReportStore:
         self.root = Path(root)
         self.compress = bool(compress)
         self.durable = bool(durable)
-        self._memory: "OrderedDict[str, SolveReport]" = OrderedDict()
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         # One lock guards the LRU front and the hit/miss/corrupt/stale
         # counters: gets run concurrently on serve worker threads, and
         # unguarded `+= 1` / OrderedDict mutation would tear.  Disk I/O
@@ -170,19 +191,17 @@ class ReportStore:
         """
         started = time.perf_counter()
         key = report.canonical_key
-        if report.cached:
-            # Normalise the object itself, not just the payload, so the
-            # memory front and the disk entry agree on what they serve.
-            report = dataclasses.replace(report, cached=False)
         payload = report.to_jsonable()
+        payload["cached"] = False
         report_bytes = _canonical_bytes(payload)
-        envelope = _canonical_bytes(
-            {
-                "schema": ENTRY_SCHEMA,
-                "key": key,
-                "sha256": hashlib.sha256(report_bytes).hexdigest(),
-                "report": payload,
-            }
+        # Byte-identical to canonical_json({"schema", "key", "sha256",
+        # "report"}), without encoding the report a second time.
+        envelope = b"".join(
+            (
+                _entry_head(key),
+                report_bytes,
+                _entry_tail(hashlib.sha256(report_bytes).hexdigest()),
+            )
         )
         data = gzip.compress(envelope) if self.compress else envelope
         path = atomic_write_bytes(
@@ -191,7 +210,7 @@ class ReportStore:
             durable=self.durable,
             fault_point="store.put",
         )
-        self._remember(key, report)
+        self._remember(key, report_bytes)
         reg = obs_metrics.registry()
         reg.counter("repro_store_puts_total", "Reports persisted").inc()
         reg.histogram(
@@ -200,52 +219,76 @@ class ReportStore:
         return path
 
     def get(self, key: str) -> Optional["SolveReport"]:
-        """Fetch and verify the report stored under ``key``.
+        """Fetch, verify and rebuild the report stored under ``key``.
 
         Returns ``None`` — and removes the entry — when the entry is
-        missing, unreadable, schema-mismatched, fails its digest check or
-        comes from another engine version, so callers always fall back to
-        a fresh solve.
+        missing, unreadable, schema-mismatched, fails its digest check,
+        comes from another engine version or does not rebuild, so
+        callers always fall back to a fresh solve.
         """
+        from repro.api.service import SolveReport
+
+        report_bytes = self._lookup(key)
+        report = None
+        if report_bytes is not None:
+            try:
+                report = SolveReport.from_jsonable(json.loads(report_bytes))
+            except (ValueError, KeyError, TypeError, ReproError):
+                # Verified bytes the repo's own layers refuse to rebuild.
+                with self._lock:
+                    self._memory.pop(key, None)
+                self._condemn(self._find_object(key))
+        self._count_lookup(key, None if report is None else report_bytes)
+        return report
+
+    def get_bytes(self, key: str) -> Optional[bytes]:
+        """The canonical JSON bytes of the report stored under ``key``.
+
+        Verified and classified like :meth:`get` (``None`` is a miss),
+        but not rebuilt into a report: serve sends these bytes as the
+        report's body.
+        """
+        report_bytes = self._lookup(key)
+        self._count_lookup(key, report_bytes)
+        return report_bytes
+
+    def _lookup(self, key: str) -> Optional[bytes]:
+        """The memory front, then the disk entry; ``None`` is a miss."""
         with self._lock:
-            if key in self._memory:
+            report_bytes = self._memory.get(key)
+            if report_bytes is not None:
                 self._memory.move_to_end(key)
-                self.hits += 1
-                report = self._memory[key]
-                _lookup_counter("hit").inc()
-                return report
+                return report_bytes
         path = self._find_object(key)
-        if path is None:
+        return None if path is None else self._load_entry(key, path)
+
+    def _count_lookup(self, key: str, report_bytes: Optional[bytes]) -> None:
+        """Count a lookup as a hit (remembering its bytes) or a miss."""
+        if report_bytes is None:
             with self._lock:
                 self.misses += 1
             _lookup_counter("miss").inc()
-            return None
-        report = self._load_entry(key, path)
-        if report is None:
-            with self._lock:
-                self.misses += 1
-            _lookup_counter("miss").inc()
-            return None
+            return
+        self._remember(key, report_bytes)
         with self._lock:
             self.hits += 1
         _lookup_counter("hit").inc()
-        self._remember(key, report)
-        return report
 
     def _read_entry(self, path: Path) -> bytes:
         faults.point("store.get.read")
         return read_bytes(path)
 
-    def _load_entry(self, key: str, path: Path) -> Optional["SolveReport"]:
-        """Read, verify and rebuild the entry at ``path``; ``None`` is a miss.
+    def _load_entry(self, key: str, path: Path) -> Optional[bytes]:
+        """Read and verify the entry at ``path``: its report's bytes.
 
-        A transient ``OSError`` is retried (``repro_retry_total`` counts
-        each attempt's outcome).  A vanished entry, or one this process
-        may not read, is a miss left in place.  Bytes that are not a
-        verified report are quarantined as ``corrupt``, and a sound
-        report from another engine version is removed as ``stale``.
+        ``None`` is a miss.  A transient ``OSError`` is retried
+        (``repro_retry_total`` counts each attempt's outcome).  A
+        vanished entry, or one this process may not read, is a miss left
+        in place.  Bytes that are not a verified report are quarantined
+        as ``corrupt``, and a sound report from another engine version
+        is removed as ``stale``.
         """
-        from repro.api.service import SolveReport
+        from repro.api.service import REPORT_SCHEMA
         from repro.core.engine.instrumentation import ENGINE_SCHEMA
 
         delay = READ_RETRY_FLOOR
@@ -291,8 +334,17 @@ class ReportStore:
                 or envelope.get("key") != key
             ):
                 raise ValueError("entry schema/key/report mismatch")
-            digest = hashlib.sha256(_canonical_bytes(report_payload)).hexdigest()
-            if digest != envelope.get("sha256"):
+            digest = envelope.get("sha256")
+            if not isinstance(digest, str):
+                raise ValueError("entry digest is not a string")
+            head, tail = _entry_head(key), _entry_tail(digest)
+            if raw.startswith(head) and raw.endswith(tail):
+                report_bytes = raw[len(head) : len(raw) - len(tail)]
+            else:
+                # Not the canonical layout: the digest covers the
+                # report's canonical encoding, so re-encode it.
+                report_bytes = _canonical_bytes(report_payload)
+            if hashlib.sha256(report_bytes).hexdigest() != digest:
                 raise ValueError("entry digest mismatch")
             # A report from another engine version would differ from a
             # cold solve of the same spec in its instrumentation.  Its
@@ -302,15 +354,16 @@ class ReportStore:
                 raise ValueError("entry instrumentation is not an object")
             if instrumentation.get("engine") not in (None, ENGINE_SCHEMA):
                 return self._retire_stale(path)
-            return SolveReport.from_jsonable(report_payload)
-        except (ValueError, KeyError, TypeError, ReproError):
-            # ValueError covers non-UTF-8 bytes and bad JSON; ReproError
-            # covers a payload the repo's own layers refuse to rebuild.
-            # Every flavour of bad entry degrades to a miss, never
-            # propagates to callers that promised to fall back to a solve.
+            if report_payload.get("schema") != REPORT_SCHEMA:
+                raise ValueError("entry holds another report schema")
+            return report_bytes
+        except ValueError:
+            # ValueError covers non-UTF-8 bytes and bad JSON.  Every
+            # flavour of bad entry degrades to a miss, never propagates
+            # to callers that promised to fall back to a solve.
             return self._condemn(path)
 
-    def _condemn(self, path: Path) -> None:
+    def _condemn(self, path: Optional[Path]) -> None:
         """Count and quarantine a verified-corrupt entry; returns None."""
         with self._lock:
             self.corrupt += 1
@@ -332,15 +385,17 @@ class ReportStore:
         self._quarantine(path)
         return None
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Optional[Path]) -> None:
+        if path is None:
+            return
         try:
             path.unlink()
         except OSError:
             pass
 
-    def _remember(self, key: str, report: "SolveReport") -> None:
+    def _remember(self, key: str, report_bytes: bytes) -> None:
         with self._lock:
-            self._memory[key] = report
+            self._memory[key] = report_bytes
             self._memory.move_to_end(key)
             while len(self._memory) > MEMORY_ENTRIES:
                 self._memory.popitem(last=False)

@@ -27,15 +27,20 @@ from repro import faults
 
 GZIP_MAGIC = b"\x1f\x8b"
 
+# json.dumps with any non-default argument builds a new encoder per
+# call; encode() keeps no state between calls, so threads can share one.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(data: Any) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace).
 
     The single definition of the canonical form every content digest in
     the repo is computed over — spec ``canonical_key``s and store entry
-    checksums must agree on it byte-for-byte.
+    checksums must agree on it byte-for-byte.  The same bytes as
+    ``json.dumps(data, sort_keys=True, separators=(",", ":"))``.
     """
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(data)
 
 T = TypeVar("T")
 

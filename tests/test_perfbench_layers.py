@@ -5,9 +5,11 @@
 ``--trace 1``.  Untraced runs never import it, so a rename or deletion
 under ``src/`` that it depends on would only surface in a traced run.
 These tests install every wrapper in a fresh interpreter: one expects a
-clean exit, the other solves tiny specs and expects every solver-path
-layer to count calls, so code that stops calling a wrapped name (and
-with it zeroes a layer in every traced run) fails here.
+clean exit, one solves tiny specs and expects every solver-path layer to
+count calls, so code that stops calling a wrapped name (and with it
+zeroes a layer in every traced run) fails here, and one reads a stored
+report back through a fresh store and the serve app, so a signature the
+store and serve wrappers rely on cannot drift unnoticed.
 """
 
 import json
@@ -54,6 +56,34 @@ print(json.dumps({name: slot["calls"] for name, slot in tracer.totals().items()}
 """
 )
 
+SERVE = (
+    INSTALL
+    + """
+import json, sys
+from repro.api import ScenarioSpec, TopologySpec, WorkloadSpec
+from repro.api import service
+from repro.serve import ServeApp, ServeConfig
+from repro.store import ReportStore
+
+root = sys.argv[1]
+spec = ScenarioSpec(
+    topology=TopologySpec("paper_flat", {"num_nodes": 12}, seed=3),
+    workload=WorkloadSpec(sizes=(3,), seed=4),
+    solver="max_flow",
+    solver_params={"approximation_ratio": 0.5},
+)
+ReportStore(root, durable=False).put(service.solve(spec))
+assert ReportStore(root).get(spec.canonical_key) is not None
+app = ServeApp(ServeConfig(store=root, inline_workers=0))
+try:
+    code, body = app.report(spec.canonical_key)
+finally:
+    app.close()
+assert code == 200 and json.loads(body)["canonical_key"] == spec.canonical_key
+print(json.dumps({name: slot["calls"] for name, slot in tracer.totals().items()}))
+"""
+)
+
 #: Every layer a fixed- and a dynamic-routing solve pass through.
 SOLVER_PATH_LAYERS = (
     "api.build_instance",
@@ -72,11 +102,11 @@ SOLVER_PATH_LAYERS = (
 )
 
 
-def _run(script):
+def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -96,3 +126,16 @@ def test_traced_wrappers_see_the_solver_path():
     calls = json.loads(result.stdout.strip().splitlines()[-1])
     missing = [name for name in SOLVER_PATH_LAYERS if not calls.get(name)]
     assert not missing, (missing, calls)
+
+
+def test_traced_wrappers_see_the_serve_path(tmp_path):
+    # A put, a fresh store's get (its disk read is the wrapped
+    # _load_entry, its rebuild the wrapped from_jsonable) and a report
+    # served from a fresh store's disk read.
+    result = _run(SERVE, str(tmp_path / "store"))
+    assert result.returncode == 0, result.stderr
+    calls = json.loads(result.stdout.strip().splitlines()[-1])
+    assert calls["store.put"] == 1
+    assert calls["store.get"] == 1
+    assert calls["api.report_json"] == 2  # the put's to_jsonable, the get's rebuild
+    assert calls["serve.report"] == 1

@@ -47,6 +47,7 @@ from repro.serve.routes import ServeRequestHandler
 from repro.store.report_store import ReportStore
 from repro.util.backoff import ExponentialBackoff
 from repro.util.errors import ConfigurationError
+from repro.util.serialization import canonical_json
 
 
 def small_spec(seed: int = 5, **overrides) -> ScenarioSpec:
@@ -321,6 +322,15 @@ class TestServeHTTP:
         direct = solve(spec).to_jsonable()
         assert strip_volatile(served) == strip_volatile(direct)
 
+    def test_report_body_is_compact_canonical_json(self, http_server):
+        app, base = http_server
+        spec = small_spec(seed=34)
+        report = solve(spec, store=app.store)
+        with urllib.request.urlopen(f"{base}/v1/reports/{spec.canonical_key}") as resp:
+            assert resp.headers["Content-Type"] == "application/json"
+            body = resp.read()
+        assert body == canonical_json(report.to_jsonable()).encode()
+
     def test_sse_streams_congestion_before_end(self, http_server):
         _, base = http_server
         spec = online_spec()
@@ -540,12 +550,26 @@ class TestReportLookup:
                 return found
 
             monkeypatch.setattr(app, "_store_contains", racing_contains)
-            code, payload = app.report(key)
+            code, body = app.report(key)
             assert raced == [False]
-            assert code == 200, payload
-            assert payload["canonical_key"] == key
+            assert code == 200, body
+            assert json.loads(body)["canonical_key"] == key
         finally:
             app.close()
+
+    def test_report_is_the_stored_canonical_json(self, tmp_path):
+        # A 200 hands out the store's bytes, neither rebuilt nor
+        # re-encoded: from the memory front and from a fresh store's
+        # disk read alike.
+        spec = small_spec(seed=33)
+        store = ReportStore(tmp_path / "store")
+        expected = canonical_json(solve(spec, store=store).to_jsonable()).encode()
+        for app_store in (store, ReportStore(tmp_path / "store")):
+            app = ServeApp(ServeConfig(store=app_store, inline_workers=0))
+            try:
+                assert app.report(spec.canonical_key) == (200, expected)
+            finally:
+                app.close()
 
     def test_done_run_without_stored_report_is_lost(self, tmp_path):
         app = ServeApp(ServeConfig(store=tmp_path / "store", inline_workers=0))
@@ -604,8 +628,10 @@ class TestCircuitBreaker:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(reset_seconds=0.0)
+        # A NaN cool-down shed forever while retry_after() read 0.
+        for reset in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="reset_seconds"):
+                CircuitBreaker(reset_seconds=reset)
 
 
 class TestServeDegradation:
@@ -757,7 +783,9 @@ class TestServeClusterMode:
                 assert time.monotonic() < deadline, "collector never finalised"
                 time.sleep(0.01)
             code, served = app.report(key)
-            assert strip_volatile(served) == strip_volatile(solve(spec).to_jsonable())
+            assert strip_volatile(json.loads(served)) == strip_volatile(
+                solve(spec).to_jsonable()
+            )
             events = app.relay.events(key)
             assert events and events[-1]["kind"] == "end"
             assert events[-1]["status"] == "done"

@@ -8,6 +8,9 @@ all warm performs **zero** solver calls (the acceptance criterion,
 asserted by counting live solver dispatches).
 """
 
+import dataclasses
+import gzip
+import hashlib
 import json
 import math
 import subprocess
@@ -20,9 +23,13 @@ import pytest
 from repro import api
 from repro.api import ScenarioSpec, SessionSpec, TopologySpec, WorkloadSpec
 from repro.api import service
+from repro.core.engine.instrumentation import ENGINE_SCHEMA
+from repro.obs import metrics as obs_metrics
 from repro.store import STORE_ENV_VAR, ReportStore
-from repro.store.report_store import MEMORY_ENTRIES
+from repro.store import report_store
+from repro.store.report_store import ENTRY_SCHEMA, MEMORY_ENTRIES
 from repro.util.errors import ConfigurationError
+from repro.util.serialization import canonical_json
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -46,6 +53,25 @@ def _flows(solution):
         )
         for s in solution.sessions
     ]
+
+
+def _stored_payload(report) -> dict:
+    payload = report.to_jsonable()
+    payload["cached"] = False  # the store normalises the flag
+    return payload
+
+
+def _envelope(payload: dict, key: str, schema: str = ENTRY_SCHEMA) -> bytes:
+    """An entry's bytes as ``canonical_json`` of the whole envelope."""
+    body = canonical_json(payload).encode()
+    return canonical_json(
+        {
+            "schema": schema,
+            "key": key,
+            "sha256": hashlib.sha256(body).hexdigest(),
+            "report": payload,
+        }
+    ).encode()
 
 
 @pytest.fixture(autouse=True)
@@ -93,6 +119,23 @@ class TestRoundTrip:
         parent_payload = report.to_jsonable()
         parent_payload["cached"] = False  # the store normalises the flag
         assert child_payload == parent_payload
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_entry_is_the_canonical_envelope(self, tmp_path, compress):
+        # put() writes the envelope around the report's bytes instead of
+        # encoding the report twice: the entry file must not change.
+        store = ReportStore(tmp_path / "store", compress=compress)
+        report = api.solve(_spec())
+        key = report.canonical_key
+        expected = _envelope(_stored_payload(report), key)
+        for cached in (False, True):
+            path = store.put(dataclasses.replace(report, cached=cached))
+            raw = path.read_bytes()
+            assert (gzip.decompress(raw) if compress else raw) == expected
+        body = canonical_json(_stored_payload(report)).encode()
+        assert store.get_bytes(key) == body  # memory front
+        store.clear_memory()
+        assert store.get_bytes(key) == body  # disk
 
     def test_gzip_and_plain_entries_interoperate(self, tmp_path):
         plain = ReportStore(tmp_path / "store", compress=False)
@@ -245,6 +288,129 @@ class TestCorruption:
         # ... and the fresh solve healed the entry.
         store.clear_memory()
         assert store.get(spec.canonical_key) is not None
+
+
+def _lookups(outcome: str) -> float:
+    return obs_metrics.registry().counter(
+        "repro_store_lookups_total", labels={"outcome": outcome}
+    ).value
+
+
+def _registry_value(name: str) -> float:
+    return obs_metrics.registry().counter(name).value
+
+
+def _flip_a_digit(raw: bytes, key: str) -> bytes:
+    data = bytearray(raw)
+    at = next(
+        i for i in range(len(data) * 2 // 3, len(data)) if 48 <= data[i] <= 57
+    )
+    data[at] = ord("8") if data[at] != ord("8") else ord("9")
+    return bytes(data)
+
+
+def _wrong_key(raw: bytes, key: str) -> bytes:
+    envelope = json.loads(raw)
+    return _envelope(envelope["report"], "0" * len(key))
+
+
+def _wrong_schema(raw: bytes, key: str) -> bytes:
+    envelope = json.loads(raw)
+    return _envelope(envelope["report"], key, schema="ReportStoreEntry/v0")
+
+
+def _old_engine(raw: bytes, key: str) -> bytes:
+    envelope = json.loads(raw)
+    envelope["report"]["instrumentation"]["engine"] = "PhaseEngine/v4"
+    return _envelope(envelope["report"], key)
+
+
+class TestStoredBytes:
+    """``get_bytes`` reads through the same verdicts as ``get``."""
+
+    @pytest.mark.parametrize("read", ["get", "get_bytes"])
+    @pytest.mark.parametrize(
+        "damage, verdict",
+        [
+            (_flip_a_digit, "corrupt"),
+            (_wrong_key, "corrupt"),
+            (_wrong_schema, "corrupt"),
+            (_old_engine, "stale"),
+        ],
+    )
+    def test_bad_entry_verdicts_and_counters(self, tmp_path, read, damage, verdict):
+        store = ReportStore(tmp_path / "store")
+        report = api.solve(_spec())
+        key = report.canonical_key
+        path = store.put(report)
+        assert report.solution.instrumentation["engine"] == ENGINE_SCHEMA
+        path.write_bytes(damage(path.read_bytes(), key))
+        json.loads(path.read_bytes())  # still JSON: only a check can tell
+        store.clear_memory()
+        before = {
+            "miss": _lookups("miss"),
+            "hit": _lookups("hit"),
+            "corrupt": _registry_value("repro_store_quarantines_total"),
+            "stale": _registry_value("repro_store_stale_total"),
+        }
+        assert getattr(store, read)(key) is None
+        assert not path.exists()
+        assert (store.corrupt, store.stale) == (
+            (1, 0) if verdict == "corrupt" else (0, 1)
+        )
+        assert store.stats()["misses"] == 1 and store.stats()["hits"] == 0
+        assert _lookups("miss") == before["miss"] + 1
+        assert _lookups("hit") == before["hit"]
+        assert _registry_value("repro_store_quarantines_total") == before["corrupt"] + (
+            verdict == "corrupt"
+        )
+        assert _registry_value("repro_store_stale_total") == before["stale"] + (
+            verdict == "stale"
+        )
+
+    def test_canonical_entry_is_verified_without_re_encoding(
+        self, tmp_path, monkeypatch
+    ):
+        store = ReportStore(tmp_path / "store")
+        report = api.solve(_spec())
+        key = report.canonical_key
+        path = store.put(report)
+        body = canonical_json(_stored_payload(report)).encode()
+        encoded = []
+
+        def counted(data):
+            encoded.append(data)
+            return canonical_json(data)
+
+        monkeypatch.setattr(report_store, "canonical_json", counted)
+        store.clear_memory()
+        assert store.get_bytes(key) == body
+        assert not [data for data in encoded if isinstance(data, dict)]
+        # Another layout of the same entry verifies by re-encoding the
+        # payload, and reads the same canonical bytes.
+        path.write_bytes(json.dumps(json.loads(path.read_bytes()), indent=2).encode())
+        store.clear_memory()
+        assert store.get_bytes(key) == body
+        assert [data for data in encoded if isinstance(data, dict)]
+        assert store.get(key) is not None
+        assert store.corrupt == 0
+
+    def test_verified_payload_that_does_not_rebuild_is_quarantined(self, tmp_path):
+        # Only a hand-made entry gets here: its digest matches, but get()
+        # cannot rebuild a report from it.  get_bytes() does not rebuild,
+        # so it leaves the bytes in the memory front; get() drops them.
+        store = ReportStore(tmp_path / "store")
+        report = api.solve(_spec())
+        key = report.canonical_key
+        path = store.put(report)
+        payload = _stored_payload(report)
+        del payload["sessions"]
+        path.write_bytes(_envelope(payload, key))
+        store.clear_memory()
+        assert store.get_bytes(key) is not None
+        assert store.get(key) is None
+        assert store.corrupt == 1
+        assert not path.exists() and not store.contains(key)
 
 
 class TestConcurrentWriters:

@@ -1,12 +1,14 @@
 """Tests for repro.util.tables and repro.util.serialization."""
 
 import dataclasses
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.util.serialization import dump_json, load_json, to_jsonable
+from repro.util.serialization import canonical_json, dump_json, load_json, to_jsonable
 from repro.util.tables import format_kv, format_table
 
 
@@ -87,3 +89,19 @@ class TestSerialization:
         assert path.exists()
         loaded = load_json(path)
         assert loaded == {"x": [0, 1, 2], "y": {"z": 1.5}}
+
+    def test_canonical_json_is_json_dumps_sorted_and_compact(self):
+        # One shared encoder stands in for a json.dumps call per value;
+        # every digest in the repo depends on the bytes staying the same.
+        values = [
+            {"b": [1, {"d": None, "c": True}], "a": {"z": [], "y": {}}},
+            ["naïve", "日本", "\u00e9\n\t\"", ""],
+            [0, -7, 2**70, 0.1, -2.5e-300, 1e300, 1.0],
+            [math.nan, math.inf, -math.inf],
+            {"x": [[[1.5]]], "10": 1, "9": 2},
+            "plain",
+            3,
+        ]
+        for value in values:
+            expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            assert canonical_json(value) == expected
