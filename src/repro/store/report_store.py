@@ -36,6 +36,8 @@ Design
   always agree, but it counts as ``stale``, not ``corrupt``.
 * **LRU front.**  A small in-memory map of verified report bytes serves
   repeated reads in one process without re-reading or re-verifying them.
+  The first ``get`` of a key keeps the report it rebuilt beside the
+  bytes, so repeated gets do not rebuild it again.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import time
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.obs import metrics as obs_metrics
@@ -145,7 +147,10 @@ class ReportStore:
         self.root = Path(root)
         self.compress = bool(compress)
         self.durable = bool(durable)
-        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        # key -> (report bytes, the report a get rebuilt from them or None)
+        self._memory: "OrderedDict[str, Tuple[bytes, Optional[SolveReport]]]" = (
+            OrderedDict()
+        )
         # One lock guards the LRU front and the hit/miss/corrupt/stale
         # counters: gets run concurrently on serve worker threads, and
         # unguarded `+= 1` / OrderedDict mutation would tear.  Disk I/O
@@ -224,13 +229,13 @@ class ReportStore:
         Returns ``None`` — and removes the entry — when the entry is
         missing, unreadable, schema-mismatched, fails its digest check,
         comes from another engine version or does not rebuild, so
-        callers always fall back to a fresh solve.
+        callers always fall back to a fresh solve.  The memory front
+        keeps the rebuilt report, so repeated gets of a key share it.
         """
         from repro.api.service import SolveReport
 
-        report_bytes = self._lookup(key)
-        report = None
-        if report_bytes is not None:
+        report_bytes, report = self._lookup(key)
+        if report_bytes is not None and report is None:
             try:
                 report = SolveReport.from_jsonable(json.loads(report_bytes))
             except (ValueError, KeyError, TypeError, ReproError):
@@ -238,7 +243,8 @@ class ReportStore:
                 with self._lock:
                     self._memory.pop(key, None)
                 self._condemn(self._find_object(key))
-        self._count_lookup(key, None if report is None else report_bytes)
+                report_bytes = None
+        self._count_lookup(key, report_bytes, report)
         return report
 
     def get_bytes(self, key: str) -> Optional[bytes]:
@@ -248,28 +254,33 @@ class ReportStore:
         but not rebuilt into a report: serve sends these bytes as the
         report's body.
         """
-        report_bytes = self._lookup(key)
-        self._count_lookup(key, report_bytes)
+        report_bytes, report = self._lookup(key)
+        self._count_lookup(key, report_bytes, report)
         return report_bytes
 
-    def _lookup(self, key: str) -> Optional[bytes]:
-        """The memory front, then the disk entry; ``None`` is a miss."""
+    def _lookup(self, key: str) -> "Tuple[Optional[bytes], Optional[SolveReport]]":
+        """The memory front, then the disk entry; ``None`` bytes are a miss."""
         with self._lock:
-            report_bytes = self._memory.get(key)
-            if report_bytes is not None:
+            remembered = self._memory.get(key)
+            if remembered is not None:
                 self._memory.move_to_end(key)
-                return report_bytes
+                return remembered
         path = self._find_object(key)
-        return None if path is None else self._load_entry(key, path)
+        return (None if path is None else self._load_entry(key, path)), None
 
-    def _count_lookup(self, key: str, report_bytes: Optional[bytes]) -> None:
-        """Count a lookup as a hit (remembering its bytes) or a miss."""
+    def _count_lookup(
+        self,
+        key: str,
+        report_bytes: Optional[bytes],
+        report: Optional["SolveReport"],
+    ) -> None:
+        """Count a lookup as a hit (remembering what it read) or a miss."""
         if report_bytes is None:
             with self._lock:
                 self.misses += 1
             _lookup_counter("miss").inc()
             return
-        self._remember(key, report_bytes)
+        self._remember(key, report_bytes, report)
         with self._lock:
             self.hits += 1
         _lookup_counter("hit").inc()
@@ -337,13 +348,12 @@ class ReportStore:
             digest = envelope.get("sha256")
             if not isinstance(digest, str):
                 raise ValueError("entry digest is not a string")
+            # put() writes only the canonical layout, so the report's
+            # bytes lie between its head and tail.
             head, tail = _entry_head(key), _entry_tail(digest)
-            if raw.startswith(head) and raw.endswith(tail):
-                report_bytes = raw[len(head) : len(raw) - len(tail)]
-            else:
-                # Not the canonical layout: the digest covers the
-                # report's canonical encoding, so re-encode it.
-                report_bytes = _canonical_bytes(report_payload)
+            if not (raw.startswith(head) and raw.endswith(tail)):
+                raise ValueError("entry is not in canonical layout")
+            report_bytes = raw[len(head) : len(raw) - len(tail)]
             if hashlib.sha256(report_bytes).hexdigest() != digest:
                 raise ValueError("entry digest mismatch")
             # A report from another engine version would differ from a
@@ -393,9 +403,11 @@ class ReportStore:
         except OSError:
             pass
 
-    def _remember(self, key: str, report_bytes: bytes) -> None:
+    def _remember(
+        self, key: str, report_bytes: bytes, report: Optional["SolveReport"] = None
+    ) -> None:
         with self._lock:
-            self._memory[key] = report_bytes
+            self._memory[key] = (report_bytes, report)
             self._memory.move_to_end(key)
             while len(self._memory) > MEMORY_ENTRIES:
                 self._memory.popitem(last=False)

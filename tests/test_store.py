@@ -319,6 +319,11 @@ def _wrong_schema(raw: bytes, key: str) -> bytes:
     return _envelope(envelope["report"], key, schema="ReportStoreEntry/v0")
 
 
+def _indented(raw: bytes, key: str) -> bytes:
+    # The same envelope, digest included, in a layout put() never writes.
+    return json.dumps(json.loads(raw), indent=2).encode()
+
+
 def _old_engine(raw: bytes, key: str) -> bytes:
     envelope = json.loads(raw)
     envelope["report"]["instrumentation"]["engine"] = "PhaseEngine/v4"
@@ -335,6 +340,7 @@ class TestStoredBytes:
             (_flip_a_digit, "corrupt"),
             (_wrong_key, "corrupt"),
             (_wrong_schema, "corrupt"),
+            (_indented, "corrupt"),
             (_old_engine, "stale"),
         ],
     )
@@ -386,14 +392,33 @@ class TestStoredBytes:
         store.clear_memory()
         assert store.get_bytes(key) == body
         assert not [data for data in encoded if isinstance(data, dict)]
-        # Another layout of the same entry verifies by re-encoding the
-        # payload, and reads the same canonical bytes.
-        path.write_bytes(json.dumps(json.loads(path.read_bytes()), indent=2).encode())
-        store.clear_memory()
-        assert store.get_bytes(key) == body
-        assert [data for data in encoded if isinstance(data, dict)]
-        assert store.get(key) is not None
         assert store.corrupt == 0
+
+    def test_repeated_gets_rebuild_a_report_once(self, tmp_path, monkeypatch):
+        store = ReportStore(tmp_path / "store")
+        report = api.solve(_spec())
+        key = report.canonical_key
+        store.put(report)
+        rebuilds = []
+        from_jsonable = service.SolveReport.from_jsonable
+
+        def counted(data):
+            rebuilds.append(data)
+            return from_jsonable(data)
+
+        monkeypatch.setattr(service.SolveReport, "from_jsonable", counted)
+        first = store.get(key)
+        assert store.get_bytes(key) is not None  # keeps the rebuilt report
+        assert store.get(key) is first
+        assert api.solve(_spec(), store=store).cached
+        assert len(rebuilds) == 1
+        assert store.stats()["hits"] == 4
+        store.put(report)  # new bytes drop the rebuilt report
+        assert store.get(key) is not first
+        assert len(rebuilds) == 2
+        store.clear_memory()
+        assert store.get(key) is not None  # a disk read rebuilds too
+        assert len(rebuilds) == 3
 
     def test_verified_payload_that_does_not_rebuild_is_quarantined(self, tmp_path):
         # Only a hand-made entry gets here: its digest matches, but get()
