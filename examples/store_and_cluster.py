@@ -27,8 +27,7 @@ import asyncio
 import tempfile
 from pathlib import Path
 
-from repro.api import ScenarioSpec, TopologySpec, WorkloadSpec, solve_many
-from repro.api import cache_info, clear_caches
+from repro.api import ScenarioSpec, TopologySpec, WorkloadSpec, clear_caches, solve_many
 from repro.cluster import WorkQueue, shard_of, solve_many_async, spawn_local_workers
 from repro.store import ReportStore
 from repro.util.tables import format_kv
@@ -74,19 +73,17 @@ def main() -> None:
         clear_caches()          # simulate a fresh process...
         store.clear_memory()    # ...with a cold in-memory front
         warm = solve_many(specs, jobs=1, store=store)
-        info = cache_info()
         print("warm-store throughputs:", fingerprint(warm))
         print(
             format_kv(
                 {
-                    "solver calls on warm run": info["misses"],
-                    "reports served from store": info["store_hits"],
+                    "reports served from store": sum(r.cached for r in warm),
                     "store entries on disk": store.stats()["entries"],
                 }
             )
         )
         assert fingerprint(warm) == fingerprint(serial)
-        assert info["misses"] == 0
+        assert all(r.cached for r in warm)  # zero solver calls
 
         # 3. Queue-based: 2 subprocess workers drain a 2-shard batch
         #    cooperatively; reports stream back through the store.

@@ -16,14 +16,15 @@ Layers
   built-in names (the paper's four solver functions from
   :mod:`repro.core`, both routing models, all topology generators).
 * :mod:`repro.api.service` — ``solve(spec) -> SolveReport``,
-  ``solve_many(specs, jobs=...)`` (canonical-key cache + the library's
-  one process pool, sized by ``--jobs`` / ``REPRO_JOBS``; every
-  experiment sweep solves through it), ``build_instance`` (the one
-  place specs become live networks, sessions and routing models) and
-  ``solve_instance`` for callers that already hold live objects.
-  Both entry points take ``store=`` (or honour ``REPRO_STORE``) to
-  persist reports in a :class:`repro.store.ReportStore` — warm keys
-  skip the solver entirely, across processes.
+  ``solve_many(specs, jobs=...)`` (canonical-key deduplication + the
+  library's one process pool, sized by ``--jobs`` / ``REPRO_JOBS``;
+  every experiment sweep solves through it), ``build_instance`` (the
+  one place specs become live networks, sessions and routing models)
+  and ``solve_instance`` for callers that already hold live objects.
+  Both entry points take ``store=`` (or honour ``REPRO_STORE``) and run
+  one lookup chain per key: the :class:`repro.store.ReportStore`'s
+  memory front, then its disk, then the solver, whose report is
+  persisted — warm keys skip the solver entirely, across processes.
 * ``python -m repro.api run spec.json [--jobs N] [--store DIR]
   [--output out.json]`` — the CLI over spec files, plus ``cache
   stats|prune`` for store maintenance.
@@ -79,10 +80,11 @@ given; plus ``max_iterations``); ``max_concurrent_flow`` adds
 ``prescale_epsilon``/``max_steps``; ``online``
 (:func:`~repro.core.online_min_congestion`) takes ``sigma``,
 ``group_by_members`` and ``apply_no_bottleneck_scaling``;
-``randomized_rounding`` takes ``max_trees`` and ``seed`` on top of the
-fractional solve's accuracy parameters.  The keys of retired switches
-(:data:`repro.api.service.RETIRED_SOLVER_PARAMS`) are accepted and
-ignored with a ``DeprecationWarning``, so stored specs still solve.
+``randomized_rounding`` takes ``max_trees`` and a required ``seed`` on
+top of the fractional solve's accuracy parameters (a spec names one
+report, so its rounding draw must be seeded).  The keys of retired
+switches (:data:`repro.api.service.RETIRED_SOLVER_PARAMS`) are accepted
+and ignored with a ``DeprecationWarning``, so stored specs still solve.
 
 Quickstart
 ----------
@@ -109,7 +111,6 @@ from repro.api.service import (
     REPORT_SCHEMA,
     SolveReport,
     build_instance,
-    cache_info,
     clear_caches,
     solve,
     solve_instance,
@@ -140,6 +141,5 @@ __all__ = [
     "solve",
     "solve_instance",
     "solve_many",
-    "cache_info",
     "clear_caches",
 ]

@@ -113,22 +113,9 @@ def _store_from_args(args: argparse.Namespace) -> Optional[ReportStore]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.no_cache and args.store:
-        # solve_many bypasses the store entirely under use_cache=False;
-        # honouring --store silently would promise persistence it does
-        # not deliver.
-        raise SystemExit("--no-cache and --store are mutually exclusive")
     if args.store_gzip and not args.store and not os.environ.get(STORE_ENV_VAR):
         raise SystemExit(
             f"--store-gzip needs a store: pass --store DIR or export {STORE_ENV_VAR}"
-        )
-    if args.no_cache and os.environ.get(STORE_ENV_VAR):
-        # An ambient store is a softer opt-in than an explicit flag:
-        # warn rather than refuse, but never be silent about it.
-        print(
-            f"note: --no-cache bypasses the ${STORE_ENV_VAR} store; "
-            "nothing from this run will be persisted",
-            file=sys.stderr,
         )
     specs: List[ScenarioSpec] = []
     for spec_path in args.specs:
@@ -151,12 +138,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         tracer_cm = nullcontext()
     with tracer_cm:
-        reports = solve_many(
-            specs,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            store=_store_from_args(args),
-        )
+        reports = solve_many(specs, jobs=args.jobs, store=_store_from_args(args))
     if args.verbose:
         # Engine instrumentation to stderr so --output / piped stdout
         # stay pure JSON.
@@ -240,11 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"batch worker processes (0 = all cores; default: ${JOBS_ENV_VAR} or 1)",
     )
     run.add_argument("--output", default=None, help="write reports to this JSON file")
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="solve every spec fresh (skip the canonical-key report cache)",
-    )
     run.add_argument(
         "--store",
         default=None,

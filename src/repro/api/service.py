@@ -3,24 +3,22 @@
 ``solve(spec)`` turns one declarative :class:`ScenarioSpec` into a
 :class:`SolveReport` — the uniform result envelope carrying the live
 :class:`FlowSolution`, wall-clock and oracle-call accounting, and the
-echoed spec.  ``solve_many(specs, jobs=...)`` is the batch engine: it
-deduplicates specs by :attr:`ScenarioSpec.canonical_key`, reuses a
-process-level report cache, and farms uncached specs out to a process
-pool sized by the ``--jobs`` / ``REPRO_JOBS`` plumbing
-(:mod:`repro.util.jobs`).  It is the library's only process pool: every
-experiment sweep and ``python -m repro.api run`` solve through it, and
-the solvers themselves run serially.  Parallel batch runs are
-bit-identical to serial ones because spec construction is
-deterministic.
+echoed spec.  ``solve_many(specs, jobs=...)`` is the batch engine on the
+same chain: it deduplicates specs by :attr:`ScenarioSpec.canonical_key`
+and farms the keys no store holds out to a process pool sized by the
+``--jobs`` / ``REPRO_JOBS`` plumbing (:mod:`repro.util.jobs`).  It is
+the library's only process pool: every experiment sweep and ``python -m
+repro.api run`` solve through it, and the solvers themselves run
+serially.  Parallel batch runs are bit-identical to serial ones because
+spec construction is deterministic.
 
-Both entry points optionally consult a persistent
+A key's one lookup chain, for both entry points, is the persistent
 :class:`repro.store.ReportStore` (pass ``store=`` or export
-``REPRO_STORE=<dir>``), and fresh solves are written back, so repeated
-runs across processes — and cooperating :mod:`repro.cluster` workers —
-never re-solve a spec.  ``solve_many``'s lookup chain per key is
-in-process report cache → store → solver pool; ``solve`` checks the
-store only (it is the single-shot path — batch callers wanting the
-in-process cache use ``solve_many``).
+``REPRO_STORE=<dir>``; its memory front, then disk), then the solver,
+whose fresh report is written back.  So repeated runs across processes
+— and cooperating :mod:`repro.cluster` workers — never re-solve a spec.
+``repro_solve_total{outcome}`` counts each key's ``store`` or ``cold``
+outcome.
 
 Built networks, session lists and routing models are cached per
 *instance* (topology + workload + routing digest), so sweeping many
@@ -50,7 +48,7 @@ from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
 from repro.routing.base import RoutingModel, pair_key
 from repro.routing.paths import UnicastPath
-from repro.store.report_store import StoreLike, resolve_store
+from repro.store.report_store import ReportStore, StoreLike, resolve_store
 from repro.topology.network import PhysicalNetwork
 from repro.util.errors import ConfigurationError
 from repro.util.jobs import resolve_jobs
@@ -151,7 +149,8 @@ class SolveReport:
     oracle_calls:
         MST operations performed — the paper's running-time metric.
     cached:
-        Whether the report came out of the batch service's cache.
+        Whether the report came from the store, or repeats an earlier
+        spec of its batch, rather than from a solver run.
     """
 
     spec: ScenarioSpec
@@ -269,7 +268,7 @@ class SolveReport:
 # single solve
 # ----------------------------------------------------------------------
 def _solve_uncached(spec: ScenarioSpec) -> SolveReport:
-    """One live solve, no cache or store consultation (the pool-worker path)."""
+    """One live solve, no store consultation (the pool-worker path)."""
     _, sessions, routing = build_instance(spec)
     if spec.arrivals is not None:
         # Arrival ordering sits on top of the cached instance: the same
@@ -293,6 +292,27 @@ def _solve_outcome_counter(outcome: str):
         "solve()/solve_many() results by cache-chain outcome",
         labels={"outcome": outcome},
     )
+
+
+def _stored_report(
+    spec: ScenarioSpec, store: Optional[ReportStore]
+) -> Optional[SolveReport]:
+    """The store's verified report of ``spec`` with ``cached=True``, or ``None``."""
+    if store is None:
+        return None
+    hit = store.get(spec.canonical_key)
+    if hit is None:
+        return None
+    _solve_outcome_counter("store").inc()
+    return dataclasses.replace(hit, cached=True)
+
+
+def _keep_cold(report: SolveReport, store: Optional[ReportStore]) -> SolveReport:
+    """Count a fresh solve and write it back to the store, if any."""
+    _solve_outcome_counter("cold").inc()
+    if store is not None:
+        store.put(report)
+    return report
 
 
 def solve(
@@ -344,108 +364,66 @@ def _solve_impl(
     store: StoreLike,
     on_event: Optional[Callable[..., None]],
 ) -> SolveReport:
-    global _store_hits
     with maybe_span("solve", solver=spec.solver, key=spec.canonical_key[:12]) as span:
         resolved = resolve_store(store)
-        if resolved is not None:
-            hit = resolved.get(spec.canonical_key)
-            if hit is not None:
-                _store_hits += 1
-                _solve_outcome_counter("store").inc()
-                span.set(outcome="store")
-                return dataclasses.replace(hit, cached=True)
+        report = _stored_report(spec, resolved)
+        if report is not None:
+            span.set(outcome="store")
+            return report
         if on_event is not None:
             with event_tap(on_event):
                 report = _solve_uncached(spec)
         else:
             report = _solve_uncached(spec)
-        _solve_outcome_counter("cold").inc()
         span.set(outcome="cold")
-        if resolved is not None:
-            resolved.put(report)
-        return report
+        return _keep_cold(report, resolved)
 
 
 # ----------------------------------------------------------------------
 # batch solve
 # ----------------------------------------------------------------------
-_report_cache: "OrderedDict[str, SolveReport]" = OrderedDict()
-_REPORT_CACHE_LIMIT = 256
-_cache_hits = 0
-_cache_misses = 0
-_store_hits = 0
-
-
-def _solve_jsonable_cell(payload: Dict[str, Any]) -> SolveReport:
-    """Pool worker: rebuild the spec from JSON form and solve it.
-
-    Deliberately skips the store (even when ``REPRO_STORE`` is exported):
-    the parent batch already consulted it, and write-back happens once in
-    the parent rather than racing from every worker.
-    """
-    return _solve_uncached(ScenarioSpec.from_jsonable(payload))
-
-
 def solve_many(
     specs: Sequence[ScenarioSpec],
     jobs: Optional[int] = None,
-    use_cache: bool = True,
     store: StoreLike = None,
 ) -> List[SolveReport]:
-    """Solve a batch of scenarios, in input order.
+    """Solve a batch of scenarios on :func:`solve`'s chain, in input order.
 
-    * Specs with the same :attr:`~ScenarioSpec.canonical_key` are solved
-      once; later occurrences (and repeats across calls, via the
-      process-level cache) are served from cache with ``cached=True``.
-    * With a persistent store (``store=`` path/instance or the
-      ``REPRO_STORE`` environment variable), the lookup chain per key is
-      in-process report cache → store → solver pool, and every fresh
-      solve is written back.  A batch whose keys are all warm in the
-      store performs zero solver calls.
-    * ``jobs`` resolves through the ``--jobs`` / ``REPRO_JOBS``
-      plumbing; with more than one worker, uncached specs solve on a
-      process pool.  Results are bit-identical to a serial run.
-    * ``use_cache=False`` bypasses the cache, the store *and* the
-      within-batch deduplication: every spec in the batch — repeats
-      included — is solved fresh.  Use it for scenarios that are
-      deliberately non-deterministic, e.g. ``randomized_rounding``
-      without a seed, where each occurrence must draw independently.
+    * Each distinct :attr:`~ScenarioSpec.canonical_key` is looked up once
+      in the store (``store=`` path/instance or the ``REPRO_STORE``
+      environment variable; its memory front, then disk), and a verified
+      hit comes back with ``cached=True``.  A batch whose keys are all
+      warm performs zero solver calls.
+    * The misses solve once each, and every fresh report is written back
+      to the store.  ``jobs`` resolves through the ``--jobs`` /
+      ``REPRO_JOBS`` plumbing; with more than one worker, the misses
+      solve on a process pool.  Results are bit-identical to a serial run.
+    * Later occurrences of a key in the batch return its report with
+      ``cached=True``.
+
+    Nothing is kept between calls beyond the store and the instance
+    cache: a caller that reuses solutions across batches keeps them
+    (the experiment runner does).
     """
-    global _cache_hits, _cache_misses, _store_hits
-    order: List[str] = [spec.canonical_key for spec in specs]
-    resolved_store = resolve_store(store) if use_cache else None
+    resolved = resolve_store(store)
+    reports: Dict[str, SolveReport] = {}
+    misses: Dict[str, ScenarioSpec] = {}
+    for spec in specs:
+        key = spec.canonical_key
+        if key not in reports and key not in misses:
+            hit = _stored_report(spec, resolved)
+            if hit is None:
+                misses[key] = spec
+            else:
+                reports[key] = hit
 
-    # Decide which batch positions need a live solve.  With caching on,
-    # one solve serves every occurrence of a canonical key; with caching
-    # off, every position solves independently.
-    if use_cache:
-        fresh_keys: "OrderedDict[str, ScenarioSpec]" = OrderedDict()
-        for spec, key in zip(specs, order):
-            if key not in _report_cache and key not in fresh_keys:
-                fresh_keys[key] = spec
-        if resolved_store is not None:
-            # Keys warm in the store need no solver work: promote them
-            # into the in-process cache and drop them from the task list.
-            for key in list(fresh_keys):
-                persisted = resolved_store.get(key)
-                if persisted is not None:
-                    _store_hits += 1
-                    _solve_outcome_counter("store").inc()
-                    _report_cache[key] = persisted
-                    _report_cache.move_to_end(key)
-                    del fresh_keys[key]
-        tasks = list(fresh_keys.values())
-    else:
-        tasks = list(specs)
-
-    workers = min(resolve_jobs(jobs), len(tasks)) if tasks else 1
-    if workers > 1 and len(tasks) > 1:
-        payloads = [spec.to_jsonable() for spec in tasks]
+    workers = min(resolve_jobs(jobs), len(misses)) if misses else 1
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_jsonable_cell, payloads))
+            solved = list(pool.map(_solve_uncached, misses.values()))
     else:
         solved = []
-        for spec in tasks:
+        for spec in misses.values():
             # One top-level span per spec, so a traced batch run nests
             # the same way a single solve() does (pool workers run in
             # other processes and escape the thread-local tracer).
@@ -454,82 +432,21 @@ def solve_many(
             ) as span:
                 solved.append(_solve_uncached(spec))
                 span.set(outcome="cold")
-    _cache_misses += len(solved)
-    if solved:
-        _solve_outcome_counter("cold").inc(len(solved))
-    if resolved_store is not None:
-        for report in solved:
-            resolved_store.put(report)
-
-    if not use_cache:
-        return solved
-
-    new_reports: Dict[str, SolveReport] = {
-        key: report for key, report in zip(fresh_keys.keys(), solved)
-    }
+    for key, report in zip(misses, solved):
+        reports[key] = _keep_cold(report, resolved)
 
     out: List[SolveReport] = []
-    served_this_call: Dict[str, SolveReport] = {}
-    for spec, key in zip(specs, order):
-        if key in new_reports and key not in served_this_call:
-            report = new_reports[key]
-            served_this_call[key] = report
-        else:
-            source = served_this_call.get(key)
-            if source is None:
-                source = _report_cache[key]
-                _report_cache.move_to_end(key)  # LRU, not FIFO: refresh on hit
-                _cache_hits += 1
-                _solve_outcome_counter("report_cache").inc()
-                served_this_call[key] = source
-            report = SolveReport(
-                spec=spec,
-                solution=source.solution,
-                wall_seconds=source.wall_seconds,
-                oracle_calls=source.oracle_calls,
-                cached=True,
-            )
+    served = set()
+    for spec in specs:
+        key = spec.canonical_key
+        report = reports[key]
+        if key in served:
+            report = dataclasses.replace(report, cached=True)
         out.append(report)
-
-    for key, report in new_reports.items():
-        _report_cache[key] = report
-        _report_cache.move_to_end(key)
-    while len(_report_cache) > _REPORT_CACHE_LIMIT:
-        _report_cache.popitem(last=False)
-    if resolved_store is not None:
-        # Backfill: keys served from the in-process cache (warmed by an
-        # earlier store-less call) must still land on disk, or a store
-        # attached mid-session would never see them.  Read from
-        # served_this_call, not _report_cache — the eviction pass above
-        # may already have dropped a served key from the cache.
-        for key, report in served_this_call.items():
-            if key not in new_reports and not resolved_store.contains(key):
-                resolved_store.put(report)
+        served.add(key)
     return out
 
 
-def cache_info() -> Dict[str, int]:
-    """Batch-service cache counters (hits, misses, cached reports/instances).
-
-    ``misses`` counts live solver runs; ``hits`` counts reports served
-    from the in-process cache; ``store_hits`` counts the subset of warm
-    keys that came off the persistent store rather than this process's
-    own solves.
-    """
-    return {
-        "hits": _cache_hits,
-        "misses": _cache_misses,
-        "store_hits": _store_hits,
-        "reports": len(_report_cache),
-        "instances": len(_instance_cache),
-    }
-
-
 def clear_caches() -> None:
-    """Drop the report and instance caches and reset the counters."""
-    global _cache_hits, _cache_misses, _store_hits
-    _report_cache.clear()
+    """Drop the instance cache (stores keep their own memory fronts)."""
     _instance_cache.clear()
-    _cache_hits = 0
-    _cache_misses = 0
-    _store_hits = 0

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -153,6 +154,19 @@ class SessionSpec(_SpecBase):
         )
 
 
+def _integer(value: Any, name: str) -> int:
+    """``value`` as an integer, or a :class:`ConfigurationError` naming it.
+
+    Python and NumPy integers pass (through ``operator.index``); a float
+    raises, even an integral one, where ``int()`` would quietly truncate
+    2.7 to 2 and give the spec the integer spec's canonical key.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _positive_finite(value: Any) -> bool:
     """Whether ``value`` is a real number (not a bool) in ``(0, inf)``."""
     return (
@@ -210,12 +224,13 @@ class ArrivalSpec(_SpecBase):
     order: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if int(self.replication) < 1:
-            raise ConfigurationError(
-                f"replication must be >= 1, got {self.replication}"
-            )
-        object.__setattr__(self, "replication", int(self.replication))
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
+        replication = _integer(self.replication, "replication")
+        if replication < 1:
+            raise ConfigurationError(f"replication must be >= 1, got {replication}")
+        object.__setattr__(self, "replication", replication)
+        object.__setattr__(
+            self, "order", tuple(_integer(i, "order entry") for i in self.order)
+        )
         if self.order and self.seed is not None:
             raise ConfigurationError(
                 "seed and order are mutually exclusive: an explicit order "
@@ -294,7 +309,9 @@ class WorkloadSpec(_SpecBase):
     demand_distribution: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(
+            self, "sizes", tuple(_integer(size, "sizes entry") for size in self.sizes)
+        )
         object.__setattr__(self, "sessions", tuple(self.sessions))
         if bool(self.sizes) == bool(self.sessions):
             raise ConfigurationError(

@@ -200,7 +200,8 @@ def randomized_rounding(
     sessions: Sequence[Session],
     routing: RoutingModel,
     max_trees: int = 1,
-    seed: SeedLike = None,
+    *,
+    seed: SeedLike,
     approximation_ratio: Optional[float] = 0.95,
     epsilon: Optional[float] = None,
     prescale_epsilon: float = 0.1,
@@ -209,8 +210,17 @@ def randomized_rounding(
 
     Solves the fractional MaxConcurrentFlow relaxation with the given
     accuracy parameters, then selects up to ``max_trees`` trees per
-    session by flow-proportional sampling (seeded by ``seed``).
+    session by flow-proportional sampling seeded by ``seed``.  The seed
+    is required, and may not be ``None``: a spec's canonical key names
+    one report, so the draw must be reproducible.  (Direct callers that
+    want fresh entropy use :class:`RandomMinCongestion`, whose seed is
+    optional.)
     """
+    if seed is None:
+        raise ConfigurationError(
+            "randomized_rounding needs a seed: an unseeded draw differs on "
+            "every solve, yet a spec names one report"
+        )
     fractional = max_concurrent_flow(
         sessions,
         routing,

@@ -2,24 +2,28 @@
 
 Several figures are different views of the same underlying runs (e.g.
 Table II, Fig 2 and Fig 4 all read the MaxFlow ratio sweep; Figs 12–19
-all read the Section VI sweep).  This module performs those runs once per
-process and caches the results, keyed by scale / routing kind / algorithm,
-so that generating every figure does not re-solve identical instances.
+all read the Section VI sweep), and studies share cells (the dynamic
+limited-tree study's fractional reference is a flat MaxConcurrentFlow
+cell).  This module keeps every solution it solves in one cache keyed on
+the cell spec's canonical key, so generating every figure solves each
+distinct cell once per process.  The limited-tree studies are cached
+too, because they also hold the randomized-rounding averages.
 
 Every sweep is a grid of mutually independent cells (one ratio, one
 (session count, session size) point, one tree-limit ordering), and every
 cell is a declarative :class:`~repro.api.specs.ScenarioSpec` — online
 cells included, since the arrival process is a spec field
-(:class:`repro.api.specs.ArrivalSpec`).  So each sweep is exactly one
-``repro.api.solve_many(specs, jobs=jobs, store=store)`` call: the flat
-ratio sweeps, the Section VI grid, its online sweep, and the limited-tree
-study's fractional reference plus online orderings.  ``solve_many`` owns
-the process pool (``jobs=``, ``REPRO_JOBS`` or the section CLIs'
-``--jobs``; parallel runs are bit-identical to serial ones) and, with a
-persistent :class:`repro.store.ReportStore` — pass ``store=`` or export
-``REPRO_STORE`` — a re-run of a sweep in a fresh process performs zero
-solver calls.  Only the randomized-rounding trials (which resample a
-live fractional solution) always compute, in a plain loop.
+(:class:`repro.api.specs.ArrivalSpec`).  So each sweep's unsolved cells
+are exactly one ``repro.api.solve_many(specs, jobs=jobs, store=store)``
+call: the flat ratio sweeps, the Section VI grid, its online sweep, and
+the limited-tree study's fractional reference plus online orderings.
+``solve_many`` owns the process pool (``jobs=``, ``REPRO_JOBS`` or the
+section CLIs' ``--jobs``; parallel runs are bit-identical to serial
+ones) and, with a persistent :class:`repro.store.ReportStore` — pass
+``store=`` or export ``REPRO_STORE`` — a re-run of a sweep in a fresh
+process performs zero solver calls.  Only the randomized-rounding trials
+(which resample a live fractional solution) always compute, in a plain
+loop.
 """
 
 from __future__ import annotations
@@ -45,35 +49,31 @@ from repro.util.errors import ConfigurationError
 from repro.util.rng import spawn_child_seed
 
 
+#: Canonical key -> solution of every cell solved in this process.
+_SOLUTIONS: Dict[str, FlowSolution] = {}
+_LIMITED_TREE_STUDIES: Dict[Tuple[str, str], "LimitedTreeStudy"] = {}
+
+
+def clear_caches() -> None:
+    """Drop every cached solution and study, and the API's instance cache."""
+    _SOLUTIONS.clear()
+    _LIMITED_TREE_STUDIES.clear()
+    service.clear_caches()
+
+
 def _solve_specs(
     specs: Sequence[ScenarioSpec], jobs: Optional[int], store: StoreLike
 ) -> List[FlowSolution]:
-    """Solve one sweep's cells in a single ``solve_many`` batch, in order."""
-    reports = service.solve_many(specs, jobs=jobs, store=store)
-    return [report.solution for report in reports]
+    """Solve one sweep's cells, in order: the unsolved ones in one batch."""
+    unsolved = [spec for spec in specs if spec.canonical_key not in _SOLUTIONS]
+    for report in service.solve_many(unsolved, jobs=jobs, store=store):
+        _SOLUTIONS[report.canonical_key] = report.solution
+    return [_SOLUTIONS[spec.canonical_key] for spec in specs]
 
 
 # ----------------------------------------------------------------------
 # flat (Sections III–V) runs
 # ----------------------------------------------------------------------
-_FLAT_SWEEPS: Dict[Tuple[str, str, str], Dict[float, FlowSolution]] = {}
-_LIMITED_TREE_STUDIES: Dict[Tuple[str, str], "LimitedTreeStudy"] = {}
-
-
-def clear_caches() -> None:
-    """Drop every cached run, and the API's report and instance caches.
-
-    The API caches go too: otherwise a re-run after this call would be
-    served from the in-process report cache and never reach the solver
-    (or the process pool).
-    """
-    _FLAT_SWEEPS.clear()
-    _LIMITED_TREE_STUDIES.clear()
-    _SWEEP_RUNS.clear()
-    _ONLINE_SWEEP_RUNS.clear()
-    service.clear_caches()
-
-
 def flat_scenario_spec(
     scale: str, routing_kind: str, algorithm: str, ratio: float
 ) -> ScenarioSpec:
@@ -95,22 +95,16 @@ def flat_ratio_sweep(
 ) -> Dict[float, FlowSolution]:
     """Solve the flat instance for every approximation ratio of the setting.
 
-    ``algorithm`` is ``"maxflow"`` or ``"maxconcurrent"``.  Results are
-    cached per (scale, routing kind, algorithm); ``jobs`` controls how
-    many ratio cells solve concurrently on an uncached first call.  With
-    a persistent store (``store=`` or ``REPRO_STORE``), re-runs come
-    back without solver work.
+    ``algorithm`` is ``"maxflow"`` or ``"maxconcurrent"``.  Cells are
+    cached per canonical key; ``jobs`` controls how many unsolved ratio
+    cells solve concurrently.  With a persistent store (``store=`` or
+    ``REPRO_STORE``), re-runs come back without solver work.
     """
-    if algorithm not in ("maxflow", "maxconcurrent"):
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    key = (scale, routing_kind, algorithm)
-    if key not in _FLAT_SWEEPS:
-        ratios = flat_setting_for_scale(scale).ratios
-        specs = [
-            flat_scenario_spec(scale, routing_kind, algorithm, ratio) for ratio in ratios
-        ]
-        _FLAT_SWEEPS[key] = dict(zip(ratios, _solve_specs(specs, jobs, store)))
-    return _FLAT_SWEEPS[key]
+    ratios = flat_setting_for_scale(scale).ratios
+    specs = [
+        flat_scenario_spec(scale, routing_kind, algorithm, ratio) for ratio in ratios
+    ]
+    return dict(zip(ratios, _solve_specs(specs, jobs, store)))
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +248,13 @@ def limited_tree_study(
 ) -> LimitedTreeStudy:
     """Run (or fetch) the Random/Online versus tree-limit study.
 
-    The fractional reference and every online ordering cell solve as one
-    ``repro.api.solve_many`` batch — with a persistent store (``store=``
-    or ``REPRO_STORE``) a re-run of the study performs zero solver
-    calls.  The rounding trials resample the live fractional solution,
-    so they always compute, serially (they take milliseconds).
+    The fractional reference and every online ordering cell this process
+    has not solved yet solve as one ``repro.api.solve_many`` batch (the
+    dynamic study's reference is a flat MaxConcurrentFlow cell, so a
+    flat sweep may already hold it) — with a persistent store
+    (``store=`` or ``REPRO_STORE``) a re-run of the study performs zero
+    solver calls.  The rounding trials resample the live fractional
+    solution, so they always compute, serially (they take milliseconds).
     """
     key = (scale, routing_kind)
     if key in _LIMITED_TREE_STUDIES:
@@ -332,10 +328,6 @@ def limited_tree_study(
 # ----------------------------------------------------------------------
 # Section VI sweep runs
 # ----------------------------------------------------------------------
-_SWEEP_RUNS: Dict[Tuple[str, str], Dict[Tuple[int, int], FlowSolution]] = {}
-_ONLINE_SWEEP_RUNS: Dict[Tuple[str, int], Dict[Tuple[int, int], FlowSolution]] = {}
-
-
 def sweep_scenario_spec(scale: str, algorithm: str, count: int, size: int) -> ScenarioSpec:
     """Declarative spec of one Section VI grid cell.
 
@@ -357,17 +349,12 @@ def sweep_runs(
     With a persistent store (``store=`` or ``REPRO_STORE``), sweep
     re-runs skip solved cells.
     """
-    if algorithm not in ("maxflow", "maxconcurrent"):
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    key = (scale, algorithm)
-    if key not in _SWEEP_RUNS:
-        grid_points = sweep_setting_for_scale(scale).grid_points()
-        specs = [
-            sweep_scenario_spec(scale, algorithm, count, size)
-            for count, size in grid_points
-        ]
-        _SWEEP_RUNS[key] = dict(zip(grid_points, _solve_specs(specs, jobs, store)))
-    return _SWEEP_RUNS[key]
+    grid_points = sweep_setting_for_scale(scale).grid_points()
+    specs = [
+        sweep_scenario_spec(scale, algorithm, count, size)
+        for count, size in grid_points
+    ]
+    return dict(zip(grid_points, _solve_specs(specs, jobs, store)))
 
 
 def online_scenario_spec(
@@ -393,14 +380,9 @@ def online_sweep_runs(
     re-run of the online sweep performs zero solver calls, exactly like
     the offline sweeps.
     """
-    key = (scale, tree_limit)
-    if key not in _ONLINE_SWEEP_RUNS:
-        grid_points = sweep_setting_for_scale(scale).grid_points()
-        specs = [
-            online_scenario_spec(scale, tree_limit, count, size)
-            for count, size in grid_points
-        ]
-        _ONLINE_SWEEP_RUNS[key] = dict(
-            zip(grid_points, _solve_specs(specs, jobs, store))
-        )
-    return _ONLINE_SWEEP_RUNS[key]
+    grid_points = sweep_setting_for_scale(scale).grid_points()
+    specs = [
+        online_scenario_spec(scale, tree_limit, count, size)
+        for count, size in grid_points
+    ]
+    return dict(zip(grid_points, _solve_specs(specs, jobs, store)))

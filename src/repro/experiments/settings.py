@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.api.specs import ArrivalSpec, ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.util.errors import ConfigurationError
+from repro.util.jobs import JOBS_ENV_VAR, configure_jobs
 from repro.util.rng import spawn_child_seed
 
 DEFAULT_SEED = 2004
@@ -313,52 +314,36 @@ def paper_sweep_setting() -> SweepSetting:
     return SweepSetting()
 
 
+#: Scale name -> its (flat, limited-tree, sweep) preset functions.
+_SCALES = {
+    "tiny": (tiny_flat_setting, tiny_limited_tree_setting, tiny_sweep_setting),
+    "quick": (quick_flat_setting, quick_limited_tree_setting, quick_sweep_setting),
+    "paper": (paper_flat_setting, paper_limited_tree_setting, paper_sweep_setting),
+}
+
+
+def _presets(scale: str) -> Tuple[Callable[[], Any], ...]:
+    try:
+        return _SCALES[scale]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; use 'tiny', 'quick' or 'paper'"
+        ) from None
+
+
 def flat_setting_for_scale(scale: str) -> FlatSetting:
     """Resolve a flat setting from a scale name (``tiny``/``quick``/``paper``)."""
-    if scale == "tiny":
-        return tiny_flat_setting()
-    if scale == "quick":
-        return quick_flat_setting()
-    if scale == "paper":
-        return paper_flat_setting()
-    raise ConfigurationError(f"unknown scale {scale!r}; use 'tiny', 'quick' or 'paper'")
+    return _presets(scale)[0]()
 
 
 def limited_tree_setting_for_scale(scale: str) -> LimitedTreeSetting:
     """Resolve a limited-tree setting from a scale name."""
-    if scale == "tiny":
-        return tiny_limited_tree_setting()
-    if scale == "quick":
-        return quick_limited_tree_setting()
-    if scale == "paper":
-        return paper_limited_tree_setting()
-    raise ConfigurationError(f"unknown scale {scale!r}; use 'tiny', 'quick' or 'paper'")
+    return _presets(scale)[1]()
 
 
 def sweep_setting_for_scale(scale: str) -> SweepSetting:
     """Resolve a sweep setting from a scale name."""
-    if scale == "tiny":
-        return tiny_sweep_setting()
-    if scale == "quick":
-        return quick_sweep_setting()
-    if scale == "paper":
-        return paper_sweep_setting()
-    raise ConfigurationError(f"unknown scale {scale!r}; use 'tiny', 'quick' or 'paper'")
-
-
-# ----------------------------------------------------------------------
-# execution settings (parallel sweep runs)
-# ----------------------------------------------------------------------
-# The ``--jobs`` / REPRO_JOBS plumbing lives in ``repro.util.jobs`` so
-# that the batch API, whose pool runs every sweep, reads it without
-# importing the experiments layer; re-exported here for the section CLI
-# runner below.
-from repro.util.jobs import (  # noqa: E402,F401  (re-exports)
-    JOBS_ENV_VAR,
-    configure_jobs,
-    default_jobs,
-    resolve_jobs,
-)
+    return _presets(scale)[2]()
 
 
 def run_section_cli(
@@ -376,7 +361,7 @@ def run_section_cli(
     parser.add_argument(
         "--scale",
         default="quick",
-        choices=("tiny", "quick", "paper"),
+        choices=tuple(_SCALES),
         help="experiment scale preset (default: quick)",
     )
     parser.add_argument(

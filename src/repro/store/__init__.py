@@ -1,14 +1,17 @@
 """repro.store — persistent, content-addressed result storage.
 
-The store turns the in-process report cache of :mod:`repro.api.service`
-into durable state: reports are spilled to disk keyed on
-:attr:`repro.api.specs.ScenarioSpec.canonical_key`, so repeated CLI
-invocations, experiment re-runs and independent worker processes
-(:mod:`repro.cluster`) all share one solved-spec universe.
+The store is the report cache of :mod:`repro.api.service`: reports are
+kept on disk keyed on :attr:`repro.api.specs.ScenarioSpec.canonical_key`,
+behind a small in-memory front, so repeated CLI invocations, experiment
+re-runs and independent worker processes (:mod:`repro.cluster`) all
+share one solved-spec universe.  ``solve`` and ``solve_many`` look a key
+up in the store's memory front, then on disk, and solve it only on a
+miss.
 
-Opt in per call (``solve_many(specs, store="runs/store")``) or
-process-wide (``REPRO_STORE=runs/store``); inspect and trim from the
-CLI (``python -m repro.api cache stats|prune --store runs/store``).
+Opt in per call (``solve_many(specs, store="runs/store")``; a path
+resolves to one store per directory in a process) or process-wide
+(``REPRO_STORE=runs/store``); inspect and trim from the CLI
+(``python -m repro.api cache stats|prune --store runs/store``).
 """
 
 from repro.store.report_store import (

@@ -3,8 +3,10 @@
 :class:`ReportStore` spills :class:`repro.api.service.SolveReport`s to
 disk keyed on :attr:`repro.api.specs.ScenarioSpec.canonical_key`, so
 repeated CLI runs, batch sweeps and cooperating worker processes skip
-every spec that has already been solved — anywhere, ever — instead of
-only within one process's report cache.
+every spec that has already been solved — anywhere, ever.  It is the one
+report cache of :func:`repro.api.solve` and :func:`repro.api.solve_many`:
+a key's lookup chain is this store's memory front, then its disk entry,
+then the solver.
 
 Design
 ------
@@ -495,7 +497,7 @@ class ReportStore:
         return f"ReportStore({str(self.root)!r}, compress={self.compress})"
 
 
-_env_stores: Dict[str, ReportStore] = {}
+_stores: Dict[str, ReportStore] = {}
 
 
 def resolve_store(store: StoreLike) -> Optional[ReportStore]:
@@ -503,19 +505,22 @@ def resolve_store(store: StoreLike) -> Optional[ReportStore]:
 
     ``None`` consults the ``REPRO_STORE`` environment variable — set it
     to a directory path to make every ``solve``/``solve_many`` in the
-    process persistent without touching call sites.  The env-resolved
-    store is memoized per path, so its in-memory LRU front and counters
-    accumulate across calls instead of resetting on every resolve.
-    Strings and paths open a store at that location; an existing store
-    passes through.
+    process persistent without touching call sites.  A path (string or
+    :class:`~pathlib.Path`, passed or from the environment) resolves to
+    one store per directory for the life of the process, so its
+    in-memory LRU front and counters accumulate across calls instead of
+    resetting on every resolve.  A relative path is made absolute first,
+    so a later change of working directory reaches another store rather
+    than the first directory's memory front.  An existing store passes
+    through.
     """
     if isinstance(store, ReportStore):
         return store
     if store is None:
-        env = os.environ.get(STORE_ENV_VAR)
-        if not env:
+        store = os.environ.get(STORE_ENV_VAR)
+        if not store:
             return None
-        if env not in _env_stores:
-            _env_stores[env] = ReportStore(env)
-        return _env_stores[env]
-    return ReportStore(store)
+    root = os.path.abspath(store)
+    if root not in _stores:
+        _stores[root] = ReportStore(root)
+    return _stores[root]

@@ -375,6 +375,7 @@ class TestRegistry:
     def test_builtin_solver_parameters(self):
         # A spec's solver_params are the registered function's keyword
         # parameters; these are the keys (and defaults) each name takes.
+        # randomized_rounding's seed has no default: a spec must give it.
         import inspect
 
         expected = {
@@ -386,7 +387,8 @@ class TestRegistry:
                 "prescale_epsilon": 0.1, "max_steps": None,
             },
             "randomized_rounding": {
-                "max_trees": 1, "seed": None, "approximation_ratio": 0.95,
+                "max_trees": 1, "seed": inspect.Parameter.empty,
+                "approximation_ratio": 0.95,
                 "epsilon": None, "prescale_epsilon": 0.1,
             },
             "online": {

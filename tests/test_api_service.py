@@ -3,9 +3,10 @@
 The acceptance contract of the Scenario API: for every solver × routing
 combination, solving a JSON-round-tripped spec reproduces the
 ``FlowSolution`` of the algorithm functions called by hand bit-identically;
-the batch engine's parallel runs equal its serial runs; the cache serves
-repeated canonical keys; and the ``python -m repro.api`` CLI emits the
-same reports either way.
+the batch engine's parallel runs equal its serial runs; a batch solves
+each canonical key once; every registered solver gives one report per
+spec; and the ``python -m repro.api`` CLI emits the same reports either
+way.
 """
 
 import json
@@ -15,12 +16,16 @@ import pytest
 from repro import api
 from repro.api import ScenarioSpec, SessionSpec, SolveReport, TopologySpec, WorkloadSpec
 from repro.api.__main__ import main as api_main
+from repro.api.registry import default_registry
 from repro.core.maxconcurrent import max_concurrent_flow
 from repro.core.maxflow import max_flow
 from repro.core.online import online_min_congestion
 from repro.core.rounding import RandomMinCongestion
+from repro.obs import metrics as obs_metrics
 from repro.routing.dynamic import DynamicRouting
 from repro.routing.ip_routing import FixedIPRouting
+from repro.util.errors import ConfigurationError
+from repro.util.serialization import canonical_json
 
 TOPOLOGY = TopologySpec("paper_flat", {"num_nodes": 30, "capacity": 100.0}, seed=13)
 WORKLOAD = WorkloadSpec(sizes=(4, 3), demand=100.0, seed=5)
@@ -36,6 +41,12 @@ SOLVER_PARAMS = {
         "seed": 42,
     },
 }
+
+
+def _cold_solves() -> float:
+    return obs_metrics.registry().counter(
+        "repro_solve_total", labels={"outcome": "cold"}
+    ).value
 
 
 @pytest.fixture(autouse=True)
@@ -114,37 +125,50 @@ class TestSolveMany:
 
     def test_duplicate_specs_solved_once(self):
         spec = _spec("max_flow", "ip")
+        before = _cold_solves()
         reports = api.solve_many([spec, spec, spec], jobs=1)
         assert [r.cached for r in reports] == [False, True, True]
         assert len({id(r.solution) for r in reports}) == 1
-        assert api.cache_info()["misses"] == 1
-
-    def test_cache_hits_across_calls(self):
-        spec = _spec("max_flow", "ip")
-        first = api.solve_many([spec], jobs=1)
-        second = api.solve_many([spec], jobs=1)
-        assert first[0].cached is False
-        assert second[0].cached is True
-        assert second[0].summary() == first[0].summary()
-        assert api.cache_info()["hits"] >= 1
-
-    def test_use_cache_false_resolves_fresh(self):
-        spec = _spec("max_flow", "ip")
-        api.solve_many([spec], jobs=1)
-        fresh = api.solve_many([spec], jobs=1, use_cache=False)
-        assert fresh[0].cached is False
-
-    def test_use_cache_false_solves_duplicates_independently(self):
-        # Regression: non-deterministic scenarios (the use_cache=False
-        # use case) must get one independent solve per occurrence, not a
-        # deduplicated replay of the first draw.
-        spec = _spec("randomized_rounding", "ip")
-        reports = api.solve_many([spec, spec], jobs=1, use_cache=False)
-        assert [r.cached for r in reports] == [False, False]
-        assert len({id(r.solution) for r in reports}) == 2
+        assert _cold_solves() - before == 1
 
     def test_empty_batch(self):
         assert api.solve_many([], jobs=4) == []
+
+
+class TestOneReportPerSpec:
+    """A canonical key names one report, which a store or a batch serves."""
+
+    ALIASES = {"maxflow": "max_flow", "maxconcurrent": "max_concurrent_flow"}
+
+    def test_seedless_rounding_spec_is_refused(self):
+        params = dict(SOLVER_PARAMS["randomized_rounding"])
+        del params["seed"]
+        spec = ScenarioSpec(
+            topology=TOPOLOGY,
+            workload=WORKLOAD,
+            solver="randomized_rounding",
+            solver_params=params,
+        )
+        with pytest.raises(TypeError, match="seed"):
+            api.solve(spec)
+        with pytest.raises(ConfigurationError, match="seed"):
+            api.solve(spec.with_solver("randomized_rounding", **params, seed=None))
+
+    def test_each_registered_solver_gives_one_report_json(self):
+        def cold_report_json(spec):
+            api.clear_caches()
+            payload = api.solve(spec).to_jsonable()
+            del payload["wall_seconds"], payload["cached"]
+            return canonical_json(payload)
+
+        for solver in default_registry().solver_names():
+            spec = ScenarioSpec(
+                topology=TOPOLOGY,
+                workload=WORKLOAD,
+                solver=solver,
+                solver_params=SOLVER_PARAMS[self.ALIASES.get(solver, solver)],
+            )
+            assert cold_report_json(spec) == cold_report_json(spec), solver
 
 
 class TestSolveReportSerialization:
@@ -161,8 +185,6 @@ class TestSolveReportSerialization:
         report = api.solve(_spec("max_flow", "ip"))
         payload = report.to_jsonable()
         payload["schema"] = "Banana/v9"
-        from repro.util.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             SolveReport.from_jsonable(payload)
 
@@ -226,10 +248,9 @@ class TestRetiredSolverParams:
 
 class TestInstanceSharing:
     def test_instance_cache_shared_across_solvers(self):
-        api.solve(_spec("max_flow", "ip"))
-        before = api.cache_info()["instances"]
-        api.solve(_spec("online", "ip"))
-        assert api.cache_info()["instances"] == before  # same instance reused
+        first = api.build_instance(_spec("max_flow", "ip"))
+        second = api.build_instance(_spec("online", "ip"))
+        assert all(a is b for a, b in zip(first, second))  # same instance reused
 
     def test_instance_cache_is_lru_not_fifo(self, monkeypatch):
         # Regression: a hit must refresh recency, so eviction follows

@@ -218,12 +218,13 @@ class TestWarmStoreOnlineSweep:
         # The same criterion across processes: one child persists the
         # cold sweep, and a second serves every cell from the store.
         program = (
-            "import repro.api as api\n"
             "from repro.experiments.runner import online_sweep_runs\n"
+            "from repro.obs.metrics import registry\n"
             "runs = online_sweep_runs("
             f"'tiny', tree_limit=2, store={str(tmp_path / 'store')!r})\n"
-            "info = api.cache_info()\n"
-            "print(len(runs), info['misses'], info['store_hits'])\n"
+            "solves = [registry().counter('repro_solve_total', "
+            "labels={'outcome': o}).value for o in ('cold', 'store')]\n"
+            "print(len(runs), *(int(n) for n in solves))\n"
         )
         cells, _, _ = run_python(tmp_path, "-c", program).stdout.split()
         assert int(cells) > 0

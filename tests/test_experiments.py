@@ -1,5 +1,9 @@
 """Tests for the experiment harness (settings, runner, every table/figure)."""
 
+import runpy
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,8 @@ from repro.experiments.settings import (
 )
 from repro.metrics.distribution import top_fraction_share
 from repro.metrics.summary import solution_table_row
+from repro.obs import metrics as obs_metrics
+from repro.store import STORE_ENV_VAR
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import load_json
 
@@ -253,3 +259,24 @@ class TestExperimentContent:
                 values = np.asarray(surface["values"])
                 assert np.all(values >= 0.0)
                 assert np.all(values <= 1.5)
+
+
+@pytest.mark.parametrize("section, cold", [(3, 2), (4, 7), (5, 10), (6, 16)])
+def test_section_cli_solves_each_cell_once(section, cold, monkeypatch, capsys):
+    # The runner keeps every solution by canonical key, so a section
+    # solves each distinct cell once: section 5's dynamic limited-tree
+    # study reuses the flat dynamic MaxConcurrentFlow cell at ratio 0.80
+    # as its fractional reference.
+    monkeypatch.delenv(STORE_ENV_VAR, raising=False)
+    monkeypatch.setattr(sys, "argv", [f"section{section}", "--scale", SCALE])
+    clear_caches()
+    solves = obs_metrics.registry().counter(
+        "repro_solve_total", labels={"outcome": "cold"}
+    )
+    before = solves.value
+    with warnings.catch_warnings():
+        # runpy warns that the section module is already imported.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(f"repro.experiments.section{section}", run_name="__main__")
+    assert solves.value - before == cold
+    assert capsys.readouterr().out

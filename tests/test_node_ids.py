@@ -9,7 +9,7 @@ and NumPy integers) and names the refused value.
 import numpy as np
 import pytest
 
-from repro.api import SessionSpec
+from repro.api import ArrivalSpec, SessionSpec, WorkloadSpec
 from repro.overlay.session import Session
 from repro.overlay.tree import OverlayTree
 from repro.overlay.tree_packing import (
@@ -26,7 +26,11 @@ from repro.routing.ip_routing import FixedIPRouting
 from repro.routing.paths import UnicastPath
 from repro.routing.shortest_path import ShortestPathQuery, shortest_path_tree
 from repro.topology.network import PhysicalNetwork
-from repro.util.errors import InvalidNetworkError, InvalidSessionError
+from repro.util.errors import (
+    ConfigurationError,
+    InvalidNetworkError,
+    InvalidSessionError,
+)
 
 TRIANGLE_WEIGHTS = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}
 
@@ -191,3 +195,31 @@ class TestTreePacking:
         for pack in (pack_spanning_trees_lp, pack_spanning_trees_greedy):
             assert pack(members, weights) == pack([0, 1, 2], TRIANGLE_WEIGHTS)
         assert partition_bound(members, weights) == partition_bound([0, 1, 2], TRIANGLE_WEIGHTS)
+
+
+class TestSpecCounts:
+    """Spec counts are integers too: ``int()`` truncated them, and the
+    truncated spec took the integer spec's canonical key."""
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: ArrivalSpec(replication=2.7), "replication.*2.7"),
+            (lambda: ArrivalSpec(order=(1.9, 0.2, 2.5, 3.1, 4.0, 5.0)), "order.*1.9"),
+            (lambda: ArrivalSpec(order=(0.0, 1)), "order.*0.0"),
+            (lambda: WorkloadSpec(sizes=(3.7, 2.2)), "sizes.*3.7"),
+        ],
+        ids=["replication", "order", "integral-order", "sizes"],
+    )
+    def test_float_counts_are_refused(self, build, named):
+        with pytest.raises(ConfigurationError, match=named):
+            build()
+
+    def test_numpy_counts_become_python_ints(self):
+        arrivals = ArrivalSpec(replication=np.int64(2), order=tuple(np.arange(4)))
+        assert arrivals.replication == 2 and type(arrivals.replication) is int
+        assert all(type(i) is int for i in arrivals.order)
+        plain = ArrivalSpec(replication=2, order=(0, 1, 2, 3))
+        assert arrivals.canonical_key == plain.canonical_key
+        workload = WorkloadSpec(sizes=(np.int32(3), np.int64(2)), seed=5)
+        assert workload.sizes == (3, 2) and all(type(s) is int for s in workload.sizes)

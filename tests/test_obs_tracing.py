@@ -199,7 +199,7 @@ def test_online_solve_traces_per_session_rounds(tmp_path):
 def test_solve_many_serial_path_emits_solve_spans():
     tracer = Tracer()
     with tracer.activate():
-        solve_many([small_spec(seed=17), small_spec(seed=18)], jobs=1, use_cache=False)
+        solve_many([small_spec(seed=17), small_spec(seed=18)], jobs=1)
     assert len(spans_named(tracer.events, "solve")) == 2
 
 

@@ -3,7 +3,7 @@
 Every sweep cell is deterministically seeded from its setting, so a run
 on ``solve_many``'s process pool must produce exactly the results of a
 serial run: the same trees, flows and oracle calls in every cell.
-``runner.clear_caches()`` also empties the API's report cache, so the
+``runner.clear_caches()`` empties the runner's solutions cache, so the
 parallel arm really reaches the pool.
 """
 
@@ -15,14 +15,9 @@ import pytest
 
 import repro
 from repro.experiments import runner
-from repro.experiments.settings import (
-    JOBS_ENV_VAR,
-    configure_jobs,
-    default_jobs,
-    resolve_jobs,
-    tiny_flat_setting,
-)
+from repro.experiments.settings import tiny_flat_setting
 from repro.util.errors import ConfigurationError
+from repro.util.jobs import JOBS_ENV_VAR, configure_jobs, default_jobs, resolve_jobs
 
 SCALE = "tiny"
 

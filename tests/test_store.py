@@ -34,6 +34,12 @@ from repro.util.serialization import canonical_json
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _solve_total(outcome: str) -> float:
+    return obs_metrics.registry().counter(
+        "repro_solve_total", labels={"outcome": outcome}
+    ).value
+
+
 def _spec(rows: int = 3) -> ScenarioSpec:
     return ScenarioSpec(
         topology=TopologySpec("grid", {"rows": rows, "cols": 3, "capacity": 10.0}),
@@ -494,10 +500,11 @@ class TestServiceWiring:
             "_solve_uncached",
             lambda *a, **k: calls.append(a) or original(*a, **k),
         )
+        before = {outcome: _solve_total(outcome) for outcome in ("cold", "store")}
         reports = api.solve_many(specs + specs, jobs=1, store=store)
         assert calls == []  # zero solver calls
-        assert api.cache_info()["misses"] == 0
-        assert api.cache_info()["store_hits"] == len(specs)
+        assert _solve_total("cold") == before["cold"]
+        assert _solve_total("store") - before["store"] == len(specs)
         assert all(r.cached for r in reports)
         assert [_flows(r.solution) for r in reports[: len(specs)]] == [
             _flows(r.solution) for r in warm
@@ -525,6 +532,22 @@ class TestServiceWiring:
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "envstore"))
         assert resolve_store(None) is resolve_store(None)
 
+    def test_path_resolves_to_one_store_per_directory(self, tmp_path, monkeypatch):
+        # A store= path is memoized like REPRO_STORE: batches that pass
+        # the same directory share one memory front.
+        from repro.store import resolve_store
+
+        root = tmp_path / "store"
+        assert resolve_store(root) is resolve_store(root)
+        assert resolve_store(str(root)) is resolve_store(root)
+        monkeypatch.setenv(STORE_ENV_VAR, str(root))
+        assert resolve_store(None) is resolve_store(root)
+        assert resolve_store(tmp_path / "other") is not resolve_store(root)
+        monkeypatch.chdir(tmp_path)
+        assert resolve_store("store") is resolve_store(root)
+        monkeypatch.chdir(root.parent.parent)
+        assert resolve_store("store") is not resolve_store(root)
+
     def test_store_entries_are_world_readable(self, tmp_path):
         # Atomic writes must not leak mkstemp's 0600 mode: cooperating
         # workers may run as different users on a shared filesystem.
@@ -536,37 +559,17 @@ class TestServiceWiring:
         os.umask(umask)
         assert (path.stat().st_mode & 0o777) == (0o666 & ~umask)
 
-    def test_use_cache_false_bypasses_store(self, tmp_path):
-        store = ReportStore(tmp_path / "store")
-        spec = _spec()
-        api.solve_many([spec], jobs=1, store=store)
-        reports = api.solve_many([spec], jobs=1, store=store, use_cache=False)
-        assert reports[0].cached is False
-
     def test_cache_served_reports_backfill_the_store(self, tmp_path):
-        # Regression: a store attached after the in-process cache is
-        # already warm must still be populated, or a later fresh process
-        # would find it empty.
+        # A store attached after a store-less batch must still receive
+        # the report, or a later fresh process would find it empty.
         spec = _spec()
-        api.solve_many([spec], jobs=1)  # warm the cache, no store
+        first = api.solve_many([spec], jobs=1)  # no store
         store = ReportStore(tmp_path / "store")
         reports = api.solve_many([spec], jobs=1, store=store)
-        assert reports[0].cached is True  # served from memory...
+        assert reports[0].cached is False  # nothing kept the first report...
+        assert _flows(reports[0].solution) == _flows(first[0].solution)
         store.clear_memory()
-        assert store.get(spec.canonical_key) is not None  # ...and spilled
-
-    def test_backfill_survives_report_cache_eviction(self, tmp_path, monkeypatch):
-        # Regression: the backfill must not read a key the LRU eviction
-        # pass just dropped from the in-process cache (KeyError).
-        monkeypatch.setattr(service, "_REPORT_CACHE_LIMIT", 2)
-        warm_spec, fresh_a, fresh_b = _spec(3), _spec(4), _spec(5)
-        api.solve_many([warm_spec], jobs=1)  # cache-warm, store-absent
-        store = ReportStore(tmp_path / "store")
-        reports = api.solve_many([warm_spec, fresh_a, fresh_b], jobs=1, store=store)
-        assert [r.cached for r in reports] == [True, False, False]
-        store.clear_memory()
-        for spec in (warm_spec, fresh_a, fresh_b):
-            assert store.get(spec.canonical_key) is not None
+        assert store.get(spec.canonical_key) is not None  # ...and it was spilled
 
     def test_store_survives_parallel_batch(self, tmp_path):
         # Pool workers skip the store; the parent writes back once.
