@@ -96,10 +96,7 @@ def main() -> None:
         queue.submit(specs, num_shards=2)
         with spawn_local_workers(2, queue_dir, cluster_store.root, pin_shards=True):
             gathered = asyncio.run(
-                solve_many_async(
-                    specs, queue, cluster_store, num_shards=2, timeout=600,
-                    submit=False,
-                )
+                solve_many_async(specs, queue, cluster_store, timeout=600, submit=False)
             )
         print("cluster throughputs:  ", fingerprint(gathered))
         assert fingerprint(gathered) == fingerprint(serial)

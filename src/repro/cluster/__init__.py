@@ -22,14 +22,13 @@ pipeline — submit, N local workers, async gather — in one command.
 
 from repro.cluster.async_api import as_reports_completed, solve_many_async
 from repro.cluster.queue import ClaimedTask, WorkQueue
-from repro.cluster.sharding import partition_specs, shard_of
+from repro.cluster.sharding import shard_of
 from repro.cluster.worker import run_worker, spawn_local_workers, worker_command
 
 __all__ = [
     "WorkQueue",
     "ClaimedTask",
     "shard_of",
-    "partition_specs",
     "run_worker",
     "spawn_local_workers",
     "worker_command",

@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``submit SPEC [SPEC ...] --queue DIR``
     Enqueue spec file(s) (same format as ``python -m repro.api run``)
-    as work-queue tasks, sharded with ``--num-shards``.
+    as work-queue tasks; ``--num-shards`` sets the queue's shard count.
 
 ``worker --queue DIR --store DIR``
     Run one cooperative worker: claim → solve → store → complete.
@@ -70,7 +70,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         args.store,
         shard=args.shard,
         poll_seconds=args.poll,
-        max_tasks=args.max_tasks,
         exit_when_empty=args.exit_when_empty,
         relay=args.relay,
         trace_dir=args.trace_dir,
@@ -107,7 +106,6 @@ def _cmd_drain(args: argparse.Namespace) -> int:
                 specs,
                 queue,
                 args.store,
-                num_shards=args.num_shards,
                 timeout=args.timeout,
                 poll_seconds=min(0.05, args.poll),
                 submit=False,  # submitted above, before the workers spawned
@@ -152,9 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker.add_argument("--shard", type=int, default=None, help="pin to one shard")
     worker.add_argument("--poll", type=float, default=0.2, help="idle poll seconds")
     worker.add_argument("--lease", type=float, default=None, help="lease seconds")
-    worker.add_argument(
-        "--max-tasks", type=int, default=None, help="stop after N completed tasks"
-    )
     worker.add_argument(
         "--exit-when-empty",
         action="store_true",

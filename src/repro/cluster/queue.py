@@ -1,14 +1,16 @@
 """A file-backed work queue with claim/lease/complete semantics.
 
 The queue is a directory; a task is a JSON file holding one serialized
-:class:`~repro.api.specs.ScenarioSpec`; a task's state is which
-subdirectory its file sits in::
+:class:`~repro.api.specs.ScenarioSpec`, named by the spec's canonical
+key; a task's state is which subdirectory its file sits in::
 
-    pending/   submitted, unowned            (claim: rename → claimed/)
-    claimed/   leased to one worker          (complete: rename → done/)
-    done/      solved, report in the store
-    failed/    solve raised; error recorded  (terminal, like done)
-    leases/    sidecar per claimed task: owner + expiry
+    pending/<key>.json   submitted, unowned       (claim: rename → claimed/)
+    claimed/<key>.json   leased to one worker     (complete: rename → done/)
+    done/<key>.json      solved, report in the store
+    failed/<key>.json    solve raised; error in failed/<key>.error
+    leases/<key>.lease   sidecar per claimed task: owner + expiry
+    attempts/<key>.json  lease expirations so far
+    num_shards           the queue's shard count (absent: 1)
 
 Every state transition is a single ``os.rename`` on one filesystem —
 atomic on POSIX — so any number of independent worker processes can
@@ -24,10 +26,14 @@ completes anyway finds its claim file gone and treats that as success —
 the report it wrote to the shared :class:`repro.store.ReportStore` makes
 the re-queued copy a store hit rather than a duplicate solve.
 
-Task files are named ``s<shard>-<canonical_key>.json`` so submission
-deduplicates by content and a shard-pinned worker
-(``python -m repro.cluster worker --shard K --num-shards N``) can filter
-on the filename prefix without reading payloads.
+Because a file's name is its key, every question about one key — is it
+queued, did it fail, is it done — reads that key's own paths and never
+lists a state directory, which would grow with the queue's history.
+Submission deduplicates by key, and a shard-pinned worker
+(``python -m repro.cluster worker --shard K``) claims the pending keys
+with ``shard_of(key, N) == K``, where N is the shard count of the last
+submit: submitting under another count re-partitions every pending
+task without touching it.
 """
 
 from __future__ import annotations
@@ -77,27 +83,11 @@ faults.declare_point("queue.requeue.lease", "after the requeue rename, before th
 faults.declare_point("queue.renew.write", "before a heartbeat lease rewrite")
 
 
-def _task_name(shard: int, key: str) -> str:
-    return f"s{shard:04d}-{key}.json"
-
-
-def _key_of_task_name(name: str) -> str:
-    """The canonical key encoded in a task filename."""
-    return name.split("-", 1)[1][: -len(".json")]
-
-
-def _shard_of_task_name(name: str) -> int:
-    """The shard encoded in a task filename (the authoritative one)."""
-    return int(name.split("-", 1)[0][1:])
-
-
 @dataclass(frozen=True)
 class ClaimedTask:
-    """One leased unit of work: the spec payload plus its queue identity."""
+    """One leased unit of work: the spec payload plus its canonical key."""
 
-    name: str
     key: str
-    shard: int
     payload: Dict[str, Any]
     worker: str = ""
     # Wall-clock claim time (0.0 for hand-built tasks); lets complete()
@@ -130,8 +120,9 @@ class WorkQueue:
         take down the whole fleet one worker at a time.
     durable:
         fsync directories around state-transition renames (and task,
-        lease and attempts writes) so queue state survives power loss.
-        Default on; turn off for throwaway queues in tight test loops.
+        lease, attempts and shard-count writes) so queue state survives
+        power loss.  Default on; turn off for throwaway queues in tight
+        test loops.
     """
 
     def __init__(
@@ -150,32 +141,49 @@ class WorkQueue:
         self.max_attempts = int(max_attempts)
         self.durable = bool(durable)
 
-    def _dir(self, state: str) -> Path:
-        return self.root / state
+    def _task(self, state: str, key: str) -> Path:
+        return self.root / state / f"{key}.json"
 
-    def _lease_path(self, name: str) -> Path:
-        return self.root / "leases" / f"{name}.lease"
+    def _lease_path(self, key: str) -> Path:
+        return self.root / "leases" / f"{key}.lease"
 
-    def _attempts_path(self, name: str) -> Path:
-        return self.root / "attempts" / f"{name}.json"
+    def _attempts_path(self, key: str) -> Path:
+        return self.root / "attempts" / f"{key}.json"
 
-    def _rename(
-        self, source: Path, target: Path, fault_point: Optional[str] = None
-    ) -> None:
-        """One durable state transition (``FileNotFoundError`` propagates)."""
+    def _error_path(self, key: str) -> Path:
+        # The ".error" suffix keeps the sidecar out of _keys("failed").
+        return self.root / "failed" / f"{key}.error"
+
+    def _move(
+        self, key: str, source: str, target: str, fault_point: Optional[str] = None
+    ) -> bool:
+        """One durable state transition; ``False`` when the task was not in ``source``."""
+        path = self._task(target, key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         if fault_point is not None:
             faults.point(fault_point)
-        os.rename(source, target)
+        try:
+            os.rename(self._task(source, key), path)
+        except FileNotFoundError:
+            return False
         if self.durable:
-            fsync_directory(target.parent)
-            if source.parent != target.parent:
-                fsync_directory(source.parent)
+            fsync_directory(path.parent)
+            fsync_directory(self.root / source)
+        return True
 
-    def _names(self, state: str) -> List[str]:
-        directory = self._dir(state)
+    def _keys(self, state: str) -> List[str]:
+        """The keys of every task in ``state``, sorted (lists the directory)."""
+        directory = self.root / state
         if not directory.exists():
             return []
-        return sorted(p.name for p in directory.iterdir() if p.suffix == ".json")
+        return sorted(p.stem for p in directory.iterdir() if p.suffix == ".json")
+
+    def _num_shards(self) -> int:
+        """The shard count of the last :meth:`submit` (1 before any)."""
+        try:
+            return int((self.root / "num_shards").read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return 1
 
     # ------------------------------------------------------------------
     # submission
@@ -186,52 +194,35 @@ class WorkQueue:
         """Enqueue specs (deduplicated by canonical key); returns their keys.
 
         A spec whose canonical key already has a task file in any state
-        — under *any* shard count — is skipped: submission is
-        idempotent, so a gatherer can re-submit a batch containing keys
-        another client already queued or finished, even with different
-        sharding.
+        is skipped: submission is idempotent, so a gatherer can
+        re-submit a batch containing keys another client already queued
+        or finished.  ``num_shards`` becomes the queue's shard count,
+        which shard-pinned claims partition every pending key by.
         """
-        pending_names = {
-            _key_of_task_name(name): name for name in self._names("pending")
-        }
-        existing = set(pending_names).union(
-            _key_of_task_name(name)
-            for state in _STATES
-            if state != "pending"
-            for name in self._names(state)
-        )
+        if num_shards < 1:
+            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
+        if num_shards != self._num_shards():
+            atomic_write_bytes(
+                self.root / "num_shards",
+                f"{num_shards}\n".encode("utf-8"),
+                durable=self.durable,
+            )
         keys: List[str] = []
         for spec in specs:
             key = spec.canonical_key
             keys.append(key)
-            shard = shard_of(key, num_shards)
-            name = _task_name(shard, key)
-            if key in existing:
-                # Already queued/finished — but a *pending* task carrying
-                # a stale shard prefix (submitted under a different
-                # num_shards) would be invisible to shard-pinned workers
-                # of the current layout; re-shard it by rename.
-                old_name = pending_names.get(key)
-                if old_name is not None and old_name != name:
-                    try:
-                        self._rename(
-                            self._dir("pending") / old_name,
-                            self._dir("pending") / name,
-                        )
-                    except FileNotFoundError:
-                        pass  # claimed in the meantime; its worker owns it
+            # In transition order, so a task moving forward mid-check is
+            # still seen in its next state.
+            if any(self._task(state, key).exists() for state in _STATES):
                 continue
-            existing.add(key)
             payload = {
                 "schema": TASK_SCHEMA,
                 "key": key,
-                "shard": shard,
-                "num_shards": num_shards,
                 "spec": spec.to_jsonable(),
                 "enqueued_at": time.time(),
             }
             atomic_write_bytes(
-                self._dir("pending") / name,
+                self._task("pending", key),
                 json.dumps(payload, sort_keys=True).encode("utf-8"),
                 durable=self.durable,
                 fault_point="queue.submit",
@@ -246,21 +237,18 @@ class WorkQueue:
     ) -> Optional[ClaimedTask]:
         """Atomically take ownership of one pending task (or ``None``).
 
-        ``shard`` restricts the scan to tasks owned by that shard.  The
-        winning transition is a rename into ``claimed/``; losing a race
-        just moves on to the next candidate.
+        ``shard`` restricts the scan to the keys that shard owns under
+        the queue's shard count.  The winning transition is a rename
+        into ``claimed/``; losing a race just moves on to the next
+        candidate.
         """
-        prefix = f"s{shard:04d}-" if shard is not None else ""
-        for name in self._names("pending"):
-            if prefix and not name.startswith(prefix):
+        num_shards = self._num_shards() if shard is not None else 1
+        for key in self._keys("pending"):
+            if shard is not None and shard_of(key, num_shards) != shard:
                 continue
-            source = self._dir("pending") / name
-            target = self._dir("claimed") / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                self._rename(source, target, "queue.claim.rename")
-            except FileNotFoundError:
+            if not self._move(key, "pending", "claimed", "queue.claim.rename"):
                 continue  # another worker won this one
+            target = self._task("claimed", key)
             now = time.time()
             try:
                 # Stamp the claim: rename preserves mtime, but the
@@ -270,31 +258,21 @@ class WorkQueue:
             except OSError:
                 pass
             faults.point("queue.claim.lease")
-            self._write_lease(name, worker_id, now, 0, now)
+            self._write_lease(key, worker_id, now, 0, now)
             try:
                 payload = json.loads(target.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError):
                 # Unreadable payload (racing scavenger, torn submit):
                 # hand the claim straight back rather than stranding it
                 # in claimed/ under a fresh lease for a full window.
-                try:
-                    self._rename(target, source)
-                except FileNotFoundError:
-                    pass
-                self._drop_lease(name)
+                self._move(key, "claimed", "pending")
+                self._drop_lease(key)
                 continue
             obs_metrics.registry().counter(
                 "repro_queue_claims_total", "Tasks claimed from the queue"
             ).inc()
             return ClaimedTask(
-                name=name,
-                key=payload["key"],
-                # The filename is authoritative: a re-sharded task keeps
-                # its original payload but lives under the new prefix.
-                shard=_shard_of_task_name(name),
-                payload=payload,
-                worker=worker_id,
-                claimed_at=now,
+                key=key, payload=payload, worker=worker_id, claimed_at=now
             )
         return None
 
@@ -302,10 +280,10 @@ class WorkQueue:
         """Whether ``task``'s claim in ``claimed/`` still belongs to its worker.
 
         After a lease expires and the task is re-claimed, the *same
-        filename* in ``claimed/`` belongs to the successor — the original
+        file* in ``claimed/`` belongs to the successor — the original
         worker must not complete or fail it on its behalf.
         """
-        lease = self._read_lease(task.name)
+        lease = self._read_lease(task.key)
         return lease is None or lease.get("worker") == task.worker
 
     def renew(self, task: ClaimedTask, now: Optional[float] = None) -> bool:
@@ -324,10 +302,10 @@ class WorkQueue:
         a dead one stops renewing and loses the task within one window.
         """
         now = time.time() if now is None else now
-        lease = self._read_lease(task.name)
+        lease = self._read_lease(task.key)
         if lease is not None and lease.get("worker") != task.worker:
             return False
-        if not (self._dir("claimed") / task.name).exists():
+        if not self._task("claimed", task.key).exists():
             return False
         renewals = (int(lease.get("renewals", 0)) if lease is not None else 0) + 1
         claimed_at = (
@@ -336,7 +314,7 @@ class WorkQueue:
             else task.claimed_at
         )
         faults.point("queue.renew.write")
-        self._write_lease(task.name, task.worker, claimed_at, renewals, now)
+        self._write_lease(task.key, task.worker, claimed_at, renewals, now)
         obs_metrics.registry().counter(
             "repro_lease_renewals_total", "Heartbeat lease renewals"
         ).inc()
@@ -345,24 +323,18 @@ class WorkQueue:
     def complete(self, task: ClaimedTask) -> None:
         """Mark a claimed task solved (idempotent; lease is released)."""
         if not self._owns(task):
-            # Our lease expired and a successor re-claimed this name;
+            # Our lease expired and a successor re-claimed this key;
             # our report is already in the store, so this is a success —
             # but the claim (and its lease) now belongs to them.
             return
-        source = self._dir("claimed") / task.name
-        target = self._dir("done") / task.name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        attempts = self._read_requeues(task.name) + 1
-        try:
-            self._rename(source, target, "queue.complete.rename")
-        except FileNotFoundError:
-            # Our lease expired and the task was requeued (and possibly
-            # re-done).  Our report is already in the store, so this is
-            # a success, not an error.
-            pass
+        attempts = self._read_requeues(task.key) + 1
+        # A False move means our lease expired and the task was requeued
+        # (and possibly re-done).  Our report is already in the store,
+        # so this is a success, not an error.
+        self._move(task.key, "claimed", "done", "queue.complete.rename")
         faults.point("queue.complete.lease")
-        self._drop_lease(task.name)
-        self._drop_attempts(task.name)
+        self._drop_lease(task.key)
+        self._drop_attempts(task.key)
         reg = obs_metrics.registry()
         reg.counter("repro_queue_completes_total", "Tasks completed").inc()
         reg.histogram(
@@ -385,49 +357,38 @@ class WorkQueue:
         workers alive.  Idempotent, like :meth:`complete`.
         """
         if not self._owns(task):
-            # A successor re-claimed this name after our lease lapsed;
+            # A successor re-claimed this key after our lease lapsed;
             # their (possibly successful) attempt owns the outcome now —
             # dead-lettering it on their behalf would strand good work.
             return
-        self._dead_letter(task.name, task.key, error)
+        self._dead_letter(task.key, error)
 
-    def _dead_letter(self, name: str, key: str, error: str) -> bool:
+    def _dead_letter(self, key: str, error: str) -> bool:
         """Move a claimed task to ``failed/`` with its error recorded.
 
         Returns whether the claim file moved; only then are its lease
         and attempts sidecars dropped, since a claim that left
         ``claimed/`` first belongs to whoever moved it.
         """
-        target = self._dir("failed") / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        # ".error" suffix keeps the sidecar out of the task-name scans.
         atomic_write_bytes(
-            self._dir("failed") / f"{name}.error",
-            json.dumps(
-                {"task": name, "key": key, "error": error}, sort_keys=True
-            ).encode("utf-8"),
+            self._error_path(key),
+            json.dumps({"key": key, "error": error}, sort_keys=True).encode("utf-8"),
             durable=self.durable,
         )
-        try:
-            self._rename(self._dir("claimed") / name, target, "queue.fail.rename")
-        except FileNotFoundError:
+        if not self._move(key, "claimed", "failed", "queue.fail.rename"):
             return False
-        self._drop_lease(name)
-        self._drop_attempts(name)
+        self._drop_lease(key)
+        self._drop_attempts(key)
         return True
 
     def failures(self) -> Dict[str, str]:
         """Canonical key → recorded error message for failed tasks."""
-        return {
-            _key_of_task_name(name): self._recorded_error(name)
-            for name in self._names("failed")
-        }
+        return {key: self._recorded_error(key) for key in self._keys("failed")}
 
-    def _recorded_error(self, name: str) -> str:
-        """The error the dead-lettered task ``name`` was failed with."""
-        error_path = self._dir("failed") / f"{name}.error"
+    def _recorded_error(self, key: str) -> str:
+        """The error the dead-lettered task ``key`` was failed with."""
         try:
-            return json.loads(error_path.read_text(encoding="utf-8"))["error"]
+            return json.loads(self._error_path(key).read_text(encoding="utf-8"))["error"]
         except (OSError, json.JSONDecodeError, KeyError):
             return "unknown error (sidecar missing or unreadable)"
 
@@ -437,19 +398,16 @@ class WorkQueue:
         ``stored`` holds the keys the caller found in the store.  Each
         other key maps to its recorded error when its task was
         dead-lettered, or to :data:`LOST` when its task is done but its
-        report is gone; keys still pending or claimed are left out.  The
-        queue is not read when every key is stored.
+        report is gone; keys still pending or claimed are left out.
+        Only the unstored keys' own files are read.
         """
-        missing = [key for key in keys if key not in stored]
-        if not missing:
-            return {}
-        failed = {_key_of_task_name(name): name for name in self._names("failed")}
-        done = set(self.done_keys())
         out: Dict[str, Any] = {}
-        for key in missing:
-            if key in failed:
-                out[key] = self._recorded_error(failed[key])
-            elif key in done:
+        for key in keys:
+            if key in stored:
+                continue
+            if self._task("failed", key).exists():
+                out[key] = self._recorded_error(key)
+            elif self._task("done", key).exists():
                 out[key] = LOST
         return out
 
@@ -463,23 +421,17 @@ class WorkQueue:
         task; ``None`` retries them all.  Returns how many moved.
         """
         moved = 0
-        for name in self._names("failed"):
-            if key is not None and _key_of_task_name(name) != key:
-                continue
-            pending = self._dir("pending")
-            pending.mkdir(parents=True, exist_ok=True)
-            try:
-                self._rename(self._dir("failed") / name, pending / name)
-            except FileNotFoundError:
+        for failed in self._keys("failed") if key is None else [key]:
+            if not self._move(failed, "failed", "pending"):
                 continue
             try:
-                (self._dir("failed") / f"{name}.error").unlink()
+                self._error_path(failed).unlink()
             except OSError:
                 pass
             # A fresh start deserves a fresh attempt budget — without
             # this, a task dead-lettered as poison would re-poison on
             # its first post-retry expiry.
-            self._drop_attempts(name)
+            self._drop_attempts(failed)
             moved += 1
         return moved
 
@@ -491,18 +443,10 @@ class WorkQueue:
         store): reopening puts the spec back in front of the workers.
         Returns whether a done marker for ``key`` was found and moved.
         """
-        for name in self._names("done"):
-            if _key_of_task_name(name) != key:
-                continue
-            pending = self._dir("pending")
-            pending.mkdir(parents=True, exist_ok=True)
-            try:
-                self._rename(self._dir("done") / name, pending / name)
-            except FileNotFoundError:
-                continue
-            self._drop_attempts(name)
-            return True
-        return False
+        if not self._move(key, "done", "pending"):
+            return False
+        self._drop_attempts(key)
+        return True
 
     def requeue_expired(self, now: Optional[float] = None) -> int:
         """Return lapsed claims to ``pending/``; returns how many moved.
@@ -521,40 +465,35 @@ class WorkQueue:
         """
         now = time.time() if now is None else now
         moved = 0
-        for name in self._names("claimed"):
-            claim_path = self._dir("claimed") / name
-            lease = self._read_lease(name)
+        for key in self._keys("claimed"):
+            lease = self._read_lease(key)
             if lease is not None:
                 if float(lease.get("expires_at", 0.0)) > now:
                     continue
             else:
                 try:
-                    claimed_at = claim_path.stat().st_mtime
+                    claimed_at = self._task("claimed", key).stat().st_mtime
                 except FileNotFoundError:
                     continue
                 if now - claimed_at <= self.lease_seconds:
                     continue
-            requeues = self._read_requeues(name) + 1
+            requeues = self._read_requeues(key) + 1
             if requeues >= self.max_attempts:
                 error = (
                     f"poison task: lease expired {requeues} times "
                     f"(max_attempts={self.max_attempts})"
                 )
-                if self._dead_letter(name, _key_of_task_name(name), error):
+                if self._dead_letter(key, error):
                     obs_metrics.registry().counter(
                         "repro_queue_poison_total",
                         "Tasks dead-lettered after exhausting max_attempts",
                     ).inc()
                 continue
-            self._write_requeues(name, requeues)
-            pending = self._dir("pending")
-            pending.mkdir(parents=True, exist_ok=True)
-            try:
-                self._rename(claim_path, pending / name, "queue.requeue.rename")
-            except FileNotFoundError:
+            self._write_requeues(key, requeues)
+            if not self._move(key, "claimed", "pending", "queue.requeue.rename"):
                 continue  # racing scavenger/completer got there first
             faults.point("queue.requeue.lease")
-            self._drop_lease(name)
+            self._drop_lease(key)
             moved += 1
         if moved:
             obs_metrics.registry().counter(
@@ -570,30 +509,29 @@ class WorkQueue:
         A worker that crashed between a terminal rename (done/failed/
         pending) and its ``_drop_lease`` leaves the sidecar behind; the
         stale worker id inside would otherwise confuse a future claim of
-        the same name during the window before its fresh lease lands.
+        the same key during the window before its fresh lease lands.
         """
         leases_dir = self.root / "leases"
         if not leases_dir.exists():
             return
         for sidecar in leases_dir.iterdir():
-            if not sidecar.name.endswith(".lease"):
+            if sidecar.suffix != ".lease":
                 continue
-            name = sidecar.name[: -len(".lease")]
             # Freshness check immediately before the unlink: a claim
-            # landing mid-sweep re-creates claimed/<name> before (or
+            # landing mid-sweep re-creates claimed/<key>.json before (or
             # while) writing its lease, so checking here — not against a
             # stale snapshot — keeps live leases out of the sweep.
-            if (self._dir("claimed") / name).exists():
+            if self._task("claimed", sidecar.stem).exists():
                 continue
             try:
                 sidecar.unlink()
             except OSError:
                 pass
 
-    def _read_requeues(self, name: str) -> int:
+    def _read_requeues(self, key: str) -> int:
         """How many times this task's lease has lapsed so far."""
         try:
-            data = json.loads(self._attempts_path(name).read_text(encoding="utf-8"))
+            data = json.loads(self._attempts_path(key).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError, ValueError):
             return 0
         if not isinstance(data, dict) or data.get("schema") != ATTEMPTS_SCHEMA:
@@ -603,32 +541,30 @@ class WorkQueue:
         except (TypeError, ValueError):
             return 0
 
-    def _write_requeues(self, name: str, requeues: int) -> None:
+    def _write_requeues(self, key: str, requeues: int) -> None:
         atomic_write_bytes(
-            self._attempts_path(name),
+            self._attempts_path(key),
             json.dumps(
-                {"schema": ATTEMPTS_SCHEMA, "task": name, "requeues": requeues},
-                sort_keys=True,
+                {"schema": ATTEMPTS_SCHEMA, "requeues": requeues}, sort_keys=True
             ).encode("utf-8"),
             durable=self.durable,
         )
 
-    def _drop_attempts(self, name: str) -> None:
+    def _drop_attempts(self, key: str) -> None:
         try:
-            self._attempts_path(name).unlink()
+            self._attempts_path(key).unlink()
         except OSError:
             pass
 
     def _write_lease(
-        self, name: str, worker: str, claimed_at: float, renewals: int, now: float
+        self, key: str, worker: str, claimed_at: float, renewals: int, now: float
     ) -> None:
-        """The lease sidecar: ``worker`` owns ``name`` for ``lease_seconds``."""
+        """The lease sidecar: ``worker`` owns ``key`` for ``lease_seconds``."""
         atomic_write_bytes(
-            self._lease_path(name),
+            self._lease_path(key),
             json.dumps(
                 {
                     "schema": LEASE_SCHEMA,
-                    "task": name,
                     "worker": worker,
                     "claimed_at": claimed_at,
                     "expires_at": now + self.lease_seconds,
@@ -639,18 +575,18 @@ class WorkQueue:
             durable=self.durable,
         )
 
-    def _read_lease(self, name: str) -> Optional[Dict[str, Any]]:
+    def _read_lease(self, key: str) -> Optional[Dict[str, Any]]:
         try:
-            data = json.loads(self._lease_path(name).read_text(encoding="utf-8"))
+            data = json.loads(self._lease_path(key).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             return None
         if not isinstance(data, dict) or data.get("schema") != LEASE_SCHEMA:
             return None
         return data
 
-    def _drop_lease(self, name: str) -> None:
+    def _drop_lease(self, key: str) -> None:
         try:
-            self._lease_path(name).unlink()
+            self._lease_path(key).unlink()
         except OSError:
             pass
 
@@ -659,13 +595,8 @@ class WorkQueue:
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:
         """Task counts per state."""
-        return {state: len(self._names(state)) for state in _STATES}
+        return {state: len(self._keys(state)) for state in _STATES}
 
     def is_drained(self) -> bool:
         """Whether no task is pending or claimed (everything is done)."""
-        counts = self.counts()
-        return counts["pending"] == 0 and counts["claimed"] == 0
-
-    def done_keys(self) -> List[str]:
-        """Canonical keys of completed tasks."""
-        return [_key_of_task_name(name) for name in self._names("done")]
+        return not self._keys("pending") and not self._keys("claimed")

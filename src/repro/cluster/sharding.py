@@ -9,9 +9,6 @@ is what lets independent workers agree on ownership with no coordinator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-from repro.api.specs import ScenarioSpec
 from repro.util.errors import ConfigurationError
 
 # 60 bits of the digest: plenty for uniformity, still a cheap int.
@@ -30,12 +27,3 @@ def shard_of(canonical_key: str, num_shards: int) -> int:
         ) from None
     return prefix % num_shards
 
-
-def partition_specs(
-    specs: Sequence[ScenarioSpec], num_shards: int
-) -> Dict[int, List[ScenarioSpec]]:
-    """Group specs by owning shard (every shard present, possibly empty)."""
-    shards: Dict[int, List[ScenarioSpec]] = {s: [] for s in range(num_shards)}
-    for spec in specs:
-        shards[shard_of(spec.canonical_key, num_shards)].append(spec)
-    return shards

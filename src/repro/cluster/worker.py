@@ -56,7 +56,7 @@ class _Heartbeat:
         self._stop = threading.Event()
         self.lost = False
         self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{task.name}", daemon=True
+            target=self._run, name=f"heartbeat-{task.key[:12]}", daemon=True
         )
 
     def start(self) -> "_Heartbeat":
@@ -86,7 +86,6 @@ def run_worker(
     worker_id: Optional[str] = None,
     shard: Optional[int] = None,
     poll_seconds: float = 0.2,
-    max_tasks: Optional[int] = None,
     exit_when_empty: bool = False,
     relay: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
@@ -102,14 +101,13 @@ def run_worker(
     worker_id:
         Lease owner label; defaults to ``<host>-<pid>-<nonce>``.
     shard:
-        Restrict claims to one shard (cooperating workers may also run
-        unpinned and claim anything).
+        Restrict claims to the keys this shard owns under the queue's
+        shard count, the ``num_shards`` of its last submit (cooperating
+        workers may also run unpinned and claim anything).
     poll_seconds:
         Idle-poll *floor* between empty claim scans.  Consecutive empty
         scans back off exponentially (capped) so idle workers do not
         burn CPU; any claimed task resets the interval to the floor.
-    max_tasks:
-        Stop after completing this many tasks (``None`` = unbounded).
     exit_when_empty:
         Return once the queue is fully drained (pending and claimed both
         empty) instead of polling forever — the batch-mode contract used
@@ -198,8 +196,6 @@ def run_worker(
             stats["solved"] += 1
         queue.complete(task)
         stats["completed"] += 1
-        if max_tasks is not None and stats["completed"] >= max_tasks:
-            break
     return stats
 
 
@@ -211,7 +207,6 @@ def worker_command(
     exit_when_empty: bool = True,
     lease_seconds: Optional[float] = None,
     relay_root: Optional[Union[str, Path]] = None,
-    trace_dir: Optional[Union[str, Path]] = None,
 ) -> List[str]:
     """The ``python -m repro.cluster worker`` argv for these settings."""
     cmd = [
@@ -234,8 +229,6 @@ def worker_command(
         cmd.extend(["--lease", str(lease_seconds)])
     if relay_root is not None:
         cmd.extend(["--relay", str(relay_root)])
-    if trace_dir is not None:
-        cmd.extend(["--trace-dir", str(trace_dir)])
     return cmd
 
 
@@ -253,9 +246,9 @@ def spawn_local_workers(
 ) -> Iterator[List[subprocess.Popen]]:
     """Run ``num_workers`` subprocess workers against one queue + store.
 
-    With ``pin_shards`` every worker claims only its own shard
-    (``shard=i`` of ``num_workers``); otherwise all workers compete for
-    any task.  On exit the workers are waited for (batch mode) or
+    With ``pin_shards`` worker ``i`` claims only shard ``i`` of the
+    queue's shard count (submit with ``num_shards=num_workers``);
+    otherwise all workers compete for any task.  On exit the workers are waited for (batch mode) or
     terminated (polling mode); ``shutdown_timeout`` bounds the batch-mode
     wait — a reused queue may hold *foreign* pending tasks the workers
     would otherwise keep draining long after the caller's batch is done

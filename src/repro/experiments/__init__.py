@@ -11,6 +11,8 @@ Use :func:`run_experiment` / :data:`EXPERIMENTS` to drive them by id
 (``"table2"``, ``"fig5"``, ...).
 """
 
+import importlib
+
 from repro.experiments.report import ExperimentResult
 from repro.experiments.settings import (
     FlatSetting,
@@ -21,63 +23,30 @@ from repro.experiments.settings import (
     quick_sweep_setting,
     paper_sweep_setting,
 )
-from repro.experiments.section3 import table2, table4, fig2, fig3, fig4
-from repro.experiments.section4 import fig5, fig6
-from repro.experiments.section5 import (
-    table7,
-    table8,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-)
-from repro.experiments.section6 import (
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    fig19,
-)
 
+#: Experiment id → the section module that defines it under that name.
+#: Sections are imported only when one of their experiments runs, so
+#: ``python -m repro.experiments.sectionN`` finds its module unimported.
 EXPERIMENTS = {
-    "table2": table2,
-    "table4": table4,
-    "table7": table7,
-    "table8": table8,
-    "fig2": fig2,
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-    "fig14": fig14,
-    "fig15": fig15,
-    "fig16": fig16,
-    "fig17": fig17,
-    "fig18": fig18,
-    "fig19": fig19,
+    **dict.fromkeys(("table2", "table4", "fig2", "fig3", "fig4"), "section3"),
+    **dict.fromkeys(("fig5", "fig6"), "section4"),
+    **dict.fromkeys(
+        ("table7", "table8", "fig7", "fig8", "fig9", "fig10", "fig11"), "section5"
+    ),
+    **dict.fromkeys([f"fig{n}" for n in range(12, 20)], "section6"),
 }
 
 
 def run_experiment(experiment_id: str, scale: str = "quick") -> ExperimentResult:
     """Run a paper experiment by its id (``"table2"``, ``"fig12"``, ...)."""
     try:
-        fn = EXPERIMENTS[experiment_id]
+        section = EXPERIMENTS[experiment_id]
     except KeyError as exc:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from exc
-    return fn(scale=scale)
+    module = importlib.import_module(f"repro.experiments.{section}")
+    return getattr(module, experiment_id)(scale=scale)
 
 
 __all__ = [
@@ -91,4 +60,4 @@ __all__ = [
     "paper_sweep_setting",
     "EXPERIMENTS",
     "run_experiment",
-] + sorted(EXPERIMENTS)
+]

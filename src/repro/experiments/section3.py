@@ -55,48 +55,55 @@ def _notes(scale: str) -> str:
             f"{setting.ratios} (0.98/0.99 omitted: multi-hour pure-Python runs)."
         )
     return (
-        f"Quick scale: {setting.num_nodes}-node Waxman, sessions of "
+        f"{scale.capitalize()} scale: {setting.num_nodes}-node Waxman, sessions of "
         f"{setting.session_sizes} members, ratios {setting.ratios}."
     )
 
 
 # ----------------------------------------------------------------------
-# Table II — MaxFlow vs approximation ratio
+# Tables II & IV — MaxFlow / MaxConcurrentFlow vs approximation ratio
 # ----------------------------------------------------------------------
-def table2(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
-    """Paper Table II: MaxFlow rates/throughput/trees/MST-ops per ratio."""
-    solutions = flat_ratio_sweep(scale, routing_kind, "maxflow")
-    data = _ratio_table_data(scale, routing_kind, "maxflow")
-    rendered = solutions_to_table(
-        solutions, title="Table II — MaxFlow (fixed IP routing)"
-    )
+def _ratio_table(
+    experiment_id: str,
+    title: str,
+    label: str,
+    scale: str,
+    routing_kind: str,
+    algorithm: str,
+) -> ExperimentResult:
+    """One metric × ratio table (rates/throughput/trees/MST-ops), headed ``label``."""
+    solutions = flat_ratio_sweep(scale, routing_kind, algorithm)
     return ExperimentResult(
-        experiment_id="table2",
-        title="Experiment result of MaxFlow",
+        experiment_id=experiment_id,
+        title=title,
         scale=scale,
-        data=data,
-        rendered=rendered,
+        data=_ratio_table_data(scale, routing_kind, algorithm),
+        rendered=solutions_to_table(solutions, title=label),
         notes=_notes(scale),
     )
 
 
-# ----------------------------------------------------------------------
-# Table IV — MaxConcurrentFlow vs approximation ratio
-# ----------------------------------------------------------------------
-def table4(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
-    """Paper Table IV: MaxConcurrentFlow rates/throughput/trees/MST-ops per ratio."""
-    solutions = flat_ratio_sweep(scale, routing_kind, "maxconcurrent")
-    data = _ratio_table_data(scale, routing_kind, "maxconcurrent")
-    rendered = solutions_to_table(
-        solutions, title="Table IV — MaxConcurrentFlow (fixed IP routing)"
+def table2(scale: str = "quick") -> ExperimentResult:
+    """Paper Table II: MaxFlow per ratio under fixed IP routing."""
+    return _ratio_table(
+        "table2",
+        "Experiment result of MaxFlow",
+        "Table II — MaxFlow (fixed IP routing)",
+        scale,
+        "ip",
+        "maxflow",
     )
-    return ExperimentResult(
-        experiment_id="table4",
-        title="Experiment results of MaxConcurrentFlow",
-        scale=scale,
-        data=data,
-        rendered=rendered,
-        notes=_notes(scale),
+
+
+def table4(scale: str = "quick") -> ExperimentResult:
+    """Paper Table IV: MaxConcurrentFlow per ratio under fixed IP routing."""
+    return _ratio_table(
+        "table4",
+        "Experiment results of MaxConcurrentFlow",
+        "Table IV — MaxConcurrentFlow (fixed IP routing)",
+        scale,
+        "ip",
+        "maxconcurrent",
     )
 
 

@@ -27,8 +27,10 @@ def _notes(scale: str) -> str:
     )
 
 
-def fig5(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
-    """Paper Fig. 5: throughput of Random and Online versus the tree limit."""
+def _throughput_figure(
+    experiment_id: str, title: str, label: str, scale: str, routing_kind: str
+) -> ExperimentResult:
+    """Throughput of Random and Online versus the tree limit, headed ``label``."""
     study = limited_tree_study(scale, routing_kind)
     setting = study.setting
     limits = [p.tree_limit for p in study.points]
@@ -64,13 +66,12 @@ def fig5(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
         headers,
         rows,
         title=(
-            "Fig 5(a) — overall throughput vs tree limit "
-            f"(fractional optimum {study.fractional.overall_throughput:.1f})"
+            f"{label} (fractional optimum {study.fractional.overall_throughput:.1f})"
         ),
     )
     return ExperimentResult(
-        experiment_id="fig5",
-        title="Throughput (Random and Online)",
+        experiment_id=experiment_id,
+        title=title,
         scale=scale,
         data=data,
         rendered=rendered,
@@ -78,8 +79,21 @@ def fig5(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
     )
 
 
-def fig6(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
-    """Paper Fig. 6: number of distinct trees the algorithms actually use."""
+def fig5(scale: str = "quick") -> ExperimentResult:
+    """Paper Fig. 5: throughput of Random and Online versus the tree limit."""
+    return _throughput_figure(
+        "fig5",
+        "Throughput (Random and Online)",
+        "Fig 5(a) — overall throughput vs tree limit",
+        scale,
+        "ip",
+    )
+
+
+def _trees_figure(
+    experiment_id: str, title: str, label: str, scale: str, routing_kind: str
+) -> ExperimentResult:
+    """Distinct trees the algorithms actually use per tree limit, headed ``label``."""
     study = limited_tree_study(scale, routing_kind)
     setting = study.setting
     num_sessions = len(study.fractional.sessions)
@@ -102,14 +116,24 @@ def fig6(scale: str = "quick", routing_kind: str = "ip") -> ExperimentResult:
                 for sigma in setting.sigmas
             },
         }
-    rendered = format_table(headers, rows, title="Fig 6 — distinct trees used vs tree limit")
     return ExperimentResult(
-        experiment_id="fig6",
-        title="Number of Trees (Random and Online)",
+        experiment_id=experiment_id,
+        title=title,
         scale=scale,
         data=data,
-        rendered=rendered,
+        rendered=format_table(headers, rows, title=label),
         notes=_notes(scale),
+    )
+
+
+def fig6(scale: str = "quick") -> ExperimentResult:
+    """Paper Fig. 6: number of distinct trees the algorithms actually use."""
+    return _trees_figure(
+        "fig6",
+        "Number of Trees (Random and Online)",
+        "Fig 6 — distinct trees used vs tree limit",
+        scale,
+        "ip",
     )
 
 

@@ -13,8 +13,8 @@ from typing import Dict
 
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import flat_ratio_sweep
-from repro.experiments.section3 import fig2, fig3, fig4, table2, table4
-from repro.experiments.section4 import fig5, fig6
+from repro.experiments.section3 import _ratio_table, fig2, fig3, fig4
+from repro.experiments.section4 import _throughput_figure, _trees_figure
 from repro.experiments.settings import run_section_cli
 from repro.metrics.fairness import throughput_improvement
 
@@ -38,17 +38,27 @@ def _with_ip_comparison(result: ExperimentResult, scale: str, algorithm: str) ->
 
 def table7(scale: str = "quick") -> ExperimentResult:
     """Paper Table VII: MaxFlow with arbitrary (dynamic) routing."""
-    result = table2(scale=scale, routing_kind="dynamic")
-    result.experiment_id = "table7"
-    result.title = "Experiment result of MaxFlow with arbitrary routing"
+    result = _ratio_table(
+        "table7",
+        "Experiment result of MaxFlow with arbitrary routing",
+        "Table VII — MaxFlow (arbitrary routing)",
+        scale,
+        "dynamic",
+        "maxflow",
+    )
     return _with_ip_comparison(result, scale, "maxflow")
 
 
 def table8(scale: str = "quick") -> ExperimentResult:
     """Paper Table VIII: MaxConcurrentFlow with arbitrary (dynamic) routing."""
-    result = table4(scale=scale, routing_kind="dynamic")
-    result.experiment_id = "table8"
-    result.title = "Experiment results of MaxConcurrentFlow with arbitrary routing"
+    result = _ratio_table(
+        "table8",
+        "Experiment results of MaxConcurrentFlow with arbitrary routing",
+        "Table VIII — MaxConcurrentFlow (arbitrary routing)",
+        scale,
+        "dynamic",
+        "maxconcurrent",
+    )
     return _with_ip_comparison(result, scale, "maxconcurrent")
 
 
@@ -80,18 +90,24 @@ def fig9(scale: str = "quick") -> ExperimentResult:
 
 def fig10(scale: str = "quick") -> ExperimentResult:
     """Paper Fig. 10: Random/Online throughput vs tree limit, arbitrary routing."""
-    result = fig5(scale=scale, routing_kind="dynamic")
-    result.experiment_id = "fig10"
-    result.title = "Throughput (Random and Online with Arbitrary Routing)"
-    return result
+    return _throughput_figure(
+        "fig10",
+        "Throughput (Random and Online with Arbitrary Routing)",
+        "Fig 10(a) — overall throughput vs tree limit, arbitrary routing",
+        scale,
+        "dynamic",
+    )
 
 
 def fig11(scale: str = "quick") -> ExperimentResult:
     """Paper Fig. 11: number of trees used, arbitrary routing."""
-    result = fig6(scale=scale, routing_kind="dynamic")
-    result.experiment_id = "fig11"
-    result.title = "Number of Trees (Random and Online with Arbitrary Routing)"
-    return result
+    return _trees_figure(
+        "fig11",
+        "Number of Trees (Random and Online with Arbitrary Routing)",
+        "Fig 11 — distinct trees used vs tree limit, arbitrary routing",
+        scale,
+        "dynamic",
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

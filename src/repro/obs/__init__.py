@@ -5,7 +5,7 @@ Two halves, both stdlib-only and import-safe from every layer:
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
   of counters/gauges/histograms that store, queue, engine, solve and
   serve instruments feed; rendered as Prometheus text on the serve
-  layer's ``GET /metrics`` and as JSON by ``python -m repro.obs dump``.
+  layer's ``GET /metrics``.
 * :mod:`repro.obs.tracing` — opt-in hierarchical wall-clock spans
   (``solve`` → ``build_instance`` → ``engine.step`` → ``oracle_round``)
   written as Chrome trace-event JSON for Perfetto; ``python -m

@@ -1,15 +1,13 @@
-"""``python -m repro.obs`` — metrics dump and trace tooling.
+"""``python -m repro.obs`` — trace tooling.
 
 Subcommands::
 
-    dump                  print this process's metrics registry as JSON
-                          (or Prometheus text with --format prom)
     merge OUT IN [IN...]  stitch per-process trace files into one
                           Perfetto-loadable trace with labelled lanes
     summary TRACE         aggregate a trace into a top-spans table
 
-``dump`` is mostly useful as a library example — long-lived processes
-expose the same registry over ``GET /metrics`` on the serve layer.
+Metrics live in the registry of the process that records them; the
+serve layer exposes its registry over ``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -19,17 +17,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.obs.metrics import registry
 from repro.obs.tracing import load_trace, merge_traces, summarize_trace
-
-
-def _cmd_dump(args: argparse.Namespace) -> int:
-    reg = registry()
-    if args.format == "prom":
-        sys.stdout.write(reg.render_prometheus())
-    else:
-        print(reg.render_json())
-    return 0
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -69,18 +57,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="observability tooling: metrics dump, trace merge/summary",
+        description="observability tooling: trace merge/summary",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    dump = sub.add_parser("dump", help="print the metrics registry")
-    dump.add_argument(
-        "--format",
-        choices=("json", "prom"),
-        default="json",
-        help="output format (default: json)",
-    )
-    dump.set_defaults(func=_cmd_dump)
 
     merge = sub.add_parser("merge", help="stitch trace files into one")
     merge.add_argument("output", help="merged trace output path")

@@ -13,12 +13,9 @@ instruments:
 Instruments are resolved by ``(name, labels)`` — repeated lookups return
 the same object — and every mutation is lock-protected, so serve worker
 threads, HTTP handler threads and queue pollers share one registry
-without torn counts.  Two read surfaces:
-
-* :meth:`MetricsRegistry.render_prometheus` — the text exposition format
-  (``GET /metrics`` on the serve layer),
-* :meth:`MetricsRegistry.to_jsonable` — plain JSON
-  (``python -m repro.obs dump``).
+without torn counts.  :meth:`MetricsRegistry.render_prometheus` reads
+it in the text exposition format, which the serve layer answers
+``GET /metrics`` with.
 
 The process-wide registry is reached through :func:`registry`; tests
 use :func:`reset_registry` for isolation.
@@ -26,7 +23,6 @@ use :func:`reset_registry` for isolation.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -300,29 +296,6 @@ class MetricsRegistry:
                         f"{family.name}{label_str} {_format_value(sample.value)}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Plain-JSON registry dump (``python -m repro.obs dump``)."""
-        out: Dict[str, Any] = {"metrics": {}}
-        for family in self._snapshot_families():
-            samples = []
-            for key in sorted(family.samples):
-                sample = family.samples[key]
-                entry: Dict[str, Any] = {"labels": dict(key)}
-                if family.kind == "histogram":
-                    entry.update(sample.snapshot())
-                else:
-                    entry["value"] = sample.value
-                samples.append(entry)
-            out["metrics"][family.name] = {
-                "type": family.kind,
-                "help": family.help,
-                "samples": samples,
-            }
-        return out
-
-    def render_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_jsonable(), indent=indent, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ timeout without workers).
 import asyncio
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from repro.api import ScenarioSpec, SessionSpec, TopologySpec, WorkloadSpec
 from repro.cluster import (
     WorkQueue,
     as_reports_completed,
-    partition_specs,
     run_worker,
     shard_of,
     solve_many_async,
@@ -70,15 +70,6 @@ class TestSharding:
             assert shards == [shard_of(key, num_shards) for key in keys]
             assert all(0 <= s < num_shards for s in shards)
 
-    def test_partition_covers_every_spec_once(self):
-        specs = [_spec(rows) for rows in (3, 4, 5, 6)]
-        shards = partition_specs(specs, 3)
-        assert set(shards) == {0, 1, 2}
-        flattened = [spec for bucket in shards.values() for spec in bucket]
-        assert sorted(s.canonical_key for s in flattened) == sorted(
-            s.canonical_key for s in specs
-        )
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             shard_of("abc123", 0)
@@ -102,12 +93,11 @@ class TestWorkQueue:
         assert task is not None
         assert task.key == spec.canonical_key
         assert task.spec == spec
-        assert task.shard == shard_of(spec.canonical_key, 2)
         assert queue.counts() == {"pending": 0, "claimed": 1, "done": 0, "failed": 0}
         assert queue.claim("worker-b") is None  # nothing left to claim
         queue.complete(task)
         assert queue.counts() == {"pending": 0, "claimed": 0, "done": 1, "failed": 0}
-        assert queue.done_keys() == [spec.canonical_key]
+        assert (queue.root / "done" / f"{spec.canonical_key}.json").exists()
         assert queue.is_drained()
         queue.complete(task)  # idempotent
 
@@ -117,12 +107,12 @@ class TestWorkQueue:
         queue.submit(specs, num_shards=2)
         my_shard = shard_of(specs[0].canonical_key, 2)
         task = queue.claim("worker-a", shard=my_shard)
-        assert task is not None and task.shard == my_shard
+        assert task is not None and shard_of(task.key, 2) == my_shard
         # A worker pinned elsewhere never claims this shard's tasks.
         other = [s for s in specs if shard_of(s.canonical_key, 2) != my_shard]
         for _ in other:
             claimed = queue.claim("worker-b", shard=1 - my_shard)
-            assert claimed is not None and claimed.shard == 1 - my_shard
+            assert claimed is not None and shard_of(claimed.key, 2) == 1 - my_shard
         assert queue.claim("worker-b", shard=1 - my_shard) is None
 
     def test_expired_lease_is_requeued(self, tmp_path):
@@ -159,7 +149,7 @@ class TestWorkQueue:
         assert queue.counts()["failed"] == 0
         assert queue.counts()["claimed"] == 1
         queue.complete(stale)  # must not drop the successor's lease
-        assert queue._read_lease(fresh.name) is not None
+        assert queue._read_lease(fresh.key) is not None
         queue.complete(fresh)
         assert queue.counts()["done"] == 1
 
@@ -167,7 +157,7 @@ class TestWorkQueue:
         queue = WorkQueue(tmp_path / "q", lease_seconds=0.05)
         queue.submit([_spec(3)])
         task = queue.claim("worker-a")
-        queue._lease_path(task.name).unlink()  # worker died pre-lease-write
+        queue._lease_path(task.key).unlink()  # worker died pre-lease-write
         assert queue.requeue_expired() == 0  # claim file still fresh
         time.sleep(0.1)
         assert queue.requeue_expired() == 1
@@ -193,13 +183,14 @@ class TestWorkQueue:
         task = queue.claim("worker-a", shard=new_shard)
         assert task is not None
         assert task.key == spec.canonical_key
-        assert task.shard == new_shard  # filename, not payload, wins
+        assert shard_of(task.key, 2) == new_shard
 
     def test_reshard_rename_fsyncs_the_pending_directory(self, tmp_path, monkeypatch):
-        # The re-shard is a state transition like any other: under
-        # durable=True its rename must survive power loss, or pinned
-        # workers of the new layout may never see the task.
-        import repro.cluster.queue as queue_module
+        # A re-shard rewrites the queue's shard count, not any task:
+        # under durable=True the count must survive power loss, or
+        # pinned workers of the new layout may never see the task.  A
+        # resubmit under the same count writes nothing.
+        import repro.util.serialization as serialization
 
         queue = WorkQueue(tmp_path / "q")
         spec = _spec(3)
@@ -208,9 +199,12 @@ class TestWorkQueue:
         )
         queue.submit([spec], num_shards=1)
         synced = []
-        monkeypatch.setattr(queue_module, "fsync_directory", synced.append)
+        monkeypatch.setattr(serialization, "fsync_directory", synced.append)
+        queue.submit([spec], num_shards=1)
+        assert synced == []
         queue.submit([spec], num_shards=num_shards)
-        assert queue._dir("pending") in synced
+        assert synced == [queue.root]
+        assert queue._num_shards() == num_shards
         new_shard = shard_of(spec.canonical_key, num_shards)
         assert queue.claim("worker-a", shard=new_shard) is not None
 
@@ -251,7 +245,7 @@ class TestWorkQueue:
         while (task := queue.claim("worker-a")) is not None:
             queue.fail(task, f"ValueError: {task.key[:6]}")
         failed = tmp_path / "q" / "failed"
-        (failed / f"s0000-{specs[1].canonical_key}.json.error").unlink()
+        (failed / f"{specs[1].canonical_key}.error").unlink()
         reads = []
         read_text = Path.read_text
 
@@ -268,6 +262,48 @@ class TestWorkQueue:
         assert queue.outcomes([second], set()) == {
             second: "unknown error (sidecar missing or unreadable)"
         }
+
+    def test_key_lookups_list_no_history(self, tmp_path, monkeypatch):
+        # Every question about given keys reads only their own paths, so
+        # its cost does not grow with the tasks done/ and failed/ hold.
+        queue = WorkQueue(tmp_path / "q", durable=False)
+        specs = [_spec(rows) for rows in range(3, 23)]
+        queue.submit(specs)
+        while (task := queue.claim("worker-a")) is not None:
+            if shard_of(task.key, 2):
+                queue.fail(task, "ValueError: boom")
+            else:
+                queue.complete(task)
+        done = next(s.canonical_key for s in specs if not shard_of(s.canonical_key, 2))
+        failed = next(s.canonical_key for s in specs if shard_of(s.canonical_key, 2))
+        missing = "0" * 64
+        history = {queue.root / "done", queue.root / "failed"}
+
+        def refusing(listing):
+            def guarded(path=".", *args, **kwargs):
+                assert Path(path) not in history, f"listed {path}"
+                return listing(path, *args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(os, "listdir", refusing(os.listdir))
+        monkeypatch.setattr(os, "scandir", refusing(os.scandir))
+        monkeypatch.setattr(Path, "iterdir", refusing(Path.iterdir))
+        assert queue.submit(specs[:3]) == [s.canonical_key for s in specs[:3]]
+        assert queue.outcomes([done, failed, missing], set()) == {
+            done: LOST,
+            failed: "ValueError: boom",
+        }
+        assert queue.is_drained()
+        assert queue.retry_failed(failed) == 1
+        assert queue.retry_failed(missing) == 0
+        assert queue.reopen(done) is True
+        assert queue.reopen(missing) is False
+        assert not queue.is_drained()
+        monkeypatch.undo()
+        counts = queue.counts()
+        assert counts["pending"] == 2
+        assert counts["done"] + counts["failed"] == len(specs) - 2
 
     def test_invalid_lease_rejected(self, tmp_path):
         for lease in (0.0, math.nan, math.inf):

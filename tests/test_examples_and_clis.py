@@ -3,9 +3,10 @@
 Every ``examples/*.py`` must exit 0 and leave no temporary file behind.
 Each tiny-scale section CLI must print the same bytes serially and with
 ``--jobs 2``, which reaches the sweeps only through ``configure_jobs``
-and ``solve_many``'s process pool.  Each run is a fresh interpreter in
-``tmp_path``, with no ``REPRO_*`` variable set, so nothing in the test
-process leaks in.
+and ``solve_many``'s process pool, and no ``RuntimeWarning`` (runpy
+warns when the package imports the section it is asked to run).  Each
+run is a fresh interpreter in ``tmp_path``, with no ``REPRO_*``
+variable set, so nothing in the test process leaks in.
 """
 
 import os
@@ -32,6 +33,18 @@ def _run(args, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]
+    return done
+
+
+def _section(section, tmp_path, *flags):
+    """Stdout of a tiny-scale section CLI run that warned nothing at runtime."""
+    # The later -W shows RuntimeWarnings despite _run's "-W ignore".
+    done = _run(
+        ["-W", "default::RuntimeWarning", "-m", f"repro.experiments.section{section}",
+         "--scale", "tiny", *flags],
+        tmp_path,
+    )
+    assert b"RuntimeWarning" not in done.stderr, done.stderr.decode(errors="replace")
     return done.stdout
 
 
@@ -48,11 +61,10 @@ def test_example_runs(example, tmp_path):
 
 @pytest.mark.parametrize("section", [3, 4, 6])
 def test_section_cli_prints_the_same_bytes_with_two_jobs(section, tmp_path):
-    module = ["-m", f"repro.experiments.section{section}", "--scale", "tiny"]
-    serial = _run(module, tmp_path)
+    serial = _section(section, tmp_path)
     assert serial
-    assert _run([*module, "--jobs", "2"], tmp_path) == serial
+    assert _section(section, tmp_path, "--jobs", "2") == serial
 
 
 def test_section5_cli_runs_with_two_jobs(tmp_path):
-    assert _run(["-m", "repro.experiments.section5", "--scale", "tiny", "--jobs", "2"], tmp_path)
+    assert _section(5, tmp_path, "--jobs", "2")

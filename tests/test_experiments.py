@@ -181,6 +181,33 @@ class TestExperimentContent:
         column = next(iter(result.data["columns"].values()))
         assert "prescale_oracle_calls" in column
 
+    @pytest.mark.parametrize(
+        "experiment_id, label",
+        [
+            ("table2", "Table II — MaxFlow (fixed IP routing)"),
+            ("table4", "Table IV — MaxConcurrentFlow (fixed IP routing)"),
+            ("table7", "Table VII — MaxFlow (arbitrary routing)"),
+            ("table8", "Table VIII — MaxConcurrentFlow (arbitrary routing)"),
+            ("fig5", "Fig 5(a) — overall throughput vs tree limit"),
+            ("fig6", "Fig 6 — distinct trees used vs tree limit"),
+            ("fig10", "Fig 10(a) — overall throughput vs tree limit, arbitrary routing"),
+            ("fig11", "Fig 11 — distinct trees used vs tree limit, arbitrary routing"),
+        ],
+    )
+    def test_each_body_is_labelled_with_its_own_experiment(self, experiment_id, label):
+        # Section V re-runs Section III/IV's tables and figures under
+        # dynamic routing; each body must name Section V's own number.
+        result = run_experiment(experiment_id, scale=SCALE)
+        if experiment_id in ("fig5", "fig10"):
+            optimum = result.data["fractional_throughput"]
+            label += f" (fractional optimum {optimum:.1f})"
+        assert result.rendered.splitlines()[0] == label
+
+    def test_notes_name_the_scale_they_ran_at(self):
+        for experiment_id in ("table2", "fig4", "table7"):
+            notes = run_experiment(experiment_id, scale=SCALE).notes
+            assert notes.startswith("Tiny scale: "), notes
+
     def test_table7_reports_ip_comparison(self):
         result = run_experiment("table7", scale=SCALE)
         assert "throughput_improvement_vs_ip" in result.data

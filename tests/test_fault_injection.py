@@ -500,7 +500,7 @@ class TestQueueFaults:
         future = time.time() + 1000.0
         assert queue.renew(task, now=future) is True
         assert _counter_value("repro_lease_renewals_total") == renewals_before + 1
-        lease = queue._read_lease(task.name)
+        lease = queue._read_lease(task.key)
         assert lease["expires_at"] == pytest.approx(future + queue.lease_seconds)
         assert lease["renewals"] == 1
         # The renewed lease is what keeps requeue_expired's hands off.

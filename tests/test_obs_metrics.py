@@ -192,16 +192,6 @@ def test_label_values_are_escaped():
     assert 'esc_total{k="a\\"b\\\\c\\nd"} 1' in text
 
 
-def test_to_jsonable_shape():
-    reg = MetricsRegistry()
-    reg.counter("j_total", "a counter", labels={"k": "v"}).inc(4)
-    payload = reg.to_jsonable()
-    assert list(payload) == ["metrics"]
-    family = payload["metrics"]["j_total"]
-    assert family["type"] == "counter"
-    assert family["samples"] == [{"labels": {"k": "v"}, "value": 4.0}]
-
-
 def test_reset_registry_keeps_setting_drops_samples():
     registry().counter("r_total").inc(9)
     fresh = reset_registry()

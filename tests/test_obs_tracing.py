@@ -301,21 +301,6 @@ def test_cli_merge_and_summary(tmp_path, capsys):
     assert "alpha" in printed and "beta" in printed
 
 
-def test_cli_dump_renders_registry(capsys):
-    from repro.obs.metrics import reset_registry
-
-    reg = reset_registry()
-    try:
-        reg.counter("cli_dump_total").inc(5)
-        assert obs_cli.main(["dump"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["metrics"]["cli_dump_total"]["samples"][0]["value"] == 5
-        assert obs_cli.main(["dump", "--format", "prom"]) == 0
-        assert "cli_dump_total 5" in capsys.readouterr().out
-    finally:
-        reset_registry()
-
-
 # ----------------------------------------------------------------------
 # worker trace files (cluster --trace-dir)
 # ----------------------------------------------------------------------
