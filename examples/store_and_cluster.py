@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Persistent store + sharded work-queue execution in one file.
+"""Persistent store + work-queue execution in one file.
 
 The scale-out story on top of the Scenario API: a *batch* of scenario
 specs — here, a MaxFlow approximation-ratio sweep over two topologies —
@@ -12,7 +12,7 @@ is executed three ways, each building on the last:
    spills every report to disk; the second pass — caches cleared, as if
    in a fresh process — performs *zero* solver calls.
 3. **Queue-based** drain: the batch is submitted to a file-backed
-   :class:`repro.cluster.WorkQueue` sharded by canonical key, two
+   :class:`repro.cluster.WorkQueue` keyed by canonical key, two
    independent worker subprocesses (the same ``python -m repro.cluster
    worker`` entry point you would run on other hosts) claim and solve
    cooperatively, and the asyncio front end streams reports back as
@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api import ScenarioSpec, TopologySpec, WorkloadSpec, clear_caches, solve_many
-from repro.cluster import WorkQueue, shard_of, solve_many_async, spawn_local_workers
+from repro.cluster import WorkQueue, solve_many_async, spawn_local_workers
 from repro.store import ReportStore
 from repro.util.tables import format_kv
 
@@ -85,16 +85,15 @@ def main() -> None:
         assert fingerprint(warm) == fingerprint(serial)
         assert all(r.cached for r in warm)  # zero solver calls
 
-        # 3. Queue-based: 2 subprocess workers drain a 2-shard batch
-        #    cooperatively; reports stream back through the store.
+        # 3. Queue-based: 2 subprocess workers drain the batch
+        #    cooperatively, each claiming whatever task is pending next;
+        #    reports stream back through the store.
         queue = WorkQueue(queue_dir)
-        shards = [shard_of(s.canonical_key, 2) for s in specs]
-        print(f"shard assignment: {shards}")
         cluster_store = ReportStore(Path(scratch) / "cluster-store")
         # Submit before spawning: batch-mode workers exit when they see
         # a drained queue, so an empty one must never be their first look.
-        queue.submit(specs, num_shards=2)
-        with spawn_local_workers(2, queue_dir, cluster_store.root, pin_shards=True):
+        queue.submit(specs)
+        with spawn_local_workers(2, queue_dir, cluster_store.root):
             gathered = asyncio.run(
                 solve_many_async(specs, queue, cluster_store, timeout=600, submit=False)
             )

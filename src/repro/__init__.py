@@ -28,10 +28,10 @@ sessions as a multicommodity flow over overlay spanning trees and provides
   content-addressed on-disk cache keyed on spec ``canonical_key``s, so
   solved scenarios survive across processes (``REPRO_STORE`` /
   ``store=``), and
-* the **cluster layer** (:mod:`repro.cluster`) — canonical-key
-  sharding, a crash-safe file-backed work queue drained by independent
-  ``python -m repro.cluster worker`` processes, and an asyncio front
-  end streaming reports as they complete.
+* the **cluster layer** (:mod:`repro.cluster`) — a crash-safe
+  file-backed work queue, keyed on canonical keys and drained by
+  independent ``python -m repro.cluster worker`` processes, and an
+  asyncio front end streaming reports as they complete.
 
 Quickstart
 ----------

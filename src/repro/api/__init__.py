@@ -29,7 +29,7 @@ Layers
   [--output out.json]`` — the CLI over spec files, plus ``cache
   stats|prune`` for store maintenance.
 * For multi-process scale-out over a shared filesystem, see
-  :mod:`repro.cluster` (sharded work queue + asyncio gathering).
+  :mod:`repro.cluster` (file-backed work queue + asyncio gathering).
 
 Spec JSON shape
 ---------------
@@ -55,9 +55,7 @@ A scenario spec file is a JSON object (or a list of them for a batch)::
                                           // source, name} objects (and
                                           // sizes left empty)
       },
-      "routing": "ip",                    // or "dynamic" (aliases:
-                                          // fixed/fixed-ip/static,
-                                          // arbitrary)
+      "routing": "ip",                    // or "dynamic" (any case)
       "solver": "max_flow",               // or max_concurrent_flow,
                                           // online, randomized_rounding,
                                           // or a plugin name

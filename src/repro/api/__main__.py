@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -103,20 +102,11 @@ def _describe_instrumentation(report: SolveReport) -> str:
 
 def _store_from_args(args: argparse.Namespace) -> Optional[ReportStore]:
     if getattr(args, "store", None):
-        return ReportStore(args.store, compress=getattr(args, "store_gzip", False))
-    store = resolve_store(None)  # honour REPRO_STORE
-    if store is not None and getattr(args, "store_gzip", False):
-        # Fresh per-invocation instance: mutating the memoized env store
-        # would leak the flag into later store-less runs in this process.
-        return ReportStore(store.root, compress=True)
-    return store
+        return ReportStore(args.store)
+    return resolve_store(None)  # honour REPRO_STORE
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.store_gzip and not args.store and not os.environ.get(STORE_ENV_VAR):
-        raise SystemExit(
-            f"--store-gzip needs a store: pass --store DIR or export {STORE_ENV_VAR}"
-        )
     specs: List[ScenarioSpec] = []
     for spec_path in args.specs:
         specs.extend(_load_specs(Path(spec_path)))
@@ -226,11 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--store",
         default=None,
         help=f"persistent report-store directory (default: ${STORE_ENV_VAR} if set)",
-    )
-    run.add_argument(
-        "--store-gzip",
-        action="store_true",
-        help=f"gzip new store entries (with --store or ${STORE_ENV_VAR})",
     )
     run.add_argument(
         "--verbose",

@@ -182,21 +182,12 @@ register_topology("complete", _topo.complete_topology)
 register_topology("random_regular", _topo.random_regular_topology)
 
 # ----------------------------------------------------------------------
-# built-in routing models and their aliases
+# built-in routing models and solvers: one name each, so one problem
+# has one canonical key
 # ----------------------------------------------------------------------
-for _name in ("ip", "fixed", "fixed-ip", "static"):
-    register_routing(_name, FixedIPRouting)
-for _name in ("dynamic", "arbitrary"):
-    register_routing(_name, DynamicRouting)
-
-
-# ----------------------------------------------------------------------
-# built-in solvers — the paper's four algorithms, plus the aliases the
-# experiment sweeps use ("maxflow"/"maxconcurrent" grids)
-# ----------------------------------------------------------------------
+register_routing("ip", FixedIPRouting)
+register_routing("dynamic", DynamicRouting)
 register_solver("max_flow", max_flow)
 register_solver("max_concurrent_flow", max_concurrent_flow)
 register_solver("online", online_min_congestion)
 register_solver("randomized_rounding", randomized_rounding)
-register_solver("maxflow", max_flow)
-register_solver("maxconcurrent", max_concurrent_flow)

@@ -7,7 +7,7 @@ them.  Specs are plain frozen dataclasses built from primitives, so they
 * serialize to JSON (``to_jsonable`` / ``to_json``) and come back
   (``from_jsonable`` / ``from_json``) bit-identically,
 * have a :attr:`ScenarioSpec.canonical_key` — a stable digest suitable
-  for caching, sharding and deduplication, and
+  for caching, queueing and deduplication, and
 * can be shipped across process (or machine) boundaries and rebuilt into
   live objects through the :mod:`repro.api.registry`.
 
@@ -60,12 +60,12 @@ class _SpecBase:
 
     @property
     def canonical_key(self) -> str:
-        """Stable content digest of this spec (cache/shard/dedupe key).
+        """Stable content digest of this spec (cache/queue/dedupe key).
 
-        Memoized on first access (specs are frozen): the store, queue,
-        sharding and batch-dedup hot paths all re-read it many times per
-        spec.  The cache slot is not a dataclass field, so it never
-        enters serialization or equality.
+        Memoized on first access (specs are frozen): the store, queue
+        and batch-dedup hot paths all re-read it many times per spec.
+        The cache slot is not a dataclass field, so it never enters
+        serialization or equality.
         """
         cached = self.__dict__.get("_canonical_key_cache")
         if cached is None:
@@ -187,7 +187,7 @@ class ArrivalSpec(_SpecBase):
     procedurally, which kept online scenarios out of the report store;
     an ``ArrivalSpec`` on a :class:`ScenarioSpec` makes the run fully
     spec-determined — replication, demand override and ordering included
-    — so online cells cache, shard and re-run like every offline cell.
+    — so online cells cache, queue and re-run like every offline cell.
 
     Applied to a workload's session list as:
 
@@ -448,8 +448,9 @@ class ScenarioSpec(_SpecBase):
     workload:
         What sessions to place on it.
     routing:
-        Registry name of the routing model (``"ip"`` or ``"dynamic"``,
-        plus their aliases).
+        Registry name of the routing model (``"ip"`` or ``"dynamic"``),
+        in any case: it is stored lower-cased, so specs that differ
+        only in its case share a canonical key.
     solver:
         Registry name of the solver (``"max_flow"``,
         ``"max_concurrent_flow"``, ``"online"``, ``"randomized_rounding"``,
@@ -474,6 +475,7 @@ class ScenarioSpec(_SpecBase):
     def __post_init__(self) -> None:
         if not self.routing:
             raise ConfigurationError("routing name must be non-empty")
+        object.__setattr__(self, "routing", self.routing.lower())
         if not self.solver:
             raise ConfigurationError("solver name must be non-empty")
         object.__setattr__(self, "solver_params", dict(self.solver_params))

@@ -1,15 +1,15 @@
-"""``python -m repro.cluster`` — sharded work-queue execution from the shell.
+"""``python -m repro.cluster`` — work-queue execution from the shell.
 
 Subcommands
 -----------
 ``submit SPEC [SPEC ...] --queue DIR``
     Enqueue spec file(s) (same format as ``python -m repro.api run``)
-    as work-queue tasks; ``--num-shards`` sets the queue's shard count.
+    as work-queue tasks.
 
 ``worker --queue DIR --store DIR``
-    Run one cooperative worker: claim → solve → store → complete.
-    ``--shard K`` pins it to one shard; ``--exit-when-empty`` returns
-    when the queue drains (batch mode) instead of polling forever.
+    Run one cooperative worker: claim → solve → store → complete, taking
+    any pending task.  ``--exit-when-empty`` returns when the queue
+    drains (batch mode) instead of polling forever.
 
 ``drain SPEC [SPEC ...] --queue DIR --store DIR --workers N``
     The whole pipeline in one command: submit the batch, spawn N local
@@ -59,7 +59,7 @@ def _queue(args: argparse.Namespace) -> WorkQueue:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     specs = _load_specs(args.specs)
-    keys = _queue(args).submit(specs, num_shards=args.num_shards)
+    keys = _queue(args).submit(specs)
     print(f"submitted {len(specs)} spec(s) ({len(set(keys))} unique) to {args.queue}")
     return 0
 
@@ -68,7 +68,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     stats = run_worker(
         _queue(args),
         args.store,
-        shard=args.shard,
         poll_seconds=args.poll,
         exit_when_empty=args.exit_when_empty,
         relay=args.relay,
@@ -90,12 +89,11 @@ def _cmd_drain(args: argparse.Namespace) -> int:
         check_seconds("--timeout", args.timeout, zero_ok=True)
     specs = _load_specs(args.specs)
     queue = _queue(args)
-    queue.submit(specs, num_shards=args.num_shards)
+    queue.submit(specs)
     with spawn_local_workers(
         args.workers,
         args.queue,
         args.store,
-        pin_shards=args.pin_shards,
         poll_seconds=args.poll,
         exit_when_empty=True,
         lease_seconds=args.lease,
@@ -134,20 +132,18 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
-        description="Sharded work-queue execution over scenario specs",
+        description="Work-queue execution over scenario specs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     submit = sub.add_parser("submit", help="enqueue spec file(s) as queue tasks")
     submit.add_argument("specs", nargs="+", help="spec file(s): one scenario or a list")
     submit.add_argument("--queue", required=True, help="work-queue directory")
-    submit.add_argument("--num-shards", type=int, default=1, help="shard count")
     submit.set_defaults(handler=_cmd_submit)
 
     worker = sub.add_parser("worker", help="run one cooperative queue worker")
     worker.add_argument("--queue", required=True, help="work-queue directory")
     worker.add_argument("--store", required=True, help="report-store directory")
-    worker.add_argument("--shard", type=int, default=None, help="pin to one shard")
     worker.add_argument("--poll", type=float, default=0.2, help="idle poll seconds")
     worker.add_argument("--lease", type=float, default=None, help="lease seconds")
     worker.add_argument(
@@ -182,12 +178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     drain.add_argument("--queue", required=True, help="work-queue directory")
     drain.add_argument("--store", required=True, help="report-store directory")
     drain.add_argument("--workers", type=int, default=2, help="local worker processes")
-    drain.add_argument("--num-shards", type=int, default=1, help="shard count")
-    drain.add_argument(
-        "--pin-shards",
-        action="store_true",
-        help="pin worker i to shard i (requires --num-shards == --workers)",
-    )
     drain.add_argument("--poll", type=float, default=0.1, help="worker poll seconds")
     drain.add_argument("--lease", type=float, default=None, help="lease seconds")
     drain.add_argument(
@@ -208,11 +198,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     retry.set_defaults(handler=_cmd_retry)
 
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "pin_shards", False)
-        and args.num_shards != args.workers
-    ):
-        parser.error("--pin-shards requires --num-shards to equal --workers")
     try:
         return args.handler(args)
     except ConfigurationError as exc:

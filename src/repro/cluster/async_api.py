@@ -67,7 +67,6 @@ async def as_reports_completed(
     specs: Sequence[ScenarioSpec],
     queue: Union[str, Path, WorkQueue],
     store: Union[str, Path, ReportStore],
-    num_shards: int = 1,
     poll_seconds: float = 0.05,
     timeout: Optional[float] = None,
     submit: bool = True,
@@ -96,7 +95,7 @@ async def as_reports_completed(
     store = _coerce_store(store)
     specs = list(specs)
     if submit:
-        queue.submit(specs, num_shards=num_shards)
+        queue.submit(specs)
 
     waiting: Dict[str, List[int]] = {}
     for index, spec in enumerate(specs):
@@ -138,7 +137,6 @@ async def solve_many_async(
     specs: Sequence[ScenarioSpec],
     queue: Union[str, Path, WorkQueue],
     store: Union[str, Path, ReportStore],
-    num_shards: int = 1,
     poll_seconds: float = 0.05,
     timeout: Optional[float] = None,
     submit: bool = True,
@@ -158,7 +156,6 @@ async def solve_many_async(
         specs,
         queue,
         store,
-        num_shards=num_shards,
         poll_seconds=poll_seconds,
         timeout=timeout,
         submit=submit,

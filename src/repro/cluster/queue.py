@@ -10,7 +10,6 @@ key; a task's state is which subdirectory its file sits in::
     failed/<key>.json    solve raised; error in failed/<key>.error
     leases/<key>.lease   sidecar per claimed task: owner + expiry
     attempts/<key>.json  lease expirations so far
-    num_shards           the queue's shard count (absent: 1)
 
 Every state transition is a single ``os.rename`` on one filesystem —
 atomic on POSIX — so any number of independent worker processes can
@@ -29,11 +28,9 @@ the re-queued copy a store hit rather than a duplicate solve.
 Because a file's name is its key, every question about one key — is it
 queued, did it fail, is it done — reads that key's own paths and never
 lists a state directory, which would grow with the queue's history.
-Submission deduplicates by key, and a shard-pinned worker
-(``python -m repro.cluster worker --shard K``) claims the pending keys
-with ``shard_of(key, N) == K``, where N is the shard count of the last
-submit: submitting under another count re-partitions every pending
-task without touching it.
+Submission deduplicates by key, and every claim takes the first pending
+key in sorted order: the cells of a batch are independent, so any
+worker may solve any of them.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Uni
 
 from repro import faults
 from repro.api.specs import ScenarioSpec
-from repro.cluster.sharding import shard_of
 from repro.obs import metrics as obs_metrics
 from repro.util.errors import ConfigurationError, check_seconds
 from repro.util.serialization import atomic_write_bytes, fsync_directory
@@ -120,9 +116,8 @@ class WorkQueue:
         take down the whole fleet one worker at a time.
     durable:
         fsync directories around state-transition renames (and task,
-        lease, attempts and shard-count writes) so queue state survives
-        power loss.  Default on; turn off for throwaway queues in tight
-        test loops.
+        lease and attempts writes) so queue state survives power loss.
+        Default on; turn off for throwaway queues in tight test loops.
     """
 
     def __init__(
@@ -178,13 +173,6 @@ class WorkQueue:
             return []
         return sorted(p.stem for p in directory.iterdir() if p.suffix == ".json")
 
-    def _num_shards(self) -> int:
-        """The shard count of the last :meth:`submit` (1 before any)."""
-        try:
-            return int((self.root / "num_shards").read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return 1
-
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
@@ -196,17 +184,13 @@ class WorkQueue:
         A spec whose canonical key already has a task file in any state
         is skipped: submission is idempotent, so a gatherer can
         re-submit a batch containing keys another client already queued
-        or finished.  ``num_shards`` becomes the queue's shard count,
-        which shard-pinned claims partition every pending key by.
+        or finished.
+
+        ``num_shards`` is accepted and ignored.  No code in ``src``
+        passes it; it stays only because ``perfbench/workloads.py``'s
+        cluster_drain submits with it, and it can go once the benchmark
+        drops that argument.
         """
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        if num_shards != self._num_shards():
-            atomic_write_bytes(
-                self.root / "num_shards",
-                f"{num_shards}\n".encode("utf-8"),
-                durable=self.durable,
-            )
         keys: List[str] = []
         for spec in specs:
             key = spec.canonical_key
@@ -232,20 +216,14 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # the claim/complete lifecycle
     # ------------------------------------------------------------------
-    def claim(
-        self, worker_id: str, shard: Optional[int] = None
-    ) -> Optional[ClaimedTask]:
+    def claim(self, worker_id: str) -> Optional[ClaimedTask]:
         """Atomically take ownership of one pending task (or ``None``).
 
-        ``shard`` restricts the scan to the keys that shard owns under
-        the queue's shard count.  The winning transition is a rename
-        into ``claimed/``; losing a race just moves on to the next
-        candidate.
+        Pending keys are tried in sorted order.  The winning transition
+        is a rename into ``claimed/``; losing a race just moves on to
+        the next candidate.
         """
-        num_shards = self._num_shards() if shard is not None else 1
         for key in self._keys("pending"):
-            if shard is not None and shard_of(key, num_shards) != shard:
-                continue
             if not self._move(key, "pending", "claimed", "queue.claim.rename"):
                 continue  # another worker won this one
             target = self._task("claimed", key)

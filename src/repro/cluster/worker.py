@@ -84,7 +84,6 @@ def run_worker(
     queue: Union[str, Path, WorkQueue],
     store: Union[str, Path, ReportStore],
     worker_id: Optional[str] = None,
-    shard: Optional[int] = None,
     poll_seconds: float = 0.2,
     exit_when_empty: bool = False,
     relay: Optional[Union[str, Path]] = None,
@@ -100,10 +99,6 @@ def run_worker(
         :class:`WorkQueue` to set ``lease_seconds`` or ``max_attempts``).
     worker_id:
         Lease owner label; defaults to ``<host>-<pid>-<nonce>``.
-    shard:
-        Restrict claims to the keys this shard owns under the queue's
-        shard count, the ``num_shards`` of its last submit (cooperating
-        workers may also run unpinned and claim anything).
     poll_seconds:
         Idle-poll *floor* between empty claim scans.  Consecutive empty
         scans back off exponentially (capped) so idle workers do not
@@ -149,7 +144,7 @@ def run_worker(
     while True:
         try:
             queue.requeue_expired()
-            task = queue.claim(worker_id, shard=shard)
+            task = queue.claim(worker_id)
         except OSError:
             # A failed scan or claim (injected or real) is an empty poll:
             # the next poll tries again, and the worker lives on.
@@ -202,7 +197,6 @@ def run_worker(
 def worker_command(
     queue_root: Union[str, Path],
     store_root: Union[str, Path],
-    shard: Optional[int] = None,
     poll_seconds: float = 0.2,
     exit_when_empty: bool = True,
     lease_seconds: Optional[float] = None,
@@ -221,8 +215,6 @@ def worker_command(
         "--poll",
         str(poll_seconds),
     ]
-    if shard is not None:
-        cmd.extend(["--shard", str(shard)])
     if exit_when_empty:
         cmd.append("--exit-when-empty")
     if lease_seconds is not None:
@@ -237,7 +229,6 @@ def spawn_local_workers(
     num_workers: int,
     queue_root: Union[str, Path],
     store_root: Union[str, Path],
-    pin_shards: bool = False,
     poll_seconds: float = 0.1,
     exit_when_empty: bool = True,
     lease_seconds: Optional[float] = None,
@@ -246,15 +237,13 @@ def spawn_local_workers(
 ) -> Iterator[List[subprocess.Popen]]:
     """Run ``num_workers`` subprocess workers against one queue + store.
 
-    With ``pin_shards`` worker ``i`` claims only shard ``i`` of the
-    queue's shard count (submit with ``num_shards=num_workers``);
-    otherwise all workers compete for any task.  On exit the workers are waited for (batch mode) or
-    terminated (polling mode); ``shutdown_timeout`` bounds the batch-mode
-    wait — a reused queue may hold *foreign* pending tasks the workers
-    would otherwise keep draining long after the caller's batch is done
-    — after which the workers are terminated (their claimed tasks requeue
-    via lease expiry).  A worker still running 5 s after its terminate
-    is killed.
+    The workers compete for any pending task.  On exit they are waited
+    for (batch mode) or terminated (polling mode); ``shutdown_timeout``
+    bounds the batch-mode wait — a reused queue may hold *foreign*
+    pending tasks the workers would otherwise keep draining long after
+    the caller's batch is done — after which the workers are terminated
+    (their claimed tasks requeue via lease expiry).  A worker still
+    running 5 s after its terminate is killed.
     """
     if num_workers < 1:
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
@@ -263,18 +252,17 @@ def spawn_local_workers(
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    cmd = worker_command(
+        queue_root,
+        store_root,
+        poll_seconds=poll_seconds,
+        exit_when_empty=exit_when_empty,
+        lease_seconds=lease_seconds,
+        relay_root=relay_root,
+    )
     procs: List[subprocess.Popen] = []
     try:
-        for index in range(num_workers):
-            cmd = worker_command(
-                queue_root,
-                store_root,
-                shard=index if pin_shards else None,
-                poll_seconds=poll_seconds,
-                exit_when_empty=exit_when_empty,
-                lease_seconds=lease_seconds,
-                relay_root=relay_root,
-            )
+        for _ in range(num_workers):
             procs.append(subprocess.Popen(cmd, env=env))
         yield procs
         if exit_when_empty:

@@ -1,4 +1,4 @@
-"""Deterministic, seedable fault injection at named points.
+"""Deterministic fault injection at named points.
 
 The crash-safety story of the persistent layers — atomic renames in the
 store, claim/lease/complete transitions in the work queue, append-only
@@ -16,11 +16,9 @@ Design constraints, in order:
 * **Zero overhead when disabled.**  :func:`point` is one module-global
   load plus an ``is None`` test when no plan is installed — safe to
   leave in hot I/O paths permanently.  The bench-smoke suite pins this.
-* **Deterministic.**  A rule fires on exact hit counts (``@N`` = the
-  Nth time the point is reached, 1-based), so a test can say "crash the
-  *second* store put" and get the same failure every run.  The optional
-  probabilistic mode draws from a rule-local seeded RNG, so even random
-  fault storms replay bit-identically.
+* **Deterministic.**  A rule fires on exact hit counts only (``@N`` =
+  the Nth time the point is reached, 1-based), so a test can say "crash
+  the *second* store put" and get the same failure every run.
 * **Spec-driven.**  Plans come from the ``REPRO_FAULTS`` environment
   variable (read at import, so subprocess workers inherit faults from
   their parent's environment) or :func:`configure_faults`.
@@ -28,13 +26,12 @@ Design constraints, in order:
 Grammar — comma-separated rules, each ``point:action`` plus optional
 modifiers (in this order)::
 
-    <point>:<action>[=PARAM][@AT][xTIMES|x*][%PROB][~SEED]
+    <point>:<action>[=PARAM][@AT][xTIMES|x*]
 
     store.put.rename:crash@2        crash the process at the 2nd hit
     store.get.read:raisex2          raise InjectedFault on hits 1 and 2
     queue.claim.rename:delay=0.05x* sleep 50ms at every hit
     store.put.write:truncate=0.5    halve the bytes written (once)
-    relay.append:crash%0.25~7       crash w.p. 0.25, seeded (replayable)
 
 Actions:
 
@@ -56,7 +53,6 @@ Actions:
 from __future__ import annotations
 
 import os
-import random
 import re
 import sys
 import threading
@@ -79,9 +75,7 @@ _RULE_RE = re.compile(
     r"^(?P<action>raise|crash|delay|truncate)"
     r"(?:=(?P<param>[0-9]*\.?[0-9]+))?"
     r"(?:@(?P<at>[0-9]+))?"
-    r"(?:x(?P<times>[0-9]+|\*))?"
-    r"(?:%(?P<prob>[0-9]*\.?[0-9]+))?"
-    r"(?:~(?P<seed>[0-9]+))?$"
+    r"(?:x(?P<times>[0-9]+|\*))?$"
 )
 
 
@@ -98,10 +92,7 @@ class FaultRule:
     param: Optional[float] = None
     at: int = 1
     times: Optional[int] = 1  # None = every eligible hit ("x*")
-    probability: Optional[float] = None
-    seed: Optional[int] = None
     fired: int = field(default=0, compare=False)
-    _rng: Optional[random.Random] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:
@@ -112,26 +103,12 @@ class FaultRule:
             raise ConfigurationError(f"fault '@at' must be >= 1, got {self.at}")
         if self.times is not None and self.times < 1:
             raise ConfigurationError(f"fault 'xtimes' must be >= 1, got {self.times}")
-        if self.probability is not None and not 0.0 < self.probability <= 1.0:
-            raise ConfigurationError(
-                f"fault probability must be in (0, 1], got {self.probability}"
-            )
-        if self.probability is not None:
-            # Rule-local RNG: deterministic given the seed, independent
-            # of every other rule's draws.
-            self._rng = random.Random(
-                self.seed if self.seed is not None else 0
-            )
 
     def wants(self, hit: int) -> bool:
         """Whether this rule fires on the ``hit``-th arrival (1-based)."""
         if hit < self.at:
             return False
-        if self.times is not None and self.fired >= self.times:
-            return False
-        if self._rng is not None and self._rng.random() >= self.probability:
-            return False
-        return True
+        return self.times is None or self.fired < self.times
 
 
 def parse_fault_spec(spec: str) -> List[FaultRule]:
@@ -153,7 +130,7 @@ def parse_fault_spec(spec: str) -> List[FaultRule]:
         if match is None:
             raise ConfigurationError(
                 f"cannot parse fault behaviour {behaviour!r} "
-                "(expected action[=PARAM][@AT][xTIMES|x*][%PROB][~SEED])"
+                "(expected action[=PARAM][@AT][xTIMES|x*])"
             )
         times_text = match.group("times")
         rules.append(
@@ -172,16 +149,6 @@ def parse_fault_spec(spec: str) -> List[FaultRule]:
                     else int(times_text)
                     if times_text is not None
                     else 1
-                ),
-                probability=(
-                    float(match.group("prob"))
-                    if match.group("prob") is not None
-                    else None
-                ),
-                seed=(
-                    int(match.group("seed"))
-                    if match.group("seed") is not None
-                    else None
                 ),
             )
         )

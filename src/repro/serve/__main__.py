@@ -49,7 +49,6 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         inline_workers=args.inline_workers,
         high_water=args.high_water,
         per_client_limit=args.per_client,
-        num_shards=args.num_shards,
         sse_timeout=args.sse_timeout,
     )
     return ServeApp(config)
@@ -101,12 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         help="cap on any single client's queued submissions",
-    )
-    parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=1,
-        help="shard count for cluster-mode queue submission",
     )
     parser.add_argument(
         "--sse-timeout",

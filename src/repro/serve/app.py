@@ -112,7 +112,6 @@ class ServeConfig:
     inline_workers: int = 1
     high_water: int = DEFAULT_HIGH_WATER
     per_client_limit: Optional[int] = None
-    num_shards: int = 1
     sse_timeout: float = 300.0
 
 
@@ -540,7 +539,7 @@ class ServeApp:
                 continue
             client, run = taken
             try:
-                self.queue.submit([run.spec], num_shards=self.config.num_shards)
+                self.queue.submit([run.spec])
             except Exception as exc:  # noqa: BLE001 - submission failure is the run's failure
                 self._finish(client, run, f"{type(exc).__name__}: {exc}")
                 continue

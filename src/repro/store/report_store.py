@@ -11,7 +11,7 @@ then the solver.
 Design
 ------
 * **Content addressing.**  An entry's path is derived from its canonical
-  key alone (``objects/<key[:2]>/<key>.json[.gz]``), so ``get``,
+  key alone (``objects/<key[:2]>/<key>.json``), so ``get``,
   ``contains``, ``stats`` and ``prune`` read the object files alone and
   multiple processes share one store with no coordination.
 * **Atomic writes.**  Payloads are written tmp-file-then-rename
@@ -44,14 +44,12 @@ Design
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
 import random
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
@@ -59,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 from repro import faults
 from repro.obs import metrics as obs_metrics
 from repro.util.errors import ConfigurationError, ReproError, check_seconds
-from repro.util.serialization import atomic_write_bytes, canonical_json, read_bytes
+from repro.util.serialization import atomic_write_bytes, canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
     from repro.api.service import SolveReport
@@ -131,9 +129,6 @@ class ReportStore:
     ----------
     root:
         Store directory (created on first use).
-    compress:
-        Gzip new payloads.  Reading is always format-agnostic — a store
-        may hold a mix of plain and gzipped entries.
     durable:
         fsync puts (temp file + parent directory around the rename) so a
         published entry survives power loss, not just process death.
@@ -143,11 +138,9 @@ class ReportStore:
     def __init__(
         self,
         root: Union[str, Path],
-        compress: bool = False,
         durable: bool = True,
     ) -> None:
         self.root = Path(root)
-        self.compress = bool(compress)
         self.durable = bool(durable)
         # key -> (report bytes, the report a get rebuilt from them or None)
         self._memory: "OrderedDict[str, Tuple[bytes, Optional[SolveReport]]]" = (
@@ -171,16 +164,12 @@ class ReportStore:
     def _objects_dir(self) -> Path:
         return self.root / "objects"
 
-    def _object_path(self, key: str, gz: bool) -> Path:
-        suffix = ".json.gz" if gz else ".json"
-        return self._objects_dir / key[:2] / f"{key}{suffix}"
+    def _object_path(self, key: str) -> Path:
+        return self._objects_dir / key[:2] / f"{key}.json"
 
     def _find_object(self, key: str) -> Optional[Path]:
-        for gz in (self.compress, not self.compress):  # likely format first
-            path = self._object_path(key, gz)
-            if path.exists():
-                return path
-        return None
+        path = self._object_path(key)
+        return path if path.exists() else None
 
     # ------------------------------------------------------------------
     # core operations
@@ -210,10 +199,9 @@ class ReportStore:
                 _entry_tail(hashlib.sha256(report_bytes).hexdigest()),
             )
         )
-        data = gzip.compress(envelope) if self.compress else envelope
         path = atomic_write_bytes(
-            self._object_path(key, self.compress),
-            data,
+            self._object_path(key),
+            envelope,
             durable=self.durable,
             fault_point="store.put",
         )
@@ -289,7 +277,7 @@ class ReportStore:
 
     def _read_entry(self, path: Path) -> bytes:
         faults.point("store.get.read")
-        return read_bytes(path)
+        return path.read_bytes()
 
     def _load_entry(self, key: str, path: Path) -> Optional[bytes]:
         """Read and verify the entry at ``path``: its report's bytes.
@@ -309,10 +297,6 @@ class ReportStore:
             try:
                 raw = self._read_entry(path)
                 break
-            except (gzip.BadGzipFile, EOFError, zlib.error):
-                # A truncated or garbled gzip stream: the bytes are bad.
-                _retry_counter("rejected").inc()
-                return self._condemn(path)
             except (
                 FileNotFoundError,
                 IsADirectoryError,
@@ -420,11 +404,7 @@ class ReportStore:
     def _disk_entries(self) -> List[Path]:
         if not self._objects_dir.exists():
             return []
-        return sorted(
-            p
-            for p in self._objects_dir.glob("*/*")
-            if p.suffix == ".json" or p.name.endswith(".json.gz")
-        )
+        return sorted(self._objects_dir.glob("*/*.json"))
 
     def stats(self) -> Dict[str, int]:
         """Store counters: disk entries/bytes, memory front, hit/miss/corrupt/stale."""
@@ -478,7 +458,7 @@ class ReportStore:
             doomed.update(p for _, p in survivors[:excess])
         removed_keys = set()
         for path in doomed:
-            removed_keys.add(path.name.split(".")[0])
+            removed_keys.add(path.stem)
             try:
                 path.unlink()
             except OSError:
@@ -494,7 +474,7 @@ class ReportStore:
             self._memory.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ReportStore({str(self.root)!r}, compress={self.compress})"
+        return f"ReportStore({str(self.root)!r})"
 
 
 _stores: Dict[str, ReportStore] = {}

@@ -4,16 +4,15 @@ Experiment results contain numpy scalars/arrays and dataclasses; these
 helpers convert them into plain JSON-compatible structures so that runs
 can be archived and later diffed against the paper's reported numbers.
 
-The module also provides the file-level primitives the persistent layers
+The module also provides the file-level primitive the persistent layers
 (:mod:`repro.store`, :mod:`repro.cluster`) build on: atomic byte writes
 (tmp file + rename, so concurrent writers of one path never tear each
-other's output) and transparent gzip on a ``.gz`` suffix.
+other's output).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gzip
 import json
 import os
 import secrets
@@ -24,8 +23,6 @@ from typing import Any, Optional, Type, TypeVar, Union
 import numpy as np
 
 from repro import faults
-
-GZIP_MAGIC = b"\x1f\x8b"
 
 # json.dumps with any non-default argument builds a new encoder per
 # call; encode() keeps no state between calls, so threads can share one.
@@ -270,35 +267,15 @@ def atomic_write_bytes(
     return path
 
 
-def read_bytes(path: Union[str, Path]) -> bytes:
-    """Read a file's bytes, transparently gunzipping gzip content."""
-    raw = Path(path).read_bytes()
-    if raw[:2] == GZIP_MAGIC:
-        return gzip.decompress(raw)
-    return raw
-
-
-def dump_json(
-    obj: Any, path: Union[str, Path], indent: int = 2, atomic: bool = False
-) -> Path:
-    """Serialise ``obj`` (via :func:`to_jsonable`) to ``path``.
-
-    A ``.gz`` suffix gzips the payload; ``atomic=True`` routes the write
-    through :func:`atomic_write_bytes` so concurrent writers never tear.
-    """
+def dump_json(obj: Any, path: Union[str, Path], indent: int = 2) -> Path:
+    """Serialise ``obj`` (via :func:`to_jsonable`) to ``path``."""
     path = Path(path)
     text = json.dumps(to_jsonable(obj), indent=indent, sort_keys=True) + "\n"
-    data = text.encode("utf-8")
-    if path.suffix == ".gz":
-        data = gzip.compress(data)
-    if atomic:
-        return atomic_write_bytes(path, data)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(data)
+    path.write_bytes(text.encode("utf-8"))
     return path
 
 
 def load_json(path: Union[str, Path]) -> Any:
-    """Load JSON content written by :func:`dump_json` (gzip-aware)."""
-    return json.loads(read_bytes(path).decode("utf-8"))
+    """Load JSON content written by :func:`dump_json`."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))

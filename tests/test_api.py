@@ -6,6 +6,7 @@ open-registration registry (duplicate and unknown names, plugin
 decorators, routing models built by name).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -73,6 +74,14 @@ class TestSpecRoundTrips:
         assert round_tripped.canonical_key == scenario.canonical_key
         different = scenario.with_solver("max_flow", approximation_ratio=0.85)
         assert different.canonical_key != scenario.canonical_key
+
+    def test_routing_case_shares_a_canonical_key(self, scenario):
+        # One problem, one key: the routing name is stored lower-cased,
+        # so a store, the serve dedupe and the queue see one spec.
+        upper = dataclasses.replace(scenario, routing="IP")
+        assert upper.routing == "ip"
+        assert upper.canonical_key == scenario.canonical_key
+        assert upper.instance_key == scenario.instance_key
 
     def test_instance_key_ignores_solver(self, scenario):
         other = scenario.with_solver("max_concurrent_flow", approximation_ratio=0.8)
@@ -199,7 +208,7 @@ class TestDemandDistribution:
     def test_default_omitted_when_nested_in_scenario_spec(self, scenario):
         # Regression: the omission must hold at every nesting depth —
         # the scenario-level digest is what the store, the report cache
-        # and cluster sharding actually key on.
+        # and the cluster queue actually key on.
         data = scenario.to_jsonable()
         assert "demand_distribution" not in data["workload"]
         import hashlib
@@ -396,8 +405,6 @@ class TestRegistry:
                 "apply_no_bottleneck_scaling": False,
             },
         }
-        expected["maxflow"] = expected["max_flow"]
-        expected["maxconcurrent"] = expected["max_concurrent_flow"]
         registry = default_registry()
         for name, params in expected.items():
             signature = inspect.signature(registry.solver(name))
@@ -421,6 +428,19 @@ class TestRegistry:
             registry.topology("nope")
         with pytest.raises(ConfigurationError):
             registry.routing("nope")
+
+    def test_former_aliases_are_unknown_names(self):
+        # Each built-in has one name, so one problem has one key.
+        registry = default_registry()
+        for name in ("fixed", "fixed-ip", "static", "arbitrary"):
+            with pytest.raises(ConfigurationError) as refused:
+                registry.routing(name)
+            assert "registered: dynamic, ip" in str(refused.value)
+        solvers = ", ".join(registry.solver_names())
+        for name in ("maxflow", "maxconcurrent"):
+            with pytest.raises(ConfigurationError) as refused:
+                registry.solver(name)
+            assert f"registered: {solvers}" in str(refused.value)
 
     def test_routing_names_fold_case(self, diamond_network):
         registry = Registry()
@@ -479,9 +499,9 @@ class TestMakeRoutingShim:
 
     def test_aliases(self, diamond_network):
         build = default_registry().build_routing
-        for kind in ("ip", "fixed", "fixed-ip", "static", "IP"):
+        for kind in ("ip", "IP"):
             assert isinstance(build(diamond_network, kind), FixedIPRouting)
-        for kind in ("dynamic", "arbitrary", "Dynamic"):
+        for kind in ("dynamic", "Dynamic"):
             assert isinstance(build(diamond_network, kind), DynamicRouting)
 
     def test_unknown_kind(self, diamond_network):

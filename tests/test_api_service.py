@@ -138,8 +138,6 @@ class TestSolveMany:
 class TestOneReportPerSpec:
     """A canonical key names one report, which a store or a batch serves."""
 
-    ALIASES = {"maxflow": "max_flow", "maxconcurrent": "max_concurrent_flow"}
-
     def test_seedless_rounding_spec_is_refused(self):
         params = dict(SOLVER_PARAMS["randomized_rounding"])
         del params["seed"]
@@ -166,7 +164,7 @@ class TestOneReportPerSpec:
                 topology=TOPOLOGY,
                 workload=WORKLOAD,
                 solver=solver,
-                solver_params=SOLVER_PARAMS[self.ALIASES.get(solver, solver)],
+                solver_params=SOLVER_PARAMS[solver],
             )
             assert cold_report_json(spec) == cold_report_json(spec), solver
 

@@ -2,7 +2,7 @@
 
 An online ``ScenarioSpec`` now fully determines its run — replication,
 per-copy demand, and arrival order all live in the ``arrivals`` field —
-so online scenarios cache, shard and re-run through the report store
+so online scenarios cache, queue and re-run through the report store
 exactly like offline ones.  These tests pin the contract: construction
 validation, deterministic application, canonical-key sensitivity
 (permuting the explicit order *changes* the key), cross-process

@@ -1,10 +1,10 @@
-"""Tests for the sharded work-queue execution layer (``repro.cluster``).
+"""Tests for the work-queue execution layer (``repro.cluster``).
 
 The headline contract (an acceptance criterion of the subsystem): a
-2-worker cooperative drain of a sharded batch produces reports
-bit-identical to a serial ``solve_many`` over the same specs.  Around
-it, unit coverage for deterministic sharding, the claim/lease/complete
-lifecycle, crash-safe requeue of expired leases, and the asyncio
+2-worker cooperative drain of a batch produces reports bit-identical to
+a serial ``solve_many`` over the same specs.  Around it, unit coverage
+for the claim/lease/complete lifecycle, crash-safe requeue of expired
+leases, and the asyncio
 ``solve_many_async`` front end (streaming order, duplicate keys,
 timeout without workers).
 """
@@ -24,7 +24,6 @@ from repro.cluster import (
     WorkQueue,
     as_reports_completed,
     run_worker,
-    shard_of,
     solve_many_async,
     spawn_local_workers,
 )
@@ -62,21 +61,6 @@ def fresh_caches():
     api.clear_caches()
 
 
-class TestSharding:
-    def test_shard_of_is_deterministic_and_in_range(self):
-        keys = [_spec(rows).canonical_key for rows in (3, 4, 5, 6)]
-        for num_shards in (1, 2, 3, 7):
-            shards = [shard_of(key, num_shards) for key in keys]
-            assert shards == [shard_of(key, num_shards) for key in keys]
-            assert all(0 <= s < num_shards for s in shards)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            shard_of("abc123", 0)
-        with pytest.raises(ConfigurationError):
-            shard_of("not-hex!", 4)
-
-
 class TestWorkQueue:
     def test_submit_is_idempotent_and_deduplicates(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
@@ -88,7 +72,7 @@ class TestWorkQueue:
     def test_claim_complete_lifecycle(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         spec = _spec(3)
-        queue.submit([spec], num_shards=2)
+        queue.submit([spec])
         task = queue.claim("worker-a")
         assert task is not None
         assert task.key == spec.canonical_key
@@ -101,19 +85,16 @@ class TestWorkQueue:
         assert queue.is_drained()
         queue.complete(task)  # idempotent
 
-    def test_shard_pinned_claim_filters(self, tmp_path):
+    def test_submit_accepts_and_ignores_num_shards(self, tmp_path):
+        # The end-to-end benchmark still submits with num_shards: the
+        # keyword is accepted, writes nothing beside the task files, and
+        # any worker claims the task.
         queue = WorkQueue(tmp_path / "q")
-        specs = [_spec(rows) for rows in (3, 4, 5, 6)]
-        queue.submit(specs, num_shards=2)
-        my_shard = shard_of(specs[0].canonical_key, 2)
-        task = queue.claim("worker-a", shard=my_shard)
-        assert task is not None and shard_of(task.key, 2) == my_shard
-        # A worker pinned elsewhere never claims this shard's tasks.
-        other = [s for s in specs if shard_of(s.canonical_key, 2) != my_shard]
-        for _ in other:
-            claimed = queue.claim("worker-b", shard=1 - my_shard)
-            assert claimed is not None and shard_of(claimed.key, 2) == 1 - my_shard
-        assert queue.claim("worker-b", shard=1 - my_shard) is None
+        spec = _spec(3)
+        assert queue.submit([spec], num_shards=2) == [spec.canonical_key]
+        assert [p.name for p in queue.root.iterdir()] == ["pending"]
+        task = queue.claim("worker-a")
+        assert task is not None and task.key == spec.canonical_key
 
     def test_expired_lease_is_requeued(self, tmp_path):
         # Crash safety: a worker that claims and dies must not strand
@@ -161,52 +142,6 @@ class TestWorkQueue:
         assert queue.requeue_expired() == 0  # claim file still fresh
         time.sleep(0.1)
         assert queue.requeue_expired() == 1
-
-    def test_submit_dedupes_across_shard_counts(self, tmp_path):
-        # Regression: re-submitting the same key under a different
-        # num_shards must not enqueue a second task for it.
-        queue = WorkQueue(tmp_path / "q")
-        spec = _spec(3)
-        queue.submit([spec], num_shards=1)
-        queue.submit([spec], num_shards=2)
-        assert queue.counts()["pending"] == 1
-
-    def test_resubmit_reshards_stale_pending_tasks(self, tmp_path):
-        # Regression: a pending task submitted under an old num_shards
-        # must become claimable by workers pinned to the new layout —
-        # otherwise a pinned drain over a reused queue deadlocks.
-        queue = WorkQueue(tmp_path / "q")
-        spec = _spec(3)
-        queue.submit([spec], num_shards=4)
-        queue.submit([spec], num_shards=2)
-        new_shard = shard_of(spec.canonical_key, 2)
-        task = queue.claim("worker-a", shard=new_shard)
-        assert task is not None
-        assert task.key == spec.canonical_key
-        assert shard_of(task.key, 2) == new_shard
-
-    def test_reshard_rename_fsyncs_the_pending_directory(self, tmp_path, monkeypatch):
-        # A re-shard rewrites the queue's shard count, not any task:
-        # under durable=True the count must survive power loss, or
-        # pinned workers of the new layout may never see the task.  A
-        # resubmit under the same count writes nothing.
-        import repro.util.serialization as serialization
-
-        queue = WorkQueue(tmp_path / "q")
-        spec = _spec(3)
-        num_shards = next(
-            n for n in range(2, 9) if shard_of(spec.canonical_key, n) != 0
-        )
-        queue.submit([spec], num_shards=1)
-        synced = []
-        monkeypatch.setattr(serialization, "fsync_directory", synced.append)
-        queue.submit([spec], num_shards=1)
-        assert synced == []
-        queue.submit([spec], num_shards=num_shards)
-        assert synced == [queue.root]
-        assert queue._num_shards() == num_shards
-        new_shard = shard_of(spec.canonical_key, num_shards)
-        assert queue.claim("worker-a", shard=new_shard) is not None
 
     def test_reopen_done_task(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
@@ -269,13 +204,14 @@ class TestWorkQueue:
         queue = WorkQueue(tmp_path / "q", durable=False)
         specs = [_spec(rows) for rows in range(3, 23)]
         queue.submit(specs)
+        claimed = []
         while (task := queue.claim("worker-a")) is not None:
-            if shard_of(task.key, 2):
+            if len(claimed) % 2:
                 queue.fail(task, "ValueError: boom")
             else:
                 queue.complete(task)
-        done = next(s.canonical_key for s in specs if not shard_of(s.canonical_key, 2))
-        failed = next(s.canonical_key for s in specs if shard_of(s.canonical_key, 2))
+            claimed.append(task.key)
+        done, failed = claimed[:2]
         missing = "0" * 64
         history = {queue.root / "done", queue.root / "failed"}
 
@@ -404,8 +340,8 @@ class TestWorker:
 class TestTwoWorkerDrain:
     def test_two_worker_drain_bit_identical_to_serial(self, tmp_path):
         # The subsystem's acceptance criterion, end to end: six specs,
-        # two shards, two subprocess workers pinned one per shard; the
-        # gathered reports must match serial solve_many bit-for-bit.
+        # two subprocess workers competing for every task; the gathered
+        # reports must match serial solve_many bit-for-bit.
         specs = [_spec(rows) for rows in (3, 4, 5, 6, 7, 8)]
         serial = api.solve_many(specs, jobs=1)
 
@@ -413,16 +349,13 @@ class TestTwoWorkerDrain:
         store_root = tmp_path / "store"
         # Submit before spawning: batch-mode workers exit on a drained
         # queue, so an empty first look would race them out early.
-        WorkQueue(queue_root).submit(specs, num_shards=2)
-        with spawn_local_workers(
-            2, queue_root, store_root, pin_shards=True, poll_seconds=0.02
-        ):
+        WorkQueue(queue_root).submit(specs)
+        with spawn_local_workers(2, queue_root, store_root, poll_seconds=0.02):
             reports = asyncio.run(
                 solve_many_async(
                     specs,
                     WorkQueue(queue_root),
                     store_root,
-                    num_shards=2,
                     timeout=300,
                     submit=False,
                 )
@@ -553,8 +486,6 @@ class TestClusterCli:
                 "--store",
                 str(tmp_path / "store"),
                 "--workers",
-                "2",
-                "--num-shards",
                 "2",
                 "--timeout",
                 "300",

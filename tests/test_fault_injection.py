@@ -2,8 +2,8 @@
 
 The proof obligations of the robustness PR, layered:
 
-* unit semantics of the injector itself (spec grammar, hit counting,
-  deterministic probabilistic rules, scoping);
+* unit semantics of the injector itself (spec grammar, exact hit
+  counting, scoping);
 * the report store's bounded read retry (classification, attempt
   accounting, delays, metrics);
 * in-process *raise* sweeps over every declared fault point of
@@ -109,8 +109,7 @@ class TestFaultSpec:
     def test_parses_the_full_grammar(self):
         rules = parse_fault_spec(
             "store.put.rename:crash@2, store.get.read:raisex2,"
-            "queue.claim.rename:delay=0.05x*,store.put.write:truncate=0.25,"
-            "relay.append:raise%0.25~7"
+            "queue.claim.rename:delay=0.05x*,store.put.write:truncate=0.25"
         )
         by_point = {rule.point: rule for rule in rules}
         assert by_point["store.put.rename"].action == "crash"
@@ -120,8 +119,6 @@ class TestFaultSpec:
         assert by_point["queue.claim.rename"].param == 0.05
         assert by_point["queue.claim.rename"].times is None  # x* = unlimited
         assert by_point["store.put.write"].param == 0.25
-        assert by_point["relay.append"].probability == 0.25
-        assert by_point["relay.append"].seed == 7
 
     def test_rejects_malformed_specs(self):
         for bad in ("no-colon", "p:", "p:explode", "p:raise@0", "p:raise%1.5"):
@@ -146,23 +143,6 @@ class TestFaultSpec:
         with fault_scope("p.z:truncate=0.5x*"):
             faults.point("p.z")  # no data: nothing to truncate, no error
             assert faults.mangle("p.z", b"12345678") == b"1234"
-
-    def test_probabilistic_rules_replay_bit_identically(self):
-        def draw() -> list:
-            with fault_scope("p.r:raisex*%0.5~1234") as plan:
-                outcomes = []
-                for _ in range(32):
-                    try:
-                        faults.point("p.r")
-                        outcomes.append(0)
-                    except InjectedFault:
-                        outcomes.append(1)
-                assert plan is not None
-                return outcomes
-
-        first, second = draw(), draw()
-        assert first == second
-        assert 0 < sum(first) < 32  # it actually flips both ways
 
     def test_scope_restores_the_previous_plan(self):
         assert faults.active_plan() is None
@@ -347,7 +327,7 @@ class TestStoreFaults:
         assert store.get(report.canonical_key) is not None
 
     def test_truncated_gzip_entry_is_quarantined(self, tmp_path):
-        store = ReportStore(tmp_path, compress=True, durable=False)
+        store = ReportStore(tmp_path, durable=False)
         report = solve(_spec(3))
         with fault_scope("store.put.write:truncate=0.5"):
             path = store.put(report)
@@ -693,7 +673,7 @@ class TestCrashResumeBitIdentity:
         queue_root = tmp_path / "queue"
         store_root = tmp_path / "store"
         queue = WorkQueue(queue_root, lease_seconds=0.5)
-        queue.submit(specs, num_shards=2)
+        queue.submit(specs)
         proc = subprocess.run(
             worker_command(
                 queue_root,

@@ -9,7 +9,6 @@ asserted by counting live solver dispatches).
 """
 
 import dataclasses
-import gzip
 import hashlib
 import json
 import math
@@ -126,36 +125,20 @@ class TestRoundTrip:
         parent_payload["cached"] = False  # the store normalises the flag
         assert child_payload == parent_payload
 
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_entry_is_the_canonical_envelope(self, tmp_path, compress):
+    def test_entry_is_the_canonical_envelope(self, tmp_path):
         # put() writes the envelope around the report's bytes instead of
         # encoding the report twice: the entry file must not change.
-        store = ReportStore(tmp_path / "store", compress=compress)
+        store = ReportStore(tmp_path / "store")
         report = api.solve(_spec())
         key = report.canonical_key
         expected = _envelope(_stored_payload(report), key)
         for cached in (False, True):
             path = store.put(dataclasses.replace(report, cached=cached))
-            raw = path.read_bytes()
-            assert (gzip.decompress(raw) if compress else raw) == expected
+            assert path.read_bytes() == expected
         body = canonical_json(_stored_payload(report)).encode()
         assert store.get_bytes(key) == body  # memory front
         store.clear_memory()
         assert store.get_bytes(key) == body  # disk
-
-    def test_gzip_and_plain_entries_interoperate(self, tmp_path):
-        plain = ReportStore(tmp_path / "store", compress=False)
-        report = api.solve(_spec())
-        plain.put(report)
-        gz = ReportStore(tmp_path / "store", compress=True)
-        restored = gz.get(report.canonical_key)
-        assert restored is not None
-        assert _flows(restored.solution) == _flows(report.solution)
-        # And the reverse direction: gzip write, plain-configured read.
-        other = api.solve(_spec(rows=4))
-        gz.put(other)
-        plain.clear_memory()
-        assert plain.get(other.canonical_key) is not None
 
 
 class TestCorruption:
@@ -168,19 +151,6 @@ class TestCorruption:
         assert store.get(report.canonical_key) is None
         assert store.corrupt == 1
         assert not path.exists()  # quarantined, ready to be re-put
-
-    def test_corrupt_deflate_stream_is_quarantined(self, tmp_path):
-        # A valid gzip header and trailer around a block of the reserved
-        # type: gunzipping raises zlib.error, not BadGzipFile or EOFError.
-        store = ReportStore(tmp_path / "store", compress=True)
-        report = api.solve(_spec())
-        path = store.put(report)
-        store.clear_memory()
-        header = bytes([0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 0xFF])
-        path.write_bytes(header + b"\x07" + bytes(8))
-        assert store.get(report.canonical_key) is None
-        assert store.corrupt == 1
-        assert not path.exists()
 
     @pytest.mark.parametrize("body", [b"[]", b"123", b'{"report": []}'])
     def test_json_that_is_not_an_envelope_is_quarantined(self, tmp_path, body):
@@ -583,7 +553,7 @@ class TestServiceWiring:
 class TestDurabilityCost:
     def test_durable_solve_and_persist_overhead_under_ten_percent(self, tmp_path):
         # The unit a cluster worker runs: a cold solve persisted into a
-        # gzip store.  Runs come in interleaved durable/volatile pairs;
+        # store as a plain entry.  Runs come in interleaved durable/volatile pairs;
         # noise only inflates a pair's delta, so the smallest delta
         # bounds what the fsyncs cost.
         spec = ScenarioSpec(
@@ -597,7 +567,7 @@ class TestDurabilityCost:
         api.solve_many([spec], jobs=1)  # warm-up
 
         def cold_solve_and_persist(root, durable):
-            store = ReportStore(root, compress=True, durable=durable)
+            store = ReportStore(root, durable=durable)
             api.clear_caches()
             start = time.perf_counter()
             api.solve_many([spec], jobs=1, store=store)
