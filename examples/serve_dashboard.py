@@ -74,6 +74,16 @@ def post_json(url: str, payload: dict) -> tuple:
         return err.code, json.load(err)
 
 
+def metric_value(base: str, name: str) -> float:
+    """One unlabelled sample of the server's ``GET /metrics`` (0 if absent)."""
+    with urllib.request.urlopen(f"{base}/metrics") as resp:
+        for line in resp.read().decode("utf-8").splitlines():
+            sample, _, value = line.rpartition(" ")
+            if sample == name:
+                return float(value)
+    return 0.0
+
+
 def get_json(url: str) -> tuple:
     try:
         with urllib.request.urlopen(url) as resp:
@@ -178,10 +188,11 @@ def main() -> int:
 
         code, payload = get_json(f"{base}/v1/status")
         adm = payload["admission"]
+        puts = metric_value(base, "repro_store_puts_total")
         print(
             f"\nstatus: mode={payload['mode']} depth={adm['depth']} "
             f"admitted={adm['admitted']} shed={adm['shed']} "
-            f"store_entries={payload['store'].get('entries')}"
+            f"store_puts={puts:.0f}"
         )
     finally:
         if server is not None and not args.keep:

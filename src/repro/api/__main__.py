@@ -145,10 +145,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"no store configured: pass --store DIR or export {STORE_ENV_VAR}"
         )
     if args.cache_command == "stats":
-        process_local = {"hits", "misses", "corrupt", "stale", "memory_entries"}
         for name, value in store.stats().items():
-            scope = "  (this process only)" if name in process_local else ""
-            print(f"{name:15s} {value}{scope}")
+            print(f"{name:15s} {value}")
         return 0
     max_age = None if args.max_age_days is None else args.max_age_days * 86400.0
     try:
@@ -235,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache = sub.add_parser("cache", help="inspect or trim a persistent report store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     for name, help_text in (
-        ("stats", "print store entry/byte/hit counters"),
+        ("stats", "print the store's entry and byte counts"),
         ("prune", "delete oldest entries beyond the given bounds"),
     ):
         cache_cmd = cache_sub.add_parser(name, help=help_text)

@@ -100,7 +100,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-write-wins value that can move both ways."""
+    """A last-write-wins value."""
 
     __slots__ = ("_lock", "_value")
 
@@ -111,10 +111,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
 
     @property
     def value(self) -> float:
@@ -177,21 +173,6 @@ class Histogram:
             cumulative[repr(float(bound))] = running
         cumulative["+Inf"] = total
         return {"buckets": cumulative, "sum": acc, "count": total}
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket bounds (upper-bound estimate)."""
-        with self._lock:
-            counts = list(self._bucket_counts)
-            total = self._count
-        if total == 0:
-            return 0.0
-        target = q * total
-        running = 0
-        for bound, n in zip(self.buckets, counts):
-            running += n
-            if running >= target:
-                return float(bound)
-        return float(self.buckets[-1])
 
 
 _TYPES = ("counter", "gauge", "histogram")

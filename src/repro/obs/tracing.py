@@ -234,9 +234,7 @@ def load_trace(path: Union[str, "os.PathLike[str]"]) -> Dict[str, Any]:
     return payload
 
 
-def merge_traces(
-    paths: List[str], label_lanes: bool = True
-) -> Dict[str, Any]:
+def merge_traces(paths: List[str]) -> Dict[str, Any]:
     """Stitch per-process trace files into one, labelling pid/tid lanes.
 
     Each input keeps its own pid (workers stamp ``os.getpid()`` at span
@@ -265,20 +263,19 @@ def merge_traces(
                 if pid in remap:
                     event = dict(event, pid=remap[pid])
             merged.append(event)
-        if label_lanes:
-            label = os.path.basename(os.fspath(path))
-            for pid in pids:
-                final_pid = remap.get(pid, pid)
-                seen_pids.setdefault(final_pid, path)
-                merged.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "pid": final_pid,
-                        "tid": 0,
-                        "args": {"name": label},
-                    }
-                )
+        label = os.path.basename(os.fspath(path))
+        for pid in pids:
+            final_pid = remap.get(pid, pid)
+            seen_pids.setdefault(final_pid, path)
+            merged.append(
+                {
+                    "name": "process_name",
+                    "ph": "M",
+                    "pid": final_pid,
+                    "tid": 0,
+                    "args": {"name": label},
+                }
+            )
     return {"traceEvents": merged, "displayTimeUnit": "ms"}
 
 

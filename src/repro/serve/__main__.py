@@ -93,13 +93,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--high-water",
         type=int,
         default=64,
-        help="admission queue depth at which new submissions are shed (429)",
+        help="unfinished runs (queued or running) at which new submissions "
+        "are shed (429)",
     )
     parser.add_argument(
         "--per-client",
         type=int,
         default=None,
-        help="cap on any single client's queued submissions",
+        help="cap on any single client's unfinished (queued or running) runs",
     )
     parser.add_argument(
         "--sse-timeout",

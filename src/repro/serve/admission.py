@@ -1,23 +1,27 @@
-"""Admission control: per-client submission queues with shed-on-depth.
+"""Admission control: a bounded priority queue with per-client accounting.
 
 The serving layer must stay responsive when submissions outpace solver
 capacity, so admission is decided *before* a run is enqueued:
 
 * Every admitted run waits in a priority queue (lower ``priority`` value
-  runs sooner; FIFO within a priority level).  The queue is one shared
-  heap with per-client accounting — conceptually a queue per client,
-  multiplexed — so ``/v1/status`` can show each tenant's backlog.
-* When total queued depth reaches the **high-water mark**, new
-  submissions are *shed*: :meth:`AdmissionController.offer` raises
-  :class:`AdmissionShed`, which the HTTP layer maps to ``429 Too Many
-  Requests`` with a ``Retry-After`` hint.  Shedding at the door keeps
-  the queue bounded and the latency of admitted work predictable.
-* A ``per_client_limit`` additionally caps any single client's queued
-  runs, so one noisy tenant cannot consume the whole admission window.
+  is taken sooner; FIFO within a priority level).  The queue is one
+  shared heap with per-client accounting, so ``/v1/status`` can show
+  each tenant's unfinished runs.  Priority orders only the inline
+  executor: in cluster mode the dispatcher hands runs to the work queue
+  in this order, but queue workers claim pending keys in sorted order.
+* A run holds its admission slot from :meth:`AdmissionController.offer`
+  until :meth:`AdmissionController.finish`, queued or running.  When the
+  unfinished runs (``depth + active``) reach the **high-water mark**,
+  new submissions are *shed*: ``offer`` raises :class:`AdmissionShed`,
+  which the HTTP layer maps to ``429 Too Many Requests`` with a
+  ``Retry-After`` hint.  Shedding at the door bounds the work a server
+  has accepted, whether its runs wait here or in a cluster work queue.
+* A ``per_client_limit`` additionally caps any single client's
+  unfinished runs, so one noisy tenant cannot consume the whole
+  admission window.
 
 Executors consume via :meth:`take` (blocking with timeout) and report
-:meth:`finish` when a run completes, which keeps the ``active`` gauge —
-surfaced as backpressure in ``/v1/status`` — honest.
+:meth:`finish` when a run completes, which releases its slot.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ RETRY_AFTER_SECONDS = 1.0
 
 
 class AdmissionShed(ReproError):
-    """A submission was refused because the queue crossed its high-water mark."""
+    """A submission was refused: admission is at its high-water mark or
+    the client is at its per-client limit."""
 
     def __init__(
         self,
@@ -75,7 +80,7 @@ class AdmissionController:
         self._ready = threading.Condition(self._lock)
         self._heap: List[Tuple[int, int, str, Any]] = []
         self._seq = itertools.count()
-        self._queued_per_client: Dict[str, int] = {}
+        self._unfinished_per_client: Dict[str, int] = {}
         self._active = 0
         self.admitted = 0
         self.shed = 0
@@ -87,35 +92,37 @@ class AdmissionController:
     def offer(self, client: str, item: Any, priority: int = 0) -> int:
         """Admit ``item`` for ``client`` or raise :class:`AdmissionShed`.
 
-        Returns the queue depth *after* admission (the caller's position
-        bound, handy in the 202 response).
+        Sheds when the unfinished runs (queued plus taken but not yet
+        finished) reach ``high_water``, or the client's reach
+        ``per_client_limit``.  Returns the queue depth *after* admission
+        (the caller's position bound, handy in the 202 response).
         """
         with self._ready:
             depth = len(self._heap)
-            if depth >= self.high_water:
+            if depth + self._active >= self.high_water:
                 self.shed += 1
                 raise AdmissionShed(
-                    f"admission queue is at its high-water mark "
-                    f"({depth}/{self.high_water} queued); retry later",
+                    f"admission is at its high-water mark ({depth} queued + "
+                    f"{self._active} running of {self.high_water}); retry later",
                     depth=depth,
                     high_water=self.high_water,
                     client=client,
                 )
-            client_depth = self._queued_per_client.get(client, 0)
+            unfinished = self._unfinished_per_client.get(client, 0)
             if (
                 self.per_client_limit is not None
-                and client_depth >= self.per_client_limit
+                and unfinished >= self.per_client_limit
             ):
                 self.shed += 1
                 raise AdmissionShed(
-                    f"client {client!r} has {client_depth} queued run(s), "
+                    f"client {client!r} has {unfinished} unfinished run(s), "
                     f"at its per-client limit ({self.per_client_limit})",
                     depth=depth,
                     high_water=self.high_water,
                     client=client,
                 )
             heapq.heappush(self._heap, (int(priority), next(self._seq), client, item))
-            self._queued_per_client[client] = client_depth + 1
+            self._unfinished_per_client[client] = unfinished + 1
             self.admitted += 1
             self._ready.notify()
             return len(self._heap)
@@ -124,25 +131,28 @@ class AdmissionController:
     # consumer side (executor threads)
     # ------------------------------------------------------------------
     def take(self, timeout: Optional[float] = None) -> Optional[Tuple[str, Any]]:
-        """Pop the next ``(client, item)`` by priority, or ``None`` on timeout."""
+        """Pop the next ``(client, item)`` by priority, or ``None`` on timeout.
+
+        The run keeps its admission slot until :meth:`finish`.
+        """
         with self._ready:
             if not self._heap and not self._ready.wait_for(
                 lambda: bool(self._heap), timeout=timeout
             ):
                 return None
             _, _, client, item = heapq.heappop(self._heap)
-            remaining = self._queued_per_client.get(client, 1) - 1
-            if remaining > 0:
-                self._queued_per_client[client] = remaining
-            else:
-                self._queued_per_client.pop(client, None)
             self._active += 1
             return client, item
 
     def finish(self, client: str) -> None:
-        """A taken run finished (successfully or not)."""
+        """A taken run finished (successfully or not): release its slot."""
         with self._lock:
             self._active = max(0, self._active - 1)
+            remaining = self._unfinished_per_client.get(client, 1) - 1
+            if remaining > 0:
+                self._unfinished_per_client[client] = remaining
+            else:
+                self._unfinished_per_client.pop(client, None)
             self.completed += 1
 
     # ------------------------------------------------------------------
@@ -166,7 +176,9 @@ class AdmissionController:
                 "active": self._active,
                 "high_water": self.high_water,
                 "per_client_limit": self.per_client_limit,
-                "queued_per_client": dict(sorted(self._queued_per_client.items())),
+                "unfinished_per_client": dict(
+                    sorted(self._unfinished_per_client.items())
+                ),
                 "admitted": self.admitted,
                 "shed": self.shed,
                 "completed": self.completed,

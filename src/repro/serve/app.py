@@ -15,8 +15,10 @@ methods, each returning ``(http_status, payload)``:
 * :meth:`event_stream` — the SSE source: tails the run's relay channel
   (replay + follow), so clients watch engine telemetry live even when
   the solve executes in a queue worker process.
-* :meth:`status` — backpressure surface: admission depth/shed counters,
-  active workers, run-state counts, store stats, queue counts.
+* :meth:`status` — backpressure surface: admission depth and shed
+  counts and the workers, from memory alone.  Store, queue and lookup
+  totals come from ``cache stats``, ``python -m repro.cluster status``
+  and ``GET /metrics``.
 
 Execution is pluggable at construction:
 
@@ -117,7 +119,7 @@ class ServeConfig:
 
 @dataclass
 class RunRecord:
-    """One submitted run's lifecycle, as the status endpoints expose it."""
+    """One submitted run's lifecycle, as its report poll exposes it."""
 
     key: str
     spec: ScenarioSpec = field(repr=False)
@@ -187,7 +189,6 @@ class ServeApp:
         # Uptime is measured on the monotonic clock: an NTP step moving
         # time.time() backwards must never yield negative uptime.
         self._started_monotonic = time.monotonic()
-        self.warm_submits = 0
         self._runs: Dict[str, RunRecord] = {}
         self._watched: Dict[str, Tuple[str, RunRecord]] = {}
         self._lock = threading.Lock()
@@ -289,7 +290,6 @@ class ServeApp:
         if warm:
             # Warm key: the ticket is immediately redeemable, no solver
             # work, no admission charge.
-            self.warm_submits += 1
             _serve_counter(
                 "repro_serve_warm_hits_total",
                 "Submissions answered straight from the store",
@@ -418,12 +418,12 @@ class ServeApp:
         )
 
     def status(self) -> Tuple[int, Dict[str, Any]]:
-        """``GET /v1/status``: queue depth, workers, runs, store stats."""
-        with self._lock:
-            states: Dict[str, int] = {}
-            for record in self._runs.values():
-                states[record.state] = states.get(record.state, 0) + 1
-        payload: Dict[str, Any] = {
+        """``GET /v1/status``: admission and workers, from memory alone.
+
+        It reads no store entry, queue directory or run table, so its
+        cost does not grow with the history the process has served.
+        """
+        return 200, {
             "service": SERVICE_SCHEMA,
             "mode": self.mode,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
@@ -437,13 +437,7 @@ class ServeApp:
                 ),
                 "active": self.admission.active,
             },
-            "runs": states,
-            "warm_submits": self.warm_submits,
-            "store": self.store.stats(),
         }
-        if self.queue is not None:
-            payload["queue"] = self.queue.counts()
-        return 200, payload
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         """``GET /healthz``: liveness (always) and readiness (gated).
@@ -476,7 +470,7 @@ class ServeApp:
                 "in flight)",
                 "GET /v1/runs/{key}/events": "SSE stream of live engine "
                 "telemetry (oracle/phase/congestion events, then end)",
-                "GET /v1/status": "queue depth, workers, store stats",
+                "GET /v1/status": "admission depth and shed counts, workers",
                 "GET /healthz": "liveness/readiness (503 while draining "
                 "or while the store circuit breaker is open)",
                 "GET /metrics": "Prometheus text exposition of the "

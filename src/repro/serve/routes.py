@@ -6,10 +6,10 @@ load-bearing, not an optimisation) dispatching to the app's
 ``(status, payload)`` methods:
 
 ====================  ==================================================
-``POST /v1/solve``     submit a spec; 200 warm / 202 ticket / 400 / 429
+``POST /v1/solve``     submit a spec; 200 warm / 202 ticket / 400 / 413 / 429
 ``GET /v1/reports/K``  the stored report; 202 + run state while in flight
 ``GET /v1/runs/K/events``  SSE telemetry stream (``?timeout=SECONDS``)
-``GET /v1/status``     admission/workers/runs/store backpressure snapshot
+``GET /v1/status``     admission/workers backpressure snapshot (from memory)
 ``GET /healthz``       liveness/readiness (503 draining or breaker open)
 ``GET /metrics``       Prometheus text exposition of the metrics registry
 ``GET /``              endpoint index
@@ -20,6 +20,8 @@ Conventions: JSON bodies everywhere (errors are
 compact canonical JSON bytes, every other body indented), the
 ``X-Client`` request header names the tenant for admission accounting,
 and 429/503 shed responses carry a standard ``Retry-After`` header.
+A ``POST`` declaring a body over :data:`MAX_BODY_BYTES` is refused
+with 413 before any of it is read, and its connection is closed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from repro.serve.sse import SSE_CONTENT_TYPE
 
 _REPORT_PATH = re.compile(r"^/v1/reports/([^/]+)$")
 _EVENTS_PATH = re.compile(r"^/v1/runs/([^/]+)/events$")
+# The largest POST body read; specs are a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -107,8 +111,14 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, code: int, kind: str, message: str) -> None:
-        self._send_json(code, {"error": {"type": kind, "message": message}})
+    def _send_error_json(
+        self,
+        code: int,
+        kind: str,
+        message: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._send_json(code, {"error": {"type": kind, "message": message}}, headers)
 
     def _send_metrics(self) -> None:
         body = self.app.metrics_text().encode("utf-8")
@@ -153,6 +163,15 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
             return self._send_error_json(400, "InvalidRequest", "bad Content-Length")
+        if length > MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request on a
+            # keep-alive connection: answer, then close it.
+            return self._send_error_json(
+                413,
+                "PayloadTooLarge",
+                f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+                headers={"Connection": "close"},
+            )
         raw = self.rfile.read(length) if length > 0 else b""
         code, payload = self.app.submit(raw, client=self.headers.get("X-Client"))
         # Retry-After for 429/503 is attached centrally in _send_json.

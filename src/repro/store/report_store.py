@@ -146,15 +146,11 @@ class ReportStore:
         self._memory: "OrderedDict[str, Tuple[bytes, Optional[SolveReport]]]" = (
             OrderedDict()
         )
-        # One lock guards the LRU front and the hit/miss/corrupt/stale
-        # counters: gets run concurrently on serve worker threads, and
-        # unguarded `+= 1` / OrderedDict mutation would tear.  Disk I/O
-        # happens outside the lock (atomic writes make that safe).
+        # One lock guards the LRU front: gets run concurrently on serve
+        # worker threads, and unguarded OrderedDict mutation would tear.
+        # Disk I/O happens outside the lock (atomic writes make that
+        # safe).  Lookup outcomes are counted in the metrics registry.
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.stale = 0
         self._jitter = random.Random()
 
     # ------------------------------------------------------------------
@@ -266,13 +262,9 @@ class ReportStore:
     ) -> None:
         """Count a lookup as a hit (remembering what it read) or a miss."""
         if report_bytes is None:
-            with self._lock:
-                self.misses += 1
             _lookup_counter("miss").inc()
             return
         self._remember(key, report_bytes, report)
-        with self._lock:
-            self.hits += 1
         _lookup_counter("hit").inc()
 
     def _read_entry(self, path: Path) -> bytes:
@@ -361,8 +353,6 @@ class ReportStore:
 
     def _condemn(self, path: Optional[Path]) -> None:
         """Count and quarantine a verified-corrupt entry; returns None."""
-        with self._lock:
-            self.corrupt += 1
         obs_metrics.registry().counter(
             "repro_store_quarantines_total",
             "Corrupt entries quarantined on read",
@@ -372,8 +362,6 @@ class ReportStore:
 
     def _retire_stale(self, path: Path) -> None:
         """Count and remove a sound entry from another engine version."""
-        with self._lock:
-            self.stale += 1
         obs_metrics.registry().counter(
             "repro_store_stale_total",
             "Entries from another engine version removed on read",
@@ -407,7 +395,11 @@ class ReportStore:
         return sorted(self._objects_dir.glob("*/*.json"))
 
     def stats(self) -> Dict[str, int]:
-        """Store counters: disk entries/bytes, memory front, hit/miss/corrupt/stale."""
+        """Entries on disk and their total bytes (lists every entry).
+
+        Lookups, quarantines and stale entries are counted in the
+        metrics registry, not here.
+        """
         paths = self._disk_entries()
         total = 0
         for p in paths:
@@ -415,19 +407,7 @@ class ReportStore:
                 total += p.stat().st_size
             except OSError:
                 pass
-        with self._lock:
-            memory_entries = len(self._memory)
-            hits, misses, corrupt = self.hits, self.misses, self.corrupt
-            stale = self.stale
-        return {
-            "entries": len(paths),
-            "bytes": total,
-            "memory_entries": memory_entries,
-            "hits": hits,
-            "misses": misses,
-            "corrupt": corrupt,
-            "stale": stale,
-        }
+        return {"entries": len(paths), "bytes": total}
 
     def prune(
         self,
@@ -488,8 +468,8 @@ def resolve_store(store: StoreLike) -> Optional[ReportStore]:
     process persistent without touching call sites.  A path (string or
     :class:`~pathlib.Path`, passed or from the environment) resolves to
     one store per directory for the life of the process, so its
-    in-memory LRU front and counters accumulate across calls instead of
-    resetting on every resolve.  A relative path is made absolute first,
+    in-memory LRU front lasts across calls instead of resetting on
+    every resolve.  A relative path is made absolute first,
     so a later change of working directory reaches another store rather
     than the first directory's memory front.  An existing store passes
     through.

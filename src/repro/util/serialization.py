@@ -74,19 +74,15 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def from_jsonable(cls: Type[T], data: Any) -> T:
-    """Reconstruct a typed value from :func:`to_jsonable` output.
+    """Rebuild a spec dataclass from :func:`to_jsonable` output.
 
-    The inverse of :func:`to_jsonable` for the declarative spec layer:
-    given a target type (typically a dataclass) and the plain-JSON
-    structure, rebuild the typed object.  Reconstruction is driven by the
-    dataclass field annotations and understands
-
-    * nested dataclasses,
-    * ``Optional[...]`` / ``Union[..., None]``,
-    * ``Tuple[X, ...]`` / ``List[X]`` / ``Dict[K, V]`` (including nested
-      element types),
-    * ``numpy.ndarray`` fields (rebuilt from lists),
-    * primitives (passed through with a constructor-level type check).
+    The inverse of :func:`to_jsonable` for the declarative spec layer
+    (it parses serve's request bodies and the queue's task files).
+    Reconstruction is driven by the dataclass field annotations and
+    understands exactly the field types the specs use: nested spec
+    dataclasses, ``Optional[...]``, ``Tuple[X, ...]``, ``Dict[str, X]``,
+    ``Any`` and ``str``/``int``/``float``/``bool`` (type-checked, with
+    ``bool`` refused where a number is expected).
 
     Unknown keys in ``data`` are rejected so that a mistyped spec file
     fails loudly instead of being silently ignored.
@@ -128,34 +124,18 @@ def _from_jsonable(tp: Any, data: Any, path: str) -> Any:
             if f.name in data and f.init
         }
         return tp(**kwargs)
-    if origin in (list, tuple, set, frozenset):
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         if not isinstance(data, (list, tuple)):
             raise TypeError(f"{path}: expected a sequence, got {type(data).__name__}")
-        if origin is tuple and args and args[-1] is not Ellipsis:
-            if len(args) != len(data):
-                raise TypeError(
-                    f"{path}: expected {len(args)} items, got {len(data)}"
-                )
-            return tuple(
-                _from_jsonable(a, x, f"{path}[{i}]")
-                for i, (a, x) in enumerate(zip(args, data))
-            )
-        element = args[0] if args else Any
-        items = [
-            _from_jsonable(element, x, f"{path}[{i}]") for i, x in enumerate(data)
-        ]
-        return origin(items)
-    if origin is dict:
+        return tuple(
+            _from_jsonable(args[0], x, f"{path}[{i}]") for i, x in enumerate(data)
+        )
+    if origin is dict and args[0] is str:
         if not isinstance(data, dict):
             raise TypeError(f"{path}: expected a mapping, got {type(data).__name__}")
-        key_tp = args[0] if args else Any
-        val_tp = args[1] if args else Any
         return {
-            _coerce_key(key_tp, k): _from_jsonable(val_tp, v, f"{path}[{k!r}]")
-            for k, v in data.items()
+            k: _from_jsonable(args[1], v, f"{path}[{k!r}]") for k, v in data.items()
         }
-    if isinstance(tp, type) and issubclass(tp, np.ndarray):
-        return np.asarray(data)
     if tp is float:
         if isinstance(data, bool) or not isinstance(data, (int, float)):
             raise TypeError(f"{path}: expected a number, got {type(data).__name__}")
@@ -172,22 +152,7 @@ def _from_jsonable(tp: Any, data: Any, path: str) -> Any:
         if not isinstance(data, str):
             raise TypeError(f"{path}: expected a string, got {type(data).__name__}")
         return data
-    if isinstance(tp, type) and issubclass(tp, Path):
-        return Path(data)
-    if tp is type(None):
-        if data is not None:
-            raise TypeError(f"{path}: expected null, got {type(data).__name__}")
-        return None
     raise TypeError(f"{path}: cannot reconstruct values of type {tp!r}")
-
-
-def _coerce_key(key_tp: Any, key: str) -> Any:
-    """JSON object keys are strings; coerce back to the annotated key type."""
-    if key_tp is int:
-        return int(key)
-    if key_tp is float:
-        return float(key)
-    return key
 
 
 def fsync_directory(path: Union[str, Path]) -> None:

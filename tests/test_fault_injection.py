@@ -240,6 +240,10 @@ def _retries(outcome: str) -> float:
     return _counter_value("repro_retry_total", surface="store.get", outcome=outcome)
 
 
+def _quarantines() -> float:
+    return _counter_value("repro_store_quarantines_total")
+
+
 class TestStoreReadRetry:
     @pytest.fixture
     def stored(self, tmp_path, monkeypatch):
@@ -264,12 +268,12 @@ class TestStoreReadRetry:
 
     def test_persistent_fault_is_exhausted_and_keeps_the_entry(self, stored):
         store, key, path, slept = stored
-        exhausted = _retries("exhausted")
+        exhausted, quarantined = _retries("exhausted"), _quarantines()
         with fault_scope("store.get.read:raisex*"):
             assert store.get(key) is None
         assert _retries("exhausted") == exhausted + 1
         assert len(slept) == 2  # three attempts
-        assert path.exists() and store.corrupt == 0
+        assert path.exists() and _quarantines() == quarantined
 
     def test_permission_error_is_one_rejected_attempt(self, stored, monkeypatch):
         store, key, path, slept = stored
@@ -281,11 +285,12 @@ class TestStoreReadRetry:
 
         monkeypatch.setattr(store, "_read_entry", refuse)
         rejected, retried = _retries("rejected"), _retries("retried")
+        quarantined = _quarantines()
         assert store.get(key) is None
         assert calls == [path]
         assert _retries("rejected") == rejected + 1
         assert _retries("retried") == retried and slept == []
-        assert path.exists() and store.corrupt == 0
+        assert path.exists() and _quarantines() == quarantined
 
     def test_delays_are_decorrelated_jitter_within_floor_and_cap(self, stored):
         store, key, _path, slept = stored
@@ -309,21 +314,24 @@ class TestStoreFaults:
         report = solve(_spec(3))
         store.put(report)
         store.clear_memory()
+        quarantined = _quarantines()
         with fault_scope("store.get.read:raisex2"):
             fetched = store.get(report.canonical_key)
         assert fetched is not None
         assert _strip(fetched.to_jsonable()) == _strip(report.to_jsonable())
-        assert store.corrupt == 0  # an I/O blip is never a corruption verdict
+        # An I/O blip is never a corruption verdict.
+        assert _quarantines() == quarantined
 
     def test_persistent_read_failure_degrades_to_miss_not_quarantine(self, tmp_path):
         store = ReportStore(tmp_path, durable=False)
         report = solve(_spec(3))
         path = store.put(report)
         store.clear_memory()
+        quarantined = _quarantines()
         with fault_scope("store.get.read:raisex*"):
             assert store.get(report.canonical_key) is None
         assert path.exists()  # the entry survives to be read next time
-        assert store.corrupt == 0
+        assert _quarantines() == quarantined
         assert store.get(report.canonical_key) is not None
 
     def test_truncated_gzip_entry_is_quarantined(self, tmp_path):
@@ -333,8 +341,9 @@ class TestStoreFaults:
             path = store.put(report)
         store.clear_memory()
         assert path.exists()
+        quarantined = _quarantines()
         assert store.get(report.canonical_key) is None
-        assert store.corrupt == 1
+        assert _quarantines() == quarantined + 1
         assert not path.exists()  # quarantined out of the object tree
         # The poisoned entry is gone, so a fresh put round-trips again.
         store.put(report)
@@ -353,12 +362,13 @@ class TestStoreFaults:
                 except OSError:
                     pass
             store.clear_memory()
+            quarantined = _quarantines()
             # Invariant: whatever instruction the put died on, a reader
             # sees either nothing or the complete verified report.
             fetched = store.get(key)
             if fetched is not None:
                 assert _strip(fetched.to_jsonable()) == _strip(report.to_jsonable())
-            assert store.corrupt == 0, point_name
+            assert _quarantines() == quarantined, point_name
             # And a clean re-put always restores full service.
             store.put(report)
             refetched = store.get(key)
@@ -650,13 +660,14 @@ class TestCrashSweep:
         assert queue.failures() == {}, point_name
         store = ReportStore(store_root)
         store.clear_memory()
+        quarantined = _quarantines()
         for spec in specs:
             fetched = store.get(spec.canonical_key)
             assert fetched is not None, (point_name, spec.canonical_key)
             assert _strip(fetched.to_jsonable()) == baseline[spec.canonical_key], (
                 point_name
             )
-        assert store.corrupt == 0, point_name
+        assert _quarantines() == quarantined, point_name
 
 
 class TestCrashResumeBitIdentity:

@@ -62,13 +62,12 @@ def test_counter_monotone_and_ignores_negative():
 def test_gauge_moves_both_ways():
     gauge = Gauge()
     gauge.set(10.0)
-    gauge.inc(2.0)
-    assert gauge.value == 12.0
+    assert gauge.value == 10.0
     gauge.set(7.0)
     assert gauge.value == 7.0
 
 
-def test_histogram_cumulative_buckets_and_quantile():
+def test_histogram_cumulative_buckets():
     hist = Histogram(buckets=(0.01, 0.1, 1.0))
     for value in (0.005, 0.05, 0.05, 0.5, 5.0):
         hist.observe(value)
@@ -80,9 +79,6 @@ def test_histogram_cumulative_buckets_and_quantile():
     assert snap["buckets"]["+Inf"] == 5
     assert snap["count"] == 5
     assert snap["sum"] == pytest.approx(5.605)
-    assert hist.quantile(0.5) == 0.1
-    # 5.0 sits past the last bound: the quantile clamps to it.
-    assert hist.quantile(1.0) == 1.0
 
 
 def test_histogram_requires_buckets():
@@ -322,6 +318,13 @@ def test_report_store_concurrent_hits_and_misses_are_exact(tmp_path):
     store.put(solve(spec))
     key = spec.canonical_key
 
+    def lookups(outcome):
+        return registry().counter(
+            "repro_store_lookups_total", labels={"outcome": outcome}
+        ).value
+
+    before = {outcome: lookups(outcome) for outcome in ("hit", "miss")}
+
     threads, rounds = 8, 50
     barrier = threading.Barrier(threads)
     errors = []
@@ -341,10 +344,10 @@ def test_report_store_concurrent_hits_and_misses_are_exact(tmp_path):
     for t in pool:
         t.join()
     assert not errors
-    # The unguarded ``self.hits += 1`` these counters replaced could tear
-    # under this hammer; the lock makes the totals exact.
-    assert store.hits == threads * rounds
-    assert store.misses == threads * rounds
+    # An unguarded ``+= 1`` could tear under this hammer; the counters'
+    # locks make the totals exact.
+    assert lookups("hit") - before["hit"] == threads * rounds
+    assert lookups("miss") - before["miss"] == threads * rounds
 
 
 def test_default_latency_buckets_are_sorted():

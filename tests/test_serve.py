@@ -13,13 +13,16 @@ event tap, dropped-event accounting, and the
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import math
+import os
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +143,23 @@ class TestAdmission:
         with pytest.raises(AdmissionShed):
             adm.offer("noisy", 2)
         adm.offer("quiet", 3)  # other tenants unaffected
+
+    def test_taken_run_holds_its_slot_until_finish(self):
+        adm = AdmissionController(high_water=2, per_client_limit=1)
+        adm.offer("a", 1)
+        assert adm.take(timeout=0) == ("a", 1)
+        with pytest.raises(AdmissionShed):
+            adm.offer("a", 2)  # a's one run is running, not finished
+        adm.offer("b", 3)
+        assert adm.take(timeout=0) == ("b", 3)
+        with pytest.raises(AdmissionShed) as excinfo:
+            adm.offer("c", 4)  # nothing queued, two runs unfinished
+        assert excinfo.value.depth == 0
+        adm.finish("a")
+        adm.offer("a", 5)
+        snapshot = adm.snapshot()
+        assert snapshot["unfinished_per_client"] == {"a": 1, "b": 1}
+        assert (snapshot["depth"], snapshot["active"], snapshot["shed"]) == (1, 1, 2)
 
     def test_take_timeout_and_active_accounting(self):
         adm = AdmissionController()
@@ -455,10 +475,39 @@ class TestServeHTTP:
         code, payload = http_get(f"{base}/v1/status")
         assert code == 200
         assert payload["mode"] == "inline"
-        for field in ("admission", "workers", "runs", "store"):
-            assert field in payload
+        assert set(payload) == {
+            "service",
+            "mode",
+            "uptime_seconds",
+            "draining",
+            "circuit",
+            "admission",
+            "workers",
+        }
         code, payload = http_get(f"{base}/")
         assert code == 200 and "POST /v1/solve" in payload["endpoints"]
+
+    def test_oversize_declared_body_is_refused_unread(self, http_server):
+        # The handler must not try to read (or allocate) what the client
+        # declares; the connection closes, since the unread body would
+        # otherwise be parsed as the next request.
+        _, base = http_server
+        host, port = base[len("http://") :].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/solve HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 1000000000000\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 "), reply[:200]
+        assert json.loads(body)["error"]["type"] == "PayloadTooLarge"
+        code, ticket, _ = http_post(
+            f"{base}/v1/solve", json.dumps(small_spec(seed=35).to_jsonable()).encode()
+        )
+        assert code == 202, ticket
 
     def test_duplicate_inflight_submit_deduplicates(self, tmp_path):
         app = ServeApp(
@@ -791,7 +840,36 @@ class TestServeClusterMode:
             assert events[-1]["status"] == "done"
             frames = list(app.event_stream(key, timeout=5))
             assert frames[-1].startswith(b"event: end\n")
-            assert app.status()[1]["queue"]["done"] == 1
+            assert app.queue.counts()["done"] == 1
+        finally:
+            app.close()
+
+    def test_dispatched_runs_hold_admission_until_finished(self, tmp_path):
+        # The dispatcher moves each admitted run to the work queue at
+        # once; with no worker attached, the runs stay unfinished and
+        # must still count against the high-water mark.
+        app = ServeApp(
+            ServeConfig(
+                store=tmp_path / "store",
+                queue=tmp_path / "queue",
+                inline_workers=0,
+                high_water=2,
+            )
+        )
+        bodies = [
+            json.dumps(small_spec(seed=700 + index).to_jsonable()).encode()
+            for index in range(10)
+        ]
+        try:
+            codes = [app.submit(body)[0] for body in bodies[:2]]
+            deadline = time.monotonic() + 10
+            while len(app._watched) < 2:
+                assert time.monotonic() < deadline, "dispatcher never queued the runs"
+                time.sleep(0.01)
+            assert app.admission.depth == 0
+            codes += [app.submit(body)[0] for body in bodies[2:]]
+            assert codes == [202, 202] + [429] * 8
+            assert app.queue.counts()["pending"] == 2
         finally:
             app.close()
 
@@ -896,6 +974,73 @@ class TestServeClusterMode:
             assert app.breaker.state == "closed"
         finally:
             app.close()
+
+
+# ----------------------------------------------------------------------
+# Status and key lookups read no history
+# ----------------------------------------------------------------------
+class TestNoHistoryReads:
+    @pytest.mark.parametrize("mode", ["inline", "cluster"])
+    def test_status_and_key_lookups_list_no_history(self, tmp_path, monkeypatch, mode):
+        # Status answers from memory, and submits, report polls and
+        # event streams read only the asked key's own paths, so their
+        # cost does not grow with the entries the store holds or the
+        # tasks done/ and failed/ hold.
+        store = ReportStore(tmp_path / "store", durable=False)
+        warm = small_spec(seed=601)
+        solve(warm, store=store)
+        store.clear_memory()
+        for index in range(1000):
+            key = hashlib.sha256(str(index).encode()).hexdigest()
+            path = store.root / "objects" / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"{}")
+        history = [store.root / "objects"]
+        queue = None
+        if mode == "cluster":
+            queue = WorkQueue(tmp_path / "queue", durable=False)
+            queue.submit([small_spec(seed=602), small_spec(seed=603)])
+            queue.complete(queue.claim("earlier-worker"))
+            queue.fail(queue.claim("earlier-worker"), "ValueError: boom")
+            history += [queue.root / "done", queue.root / "failed"]
+        app = ServeApp(ServeConfig(store=store, queue=queue, inline_workers=0))
+        listed = []
+
+        def refusing(listing):
+            def guarded(path=".", *args, **kwargs):
+                target = Path(path)
+                if any(target == root or root in target.parents for root in history):
+                    listed.append(target)  # seen even from a background thread
+                    raise AssertionError(f"listed {path}")
+                return listing(path, *args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(os, "listdir", refusing(os.listdir))
+        monkeypatch.setattr(os, "scandir", refusing(os.scandir))
+        monkeypatch.setattr(Path, "iterdir", refusing(Path.iterdir))
+        monkeypatch.setattr(Path, "glob", refusing(Path.glob))
+        cold = small_spec(seed=604)
+        try:
+            assert app.status()[0] == 200
+            code, ticket = app.submit(json.dumps(warm.to_jsonable()).encode())
+            assert (code, ticket["cached"]) == (200, True)
+            code, _ = app.submit(json.dumps(cold.to_jsonable()).encode())
+            assert code == 202
+            deadline = time.monotonic() + 10
+            while mode == "cluster" and cold.canonical_key not in app._watched:
+                assert time.monotonic() < deadline, "dispatcher never queued the run"
+                time.sleep(0.01)
+            assert app.report(warm.canonical_key)[0] == 200
+            assert app.report(cold.canonical_key)[0] == 202
+            assert list(app.event_stream(warm.canonical_key, timeout=0))
+            assert list(app.event_stream(cold.canonical_key, timeout=0))
+            assert app.status()[0] == 200
+        finally:
+            app.close()
+            monkeypatch.undo()
+        assert listed == []
+        assert store.stats()["entries"] == 1001
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,32 @@ def _solve_total(outcome: str) -> float:
     ).value
 
 
+def _lookups(outcome: str) -> float:
+    return obs_metrics.registry().counter(
+        "repro_store_lookups_total", labels={"outcome": outcome}
+    ).value
+
+
+def _registry_value(name: str) -> float:
+    return obs_metrics.registry().counter(name).value
+
+
+def _store_counts() -> dict:
+    """The store's lookup outcomes and bad-entry verdicts, as registry totals."""
+    return {
+        "hit": _lookups("hit"),
+        "miss": _lookups("miss"),
+        "corrupt": _registry_value("repro_store_quarantines_total"),
+        "stale": _registry_value("repro_store_stale_total"),
+    }
+
+
+def _rise(before: dict) -> dict:
+    """How far each of :func:`_store_counts` rose since ``before``."""
+    after = _store_counts()
+    return {name: after[name] - before[name] for name in after}
+
+
 def _spec(rows: int = 3) -> ScenarioSpec:
     return ScenarioSpec(
         topology=TopologySpec("grid", {"rows": rows, "cols": 3, "capacity": 10.0}),
@@ -148,8 +174,9 @@ class TestCorruption:
         path = store.put(report)
         store.clear_memory()
         path.write_bytes(b"not json at all")
+        before = _store_counts()
         assert store.get(report.canonical_key) is None
-        assert store.corrupt == 1
+        assert _rise(before)["corrupt"] == 1
         assert not path.exists()  # quarantined, ready to be re-put
 
     @pytest.mark.parametrize("body", [b"[]", b"123", b'{"report": []}'])
@@ -159,8 +186,9 @@ class TestCorruption:
         path = store.put(report)
         store.clear_memory()
         path.write_bytes(body)
+        before = _store_counts()
         assert store.get(report.canonical_key) is None
-        assert store.corrupt == 1
+        assert _rise(before)["corrupt"] == 1
         assert not path.exists()
 
     def test_bit_flip_fails_digest_check(self, tmp_path):
@@ -182,8 +210,9 @@ class TestCorruption:
         raw[flip_at] = ord("8") if raw[flip_at] != ord("8") else ord("9")
         json.loads(bytes(raw).decode("utf-8"))  # still valid JSON
         path.write_bytes(bytes(raw))
+        before = _store_counts()
         assert store.get(report.canonical_key) is None
-        assert store.corrupt == 1
+        assert _rise(before)["corrupt"] == 1
 
     def test_foreign_report_schema_degrades_to_miss(self, tmp_path):
         # A valid envelope holding a future/foreign report schema must be
@@ -208,8 +237,9 @@ class TestCorruption:
         path.write_bytes(
             json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode()
         )
+        before = _store_counts()
         assert store.get(report.canonical_key) is None
-        assert store.corrupt == 1
+        assert _rise(before)["corrupt"] == 1
         assert not path.exists()
 
     def test_report_from_another_engine_version_is_re_solved(self, tmp_path):
@@ -235,12 +265,11 @@ class TestCorruption:
             json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode()
         )
         store.clear_memory()
+        before = _store_counts()
         assert store.get(spec.canonical_key) is None
         assert not path.exists()
         # Version skew is not damage: the read counts as stale.
-        assert store.corrupt == 0
-        assert store.stale == 1
-        assert store.stats()["stale"] == 1
+        assert _rise(before) == {"hit": 0, "miss": 1, "corrupt": 0, "stale": 1}
         api.clear_caches()
         again = api.solve(spec, store=store)
         assert again.cached is False
@@ -264,16 +293,6 @@ class TestCorruption:
         # ... and the fresh solve healed the entry.
         store.clear_memory()
         assert store.get(spec.canonical_key) is not None
-
-
-def _lookups(outcome: str) -> float:
-    return obs_metrics.registry().counter(
-        "repro_store_lookups_total", labels={"outcome": outcome}
-    ).value
-
-
-def _registry_value(name: str) -> float:
-    return obs_metrics.registry().counter(name).value
 
 
 def _flip_a_digit(raw: bytes, key: str) -> bytes:
@@ -329,26 +348,15 @@ class TestStoredBytes:
         path.write_bytes(damage(path.read_bytes(), key))
         json.loads(path.read_bytes())  # still JSON: only a check can tell
         store.clear_memory()
-        before = {
-            "miss": _lookups("miss"),
-            "hit": _lookups("hit"),
-            "corrupt": _registry_value("repro_store_quarantines_total"),
-            "stale": _registry_value("repro_store_stale_total"),
-        }
+        before = _store_counts()
         assert getattr(store, read)(key) is None
         assert not path.exists()
-        assert (store.corrupt, store.stale) == (
-            (1, 0) if verdict == "corrupt" else (0, 1)
-        )
-        assert store.stats()["misses"] == 1 and store.stats()["hits"] == 0
-        assert _lookups("miss") == before["miss"] + 1
-        assert _lookups("hit") == before["hit"]
-        assert _registry_value("repro_store_quarantines_total") == before["corrupt"] + (
-            verdict == "corrupt"
-        )
-        assert _registry_value("repro_store_stale_total") == before["stale"] + (
-            verdict == "stale"
-        )
+        assert _rise(before) == {
+            "hit": 0,
+            "miss": 1,
+            "corrupt": int(verdict == "corrupt"),
+            "stale": int(verdict == "stale"),
+        }
 
     def test_canonical_entry_is_verified_without_re_encoding(
         self, tmp_path, monkeypatch
@@ -366,9 +374,10 @@ class TestStoredBytes:
 
         monkeypatch.setattr(report_store, "canonical_json", counted)
         store.clear_memory()
+        before = _store_counts()
         assert store.get_bytes(key) == body
         assert not [data for data in encoded if isinstance(data, dict)]
-        assert store.corrupt == 0
+        assert _rise(before) == {"hit": 1, "miss": 0, "corrupt": 0, "stale": 0}
 
     def test_repeated_gets_rebuild_a_report_once(self, tmp_path, monkeypatch):
         store = ReportStore(tmp_path / "store")
@@ -383,12 +392,13 @@ class TestStoredBytes:
             return from_jsonable(data)
 
         monkeypatch.setattr(service.SolveReport, "from_jsonable", counted)
+        before = _store_counts()
         first = store.get(key)
         assert store.get_bytes(key) is not None  # keeps the rebuilt report
         assert store.get(key) is first
         assert api.solve(_spec(), store=store).cached
         assert len(rebuilds) == 1
-        assert store.stats()["hits"] == 4
+        assert _rise(before)["hit"] == 4
         store.put(report)  # new bytes drop the rebuilt report
         assert store.get(key) is not first
         assert len(rebuilds) == 2
@@ -408,9 +418,10 @@ class TestStoredBytes:
         del payload["sessions"]
         path.write_bytes(_envelope(payload, key))
         store.clear_memory()
+        before = _store_counts()
         assert store.get_bytes(key) is not None
         assert store.get(key) is None
-        assert store.corrupt == 1
+        assert _rise(before) == {"hit": 1, "miss": 1, "corrupt": 1, "stale": 0}
         assert not path.exists() and not store.contains(key)
 
 
@@ -437,6 +448,7 @@ class TestConcurrentWriters:
         # Read continuously while both writers hammer the same key: a
         # torn write would surface as a digest/JSON failure (corrupt).
         reader = ReportStore(tmp_path / "store")
+        before = _store_counts()
         seen = 0
         while any(w.poll() is None for w in writers):
             reader.clear_memory()  # every read goes to disk
@@ -445,7 +457,7 @@ class TestConcurrentWriters:
             seen += 1
         for w in writers:
             assert w.wait() == 0
-        assert reader.corrupt == 0
+        assert _rise(before)["corrupt"] == 0
         assert seen > 0
         final = reader.get(report.canonical_key)
         assert _flows(final.solution) == _flows(report.solution)
@@ -594,6 +606,17 @@ class TestMaintenance:
         assert removed == 2
         stats = store.stats()
         assert stats["entries"] == 1
+
+    def test_cache_stats_prints_entries_and_bytes(self, tmp_path, capsys):
+        # A fresh process knows only what the disk holds; lookup counts
+        # live in the metrics registry of the process that made them.
+        from repro.api.__main__ import main
+
+        store = ReportStore(tmp_path / "store")
+        path = store.put(api.solve(_spec()))
+        assert main(["cache", "stats", "--store", str(store.root)]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert lines == [["entries", "1"], ["bytes", str(path.stat().st_size)]]
 
     def test_prune_by_age_keeps_fresh_entries(self, tmp_path):
         store = ReportStore(tmp_path / "store")
